@@ -125,6 +125,16 @@ run_bench() {
     stage "cargo bench --no-run (benches compile)"
     cargo bench --workspace --no-run -q
 
+    # E11 smoke run: the hot-path ablations (indexed registry, route
+    # cache, allocation-lean dispatch). Emits BENCH_hotpath.json.
+    stage "e11 hot-path smoke (ablation rows)"
+    cargo bench -p bench --bench e11_ablations -- --test
+
+    # E13 smoke run: availability under the canonical chaos schedule
+    # with the resilient wire on vs off. Emits BENCH_resilience.json.
+    stage "e13 resilience smoke (availability rows)"
+    cargo bench -p bench --bench e13_resilience -- --test
+
     # E14 smoke run: its report functions assert the multiplexed-wire
     # thresholds (batched events/sec >= 3x unbatched at fan-out 64, wire
     # bytes/event <= 0.5x, idle p50 within 10%), so a regression in the
@@ -177,7 +187,8 @@ run_bench() {
 
     # Compare the freshly emitted BENCH_*.json from the smoke runs
     # above against bench-baselines/ within a tolerance band. Fails on
-    # drift, shape change, or a fresh report with no baseline.
+    # drift, shape change, a fresh report with no baseline, or a
+    # baseline with no fresh report.
     stage "bench regression gate (scripts/bench_gate.py)"
     python3 scripts/bench_gate.py
 }

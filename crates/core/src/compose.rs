@@ -28,13 +28,13 @@
 //!   cannot know whether it executed (the saga assumption — see
 //!   DESIGN.md §16).
 //!
-//! Every step runs under a [`HopKind::Compose`] span in the caller's
-//! trace tree, and per-step latency lands in the [`Layer::Compose`]
-//! sketch of the hosting gateway's metrics registry.
+//! Every step and every compensation runs under a [`HopKind::Compose`]
+//! scope in the caller's trace tree, so its latency lands in the
+//! [`crate::obs::Layer::Compose`] sketch of the hosting gateway's
+//! metrics registry.
 
 use crate::error::MetaError;
 use crate::iface::{OpSig, ServiceInterface, TypeTag};
-use crate::obs::Layer;
 use crate::trace::HopKind;
 use crate::vsg::Vsg;
 use minixml::Element;
@@ -489,7 +489,6 @@ pub fn execute(
     sim: &Sim,
     args: &[(String, Value)],
 ) -> (Result<Value, MetaError>, ComposeOutcome) {
-    let tracer = vsg.tracer();
     let base = vsg.resilience();
     let budget = spec.budget.unwrap_or(base.deadline);
     let started = sim.now();
@@ -498,10 +497,9 @@ pub fn execute(
     let mut outcome = ComposeOutcome::default();
 
     for (i, step) in spec.steps.iter().enumerate() {
-        let span = tracer.begin(sim, HopKind::Compose, || {
+        let scope = vsg.scope(sim, HopKind::Compose, || {
             format!("step {i}/{k}: {}.{}", step.service, step.operation)
         });
-        let step_started = sim.now();
         let result = (|| {
             let spent = sim.now().since(started);
             if spent >= budget {
@@ -528,12 +526,7 @@ pub fn execute(
             }
             vsg.invoke_with_policy(sim, &step.service, &step.operation, &step_args, &policy)
         })();
-        vsg.metrics().record_layer_with_exemplar(
-            Layer::Compose,
-            (sim.now() - step_started).as_micros(),
-            span.trace_id(),
-        );
-        tracer.end_result(sim, span, &result);
+        scope.finish(&result);
         match result {
             Ok(v) => {
                 outputs.push(v);
@@ -563,13 +556,12 @@ fn compensate(
     base: &crate::resilience::ResiliencePolicy,
     outcome: &mut ComposeOutcome,
 ) {
-    let tracer = vsg.tracer();
     for i in (0..outputs.len()).rev() {
         let step = &spec.steps[i];
         let Some(comp) = &step.compensation else {
             continue;
         };
-        let span = tracer.begin(sim, HopKind::Compose, || {
+        let scope = vsg.scope(sim, HopKind::Compose, || {
             format!("compensate step {i}: {}.{}", step.service, comp.operation)
         });
         let result = (|| {
@@ -585,7 +577,7 @@ fn compensate(
             // more than the extra wait.
             vsg.invoke_with_policy(sim, &step.service, &comp.operation, &comp_args, base)
         })();
-        tracer.end_result(sim, span, &result);
+        scope.finish(&result);
         match result {
             Ok(_) => outcome.compensations_run += 1,
             Err(_) => outcome.compensations_failed += 1,

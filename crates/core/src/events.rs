@@ -19,6 +19,7 @@
 
 use crate::batch::BatchPolicy;
 use crate::metrics::MetricsRegistry;
+use crate::obs::Scope;
 use crate::protocol::SipLike;
 use crate::trace::{HopKind, Tracer};
 use crate::vsg::Vsg;
@@ -66,10 +67,9 @@ impl PollingBridge {
             stats2.lock().carrier_messages += 1;
             // A timer tick is not part of any in-flight framework call,
             // so each poll starts a fresh trace.
-            let tracer = vsg.tracer();
-            let span = tracer.begin_root(sim, HopKind::Event, || format!("poll {service}"));
+            let scope = vsg.root_scope(sim, HopKind::Event, || format!("poll {service}"));
             let result = vsg.invoke(sim, &service, "drain_events", &[]);
-            tracer.end_result(sim, span, &result);
+            scope.finish(&result);
             match result {
                 Ok(Value::List(events)) => {
                     let mut st = stats2.lock();
@@ -195,9 +195,9 @@ impl FlushCtx {
         }
         let sim = self.net.sim();
         let n = items.len() as u64;
-        let span = self
-            .tracer
-            .begin_root(sim, HopKind::Event, || format!("notify batch of {n}"));
+        let _scope = Scope::root(sim, &self.tracer, &self.metrics, HopKind::Event, || {
+            format!("notify batch of {n}")
+        });
         let now = sim.now();
         for q in &items {
             self.metrics
@@ -217,8 +217,6 @@ impl FlushCtx {
         } else {
             st.events_dropped += n;
         }
-        drop(st);
-        self.tracer.end(sim, span);
     }
 }
 
@@ -341,9 +339,9 @@ impl SipPublisher {
             // event push originates at the device, outside any
             // in-flight framework call: one fresh-trace span covers the
             // whole fan-out.
-            let span = self
-                .tracer
-                .begin_root(sim, HopKind::Event, || format!("notify {service}"));
+            let _scope = Scope::root(sim, &self.tracer, &self.metrics, HopKind::Event, || {
+                format!("notify {service}")
+            });
             for target in targets {
                 self.stats.lock().carrier_messages += 1;
                 let ok = self
@@ -356,7 +354,6 @@ impl SipPublisher {
                     st.events_dropped += 1;
                 }
             }
-            self.tracer.end(sim, span);
             return;
         };
         // Marshal once: every peer's queue takes a copy of the payload

@@ -35,6 +35,7 @@
 
 use crate::error::MetaError;
 use crate::metrics::MetricsRegistry;
+use crate::obs::Scope;
 use crate::trace::{HopKind, Tracer};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration, SimTime};
@@ -644,6 +645,7 @@ struct ReplicaCtx {
     map: Arc<Mutex<ShardMap>>,
     client: SoapClient,
     tracer: Tracer,
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// Starts `config.replicas` repository replicas on fresh backbone
@@ -653,6 +655,7 @@ pub(crate) fn start_replicas(
     net: &Network,
     config: &FederationConfig,
     tracer: &Tracer,
+    metrics: &Arc<MetricsRegistry>,
 ) -> (Vec<Replica>, Arc<Mutex<ShardMap>>) {
     let servers: Vec<SoapServer> = (0..config.replicas.max(1))
         .map(|i| SoapServer::bind(net, &format!("vsr-{i}")))
@@ -682,6 +685,7 @@ pub(crate) fn start_replicas(
                 map: map.clone(),
                 client: client.clone(),
                 tracer: tracer.clone(),
+                metrics: metrics.clone(),
             };
             server.mount(VSR_NS, move |sim, call: &RpcCall| {
                 handle(&ctx, sim, call).map_err(|e| Fault::server(e.to_string()))
@@ -697,11 +701,6 @@ pub(crate) fn start_replicas(
 }
 
 impl ReplicaCtx {
-    fn note(&self, sim: &Sim, name: impl FnOnce() -> String) {
-        let span = self.tracer.begin(sim, HopKind::Federation, name);
-        self.tracer.end(sim, span);
-    }
-
     /// Best-effort eager push of freshly written entries to the other
     /// members of each entry's shard. Failures are swallowed — the
     /// anti-entropy pass repairs them — but each push gets a
@@ -721,17 +720,21 @@ impl ReplicaCtx {
         }
         for (peer, entries) in per_peer {
             let n = entries.len();
-            let span = self.tracer.begin(sim, HopKind::Federation, || {
-                format!(
-                    "replicate {n} entr{} -> n{peer}",
-                    if n == 1 { "y" } else { "ies" }
-                )
-            });
+            let scope = Scope::child(
+                sim,
+                &self.tracer,
+                &self.metrics,
+                HopKind::Federation,
+                || {
+                    let plural = if n == 1 { "y" } else { "ies" };
+                    format!("replicate {n} entr{plural} -> n{peer}")
+                },
+            );
             let result = self.client.call(
                 NodeId(peer),
                 &RpcCall::new(VSR_NS, "replicate").arg("entries", Value::List(entries)),
             );
-            self.tracer.end_result(sim, span, &result);
+            scope.finish(&result);
         }
     }
 }
@@ -1056,7 +1059,7 @@ fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall, name: &str) -> Resul
             let version = map.version();
             let node = ctx.node.0;
             drop(map);
-            ctx.note(sim, || {
+            ctx.tracer.note(sim, HopKind::Federation, || {
                 format!("promoted n{node} to primary of shard {shard} (map v{version})")
             });
             return Ok(shard);
@@ -1148,7 +1151,7 @@ pub(crate) fn sync_cluster(
         let prefs = snapshot.replicas_for(shard).to_vec();
         let primary = prefs[0];
         for &backup in &prefs[1..] {
-            sync_pair(sim, replicas, shard, primary, backup, tracer);
+            sync_pair(sim, replicas, shard, primary, backup, tracer, metrics);
         }
         let lag = shard_lag(replicas, shard, primary, &prefs[1..]);
         metrics.set_replication_lag(shard, lag);
@@ -1203,21 +1206,21 @@ fn sync_pair(
     primary: NodeId,
     backup: NodeId,
     tracer: &Tracer,
+    metrics: &MetricsRegistry,
 ) {
     let Some(rep) = replica_by_node(replicas, backup) else {
         return;
     };
-    let span = tracer.begin(sim, HopKind::Federation, || {
+    let scope = Scope::child(sim, tracer, metrics, HopKind::Federation, || {
         format!("sync shard {shard}: n{} <-> n{}", backup.0, primary.0)
     });
-    let digest = rep.client.call(
+    let digest = match rep.client.call(
         primary,
         &RpcCall::new(VSR_NS, "sync_digest").arg("shard", i64::from(shard)),
-    );
-    let digest = match digest {
+    ) {
         Ok(v) => v,
-        Err(e) => {
-            tracer.end_with(sim, span, 0, Some(e.to_string()));
+        failed @ Err(_) => {
+            scope.finish(&failed);
             return;
         }
     };
@@ -1329,7 +1332,6 @@ fn sync_pair(
                 .arg("gateways", Value::List(gateways)),
         );
     }
-    tracer.end(sim, span);
 }
 
 #[cfg(test)]

@@ -182,7 +182,7 @@ impl MetricsRegistry {
     /// Records one invocation of `service` that took `elapsed_us` of
     /// virtual time; `error_kind` is [`crate::MetaError::kind`] when it
     /// failed.
-    pub fn record(&self, service: &str, elapsed_us: u64, error_kind: Option<&'static str>) {
+    pub(crate) fn record(&self, service: &str, elapsed_us: u64, error_kind: Option<&'static str>) {
         self.record_with_exemplar(service, elapsed_us, error_kind, None);
     }
 
@@ -190,7 +190,7 @@ impl MetricsRegistry {
     /// the invocation (when tracing is on), stored on the latency
     /// bucket the sample lands in so a slow bucket in a fleet-merged
     /// snapshot points at one concrete kept trace.
-    pub fn record_with_exemplar(
+    pub(crate) fn record_with_exemplar(
         &self,
         service: &str,
         elapsed_us: u64,
@@ -210,20 +210,10 @@ impl MetricsRegistry {
         st.latency.record_with_exemplar(elapsed_us, exemplar);
     }
 
-    /// Records `elapsed_us` against one attribution layer (VSR lookup,
-    /// VSG wire, PCM conversion, app body). Always on, like the other
-    /// counters.
-    pub fn record_layer(&self, layer: Layer, elapsed_us: u64) {
-        self.record_layer_with_exemplar(layer, elapsed_us, None);
-    }
-
-    /// [`MetricsRegistry::record_layer`] with a trace-id exemplar.
-    pub fn record_layer_with_exemplar(
-        &self,
-        layer: Layer,
-        elapsed_us: u64,
-        exemplar: Option<TraceId>,
-    ) {
+    /// Records `elapsed_us` against one attribution layer, with a
+    /// trace-id exemplar. Only [`crate::obs::Scope`] calls this, so
+    /// every layer sample is one scope close.
+    pub(crate) fn record_layer(&self, layer: Layer, elapsed_us: u64, exemplar: Option<TraceId>) {
         self.state.lock().layers[layer.index()].record_with_exemplar(elapsed_us, exemplar);
     }
 
@@ -809,19 +799,21 @@ mod tests {
         let a = MetricsRegistry::new();
         a.record_with_exemplar("lamp", 300, None, Some(TraceId(9)));
         a.record("lamp", 90, Some("unknown-operation"));
-        a.record_layer(Layer::Wire, 200);
         a.record_breaker_transition("havi-gw", "open");
         a.set_replication_lag(1, 3);
         let b = MetricsRegistry::new();
         b.record_with_exemplar("vcr", 310, None, Some(TraceId(4)));
-        b.record_layer(Layer::Wire, 220);
         b.record_breaker_transition("havi-gw", "closed");
         b.set_replication_lag(1, 7);
 
+        let mut reg_a = a.snapshot();
+        reg_a.layers[Layer::Wire.index()].record(200);
+        let mut reg_b = b.snapshot();
+        reg_b.layers[Layer::Wire.index()].record(220);
         let snap_a = MetricsSnapshot {
             gateway: "a".into(),
             island: 0,
-            registry: a.snapshot(),
+            registry: reg_a,
             cache: CacheStats {
                 hits: 2,
                 ..CacheStats::default()
@@ -830,7 +822,7 @@ mod tests {
         let snap_b = MetricsSnapshot {
             gateway: "b".into(),
             island: 1,
-            registry: b.snapshot(),
+            registry: reg_b,
             cache: CacheStats {
                 hits: 3,
                 ..CacheStats::default()

@@ -1,6 +1,6 @@
-//! Fleet-scale observability plane: mergeable latency sketches,
-//! deterministic trace sampling with a bounded flight recorder, and
-//! text/JSONL exporters.
+//! Fleet-scale observability plane: the one instrumentation point
+//! ([`Scope`]), mergeable latency sketches, deterministic trace
+//! sampling with a bounded flight recorder, and text/JSONL exporters.
 //!
 //! PR-2 built per-gateway observability for *one* home: full
 //! histograms, full span trees. At fleet scale (10k+ homes on
@@ -25,9 +25,12 @@
 //!    kept, and the top-slow traces of each harvest are kept even
 //!    when head-sampled out.
 
-use crate::trace::{HopKind, Span, TraceId};
+use crate::error::MetaError;
+use crate::metrics::MetricsRegistry;
+use crate::trace::{HopKind, Span, SpanHandle, TraceId, Tracer};
+use simnet::{Network, Sim, SimTime};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Number of log2 buckets in a [`HistSketch`]. Bucket `i` holds
 /// samples whose microsecond value fits in `i` bits, i.e. the bucket
@@ -222,9 +225,11 @@ impl HistSketch {
 }
 
 /// Latency attribution layers, matching the paper's §3 architecture:
-/// VSR lookup, VSG wire transfer, PCM conversion, and the application
-/// body. Layers are *views* — PCM time is spent inside the app body
-/// on the serving side, so layer sums may exceed end-to-end latency.
+/// VSR lookup, VSG wire transfer, PCM conversion, the application
+/// body, and composite pipeline steps. Fed only by child [`Scope`]s,
+/// through [`Layer::of`]. Layers are *views* — PCM time is spent
+/// inside the app body on the serving side, so layer sums may exceed
+/// end-to-end latency.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Layer {
     /// Virtual service repository lookups (directory round trips).
@@ -271,6 +276,156 @@ impl Layer {
             Layer::Compose => 4,
         }
     }
+
+    /// The sketch a child [`Scope`] of `kind` feeds: the one
+    /// `HopKind → Layer` table. The other kinds cover whole calls,
+    /// cache answers, inbound dispatch, events, and resilience,
+    /// federation and cloud decisions; they record spans only.
+    pub fn of(kind: HopKind) -> Option<Layer> {
+        match kind {
+            HopKind::VsrLookup => Some(Layer::Vsr),
+            HopKind::VsgWire => Some(Layer::Wire),
+            HopKind::PcmConvert => Some(Layer::Pcm),
+            HopKind::App => Some(Layer::App),
+            HopKind::Compose => Some(Layer::Compose),
+            _ => None,
+        }
+    }
+}
+
+/// One instrumented hop of the §3 call path. Opening a scope opens the
+/// hop's span; finishing it with the hop's result, or dropping it,
+/// closes the span with the error and the bytes charged via
+/// [`Scope::bytes_from`], and — for a child scope whose kind has a
+/// [`Layer::of`] — records the hop's virtual time into that layer's
+/// sketch with the trace id as exemplar.
+///
+/// Root scopes cover work arriving from outside the framework (bridge
+/// calls, polls, cloud frames) and never feed a sketch; neither do
+/// [`Tracer::note`] instants. While tracing is off a scope runs no
+/// name closure, reads no byte counter and allocates nothing.
+#[must_use = "a scope records its hop when finished or dropped"]
+pub struct Scope<'a> {
+    sim: &'a Sim,
+    tracer: &'a Tracer,
+    metrics: &'a MetricsRegistry,
+    layer: Option<Layer>,
+    span: SpanHandle,
+    started: SimTime,
+    charge: Option<(&'a Network, u64)>,
+}
+
+impl<'a> Scope<'a> {
+    /// Opens a hop as a child of the innermost open span (a new trace
+    /// if none is open). `name` runs only while tracing is on.
+    pub fn child(
+        sim: &'a Sim,
+        tracer: &'a Tracer,
+        metrics: &'a MetricsRegistry,
+        kind: HopKind,
+        name: impl FnOnce() -> String,
+    ) -> Scope<'a> {
+        let span = tracer.begin(sim, kind, name);
+        Scope::open(sim, tracer, metrics, Layer::of(kind), span)
+    }
+
+    /// Opens a hop that starts a fresh trace even if a span is open:
+    /// for work arriving from outside any in-flight framework call.
+    pub fn root(
+        sim: &'a Sim,
+        tracer: &'a Tracer,
+        metrics: &'a MetricsRegistry,
+        kind: HopKind,
+        name: impl FnOnce() -> String,
+    ) -> Scope<'a> {
+        let span = tracer.begin_root(sim, kind, name);
+        Scope::open(sim, tracer, metrics, None, span)
+    }
+
+    fn open(
+        sim: &'a Sim,
+        tracer: &'a Tracer,
+        metrics: &'a MetricsRegistry,
+        layer: Option<Layer>,
+        span: SpanHandle,
+    ) -> Scope<'a> {
+        Scope {
+            sim,
+            tracer,
+            metrics,
+            layer,
+            span,
+            started: sim.now(),
+            charge: None,
+        }
+    }
+
+    /// Charges the span with the bytes `net` delivers until the scope
+    /// closes. The counter is read only while traced.
+    pub fn bytes_from(mut self, net: &'a Network) -> Scope<'a> {
+        if self.span.trace_id().is_some() {
+            self.charge = Some((net, delivered_bytes(net)));
+        }
+        self
+    }
+
+    /// The trace this hop belongs to (`None` while tracing is off).
+    pub fn trace_id(&self) -> Option<TraceId> {
+        self.span.trace_id()
+    }
+
+    /// The bytes charged so far, after which the scope charges none:
+    /// for a hop that hands its bytes on to [`Tracer::note`] instants.
+    pub(crate) fn take_bytes(&mut self) -> u64 {
+        self.charge.take().map_or(0, |(net, before)| {
+            delivered_bytes(net).saturating_sub(before)
+        })
+    }
+
+    /// Closes the hop with `result`'s error (formatted only while
+    /// traced).
+    pub fn finish<T, E: fmt::Display>(mut self, result: &Result<T, E>) {
+        let error = match result {
+            Err(e) if self.span.trace_id().is_some() => Some(e.to_string()),
+            _ => None,
+        };
+        self.close(error);
+    }
+
+    /// [`Scope::finish`] for one invocation of `service`: also records
+    /// the gateway's invocation counters and end-to-end latency sketch,
+    /// with the trace id as exemplar.
+    pub fn finish_invocation<T>(self, service: &str, result: &Result<T, MetaError>) {
+        self.metrics.record_with_exemplar(
+            service,
+            (self.sim.now() - self.started).as_micros(),
+            result.as_ref().err().map(MetaError::kind),
+            self.trace_id(),
+        );
+        self.finish(result);
+    }
+
+    fn close(&mut self, error: Option<String>) {
+        if let Some(layer) = self.layer.take() {
+            let elapsed_us = (self.sim.now() - self.started).as_micros();
+            self.metrics
+                .record_layer(layer, elapsed_us, self.span.trace_id());
+        }
+        let bytes = self.take_bytes();
+        let span = std::mem::replace(&mut self.span, SpanHandle::inert());
+        self.tracer.end_with(self.sim, span, bytes, error);
+    }
+}
+
+impl Drop for Scope<'_> {
+    /// Closes a scope that was not finished, with no error.
+    fn drop(&mut self) {
+        self.close(None);
+    }
+}
+
+fn delivered_bytes(net: &Network) -> u64 {
+    net.with_stats(|s| s.total().bytes)
 }
 
 /// Sampling and retention policy for the [`FlightRecorder`].

@@ -47,7 +47,7 @@
 use crate::error::MetaError;
 use crate::intern::Name;
 use crate::metrics::{CacheStats, MetricsRegistry, MetricsSnapshot};
-use crate::obs::HistSketch;
+use crate::obs::{HistSketch, Scope};
 use crate::trace::{HopKind, Span, Tracer};
 use parking_lot::Mutex;
 use simnet::{FaultPlan, Network, NodeId, Protocol, RepeatHandle, Sim, SimDuration, SimTime};
@@ -524,15 +524,10 @@ impl CloudBridgePcm {
             st.epoch += 1;
             st.epoch
         };
-        let span = self
-            .inner
-            .tracer
-            .begin_root(sim, HopKind::Cloud, || format!("cloud.hello e{epoch}"));
-        let started = sim.now();
+        let scope = self.root_scope(sim, || format!("cloud.hello e{epoch}"));
         let reply = self.wan_request(format!("HELLO {epoch}"));
-        let elapsed = (sim.now() - started).as_micros();
         let mut st = self.inner.state.lock();
-        match reply.as_deref() {
+        let result = match reply.as_deref() {
             Ok(ok) if ok.starts_with("OK ") => {
                 let applied_through: u64 = ok[3..].trim().parse().unwrap_or(0);
                 // Delta reconciliation: the digest says the cloud
@@ -545,10 +540,7 @@ impl CloudBridgePcm {
                 st.backoff_attempt = 0;
                 st.throttled_until = SimTime::ZERO;
                 st.stats.reconnects += 1;
-                self.inner.metrics.record("cloud.hello", elapsed, None);
-                self.inner
-                    .tracer
-                    .end_result::<(), MetaError>(sim, span, &Ok(()));
+                Ok(())
             }
             Ok(retry) if retry.starts_with("RETRY ") => {
                 let after = SimDuration::from_micros(retry[6..].trim().parse().unwrap_or(0));
@@ -560,16 +552,11 @@ impl CloudBridgePcm {
                 // Typed pushback feeds the backoff: wait at least what
                 // the cloud asked for.
                 let wait = self.backoff(attempt).max(after);
-                let mut st = self.inner.state.lock();
-                st.next_attempt_at = sim.now() + wait;
-                self.inner
-                    .metrics
-                    .record("cloud.hello", elapsed, Some("overloaded"));
-                let err: Result<(), MetaError> = Err(MetaError::Overloaded {
+                self.inner.state.lock().next_attempt_at = sim.now() + wait;
+                Err(MetaError::Overloaded {
                     gateway: "cloud".into(),
                     queued: 0,
-                });
-                self.inner.tracer.end_result(sim, span, &err);
+                })
             }
             _ => {
                 let attempt = st.backoff_attempt;
@@ -577,16 +564,11 @@ impl CloudBridgePcm {
                 st.stats.connect_failures += 1;
                 drop(st);
                 let wait = self.backoff(attempt);
-                let mut st = self.inner.state.lock();
-                st.next_attempt_at = sim.now() + wait;
-                self.inner
-                    .metrics
-                    .record("cloud.hello", elapsed, Some("transport"));
-                let err: Result<(), MetaError> =
-                    Err(MetaError::transport("cloud hello failed", true));
-                self.inner.tracer.end_result(sim, span, &err);
+                self.inner.state.lock().next_attempt_at = sim.now() + wait;
+                Err(MetaError::transport("cloud hello failed", true))
             }
-        }
+        };
+        scope.finish_invocation("cloud.hello", &result);
     }
 
     fn drain(&self) {
@@ -622,38 +604,25 @@ impl CloudBridgePcm {
                     e.payload
                 ));
             }
-            let span = self
-                .inner
-                .tracer
-                .begin_root(sim, HopKind::Cloud, || format!("cloud.push x{n}"));
-            let started = sim.now();
+            let scope = self.root_scope(sim, || format!("cloud.push x{n}"));
             let reply = self.wan_request(msg);
-            let elapsed = (sim.now() - started).as_micros();
             let mut st = self.inner.state.lock();
-            match reply.as_deref() {
+            let result = match reply.as_deref() {
                 Ok(ok) if ok.starts_with("OK ") => {
                     let applied_through: u64 = ok[3..].trim().parse().unwrap_or(0);
                     let before = st.outbox.len();
                     st.outbox.retain(|e| e.seq > applied_through);
                     st.stats.pushed += (before - st.outbox.len()) as u64;
-                    self.inner.metrics.record("cloud.push", elapsed, None);
-                    self.inner
-                        .tracer
-                        .end_result::<(), MetaError>(sim, span, &Ok(()));
+                    Ok(())
                 }
                 Ok(retry) if retry.starts_with("RETRY ") => {
                     let after = SimDuration::from_micros(retry[6..].trim().parse().unwrap_or(0));
                     st.throttled_until = sim.now() + after;
                     st.stats.retry_after_waits += 1;
-                    self.inner
-                        .metrics
-                        .record("cloud.push", elapsed, Some("overloaded"));
-                    let err: Result<(), MetaError> = Err(MetaError::Overloaded {
+                    Err(MetaError::Overloaded {
                         gateway: "cloud".into(),
                         queued: st.outbox.len() as u64,
-                    });
-                    self.inner.tracer.end_result(sim, span, &err);
-                    return;
+                    })
                 }
                 Ok(stale) if stale.starts_with("STALE ") => {
                     // Someone (or a duplicated HELLO of our own) moved
@@ -661,12 +630,7 @@ impl CloudBridgePcm {
                     st.connected = false;
                     st.stats.stale_push_rejects += 1;
                     st.next_attempt_at = sim.now();
-                    self.inner
-                        .metrics
-                        .record("cloud.push", elapsed, Some("protocol"));
-                    let err: Result<(), MetaError> = Err(MetaError::Protocol("stale epoch".into()));
-                    self.inner.tracer.end_result(sim, span, &err);
-                    return;
+                    Err(MetaError::Protocol("stale epoch".into()))
                 }
                 _ => {
                     // Transport failure mid-session: the push may or
@@ -679,19 +643,23 @@ impl CloudBridgePcm {
                     st.backoff_attempt += 1;
                     drop(st);
                     let wait = self.backoff(attempt);
-                    let mut st = self.inner.state.lock();
-                    st.next_attempt_at = sim.now() + wait;
-                    self.inner
-                        .metrics
-                        .record("cloud.push", elapsed, Some("transport"));
+                    self.inner.state.lock().next_attempt_at = sim.now() + wait;
                     self.inner.metrics.record_retry();
-                    let err: Result<(), MetaError> =
-                        Err(MetaError::transport("cloud push failed", false));
-                    self.inner.tracer.end_result(sim, span, &err);
-                    return;
+                    Err(MetaError::transport("cloud push failed", false))
                 }
+            };
+            scope.finish_invocation("cloud.push", &result);
+            if result.is_err() {
+                return;
             }
         }
+    }
+
+    /// Opens the root scope of one cloud-bridge action: each arrives
+    /// from a timer or the WAN, outside any framework call.
+    fn root_scope<'a>(&'a self, sim: &'a Sim, name: impl FnOnce() -> String) -> Scope<'a> {
+        let inner = &self.inner;
+        Scope::root(sim, &inner.tracer, &inner.metrics, HopKind::Cloud, name)
     }
 
     fn wan_request(&self, msg: String) -> Result<String, MetaError> {
@@ -747,15 +715,11 @@ impl CloudBridgePcm {
             op,
             payload,
         };
-        let span = self.inner.tracer.begin_root(sim, HopKind::Cloud, || {
-            format!("cloud.cmd #{id} {}", cmd.op)
-        });
-        let started = sim.now();
+        let scope = self.root_scope(sim, || format!("cloud.cmd #{id} {}", cmd.op));
         let outcome = {
             let mut applier = self.inner.applier.lock();
             (applier)(sim, &cmd)
         };
-        let elapsed = (sim.now() - started).as_micros();
         let reply = match &outcome {
             Ok(result) => format!("OK {result}"),
             Err(msg) => format!("ERR {msg}"),
@@ -772,14 +736,8 @@ impl CloudBridgePcm {
             st.dedup.pop_front();
         }
         drop(st);
-        self.inner.metrics.record(
+        scope.finish_invocation(
             "cloud.cmd",
-            elapsed,
-            outcome.as_ref().err().map(|_| "native"),
-        );
-        self.inner.tracer.end_result(
-            sim,
-            span,
             &outcome.map_err(|e| MetaError::native("cloud", e)),
         );
         Ok(reply)
@@ -896,11 +854,13 @@ impl CloudCell {
             (st.next_cmd_id, st.epoch)
         };
         let msg = format!("CMD {id} {epoch} {device} {op} {payload}");
-        let span = self
-            .inner
-            .tracer
-            .begin_root(sim, HopKind::Cloud, || format!("cloud.send #{id} {op}"));
-        let started = sim.now();
+        let scope = Scope::root(
+            sim,
+            &self.inner.tracer,
+            &self.inner.metrics,
+            HopKind::Cloud,
+            || format!("cloud.send #{id} {op}"),
+        );
         let mut attempt = 0u32;
         let outcome = loop {
             match self.inner.wan.request(
@@ -940,13 +900,7 @@ impl CloudCell {
         if outcome.is_err() {
             self.inner.state.lock().stats.command_failures += 1;
         }
-        let elapsed = (sim.now() - started).as_micros();
-        self.inner.metrics.record(
-            "cloud.send",
-            elapsed,
-            outcome.as_ref().err().map(|e| e.kind()),
-        );
-        self.inner.tracer.end_result(sim, span, &outcome);
+        scope.finish_invocation("cloud.send", &outcome);
         outcome
     }
 

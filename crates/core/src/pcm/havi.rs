@@ -265,7 +265,6 @@ impl HaviPcm {
     fn fcm_target(&self, kind: FcmKind, fcm: Seid) -> ProxyTarget {
         let ms = self.ms.clone();
         let control = self.control;
-        let tracer = self.vsg.tracer().clone();
         let vsg = self.vsg.clone();
         Arc::new(move |sim, op, args| {
             let (opcode, params) =
@@ -273,18 +272,12 @@ impl HaviPcm {
                     service: kind.device_class().to_owned(),
                     operation: op.to_owned(),
                 })?;
-            let span = tracer.begin(sim, HopKind::PcmConvert, || format!("havi {op}"));
-            let started = sim.now();
+            let scope = vsg.scope(sim, HopKind::PcmConvert, || format!("havi {op}"));
             let result = ms
                 .send_ok(control.handle, fcm, opcode, params)
                 .map_err(|e: HaviError| MetaError::native("havi", e))
                 .map(|reply| fcm_reply_to_value(op, &reply));
-            vsg.metrics().record_layer_with_exemplar(
-                crate::obs::Layer::Pcm,
-                (sim.now() - started).as_micros(),
-                span.trace_id(),
-            );
-            tracer.end_result(sim, span, &result);
+            scope.finish(&result);
             result
         })
     }
@@ -315,12 +308,11 @@ impl HaviPcm {
             }
             // Messages from native HAVi controllers arrive from outside
             // any framework call: each starts a fresh trace.
-            let tracer = vsg.tracer();
-            let span = tracer.begin_root(sim, HopKind::PcmConvert, || {
+            let scope = vsg.root_scope(sim, HopKind::PcmConvert, || {
                 format!("havi-bridge {service_name}.{}", sig.name)
             });
             let result = vsg.invoke(sim, &service_name, &sig.name, &args);
-            tracer.end_result(sim, span, &result);
+            scope.finish(&result);
             match result {
                 Ok(Value::Null) => (HaviStatus::Success, vec![]),
                 Ok(v) => (HaviStatus::Success, vec![value_to_hvalue(&v)]),
@@ -391,12 +383,11 @@ impl HaviPcm {
         let panel = DdiPanel::install(&self.ms, tree, move |sim, id| {
             if let Some((op, args)) = actions.get(id as usize) {
                 // A TV-GUI button press starts a fresh trace.
-                let tracer = vsg.tracer();
-                let span = tracer.begin_root(sim, HopKind::PcmConvert, || {
+                let scope = vsg.root_scope(sim, HopKind::PcmConvert, || {
                     format!("ddi-press {service}.{op}")
                 });
                 let result = vsg.invoke(sim, &service, op, args);
-                tracer.end_result(sim, span, &result);
+                scope.finish(&result);
                 if let Err(e) = result {
                     sim.trace("havi-ddi", format!("{service}.{op} failed: {e}"));
                 }

@@ -183,7 +183,6 @@ impl JiniPcm {
     fn native_target(&self, iface: &ServiceInterface, item: &ServiceItem) -> ProxyTarget {
         let proxy = RemoteProxy::new(&self.net, self.node, item.proxy.clone());
         let iface = iface.clone();
-        let tracer = self.vsg.tracer().clone();
         let vsg = self.vsg.clone();
         Arc::new(move |sim, op, args| {
             let sig = iface.find(op).ok_or_else(|| MetaError::UnknownOperation {
@@ -200,18 +199,12 @@ impl JiniPcm {
                         .unwrap_or(JValue::Null)
                 })
                 .collect();
-            let span = tracer.begin(sim, HopKind::PcmConvert, || format!("jini rmi {op}"));
-            let started = sim.now();
+            let scope = vsg.scope(sim, HopKind::PcmConvert, || format!("jini rmi {op}"));
             let result = proxy
                 .invoke(op, &jargs)
                 .map(|j| jvalue_to_value(&j))
                 .map_err(|e: JiniError| MetaError::native("jini", e));
-            vsg.metrics().record_layer_with_exemplar(
-                crate::obs::Layer::Pcm,
-                (sim.now() - started).as_micros(),
-                span.trace_id(),
-            );
-            tracer.end_result(sim, span, &result);
+            scope.finish(&result);
             result
         })
     }
@@ -239,12 +232,11 @@ impl JiniPcm {
                     .collect();
                 // An RMI call from a native Jini client starts a fresh
                 // trace — it arrives from outside any framework call.
-                let tracer = vsg.tracer();
-                let span = tracer.begin_root(sim, HopKind::PcmConvert, || {
+                let scope = vsg.root_scope(sim, HopKind::PcmConvert, || {
                     format!("jini-bridge {service_name}.{method}")
                 });
                 let result = vsg.invoke(sim, &service_name, method, &args);
-                tracer.end_result(sim, span, &result);
+                scope.finish(&result);
                 result
                     .map(|v| value_to_jvalue(&v))
                     .map_err(|e| e.to_string())

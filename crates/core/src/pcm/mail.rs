@@ -47,7 +47,6 @@ impl MailPcm {
     /// Exports the mail service into the VSG under `name`.
     fn import_service(&self, name: &str, client: MailClient) -> Result<(), MetaError> {
         let from = self.home_address.clone();
-        let tracer = self.vsg.tracer().clone();
         let vsg = self.vsg.clone();
         self.vsg.export(
             VirtualService::new(name, catalog::mailer(), Middleware::Mail, self.vsg.name()),
@@ -59,8 +58,7 @@ impl MailPcm {
                         .map(str::to_owned)
                         .ok_or_else(|| MetaError::native("mail", format!("missing '{k}'")))
                 };
-                let span = tracer.begin(sim, HopKind::PcmConvert, || format!("mail {op}"));
-                let started = sim.now();
+                let scope = vsg.scope(sim, HopKind::PcmConvert, || format!("mail {op}"));
                 let result = (|| match op {
                     "send" => {
                         let mail = Email::new(
@@ -85,12 +83,7 @@ impl MailPcm {
                         operation: other.to_owned(),
                     }),
                 })();
-                vsg.metrics().record_layer_with_exemplar(
-                    crate::obs::Layer::Pcm,
-                    (sim.now() - started).as_micros(),
-                    span.trace_id(),
-                );
-                tracer.end_result(sim, span, &result);
+                scope.finish(&result);
                 result
             },
         )?;

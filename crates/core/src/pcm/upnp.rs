@@ -140,7 +140,6 @@ impl UpnpPcm {
         dimming_url: Option<String>,
     ) -> ProxyTarget {
         let cp = self.cp.clone();
-        let tracer = self.vsg.tracer().clone();
         let vsg = self.vsg.clone();
         Arc::new(move |sim, op, args| {
             let (service_type, action, action_args) =
@@ -159,17 +158,11 @@ impl UpnpPcm {
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.clone()))
                 .collect();
-            let span = tracer.begin(sim, HopKind::PcmConvert, || format!("upnp {action}"));
-            let started = sim.now();
+            let scope = vsg.scope(sim, HopKind::PcmConvert, || format!("upnp {action}"));
             let result = cp
                 .invoke(device, url, service_type, &action, &refs)
                 .map_err(|e| MetaError::native("upnp", e));
-            vsg.metrics().record_layer_with_exemplar(
-                crate::obs::Layer::Pcm,
-                (sim.now() - started).as_micros(),
-                span.trace_id(),
-            );
-            tracer.end_result(sim, span, &result);
+            scope.finish(&result);
             result
         })
     }
@@ -198,12 +191,11 @@ impl UpnpPcm {
                 args.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             // A control-point action arrives from outside any framework
             // call: each starts a fresh trace.
-            let tracer = vsg.tracer();
-            let span = tracer.begin_root(sim, HopKind::PcmConvert, || {
+            let scope = vsg.root_scope(sim, HopKind::PcmConvert, || {
                 format!("upnp-bridge {service_name}.{action}")
             });
             let result = vsg.invoke(sim, &service_name, action, &named);
-            tracer.end_result(sim, span, &result);
+            scope.finish(&result);
             result.map_err(|e| e.to_string())
         });
         self.hosted.lock().push(device);

@@ -149,16 +149,11 @@ impl X10Pcm {
         self.inner.vsg.export(
             service,
             move |sim: &Sim, op: &str, args: &[(String, Value)]| {
-                let tracer = inner.vsg.tracer();
-                let span = tracer.begin(sim, HopKind::PcmConvert, || format!("x10 {op}"));
-                let started = sim.now();
+                let scope = inner
+                    .vsg
+                    .scope(sim, HopKind::PcmConvert, || format!("x10 {op}"));
                 let result = inner.module_invoke(house, unit, op, args);
-                inner.vsg.metrics().record_layer_with_exemplar(
-                    crate::obs::Layer::Pcm,
-                    (sim.now() - started).as_micros(),
-                    span.trace_id(),
-                );
-                tracer.end_result(sim, span, &result);
+                scope.finish(&result);
                 result
             },
         )?;
@@ -204,8 +199,9 @@ impl X10Pcm {
         self.inner.vsg.export(
             svc,
             move |sim: &Sim, op: &str, _args: &[(String, Value)]| {
-                let tracer = inner.vsg.tracer().clone();
-                let span = tracer.begin(sim, HopKind::PcmConvert, || format!("x10 sensor {op}"));
+                let scope = inner
+                    .vsg
+                    .scope(sim, HopKind::PcmConvert, || format!("x10 sensor {op}"));
                 // Refresh from the interface buffer before answering —
                 // this *is* polling; X10 cannot push to us through the
                 // CM11A's request/response serial protocol.
@@ -224,7 +220,7 @@ impl X10Pcm {
                         }),
                     }
                 })();
-                tracer.end_result(sim, span, &result);
+                scope.finish(&result);
                 result
             },
         )?;
@@ -441,14 +437,13 @@ impl X10Inner {
         for route in routes {
             // Route firings originate on the powerline, not inside any
             // in-flight framework call, so each starts a fresh trace.
-            let tracer = self.vsg.tracer();
-            let span = tracer.begin_root(&self.sim, HopKind::PcmConvert, || {
+            let scope = self.vsg.root_scope(&self.sim, HopKind::PcmConvert, || {
                 format!("x10-route {}.{}", route.service, route.operation)
             });
             let result = self
                 .vsg
                 .invoke(&self.sim, &route.service, &route.operation, &route.args);
-            tracer.end_result(&self.sim, span, &result);
+            scope.finish(&result);
             match result {
                 Ok(_) => self.sim.trace(
                     "x10-pcm",

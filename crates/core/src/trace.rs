@@ -9,10 +9,14 @@
 //! the gateway-to-gateway wire so one cross-middleware call yields a
 //! *single* causally-connected trace tree spanning both gateways.
 //!
+//! Spans are opened only through [`crate::obs::Scope`], the one
+//! instrumentation point that also feeds the per-layer sketches, or
+//! recorded as instants with [`Tracer::note`].
+//!
 //! Tracing is off by default and costs nothing while off: a disabled
-//! [`Tracer`] performs one atomic load per instrumentation point,
+//! [`Tracer`] performs one atomic load per instrumentation point and
 //! allocates nothing (span names are built by closures that are never
-//! called), and returns inert [`SpanHandle`]s.
+//! called).
 
 use parking_lot::Mutex;
 use simnet::{Sim, SimDuration, SimTime};
@@ -195,28 +199,20 @@ impl Span {
 }
 
 /// An in-flight span returned by [`Tracer::begin`]. Inert (and free)
-/// when the tracer is disabled.
+/// when the tracer is disabled. Only [`crate::obs::Scope`] holds one.
 #[derive(Debug)]
-#[must_use = "pass the handle back to Tracer::end or the span is lost"]
-pub struct SpanHandle {
+pub(crate) struct SpanHandle {
     live: Option<LiveSpan>,
 }
 
 impl SpanHandle {
     /// A handle that records nothing (what a disabled tracer returns).
-    pub fn inert() -> SpanHandle {
+    pub(crate) fn inert() -> SpanHandle {
         SpanHandle { live: None }
     }
 
-    /// Whether ending this handle will record a span.
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
-    }
-
     /// The trace this span belongs to (`None` for inert handles).
-    /// Lets instrumentation attach the trace id as a metrics exemplar
-    /// without waiting for the span to complete.
-    pub fn trace_id(&self) -> Option<TraceId> {
+    pub(crate) fn trace_id(&self) -> Option<TraceId> {
         self.live.as_ref().map(|l| l.trace)
     }
 }
@@ -274,15 +270,15 @@ impl Tracer {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// The gateway this tracer attributes spans to.
-    pub fn gateway(&self) -> &str {
-        &self.inner.gateway
-    }
-
     /// Opens a span as a child of the innermost open span (or as a new
     /// trace root if none is open). `name` is only invoked when the
     /// tracer is enabled, so callers may format freely.
-    pub fn begin(&self, sim: &Sim, kind: HopKind, name: impl FnOnce() -> String) -> SpanHandle {
+    pub(crate) fn begin(
+        &self,
+        sim: &Sim,
+        kind: HopKind,
+        name: impl FnOnce() -> String,
+    ) -> SpanHandle {
         if !self.is_enabled() {
             return SpanHandle::inert();
         }
@@ -298,7 +294,7 @@ impl Tracer {
     /// open — for work initiated by the outside world (a native-bus
     /// command, an event tick) that must not inherit whatever the
     /// gateway happens to be doing.
-    pub fn begin_root(
+    pub(crate) fn begin_root(
         &self,
         sim: &Sim,
         kind: HopKind,
@@ -334,13 +330,14 @@ impl Tracer {
         }
     }
 
-    /// Completes a span with no byte or error annotation.
-    pub fn end(&self, sim: &Sim, handle: SpanHandle) {
-        self.end_with(sim, handle, 0, None);
-    }
-
     /// Completes a span, attributing wire `bytes` and/or an error.
-    pub fn end_with(&self, sim: &Sim, handle: SpanHandle, bytes: u64, error: Option<String>) {
+    pub(crate) fn end_with(
+        &self,
+        sim: &Sim,
+        handle: SpanHandle,
+        bytes: u64,
+        error: Option<String>,
+    ) {
         let Some(live) = handle.live else { return };
         {
             let mut stack = self.inner.stack.lock();
@@ -364,20 +361,24 @@ impl Tracer {
         });
     }
 
-    /// Completes a span, recording the `Err` of `result` (if any) as
-    /// the span's error. The error is only formatted when the handle
-    /// is live.
-    pub fn end_result<T, E: fmt::Display>(
+    /// Records an instant span — a decision such as a retry, a cache
+    /// answer or a shard-map refresh — as a child of the innermost open
+    /// span. Notes never feed a layer sketch. Free when disabled.
+    pub fn note(&self, sim: &Sim, kind: HopKind, name: impl FnOnce() -> String) {
+        self.note_with(sim, kind, name, 0, None);
+    }
+
+    /// [`Tracer::note`] carrying wire `bytes` and an error.
+    pub(crate) fn note_with(
         &self,
         sim: &Sim,
-        handle: SpanHandle,
-        result: &Result<T, E>,
+        kind: HopKind,
+        name: impl FnOnce() -> String,
+        bytes: u64,
+        error: Option<String>,
     ) {
-        if handle.live.is_none() {
-            return;
-        }
-        let error = result.as_ref().err().map(|e| e.to_string());
-        self.end_with(sim, handle, 0, error);
+        let span = self.begin(sim, kind, name);
+        self.end_with(sim, span, bytes, error);
     }
 
     /// The context a wire request should carry: the innermost open
@@ -418,11 +419,6 @@ impl Tracer {
     /// growing without bound).
     pub fn take_spans(&self) -> Vec<Span> {
         std::mem::take(&mut self.inner.spans.lock())
-    }
-
-    /// Drops all completed spans.
-    pub fn clear(&self) {
-        self.inner.spans.lock().clear();
     }
 }
 
@@ -588,8 +584,8 @@ mod tests {
         let h = t.begin(&sim, HopKind::ClientProxy, || {
             panic!("name closure must not run while disabled")
         });
-        assert!(!h.is_live());
-        t.end(&sim, h);
+        assert!(h.trace_id().is_none());
+        t.end_with(&sim, h, 0, None);
         assert!(t.current_context().is_none());
         assert!(!t.adopt(TraceContext {
             trace: TraceId(1),
@@ -605,8 +601,8 @@ mod tests {
         t.set_enabled(true);
         let outer = t.begin(&sim, HopKind::ClientProxy, || "outer".into());
         let inner = t.begin(&sim, HopKind::VsrLookup, || "inner".into());
-        t.end(&sim, inner);
-        t.end(&sim, outer);
+        t.end_with(&sim, inner, 0, None);
+        t.end_with(&sim, outer, 0, None);
 
         let spans = t.spans();
         assert_eq!(spans.len(), 2);
@@ -625,8 +621,8 @@ mod tests {
         t.set_enabled(true);
         let outer = t.begin(&sim, HopKind::ClientProxy, || "outer".into());
         let tick = t.begin_root(&sim, HopKind::Event, || "tick".into());
-        t.end(&sim, tick);
-        t.end(&sim, outer);
+        t.end_with(&sim, tick, 0, None);
+        t.end_with(&sim, outer, 0, None);
         let spans = t.spans();
         assert_ne!(spans[0].trace, spans[1].trace);
         assert_eq!(spans[0].parent, None);
@@ -646,10 +642,10 @@ mod tests {
         // "On the wire": the serving gateway adopts and works.
         assert!(server.adopt(TraceContext::from_wire(&ctx.to_wire()).unwrap()));
         let sp = server.begin(&sim, HopKind::ServerProxy, || "svc.op".into());
-        server.end(&sim, sp);
+        server.end_with(&sim, sp, 0, None);
         server.unadopt();
 
-        caller.end(&sim, wire);
+        caller.end_with(&sim, wire, 0, None);
 
         let mut all = caller.spans();
         all.extend(server.spans());
@@ -688,15 +684,15 @@ mod tests {
             .map(|i| t.begin(&sim, HopKind::App, || format!("deep{i}")))
             .collect();
         for h in handles.into_iter().rev() {
-            t.end(&sim, h);
+            t.end_with(&sim, h, 0, None);
         }
         // wide node: one root with 5 children
         let root = t.begin(&sim, HopKind::ClientProxy, || "wide".into());
         for i in 0..5 {
             let c = t.begin(&sim, HopKind::App, || format!("child{i}"));
-            t.end(&sim, c);
+            t.end_with(&sim, c, 0, None);
         }
-        t.end(&sim, root);
+        t.end_with(&sim, root, 0, None);
 
         let spans = t.spans();
         let traces = trace_ids(&spans);

@@ -10,7 +10,7 @@ use crate::batch::{BatchItem, BatchPolicy, EVENT_ARG, EVENT_OP};
 use crate::compose::{self, CompositeSpec};
 use crate::error::MetaError;
 use crate::metrics::{CacheStats, MetricsRegistry, MetricsSnapshot};
-use crate::obs::Layer;
+use crate::obs::Scope;
 use crate::protocol::{VsgProtocol, VsgRequest};
 use crate::rescache::{Lookup, ResolutionCache};
 use crate::resilience::{BreakerState, CircuitBreaker, ResiliencePolicy};
@@ -266,10 +266,9 @@ impl Vsg {
         policy: Option<&ResiliencePolicy>,
     ) -> Result<Value, MetaError> {
         let tracer = &self.inner.tracer;
-        let span = tracer.begin(sim, HopKind::ClientProxy, || {
+        let scope = self.scope(sim, HopKind::ClientProxy, || {
             format!("{service}.{operation}")
         });
-        let started = sim.now();
         let result = if self.inner.local.lock().contains_key(service) {
             dispatch_local(
                 &self.inner.local,
@@ -283,14 +282,7 @@ impl Vsg {
         } else {
             self.invoke_remote(sim, service, operation, args, policy)
         };
-        let elapsed_us = (sim.now() - started).as_micros();
-        self.inner.metrics.record_with_exemplar(
-            service,
-            elapsed_us,
-            result.as_ref().err().map(MetaError::kind),
-            span.trace_id(),
-        );
-        tracer.end_result(sim, span, &result);
+        scope.finish_invocation(service, &result);
         result
     }
 
@@ -340,7 +332,7 @@ impl Vsg {
         }
         let started = sim.now();
         let tracer = &self.inner.tracer;
-        let root = tracer.begin(sim, HopKind::ClientProxy, || {
+        let _root = self.scope(sim, HopKind::ClientProxy, || {
             format!("batch[{}]", items.len())
         });
         let mut results: Vec<Option<Result<Value, MetaError>>> =
@@ -476,7 +468,6 @@ impl Vsg {
             }
         }
 
-        tracer.end(sim, root);
         results
             .into_iter()
             .map(|r| r.unwrap_or_else(|| Err(MetaError::Protocol("batch member lost".into()))))
@@ -580,7 +571,9 @@ impl Vsg {
             return self.wire_batch_call(sim, gw_node, gateway, reqs);
         }
         if !self.breaker_admit(sim, gateway, &policy) {
-            self.note_resilience(sim, || format!("breaker open: fail fast to {gateway}"));
+            self.inner.tracer.note(sim, HopKind::Resilience, || {
+                format!("breaker open: fail fast to {gateway}")
+            });
             return Err(MetaError::CircuitOpen {
                 gateway: gateway.to_owned(),
             });
@@ -624,7 +617,7 @@ impl Vsg {
             }
             attempt += 1;
             self.inner.metrics.record_retry();
-            self.note_resilience(sim, || {
+            self.inner.tracer.note(sim, HopKind::Resilience, || {
                 format!(
                     "retry {attempt} (batch of {}) to {gateway} after {wait} ({err})",
                     reqs.len()
@@ -646,63 +639,40 @@ impl Vsg {
         reqs: &mut [VsgRequest],
     ) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
         let tracer = &self.inner.tracer;
-        let traced = tracer.is_enabled();
-        let span = tracer.begin(sim, HopKind::VsgWire, || {
-            format!(
-                "batch of {} via {} to {gateway}",
-                reqs.len(),
-                self.inner.protocol.name()
-            )
-        });
+        let mut scope = self
+            .scope(sim, HopKind::VsgWire, || {
+                format!(
+                    "batch of {} via {} to {gateway}",
+                    reqs.len(),
+                    self.inner.protocol.name()
+                )
+            })
+            .bytes_from(&self.inner.backbone);
         let ctx = tracer.current_context();
         for req in reqs.iter_mut() {
             req.trace = ctx;
         }
-        let bytes_before = if traced {
-            self.inner.backbone.with_stats(|s| s.total().bytes)
-        } else {
-            0
-        };
-        let wire_started = sim.now();
         let result =
             self.inner
                 .protocol
                 .call_batch(&self.inner.backbone, self.inner.node, gw_node, reqs);
-        self.inner.metrics.record_layer_with_exemplar(
-            Layer::Wire,
-            (sim.now() - wire_started).as_micros(),
-            span.trace_id(),
-        );
-        if traced {
-            let bytes = self
-                .inner
-                .backbone
-                .with_stats(|s| s.total().bytes)
-                .saturating_sub(bytes_before);
-            match &result {
-                Ok(members) if !reqs.is_empty() => {
-                    let share = bytes / reqs.len() as u64;
-                    let remainder = bytes - share * reqs.len() as u64;
-                    for (k, (req, r)) in reqs.iter().zip(members).enumerate() {
-                        let mspan = tracer.begin(sim, HopKind::VsgWire, || {
-                            format!("member {}.{}", req.service, req.operation)
-                        });
-                        let b = share + if k == 0 { remainder } else { 0 };
-                        tracer.end_with(sim, mspan, b, r.as_ref().err().map(|e| e.to_string()));
-                    }
-                    tracer.end_with(sim, span, 0, None);
-                }
-                _ => {
-                    tracer.end_with(
+        match &result {
+            Ok(members) if scope.trace_id().is_some() && !reqs.is_empty() => {
+                let bytes = scope.take_bytes();
+                let share = bytes / reqs.len() as u64;
+                let remainder = bytes - share * reqs.len() as u64;
+                for (k, (req, r)) in reqs.iter().zip(members).enumerate() {
+                    tracer.note_with(
                         sim,
-                        span,
-                        bytes,
-                        result.as_ref().err().map(|e| e.to_string()),
+                        HopKind::VsgWire,
+                        || format!("member {}.{}", req.service, req.operation),
+                        share + if k == 0 { remainder } else { 0 },
+                        r.as_ref().err().map(|e| e.to_string()),
                     );
                 }
+                drop(scope);
             }
-        } else {
-            tracer.end(sim, span);
+            _ => scope.finish(&result),
         }
         result
     }
@@ -731,7 +701,9 @@ impl Vsg {
         let looked_up_label = looked_up.label();
         match looked_up {
             Lookup::Hit(record, gw_node) => {
-                self.note_cache(sim, looked_up_label, service);
+                self.inner.tracer.note(sim, HopKind::CacheHit, || {
+                    format!("{looked_up_label} {service}")
+                });
                 let idempotent = op_is_idempotent(&record, operation);
                 match self.resilient_wire_call(
                     sim,
@@ -756,7 +728,9 @@ impl Vsg {
                 }
             }
             Lookup::NegativeHit => {
-                self.note_cache(sim, looked_up_label, service);
+                self.inner.tracer.note(sim, HopKind::CacheHit, || {
+                    format!("{looked_up_label} {service}")
+                });
                 return Err(MetaError::UnknownService(service.to_owned()));
             }
             Lookup::Miss => {}
@@ -837,7 +811,7 @@ impl Vsg {
             return Err(resolve_err);
         };
         self.inner.metrics.record_degraded_serve();
-        self.note_resilience(sim, || {
+        self.inner.tracer.note(sim, HopKind::Resilience, || {
             format!(
                 "degraded: VSR down, stale route for {service} via {}",
                 record.gateway
@@ -883,7 +857,9 @@ impl Vsg {
             return self.wire_call(sim, gw_node, gateway, req);
         }
         if !self.breaker_admit(sim, gateway, policy) {
-            self.note_resilience(sim, || format!("breaker open: fail fast to {gateway}"));
+            self.inner.tracer.note(sim, HopKind::Resilience, || {
+                format!("breaker open: fail fast to {gateway}")
+            });
             return Err(MetaError::CircuitOpen {
                 gateway: gateway.to_owned(),
             });
@@ -932,7 +908,7 @@ impl Vsg {
             }
             attempt += 1;
             self.inner.metrics.record_retry();
-            self.note_resilience(sim, || {
+            self.inner.tracer.note(sim, HopKind::Resilience, || {
                 format!("retry {attempt} to {gateway} after {wait} ({err})")
             });
             sim.advance(wait);
@@ -967,7 +943,9 @@ impl Vsg {
             self.inner
                 .metrics
                 .record_breaker_transition(gateway, state.label());
-            self.note_resilience(sim, || format!("breaker {state} for {gateway}"));
+            self.inner.tracer.note(sim, HopKind::Resilience, || {
+                format!("breaker {state} for {gateway}")
+            });
         }
         out
     }
@@ -984,23 +962,6 @@ impl Vsg {
         self.with_breaker(sim, gateway, None, |br| br.on_failure(sim.now()));
     }
 
-    /// Records an instant `resilience` span (retry, breaker transition,
-    /// degraded serve). Free when tracing is off.
-    fn note_resilience(&self, sim: &Sim, label: impl FnOnce() -> String) {
-        let span = self.inner.tracer.begin(sim, HopKind::Resilience, label);
-        self.inner.tracer.end(sim, span);
-    }
-
-    /// Records an instant `cache-hit` span for a resolution-cache
-    /// outcome (positive or negative). Free when tracing is off.
-    fn note_cache(&self, sim: &Sim, outcome: &'static str, service: &str) {
-        let span = self
-            .inner
-            .tracer
-            .begin(sim, HopKind::CacheHit, || format!("{outcome} {service}"));
-        self.inner.tracer.end(sim, span);
-    }
-
     /// One gateway-to-gateway protocol call under a `vsg-wire` span.
     /// The span's context rides the wire (SOAP header / SIP header /
     /// binary tagged field) so the serving gateway's spans join this
@@ -1013,41 +974,17 @@ impl Vsg {
         req: &mut VsgRequest,
     ) -> Result<Value, MetaError> {
         let tracer = &self.inner.tracer;
-        let traced = tracer.is_enabled();
-        let span = tracer.begin(sim, HopKind::VsgWire, || {
-            format!("{} to {gateway}", self.inner.protocol.name())
-        });
+        let scope = self
+            .scope(sim, HopKind::VsgWire, || {
+                format!("{} to {gateway}", self.inner.protocol.name())
+            })
+            .bytes_from(&self.inner.backbone);
         req.trace = tracer.current_context();
-        let bytes_before = if traced {
-            self.inner.backbone.with_stats(|s| s.total().bytes)
-        } else {
-            0
-        };
-        let wire_started = sim.now();
         let result = self
             .inner
             .protocol
             .call(&self.inner.backbone, self.inner.node, gw_node, req);
-        self.inner.metrics.record_layer_with_exemplar(
-            Layer::Wire,
-            (sim.now() - wire_started).as_micros(),
-            span.trace_id(),
-        );
-        if traced {
-            let bytes = self
-                .inner
-                .backbone
-                .with_stats(|s| s.total().bytes)
-                .saturating_sub(bytes_before);
-            tracer.end_with(
-                sim,
-                span,
-                bytes,
-                result.as_ref().err().map(|e| e.to_string()),
-            );
-        } else {
-            tracer.end_result(sim, span, &result);
-        }
+        scope.finish(&result);
         result
     }
 
@@ -1173,6 +1110,26 @@ impl Vsg {
         &self.inner.metrics
     }
 
+    /// Opens a child [`Scope`] on this gateway's tracer and registry.
+    pub(crate) fn scope<'a>(
+        &'a self,
+        sim: &'a Sim,
+        kind: HopKind,
+        name: impl FnOnce() -> String,
+    ) -> Scope<'a> {
+        Scope::child(sim, &self.inner.tracer, &self.inner.metrics, kind, name)
+    }
+
+    /// Opens a root [`Scope`] on this gateway's tracer and registry.
+    pub(crate) fn root_scope<'a>(
+        &'a self,
+        sim: &'a Sim,
+        kind: HopKind,
+        name: impl FnOnce() -> String,
+    ) -> Scope<'a> {
+        Scope::root(sim, &self.inner.tracer, &self.inner.metrics, kind, name)
+    }
+
     /// One merged, JSON-serializable snapshot of everything this
     /// gateway counts: invocation metrics plus resolution-cache
     /// counters.
@@ -1221,7 +1178,9 @@ fn serve_remote(
 ) -> Result<Value, MetaError> {
     let adopted = req.trace.is_some_and(|ctx| tracer.adopt(ctx));
     let result = if req.operation == EVENT_OP {
-        let span = tracer.begin(sim, HopKind::Event, || format!("event {}", req.service));
+        let scope = Scope::child(sim, tracer, metrics, HopKind::Event, || {
+            format!("event {}", req.service)
+        });
         let payload = req
             .args
             .iter()
@@ -1234,11 +1193,10 @@ fn serve_remote(
         // Delivery is acknowledged even with no sink installed — events
         // are notifications, not queries; an uninterested gateway is
         // not an error.
-        let result = Ok(Value::Null);
-        tracer.end_result(sim, span, &result);
-        result
+        drop(scope);
+        Ok(Value::Null)
     } else {
-        let span = tracer.begin(sim, HopKind::ServerProxy, || {
+        let scope = Scope::child(sim, tracer, metrics, HopKind::ServerProxy, || {
             format!("{}.{}", req.service, req.operation)
         });
         let result = dispatch_local(
@@ -1250,7 +1208,7 @@ fn serve_remote(
             &req.operation,
             &req.args,
         );
-        tracer.end_result(sim, span, &result);
+        scope.finish(&result);
         result
     };
     if adopted {
@@ -1285,8 +1243,9 @@ fn dispatch_local(
             sig.check_args(args)?;
             (entry.invoker.clone(), entry.composite)
         };
-    let span = tracer.begin(sim, HopKind::App, || format!("{service}.{operation}"));
-    let app_started = sim.now();
+    let scope = Scope::child(sim, tracer, metrics, HopKind::App, || {
+        format!("{service}.{operation}")
+    });
     // Composite invokers re-enter the gateway to run their steps; a
     // composite that (transitively) invokes itself would self-deadlock
     // on this non-reentrant mutex, so contention on a composite's own
@@ -1300,7 +1259,7 @@ fn dispatch_local(
                     detail: format!("re-entrant invocation of composite '{service}' (cycle)"),
                 };
                 let result = Err(err);
-                tracer.end_result(sim, span, &result);
+                scope.finish(&result);
                 return result;
             }
         }
@@ -1308,12 +1267,7 @@ fn dispatch_local(
         invoker.lock()
     };
     let result = invoker.invoke(sim, operation, args);
-    metrics.record_layer_with_exemplar(
-        Layer::App,
-        (sim.now() - app_started).as_micros(),
-        span.trace_id(),
-    );
-    tracer.end_result(sim, span, &result);
+    scope.finish(&result);
     result
 }
 

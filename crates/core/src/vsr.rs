@@ -24,6 +24,7 @@ use crate::federation::{
 use crate::iface::ServiceInterface;
 use crate::intern::Name;
 use crate::metrics::MetricsRegistry;
+use crate::obs::Scope;
 use crate::rescache::ShardMapCache;
 use crate::resilience::BreakerBank;
 use crate::service::{Middleware, VirtualService};
@@ -133,12 +134,13 @@ impl Vsr {
     /// `config.replication` replicas (primary first).
     pub fn start_federated(net: &Network, config: &FederationConfig) -> Vsr {
         let tracer = Tracer::new("vsr-cluster");
-        let (replicas, map) = start_replicas(net, config, &tracer);
+        let metrics = Arc::new(MetricsRegistry::new());
+        let (replicas, map) = start_replicas(net, config, &tracer, &metrics);
         Vsr {
             sim: net.sim().clone(),
             replicas,
             map,
-            metrics: Arc::new(MetricsRegistry::new()),
+            metrics,
             tracer,
         }
     }
@@ -292,7 +294,7 @@ pub struct VsrClient {
     tracer: Tracer,
     map_cache: Arc<ShardMapCache>,
     breakers: Arc<BreakerBank>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl VsrClient {
@@ -315,7 +317,7 @@ impl VsrClient {
                 ROUTE_BREAKER_THRESHOLD,
                 SimDuration::from_millis(ROUTE_BREAKER_WINDOW_MS),
             )),
-            metrics: None,
+            metrics: Arc::new(MetricsRegistry::new()),
         }
     }
 
@@ -328,20 +330,24 @@ impl VsrClient {
     }
 
     /// Records this client's shard routing (per-shard op counters,
-    /// failovers, map refreshes) into `metrics` — typically the owning
-    /// gateway's registry.
+    /// failovers, map refreshes) and its `vsr` layer samples into
+    /// `metrics` — typically the owning gateway's registry. Without it
+    /// they land in a registry of the client's own.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> VsrClient {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
     /// One SOAP round trip to a specific replica, traced and with
     /// faults mapped back to typed errors.
     fn call_node(&self, node: NodeId, call: &RpcCall) -> Result<Value, MetaError> {
-        let span = self
-            .tracer
-            .begin(&self.sim, HopKind::VsrLookup, || call.method.clone());
-        let started = self.sim.now();
+        let scope = Scope::child(
+            &self.sim,
+            &self.tracer,
+            &self.metrics,
+            HopKind::VsrLookup,
+            || call.method.clone(),
+        );
         let result = self.soap.call(node, call).map_err(|e| match e {
             SoapError::Fault(f) => MetaError::from_fault_string(&f.string),
             // A wire failure on the repository leg: typed, so callers
@@ -349,20 +355,8 @@ impl VsrClient {
             SoapError::Http(h) => MetaError::from_http_error(&h),
             other => MetaError::Protocol(other.to_string()),
         });
-        if let Some(metrics) = &self.metrics {
-            metrics.record_layer_with_exemplar(
-                crate::obs::Layer::Vsr,
-                (self.sim.now() - started).as_micros(),
-                span.trace_id(),
-            );
-        }
-        self.tracer.end_result(&self.sim, span, &result);
+        scope.finish(&result);
         result
-    }
-
-    fn federation_note(&self, name: impl FnOnce() -> String) {
-        let span = self.tracer.begin(&self.sim, HopKind::Federation, name);
-        self.tracer.end(&self.sim, span);
     }
 
     /// The synthesized error when no replica could even be tried
@@ -405,10 +399,8 @@ impl VsrClient {
                         Some(map) => {
                             let map = Arc::new(map);
                             self.map_cache.put(map.clone());
-                            if let Some(m) = &self.metrics {
-                                m.record_shard_map_refresh();
-                            }
-                            self.federation_note(|| {
+                            self.metrics.record_shard_map_refresh();
+                            self.tracer.note(&self.sim, HopKind::Federation, || {
                                 format!("shard map v{} from n{}", map.version(), node.0)
                             });
                             return Ok(map);
@@ -439,9 +431,7 @@ impl VsrClient {
         write: bool,
         build: &dyn Fn(bool) -> RpcCall,
     ) -> Result<Value, MetaError> {
-        if let Some(m) = &self.metrics {
-            m.record_shard_op(shard);
-        }
+        self.metrics.record_shard_op(shard);
         let mut map = self.map()?;
         let mut redirects = 0u32;
         'with_map: loop {
@@ -455,10 +445,8 @@ impl VsrClient {
                     Ok(v) => {
                         self.breakers.on_success(node);
                         if i > 0 {
-                            if let Some(m) = &self.metrics {
-                                m.record_vsr_failover();
-                            }
-                            self.federation_note(|| {
+                            self.metrics.record_vsr_failover();
+                            self.tracer.note(&self.sim, HopKind::Federation, || {
                                 format!("shard {shard} failover -> n{}", node.0)
                             });
                         }
@@ -475,7 +463,7 @@ impl VsrClient {
                             )));
                         }
                         redirects += 1;
-                        self.federation_note(|| {
+                        self.tracer.note(&self.sim, HopKind::Federation, || {
                             format!("shard {s} moved, refreshing map (n{} -> n{to})", node.0)
                         });
                         map = self.refresh_map()?;

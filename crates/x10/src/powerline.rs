@@ -17,11 +17,18 @@ pub struct Transmitter {
 }
 
 impl Transmitter {
-    /// Attaches a transmitter-only device (e.g. a remote, the CM11A).
+    /// Attaches a transmitter-only device (e.g. a remote, a motion
+    /// sensor, the CM11A). It never listens, so broadcast frames
+    /// reaching its node are discarded rather than queued forever in an
+    /// inbox nobody reads; a device that does listen installs its own
+    /// frame handler over this one.
     pub fn attach(net: &Network, label: &str) -> Transmitter {
+        let node = net.attach(label);
+        net.set_frame_handler(node, |_, _| {})
+            .expect("node was just attached");
         Transmitter {
             net: net.clone(),
-            node: net.attach(label),
+            node,
         }
     }
 
@@ -306,6 +313,18 @@ mod tests {
                 (Function::On, 0), // latch cleared by Off
             ]
         );
+    }
+
+    #[test]
+    fn transmitter_only_nodes_never_queue_broadcasts() {
+        let sim = Sim::new(1);
+        let net = lossless_powerline(&sim);
+        let remote = Transmitter::attach(&net, "remote");
+        let sensor = Transmitter::attach(&net, "sensor");
+        for _ in 0..8 {
+            assert!(remote.send_command(h('A'), u(1), Function::On).delivered());
+        }
+        assert!(net.recv(sensor.node()).is_none());
     }
 
     #[test]

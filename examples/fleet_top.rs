@@ -5,9 +5,10 @@
 //! fleet scale — all from the merged snapshot and the flight
 //! recorder, never from raw samples:
 //!
-//! * a per-layer latency table (VSR lookups, VSG wire, PCM
-//!   conversion, app body) with counts, p50, p99 and bucket
-//!   exemplars pointing back at concrete traces,
+//! * a per-layer latency table (every `obs::LAYERS` entry: app body,
+//!   PCM conversion, VSR lookups, VSG wire, composite steps) with
+//!   counts, p50, p99 and bucket exemplars pointing back at concrete
+//!   traces,
 //! * fleet-wide invocation/error/cache counters,
 //! * the slowest and error traces the flight recorder kept,
 //! * per-island profiler counts from the conservative scheduler.
@@ -15,7 +16,8 @@
 //! Run with: `cargo run --example fleet_top`
 //! Knobs: `FLEET_HOMES` (default 6), `SIM_THREADS` (default 1).
 
-use metaware::{HomeFleet, Layer, Middleware, SamplePolicy, SmartHome};
+use metaware::obs::LAYERS;
+use metaware::{HomeFleet, Middleware, SamplePolicy, SmartHome};
 use simnet::SimDuration;
 use soap::Value;
 
@@ -91,7 +93,7 @@ fn main() {
     println!("layer   calls      p50        p99        mean       exemplar");
     let overall = &reg.latency;
     let mut rows: Vec<(&str, &metaware::HistSketch)> = vec![("e2e", overall)];
-    for layer in [Layer::Vsr, Layer::Wire, Layer::Pcm, Layer::App] {
+    for layer in LAYERS {
         rows.push((layer.label(), reg.layer(layer)));
     }
     for (label, sketch) in rows {

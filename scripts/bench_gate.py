@@ -17,16 +17,16 @@ default 0.25) — the band is symmetric because a metric that silently
 doubled is as suspicious as one that halved. Label cells must match
 exactly; any header/row-count mismatch is a shape change and fails hard.
 
-Only baselines with a fresh counterpart are compared (ci.sh smokes a
-subset of the benches), but at least one comparison must happen — and
-every *fresh* ``BENCH_*.json`` must have a baseline: an emitted report
-nobody checked a baseline in for would otherwise be silently ungated.
+Baselines and fresh reports must pair up one to one: every checked-in
+baseline needs a fresh run (ci.sh smokes every bench that emits one),
+and every *fresh* ``BENCH_*.json`` needs a baseline. Either orphan
+would otherwise sit silently ungated.
 
 On drift the gate prints a per-cell table (file, row, column, old, new,
 drift, tolerance) so the offending cells read off directly.
 
 Exit status: 0 green, 1 regression/shape change/missing baseline/
-nothing compared.
+missing fresh run.
 """
 
 import json
@@ -119,11 +119,16 @@ def main():
         print(f"bench gate: no BENCH_*.json baselines in {baseline_dir}", file=sys.stderr)
         return 1
 
-    compared, skipped, failures, drifts = 0, [], [], []
+    compared, failures, drifts = 0, [], []
     for base_path in baselines:
         fresh_path = fresh_dir / base_path.name
         if not fresh_path.exists():
-            skipped.append(base_path.name)
+            # A baseline nothing re-runs is a gate that never fires.
+            print(f"bench gate: {base_path.name}: FAIL (no fresh run)", file=sys.stderr)
+            failures.append(
+                f"{base_path.name}: baseline has no fresh report in {fresh_dir} — "
+                f"smoke its bench in ci.sh or delete the baseline"
+            )
             continue
         with open(base_path) as f:
             base = json.load(f)
@@ -149,17 +154,12 @@ def main():
             f"check one in under {baseline_dir}"
         )
 
-    for name in skipped:
-        print(f"bench gate: {name}: skipped (no fresh run)")
     for failure in failures:
         print(f"bench gate: REGRESSION: {failure}", file=sys.stderr)
     if drifts:
         print("bench gate: cells outside the band:", file=sys.stderr)
         print_drift_table(drifts)
 
-    if compared == 0:
-        print("bench gate: nothing compared — did the bench smoke stage run?", file=sys.stderr)
-        return 1
     if failures or drifts:
         return 1
     print(f"bench gate: green ({compared} compared, tolerance {tolerance:.0%})")
