@@ -12,7 +12,12 @@
 //!    an invoke (route cache cleared per poll, degraded stale-serving
 //!    off) while the service's shard primary crashes for two 10-second
 //!    windows out of 60. Replication on must hold ≥ 99%; a single
-//!    replica under the same schedule must not.
+//!    replica under the same schedule must not;
+//!  * **what one anti-entropy pass sends** — backbone bytes of one
+//!    3r/4s pass when the eager push already converged every backup
+//!    (a fingerprint exchange per backup, nothing else), and after one
+//!    lost push (one shard also swaps a digest and fetches one name).
+//!    Both passes must leave lag 0.
 //!
 //! The threshold assertions live inside the report functions so
 //! `cargo bench --bench e15_vsr_scale -- --test` (ci.sh's smoke gate)
@@ -135,6 +140,41 @@ fn availability_under_primary_crash(replicas: usize) -> f64 {
     f64::from(ok) / f64::from(total_steps)
 }
 
+/// Backbone bytes of one anti-entropy pass over a 3r/4s cluster holding
+/// `SERVICES` records: first converged, then after the eager push of
+/// one republish was lost (its shard's backup was partitioned from the
+/// primary for the write).
+fn anti_entropy_pass_bytes() -> (u64, u64) {
+    let (sim, net, vsr, client) = cluster(17, 4, 3);
+    for i in 0..SERVICES {
+        client
+            .publish(&service(&format!("svc-{i:02}"), "x10-gw"))
+            .unwrap();
+    }
+    let pass = || {
+        let before = net.with_stats(|s| s.total().bytes);
+        let lag = vsr.sync_now();
+        assert_eq!(lag, 0, "one anti-entropy pass must converge");
+        net.with_stats(|s| s.total().bytes) - before
+    };
+    let converged = pass();
+
+    let map = vsr.shard_map();
+    let shard = map.shard_of("svc-00");
+    let (primary, backup) = (map.primary(shard), map.replicas_for(shard)[1]);
+    let t0 = sim.now();
+    net.set_fault_plan(FaultPlan::new().partition(
+        vec![primary],
+        vec![backup],
+        t0,
+        t0 + SimDuration::from_secs(1),
+    ));
+    client.publish(&service("svc-00", "x10-gw-2")).unwrap();
+    net.clear_fault_plan();
+    assert!(vsr.replication_lag() > 0, "the push must have been lost");
+    (converged, pass())
+}
+
 fn scale_report() {
     let mut report = Report::new(
         "E15",
@@ -208,6 +248,24 @@ fn scale_report() {
     assert!(
         replicated > single,
         "replication must strictly improve availability"
+    );
+
+    let (converged, missed_push) = anti_entropy_pass_bytes();
+    report.row(vec![
+        "anti-entropy pass, converged".into(),
+        "3r/4s".into(),
+        cell(converged),
+        "backbone B".into(),
+    ]);
+    report.row(vec![
+        "anti-entropy pass, one missed push".into(),
+        "3r/4s".into(),
+        cell(missed_push),
+        "backbone B".into(),
+    ]);
+    assert!(
+        converged < missed_push,
+        "a converged pass must send less than a repairing one"
     );
 
     report.emit_as("BENCH_vsr_scale.json");

@@ -13,8 +13,9 @@
 //!   by hashing replicas onto a second ring (adding a replica steals
 //!   shards evenly instead of reshuffling everything);
 //! * writes land on the primary and are **eagerly pushed** to the
-//!   shard's backups; a periodic **anti-entropy** exchange (digests of
-//!   `(name, version)` pairs, then targeted fetch/push) repairs
+//!   shard's backups; a periodic **anti-entropy** exchange (a 64-bit
+//!   fingerprint of the backup's `(name, version)` pairs, then, only if
+//!   the primary's differs, digests and targeted fetch/push) repairs
 //!   whatever a crash window dropped;
 //! * every entry carries a [`Version`] — `(virtual-time, replica,
 //!   seq)` — and conflicts resolve last-writer-wins, with one twist:
@@ -58,22 +59,69 @@ pub(crate) const TAX_CONTEXT_PREFIX: &str = "uddi:ctx:";
 /// shard can end up owning no arc of the name ring at all.
 const RING_POINTS: u32 = 64;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv_feed(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
 /// FNV-1a with a murmur-style avalanche finalizer: stable across runs
 /// and platforms, so shard placement is deterministic. Raw FNV-1a
 /// clusters badly in the upper bits on short, similar names (exactly
 /// what service names are), and ring placement keys on the upper
 /// bits — the finalizer spreads them.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+    avalanche(fnv_feed(FNV_OFFSET, bytes))
+}
+
+/// Fingerprint domain of a record entry's `(name, version)` pair.
+const TAG_RECORD: u8 = 0xff;
+/// Fingerprint domain of a gateway-directory `(name, version)` pair.
+/// Neither tag byte occurs in UTF-8, so a name cannot forge the other.
+const TAG_GATEWAY: u8 = 0xfe;
+
+/// One `(name, version)` pair's term in an anti-entropy fingerprint.
+/// A fingerprint is the wrapping sum of its pairs' terms, so it is
+/// independent of order and updates in O(1) per write.
+fn pair_hash(tag: u8, name: &str, v: Version) -> u64 {
+    let mut h = fnv_feed(FNV_OFFSET, name.as_bytes());
+    h = fnv_feed(h, &[tag]);
+    h = fnv_feed(h, &v.at_us.to_le_bytes());
+    h = fnv_feed(h, &v.replica.to_le_bytes());
+    avalanche(fnv_feed(h, &v.seq.to_le_bytes()))
+}
+
+/// A non-negative counter or timestamp as a wire `Int`. Saturates at
+/// `i64::MAX` (292 000 years of virtual µs), where no value gets to.
+fn int_to_wire(u: u64) -> Value {
+    Value::Int(i64::try_from(u).unwrap_or(i64::MAX))
+}
+
+/// The inverse of [`int_to_wire`]: `None` for a negative value or a
+/// non-integer.
+fn int_from_wire(v: &Value) -> Option<u64> {
+    u64::try_from(v.as_int()?).ok()
+}
+
+/// A fingerprint travels as the `Int` with the same 64 bits.
+fn fingerprint_to_wire(fp: u64) -> Value {
+    Value::Int(i64::from_ne_bytes(fp.to_ne_bytes()))
+}
+
+fn fingerprint_from_wire(v: &Value) -> Option<u64> {
+    v.as_int().map(|i| u64::from_ne_bytes(i.to_ne_bytes()))
 }
 
 // ---- configuration ---------------------------------------------------------
@@ -127,18 +175,18 @@ pub struct Version {
 impl Version {
     fn to_value(self) -> Value {
         Value::List(vec![
-            Value::Int(self.at_us as i64),
+            int_to_wire(self.at_us),
             Value::Int(i64::from(self.replica)),
-            Value::Int(self.seq as i64),
+            int_to_wire(self.seq),
         ])
     }
 
     fn from_value(v: &Value) -> Option<Version> {
         match v {
             Value::List(items) if items.len() == 3 => Some(Version {
-                at_us: items[0].as_int()? as u64,
+                at_us: int_from_wire(&items[0])?,
                 replica: u32::try_from(items[1].as_int()?).ok()?,
-                seq: items[2].as_int()? as u64,
+                seq: int_from_wire(&items[2])?,
             }),
             _ => None,
         }
@@ -243,6 +291,12 @@ impl ShardMap {
         self.replicas_for(shard)[0]
     }
 
+    /// Every shard's preference list, indexed by shard: all a caller
+    /// needs to copy out from under the map's lock to walk the shards.
+    pub(crate) fn preference_lists(&self) -> &[Vec<NodeId>] {
+        &self.assignments
+    }
+
     /// Every node appearing in any preference list, deduplicated in
     /// first-appearance order (deterministic).
     pub fn nodes(&self) -> Vec<NodeId> {
@@ -280,7 +334,7 @@ impl ShardMap {
 
     pub(crate) fn to_value(&self) -> Value {
         Value::Record(vec![
-            ("version".into(), Value::Int(self.version as i64)),
+            ("version".into(), int_to_wire(self.version)),
             (
                 "shards".into(),
                 Value::List(
@@ -296,7 +350,7 @@ impl ShardMap {
     }
 
     pub(crate) fn from_value(v: &Value) -> Option<ShardMap> {
-        let version = v.field("version")?.as_int()? as u64;
+        let version = int_from_wire(v.field("version")?)?;
         let shards = match v.field("shards")? {
             Value::List(items) => items
                 .iter()
@@ -386,7 +440,7 @@ impl Entry {
                 fields.push((
                     "expires_at".into(),
                     rec.expires_at
-                        .map_or(Value::Null, |t| Value::Int(t.as_micros() as i64)),
+                        .map_or(Value::Null, |t| int_to_wire(t.as_micros())),
                 ));
             }
             EntryKind::Unpublished => {
@@ -416,10 +470,12 @@ impl Entry {
                         .collect(),
                     _ => Vec::new(),
                 },
-                expires_at: v
-                    .field("expires_at")
-                    .and_then(Value::as_int)
-                    .map(|us| SimTime::from_micros(us as u64)),
+                // No deadline means no lease; a negative one is malformed,
+                // never a lease that cannot expire.
+                expires_at: match v.field("expires_at").and_then(Value::as_int) {
+                    None => None,
+                    Some(us) => Some(SimTime::from_micros(u64::try_from(us).ok()?)),
+                },
             }),
             "unpublish" => EntryKind::Unpublished,
             "expired" => EntryKind::Expired {
@@ -445,12 +501,23 @@ pub(crate) struct ReplicaState {
     /// The replicated, versioned truth. The UDDI registry below is a
     /// mirror of the live records, kept for §3.3-faithful inquiry
     /// (pattern matching, category filters, inquiry statistics).
-    pub entries: HashMap<String, Entry>,
+    /// Private: every write goes through [`ReplicaState::store`], which
+    /// keeps the watermark and fingerprints below in step.
+    entries: HashMap<String, Entry>,
     /// The gateway directory, versioned like entries but not sharded
     /// (every replica carries the full directory).
-    pub gateways: HashMap<String, (u32, Version)>,
+    gateways: HashMap<String, (u32, Version)>,
     pub lease: Option<SimDuration>,
     seq: u64,
+    /// A lower bound on every live record's lease deadline (`None`:
+    /// no live record has one). Until `now` reaches it nothing can be
+    /// due, so [`ReplicaState::expire_due`] skips its scan.
+    next_expiry: Option<SimTime>,
+    /// Per shard, the wrapping sum of [`pair_hash`] over the shard's
+    /// entries — the record half of its anti-entropy fingerprint.
+    shard_sums: BTreeMap<u32, u64>,
+    /// The same sum over the gateway directory.
+    gateway_sum: u64,
 }
 
 impl ReplicaState {
@@ -465,7 +532,15 @@ impl ReplicaState {
             gateways: HashMap::new(),
             lease: None,
             seq: 0,
+            next_expiry: None,
+            shard_sums: BTreeMap::new(),
+            gateway_sum: 0,
         }
+    }
+
+    /// The replicated entries, by name.
+    pub(crate) fn entries(&self) -> &HashMap<String, Entry> {
+        &self.entries
     }
 
     fn next_version(&mut self, now: SimTime) -> Version {
@@ -475,6 +550,27 @@ impl ReplicaState {
             replica: self.id,
             seq: self.seq,
         }
+    }
+
+    /// The anti-entropy fingerprint of `shard`: the sum of a hash per
+    /// `(name, version)` over the shard's entries and the gateway
+    /// directory. Two replicas holding the same pairs have the same
+    /// fingerprint; different pairs collide with probability ~2^-64.
+    fn fingerprint(&self, shard: u32) -> u64 {
+        let records = self.shard_sums.get(&shard).copied().unwrap_or(0);
+        records.wrapping_add(self.gateway_sum)
+    }
+
+    /// Stamps a local write with this replica's next version, applies
+    /// it, and returns it for replication to the shard's peers.
+    fn write(&mut self, name: &str, shard: u32, kind: EntryKind, now: SimTime) -> Entry {
+        let entry = Entry {
+            version: self.next_version(now),
+            shard,
+            kind,
+        };
+        self.apply_entry(name, entry.clone());
+        entry
     }
 
     /// Merges one incoming entry; returns whether it was applied. The
@@ -498,9 +594,32 @@ impl ReplicaState {
         if !accept {
             return false;
         }
-        self.mirror(name, &inc);
-        self.entries.insert(name.to_owned(), inc);
+        self.store(name, inc);
         true
+    }
+
+    /// Stores an accepted entry: rebuilds its UDDI mirror, lowers the
+    /// lease watermark to its deadline, and moves its fingerprint term
+    /// from the entry it replaces.
+    fn store(&mut self, name: &str, entry: Entry) {
+        self.mirror(name, &entry);
+        if let EntryKind::Record(StoredRecord {
+            expires_at: Some(at),
+            ..
+        }) = &entry.kind
+        {
+            self.next_expiry = Some(self.next_expiry.map_or(*at, |w| w.min(*at)));
+        }
+        let sum = self.shard_sums.entry(entry.shard).or_default();
+        *sum = sum.wrapping_add(pair_hash(TAG_RECORD, name, entry.version));
+        let old = match self.entries.get_mut(name) {
+            Some(slot) => Some(std::mem::replace(slot, entry)),
+            None => self.entries.insert(name.to_owned(), entry),
+        };
+        if let Some(old) = old {
+            let sum = self.shard_sums.entry(old.shard).or_default();
+            *sum = sum.wrapping_sub(pair_hash(TAG_RECORD, name, old.version));
+        }
     }
 
     /// Rebuilds the UDDI mirror for `name` from an entry about to be
@@ -527,18 +646,30 @@ impl ReplicaState {
     }
 
     /// Lazily reaps every record whose replicated lease deadline has
-    /// passed, tombstoning it with [`EntryKind::Expired`]. Returns the
-    /// tombstones so the caller can replicate them to the shard peers.
+    /// passed, tombstoning it with [`EntryKind::Expired`] in name
+    /// order. Returns the tombstones so the caller can replicate them
+    /// to the shard peers. Costs O(1) until the lease watermark is
+    /// due; the scan it then runs recomputes the watermark.
     fn expire_due(&mut self, now: SimTime) -> Vec<(String, Entry)> {
-        let mut due: Vec<String> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| match &e.kind {
-                EntryKind::Record(rec) => rec.expires_at.is_some_and(|at| at <= now),
-                _ => false,
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
+        if self.next_expiry.is_none_or(|at| at > now) {
+            return Vec::new();
+        }
+        let mut due: Vec<String> = Vec::new();
+        let mut next: Option<SimTime> = None;
+        for (name, e) in &self.entries {
+            if let EntryKind::Record(StoredRecord {
+                expires_at: Some(at),
+                ..
+            }) = &e.kind
+            {
+                if *at <= now {
+                    due.push(name.clone());
+                } else {
+                    next = Some(next.map_or(*at, |n| n.min(*at)));
+                }
+            }
+        }
+        self.next_expiry = next;
         due.sort_unstable();
         let mut out = Vec::with_capacity(due.len());
         for name in due {
@@ -551,8 +682,7 @@ impl ReplicaState {
                 shard,
                 kind: EntryKind::Expired { of },
             };
-            self.mirror(&name, &tomb);
-            self.entries.insert(name.clone(), tomb.clone());
+            self.store(&name, tomb.clone());
             out.push((name, tomb));
         }
         out
@@ -560,13 +690,48 @@ impl ReplicaState {
 
     /// Merges one gateway-directory entry (LWW on version).
     fn apply_gateway(&mut self, name: &str, node: u32, version: Version) -> bool {
-        match self.gateways.get(name) {
-            Some(&(_, cur)) if version <= cur => false,
-            _ => {
-                self.gateways.insert(name.to_owned(), (node, version));
-                true
+        let old = match self.gateways.get_mut(name) {
+            Some(&mut (_, cur)) if version <= cur => return false,
+            Some(slot) => Some(std::mem::replace(slot, (node, version)).1),
+            None => self
+                .gateways
+                .insert(name.to_owned(), (node, version))
+                .map(|(_, v)| v),
+        };
+        let mut sum = self
+            .gateway_sum
+            .wrapping_add(pair_hash(TAG_GATEWAY, name, version));
+        if let Some(old) = old {
+            sum = sum.wrapping_sub(pair_hash(TAG_GATEWAY, name, old));
+        }
+        self.gateway_sum = sum;
+        true
+    }
+
+    /// Applies the entries and gateway items of a `replicate` call or
+    /// a `sync_fetch` reply, skipping malformed items. Returns how many
+    /// were applied.
+    fn apply_items(&mut self, entries: Option<&Value>, gateways: Option<&Value>) -> i64 {
+        let mut applied = 0i64;
+        if let Some(Value::List(items)) = entries {
+            for item in items {
+                if let Some((name, entry)) = Entry::from_value(item) {
+                    if self.apply_entry(&name, entry) {
+                        applied += 1;
+                    }
+                }
             }
         }
+        if let Some(Value::List(items)) = gateways {
+            for item in items {
+                if let Some((name, node, version)) = gateway_from_value(item) {
+                    if self.apply_gateway(name, node, version) {
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        applied
     }
 }
 
@@ -706,15 +871,17 @@ impl ReplicaCtx {
     /// anti-entropy pass repairs them — but each push gets a
     /// `federation` span so the decision is visible in traces.
     fn replicate_out(&self, sim: &Sim, outgoing: &[(String, Entry)]) {
-        let map = self.map.lock().clone();
         let mut per_peer: BTreeMap<u32, Vec<Value>> = BTreeMap::new();
-        for (name, entry) in outgoing {
-            for &peer in map.replicas_for(entry.shard) {
-                if peer != self.node {
-                    per_peer
-                        .entry(peer.0)
-                        .or_default()
-                        .push(entry.to_value(name));
+        {
+            let map = self.map.lock();
+            for (name, entry) in outgoing {
+                for &peer in map.replicas_for(entry.shard) {
+                    if peer != self.node {
+                        per_peer
+                            .entry(peer.0)
+                            .or_default()
+                            .push(entry.to_value(name));
+                    }
                 }
             }
         }
@@ -758,35 +925,21 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
     match call.method.as_str() {
         "shard_map" => return Ok(ctx.map.lock().to_value()),
         "replicate" => {
-            let mut st = ctx.state.lock();
-            let mut applied = 0i64;
-            if let Some(Value::List(items)) = call.get("entries") {
-                for item in items {
-                    if let Some((name, entry)) = Entry::from_value(item) {
-                        if st.apply_entry(&name, entry) {
-                            applied += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(Value::List(items)) = call.get("gateways") {
-                for item in items {
-                    if let (Some(name), Some(node), Some(version)) = (
-                        item.field("name").and_then(Value::as_str),
-                        item.field("node").and_then(Value::as_int),
-                        item.field("version").and_then(Version::from_value),
-                    ) {
-                        if st.apply_gateway(name, node as u32, version) {
-                            applied += 1;
-                        }
-                    }
-                }
-            }
+            let applied = ctx
+                .state
+                .lock()
+                .apply_items(call.get("entries"), call.get("gateways"));
             return Ok(Value::Int(applied));
         }
         "sync_digest" => {
             let shard = shard_arg(call)?;
             let st = ctx.state.lock();
+            // Fingerprint first: a backup whose pairs already match
+            // ours needs no digest at all.
+            let theirs = call.get("fingerprint").and_then(fingerprint_from_wire);
+            if theirs == Some(st.fingerprint(shard)) {
+                return Ok(Value::Record(vec![("in_sync".into(), Value::Bool(true))]));
+            }
             let mut records: Vec<(String, Version)> = st
                 .entries
                 .iter()
@@ -862,8 +1015,10 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                     .get("node")
                     .and_then(Value::as_int)
                     .ok_or_else(|| MetaError::Repository("missing node".into()))?;
+                let node = u32::try_from(node)
+                    .map_err(|_| MetaError::Repository(format!("bad node {node}")))?;
                 let version = st.next_version(now);
-                st.apply_gateway(&name, node as u32, version);
+                st.apply_gateway(&name, node, version);
                 Ok(Value::Null)
             }
             "gateway_node" => {
@@ -876,26 +1031,20 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             "publish" => {
                 let name = str_arg("name")?;
                 let shard = route_write(ctx, sim, call, &name)?;
-                let expires_at = st.lease.map(|l| now + l);
-                let version = st.next_version(now);
-                let entry = Entry {
-                    version,
-                    shard,
-                    kind: EntryKind::Record(StoredRecord {
-                        middleware: str_arg("middleware")?,
-                        gateway: str_arg("gateway")?,
-                        wsdl: str_arg("wsdl")?,
-                        contexts: match call.get("contexts") {
-                            Some(Value::Record(fields)) => fields
-                                .iter()
-                                .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
-                                .collect(),
-                            _ => Vec::new(),
-                        },
-                        expires_at,
-                    }),
+                let record = StoredRecord {
+                    middleware: str_arg("middleware")?,
+                    gateway: str_arg("gateway")?,
+                    wsdl: str_arg("wsdl")?,
+                    contexts: match call.get("contexts") {
+                        Some(Value::Record(fields)) => fields
+                            .iter()
+                            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
+                            .collect(),
+                        _ => Vec::new(),
+                    },
+                    expires_at: st.lease.map(|l| now + l),
                 };
-                st.apply_entry(&name, entry.clone());
+                let entry = st.write(&name, shard, EntryKind::Record(record), now);
                 outgoing.push((name, entry));
                 Ok(Value::Null)
             }
@@ -906,12 +1055,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                     st.entries.get(&name).map(|e| &e.kind),
                     Some(EntryKind::Record(_))
                 );
-                let entry = Entry {
-                    version: st.next_version(now),
-                    shard,
-                    kind: EntryKind::Unpublished,
-                };
-                st.apply_entry(&name, entry.clone());
+                let entry = st.write(&name, shard, EntryKind::Unpublished, now);
                 outgoing.push((name, entry));
                 Ok(Value::Bool(found))
             }
@@ -927,12 +1071,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                         // cannot kill the renewed record.
                         if let Some(lease) = lease {
                             rec.expires_at = Some(now + lease);
-                            let entry = Entry {
-                                version: st.next_version(now),
-                                shard,
-                                kind: EntryKind::Record(rec),
-                            };
-                            st.apply_entry(&name, entry.clone());
+                            let entry = st.write(&name, shard, EntryKind::Record(rec), now);
                             outgoing.push((name, entry));
                         }
                         Ok(Value::Bool(true))
@@ -975,20 +1114,8 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                 };
                 serve_inquiry(ctx, call, &mut st, &pattern, &categories)
             }
-            "count" => match call.get("shard").and_then(Value::as_int) {
+            "count" => match hosted_shard(ctx, call)? {
                 Some(shard) => {
-                    let shard = {
-                        let map = ctx.map.lock();
-                        let shard = shard as u32 % map.shard_count();
-                        if !map.hosts(shard, ctx.node) {
-                            let primary = map.primary(shard);
-                            return Err(MetaError::MovedShard {
-                                shard,
-                                node: primary.0,
-                            });
-                        }
-                        shard
-                    };
                     let n = st
                         .entries
                         .values()
@@ -1018,6 +1145,39 @@ fn shard_arg(call: &RpcCall) -> Result<u32, MetaError> {
         .ok_or_else(|| MetaError::Repository("missing argument 'shard'".into()))
 }
 
+/// A client-plane call's optional `shard` argument, folded onto the
+/// map's shards. A value that is no `u32` is a malformed call, never a
+/// shard (a negative one must not wrap onto a real shard).
+fn client_shard(call: &RpcCall, map: &ShardMap) -> Result<Option<u32>, MetaError> {
+    match call.get("shard").and_then(Value::as_int) {
+        None => Ok(None),
+        Some(s) => u32::try_from(s)
+            .map(|s| Some(s % map.shard_count()))
+            .map_err(|_| MetaError::Repository(format!("bad shard {s}"))),
+    }
+}
+
+/// `shard`, or the redirect to its primary if this replica does not
+/// host it.
+fn hosts_or_moved(ctx: &ReplicaCtx, map: &ShardMap, shard: u32) -> Result<u32, MetaError> {
+    if map.hosts(shard, ctx.node) {
+        Ok(shard)
+    } else {
+        Err(MetaError::MovedShard {
+            shard,
+            node: map.primary(shard).0,
+        })
+    }
+}
+
+/// The call's `shard` argument, if any, checked to be hosted here.
+fn hosted_shard(ctx: &ReplicaCtx, call: &RpcCall) -> Result<Option<u32>, MetaError> {
+    let map = ctx.map.lock();
+    client_shard(call, &map)?
+        .map(|shard| hosts_or_moved(ctx, &map, shard))
+        .transpose()
+}
+
 fn gateway_to_value(name: &str, node: u32, version: Version) -> Value {
     Value::Record(vec![
         ("name".into(), Value::Str(name.to_owned())),
@@ -1026,23 +1186,23 @@ fn gateway_to_value(name: &str, node: u32, version: Version) -> Value {
     ])
 }
 
+/// The inverse of [`gateway_to_value`]; `None` for a malformed item.
+fn gateway_from_value(item: &Value) -> Option<(&str, u32, Version)> {
+    Some((
+        item.field("name")?.as_str()?,
+        u32::try_from(item.field("node")?.as_int()?).ok()?,
+        Version::from_value(item.field("version")?)?,
+    ))
+}
+
 /// Validates a write's routing: the shard must be hosted here, and the
 /// write must land on the shard's primary — unless the caller set the
 /// `promote` flag (it could not reach the primary), in which case this
 /// backup promotes itself before accepting.
 fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall, name: &str) -> Result<u32, MetaError> {
     let mut map = ctx.map.lock();
-    let shard = match call.get("shard").and_then(Value::as_int) {
-        Some(s) => s as u32 % map.shard_count(),
-        None => map.shard_of(name),
-    };
-    if !map.hosts(shard, ctx.node) {
-        let primary = map.primary(shard);
-        return Err(MetaError::MovedShard {
-            shard,
-            node: primary.0,
-        });
-    }
+    let shard = client_shard(call, &map)?.unwrap_or_else(|| map.shard_of(name));
+    hosts_or_moved(ctx, &map, shard)?;
     if map.primary(shard) != ctx.node {
         let promote = call
             .get("promote")
@@ -1072,18 +1232,8 @@ fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall, name: &str) -> Resul
 /// list may answer (a backup serves reads during a primary outage).
 fn route_read(ctx: &ReplicaCtx, call: &RpcCall, name: &str) -> Result<u32, MetaError> {
     let map = ctx.map.lock();
-    let shard = match call.get("shard").and_then(Value::as_int) {
-        Some(s) => s as u32 % map.shard_count(),
-        None => map.shard_of(name),
-    };
-    if !map.hosts(shard, ctx.node) {
-        let primary = map.primary(shard);
-        return Err(MetaError::MovedShard {
-            shard,
-            node: primary.0,
-        });
-    }
-    Ok(shard)
+    let shard = client_shard(call, &map)?.unwrap_or_else(|| map.shard_of(name));
+    hosts_or_moved(ctx, &map, shard)
 }
 
 /// Serves a `find`/`find_ctx` inquiry from the local registry mirror,
@@ -1096,21 +1246,7 @@ fn serve_inquiry(
     pattern: &str,
     categories: &[KeyedReference],
 ) -> Result<Value, MetaError> {
-    let shard = match call.get("shard").and_then(Value::as_int) {
-        Some(s) => {
-            let map = ctx.map.lock();
-            let shard = s as u32 % map.shard_count();
-            if !map.hosts(shard, ctx.node) {
-                let primary = map.primary(shard);
-                return Err(MetaError::MovedShard {
-                    shard,
-                    node: primary.0,
-                });
-            }
-            Some(shard)
-        }
-        None => None,
-    };
+    let shard = hosted_shard(ctx, call)?;
     let services = st.registry.find_service(pattern, categories);
     let mut out = Vec::with_capacity(services.len());
     for svc in services {
@@ -1134,10 +1270,17 @@ fn replica_by_node(replicas: &[Replica], node: NodeId) -> Option<&Replica> {
 }
 
 /// One anti-entropy pass over the whole cluster: for every shard, each
-/// backup exchanges digests with the shard's primary over the wire
-/// (pull what the primary has newer, push what the backup has that the
-/// primary lacks), then the per-shard replication-lag gauge is
-/// recomputed. Returns the worst per-shard lag after the pass.
+/// backup exchanges fingerprints, and digests where they differ, with
+/// the shard's primary over the wire (pull what the primary has newer,
+/// push what the backup has that the primary lacks), then the
+/// per-shard replication-lag gauge is recomputed. Returns the worst
+/// per-shard lag after the pass.
+///
+/// A backup's push can move the primary past backups that synced
+/// earlier in the round: its own reaper tombstoned a lease, or it took
+/// writes while promoted. When the primary applied such a push and the
+/// shard has another backup, a second round brings them level (for the
+/// already-converged ones it costs a fingerprint exchange each).
 pub(crate) fn sync_cluster(
     sim: &Sim,
     replicas: &[Replica],
@@ -1145,15 +1288,21 @@ pub(crate) fn sync_cluster(
     metrics: &MetricsRegistry,
     tracer: &Tracer,
 ) -> u64 {
-    let snapshot = map.lock().clone();
+    let prefs = map.lock().preference_lists().to_vec();
     let mut worst = 0u64;
-    for shard in 0..snapshot.shard_count() {
-        let prefs = snapshot.replicas_for(shard).to_vec();
-        let primary = prefs[0];
-        for &backup in &prefs[1..] {
-            sync_pair(sim, replicas, shard, primary, backup, tracer, metrics);
+    for (shard, prefs) in (0u32..).zip(&prefs) {
+        let (primary, backups) = (prefs[0], &prefs[1..]);
+        let round = || {
+            let mut moved = false;
+            for &backup in backups {
+                moved |= sync_pair(sim, replicas, shard, primary, backup, tracer, metrics);
+            }
+            moved
+        };
+        if round() && backups.len() > 1 {
+            round();
         }
-        let lag = shard_lag(replicas, shard, primary, &prefs[1..]);
+        let lag = shard_lag(replicas, shard, primary, backups);
         metrics.set_replication_lag(shard, lag);
         worst = worst.max(lag);
     }
@@ -1163,7 +1312,8 @@ pub(crate) fn sync_cluster(
 /// How far `shard`'s laggiest backup trails its primary, measured
 /// in-process (entries whose version differs or are missing). This is
 /// the honest divergence, so a partition that blocks sync still shows
-/// up on the gauge.
+/// up on the gauge — and it compares entries, not fingerprints, so it
+/// stays exact.
 pub(crate) fn shard_lag(
     replicas: &[Replica],
     shard: u32,
@@ -1173,32 +1323,32 @@ pub(crate) fn shard_lag(
     let Some(pri) = replica_by_node(replicas, primary) else {
         return 0;
     };
-    let pri_entries: Vec<(String, Version)> = {
-        let st = pri.state.lock();
-        st.entries
-            .iter()
-            .filter(|(_, e)| e.shard == shard)
-            .map(|(name, e)| (name.clone(), e.version))
-            .collect()
-    };
+    let pri = pri.state.lock();
     let mut worst = 0u64;
     for &backup in backups {
         let Some(rep) = replica_by_node(replicas, backup) else {
             continue;
         };
         let st = rep.state.lock();
-        let behind = pri_entries
+        let behind = pri
+            .entries
             .iter()
-            .filter(|(name, version)| st.entries.get(name).map(|e| e.version) != Some(*version))
+            .filter(|(name, e)| {
+                e.shard == shard && st.entries.get(*name).map(|b| b.version) != Some(e.version)
+            })
             .count() as u64;
         worst = worst.max(behind);
     }
     worst
 }
 
-/// One digest exchange between a backup and its shard's primary. All
-/// wire traffic originates from the backup's node, so partitions and
-/// crash windows gate sync exactly like any other backbone traffic.
+/// One exchange between a backup and its shard's primary. The backup
+/// sends its fingerprint; a primary with the same one answers
+/// `in_sync` and the exchange ends there. Otherwise the primary sends
+/// its full digest and the two sides swap whatever differs. All wire
+/// traffic originates from the backup's node, so partitions and crash
+/// windows gate sync exactly like any other backbone traffic. Returns
+/// whether the primary applied anything the backup pushed.
 fn sync_pair(
     sim: &Sim,
     replicas: &[Replica],
@@ -1207,30 +1357,36 @@ fn sync_pair(
     backup: NodeId,
     tracer: &Tracer,
     metrics: &MetricsRegistry,
-) {
+) -> bool {
     let Some(rep) = replica_by_node(replicas, backup) else {
-        return;
+        return false;
     };
     let scope = Scope::child(sim, tracer, metrics, HopKind::Federation, || {
         format!("sync shard {shard}: n{} <-> n{}", backup.0, primary.0)
     });
+    let fingerprint = rep.state.lock().fingerprint(shard);
     let digest = match rep.client.call(
         primary,
-        &RpcCall::new(VSR_NS, "sync_digest").arg("shard", i64::from(shard)),
+        &RpcCall::new(VSR_NS, "sync_digest")
+            .arg("shard", i64::from(shard))
+            .arg("fingerprint", fingerprint_to_wire(fingerprint)),
     ) {
         Ok(v) => v,
         failed @ Err(_) => {
             scope.finish(&failed);
-            return;
+            return false;
         }
     };
-    let parse_digest = |field: &str| -> Vec<(String, Version)> {
+    if digest.field("in_sync").and_then(Value::as_bool) == Some(true) {
+        return false;
+    }
+    let parse_digest = |field: &str| -> Vec<(&str, Version)> {
         match digest.field(field) {
             Some(Value::List(items)) => items
                 .iter()
                 .filter_map(|i| {
                     Some((
-                        i.field("name")?.as_str()?.to_owned(),
+                        i.field("name")?.as_str()?,
                         Version::from_value(i.field("version")?)?,
                     ))
                 })
@@ -1240,6 +1396,8 @@ fn sync_pair(
     };
     let pri_records = parse_digest("records");
     let pri_gateways = parse_digest("gateways");
+    let pri_record_index: HashMap<&str, Version> = pri_records.iter().copied().collect();
+    let pri_gateway_index: HashMap<&str, Version> = pri_gateways.iter().copied().collect();
 
     // Diff against local state: anything whose version differs moves,
     // in both directions; the merge rules decide what sticks.
@@ -1247,24 +1405,19 @@ fn sync_pair(
         let st = rep.state.lock();
         let need: Vec<Value> = pri_records
             .iter()
-            .filter(|(name, version)| st.entries.get(name).map(|e| e.version) != Some(*version))
-            .map(|(name, _)| Value::Str(name.clone()))
+            .filter(|(name, version)| st.entries.get(*name).map(|e| e.version) != Some(*version))
+            .map(|(name, _)| Value::Str((*name).to_owned()))
             .collect();
         let need_gw: Vec<Value> = pri_gateways
             .iter()
-            .filter(|(name, version)| st.gateways.get(name).map(|&(_, v)| v) != Some(*version))
-            .map(|(name, _)| Value::Str(name.clone()))
+            .filter(|(name, version)| st.gateways.get(*name).map(|&(_, v)| v) != Some(*version))
+            .map(|(name, _)| Value::Str((*name).to_owned()))
             .collect();
         let mut push: Vec<(String, Entry)> = st
             .entries
             .iter()
             .filter(|(name, e)| {
-                e.shard == shard
-                    && pri_records
-                        .iter()
-                        .find(|(n, _)| n == *name)
-                        .map(|(_, v)| *v)
-                        != Some(e.version)
+                e.shard == shard && pri_record_index.get(name.as_str()) != Some(&e.version)
             })
             .map(|(name, e)| (name.clone(), e.clone()))
             .collect();
@@ -1272,13 +1425,7 @@ fn sync_pair(
         let mut push_gw: Vec<(String, u32, Version)> = st
             .gateways
             .iter()
-            .filter(|(name, &(_, v))| {
-                pri_gateways
-                    .iter()
-                    .find(|(n, _)| n == *name)
-                    .map(|(_, v)| *v)
-                    != Some(v)
-            })
+            .filter(|(name, &(_, v))| pri_gateway_index.get(name.as_str()) != Some(&v))
             .map(|(name, &(node, v))| (name.clone(), node, v))
             .collect();
         push_gw.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -1295,48 +1442,35 @@ fn sync_pair(
                 .arg("gw_names", Value::List(need_gw)),
         );
         if let Ok(v) = fetched {
-            let mut st = rep.state.lock();
-            if let Some(Value::List(items)) = v.field("records") {
-                for item in items {
-                    if let Some((name, entry)) = Entry::from_value(item) {
-                        st.apply_entry(&name, entry);
-                    }
-                }
-            }
-            if let Some(Value::List(items)) = v.field("gateways") {
-                for item in items {
-                    if let (Some(name), Some(node), Some(version)) = (
-                        item.field("name").and_then(Value::as_str),
-                        item.field("node").and_then(Value::as_int),
-                        item.field("version").and_then(Version::from_value),
-                    ) {
-                        st.apply_gateway(name, node as u32, version);
-                    }
-                }
-            }
+            rep.state
+                .lock()
+                .apply_items(v.field("records"), v.field("gateways"));
         }
     }
 
     // Push what the primary lacks (e.g. writes this backup took while
     // promoted, or tombstones the primary missed while down).
-    if !push.is_empty() || !push_gw.is_empty() {
-        let entries: Vec<Value> = push.iter().map(|(name, e)| e.to_value(name)).collect();
-        let gateways: Vec<Value> = push_gw
-            .iter()
-            .map(|(name, node, v)| gateway_to_value(name, *node, *v))
-            .collect();
-        let _ = rep.client.call(
-            primary,
-            &RpcCall::new(VSR_NS, "replicate")
-                .arg("entries", Value::List(entries))
-                .arg("gateways", Value::List(gateways)),
-        );
+    if push.is_empty() && push_gw.is_empty() {
+        return false;
     }
+    let entries: Vec<Value> = push.iter().map(|(name, e)| e.to_value(name)).collect();
+    let gateways: Vec<Value> = push_gw
+        .iter()
+        .map(|(name, node, v)| gateway_to_value(name, *node, *v))
+        .collect();
+    let applied = rep.client.call(
+        primary,
+        &RpcCall::new(VSR_NS, "replicate")
+            .arg("entries", Value::List(entries))
+            .arg("gateways", Value::List(gateways)),
+    );
+    matches!(applied, Ok(Value::Int(n)) if n > 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::SimRng;
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(|i| NodeId(100 + i)).collect()
@@ -1431,17 +1565,21 @@ mod tests {
         assert_eq!(Version::from_value(&a.to_value()), Some(a));
     }
 
+    fn stored(expires_at: Option<SimTime>) -> StoredRecord {
+        StoredRecord {
+            middleware: "x10".into(),
+            gateway: "x10-gw".into(),
+            wsdl: "<definitions/>".into(),
+            contexts: vec![],
+            expires_at,
+        }
+    }
+
     fn record_entry(version: Version, expires_at: Option<SimTime>) -> Entry {
         Entry {
             version,
             shard: 0,
-            kind: EntryKind::Record(StoredRecord {
-                middleware: "x10".into(),
-                gateway: "x10-gw".into(),
-                wsdl: "<definitions/>".into(),
-                contexts: vec![],
-                expires_at,
-            }),
+            kind: EntryKind::Record(stored(expires_at)),
         }
     }
 
@@ -1527,5 +1665,437 @@ mod tests {
             st.expire_due(SimTime::from_micros(500)).is_empty(),
             "idempotent"
         );
+    }
+
+    /// The reaper the watermark gates: the full scan `expire_due` ran
+    /// on every client-plane request before, kept as the reference.
+    fn expire_due_full_scan(st: &mut ReplicaState, now: SimTime) -> Vec<(String, Entry)> {
+        let mut due: Vec<String> = st
+            .entries
+            .iter()
+            .filter(|(_, e)| match &e.kind {
+                EntryKind::Record(rec) => rec.expires_at.is_some_and(|at| at <= now),
+                _ => false,
+            })
+            .map(|(name, _)| name.clone())
+            .collect();
+        due.sort_unstable();
+        let mut out = Vec::with_capacity(due.len());
+        for name in due {
+            let (of, shard) = {
+                let cur = &st.entries[&name];
+                (cur.version, cur.shard)
+            };
+            let tomb = Entry {
+                version: st.next_version(now),
+                shard,
+                kind: EntryKind::Expired { of },
+            };
+            st.store(&name, tomb.clone());
+            out.push((name, tomb));
+        }
+        out
+    }
+
+    const NAMES: [&str; 6] = ["den-tv", "hall-lamp", "oven", "porch", "vcr", "x"];
+
+    fn shard_of_name(name: &str) -> u32 {
+        (name.len() % 3) as u32
+    }
+
+    /// One random step against a replica: a lease toggle, a local
+    /// publish/renew/unpublish (stamped like the handler stamps them),
+    /// a replicated entry or gateway item with an arbitrary version and
+    /// deadline, or a clock advance. Returns the new clock.
+    fn random_step(st: &mut ReplicaState, rng: &mut SimRng, now: SimTime) -> SimTime {
+        let name = NAMES[rng.index(NAMES.len())];
+        let shard = shard_of_name(name);
+        let deadline = |rng: &mut SimRng| {
+            let t = now.as_micros() + rng.range(0, 300);
+            SimTime::from_micros(t.saturating_sub(100))
+        };
+        match rng.range(0, 8) {
+            0 => {
+                st.lease = if rng.chance(0.3) {
+                    None
+                } else {
+                    Some(SimDuration::from_micros(rng.range(1, 250)))
+                };
+            }
+            1 => {
+                let mut rec = stored(st.lease.map(|l| now + l));
+                rec.gateway = format!("gw-{}", rng.range(0, 3));
+                st.write(name, shard, EntryKind::Record(rec), now);
+            }
+            2 => {
+                if let (Some(lease), Some(EntryKind::Record(mut rec))) =
+                    (st.lease, st.entries.get(name).map(|e| e.kind.clone()))
+                {
+                    rec.expires_at = Some(now + lease);
+                    st.write(name, shard, EntryKind::Record(rec), now);
+                }
+            }
+            3 => {
+                st.write(name, shard, EntryKind::Unpublished, now);
+            }
+            4 | 5 => {
+                let version = Version {
+                    at_us: now.as_micros().saturating_sub(rng.range(0, 50)),
+                    replica: rng.range(1, 3) as u32,
+                    seq: rng.range(0, 1_000),
+                };
+                let kind = match rng.range(0, 4) {
+                    0 => EntryKind::Unpublished,
+                    1 => EntryKind::Expired {
+                        of: st.entries.get(name).map_or(version, |e| e.version),
+                    },
+                    2 => EntryKind::Record(stored(None)),
+                    _ => EntryKind::Record(stored(Some(deadline(rng)))),
+                };
+                st.apply_entry(
+                    name,
+                    Entry {
+                        version,
+                        shard,
+                        kind,
+                    },
+                );
+            }
+            6 => {
+                let version = Version {
+                    at_us: now.as_micros(),
+                    replica: rng.range(0, 3) as u32,
+                    seq: rng.range(0, 1_000),
+                };
+                st.apply_gateway(&format!("gw-{}", rng.range(0, 3)), 7, version);
+            }
+            _ => return now + SimDuration::from_micros(rng.range(0, 60)),
+        }
+        now
+    }
+
+    #[test]
+    fn watermark_gated_expiry_reaps_what_the_full_scan_reaps() {
+        let mut reaped = 0;
+        let mut skipped = 0;
+        for seed in 0..64 {
+            let mut rng = SimRng::seeded(seed);
+            let mut fast = ReplicaState::new(0);
+            let mut slow = ReplicaState::new(0);
+            let mut now = SimTime::ZERO;
+            for step in 0..400 {
+                // Both replicas see the same schedule: each step draws
+                // from its own generator, replayed on the twin.
+                let step_seed = rng.range(0, u64::MAX);
+                let then = random_step(&mut fast, &mut SimRng::seeded(step_seed), now);
+                random_step(&mut slow, &mut SimRng::seeded(step_seed), now);
+                now = then;
+                if step % 3 == 0 {
+                    if fast.next_expiry.is_none_or(|at| at > now) {
+                        skipped += 1;
+                    }
+                    let gated = fast.expire_due(now);
+                    let full = expire_due_full_scan(&mut slow, now);
+                    assert_eq!(gated, full, "seed {seed} step {step}");
+                    assert!(
+                        fast.next_expiry.is_none_or(|at| at > now),
+                        "a reaped replica must not scan again at the same instant (seed {seed})"
+                    );
+                    reaped += gated.len();
+                }
+                assert_eq!(fast.entries, slow.entries, "seed {seed} step {step}");
+                let earliest = fast
+                    .entries
+                    .values()
+                    .filter_map(|e| match &e.kind {
+                        EntryKind::Record(rec) => rec.expires_at,
+                        _ => None,
+                    })
+                    .min();
+                if let Some(earliest) = earliest {
+                    assert!(
+                        fast.next_expiry.is_some_and(|w| w <= earliest),
+                        "the watermark must bound every live deadline (seed {seed})"
+                    );
+                }
+            }
+        }
+        assert!(reaped > 100, "the schedule must actually reap ({reaped})");
+        assert!(
+            skipped > 100,
+            "and the watermark must skip scans ({skipped})"
+        );
+    }
+
+    #[test]
+    fn fingerprints_track_every_write_incrementally() {
+        for seed in 0..32 {
+            let mut rng = SimRng::seeded(seed);
+            let mut st = ReplicaState::new(0);
+            let mut now = SimTime::ZERO;
+            for _ in 0..300 {
+                now = random_step(&mut st, &mut rng, now);
+                st.expire_due(now);
+                let gateways = st.gateways.iter().fold(0u64, |sum, (name, &(_, v))| {
+                    sum.wrapping_add(pair_hash(TAG_GATEWAY, name, v))
+                });
+                for shard in 0..3 {
+                    let from_scratch = st
+                        .entries
+                        .iter()
+                        .filter(|(_, e)| e.shard == shard)
+                        .fold(gateways, |sum, (name, e)| {
+                            sum.wrapping_add(pair_hash(TAG_RECORD, name, e.version))
+                        });
+                    assert_eq!(st.fingerprint(shard), from_scratch, "seed {seed}");
+                }
+            }
+        }
+        // Different pairs, different fingerprints; order never matters.
+        let mut a = ReplicaState::new(0);
+        let mut b = ReplicaState::new(1);
+        let v = |seq| Version {
+            at_us: 1,
+            replica: 0,
+            seq,
+        };
+        a.apply_entry("x", record_entry(v(1), None));
+        a.apply_entry("y", record_entry(v(2), None));
+        b.apply_entry("y", record_entry(v(2), None));
+        assert_ne!(a.fingerprint(0), b.fingerprint(0));
+        b.apply_entry("x", record_entry(v(1), None));
+        assert_eq!(a.fingerprint(0), b.fingerprint(0));
+        a.apply_gateway("gw", 1, v(3));
+        assert_ne!(a.fingerprint(0), b.fingerprint(0));
+    }
+
+    fn with_field(v: &Value, key: &str, to: Value) -> Value {
+        match v {
+            Value::Record(fields) => Value::Record(
+                fields
+                    .iter()
+                    .map(|(k, old)| (k.clone(), if k == key { to.clone() } else { old.clone() }))
+                    .collect(),
+            ),
+            _ => panic!("not a record"),
+        }
+    }
+
+    const OVERSIZED_U32: i64 = u32::MAX as i64 + 1;
+
+    #[test]
+    fn wire_integers_reject_negative_and_oversized_values() {
+        let version = |at: i64, replica: i64, seq: i64| {
+            Value::List(vec![Value::Int(at), Value::Int(replica), Value::Int(seq)])
+        };
+        let ok = Version {
+            at_us: 1,
+            replica: 2,
+            seq: 3,
+        };
+        assert_eq!(Version::from_value(&version(1, 2, 3)), Some(ok));
+        for bad in [
+            version(-1, 2, 3),
+            version(1, 2, -3),
+            version(i64::MIN, 2, 3),
+            version(1, -2, 3),
+            version(1, OVERSIZED_U32, 3),
+        ] {
+            assert_eq!(Version::from_value(&bad), None, "{bad:?}");
+        }
+        let huge = Version {
+            at_us: u64::MAX,
+            replica: 0,
+            seq: u64::MAX,
+        };
+        assert_eq!(
+            huge.to_value(),
+            version(i64::MAX, 0, i64::MAX),
+            "saturates, never wraps negative"
+        );
+
+        let entry = record_entry(ok, Some(SimTime::from_micros(1_000)));
+        let value = entry.to_value("lamp");
+        assert_eq!(Entry::from_value(&value), Some(("lamp".into(), entry)));
+        let leaseless = Entry::from_value(&with_field(&value, "expires_at", Value::Null));
+        assert!(matches!(
+            leaseless,
+            Some((_, Entry { kind: EntryKind::Record(rec), .. })) if rec.expires_at.is_none()
+        ));
+        for (field, bad) in [
+            ("expires_at", Value::Int(-1)),
+            ("expires_at", Value::Int(i64::MIN)),
+            ("shard", Value::Int(-1)),
+            ("shard", Value::Int(OVERSIZED_U32)),
+            ("version", version(-5, 0, 1)),
+        ] {
+            assert_eq!(
+                Entry::from_value(&with_field(&value, field, bad.clone())),
+                None,
+                "{field} = {bad:?}"
+            );
+        }
+
+        let gateway = gateway_to_value("gw", 7, ok);
+        assert_eq!(gateway_from_value(&gateway), Some(("gw", 7, ok)));
+        for bad in [-7, OVERSIZED_U32] {
+            assert_eq!(
+                gateway_from_value(&with_field(&gateway, "node", Value::Int(bad))),
+                None
+            );
+        }
+
+        let mut map = ShardMap::build(4, &nodes(3), 2).to_value();
+        map = with_field(&map, "version", Value::Int(-1));
+        assert_eq!(ShardMap::from_value(&map), None);
+    }
+
+    #[test]
+    fn fingerprints_travel_losslessly() {
+        for fp in [
+            0,
+            1,
+            0x0123_4567_89ab_cdef,
+            i64::MAX as u64,
+            1 << 63,
+            u64::MAX,
+        ] {
+            assert_eq!(fingerprint_from_wire(&fingerprint_to_wire(fp)), Some(fp));
+            // Through the SOAP envelope `sync_digest` rides in, too.
+            let call =
+                RpcCall::new(VSR_NS, "sync_digest").arg("fingerprint", fingerprint_to_wire(fp));
+            let back = RpcCall::from_envelope(&call.to_envelope()).unwrap();
+            assert_eq!(
+                back.get("fingerprint").and_then(fingerprint_from_wire),
+                Some(fp)
+            );
+        }
+    }
+
+    /// A one-replica, four-shard replica context, driven through
+    /// [`handle`] directly.
+    fn replica_ctx() -> (Sim, ReplicaCtx) {
+        let sim = Sim::new(1);
+        let net = Network::ethernet(&sim);
+        let node = net.attach("vsr-0");
+        let ctx = ReplicaCtx {
+            node,
+            state: Arc::new(Mutex::new(ReplicaState::new(0))),
+            map: Arc::new(Mutex::new(ShardMap::build(4, &[node], 1))),
+            client: SoapClient::on_node(
+                &net,
+                node,
+                soap::CpuModel::default(),
+                soap::TcpModel::default(),
+            ),
+            tracer: Tracer::new("vsr-test"),
+            metrics: Arc::new(MetricsRegistry::new()),
+        };
+        (sim, ctx)
+    }
+
+    #[test]
+    fn malformed_client_plane_integers_are_repository_errors() {
+        let (sim, ctx) = replica_ctx();
+        let call = |method: &str| {
+            RpcCall::new(VSR_NS, method)
+                .arg("name", "hall-lamp")
+                .arg("pattern", "%")
+                .arg("middleware", "x10")
+                .arg("gateway", "x10-gw")
+                .arg("wsdl", "<definitions name=\"hall-lamp\"/>")
+        };
+        assert!(handle(&ctx, &sim, &call("publish").arg("shard", 1i64)).is_ok());
+        for shard in [-1, i64::MIN, OVERSIZED_U32] {
+            for method in ["publish", "unpublish", "renew", "resolve", "find", "count"] {
+                let result = handle(&ctx, &sim, &call(method).arg("shard", shard));
+                assert!(
+                    matches!(result, Err(MetaError::Repository(_))),
+                    "{method} with shard {shard}: {result:?}"
+                );
+            }
+        }
+        for node in [-1, OVERSIZED_U32] {
+            let result = handle(&ctx, &sim, &call("register_gateway").arg("node", node));
+            assert!(
+                matches!(result, Err(MetaError::Repository(_))),
+                "{result:?}"
+            );
+        }
+        let st = ctx.state.lock();
+        assert!(st.gateways.is_empty());
+        assert_eq!(
+            st.registry.service_count(),
+            1,
+            "only the well-formed publish"
+        );
+    }
+
+    #[test]
+    fn replicate_skips_malformed_items() {
+        let (sim, ctx) = replica_ctx();
+        let v = |seq| Version {
+            at_us: 1,
+            replica: 1,
+            seq,
+        };
+        let good = record_entry(v(1), None).to_value("good");
+        let bad_version = with_field(
+            &record_entry(v(2), None).to_value("bad"),
+            "version",
+            Value::List(vec![Value::Int(-5), Value::Int(1), Value::Int(2)]),
+        );
+        let never_expires = with_field(
+            &record_entry(v(3), None).to_value("forever"),
+            "expires_at",
+            Value::Int(-1),
+        );
+        let gw_ok = gateway_to_value("gw-a", 3, v(4));
+        let gw_bad = with_field(&gateway_to_value("gw-b", 4, v(5)), "node", Value::Int(-4));
+        let call = RpcCall::new(VSR_NS, "replicate")
+            .arg(
+                "entries",
+                Value::List(vec![good, bad_version, never_expires]),
+            )
+            .arg("gateways", Value::List(vec![gw_ok, gw_bad]));
+        assert_eq!(handle(&ctx, &sim, &call).unwrap(), Value::Int(2));
+        let st = ctx.state.lock();
+        let mut names: Vec<&str> = st.entries.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["good"]);
+        assert_eq!(st.gateways.keys().collect::<Vec<_>>(), ["gw-a"]);
+    }
+
+    #[test]
+    fn sync_digest_answers_in_sync_only_on_a_matching_fingerprint() {
+        let (sim, ctx) = replica_ctx();
+        let version = Version {
+            at_us: 1,
+            replica: 0,
+            seq: 1,
+        };
+        ctx.state
+            .lock()
+            .apply_entry("hall-lamp", record_entry(version, None));
+        let fp = ctx.state.lock().fingerprint(0);
+        let digest = |fp: Option<u64>| {
+            let mut call = RpcCall::new(VSR_NS, "sync_digest").arg("shard", 0i64);
+            if let Some(fp) = fp {
+                call = call.arg("fingerprint", fingerprint_to_wire(fp));
+            }
+            handle(&ctx, &sim, &call).unwrap()
+        };
+        assert_eq!(
+            digest(Some(fp)),
+            Value::Record(vec![("in_sync".into(), Value::Bool(true))])
+        );
+        for differs in [Some(fp.wrapping_add(1)), None] {
+            let full = digest(differs);
+            assert!(full.field("in_sync").is_none());
+            match full.field("records") {
+                Some(Value::List(items)) => assert_eq!(items.len(), 1),
+                other => panic!("full digest expected, got {other:?}"),
+            }
+        }
     }
 }

@@ -471,7 +471,8 @@ mod tests {
         let iface = catalog::mailer();
         let desc = iface.to_wsdl("mailer", "vsg://inet-gw/mailer");
         let text = desc.to_xml().to_document();
-        let parsed = wsdl::ServiceDescription::from_xml(&minixml::parse(&text).unwrap()).unwrap();
+        let parsed =
+            wsdl::ServiceDescription::from_xml(&minixml::parse_ref(&text).unwrap()).unwrap();
         assert_eq!(ServiceInterface::from_wsdl(&parsed), iface);
     }
 

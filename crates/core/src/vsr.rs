@@ -91,7 +91,7 @@ impl ServiceRecord {
         let middleware = Middleware::from_label(v.field("middleware")?.as_str()?)?;
         let gateway = v.field("gateway")?.as_str()?.to_owned();
         let wsdl_doc = v.field("wsdl")?.as_str()?;
-        let parsed = minixml::parse(wsdl_doc).ok()?;
+        let parsed = minixml::parse_ref(wsdl_doc).ok()?;
         let desc = wsdl::ServiceDescription::from_xml(&parsed).ok()?;
         let contexts = match v.field("contexts") {
             Some(Value::Record(fields)) => fields
@@ -176,7 +176,7 @@ impl Vsr {
             .iter()
             .map(|r| {
                 let st = r.state.lock();
-                st.entries
+                st.entries()
                     .iter()
                     .filter(|(_, e)| {
                         matches!(e.kind, federation::EntryKind::Record(_))
@@ -242,13 +242,12 @@ impl Vsr {
     /// shard's primary that a backup is missing or holds at a
     /// different version), measured in-process without syncing.
     pub fn replication_lag(&self) -> u64 {
-        let map = self.map.lock().clone();
-        let mut worst = 0;
-        for shard in 0..map.shard_count() {
-            let prefs = map.replicas_for(shard);
-            worst = worst.max(shard_lag(&self.replicas, shard, prefs[0], &prefs[1..]));
-        }
-        worst
+        let prefs = self.map.lock().preference_lists().to_vec();
+        (0u32..)
+            .zip(&prefs)
+            .map(|(shard, prefs)| shard_lag(&self.replicas, shard, prefs[0], &prefs[1..]))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The cluster's metrics registry: per-shard op counters live in

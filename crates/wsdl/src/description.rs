@@ -7,7 +7,7 @@
 //! concrete VSG endpoint that reaches it.
 
 use crate::types::XsdType;
-use minixml::Element;
+use minixml::{ElemRef, Element};
 use std::fmt;
 
 /// One named, typed message part (a parameter or return value).
@@ -170,8 +170,10 @@ impl ServiceDescription {
         defs
     }
 
-    /// Parses a WSDL-style document produced by [`Self::to_xml`].
-    pub fn from_xml(e: &Element) -> Result<ServiceDescription, DescriptionError> {
+    /// Parses a WSDL-style document produced by [`Self::to_xml`], from
+    /// the borrowed tree of [`minixml::parse_ref`]: names and clean text
+    /// are copied out of the document once, into the description.
+    pub fn from_xml(e: &ElemRef<'_>) -> Result<ServiceDescription, DescriptionError> {
         if e.local_name() != "definitions" {
             return Err(DescriptionError::new("root must be <definitions>"));
         }
@@ -182,7 +184,7 @@ impl ServiceDescription {
         let namespace = e.get_attr("targetNamespace").unwrap_or_default().to_owned();
         let documentation = e
             .find("documentation")
-            .map(Element::text_content)
+            .map(|d| d.text_content().into_owned())
             .unwrap_or_default();
         let mut operations = Vec::new();
         if let Some(pt) = e.find("portType") {
@@ -270,26 +272,29 @@ mod tests {
             )
     }
 
+    fn parse(doc: &str) -> Result<ServiceDescription, DescriptionError> {
+        ServiceDescription::from_xml(&minixml::parse_ref(doc).unwrap())
+    }
+
     #[test]
     fn xml_round_trip() {
         let d = vcr();
-        let back = ServiceDescription::from_xml(&d.to_xml()).unwrap();
-        assert_eq!(back, d);
+        assert_eq!(parse(&d.to_xml().to_document()).unwrap(), d);
     }
 
     #[test]
     fn round_trip_through_text() {
-        let d = vcr();
-        let doc = d.to_xml().to_document();
-        let parsed = minixml::parse(&doc).unwrap();
-        assert_eq!(ServiceDescription::from_xml(&parsed).unwrap(), d);
+        let d = ServiceDescription::new("a&b", "urn:x<y>")
+            .doc("\"quoted\" & <escaped>")
+            .at("vsg://gw/a&b");
+        assert_eq!(parse(&d.to_xml().to_document()).unwrap(), d);
     }
 
     #[test]
     fn idempotence_survives_the_wire() {
         let d = vcr();
         let doc = d.to_xml().to_document();
-        let back = ServiceDescription::from_xml(&minixml::parse(&doc).unwrap()).unwrap();
+        let back = parse(&doc).unwrap();
         assert!(back.find_operation("position").unwrap().idempotent);
         assert!(!back.find_operation("record").unwrap().idempotent);
     }
@@ -305,10 +310,8 @@ mod tests {
 
     #[test]
     fn rejects_wrong_root() {
-        let e = Element::new("notdefs");
-        assert!(ServiceDescription::from_xml(&e).is_err());
-        let e = Element::new("definitions"); // no name
-        assert!(ServiceDescription::from_xml(&e).is_err());
+        assert!(parse("<notdefs/>").is_err());
+        assert!(parse("<definitions/>").is_err(), "no name");
     }
 
     #[test]
@@ -317,7 +320,7 @@ mod tests {
             <portType name="sPortType">
               <operation name="op"><input><part name="x" type="vendor:blob"/></input></operation>
             </portType></definitions>"#;
-        let d = ServiceDescription::from_xml(&minixml::parse(doc).unwrap()).unwrap();
+        let d = parse(doc).unwrap();
         assert_eq!(d.operations[0].inputs[0].ty, XsdType::Any);
         assert_eq!(d.endpoint, "");
     }

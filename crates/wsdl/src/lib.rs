@@ -76,7 +76,7 @@ mod proptests {
                 d = d.operation(op);
             }
             let text = d.to_xml().to_document();
-            let back = ServiceDescription::from_xml(&minixml::parse(&text).unwrap()).unwrap();
+            let back = ServiceDescription::from_xml(&minixml::parse_ref(&text).unwrap()).unwrap();
             prop_assert_eq!(back, d);
         }
 

@@ -13,12 +13,12 @@
 
 use metaware::{
     catalog, BatchCall, BatchItem, Binding, BreakerState, CloudConfig, CloudIsland, CompositeSpec,
-    MetaError, Middleware, OpSig, ServiceInterface, Soap11, StepSpec, TypeTag, VirtualService, Vsg,
-    VsgProtocol, Vsr,
+    FederationConfig, MetaError, Middleware, OpSig, ServiceInterface, Soap11, StepSpec, TypeTag,
+    VirtualService, Vsg, VsgProtocol, Vsr, VsrClient,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use simnet::{FaultPlan, Network, Sim, SimDuration, SimTime};
+use simnet::{FaultPlan, Network, Sim, SimDuration, SimRng, SimTime};
 use soap::Value;
 use std::sync::Arc;
 
@@ -815,4 +815,126 @@ fn chaos_runs_are_deterministic_per_seed() {
         )
     };
     assert_eq!(run(42), run(42), "same seed, same run");
+}
+
+// ---- federated VSR: anti-entropy after lost eager pushes ------------------
+
+/// A 3-replica, 4-shard repository takes a random publish / unpublish /
+/// renew / resolve stream (seeded from `CHAOS_SEED`) while one replica
+/// is partitioned from its peers: every eager push to it, and from it
+/// for the shards it leads, is lost. After the heal one anti-entropy
+/// pass must converge the cluster (lag 0, every replica resolving every
+/// name identically), and a second pass over the converged cluster
+/// must be fingerprints only: no `sync_fetch` or `replicate` exchange,
+/// so nothing to apply.
+#[test]
+fn anti_entropy_converges_lost_pushes_in_one_pass() {
+    let seed = chaos_seed();
+    let sim = Sim::new(seed);
+    let net = Network::ethernet(&sim);
+    let vsr = Vsr::start_federated(
+        &net,
+        &FederationConfig {
+            shards: 4,
+            replicas: 3,
+            replication: 3,
+            ..FederationConfig::default()
+        },
+    );
+    vsr.set_lease_duration(Some(SimDuration::from_secs(30)));
+    let client = VsrClient::new(&net, net.attach("pcm"), vsr.node());
+    let lamp = |name: &str, gateway: &str| {
+        VirtualService::new(name, catalog::lamp(), Middleware::X10, gateway)
+    };
+    let names: Vec<String> = (0..24).map(|i| format!("svc-{i:02}")).collect();
+    for name in &names {
+        client.publish(&lamp(name, "gw-0")).unwrap();
+    }
+    assert_eq!(vsr.replication_lag(), 0, "eager pushes converged the seed");
+
+    // The client reaches every replica, so no write ever fails over:
+    // only replica-to-replica traffic to and from `cut` is lost.
+    let mut rng = SimRng::seeded(seed);
+    let replicas = vsr.nodes();
+    let cut = replicas[rng.index(replicas.len())];
+    let peers: Vec<_> = replicas.iter().copied().filter(|&n| n != cut).collect();
+    let t0 = sim.now();
+    net.set_fault_plan(FaultPlan::new().partition(
+        vec![cut],
+        peers,
+        t0,
+        t0 + SimDuration::from_secs(3_600),
+    ));
+    for _ in 0..120 {
+        sim.advance(SimDuration::from_millis(rng.range(0, 2_000)));
+        let name = &names[rng.index(names.len())];
+        match rng.range(0, 8) {
+            0..=2 => {
+                let gateway = format!("gw-{}", rng.range(0, 3));
+                client.publish(&lamp(name, &gateway)).unwrap();
+            }
+            3 => {
+                client.unpublish(name).unwrap();
+            }
+            4 | 5 => {
+                client.renew(name).unwrap();
+            }
+            _ => {
+                let _ = client.resolve(name);
+            }
+        }
+    }
+    // A closing renew of every name, still partitioned, restarts each
+    // surviving lease, so none falls due while the replicas are
+    // compared below (the renew reaps the ones already due).
+    for name in &names {
+        client.renew(name).unwrap();
+    }
+    net.clear_fault_plan();
+    assert!(vsr.replication_lag() > 0, "the partition lost pushes");
+
+    assert_eq!(vsr.sync_now(), 0, "one pass converges");
+    assert_eq!(vsr.replication_lag(), 0);
+
+    let map = vsr.shard_map();
+    let pairs: u64 = (0..map.shard_count())
+        .map(|s| map.replicas_for(s).len() as u64 - 1)
+        .sum();
+    let (frames0, bytes0) = net.with_stats(|s| (s.total().frames, s.total().bytes));
+    assert_eq!(vsr.sync_now(), 0);
+    let (frames1, bytes1) = net.with_stats(|s| (s.total().frames, s.total().bytes));
+    assert_eq!(
+        frames1 - frames0,
+        2 * pairs,
+        "a converged pass is one sync_digest request and reply per pair"
+    );
+    assert!(
+        bytes1 - bytes0 < pairs * 1_500,
+        "and each reply is `in_sync`, not a digest: {} B over {pairs} pairs",
+        bytes1 - bytes0
+    );
+
+    // Every replica now answers every resolve the same way.
+    let probe = soap::SoapClient::on_node(
+        &net,
+        net.attach("probe"),
+        soap::CpuModel::default(),
+        soap::TcpModel::default(),
+    );
+    let answers = |replica| -> Vec<Result<Value, String>> {
+        names
+            .iter()
+            .map(|name| {
+                let call = soap::RpcCall::new("urn:vsg:repository", "resolve")
+                    .arg("name", name.as_str())
+                    .arg("shard", i64::from(map.shard_of(name)));
+                probe.call(replica, &call).map_err(|e| e.to_string())
+            })
+            .collect()
+    };
+    let reference = answers(replicas[0]);
+    assert!(reference.iter().any(Result::is_ok), "some services survive");
+    for &replica in &replicas[1..] {
+        assert_eq!(answers(replica), reference, "replica n{}", replica.0);
+    }
 }
