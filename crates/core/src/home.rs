@@ -12,6 +12,7 @@
 
 use crate::batch::BatchPolicy;
 use crate::error::MetaError;
+use crate::federation::FederationConfig;
 use crate::iface::{catalog, InterfaceCatalog};
 use crate::obs::{FlightRecorder, KeptTrace, SamplePolicy};
 use crate::pcm::cloud::{CloudConfig, CloudIsland};
@@ -161,9 +162,6 @@ pub struct SmartHome {
     pub upnp: Option<UpnpIsland>,
     /// The cloud bridge (WAN edge), if attached.
     pub cloud: Option<CloudIsland>,
-    /// Handles of the gateway re-registration heartbeats, when the
-    /// builder armed them (kept so the timers stay cancellable).
-    pub heartbeats: Vec<simnet::RepeatHandle>,
     /// Handle of the VSR anti-entropy timer, armed automatically when
     /// the repository runs with more than one replica.
     pub vsr_sync_timer: Option<simnet::RepeatHandle>,
@@ -189,13 +187,9 @@ pub struct SmartHomeBuilder {
     upnp: bool,
     lossless_powerline: bool,
     auto_import: bool,
-    resilience: Option<ResiliencePolicy>,
     batching: Option<BatchPolicy>,
-    vsr_lease: Option<SimDuration>,
-    heartbeat: Option<SimDuration>,
     vsr_replicas: usize,
     vsr_shards: u32,
-    vsr_sync: SimDuration,
     vsr_sync_phase: SimDuration,
     island: u32,
     threads: Option<usize>,
@@ -227,13 +221,9 @@ impl SmartHome {
             upnp: false,
             lossless_powerline: true,
             auto_import: true,
-            resilience: None,
             batching: None,
-            vsr_lease: None,
-            heartbeat: None,
             vsr_replicas: 1,
             vsr_shards: 1,
-            vsr_sync: SimDuration::from_secs(2),
             vsr_sync_phase: SimDuration::ZERO,
             island: 0,
             threads: None,
@@ -428,7 +418,7 @@ impl SmartHome {
     }
 
     /// Pays the island builds a lazy home deferred: Jini/HAVi/X10/
-    /// mail/UPnP islands, build-time policies, and heartbeats, exactly
+    /// mail/UPnP islands and the build-time batching policy, exactly
     /// as an eager [`SmartHomeBuilder::build`] would have produced
     /// them. Idempotent; a no-op on an eagerly built home.
     pub fn materialize(&mut self) -> Result<(), MetaError> {
@@ -480,23 +470,8 @@ impl SmartHome {
                 spec.auto_import,
             )?);
         }
-        if let Some(policy) = spec.resilience {
-            self.set_resilience(policy);
-        }
         if let Some(policy) = spec.batching {
             self.set_batching(policy);
-        }
-        if let Some(period) = spec.heartbeat {
-            self.heartbeats = self
-                .gateways()
-                .into_iter()
-                .cloned()
-                .map(|vsg| {
-                    self.sim.every(period, move |_sim| {
-                        let _ = vsg.republish_all();
-                    })
-                })
-                .collect();
         }
         Ok(())
     }
@@ -558,13 +533,6 @@ impl SmartHomeBuilder {
         self
     }
 
-    /// Installs a resilience policy on every gateway at build time
-    /// (each gateway otherwise starts with the defaults).
-    pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
-        self.resilience = Some(policy);
-        self
-    }
-
     /// Installs a batching policy on every gateway at build time —
     /// [`BatchPolicy::disabled`] pins the home to the unbatched wire,
     /// a tuned policy adjusts the coalescing knobs. Gateways otherwise
@@ -574,27 +542,11 @@ impl SmartHomeBuilder {
         self
     }
 
-    /// Turns on VSR record leases of the given duration: services not
-    /// renewed or re-published in time are reaped, so a crashed
-    /// gateway's exports stop resolving.
-    pub fn vsr_lease(mut self, duration: SimDuration) -> Self {
-        self.vsr_lease = Some(duration);
-        self
-    }
-
-    /// Arms a per-gateway heartbeat that re-registers the gateway and
-    /// re-publishes its exports every `period` — the recovery half of
-    /// VSR leases. The timers fire when the simulation event loop is
-    /// pumped (`run_for`/`run_until`), not on bare `advance`.
-    pub fn heartbeat(mut self, period: SimDuration) -> Self {
-        self.heartbeat = Some(period);
-        self
-    }
-
     /// Runs the VSR as a federation of `n` replicas (default 1 — the
     /// original single-node repository). With more than one replica
-    /// the builder also arms a periodic anti-entropy pass (see
-    /// [`SmartHomeBuilder::vsr_sync_interval`]); writes replicate
+    /// the builder also arms a periodic anti-entropy pass (every
+    /// [`FederationConfig::sync_interval`], fired when the event loop
+    /// is pumped with `run_for`, not on bare `advance`); writes replicate
     /// eagerly, and clients fail over (promoting a backup) when a
     /// shard's primary is unreachable.
     pub fn vsr_replicas(mut self, n: usize) -> Self {
@@ -607,15 +559,6 @@ impl SmartHomeBuilder {
     /// preference list over the replicas.
     pub fn vsr_shards(mut self, n: u32) -> Self {
         self.vsr_shards = n.max(1);
-        self
-    }
-
-    /// Period of the VSR anti-entropy exchange (default 2s). Only
-    /// meaningful with [`SmartHomeBuilder::vsr_replicas`] above 1; the
-    /// timer fires when the event loop is pumped (`run_for`), not on
-    /// bare `advance`.
-    pub fn vsr_sync_interval(mut self, period: SimDuration) -> Self {
-        self.vsr_sync = period;
         self
     }
 
@@ -684,19 +627,13 @@ impl SmartHomeBuilder {
     pub fn build(self) -> Result<SmartHome, MetaError> {
         let sim = Sim::with_island(self.seed, self.island);
         let backbone = Network::ethernet(&sim);
-        let vsr = Vsr::start_federated(
-            &backbone,
-            &crate::federation::FederationConfig {
-                shards: self.vsr_shards,
-                replicas: self.vsr_replicas,
-                sync_interval: self.vsr_sync,
-                sync_phase: self.vsr_sync_phase,
-                ..crate::federation::FederationConfig::default()
-            },
-        );
-        if let Some(lease) = self.vsr_lease {
-            vsr.set_lease_duration(Some(lease));
-        }
+        let federation = FederationConfig {
+            shards: self.vsr_shards,
+            replicas: self.vsr_replicas,
+            sync_phase: self.vsr_sync_phase,
+            ..FederationConfig::default()
+        };
+        let vsr = Vsr::start_federated(&backbone, &federation);
 
         // A lazy build keeps the whole island spec around and builds
         // nothing below the world layer; `materialize` pays the rest.
@@ -795,14 +732,10 @@ impl SmartHomeBuilder {
             mail,
             upnp,
             cloud,
-            heartbeats: Vec::new(),
             vsr_sync_timer: None,
             flight: Mutex::new(FlightRecorder::new(SamplePolicy::default())),
             deferred,
         };
-        if let Some(policy) = self.resilience {
-            home.set_resilience(policy);
-        }
         if let Some(policy) = self.batching {
             home.set_batching(policy);
         }
@@ -810,24 +743,12 @@ impl SmartHomeBuilder {
         if self.vsr_replicas > 1 {
             let vsr = home.vsr.clone();
             home.vsr_sync_timer = Some(home.sim.every_with_phase(
-                self.vsr_sync_phase,
-                self.vsr_sync,
+                federation.sync_phase,
+                federation.sync_interval,
                 move |_sim| {
                     vsr.sync_now();
                 },
             ));
-        }
-        if let Some(period) = self.heartbeat {
-            home.heartbeats = home
-                .gateways()
-                .into_iter()
-                .cloned()
-                .map(|vsg| {
-                    home.sim.every(period, move |_sim| {
-                        let _ = vsg.republish_all();
-                    })
-                })
-                .collect();
         }
         Ok(home)
     }

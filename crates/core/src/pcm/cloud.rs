@@ -48,6 +48,7 @@ use crate::error::MetaError;
 use crate::intern::Name;
 use crate::metrics::{CacheStats, MetricsRegistry, MetricsSnapshot};
 use crate::obs::{HistSketch, Scope};
+use crate::resilience::backoff;
 use crate::trace::{HopKind, Span, Tracer};
 use parking_lot::Mutex;
 use simnet::{FaultPlan, Network, NodeId, Protocol, RepeatHandle, Sim, SimDuration, SimTime};
@@ -505,14 +506,12 @@ impl CloudBridgePcm {
         }
     }
 
-    /// The capped exponential backoff with deterministic jitter over
-    /// `[wait/2, wait]`, drawn from the island's seeded RNG.
+    /// The reconnect wait after `attempt` failed attempts: the shared
+    /// jittered [`backoff`], drawn from the island's seeded RNG.
     fn backoff(&self, attempt: u32) -> SimDuration {
-        let base = self.inner.cfg.base_backoff.as_micros().max(1);
-        let cap = self.inner.cfg.max_backoff.as_micros().max(base);
-        let wait = base.saturating_mul(1u64 << attempt.min(16)).min(cap);
-        let us = self.inner.sim.with_rng(|r| r.range(wait / 2, wait + 1));
-        SimDuration::from_micros(us)
+        let cfg = &self.inner.cfg;
+        let base = cfg.base_backoff.max(SimDuration::from_micros(1));
+        backoff(base, cfg.max_backoff, attempt, true, &self.inner.sim)
     }
 
     fn try_connect(&self) {
@@ -890,10 +889,10 @@ impl CloudCell {
                     attempt += 1;
                     self.inner.state.lock().stats.command_retries += 1;
                     self.inner.metrics.record_retry();
-                    let base = self.inner.cfg.cmd_backoff.as_micros().max(1);
-                    let wait = base.saturating_mul(1u64 << attempt.min(10));
-                    let us = sim.with_rng(|r| r.range(wait / 2, wait + 1));
-                    sim.advance(SimDuration::from_micros(us));
+                    // Doubling per retry up to 2^10 times the base.
+                    let base = self.inner.cfg.cmd_backoff.max(SimDuration::from_micros(1));
+                    let cap = SimDuration::from_micros(base.as_micros().saturating_mul(1 << 10));
+                    sim.advance(backoff(base, cap, attempt, true, sim));
                 }
             }
         };

@@ -12,7 +12,9 @@ use crate::intern::Name;
 use crate::metrics::CacheStats;
 use crate::vsr::ServiceRecord;
 use simnet::NodeId;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// Default per-gateway capacity: generous for a home's service count
@@ -80,7 +82,13 @@ impl Lookup {
 
 /// A bounded LRU cache of VSR resolutions.
 pub struct ResolutionCache {
-    entries: HashMap<Name, Entry>,
+    /// Keyed with a fixed-key hasher: LRU evictions leave tombstones,
+    /// and a per-process random seed would decide whether a full table
+    /// rehashes in place or grows, so allocation counts (and the
+    /// iteration order eviction walks) would vary from run to run. The
+    /// table never exceeds `capacity` entries, which bounds what
+    /// colliding names could cost.
+    entries: HashMap<Name, Entry, BuildHasherDefault<DefaultHasher>>,
     capacity: usize,
     tick: u64,
     stats: CacheStats,
@@ -96,7 +104,7 @@ impl ResolutionCache {
     /// Creates a cache bounded to `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> ResolutionCache {
         ResolutionCache {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             capacity: capacity.max(1),
             tick: 0,
             stats: CacheStats::default(),

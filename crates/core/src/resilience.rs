@@ -2,16 +2,20 @@
 //!
 //! The paper's backbone (§3.1) rides a real home network — powerline
 //! segments drop frames, gateways crash, the access network partitions.
-//! This module holds the *policy* half of the gateway's answer: how
+//! This module holds the one mechanism every remote leg shares: how
 //! long an invocation may take end to end ([`ResiliencePolicy::deadline`]),
-//! how re-sends are paced ([`ResiliencePolicy::backoff`]), and when a
-//! remote gateway is declared unhealthy and calls fail fast instead of
-//! burning the deadline ([`CircuitBreaker`]). The *mechanism* half —
-//! the retry loop that consults these — lives in `Vsg::invoke`.
+//! how re-sends are paced ([`backoff`], used by the gateway wire and
+//! the cloud bridge alike), and when a peer is declared unhealthy and
+//! calls fail fast instead of burning the deadline ([`BreakerBank`],
+//! one breaker per peer node, for gateway peers and VSR replicas
+//! alike, with [`BreakerBank::record`] as the one rule for what counts
+//! as a failure). The retry loop that consults them lives in the
+//! gateway's wire path (`Vsg::invoke`).
 //!
 //! Everything is computed on virtual time and the simulation's seeded
 //! RNG, so a chaos schedule replays identically run after run.
 
+use crate::error::MetaError;
 use parking_lot::Mutex;
 use simnet::{NodeId, Sim, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -26,10 +30,6 @@ use std::fmt;
 /// rather than hanging through eight maximum backoffs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Master switch. When off, every wire call is a single attempt
-    /// and the breaker/degraded paths are bypassed — the pre-resilience
-    /// gateway behaviour, kept for ablation benches.
-    pub enabled: bool,
     /// End-to-end virtual-time budget for one invocation, spanning all
     /// attempts and backoff waits.
     pub deadline: SimDuration,
@@ -56,7 +56,6 @@ pub struct ResiliencePolicy {
 impl Default for ResiliencePolicy {
     fn default() -> Self {
         ResiliencePolicy {
-            enabled: true,
             deadline: SimDuration::from_secs(2),
             max_retries: 8,
             base_backoff: SimDuration::from_millis(50),
@@ -70,38 +69,60 @@ impl Default for ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// The pre-resilience gateway: single attempt, no breaker, no
+    /// The pre-resilience gateway as a policy value: a single attempt
+    /// (so the deadline never binds), a breaker that never opens, no
     /// degraded serving. Used by ablation benches and available to any
     /// deployment that wants raw failures.
     pub fn disabled() -> ResiliencePolicy {
         ResiliencePolicy {
-            enabled: false,
+            max_retries: 0,
+            degraded_reads: false,
+            breaker_threshold: u32::MAX,
             ..ResiliencePolicy::default()
         }
     }
 
-    /// The wait before retry number `attempt` (0-based): exponential
-    /// from [`Self::base_backoff`], capped at [`Self::max_backoff`],
-    /// jittered over `[wait/2, wait]` when [`Self::jitter`] is on. The
-    /// draw comes from the simulation's seeded RNG, so a given seed
-    /// yields the same pacing every run.
+    /// The wait before retry number `attempt` (0-based): the shared
+    /// [`backoff`] over [`Self::base_backoff`], [`Self::max_backoff`]
+    /// and [`Self::jitter`].
     pub fn backoff(&self, attempt: u32, sim: &Sim) -> SimDuration {
-        let base = self.base_backoff.as_micros();
-        let cap = self.max_backoff.as_micros().max(base);
-        let wait = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
-        if wait == 0 {
-            return SimDuration::ZERO;
-        }
-        let us = if self.jitter {
-            sim.with_rng(|r| r.range(wait / 2, wait + 1))
-        } else {
-            wait
-        };
-        SimDuration::from_micros(us)
+        backoff(
+            self.base_backoff,
+            self.max_backoff,
+            attempt,
+            self.jitter,
+            sim,
+        )
     }
 }
 
-/// Where a remote gateway's circuit breaker stands.
+/// The wait before re-send number `attempt`: exponential from `base`
+/// (doubling per attempt), capped at `cap` (or `base`, if larger), and
+/// jittered over `[wait/2, wait]` when `jitter` is on. The draw comes
+/// from the simulation's seeded RNG, so a given seed yields the same
+/// pacing every run; a zero wait draws nothing.
+pub fn backoff(
+    base: SimDuration,
+    cap: SimDuration,
+    attempt: u32,
+    jitter: bool,
+    sim: &Sim,
+) -> SimDuration {
+    let base = base.as_micros();
+    let cap = cap.as_micros().max(base);
+    let wait = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
+    if wait == 0 {
+        return SimDuration::ZERO;
+    }
+    let us = if jitter {
+        sim.with_rng(|r| r.range(wait / 2, wait + 1))
+    } else {
+        wait
+    };
+    SimDuration::from_micros(us)
+}
+
+/// Where a peer's circuit breaker stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BreakerState {
     /// Healthy: calls flow, consecutive failures are counted.
@@ -132,11 +153,8 @@ impl fmt::Display for BreakerState {
     }
 }
 
-/// A per-remote-gateway circuit breaker on virtual time.
-///
-/// Only *transport* failures (see `MetaError::is_transport_failure`)
-/// count against it: an application fault or an unknown-service answer
-/// proves the remote gateway alive and counts as a success.
+/// One peer's circuit breaker on virtual time. Callers hold breakers
+/// through a [`BreakerBank`], which decides what counts as a failure.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     threshold: u32,
@@ -217,19 +235,28 @@ impl CircuitBreaker {
     }
 }
 
-/// A bank of circuit breakers keyed by backbone node — one per VSR
-/// replica. The shard-aware [`crate::VsrClient`] consults it while
-/// walking a shard's preference list: a replica whose breaker is open
-/// is skipped without touching the wire, so failover to the next
-/// replica costs nothing once a crash has been observed a few times.
+/// The circuit breakers of one caller, keyed by the peer's backbone
+/// node: a gateway holds one bank with a breaker per remote gateway,
+/// and the shard-aware [`crate::VsrClient`] one with a breaker per
+/// replica — it skips a replica whose breaker is open without touching
+/// the wire, so failover costs nothing once a crash has been observed a
+/// few times.
 ///
-/// Breakers are created closed on first use. The bank is internally
-/// locked so one bank can be shared by every clone of a client.
+/// Breakers are created closed on first use, with the bank's thresholds
+/// at that moment. The bank is internally locked so one bank can be
+/// shared by every clone of its owner. [`BreakerBank::admit`] and
+/// [`BreakerBank::record`] return the state a breaker moved to, if it
+/// moved, for owners that report transitions.
 #[derive(Debug)]
 pub struct BreakerBank {
-    threshold: u32,
-    open_window: SimDuration,
-    breakers: Mutex<HashMap<NodeId, CircuitBreaker>>,
+    inner: Mutex<Bank>,
+}
+
+#[derive(Debug)]
+struct Bank {
+    /// The closed breaker every newly seen node starts as.
+    fresh: CircuitBreaker,
+    breakers: HashMap<NodeId, CircuitBreaker>,
 }
 
 impl BreakerBank {
@@ -238,40 +265,64 @@ impl BreakerBank {
     /// `open_window` has elapsed.
     pub fn new(threshold: u32, open_window: SimDuration) -> BreakerBank {
         BreakerBank {
-            threshold: threshold.max(1),
-            open_window,
-            breakers: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Bank {
+                fresh: CircuitBreaker::new(threshold, open_window),
+                breakers: HashMap::new(),
+            }),
         }
     }
 
-    fn with<T>(&self, node: NodeId, f: impl FnOnce(&mut CircuitBreaker) -> T) -> T {
-        let mut breakers = self.breakers.lock();
-        let br = breakers
-            .entry(node)
-            .or_insert_with(|| CircuitBreaker::new(self.threshold, self.open_window));
-        f(br)
+    /// Sets the thresholds of breakers created from now on; breakers
+    /// that already exist keep the ones they were created with.
+    pub fn set_thresholds(&self, threshold: u32, open_window: SimDuration) {
+        self.inner.lock().fresh = CircuitBreaker::new(threshold, open_window);
+    }
+
+    /// Runs `f` on `node`'s breaker, returning its result and the state
+    /// the breaker moved to, if it moved.
+    fn with<T>(
+        &self,
+        node: NodeId,
+        f: impl FnOnce(&mut CircuitBreaker) -> T,
+    ) -> (T, Option<BreakerState>) {
+        let mut bank = self.inner.lock();
+        let Bank { fresh, breakers } = &mut *bank;
+        let br = breakers.entry(node).or_insert_with(|| fresh.clone());
+        let before = br.state();
+        let out = f(br);
+        let after = br.state();
+        (out, (before != after).then_some(after))
     }
 
     /// Whether a call to `node` may proceed at `now` (an elapsed open
-    /// window admits the call as its half-open probe).
-    pub fn admit(&self, node: NodeId, now: SimTime) -> bool {
+    /// window admits the call as its half-open probe), and the state
+    /// the breaker moved to, if it moved.
+    pub fn admit(&self, node: NodeId, now: SimTime) -> (bool, Option<BreakerState>) {
         self.with(node, |br| br.admit(now))
     }
 
-    /// Records a successful (or liveness-proving) call to `node`.
-    pub fn on_success(&self, node: NodeId) {
-        self.with(node, CircuitBreaker::on_success);
-    }
-
-    /// Records a transport failure against `node` at `now`.
-    pub fn on_failure(&self, node: NodeId, now: SimTime) {
-        self.with(node, |br| br.on_failure(now));
+    /// Feeds the outcome of one call to `node` back to its breaker, by
+    /// the one outcome rule: a transport failure (see
+    /// `MetaError::is_transport_failure`) counts against the breaker;
+    /// any answer, even an error, proves the peer alive and counts as a
+    /// success. Returns the state the breaker moved to, if it moved.
+    pub fn record<T>(
+        &self,
+        node: NodeId,
+        now: SimTime,
+        result: &Result<T, MetaError>,
+    ) -> Option<BreakerState> {
+        match result {
+            Err(e) if e.is_transport_failure() => self.with(node, |br| br.on_failure(now)).1,
+            _ => self.with(node, CircuitBreaker::on_success).1,
+        }
     }
 
     /// The breaker state held for `node` (closed if never touched).
     pub fn state(&self, node: NodeId) -> BreakerState {
-        self.breakers
+        self.inner
             .lock()
+            .breakers
             .get(&node)
             .map_or(BreakerState::Closed, CircuitBreaker::state)
     }
@@ -284,7 +335,6 @@ mod tests {
     #[test]
     fn defaults_let_the_deadline_bind_before_the_retry_budget() {
         let p = ResiliencePolicy::default();
-        assert!(p.enabled);
         // Worst-case waits: 50+100+200+400+800*4 ms = 3.95 s > 2 s, so
         // a hard partition ends as DeadlineExceeded, not retries-spent.
         let worst: u64 = (0..p.max_retries)
@@ -365,15 +415,64 @@ mod tests {
         let sim = Sim::new(1);
         let bank = BreakerBank::new(2, SimDuration::from_secs(5));
         let (a, b) = (NodeId(10), NodeId(11));
+        let lost: Result<(), MetaError> = Err(MetaError::transport("lost", true));
         assert_eq!(bank.state(a), BreakerState::Closed, "untouched is closed");
-        bank.on_failure(a, sim.now());
-        bank.on_failure(a, sim.now());
+        bank.record(a, sim.now(), &lost);
+        bank.record(a, sim.now(), &lost);
         assert_eq!(bank.state(a), BreakerState::Open);
-        assert!(!bank.admit(a, sim.now()), "a rejects");
-        assert!(bank.admit(b, sim.now()), "b unaffected");
+        assert!(!bank.admit(a, sim.now()).0, "a rejects");
+        assert!(bank.admit(b, sim.now()).0, "b unaffected");
         sim.advance(SimDuration::from_secs(5));
-        assert!(bank.admit(a, sim.now()), "probe after window");
-        bank.on_success(a);
+        assert!(bank.admit(a, sim.now()).0, "probe after window");
+        bank.record(a, sim.now(), &Ok(()));
         assert_eq!(bank.state(a), BreakerState::Closed);
+    }
+
+    #[test]
+    fn breaker_bank_records_by_one_rule_and_returns_transitions() {
+        let sim = Sim::new(1);
+        let window = SimDuration::from_secs(5);
+        let bank = BreakerBank::new(2, window);
+        let (a, b) = (NodeId(1), NodeId(2));
+        let lost: Result<u32, MetaError> = Err(MetaError::transport("lost", false));
+        let fault: Result<u32, MetaError> = Err(MetaError::native("app", "boom"));
+
+        // A transport failure counts against the breaker; an answer —
+        // an Ok or an application error — resets the run.
+        assert_eq!(bank.record(a, sim.now(), &lost), None, "run of 1");
+        assert_eq!(bank.record(a, sim.now(), &fault), None, "fault proves life");
+        assert_eq!(bank.record(a, sim.now(), &lost), None, "run restarted at 1");
+        assert_eq!(bank.state(a), BreakerState::Closed);
+        assert_eq!(
+            bank.record(a, sim.now(), &lost),
+            Some(BreakerState::Open),
+            "threshold reached: the transition is returned"
+        );
+        assert_eq!(bank.admit(a, sim.now()), (false, None), "open rejects");
+        sim.advance(window);
+        assert_eq!(
+            bank.admit(a, sim.now()),
+            (true, Some(BreakerState::HalfOpen)),
+            "probe admitted"
+        );
+        assert_eq!(
+            bank.record(a, sim.now(), &Ok(7)),
+            Some(BreakerState::Closed)
+        );
+        assert_eq!(
+            bank.record(a, sim.now(), &Ok(7)),
+            None,
+            "no move, no transition"
+        );
+
+        // New thresholds apply only to breakers created afterwards: `a`
+        // keeps opening at 2, the fresh `b` never opens.
+        bank.set_thresholds(u32::MAX, window);
+        bank.record(a, sim.now(), &lost);
+        assert_eq!(bank.record(a, sim.now(), &lost), Some(BreakerState::Open));
+        for _ in 0..10 {
+            assert_eq!(bank.record(b, sim.now(), &lost), None);
+        }
+        assert_eq!(bank.state(b), BreakerState::Closed);
     }
 }

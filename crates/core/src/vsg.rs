@@ -13,7 +13,7 @@ use crate::metrics::{CacheStats, MetricsRegistry, MetricsSnapshot};
 use crate::obs::Scope;
 use crate::protocol::{VsgProtocol, VsgRequest};
 use crate::rescache::{Lookup, ResolutionCache};
-use crate::resilience::{BreakerState, CircuitBreaker, ResiliencePolicy};
+use crate::resilience::{BreakerBank, BreakerState, ResiliencePolicy};
 use crate::service::{ServiceInvoker, VirtualService};
 use crate::trace::{HopKind, Tracer};
 use crate::vsr::{ServiceRecord, VsrClient};
@@ -50,7 +50,8 @@ struct VsgInner {
     tracer: Tracer,
     metrics: Arc<MetricsRegistry>,
     resilience: Mutex<ResiliencePolicy>,
-    breakers: Mutex<HashMap<String, CircuitBreaker>>,
+    /// One breaker per remote gateway, keyed by its backbone node.
+    breakers: BreakerBank,
     batching: Mutex<BatchPolicy>,
     event_sink: Arc<Mutex<Option<EventSink>>>,
 }
@@ -92,6 +93,7 @@ impl Vsg {
             .with_tracer(tracer.clone())
             .with_metrics(metrics.clone());
         vsr.register_gateway(name, node)?;
+        let resilience = ResiliencePolicy::default();
         Ok(Vsg {
             inner: Arc::new(VsgInner {
                 name: name.to_owned(),
@@ -103,8 +105,11 @@ impl Vsg {
                 rescache: Mutex::new(ResolutionCache::default()),
                 tracer,
                 metrics,
-                resilience: Mutex::new(ResiliencePolicy::default()),
-                breakers: Mutex::new(HashMap::new()),
+                breakers: BreakerBank::new(
+                    resilience.breaker_threshold,
+                    resilience.breaker_open_window,
+                ),
+                resilience: Mutex::new(resilience),
                 batching: Mutex::new(BatchPolicy::default()),
                 event_sink,
             }),
@@ -428,6 +433,7 @@ impl Vsg {
             peer.idempotent.push(idempotent);
         }
 
+        let resilience = self.resilience();
         for mut peer in peers {
             let n = peer.reqs.len();
             let mut start = 0;
@@ -440,14 +446,20 @@ impl Vsg {
                 for _ in start..end {
                     self.inner.metrics.record_queue_wait(wait_us);
                 }
+                // An ambiguous frame loss is re-sent only when *every*
+                // member is idempotent: the remote may have executed all
+                // of them.
                 let all_idempotent = peer.idempotent[start..end].iter().all(|b| *b);
-                let outcome = self.resilient_batch_call(
+                let outcome = self.resilient_wire_call(
                     sim,
                     peer.gw_node,
                     &peer.gateway,
                     &mut peer.reqs[start..end],
+                    true,
                     all_idempotent,
                     started,
+                    &resilience,
+                    |reqs| self.wire_batch_call(sim, peer.gw_node, &peer.gateway, reqs),
                 );
                 match outcome {
                     Ok(rs) => {
@@ -489,15 +501,16 @@ impl Vsg {
                 let (record, gw_node) = self.resolve_route(service)?;
                 let mut req =
                     VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone());
-                let policy = self.inner.resilience.lock().clone();
                 self.resilient_wire_call(
                     sim,
                     gw_node,
                     &record.gateway,
-                    &mut req,
+                    std::slice::from_mut(&mut req),
+                    false,
                     true,
                     sim.now(),
-                    &policy,
+                    &self.resilience(),
+                    |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
                 )
             }
         }
@@ -549,81 +562,6 @@ impl Vsg {
                 Err(MetaError::UnknownService(name))
             }
             Err(e) => Err(e),
-        }
-    }
-
-    /// One logical batch wire call under the resilience policy — the
-    /// batch twin of [`Vsg::resilient_wire_call`]. The retry gate is
-    /// collective: an ambiguous frame loss is re-sent only when *every*
-    /// member is idempotent, because the remote may have executed all
-    /// of them.
-    fn resilient_batch_call(
-        &self,
-        sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
-        reqs: &mut [VsgRequest],
-        all_idempotent: bool,
-        started: SimTime,
-    ) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
-        let policy = self.inner.resilience.lock().clone();
-        if !policy.enabled {
-            return self.wire_batch_call(sim, gw_node, gateway, reqs);
-        }
-        if !self.breaker_admit(sim, gateway, &policy) {
-            self.inner.tracer.note(sim, HopKind::Resilience, || {
-                format!("breaker open: fail fast to {gateway}")
-            });
-            return Err(MetaError::CircuitOpen {
-                gateway: gateway.to_owned(),
-            });
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            let result = self.wire_batch_call(sim, gw_node, gateway, reqs);
-            let err = match result {
-                Ok(rs) => {
-                    self.breaker_success(sim, gateway);
-                    return Ok(rs);
-                }
-                Err(e) if e.is_transport_failure() => {
-                    self.breaker_failure(sim, gateway);
-                    e
-                }
-                Err(e) => {
-                    self.breaker_success(sim, gateway);
-                    return Err(e);
-                }
-            };
-            if !(all_idempotent || err.is_retry_safe()) {
-                return Err(err);
-            }
-            if attempt >= policy.max_retries {
-                return Err(err);
-            }
-            let waited = sim.now().since(started);
-            let mut wait = policy.backoff(attempt, sim);
-            if waited + wait >= policy.deadline {
-                if waited >= policy.deadline {
-                    return Err(MetaError::DeadlineExceeded {
-                        service: reqs
-                            .first()
-                            .map(|r| r.service.to_string())
-                            .unwrap_or_default(),
-                        waited_ms: waited.as_millis(),
-                    });
-                }
-                wait = SimDuration::from_micros(policy.deadline.as_micros() - waited.as_micros());
-            }
-            attempt += 1;
-            self.inner.metrics.record_retry();
-            self.inner.tracer.note(sim, HopKind::Resilience, || {
-                format!(
-                    "retry {attempt} (batch of {}) to {gateway} after {wait} ({err})",
-                    reqs.len()
-                )
-            });
-            sim.advance(wait);
         }
     }
 
@@ -709,10 +647,12 @@ impl Vsg {
                     sim,
                     gw_node,
                     &record.gateway,
-                    &mut req,
+                    std::slice::from_mut(&mut req),
+                    false,
                     idempotent,
                     started,
                     &policy,
+                    |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
                 ) {
                     Ok(v) => return Ok(v),
                     // Only errors that guarantee the operation did not
@@ -763,10 +703,12 @@ impl Vsg {
             sim,
             gw_node,
             &record.gateway,
-            &mut req,
+            std::slice::from_mut(&mut req),
+            false,
             idempotent,
             started,
             &policy,
+            |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
         );
         // Cache the resolution unless the call failed in a way that
         // leaves the route in doubt (an application fault proves the
@@ -804,7 +746,7 @@ impl Vsg {
         resolve_err: MetaError,
         policy: &ResiliencePolicy,
     ) -> Result<Value, MetaError> {
-        if !(policy.enabled && policy.degraded_reads) {
+        if !policy.degraded_reads {
             return Err(resolve_err);
         }
         let Some((record, gw_node)) = self.inner.rescache.lock().stale_lookup(service) else {
@@ -822,10 +764,12 @@ impl Vsg {
             sim,
             gw_node,
             &record.gateway,
-            req,
+            std::slice::from_mut(req),
+            false,
             idempotent,
             started,
             policy,
+            |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
         );
         if result.is_ok() {
             self.inner
@@ -836,27 +780,30 @@ impl Vsg {
         result
     }
 
-    /// One logical wire call under the resilience policy: circuit
-    /// breaker admission, then up to `1 + max_retries` attempts paced
-    /// by jittered exponential backoff, all bounded by the deadline.
-    /// Only transport failures are retried, and an ambiguous one (the
-    /// remote may have executed) is retried only when the operation is
-    /// idempotent — the no-double-invoke guarantee.
+    /// One logical wire call under the resilience policy: `send` puts
+    /// `reqs` — one request, or one `batch` frame — on the wire, and
+    /// this loop wraps it. The peer's breaker admits the call once;
+    /// then up to `1 + max_retries` attempts follow, paced by jittered
+    /// exponential backoff and all bounded by the deadline, each fed
+    /// back to the breaker. Only transport failures are retried, and an
+    /// ambiguous one (the remote may have executed) is retried only
+    /// when `idempotent` — the no-double-invoke guarantee.
     #[allow(clippy::too_many_arguments)]
-    fn resilient_wire_call(
+    fn resilient_wire_call<T>(
         &self,
         sim: &Sim,
         gw_node: NodeId,
         gateway: &str,
-        req: &mut VsgRequest,
+        reqs: &mut [VsgRequest],
+        batch: bool,
         idempotent: bool,
         started: SimTime,
         policy: &ResiliencePolicy,
-    ) -> Result<Value, MetaError> {
-        if !policy.enabled {
-            return self.wire_call(sim, gw_node, gateway, req);
-        }
-        if !self.breaker_admit(sim, gateway, policy) {
+        send: impl Fn(&mut [VsgRequest]) -> Result<T, MetaError>,
+    ) -> Result<T, MetaError> {
+        let (admitted, moved) = self.inner.breakers.admit(gw_node, sim.now());
+        self.report_breaker(sim, gateway, moved);
+        if !admitted {
             self.inner.tracer.note(sim, HopKind::Resilience, || {
                 format!("breaker open: fail fast to {gateway}")
             });
@@ -866,26 +813,15 @@ impl Vsg {
         }
         let mut attempt: u32 = 0;
         loop {
-            let result = self.wire_call(sim, gw_node, gateway, req);
+            let result = send(reqs);
+            let moved = self.inner.breakers.record(gw_node, sim.now(), &result);
+            self.report_breaker(sim, gateway, moved);
             let err = match result {
-                Ok(v) => {
-                    self.breaker_success(sim, gateway);
-                    return Ok(v);
-                }
-                Err(e) if e.is_transport_failure() => {
-                    self.breaker_failure(sim, gateway);
-                    e
-                }
-                // Any typed answer from the remote — an application
-                // fault, unknown service/operation, a type error —
-                // proves the gateway alive: the breaker sees success.
-                Err(e) => {
-                    self.breaker_success(sim, gateway);
-                    return Err(e);
-                }
+                Err(e) if e.is_transport_failure() => e,
+                // An answer — even an application fault, unknown
+                // service/operation or type error — ends the call.
+                answered => return answered,
             };
-            // An ambiguous loss (the request may have executed) is only
-            // re-sent when the operation tolerates double execution.
             if !(idempotent || err.is_retry_safe()) {
                 return Err(err);
             }
@@ -897,7 +833,10 @@ impl Vsg {
             if waited + wait >= policy.deadline {
                 if waited >= policy.deadline {
                     return Err(MetaError::DeadlineExceeded {
-                        service: req.service.to_string(),
+                        service: reqs
+                            .first()
+                            .map(|r| r.service.to_string())
+                            .unwrap_or_default(),
                         waited_ms: waited.as_millis(),
                     });
                 }
@@ -909,37 +848,23 @@ impl Vsg {
             attempt += 1;
             self.inner.metrics.record_retry();
             self.inner.tracer.note(sim, HopKind::Resilience, || {
-                format!("retry {attempt} to {gateway} after {wait} ({err})")
+                if batch {
+                    format!(
+                        "retry {attempt} (batch of {}) to {gateway} after {wait} ({err})",
+                        reqs.len()
+                    )
+                } else {
+                    format!("retry {attempt} to {gateway} after {wait} ({err})")
+                }
             });
             sim.advance(wait);
         }
     }
 
-    // ---- the per-remote-gateway circuit breaker --------------------------
-
-    /// Runs `f` on `gateway`'s breaker (created closed on first use)
-    /// and reports any state transition to metrics and the tracer.
-    fn with_breaker<T>(
-        &self,
-        sim: &Sim,
-        gateway: &str,
-        policy: Option<&ResiliencePolicy>,
-        f: impl FnOnce(&mut CircuitBreaker) -> T,
-    ) -> T {
-        let (out, transition) = {
-            let mut breakers = self.inner.breakers.lock();
-            let br = breakers.entry(gateway.to_owned()).or_insert_with(|| {
-                let p = policy
-                    .cloned()
-                    .unwrap_or_else(|| self.inner.resilience.lock().clone());
-                CircuitBreaker::new(p.breaker_threshold, p.breaker_open_window)
-            });
-            let before = br.state();
-            let out = f(br);
-            let after = br.state();
-            (out, (before != after).then_some(after))
-        };
-        if let Some(state) = transition {
+    /// Reports a breaker transition (the state `gateway`'s breaker moved
+    /// to, if it moved) to metrics and the tracer.
+    fn report_breaker(&self, sim: &Sim, gateway: &str, moved: Option<BreakerState>) {
+        if let Some(state) = moved {
             self.inner
                 .metrics
                 .record_breaker_transition(gateway, state.label());
@@ -947,19 +872,6 @@ impl Vsg {
                 format!("breaker {state} for {gateway}")
             });
         }
-        out
-    }
-
-    fn breaker_admit(&self, sim: &Sim, gateway: &str, policy: &ResiliencePolicy) -> bool {
-        self.with_breaker(sim, gateway, Some(policy), |br| br.admit(sim.now()))
-    }
-
-    fn breaker_success(&self, sim: &Sim, gateway: &str) {
-        self.with_breaker(sim, gateway, None, |br| br.on_success());
-    }
-
-    fn breaker_failure(&self, sim: &Sim, gateway: &str) {
-        self.with_breaker(sim, gateway, None, |br| br.on_failure(sim.now()));
     }
 
     /// One gateway-to-gateway protocol call under a `vsg-wire` span.
@@ -999,28 +911,7 @@ impl Vsg {
     /// entry costs zero VSR round trips; a miss resolves, learns the
     /// serving gateway's node, and fills the cache.
     pub fn resolve_cached(&self, service: &str) -> Result<ServiceRecord, MetaError> {
-        let looked_up = self.inner.rescache.lock().lookup(service);
-        match looked_up {
-            Lookup::Hit(record, _) => return Ok(record),
-            Lookup::NegativeHit => return Err(MetaError::UnknownService(service.to_owned())),
-            Lookup::Miss => {}
-        }
-        match self.inner.vsr.resolve(service) {
-            Ok(record) => {
-                if let Ok(gw_node) = self.inner.vsr.gateway_node(&record.gateway) {
-                    self.inner
-                        .rescache
-                        .lock()
-                        .insert_resolved(service, record.clone(), gw_node);
-                }
-                Ok(record)
-            }
-            Err(MetaError::UnknownService(name)) => {
-                self.inner.rescache.lock().insert_negative(service);
-                Err(MetaError::UnknownService(name))
-            }
-            Err(e) => Err(e),
-        }
+        self.resolve_route(service).map(|(record, _)| record)
     }
 
     /// Drops all cached resolutions, forcing fresh VSR resolution on the
@@ -1051,6 +942,9 @@ impl Vsg {
     /// keep the thresholds they were created with; new remote gateways
     /// get the new ones.
     pub fn set_resilience(&self, policy: ResiliencePolicy) {
+        self.inner
+            .breakers
+            .set_thresholds(policy.breaker_threshold, policy.breaker_open_window);
         *self.inner.resilience.lock() = policy;
     }
 
@@ -1059,15 +953,11 @@ impl Vsg {
         self.inner.resilience.lock().clone()
     }
 
-    /// The circuit-breaker state this gateway holds for a remote
-    /// gateway ([`BreakerState::Closed`] before any call reached it).
-    pub fn breaker_state(&self, gateway: &str) -> BreakerState {
-        self.inner
-            .breakers
-            .lock()
-            .get(gateway)
-            .map(CircuitBreaker::state)
-            .unwrap_or(BreakerState::Closed)
+    /// The circuit-breaker state this gateway holds for the remote
+    /// gateway on backbone node `gateway` ([`BreakerState::Closed`]
+    /// before any call reached it).
+    pub fn breaker_state(&self, gateway: NodeId) -> BreakerState {
+        self.inner.breakers.state(gateway)
     }
 
     /// Crash recovery: re-registers this gateway and re-publishes every
@@ -1640,7 +1530,7 @@ mod tests {
         let snap = gw_b.metrics().snapshot();
         assert!(snap.retries >= 1, "retries recorded: {}", snap.retries);
         assert_eq!(
-            gw_b.breaker_state("gw-a"),
+            gw_b.breaker_state(gw_a.node()),
             BreakerState::Closed,
             "success reset the failure run"
         );
@@ -1730,6 +1620,58 @@ mod tests {
         let hits_before = gw_b.cache_stats().hits;
         gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
         assert_eq!(gw_b.cache_stats().hits, hits_before + 1);
+    }
+
+    #[test]
+    fn disabled_policy_makes_one_attempt_never_trips_and_serves_nothing_stale() {
+        let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+        export_lamp(&gw_a);
+        gw_b.set_resilience(ResiliencePolicy::disabled());
+        gw_b.set_tracing(true);
+        let t = sim.now();
+        net.set_fault_plan(simnet::FaultPlan::new().partition(
+            vec![gw_b.node()],
+            vec![gw_a.node()],
+            t,
+            t + simnet::SimDuration::from_secs(60),
+        ));
+        // Partitioned from gw-a: every call resolves afresh (a lost
+        // call caches no route) and makes exactly one wire attempt.
+        let calls = ResiliencePolicy::default().breaker_threshold as usize + 3;
+        for _ in 0..calls {
+            let err = gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap_err();
+            assert!(err.is_transport_failure(), "{err}");
+        }
+        let attempts = gw_b
+            .tracer()
+            .take_spans()
+            .iter()
+            .filter(|s| s.kind == HopKind::VsgWire)
+            .count();
+        assert_eq!(attempts, calls, "one wire attempt per call");
+        let snap = gw_b.metrics().snapshot();
+        assert_eq!(snap.retries, 0);
+        // More consecutive failures than the default threshold, and
+        // the breaker never moved.
+        assert_eq!(gw_b.breaker_state(gw_a.node()), BreakerState::Closed);
+        assert_eq!(snap.breaker_transitions, 0);
+
+        // The VSR goes down with a stale route in the cache: with
+        // degraded reads off, the route is not served.
+        sim.advance(simnet::SimDuration::from_secs(60));
+        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap(); // warm the route
+        let t = sim.now();
+        net.set_fault_plan(
+            simnet::FaultPlan::new()
+                .node_down(gw_a.node(), t, t + simnet::SimDuration::from_secs(1))
+                .node_down(vsr.node(), t, t + simnet::SimDuration::from_secs(3600)),
+        );
+        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap_err(); // demotes the route
+        sim.advance(simnet::SimDuration::from_secs(2));
+        let err = gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap_err();
+        assert!(err.is_transport_failure(), "{err}");
+        assert_eq!(gw_b.metrics().snapshot().degraded_serves, 0);
+        assert_eq!(gw_b.cache_stats().stale_serves, 0);
     }
 
     #[test]

@@ -358,6 +358,24 @@ impl VsrClient {
         result
     }
 
+    /// One round trip to replica `node` behind its breaker: `None` when
+    /// the breaker is open (the call is not even built), otherwise the
+    /// result, already fed back to the breaker. Transitions go
+    /// unreported: replica breakers steer routing, and the gateway
+    /// reports its own peers' health.
+    fn guarded(
+        &self,
+        node: NodeId,
+        call: impl FnOnce() -> RpcCall,
+    ) -> Option<Result<Value, MetaError>> {
+        if !self.breakers.admit(node, self.sim.now()).0 {
+            return None;
+        }
+        let result = self.call_node(node, &call());
+        self.breakers.record(node, self.sim.now(), &result);
+        Some(result)
+    }
+
     /// The synthesized error when no replica could even be tried
     /// (every breaker open, or the map names nobody reachable). It is
     /// transport-classified so gateways engage the same degraded path
@@ -388,33 +406,21 @@ impl VsrClient {
         }
         let mut last: Option<MetaError> = None;
         for node in candidates {
-            if !self.breakers.admit(node, self.sim.now()) {
+            let Some(result) = self.guarded(node, || RpcCall::new(VSR_NS, "shard_map")) else {
                 continue;
-            }
-            match self.call_node(node, &RpcCall::new(VSR_NS, "shard_map")) {
-                Ok(v) => {
-                    self.breakers.on_success(node);
-                    match ShardMap::from_value(&v) {
-                        Some(map) => {
-                            let map = Arc::new(map);
-                            self.map_cache.put(map.clone());
-                            self.metrics.record_shard_map_refresh();
-                            self.tracer.note(&self.sim, HopKind::Federation, || {
-                                format!("shard map v{} from n{}", map.version(), node.0)
-                            });
-                            return Ok(map);
-                        }
-                        None => last = Some(MetaError::Repository("bad shard_map reply".into())),
-                    }
+            };
+            match result.map(|v| ShardMap::from_value(&v)) {
+                Ok(Some(map)) => {
+                    let map = Arc::new(map);
+                    self.map_cache.put(map.clone());
+                    self.metrics.record_shard_map_refresh();
+                    self.tracer.note(&self.sim, HopKind::Federation, || {
+                        format!("shard map v{} from n{}", map.version(), node.0)
+                    });
+                    return Ok(map);
                 }
-                Err(e) if e.is_transport_failure() => {
-                    self.breakers.on_failure(node, self.sim.now());
-                    last = Some(e);
-                }
-                Err(e) => {
-                    self.breakers.on_success(node);
-                    last = Some(e);
-                }
+                Ok(None) => last = Some(MetaError::Repository("bad shard_map reply".into())),
+                Err(e) => last = Some(e),
             }
         }
         Err(last.unwrap_or_else(Self::unreachable))
@@ -437,12 +443,11 @@ impl VsrClient {
             let prefs: Vec<NodeId> = map.replicas_for(shard).to_vec();
             let mut last_transport: Option<MetaError> = None;
             for (i, &node) in prefs.iter().enumerate() {
-                if !self.breakers.admit(node, self.sim.now()) {
+                let Some(result) = self.guarded(node, || build(write && i > 0)) else {
                     continue;
-                }
-                match self.call_node(node, &build(write && i > 0)) {
+                };
+                match result {
                     Ok(v) => {
-                        self.breakers.on_success(node);
                         if i > 0 {
                             self.metrics.record_vsr_failover();
                             self.tracer.note(&self.sim, HopKind::Federation, || {
@@ -454,7 +459,6 @@ impl VsrClient {
                     Err(MetaError::MovedShard { shard: s, node: to }) => {
                         // The replica is alive but disowns the shard:
                         // our map is stale. Refresh and re-route.
-                        self.breakers.on_success(node);
                         self.map_cache.invalidate();
                         if redirects >= MAX_REDIRECTS {
                             return Err(MetaError::Repository(format!(
@@ -468,16 +472,10 @@ impl VsrClient {
                         map = self.refresh_map()?;
                         continue 'with_map;
                     }
-                    Err(e) if e.is_transport_failure() => {
-                        self.breakers.on_failure(node, self.sim.now());
-                        last_transport = Some(e);
-                    }
-                    Err(e) => {
-                        // The replica answered (liveness proven): a
-                        // domain error is final, not worth a failover.
-                        self.breakers.on_success(node);
-                        return Err(e);
-                    }
+                    Err(e) if e.is_transport_failure() => last_transport = Some(e),
+                    // The replica answered (liveness proven): a domain
+                    // error is final, not worth a failover.
+                    Err(e) => return Err(e),
                 }
             }
             return Err(last_transport.unwrap_or_else(Self::unreachable));
@@ -492,25 +490,15 @@ impl VsrClient {
         let mut ok = false;
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
-            if !self.breakers.admit(target, self.sim.now()) {
-                continue;
-            }
-            let call = RpcCall::new(VSR_NS, "register_gateway")
-                .arg("name", name)
-                .arg("node", i64::from(node.0));
-            match self.call_node(target, &call) {
-                Ok(_) => {
-                    self.breakers.on_success(target);
-                    ok = true;
-                }
-                Err(e) => {
-                    if e.is_transport_failure() {
-                        self.breakers.on_failure(target, self.sim.now());
-                    } else {
-                        self.breakers.on_success(target);
-                    }
-                    last = Some(e);
-                }
+            let call = || {
+                RpcCall::new(VSR_NS, "register_gateway")
+                    .arg("name", name)
+                    .arg("node", i64::from(node.0))
+            };
+            match self.guarded(target, call) {
+                Some(Ok(_)) => ok = true,
+                Some(Err(e)) => last = Some(e),
+                None => {}
             }
         }
         if ok {
@@ -528,29 +516,17 @@ impl VsrClient {
         let map = self.map()?;
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
-            if !self.breakers.admit(target, self.sim.now()) {
-                continue;
-            }
-            match self.call_node(
-                target,
-                &RpcCall::new(VSR_NS, "gateway_node").arg("name", name),
-            ) {
-                Ok(v) => {
-                    self.breakers.on_success(target);
+            let call = || RpcCall::new(VSR_NS, "gateway_node").arg("name", name);
+            match self.guarded(target, call) {
+                Some(Ok(v)) => {
                     return v
                         .as_int()
                         .and_then(|n| u32::try_from(n).ok())
                         .map(NodeId)
                         .ok_or_else(|| MetaError::Repository("bad gateway_node reply".into()));
                 }
-                Err(e) if e.is_transport_failure() => {
-                    self.breakers.on_failure(target, self.sim.now());
-                    last = Some(e);
-                }
-                Err(e) => {
-                    self.breakers.on_success(target);
-                    last = Some(e);
-                }
+                Some(Err(e)) => last = Some(e),
+                None => {}
             }
         }
         Err(last.unwrap_or_else(Self::unreachable))

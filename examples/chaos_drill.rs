@@ -66,7 +66,10 @@ fn main() {
     println!("  retries:             {}", snap.retries);
     println!("  breaker transitions: {}", snap.breaker_transitions);
     println!("  degraded serves:     {}", snap.degraded_serves);
-    println!("  breaker for x10-gw:  {}", jini_gw.breaker_state("x10-gw"));
+    println!(
+        "  breaker for x10-gw:  {}",
+        jini_gw.breaker_state(x10_gw.node())
+    );
 
     println!("\nresilience spans recorded:");
     for span in home.take_spans() {

@@ -213,7 +213,7 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(*world.switches.lock(), before + 1);
         prop_assert_eq!(
-            world.caller.breaker_state("gw-server"),
+            world.caller.breaker_state(world.server.node()),
             BreakerState::Closed
         );
     }
@@ -718,7 +718,7 @@ proptest! {
             prop_assert_eq!(fired_after[i] - fired_before[i], 1);
         }
         prop_assert_eq!(
-            world.host.breaker_state("gw-server"),
+            world.host.breaker_state(world.server.node()),
             BreakerState::Closed
         );
     }

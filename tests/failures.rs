@@ -163,7 +163,7 @@ fn backbone_partition_trips_the_breaker_then_a_probe_recloses_it() {
         "expected the deadline to bind: {err:?}"
     );
     assert_eq!(err.kind(), "deadline-exceeded");
-    assert_eq!(jini_gw.breaker_state("havi-gw"), BreakerState::Open);
+    assert_eq!(jini_gw.breaker_state(havi_gw.node()), BreakerState::Open);
     assert!(
         jini_gw.metrics().snapshot().retries > 0,
         "retries were recorded"
@@ -185,7 +185,7 @@ fn backbone_partition_trips_the_breaker_then_a_probe_recloses_it() {
     home.backbone.clear_fault_plan();
     home.invoke_from(Middleware::Jini, "dv-camera", "status", &[])
         .unwrap();
-    assert_eq!(jini_gw.breaker_state("havi-gw"), BreakerState::Closed);
+    assert_eq!(jini_gw.breaker_state(havi_gw.node()), BreakerState::Closed);
 }
 
 #[test]
