@@ -169,7 +169,7 @@ run_bench() {
     cargo bench -p bench --bench e17_cloud -- --test
 
     # E18 smoke run: the three-codec wire ablation over the zero-copy
-    # stack — asserts SOAP's warm-path allocs/op stay >= 3x below the
+    # stack — asserts SOAP's warm-path allocs/op stay >= 6x below the
     # pre-zero-copy baseline, the binary codec moves fewer wire bytes/op
     # than SOAP, the streaming decoder buffers <= 1 frame, and every codec
     # is thread-count deterministic. Emits BENCH_codec.json.

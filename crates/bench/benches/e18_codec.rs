@@ -25,7 +25,7 @@
 //!
 //! Threshold assertions (exercised by `-- --test`, ci.sh's smoke gate):
 //!
-//!  * warm-path SOAP allocs/op must be >= 3x down from the
+//!  * warm-path SOAP allocs/op must be >= 6x down from the
 //!    pre-zero-copy stack ([`PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP`]);
 //!  * the binary codec must move fewer wire bytes/op than SOAP;
 //!  * the streaming decoder's peak buffer must be <= 1x the frame.
@@ -74,8 +74,9 @@ static A: CountingAlloc = CountingAlloc;
 
 /// Warm-path allocs/op of the SOAP codec on this exact workload (seed
 /// 42, 32-call warm-up, 256 measured calls, release profile), measured
-/// at the commit before the zero-copy rework. The tentpole bar is a
-/// >= 3x reduction against this number.
+/// at the commit before the zero-copy rework. The bar is a >= 6x
+/// reduction against this number: the one-pass SOAP wire measures
+/// 32.6, 6.4x down.
 const PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP: f64 = 207.4;
 
 const TRACE_CALLS: usize = 256;
@@ -313,11 +314,11 @@ fn codec_report() {
         ]);
     }
 
-    // The tentpole bar: the zero-copy stack must hold SOAP's warm path
-    // at >= 3x fewer allocations than the pre-rework stack.
+    // The bar: the one-pass wire must hold SOAP's warm path at >= 6x
+    // fewer allocations than the pre-rework stack.
     assert!(
-        soap_mix_allocs * 3.0 <= PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP,
-        "soap warm allocs/op must be >= 3x down from {PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP} \
+        soap_mix_allocs * 6.0 <= PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP,
+        "soap warm allocs/op must be >= 6x down from {PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP} \
          (got {soap_mix_allocs:.1})"
     );
     assert!(

@@ -852,7 +852,7 @@ pub(crate) fn start_replicas(
                 tracer: tracer.clone(),
                 metrics: metrics.clone(),
             };
-            server.mount(VSR_NS, move |sim, call: &RpcCall| {
+            server.mount(VSR_NS, move |sim, call: &mut RpcCall| {
                 handle(&ctx, sim, call).map_err(|e| Fault::server(e.to_string()))
             });
             Replica {

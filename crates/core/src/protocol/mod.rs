@@ -89,15 +89,30 @@ pub(crate) fn member_to_value(req: &VsgRequest) -> Value {
     Value::Record(fields)
 }
 
-pub(crate) fn member_from_value(v: &Value) -> Option<VsgRequest> {
-    let service = v.field("s")?.as_str()?.to_owned();
-    let operation = v.field("o")?.as_str()?.to_owned();
-    let args = match v.field("a")? {
-        Value::Record(fields) => fields.clone(),
-        _ => return None,
+/// Moves a member record's fields into a request (the first field of
+/// each name counts, as [`Value::field`] reads them).
+pub(crate) fn member_from_value(v: Value) -> Option<VsgRequest> {
+    let Value::Record(fields) = v else {
+        return None;
     };
-    let trace = v
-        .field("t")
+    let (mut service, mut operation, mut args, mut trace) = (None, None, None, None);
+    for (k, v) in fields {
+        let slot = match k.as_str() {
+            "s" => &mut service,
+            "o" => &mut operation,
+            "a" => &mut args,
+            "t" => &mut trace,
+            _ => continue,
+        };
+        slot.get_or_insert(v);
+    }
+    let (Some(Value::Str(service)), Some(Value::Str(operation)), Some(Value::Record(args))) =
+        (service, operation, args)
+    else {
+        return None;
+    };
+    let trace = trace
+        .as_ref()
         .and_then(Value::as_str)
         .and_then(TraceContext::from_wire);
     Some(VsgRequest {
@@ -141,12 +156,23 @@ pub(crate) fn result_to_value(result: &Result<Value, MetaError>) -> Value {
     }
 }
 
-pub(crate) fn result_from_value(v: &Value) -> Result<Value, MetaError> {
-    if let Some(ok) = v.field("ok") {
-        return Ok(ok.clone());
-    }
-    match v.field("err").and_then(Value::as_str) {
-        Some(fault) => Err(MetaError::from_fault_string(fault)),
+/// Moves the `ok` payload out of a member result (or reads its error).
+pub(crate) fn result_from_value(v: Value) -> Result<Value, MetaError> {
+    let fault = match v {
+        Value::Record(mut fields) => match fields.iter().position(|(k, _)| k == "ok") {
+            Some(i) => return Ok(fields.swap_remove(i).1),
+            None => fields
+                .into_iter()
+                .find(|(k, _)| k == "err")
+                .and_then(|(_, v)| match v {
+                    Value::Str(fault) => Some(fault),
+                    _ => None,
+                }),
+        },
+        _ => None,
+    };
+    match fault {
+        Some(fault) => Err(MetaError::from_fault_string(&fault)),
         None => Err(MetaError::Protocol("malformed batch member result".into())),
     }
 }

@@ -10,6 +10,7 @@ use super::{
     VsgProtocol, VsgRequest,
 };
 use crate::error::MetaError;
+use crate::intern::Name;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId};
 use soap::{CpuModel, Fault, RpcCall, SoapClient, SoapError, SoapServer, TcpModel, Value};
@@ -94,37 +95,41 @@ impl VsgProtocol for Soap11 {
 
     fn bind(&self, net: &Network, label: &str, handler: GatewayHandler) -> NodeId {
         let server = SoapServer::bind_with(net, label, self.cpu, self.tcp);
-        server.mount(GATEWAY_NS, move |sim, call: &RpcCall| {
+        server.mount(GATEWAY_NS, move |sim, call: &mut RpcCall| {
             // A batch envelope: every `mN` argument is a member record;
             // the reply is the list of per-member results (application
             // faults stay per member, so the envelope itself is a 200).
             if call.method == BATCH_METHOD && call.get_header(BATCH_HEADER).is_some() {
-                let mut results = Vec::with_capacity(call.args.len());
-                for (_, member) in &call.args {
-                    let result = match member_from_value(member) {
-                        Some(req) => handler(sim, &req),
-                        None => Err(MetaError::Protocol("malformed batch member".into())),
-                    };
-                    results.push(result_to_value(&result));
-                }
+                let results = call
+                    .args
+                    .drain(..)
+                    .map(|(_, member)| {
+                        let result = match member_from_value(member) {
+                            Some(req) => handler(sim, &req),
+                            None => Err(MetaError::Protocol("malformed batch member".into())),
+                        };
+                        result_to_value(&result)
+                    })
+                    .collect();
                 return Ok(Value::List(results));
             }
+            // The arguments move into the request; the last `__service`
+            // names the target, and a non-string one names none.
             let mut service = None;
-            let mut args = Vec::with_capacity(call.args.len());
-            for (k, v) in &call.args {
-                if k == SERVICE_ARG {
-                    service = v.as_str().map(str::to_owned);
-                } else {
-                    args.push((k.clone(), v.clone()));
+            call.args.retain(|(k, v)| {
+                if k != SERVICE_ARG {
+                    return true;
                 }
-            }
+                service = v.as_str().map(Name::new);
+                false
+            });
             let Some(service) = service else {
                 return Err(Fault::client("missing __service argument"));
             };
             let req = VsgRequest {
-                service: service.into(),
+                service,
                 operation: call.method.clone(),
-                args,
+                args: std::mem::take(&mut call.args),
                 trace: call
                     .get_header(TRACE_HEADER)
                     .and_then(crate::trace::TraceContext::from_wire),
@@ -210,7 +215,7 @@ impl VsgProtocol for Soap11 {
         if items.len() != reqs.len() {
             return Err(MetaError::Protocol("batch reply arity mismatch".into()));
         }
-        Ok(items.iter().map(result_from_value).collect())
+        Ok(items.into_iter().map(result_from_value).collect())
     }
 }
 

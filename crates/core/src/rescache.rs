@@ -3,8 +3,9 @@
 //! The original route cache memoised only the serving gateway's
 //! `NodeId`, so every miss re-fetched and re-parsed the service's full
 //! WSDL from the VSR. This cache holds the entire resolved
-//! [`ServiceRecord`] (interface interned behind `Arc`) together with
-//! the gateway node, bounded by an LRU capacity, with explicit
+//! [`ServiceRecord`] behind one `Arc` — a hit hands out a reference
+//! count, not a copy of the record's strings — together with the
+//! gateway node, bounded by an LRU capacity, with explicit
 //! invalidation on withdraw/re-export and short-lived negative entries
 //! so repeated lookups of a nonexistent service don't hammer the VSR.
 
@@ -28,7 +29,7 @@ const NEGATIVE_USE_BUDGET: u32 = 4;
 
 enum Entry {
     Resolved {
-        record: ServiceRecord,
+        record: Arc<ServiceRecord>,
         gw_node: NodeId,
         last_used: u64,
     },
@@ -41,7 +42,7 @@ enum Entry {
     /// is unreachable a gateway in degraded mode may still serve it via
     /// [`ResolutionCache::stale_lookup`] — availability over freshness.
     Stale {
-        record: ServiceRecord,
+        record: Arc<ServiceRecord>,
         gw_node: NodeId,
         last_used: u64,
     },
@@ -61,7 +62,7 @@ impl Entry {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
     /// Known record and serving gateway node — zero VSR traffic needed.
-    Hit(ServiceRecord, NodeId),
+    Hit(Arc<ServiceRecord>, NodeId),
     /// Known-missing service — answer `UnknownService` without a VSR
     /// round trip.
     NegativeHit,
@@ -146,7 +147,7 @@ impl ResolutionCache {
     /// Serves an invalidated (stale) resolution, if one survives. Only
     /// for degraded mode: the caller has already failed to reach the
     /// VSR and prefers a possibly-outdated route over no route at all.
-    pub fn stale_lookup(&mut self, service: &str) -> Option<(ServiceRecord, NodeId)> {
+    pub fn stale_lookup(&mut self, service: &str) -> Option<(Arc<ServiceRecord>, NodeId)> {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(service) {
@@ -165,10 +166,15 @@ impl ResolutionCache {
 
     /// Caches a successful resolution, displacing the least recently
     /// used entry if the cache is full.
-    pub fn insert_resolved(&mut self, service: &str, record: ServiceRecord, gw_node: NodeId) {
+    pub fn insert_resolved(
+        &mut self,
+        service: &str,
+        record: impl Into<Arc<ServiceRecord>>,
+        gw_node: NodeId,
+    ) {
         self.tick += 1;
         let entry = Entry::Resolved {
-            record,
+            record: record.into(),
             gw_node,
             last_used: self.tick,
         };

@@ -537,7 +537,7 @@ impl Vsg {
     /// the cache, falling back to the VSR (and filling the cache, both
     /// positively and negatively) — the route half of
     /// [`Vsg::invoke_remote`] without the call.
-    fn resolve_route(&self, service: &str) -> Result<(ServiceRecord, NodeId), MetaError> {
+    fn resolve_route(&self, service: &str) -> Result<(Arc<ServiceRecord>, NodeId), MetaError> {
         let looked_up = self.inner.rescache.lock().lookup(service);
         match looked_up {
             Lookup::Hit(record, gw_node) => return Ok((record, gw_node)),
@@ -551,6 +551,7 @@ impl Vsg {
                     .vsr
                     .gateway_node(&record.gateway)
                     .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
+                let record = Arc::new(record);
                 self.inner
                     .rescache
                     .lock()
@@ -911,7 +912,8 @@ impl Vsg {
     /// entry costs zero VSR round trips; a miss resolves, learns the
     /// serving gateway's node, and fills the cache.
     pub fn resolve_cached(&self, service: &str) -> Result<ServiceRecord, MetaError> {
-        self.resolve_route(service).map(|(record, _)| record)
+        self.resolve_route(service)
+            .map(|(record, _)| ServiceRecord::clone(&record))
     }
 
     /// Drops all cached resolutions, forcing fresh VSR resolution on the

@@ -48,10 +48,7 @@ impl<'a> ElemRef<'a> {
 
     /// The element's local name: the part after the namespace prefix.
     pub fn local_name(&self) -> &'a str {
-        match self.name.split_once(':') {
-            Some((_, local)) => local,
-            None => self.name,
-        }
+        crate::reader::local_name(self.name)
     }
 
     /// Child elements, in order.

@@ -1,5 +1,6 @@
 //! XML character escaping.
 
+use crate::writer::XmlOut;
 use std::borrow::Cow;
 
 /// Escapes text content: `&`, `<`, `>`.
@@ -9,21 +10,21 @@ pub fn escape_text(s: &str) -> String {
     out
 }
 
-/// [`escape_text`], written into the caller's buffer — the streaming
+/// [`escape_text`], written into the caller's sink — the streaming
 /// serialisers escape straight into the wire buffer instead of
 /// allocating a `String` per text run.
-pub fn escape_text_into(s: &str, out: &mut String) {
+pub fn escape_text_into<O: XmlOut + ?Sized>(s: &str, out: &mut O) {
     let mut rest = s;
     while let Some(i) = rest.find(['&', '<', '>']) {
-        out.push_str(&rest[..i]);
+        out.put(&rest[..i]);
         match rest.as_bytes()[i] {
-            b'&' => out.push_str("&amp;"),
-            b'<' => out.push_str("&lt;"),
-            _ => out.push_str("&gt;"),
+            b'&' => out.put("&amp;"),
+            b'<' => out.put("&lt;"),
+            _ => out.put("&gt;"),
         }
         rest = &rest[i + 1..];
     }
-    out.push_str(rest);
+    out.put(rest);
 }
 
 /// Escapes attribute values: text escapes plus `"` and `'`.
@@ -33,21 +34,21 @@ pub fn escape_attr(s: &str) -> String {
     out
 }
 
-/// [`escape_attr`], written into the caller's buffer.
-pub fn escape_attr_into(s: &str, out: &mut String) {
+/// [`escape_attr`], written into the caller's sink.
+pub fn escape_attr_into<O: XmlOut + ?Sized>(s: &str, out: &mut O) {
     let mut rest = s;
     while let Some(i) = rest.find(['&', '<', '>', '"', '\'']) {
-        out.push_str(&rest[..i]);
+        out.put(&rest[..i]);
         match rest.as_bytes()[i] {
-            b'&' => out.push_str("&amp;"),
-            b'<' => out.push_str("&lt;"),
-            b'>' => out.push_str("&gt;"),
-            b'"' => out.push_str("&quot;"),
-            _ => out.push_str("&apos;"),
+            b'&' => out.put("&amp;"),
+            b'<' => out.put("&lt;"),
+            b'>' => out.put("&gt;"),
+            b'"' => out.put("&quot;"),
+            _ => out.put("&apos;"),
         }
         rest = &rest[i + 1..];
     }
-    out.push_str(rest);
+    out.put(rest);
 }
 
 /// Decodes the five predefined XML entities plus decimal/hex character

@@ -24,7 +24,10 @@
 pub mod borrowed;
 pub mod escape;
 pub mod node;
+#[cfg(test)]
+mod oracle;
 pub mod parser;
+pub mod reader;
 pub mod writer;
 
 pub use borrowed::{ElemRef, NodeRef};
@@ -33,6 +36,8 @@ pub use escape::{
 };
 pub use node::{Element, XmlNode};
 pub use parser::{parse, parse_ref, ErrorKind, ParseError};
+pub use reader::{local_name, Event, Reader, Text};
+pub use writer::{Measure, XmlOut};
 
 #[cfg(test)]
 mod proptests {
@@ -170,6 +175,130 @@ mod proptests {
             let compact = Element::parse(&e.to_xml()).unwrap();
             let pretty = Element::parse(&e.to_pretty()).unwrap();
             prop_assert_eq!(compact, pretty);
+        }
+    }
+
+    /// Fragments that exercise every branch of the tokenizer: tags,
+    /// attributes, comments, CDATA, PIs, DOCTYPEs, entities, non-ASCII
+    /// names and Unicode whitespace — in any order, so most documents
+    /// are broken somewhere.
+    const SOUP: &[&str] = &[
+        "<a>",
+        "</a>",
+        "<b k='v'>",
+        "</b>",
+        "<a/>",
+        "<b k=\"&amp;\" j='x'/>",
+        "<s:c>",
+        "</s:c>",
+        "<é>",
+        "</é>",
+        "<",
+        ">",
+        "/>",
+        "</",
+        "<!--",
+        "-->",
+        "<!-- c -->",
+        "<![CDATA[",
+        "]]>",
+        "<![CDATA[x]]>",
+        "<?",
+        "?>",
+        "<?pi d?>",
+        "<!DOCTYPE d>",
+        "<!DOCTYPE",
+        "<!x>",
+        "&amp;",
+        "&#65;",
+        "&#x3042;",
+        "&bogus;",
+        "&",
+        "=",
+        "\"",
+        "'",
+        "k",
+        " ",
+        "  ",
+        "\n",
+        "\t",
+        "\r\n",
+        "\u{a0}",
+        "\u{3000}",
+        "\u{85}",
+        "text",
+        "é",
+        ":",
+        "_",
+        "-",
+        ".",
+        "<a k=v>",
+        "<a k>",
+        "<a k='unterminated>",
+        "</a >",
+        "</b\n>",
+        "<a\u{a0}k='v'>",
+    ];
+
+    fn soup() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..SOUP.len(), 0..40)
+            .prop_map(|ix| ix.iter().map(|&i| SOUP[i]).collect())
+    }
+
+    /// Token soup wrapped in a root element half the time, so more
+    /// cases get past the prologue into content.
+    fn rooted_soup() -> impl Strategy<Value = String> {
+        (soup(), any::<bool>()).prop_map(|(s, wrap)| if wrap { format!("<r>{s}</r>") } else { s })
+    }
+
+    /// The root's text as the reader reads it (then the rest of the
+    /// document), against the parsed tree's.
+    fn check_text_content(doc: &str) -> Result<(), TestCaseError> {
+        let mut r = Reader::new(doc);
+        let streamed = r.next().and_then(|_| {
+            let text = r.text_content()?;
+            r.next()?;
+            Ok(text)
+        });
+        let tree = parse_ref(doc);
+        prop_assert_eq!(
+            streamed,
+            tree.as_ref().map(|e| e.text_content()).map_err(|e| *e)
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn reader_parse_equals_recursive_oracle_on_arbitrary_strings(
+            s in "[ -~\t\n\r\u{a0}\u{85}\u{3000}é]{0,200}",
+        ) {
+            prop_assert_eq!(parse_ref(&s), oracle::parse_ref(&s));
+        }
+
+        #[test]
+        fn reader_parse_equals_recursive_oracle_on_token_soup(s in rooted_soup()) {
+            prop_assert_eq!(parse_ref(&s), oracle::parse_ref(&s));
+        }
+
+        #[test]
+        fn reader_text_content_equals_the_tree_s_on_token_soup(s in rooted_soup()) {
+            check_text_content(&s)?;
+        }
+
+        #[test]
+        fn reader_text_content_equals_the_tree_s_on_indented_documents(e in arb_element(3)) {
+            check_text_content(&e.to_pretty())?;
+        }
+
+        #[test]
+        fn reader_parse_equals_recursive_oracle_on_documents(e in arb_element(3)) {
+            let doc = e.to_document();
+            prop_assert_eq!(parse_ref(&doc), oracle::parse_ref(&doc));
+            let pretty = e.to_pretty();
+            prop_assert_eq!(parse_ref(&pretty), oracle::parse_ref(&pretty));
         }
     }
 }

@@ -84,10 +84,7 @@ impl Element {
 
     /// The element's local name: the part after the namespace prefix.
     pub fn local_name(&self) -> &str {
-        match self.name.split_once(':') {
-            Some((_, local)) => local,
-            None => &self.name,
-        }
+        crate::reader::local_name(&self.name)
     }
 
     /// Child elements, in order.

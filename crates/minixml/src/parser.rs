@@ -1,16 +1,19 @@
-//! A recursive-descent parser for the XML subset used by SOAP 1.1, WSDL
-//! and UPnP device descriptions: elements, attributes, character data,
-//! comments, CDATA sections, processing instructions and a DOCTYPE
-//! prologue. No DTD expansion, no mixed external entities.
+//! The tree parser for the XML subset used by SOAP 1.1, WSDL and UPnP
+//! device descriptions: elements, attributes, character data, comments,
+//! CDATA sections, processing instructions and a DOCTYPE prologue. No
+//! DTD expansion, no mixed external entities.
 //!
-//! The parser builds the borrowed tier ([`ElemRef`]) directly — names
-//! are slices of the input and text is `Cow` that only allocates when
-//! an entity escape fires. The owned [`parse`] is a thin
-//! `to_owned()` on top.
+//! [`parse_ref`] is a loop over the pull [`Reader`] with an explicit
+//! stack of open elements, so nesting depth costs heap, not call stack.
+//! It builds the borrowed tier ([`ElemRef`]) directly — names are
+//! slices of the input and text is `Cow` that only allocates when an
+//! entity escape fires. The owned [`parse`] is a thin `to_owned()` on
+//! top.
 
 use crate::borrowed::{ElemRef, NodeRef};
 use crate::escape::unescape_cow;
 use crate::node::Element;
+use crate::reader::{Event, Reader};
 use std::fmt;
 
 /// What went wrong during a parse. Carried by value — no allocation on
@@ -103,14 +106,49 @@ pub fn parse(input: &str) -> Result<Element, ParseError> {
 /// Parses a complete document into the borrowed tier: names are slices
 /// of `input`, text is `Cow` that only owns when an entity fired.
 pub fn parse_ref(input: &str) -> Result<ElemRef<'_>, ParseError> {
-    let mut p = Parser { input, pos: 0 };
-    p.skip_prologue();
-    let root = p.parse_element()?;
-    p.skip_misc();
-    if p.pos < p.input.len() {
-        return Err(p.err(ErrorKind::TrailingContent));
+    let mut reader = Reader::new(input);
+    let mut open: Vec<ElemRef<'_>> = Vec::with_capacity(8);
+    loop {
+        match reader.next()? {
+            Event::Start(name) => open.push(ElemRef {
+                name,
+                attrs: reader
+                    .attrs()
+                    .iter()
+                    .map(|&(k, v)| (k, unescape_cow(v)))
+                    .collect(),
+                children: Vec::new(),
+            }),
+            Event::Text(text) => {
+                if let Some(el) = open.last_mut() {
+                    el.children.push(NodeRef::Text(text.unescape()));
+                }
+            }
+            Event::End(_) => {
+                let Some(mut el) = open.pop() else { continue };
+                // Whitespace-only text between child *elements* is
+                // insignificant indentation; in a leaf element it is real
+                // character data (e.g. a SOAP string value of " ").
+                if el.children.iter().any(|c| matches!(c, NodeRef::Element(_))) {
+                    el.children.retain(|c| match c {
+                        NodeRef::Text(t) => !t.trim().is_empty(),
+                        NodeRef::Element(_) => true,
+                    });
+                }
+                match open.last_mut() {
+                    Some(parent) => parent.children.push(NodeRef::Element(el)),
+                    None => {
+                        // The root closed: the reader checks what follows.
+                        reader.next()?;
+                        return Ok(el);
+                    }
+                }
+            }
+            // The reader reports the end only after the root's End,
+            // which returned above.
+            Event::Eof => unreachable!("Eof before the root element closed"),
+        }
     }
-    Ok(root)
 }
 
 impl Element {
@@ -126,188 +164,6 @@ impl<'a> ElemRef<'a> {
     pub fn parse(input: &'a str) -> Result<ElemRef<'a>, ParseError> {
         parse_ref(input)
     }
-}
-
-struct Parser<'a> {
-    input: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, kind: ErrorKind) -> ParseError {
-        ParseError { at: self.pos, kind }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.rest().starts_with(s)
-    }
-
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    fn skip_ws(&mut self) {
-        let trimmed = self.rest().trim_start();
-        self.pos = self.input.len() - trimmed.len();
-    }
-
-    fn skip_until(&mut self, end: &str, what: ErrorKind) -> Result<(), ParseError> {
-        match self.rest().find(end) {
-            Some(i) => {
-                self.bump(i + end.len());
-                Ok(())
-            }
-            None => Err(self.err(what)),
-        }
-    }
-
-    /// Skips declarations, comments, PIs and DOCTYPE before the root.
-    /// An unterminated construct consumes the rest of the input (the
-    /// subsequent "expected '<'" error reports the real problem).
-    fn skip_prologue(&mut self) {
-        loop {
-            self.skip_ws();
-            let result = if self.starts_with("<?") {
-                self.skip_until("?>", ErrorKind::UnterminatedPi)
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->", ErrorKind::UnterminatedComment)
-            } else if self.starts_with("<!DOCTYPE") {
-                self.skip_until(">", ErrorKind::UnterminatedDoctype)
-            } else {
-                return;
-            };
-            if result.is_err() {
-                self.pos = self.input.len();
-                return;
-            }
-        }
-    }
-
-    /// Skips comments/PIs/whitespace after the root.
-    fn skip_misc(&mut self) {
-        self.skip_prologue();
-    }
-
-    fn parse_name(&mut self) -> Result<&'a str, ParseError> {
-        let rest = self.rest();
-        let end = rest
-            .char_indices()
-            .find(|(_, c)| !is_name_char(*c))
-            .map(|(i, _)| i)
-            .unwrap_or(rest.len());
-        if end == 0 {
-            return Err(self.err(ErrorKind::ExpectedName));
-        }
-        let name = &rest[..end];
-        self.bump(end);
-        Ok(name)
-    }
-
-    fn parse_element(&mut self) -> Result<ElemRef<'a>, ParseError> {
-        if !self.starts_with("<") {
-            return Err(self.err(ErrorKind::ExpectedElement));
-        }
-        self.bump(1);
-        let name = self.parse_name()?;
-        let mut el = ElemRef {
-            name,
-            attrs: Vec::new(),
-            children: Vec::new(),
-        };
-
-        // Attributes.
-        loop {
-            self.skip_ws();
-            if self.starts_with("/>") {
-                self.bump(2);
-                return Ok(el);
-            }
-            if self.starts_with(">") {
-                self.bump(1);
-                break;
-            }
-            let key = self.parse_name()?;
-            self.skip_ws();
-            if !self.starts_with("=") {
-                return Err(self.err(ErrorKind::AttrMissingEq));
-            }
-            self.bump(1);
-            self.skip_ws();
-            let quote = match self.rest().chars().next() {
-                Some(q @ ('"' | '\'')) => q,
-                _ => return Err(self.err(ErrorKind::AttrValueUnquoted)),
-            };
-            self.bump(1);
-            let rest = self.rest();
-            let end = rest
-                .find(quote)
-                .ok_or_else(|| self.err(ErrorKind::UnterminatedAttrValue))?;
-            let value = unescape_cow(&rest[..end]);
-            self.bump(end + 1);
-            el.attrs.push((key, value));
-        }
-
-        // Content until the matching close tag.
-        loop {
-            if self.starts_with("</") {
-                self.bump(2);
-                let close = self.parse_name()?;
-                if close != el.name {
-                    return Err(self.err(ErrorKind::MismatchedCloseTag));
-                }
-                self.skip_ws();
-                if !self.starts_with(">") {
-                    return Err(self.err(ErrorKind::ExpectedCloseAngle));
-                }
-                self.bump(1);
-                // Whitespace-only text between child *elements* is
-                // insignificant indentation; in a leaf element it is real
-                // character data (e.g. a SOAP string value of " ").
-                if el.children.iter().any(|c| matches!(c, NodeRef::Element(_))) {
-                    el.children.retain(|c| match c {
-                        NodeRef::Text(t) => !t.trim().is_empty(),
-                        NodeRef::Element(_) => true,
-                    });
-                }
-                return Ok(el);
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->", ErrorKind::UnterminatedComment)?;
-            } else if self.starts_with("<![CDATA[") {
-                self.bump("<![CDATA[".len());
-                let rest = self.rest();
-                let end = rest
-                    .find("]]>")
-                    .ok_or_else(|| self.err(ErrorKind::UnterminatedCdata))?;
-                el.children.push(NodeRef::Text(rest[..end].into()));
-                self.bump(end + 3);
-            } else if self.starts_with("<?") {
-                self.skip_until("?>", ErrorKind::UnterminatedPi)?;
-            } else if self.starts_with("<") {
-                let child = self.parse_element()?;
-                el.children.push(NodeRef::Element(child));
-            } else if self.pos >= self.input.len() {
-                return Err(self.err(ErrorKind::UnexpectedEof));
-            } else {
-                let rest = self.rest();
-                let end = rest.find('<').unwrap_or(rest.len());
-                let text = unescape_cow(&rest[..end]);
-                // Kept for now; whitespace-only runs are filtered at the
-                // close tag if this element turns out to be structural.
-                if !text.is_empty() {
-                    el.children.push(NodeRef::Text(text));
-                }
-                self.bump(end);
-            }
-        }
-    }
-}
-
-fn is_name_char(c: char) -> bool {
-    c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.')
 }
 
 #[cfg(test)]

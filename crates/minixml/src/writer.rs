@@ -1,7 +1,57 @@
-//! Serialising element trees to XML text.
+//! Serialising element trees to XML text, and the sink the streaming
+//! writers share.
 
 use crate::escape::{escape_attr_into, escape_text, escape_text_into};
 use crate::node::{Element, XmlNode};
+use std::fmt;
+
+/// Where a streaming writer puts its text: a `String`, a wire buffer
+/// (`Vec<u8>`), or a [`Measure`] that only counts. Writing a message
+/// once into a `Measure` and then into its buffer lets the writer
+/// reserve that buffer exactly.
+pub trait XmlOut {
+    /// Appends `s`.
+    fn put(&mut self, s: &str);
+
+    /// Appends formatted text (numbers), without an intermediate
+    /// `String`.
+    fn put_fmt(&mut self, args: fmt::Arguments<'_>) {
+        struct Adapter<'o, O: ?Sized>(&'o mut O);
+        impl<O: XmlOut + ?Sized> fmt::Write for Adapter<'_, O> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.put(s);
+                Ok(())
+            }
+        }
+        // Formatting into an infallible sink cannot fail.
+        let _ = fmt::write(&mut Adapter(self), args);
+    }
+}
+
+impl XmlOut for String {
+    #[inline]
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl XmlOut for Vec<u8> {
+    #[inline]
+    fn put(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// An [`XmlOut`] that counts the bytes it is given and keeps none.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Measure(pub usize);
+
+impl XmlOut for Measure {
+    #[inline]
+    fn put(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+}
 
 impl Element {
     /// Serialises to compact XML (no insignificant whitespace).
@@ -124,6 +174,23 @@ mod tests {
     fn attrs_are_escaped() {
         let e = Element::new("a").attr("q", r#"<"quoted">"#);
         assert_eq!(e.to_xml(), r#"<a q="&lt;&quot;quoted&quot;&gt;"/>"#);
+    }
+
+    #[test]
+    fn every_sink_sees_the_same_text() {
+        fn write(out: &mut impl XmlOut) {
+            out.put("<n>");
+            out.put_fmt(format_args!("{}", -42));
+            escape_text_into("a&b", out);
+            out.put("</n>");
+        }
+        let (mut s, mut v, mut m) = (String::new(), Vec::new(), Measure::default());
+        write(&mut s);
+        write(&mut v);
+        write(&mut m);
+        assert_eq!(s, "<n>-42a&amp;b</n>");
+        assert_eq!(v, s.as_bytes());
+        assert_eq!(m.0, s.len());
     }
 
     #[test]

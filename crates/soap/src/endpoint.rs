@@ -3,18 +3,34 @@
 
 use crate::fault::Fault;
 use crate::http::{
-    HttpClient, HttpRequestRef, HttpResponseRef, HttpServer, ResponseParts, TcpModel,
+    HttpClient, HttpRequestRef, HttpResponseRef, HttpServer, PostHead, Responder, ResponseHead,
+    TcpModel,
 };
-use crate::rpc::{fault_envelope, RpcCall, RpcResponse, SoapError};
+use crate::rpc::{fault_envelope, response_value, write_call, write_response, RpcCall, SoapError};
 use crate::value::Value;
+use minixml::Measure;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// The conventional router path, as in Apache SOAP 2.x.
 pub const RPC_ROUTER_PATH: &str = "/soap/servlet/rpcrouter";
+
+/// The `Content-Type` of every envelope, request or response.
+const XML_CONTENT_TYPE: &str = "text/xml; charset=utf-8";
+
+/// A message body as text: borrowed when it is valid UTF-8 (the one
+/// check is far cheaper than a lossy conversion), lossily converted
+/// otherwise — the same text either way.
+fn body_text(body: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(body) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(body),
+    }
+}
 
 /// CPU costs of XML processing, modelling the 2002-era Java stack the
 /// prototype ran on ("Java's low performance", §2.1).
@@ -59,8 +75,10 @@ impl CpuModel {
     }
 }
 
-/// A service handler mounted on a [`SoapServer`].
-pub type ServiceHandler = Box<dyn FnMut(&Sim, &RpcCall) -> Result<Value, Fault> + Send>;
+/// A service handler mounted on a [`SoapServer`]. It gets the decoded
+/// call by `&mut`, so it can move the arguments out instead of cloning
+/// them; the router answers for the call's `method`.
+pub type ServiceHandler = Box<dyn FnMut(&Sim, &mut RpcCall) -> Result<Value, Fault> + Send>;
 
 /// A SOAP RPC server: one HTTP endpoint dispatching by target namespace,
 /// mirroring Apache SOAP's rpcrouter servlet.
@@ -83,43 +101,47 @@ impl SoapServer {
         let services: Arc<Mutex<HashMap<String, ServiceHandler>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let services2 = services.clone();
-        // Zero-copy route: the request is read in place (no header or
-        // body materialisation) and the response envelope is handed to
-        // the server as lean parts, serialised straight into the
-        // response train.
-        http.route_zero(RPC_ROUTER_PATH, move |sim, req: &HttpRequestRef<'_>| {
-            sim.advance(cpu.parse_cost(req.body.len()));
-            let doc = String::from_utf8_lossy(req.body);
-            let outcome = match RpcCall::from_envelope(&doc) {
-                Ok(call) => {
-                    sim.advance(cpu.dispatch);
-                    let mut services = services2.lock();
-                    match services.get_mut(&call.namespace) {
-                        Some(h) => h(sim, &call).map(|v| RpcResponse::new(&call.method, v)),
-                        None => Err(Fault::client(format!(
-                            "no service registered for namespace '{}'",
-                            call.namespace
-                        ))),
+        // Zero-copy route: the request is read in place and decoded in
+        // one pass, and the response is written straight into the
+        // server's response train.
+        http.route_zero(
+            RPC_ROUTER_PATH,
+            move |sim, req: &HttpRequestRef<'_>, reply: Responder<'_>| {
+                sim.advance(cpu.parse_cost(req.body.len()));
+                let outcome = match RpcCall::from_envelope(&body_text(req.body)) {
+                    Ok(mut call) => {
+                        sim.advance(cpu.dispatch);
+                        let mut services = services2.lock();
+                        match services.get_mut(&call.namespace) {
+                            Some(h) => h(sim, &mut call).map(|v| (call.method, v)),
+                            None => Err(Fault::client(format!(
+                                "no service registered for namespace '{}'",
+                                call.namespace
+                            ))),
+                        }
+                    }
+                    Err(e) => Err(Fault::client(e.to_string())),
+                };
+                // SOAP 1.1 over HTTP: faults ride a 500, successes a 200.
+                match outcome {
+                    Ok((method, value)) => {
+                        let mut len = Measure::default();
+                        write_response(&mut len, &method, &value);
+                        sim.advance(cpu.emit_cost(len.0));
+                        reply.send(ResponseHead::ok(XML_CONTENT_TYPE), len.0, |out| {
+                            write_response(out, &method, &value)
+                        })
+                    }
+                    Err(fault) => {
+                        let body = fault_envelope(&fault);
+                        sim.advance(cpu.emit_cost(body.len()));
+                        let head =
+                            ResponseHead::error(500, "Internal Server Error", XML_CONTENT_TYPE);
+                        reply.send_bytes(head, body.as_bytes())
                     }
                 }
-                Err(e) => Err(Fault::client(e.to_string())),
-            };
-            let body = match &outcome {
-                Ok(resp) => resp.to_envelope(),
-                Err(fault) => fault_envelope(fault),
-            };
-            sim.advance(cpu.emit_cost(body.len()));
-            // SOAP 1.1 over HTTP: faults ride a 500, successes a 200.
-            match outcome {
-                Ok(_) => ResponseParts::ok("text/xml; charset=utf-8", body.into_bytes()),
-                Err(_) => ResponseParts::error(
-                    500,
-                    "Internal Server Error",
-                    "text/xml; charset=utf-8",
-                    body.into_bytes(),
-                ),
-            }
-        });
+            },
+        );
         SoapServer {
             http,
             services,
@@ -136,7 +158,7 @@ impl SoapServer {
     pub fn mount(
         &self,
         namespace: impl Into<String>,
-        handler: impl FnMut(&Sim, &RpcCall) -> Result<Value, Fault> + Send + 'static,
+        handler: impl FnMut(&Sim, &mut RpcCall) -> Result<Value, Fault> + Send + 'static,
     ) {
         self.services
             .lock()
@@ -210,74 +232,87 @@ impl SoapClient {
     /// Invokes `call` on the router at `server`, returning the result
     /// value or the fault/transport error.
     pub fn call(&self, server: NodeId, call: &RpcCall) -> Result<Value, SoapError> {
-        self.dispatch(server, &call.namespace, &call.method, call.to_envelope())
+        self.dispatch(
+            server,
+            &call.namespace,
+            &call.method,
+            call.arg_refs(),
+            &call.headers,
+        )
     }
 
     /// Invokes `method` under `namespace` with borrowed arguments —
     /// the hot-path variant that skips assembling an owned [`RpcCall`]
     /// (and thus cloning every argument) just to encode an envelope.
-    pub fn call_parts<'a>(
+    pub fn call_parts<'a, I>(
         &self,
         server: NodeId,
         namespace: &str,
         method: &str,
-        args: impl IntoIterator<Item = (&'a str, &'a Value)>,
-    ) -> Result<Value, SoapError> {
-        let body = crate::rpc::call_envelope(namespace, method, args);
-        self.dispatch(server, namespace, method, body)
+        args: I,
+    ) -> Result<Value, SoapError>
+    where
+        I: IntoIterator<Item = (&'a str, &'a Value)>,
+        I::IntoIter: Clone,
+    {
+        self.call_parts_with_headers(server, namespace, method, args, NO_HEADERS)
     }
 
     /// [`SoapClient::call_parts`] with `SOAP-ENV:Header` entries
     /// (out-of-band metadata such as a trace context).
-    pub fn call_parts_with_headers<'a, K: AsRef<str>, V: AsRef<str>>(
+    pub fn call_parts_with_headers<'a, I, K: AsRef<str>, V: AsRef<str>>(
         &self,
         server: NodeId,
         namespace: &str,
         method: &str,
-        args: impl IntoIterator<Item = (&'a str, &'a Value)>,
+        args: I,
         headers: &[(K, V)],
-    ) -> Result<Value, SoapError> {
-        let body = crate::rpc::call_envelope_with_headers(namespace, method, args, headers);
-        self.dispatch(server, namespace, method, body)
+    ) -> Result<Value, SoapError>
+    where
+        I: IntoIterator<Item = (&'a str, &'a Value)>,
+        I::IntoIter: Clone,
+    {
+        self.dispatch(server, namespace, method, args.into_iter(), headers)
     }
 
-    fn dispatch(
+    /// Writes the POST — head, `SOAPAction` in place, then the envelope
+    /// — into one buffer reserved to its exact size (the envelope is
+    /// measured first), sends it, and decodes only the return value or
+    /// the fault of the answer.
+    fn dispatch<'a, K: AsRef<str>, V: AsRef<str>>(
         &self,
         server: NodeId,
         namespace: &str,
         method: &str,
-        body: String,
+        args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
+        headers: &[(K, V)],
     ) -> Result<Value, SoapError> {
-        self.sim.advance(self.cpu.emit_cost(body.len()));
-        // Assemble the SOAPAction value by hand: one exact-size
-        // allocation, no formatter machinery on the per-call path.
-        let mut action = String::with_capacity(namespace.len() + method.len() + 3);
-        action.push('"');
-        action.push_str(namespace);
-        action.push('#');
-        action.push_str(method);
-        action.push('"');
-        // Wire bytes are assembled directly (no owned request built
-        // just to serialise it) and the response is parsed in place.
-        let mut payload = Vec::new();
-        crate::http::write_post_into(
-            &mut payload,
-            RPC_ROUTER_PATH,
-            "text/xml; charset=utf-8",
-            body.as_bytes(),
-            &[("SOAPAction", &action)],
-        );
+        let mut body_len = Measure::default();
+        write_call(&mut body_len, namespace, method, args.clone(), headers);
+        let body_len = body_len.0;
+        self.sim.advance(self.cpu.emit_cost(body_len));
+        let head = PostHead {
+            path: RPC_ROUTER_PATH,
+            content_type: XML_CONTENT_TYPE,
+            body_len,
+            header: ("SOAPAction", &["\"", namespace, "#", method, "\""]),
+        };
+        let mut payload = Vec::with_capacity(head.len() + body_len);
+        head.write(&mut payload);
+        write_call(&mut payload, namespace, method, args, headers);
         let raw = self
             .http
             .send_raw(server, payload)
             .map_err(SoapError::Http)?;
         let resp = HttpResponseRef::parse(&raw).map_err(SoapError::Http)?;
         self.sim.advance(self.cpu.parse_cost(resp.body.len()));
-        let doc = String::from_utf8_lossy(resp.body);
         // Both 200s and 500-carried faults parse as envelopes.
-        RpcResponse::from_envelope(&doc).map(|r| r.value)
+        response_value(&body_text(resp.body))
     }
 }
+
+/// Type hint for header-less calls.
+const NO_HEADERS: &[(&str, &str)] = &[];
 
 #[cfg(test)]
 mod tests {

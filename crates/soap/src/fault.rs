@@ -1,6 +1,7 @@
 //! SOAP 1.1 faults.
 
-use minixml::Element;
+use minixml::{Element, ParseError, Reader};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The standard SOAP 1.1 fault code classes.
@@ -86,34 +87,41 @@ impl Fault {
         }
         e
     }
+}
 
-    /// Decodes from a `<Fault>` element.
-    pub fn from_element(e: &Element) -> Option<Fault> {
-        if e.local_name() != "Fault" {
-            return None;
+/// The parts of a `<Fault>` element an envelope decode collects: the
+/// text of its first `faultcode`, `faultstring` and `detail` children.
+#[derive(Debug, Default)]
+pub(crate) struct FaultParts<'a> {
+    code: Option<Cow<'a, str>>,
+    string: Option<Cow<'a, str>>,
+    detail: Option<Cow<'a, str>>,
+}
+
+impl<'a> FaultParts<'a> {
+    /// If child element `local` (whose `Start` the reader just
+    /// returned) is a part not seen yet, reads its text and returns
+    /// `true`; otherwise leaves the reader alone.
+    pub(crate) fn take(&mut self, local: &str, r: &mut Reader<'a>) -> Result<bool, ParseError> {
+        let slot = match local {
+            "faultcode" => &mut self.code,
+            "faultstring" => &mut self.string,
+            "detail" => &mut self.detail,
+            _ => return Ok(false),
+        };
+        if slot.is_some() {
+            return Ok(false);
         }
-        let code = FaultCode::from_qname(&e.find("faultcode")?.text_content())?;
-        let string = e.find("faultstring")?.text_content();
-        let detail = e.find("detail").map(Element::text_content);
-        Some(Fault {
-            code,
-            string,
-            detail,
-        })
+        *slot = Some(r.text_content()?);
+        Ok(true)
     }
 
-    /// [`Fault::from_element`] over the borrowed parse tier.
-    pub fn from_element_ref(e: &minixml::ElemRef<'_>) -> Option<Fault> {
-        if e.local_name() != "Fault" {
-            return None;
-        }
-        let code = FaultCode::from_qname(&e.find("faultcode")?.text_content())?;
-        let string = e.find("faultstring")?.text_content().into_owned();
-        let detail = e.find("detail").map(|d| d.text_content().into_owned());
+    /// The fault, if the code is a known one and a `faultstring` came.
+    pub(crate) fn into_fault(self) -> Option<Fault> {
         Some(Fault {
-            code,
-            string,
-            detail,
+            code: FaultCode::from_qname(&self.code?)?,
+            string: self.string?.into_owned(),
+            detail: self.detail.map(Cow::into_owned),
         })
     }
 }
@@ -134,11 +142,23 @@ impl std::error::Error for Fault {}
 mod tests {
     use super::*;
 
+    fn decode(e: &Element) -> Option<Fault> {
+        let doc = e.to_document();
+        let mut r = Reader::new(&doc);
+        r.next().unwrap();
+        let mut parts = FaultParts::default();
+        while let minixml::Event::Start(name) = r.next().unwrap() {
+            if !parts.take(minixml::local_name(name), &mut r).unwrap() {
+                r.skip_element().unwrap();
+            }
+        }
+        parts.into_fault()
+    }
+
     #[test]
     fn fault_round_trips() {
         let f = Fault::server("device unreachable").with_detail("x10 frame lost");
-        let back = Fault::from_element(&f.to_element()).unwrap();
-        assert_eq!(back, f);
+        assert_eq!(decode(&f.to_element()).unwrap(), f);
     }
 
     #[test]
@@ -146,7 +166,17 @@ mod tests {
         let f = Fault::client("no such method");
         let e = f.to_element();
         assert!(e.find("detail").is_none());
-        assert_eq!(Fault::from_element(&e).unwrap(), f);
+        assert_eq!(decode(&e).unwrap(), f);
+    }
+
+    #[test]
+    fn first_part_wins_and_unknown_children_are_left_alone() {
+        let e = Element::new("Fault")
+            .child(Element::new("faultcode").text("Client"))
+            .child(Element::new("other").text("x"))
+            .child(Element::new("faultstring").text("first"))
+            .child(Element::new("faultstring").text("second"));
+        assert_eq!(decode(&e).unwrap(), Fault::client("first"));
     }
 
     #[test]
@@ -164,13 +194,15 @@ mod tests {
     }
 
     #[test]
-    fn non_fault_element_rejected() {
-        assert!(Fault::from_element(&Element::new("NotAFault")).is_none());
+    fn incomplete_or_unknown_faults_rejected() {
+        assert!(decode(&Element::new("Fault")).is_none());
         // Fault with an unparseable code is rejected too.
         let bad = Element::new("Fault")
             .child(Element::new("faultcode").text("nonsense"))
             .child(Element::new("faultstring").text("x"));
-        assert!(Fault::from_element(&bad).is_none());
+        assert!(decode(&bad).is_none());
+        let no_string = Element::new("Fault").child(Element::new("faultcode").text("Server"));
+        assert!(decode(&no_string).is_none());
     }
 
     #[test]

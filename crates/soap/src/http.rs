@@ -8,6 +8,7 @@
 //! header bytes on the wire.
 
 use bytes::Bytes;
+use minixml::{Measure, XmlOut};
 use parking_lot::Mutex;
 use simnet::{Frame, Network, NodeId, Protocol, Sim, SimDuration, SimError};
 use std::collections::{HashMap, HashSet};
@@ -149,23 +150,8 @@ impl<'a> HttpRequestRef<'a> {
     /// Parses wire bytes without copying. Accepts and rejects exactly
     /// what [`HttpRequest::from_bytes`] does.
     pub fn parse(data: &'a [u8]) -> Result<HttpRequestRef<'a>, HttpError> {
-        let (head, body) = split_head_ref(data)?;
-        let mut lines = head.lines();
-        let request_line = lines.next().ok_or(HttpError::Malformed("empty request"))?;
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().ok_or(HttpError::Malformed("no method"))?;
-        let path = parts.next().ok_or(HttpError::Malformed("no path"))?;
-        let version = parts.next().ok_or(HttpError::Malformed("no version"))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed("unsupported HTTP version"));
-        }
-        let header_lines = validate_header_lines(head, request_line)?;
-        Ok(HttpRequestRef {
-            method,
-            path,
-            header_lines,
-            body,
-        })
+        let head = Head::scan(data, false)?;
+        head.request(&data[head.body_start..])
     }
 
     /// The first header with the given (case-insensitive) name.
@@ -202,26 +188,8 @@ impl<'a> HttpResponseRef<'a> {
     /// Parses wire bytes without copying. Accepts and rejects exactly
     /// what [`HttpResponse::from_bytes`] does.
     pub fn parse(data: &'a [u8]) -> Result<HttpResponseRef<'a>, HttpError> {
-        let (head, body) = split_head_ref(data)?;
-        let mut lines = head.lines();
-        let status_line = lines.next().ok_or(HttpError::Malformed("empty response"))?;
-        let mut parts = status_line.splitn(3, ' ');
-        let version = parts.next().ok_or(HttpError::Malformed("no version"))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed("unsupported HTTP version"));
-        }
-        let status = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or(HttpError::Malformed("bad status code"))?;
-        let reason = parts.next().unwrap_or("");
-        let header_lines = validate_header_lines(head, status_line)?;
-        Ok(HttpResponseRef {
-            status,
-            reason,
-            header_lines,
-            body,
-        })
+        let head = Head::scan(data, false)?;
+        head.response(&data[head.body_start..])
     }
 
     /// True for 2xx statuses.
@@ -245,23 +213,144 @@ impl<'a> HttpResponseRef<'a> {
     }
 }
 
-/// The header block after the start line, with every line checked for
-/// the `name: value` shape (mirroring [`parse_headers`]'s rejects).
-fn validate_header_lines<'a>(head: &'a str, start_line: &str) -> Result<&'a str, HttpError> {
-    let rest = &head[start_line.len()..];
-    let rest = rest
-        .strip_prefix("\r\n")
-        .or_else(|| rest.strip_prefix('\n'))
-        .unwrap_or(rest);
-    for line in rest.lines() {
-        if line.is_empty() {
-            break;
+/// One pass over a message head. It finds the `\r\n\r\n` terminator
+/// and, line by line, whether each header line before the first empty
+/// one has a colon. When framing a pipelined message it also finds the
+/// last `Content-Length` (every line after the start line counts) and
+/// the first `X-Corr-Id` (before the first empty line). The start line
+/// is checked only when the message is read as a request or a
+/// response.
+#[derive(Debug, Clone, Copy)]
+struct Head<'a> {
+    /// The first line, or `None` for an empty head.
+    start_line: Option<&'a str>,
+    /// Everything after the start line and its line break.
+    header_lines: &'a str,
+    /// Offset of the body: just past the terminator.
+    body_start: usize,
+    content_length: Option<usize>,
+    colon_ok: bool,
+    corr: Option<&'a str>,
+}
+
+impl<'a> Head<'a> {
+    /// Fails only when there is no terminator or the head is not UTF-8.
+    fn scan(data: &'a [u8], framing: bool) -> Result<Head<'a>, HttpError> {
+        let sep = find_terminator(data).ok_or(HttpError::Malformed("missing header terminator"))?;
+        let head = std::str::from_utf8(&data[..sep])
+            .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
+        let mut lines = head.lines();
+        let start_line = lines.next();
+        let rest = &head[start_line.map_or(0, str::len)..];
+        let header_lines = rest
+            .strip_prefix("\r\n")
+            .or_else(|| rest.strip_prefix('\n'))
+            .unwrap_or(rest);
+        let mut scan = Head {
+            start_line,
+            header_lines,
+            body_start: sep + 4,
+            content_length: None,
+            colon_ok: true,
+            corr: None,
+        };
+        let mut in_block = true;
+        for line in lines {
+            match line.split_once(':') {
+                Some((k, v)) if framing => {
+                    if is_key(k, "content-length") {
+                        scan.content_length = v.trim().parse().ok();
+                    }
+                    if in_block && scan.corr.is_none() && is_key(k, CORR_HEADER) {
+                        scan.corr = Some(v.trim());
+                    }
+                }
+                Some(_) => {}
+                None if line.is_empty() && !framing => break,
+                None if line.is_empty() => in_block = false,
+                None => scan.colon_ok &= !in_block,
+            }
         }
-        if !line.contains(':') {
-            return Err(HttpError::Malformed("header without colon"));
+        Ok(scan)
+    }
+
+    /// The length of the message that starts `data` (of `data_len`
+    /// bytes): head, terminator, then `Content-Length` body bytes. A
+    /// message without `Content-Length` runs to the end of the buffer
+    /// (the `Connection: close` convention), so only messages that
+    /// declare their length can share a pipelined payload.
+    fn message_len(&self, data_len: usize) -> Result<usize, HttpError> {
+        match self.content_length {
+            Some(n) => self
+                .body_start
+                .checked_add(n)
+                .filter(|&end| end <= data_len)
+                .ok_or(HttpError::Malformed("truncated body")),
+            None => Ok(data_len),
         }
     }
-    Ok(rest)
+
+    fn request(&self, body: &'a [u8]) -> Result<HttpRequestRef<'a>, HttpError> {
+        let line = self
+            .start_line
+            .ok_or(HttpError::Malformed("empty request"))?;
+        let mut parts = line.split_whitespace();
+        let method = parts.next().ok_or(HttpError::Malformed("no method"))?;
+        let path = parts.next().ok_or(HttpError::Malformed("no path"))?;
+        let version = parts.next().ok_or(HttpError::Malformed("no version"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::Malformed("unsupported HTTP version"));
+        }
+        self.check_colons()?;
+        Ok(HttpRequestRef {
+            method,
+            path,
+            header_lines: self.header_lines,
+            body,
+        })
+    }
+
+    fn response(&self, body: &'a [u8]) -> Result<HttpResponseRef<'a>, HttpError> {
+        let line = self
+            .start_line
+            .ok_or(HttpError::Malformed("empty response"))?;
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().ok_or(HttpError::Malformed("no version"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::Malformed("unsupported HTTP version"));
+        }
+        let status = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or(HttpError::Malformed("bad status code"))?;
+        let reason = parts.next().unwrap_or("");
+        self.check_colons()?;
+        Ok(HttpResponseRef {
+            status,
+            reason,
+            header_lines: self.header_lines,
+            body,
+        })
+    }
+
+    fn check_colons(&self) -> Result<(), HttpError> {
+        if self.colon_ok {
+            Ok(())
+        } else {
+            Err(HttpError::Malformed("header without colon"))
+        }
+    }
+}
+
+/// Whether header name `k`, trimmed, is `key` up to ASCII case. Most
+/// names are shorter than the key and fail before the trim.
+fn is_key(k: &str, key: &str) -> bool {
+    k.len() >= key.len() && k.trim().eq_ignore_ascii_case(key)
+}
+
+/// Offset of the first `\r\n\r\n`.
+fn find_terminator(data: &[u8]) -> Option<usize> {
+    data.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 fn find_header<'a>(header_lines: &'a str, key: &str) -> Option<&'a str> {
@@ -376,76 +465,41 @@ impl HttpResponse {
     }
 }
 
-/// Assembles a POST wire message in one buffer, byte-identical to
-/// [`HttpRequest::post`] + [`HttpRequest::header`] for each `extra`
-/// pair + [`HttpRequest::to_bytes`] — without building the owned
-/// request (two `String`s per header) on the per-call path.
-pub(crate) fn write_post_into(
-    out: &mut Vec<u8>,
-    path: &str,
-    content_type: &str,
-    body: &[u8],
-    extra: &[(&str, &str)],
-) {
-    use std::io::Write as _;
-    let mut head_len =
-        "POST  HTTP/1.1\r\n".len() + path.len() + 64 + content_type.len() + body.len();
-    for (k, v) in extra {
-        head_len += k.len() + 2 + v.len() + 2;
-    }
-    out.reserve(head_len);
-    out.extend_from_slice(b"POST ");
-    out.extend_from_slice(path.as_bytes());
-    out.extend_from_slice(b" HTTP/1.1\r\nContent-Type: ");
-    out.extend_from_slice(content_type.as_bytes());
-    out.extend_from_slice(b"\r\nContent-Length: ");
-    write!(out, "{}", body.len()).expect("vec write");
-    out.extend_from_slice(b"\r\nUser-Agent: metaware/0.1\r\nConnection: close\r\n");
-    for (k, v) in extra {
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(v.as_bytes());
-        out.extend_from_slice(b"\r\n");
-    }
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(body);
+/// The head of a POST, written in place: byte-identical to
+/// [`HttpRequest::post`] plus one [`HttpRequest::header`], serialised.
+/// The extra header's value is given as pieces written back to back,
+/// so a value assembled from parts (a `SOAPAction` of namespace and
+/// method) needs no `String`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PostHead<'a> {
+    pub(crate) path: &'a str,
+    pub(crate) content_type: &'a str,
+    pub(crate) body_len: usize,
+    pub(crate) header: (&'a str, &'a [&'a str]),
 }
 
-/// Length of the first self-delimiting HTTP message in `data`: head,
-/// `\r\n\r\n`, then `Content-Length` body bytes. A message without
-/// `Content-Length` runs to the end of the buffer (the
-/// `Connection: close` convention), so only messages that declare their
-/// length can share a pipelined payload.
-fn message_len(data: &[u8]) -> Result<usize, HttpError> {
-    let sep = data
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(HttpError::Malformed("missing header terminator"))?;
-    let head = std::str::from_utf8(&data[..sep])
-        .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
-    let mut content_length = None;
-    for line in head.lines().skip(1) {
-        if let Some((k, v)) = line.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse::<usize>().ok();
-            }
+impl PostHead<'_> {
+    pub(crate) fn write<O: XmlOut + ?Sized>(&self, out: &mut O) {
+        out.put("POST ");
+        out.put(self.path);
+        out.put(" HTTP/1.1\r\nContent-Type: ");
+        out.put(self.content_type);
+        out.put("\r\nContent-Length: ");
+        out.put_fmt(format_args!("{}", self.body_len));
+        out.put("\r\nUser-Agent: metaware/0.1\r\nConnection: close\r\n");
+        out.put(self.header.0);
+        out.put(": ");
+        for piece in self.header.1 {
+            out.put(piece);
         }
+        out.put("\r\n\r\n");
     }
-    match content_length {
-        Some(n) if sep + 4 + n <= data.len() => Ok(sep + 4 + n),
-        Some(_) => Err(HttpError::Malformed("truncated body")),
-        None => Ok(data.len()),
-    }
-}
 
-fn split_head_ref(data: &[u8]) -> Result<(&str, &[u8]), HttpError> {
-    let sep = data
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(HttpError::Malformed("missing header terminator"))?;
-    let head = std::str::from_utf8(&data[..sep])
-        .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
-    Ok((head, &data[sep + 4..]))
+    pub(crate) fn len(&self) -> usize {
+        let mut m = Measure::default();
+        self.write(&mut m);
+        m.0
+    }
 }
 
 /// HTTP transport failures.
@@ -528,91 +582,119 @@ impl TcpModel {
 pub type RouteHandler = Box<dyn FnMut(&Sim, &HttpRequest) -> HttpResponse + Send>;
 
 /// A zero-copy route handler: reads the request in place (borrowed
-/// tier) and returns lean [`ResponseParts`] the server serialises
-/// straight into the response train.
+/// tier) and writes its response through the [`Responder`], straight
+/// into the server's response train.
 pub type ZeroRouteHandler =
-    Box<dyn for<'a> FnMut(&Sim, &HttpRequestRef<'a>) -> ResponseParts + Send>;
+    Box<dyn for<'a, 't> FnMut(&Sim, &HttpRequestRef<'a>, Responder<'t>) -> Sent + Send>;
 
 enum Route {
     Owned(RouteHandler),
     Zero(ZeroRouteHandler),
 }
 
-/// What a zero-copy route handler returns: just the pieces that vary.
-/// The server writes the status line and standard headers directly into
-/// the response buffer, producing byte-identical wire output to the
-/// owned [`HttpResponse::ok`]/[`HttpResponse::error`] constructors
-/// without building their header `String`s.
-#[derive(Debug)]
-pub struct ResponseParts {
+/// The status line and standard headers of a zero-copy response,
+/// wire-identical to the owned [`HttpResponse::ok`] /
+/// [`HttpResponse::error`] constructors without their header
+/// `String`s.
+#[derive(Debug, Clone, Copy)]
+pub struct ResponseHead {
     /// Status code.
     pub status: u16,
     /// Reason phrase.
     pub reason: &'static str,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// Entity body.
-    pub body: Vec<u8>,
     /// Whether to stamp the `Server:` header ([`HttpResponse::ok`]
     /// does, [`HttpResponse::error`] does not).
     server_header: bool,
 }
 
-impl ResponseParts {
+impl ResponseHead {
     /// A 200 OK (wire-identical to [`HttpResponse::ok`]).
-    pub fn ok(content_type: &'static str, body: impl Into<Vec<u8>>) -> ResponseParts {
-        ResponseParts {
+    pub fn ok(content_type: &'static str) -> ResponseHead {
+        ResponseHead {
             status: 200,
             reason: "OK",
             content_type,
-            body: body.into(),
             server_header: true,
         }
     }
 
     /// An error status (wire-identical to [`HttpResponse::error`] with
     /// the given content type).
-    pub fn error(
-        status: u16,
-        reason: &'static str,
-        content_type: &'static str,
-        body: impl Into<Vec<u8>>,
-    ) -> ResponseParts {
-        ResponseParts {
+    pub fn error(status: u16, reason: &'static str, content_type: &'static str) -> ResponseHead {
+        ResponseHead {
             status,
             reason,
             content_type,
-            body: body.into(),
             server_header: false,
         }
     }
 
-    /// Serialises into the response train, echoing `corr` last — the
-    /// same position the owned tier gives a correlation header pushed
-    /// after construction.
-    fn write_into(&self, out: &mut Vec<u8>, corr: Option<&str>) {
-        use std::io::Write as _;
-        out.reserve(96 + self.content_type.len() + self.body.len());
-        out.extend_from_slice(b"HTTP/1.1 ");
-        write!(out, "{}", self.status).expect("vec write");
-        out.push(b' ');
-        out.extend_from_slice(self.reason.as_bytes());
-        out.extend_from_slice(b"\r\nContent-Type: ");
-        out.extend_from_slice(self.content_type.as_bytes());
-        out.extend_from_slice(b"\r\nContent-Length: ");
-        write!(out, "{}", self.body.len()).expect("vec write");
-        out.extend_from_slice(b"\r\n");
+    /// Writes the head of a response with `body_len` body bytes,
+    /// echoing `corr` last — the same position the owned tier gives a
+    /// correlation header pushed after construction.
+    fn write<O: XmlOut + ?Sized>(&self, out: &mut O, body_len: usize, corr: Option<&str>) {
+        out.put("HTTP/1.1 ");
+        out.put_fmt(format_args!("{}", self.status));
+        out.put(" ");
+        out.put(self.reason);
+        out.put("\r\nContent-Type: ");
+        out.put(self.content_type);
+        out.put("\r\nContent-Length: ");
+        out.put_fmt(format_args!("{body_len}"));
+        out.put("\r\n");
         if self.server_header {
-            out.extend_from_slice(b"Server: metaware/0.1\r\n");
+            out.put("Server: metaware/0.1\r\n");
         }
         if let Some(id) = corr {
-            out.extend_from_slice(CORR_HEADER.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(id.as_bytes());
-            out.extend_from_slice(b"\r\n");
+            out.put(CORR_HEADER);
+            out.put(": ");
+            out.put(id);
+            out.put("\r\n");
         }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
+        out.put("\r\n");
+    }
+}
+
+/// Where a zero-copy route writes its response: the server's response
+/// train, head and body in one stretch reserved to their exact size.
+#[derive(Debug)]
+pub struct Responder<'t> {
+    train: &'t mut Vec<u8>,
+    corr: Option<&'t str>,
+}
+
+/// Proof that a zero-copy route answered; only [`Responder`] makes one.
+#[derive(Debug)]
+pub struct Sent(());
+
+impl<'t> Responder<'t> {
+    /// Answers with a body of exactly `body_len` bytes, which
+    /// `write_body` appends to the buffer it is handed.
+    pub fn send(
+        self,
+        head: ResponseHead,
+        body_len: usize,
+        write_body: impl FnOnce(&mut Vec<u8>),
+    ) -> Sent {
+        let mut head_len = Measure::default();
+        head.write(&mut head_len, body_len, self.corr);
+        self.train.reserve(head_len.0 + body_len);
+        let start = self.train.len();
+        head.write(self.train, body_len, self.corr);
+        write_body(self.train);
+        debug_assert_eq!(
+            self.train.len() - start,
+            head_len.0 + body_len,
+            "the body is as long as its Content-Length"
+        );
+        Sent(())
+    }
+
+    /// Answers with a body already in hand.
+    pub fn send_bytes(self, head: ResponseHead, body: &[u8]) -> Sent {
+        self.send(head, body.len(), |out| out.extend_from_slice(body))
     }
 }
 
@@ -632,34 +714,52 @@ impl HttpServer {
         net.set_request_handler(node, move |sim, frame: &Frame| {
             // A payload may carry several pipelined requests; each is
             // self-delimiting (Content-Length) and each pays the
-            // per-request server overhead. Every request is parsed on
-            // the borrowed tier; owned-route handlers get a
-            // materialised request, zero-copy routes read in place.
+            // per-request server overhead. One pass over each head
+            // frames the message, checks it and finds the correlation
+            // id; owned-route handlers get a materialised request,
+            // zero-copy routes read in place.
             let mut data: &[u8] = &frame.payload;
             let mut train: Vec<u8> = Vec::new();
-            let mut spans: Vec<std::ops::Range<usize>> = Vec::new();
+            // Where each response ends in the train; a lone response
+            // (the common case) needs no list.
+            let mut ends: Vec<usize> = Vec::new();
+            let bad_request = |train: &mut Vec<u8>, e: HttpError| {
+                let head = ResponseHead::error(400, "Bad Request", "text/plain");
+                let reply = Responder { train, corr: None };
+                reply.send_bytes(head, e.to_string().as_bytes());
+            };
             loop {
                 sim.advance(tcp.server_overhead);
-                let start = train.len();
-                let (msg, rest) = match message_len(data) {
-                    Ok(n) => data.split_at(n),
+                let framed = Head::scan(data, true)
+                    .and_then(|head| Ok((head, head.message_len(data.len())?)));
+                let (head, len) = match framed {
+                    Ok(framed) => framed,
                     Err(e) => {
-                        ResponseParts::error(400, "Bad Request", "text/plain", e.to_string())
-                            .write_into(&mut train, None);
-                        spans.push(start..train.len());
+                        bad_request(&mut train, e);
+                        if !ends.is_empty() {
+                            ends.push(train.len());
+                        }
                         break;
                     }
                 };
-                match HttpRequestRef::parse(msg) {
+                let (msg, rest) = data.split_at(len);
+                match head.request(&msg[head.body_start..]) {
                     Ok(req) => {
                         // The correlation id is echoed so the client
                         // can match responses regardless of completion
                         // order.
-                        let corr = req.get_header(CORR_HEADER);
+                        let corr = head.corr;
                         let mut routes = routes2.lock();
                         match routes.get_mut(req.path) {
                             Some(Route::Zero(h)) => {
-                                h(sim, &req).write_into(&mut train, corr);
+                                h(
+                                    sim,
+                                    &req,
+                                    Responder {
+                                        train: &mut train,
+                                        corr,
+                                    },
+                                );
                             }
                             Some(Route::Owned(h)) => {
                                 let owned = req.to_owned();
@@ -670,21 +770,24 @@ impl HttpServer {
                                 resp.write_bytes_into(&mut train);
                             }
                             None => {
-                                let mut body = String::with_capacity(15 + req.path.len());
-                                body.push_str("no handler for ");
-                                body.push_str(req.path);
-                                ResponseParts::error(404, "Not Found", "text/plain", body)
-                                    .write_into(&mut train, corr);
+                                let head = ResponseHead::error(404, "Not Found", "text/plain");
+                                let reply = Responder {
+                                    train: &mut train,
+                                    corr,
+                                };
+                                reply.send(head, 15 + req.path.len(), |out| {
+                                    out.extend_from_slice(b"no handler for ");
+                                    out.extend_from_slice(req.path.as_bytes());
+                                });
                             }
                         }
                     }
-                    Err(e) => {
-                        ResponseParts::error(400, "Bad Request", "text/plain", e.to_string())
-                            .write_into(&mut train, None);
-                    }
+                    Err(e) => bad_request(&mut train, e),
                 }
-                spans.push(start..train.len());
                 data = rest;
+                if !(data.is_empty() && ends.is_empty()) {
+                    ends.push(train.len());
+                }
                 if data.is_empty() {
                     break;
                 }
@@ -692,10 +795,11 @@ impl HttpServer {
             // A pipelined server may finish requests in any order; we
             // reverse deliberately so clients must correlate by id
             // instead of assuming FIFO.
-            if spans.len() > 1 {
+            if ends.len() > 1 {
                 let mut out = Vec::with_capacity(train.len());
-                for span in spans.iter().rev() {
-                    out.extend_from_slice(&train[span.clone()]);
+                for (i, &end) in ends.iter().enumerate().rev() {
+                    let start = if i == 0 { 0 } else { ends[i - 1] };
+                    out.extend_from_slice(&train[start..end]);
                 }
                 return Ok(Bytes::from(out));
             }
@@ -723,12 +827,14 @@ impl HttpServer {
 
     /// Registers (or replaces) a zero-copy handler for `path`: it reads
     /// the request through [`HttpRequestRef`] (no per-request
-    /// materialisation) and returns [`ResponseParts`] serialised in
-    /// place.
+    /// materialisation) and writes its response through the
+    /// [`Responder`] into the response train.
     pub fn route_zero(
         &self,
         path: impl Into<String>,
-        handler: impl for<'a> FnMut(&Sim, &HttpRequestRef<'a>) -> ResponseParts + Send + 'static,
+        handler: impl for<'a, 't> FnMut(&Sim, &HttpRequestRef<'a>, Responder<'t>) -> Sent
+            + Send
+            + 'static,
     ) {
         self.routes
             .lock()
@@ -868,10 +974,11 @@ impl HttpClient {
         let mut slots: Vec<Option<HttpResponse>> = vec![None; reqs.len()];
         let mut data: &[u8] = &raw;
         while !data.is_empty() {
-            let (msg, rest) = data.split_at(message_len(data)?);
-            let resp = HttpResponse::from_bytes(msg)?;
-            let idx = resp
-                .get_header(CORR_HEADER)
+            let head = Head::scan(data, true)?;
+            let (msg, rest) = data.split_at(head.message_len(data.len())?);
+            let resp = head.response(&msg[head.body_start..])?.to_owned();
+            let idx = head
+                .corr
                 .and_then(|id| id.parse::<usize>().ok())
                 .filter(|i| *i < slots.len())
                 .ok_or(HttpError::Malformed("missing or bad correlation id"))?;
@@ -1076,5 +1183,242 @@ mod tests {
         let client = HttpClient::attach(&net, "pc", TcpModel::default());
         let resp = client.send(server.node(), &HttpRequest::get("/x")).unwrap();
         assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn post_head_matches_the_owned_request() {
+        let body = b"<x/>";
+        let owned = HttpRequest::post("/soap", "text/xml", &body[..])
+            .header("SOAPAction", "\"urn:a#m\"")
+            .to_bytes();
+        let head = PostHead {
+            path: "/soap",
+            content_type: "text/xml",
+            body_len: body.len(),
+            header: ("SOAPAction", &["\"", "urn:a", "#", "m", "\""]),
+        };
+        let mut wire = Vec::with_capacity(head.len() + body.len());
+        head.write(&mut wire);
+        wire.extend_from_slice(body);
+        assert_eq!(wire, owned);
+        assert_eq!(wire.capacity(), wire.len(), "reserved exactly");
+    }
+
+    #[test]
+    fn zero_copy_heads_match_the_owned_responses() {
+        let mut train = Vec::new();
+        Responder {
+            train: &mut train,
+            corr: None,
+        }
+        .send_bytes(ResponseHead::ok("text/xml"), b"<ok/>");
+        assert_eq!(train, HttpResponse::ok("text/xml", "<ok/>").to_bytes());
+        let mut train = Vec::new();
+        Responder {
+            train: &mut train,
+            corr: Some("7"),
+        }
+        .send_bytes(ResponseHead::error(404, "Not Found", "text/plain"), b"gone");
+        let mut owned = HttpResponse::error(404, "Not Found", "gone");
+        owned.headers.push((CORR_HEADER.into(), "7".into()));
+        assert_eq!(train, owned.to_bytes());
+    }
+
+    #[test]
+    fn last_content_length_wins_and_blank_lines_end_the_header_block() {
+        let msg = b"POST / HTTP/1.1\r\nContent-Length: 9\r\nX-Corr-Id: 1\n\nX-Corr-Id: 2\r\nContent-Length: 2\r\n\r\nabXY";
+        let head = Head::scan(msg, true).unwrap();
+        assert_eq!(head.content_length, Some(2));
+        assert_eq!(head.corr, Some("1"));
+        assert_eq!(head.message_len(msg.len()), Ok(msg.len() - 2));
+        let huge = b"POST / HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n";
+        let head = Head::scan(huge, true).unwrap();
+        assert_eq!(
+            head.message_len(huge.len()),
+            Err(HttpError::Malformed("truncated body"))
+        );
+    }
+
+    use proptest::prelude::*;
+
+    /// One message of a request train through the one-pass scan, in
+    /// the oracle's shape.
+    fn frame_one_pass(data: &[u8]) -> crate::oracle::Framed<'_> {
+        let head = Head::scan(data, true)?;
+        let len = head.message_len(data.len())?;
+        let parsed = head
+            .request(&data[head.body_start..len])
+            .map(|r| (r.method, r.path, r.body, head.corr));
+        Ok((len, parsed))
+    }
+
+    /// Frames a whole train both ways, message by message, until the
+    /// data runs out or framing fails.
+    fn check_train(mut data: &[u8]) -> Result<(), TestCaseError> {
+        loop {
+            let framed = frame_one_pass(data);
+            prop_assert_eq!(
+                &framed,
+                &crate::oracle::frame_request(data),
+                "train {:?}",
+                data
+            );
+            match framed {
+                Ok((len, _)) if len < data.len() => data = &data[len..],
+                _ => return Ok(()),
+            }
+        }
+    }
+
+    /// Both borrowed parses against the oracle, header lookups and
+    /// owned headers included.
+    fn check_parses(data: &[u8]) -> Result<(), TestCaseError> {
+        use crate::oracle::{find_header, parse_request, parse_response};
+        let keys = ["content-length", "X-Corr-Id", "host", ""];
+        let req = HttpRequestRef::parse(data);
+        let old = parse_request(data);
+        prop_assert_eq!(
+            req.as_ref()
+                .map(|r| (r.method, r.path, r.body, r.to_owned().headers)),
+            old.as_ref()
+                .map(|&(m, p, lines, b)| (m, p, b, own_headers(lines)))
+        );
+        if let (Ok(r), Ok((_, _, lines, _))) = (req, old) {
+            for key in keys {
+                prop_assert_eq!(r.get_header(key), find_header(lines, key));
+            }
+        }
+        let resp = HttpResponseRef::parse(data);
+        let old = parse_response(data);
+        prop_assert_eq!(
+            resp.as_ref()
+                .map(|r| (r.status, r.reason, r.body, r.to_owned().headers)),
+            old.as_ref()
+                .map(|&(s, reason, lines, b)| (s, reason, b, own_headers(lines)))
+        );
+        if let (Ok(r), Ok((_, _, lines, _))) = (resp, old) {
+            for key in keys {
+                prop_assert_eq!(r.get_header(key), find_header(lines, key));
+            }
+        }
+        Ok(())
+    }
+
+    /// Byte fragments of HTTP heads: start lines, header names in both
+    /// cases, separators, line breaks (bare and CRLF), lengths that
+    /// fit, lie or overflow, and bytes that are not UTF-8.
+    const HTTP_SOUP: &[&[u8]] = &[
+        b"POST",
+        b"GET",
+        b"HTTP/1.1 200 OK",
+        b" ",
+        b"/",
+        b"/soap",
+        b"HTTP/1.1",
+        b"HTTP/2",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b":",
+        b": ",
+        b"Content-Length",
+        b"content-length",
+        b"X-Corr-Id",
+        b"x-corr-id",
+        b"0",
+        b"3",
+        b"12",
+        b"-1",
+        b" 4 ",
+        b"18446744073709551615",
+        b"99999999999999999999999",
+        b"abc",
+        b"\r\n\r\n",
+        b"\xff",
+        b"\xc3\xa9",
+        b"\t",
+        b"\xc2\xa0",
+        b"Host",
+    ];
+
+    fn http_soup() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(0..HTTP_SOUP.len(), 0..40).prop_map(|ix| {
+            ix.iter()
+                .flat_map(|&i| HTTP_SOUP[i].iter().copied())
+                .collect()
+        })
+    }
+
+    /// A valid pipelined request, or one broken in a way the framing
+    /// and the parse must agree about.
+    fn train_message() -> impl Strategy<Value = Vec<u8>> {
+        (
+            "/[a-z]{0,6}",
+            prop::collection::vec(any::<u8>(), 0..24),
+            0..1000u32,
+            0..10u8,
+            any::<usize>(),
+        )
+            .prop_map(|(path, body, corr, breakage, at)| {
+                let req =
+                    HttpRequest::post(path, "text/xml", body).header(CORR_HEADER, corr.to_string());
+                let mut wire = req.to_bytes();
+                let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+                let at = at % (head_end + 1);
+                match breakage {
+                    // Truncated anywhere.
+                    0 => wire.truncate(at % (wire.len() + 1)),
+                    // A header line loses its colon.
+                    1 => {
+                        if let Some(c) = wire[..head_end].iter().rposition(|&b| b == b':') {
+                            wire.remove(c);
+                        }
+                    }
+                    // A second Content-Length that lies, last.
+                    2 => {
+                        let extra = format!("\r\nContent-Length: {}", at % 40);
+                        wire.splice(head_end..head_end, extra.bytes());
+                    }
+                    // A byte that is not UTF-8 inside the head.
+                    3 => wire.insert(at, 0xff),
+                    // A blank line (bare LF) in the middle of the head.
+                    4 => {
+                        if let Some(lf) = wire[..head_end].iter().position(|&b| b == b'\n') {
+                            wire.insert(lf, b'\n');
+                        }
+                    }
+                    // No terminator at all.
+                    5 => wire.truncate(head_end),
+                    _ => {}
+                }
+                wire
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn one_pass_framing_equals_three_scans_on_arbitrary_bytes(
+            data in prop::collection::vec(any::<u8>(), 0..200),
+        ) {
+            check_train(&data)?;
+            check_parses(&data)?;
+        }
+
+        #[test]
+        fn one_pass_framing_equals_three_scans_on_http_soup(data in http_soup()) {
+            check_train(&data)?;
+            check_parses(&data)?;
+        }
+
+        #[test]
+        fn one_pass_framing_equals_three_scans_on_pipelined_trains(
+            msgs in prop::collection::vec(train_message(), 1..6),
+        ) {
+            let train = msgs.concat();
+            check_train(&train)?;
+            check_parses(&train)?;
+        }
     }
 }

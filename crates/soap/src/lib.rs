@@ -19,13 +19,19 @@
 //! let sim = Sim::new(7);
 //! let net = Network::ethernet(&sim);
 //! let server = SoapServer::bind(&net, "router");
+//! // The handler gets the decoded call by `&mut`: it can move the
+//! // arguments out instead of cloning them.
 //! server.mount("urn:vcr", |_, call| match call.method.as_str() {
-//!     "record" => Ok(Value::Bool(true)),
+//!     "record" => Ok(std::mem::take(&mut call.args)
+//!         .into_iter()
+//!         .find_map(|(name, v)| (name == "channel").then_some(v))
+//!         .unwrap_or(Value::Null)),
 //!     m => Err(Fault::client(format!("no method {m}"))),
 //! });
 //! let client = SoapClient::attach(&net, "pc");
-//! let ok = client.call(server.node(), &RpcCall::new("urn:vcr", "record")).unwrap();
-//! assert_eq!(ok, Value::Bool(true));
+//! let call = RpcCall::new("urn:vcr", "record").arg("channel", 42);
+//! let ok = client.call(server.node(), &call).unwrap();
+//! assert_eq!(ok, Value::Int(42));
 //! ```
 
 #![warn(missing_docs)]
@@ -34,6 +40,8 @@
 pub mod endpoint;
 pub mod fault;
 pub mod http;
+#[cfg(test)]
+mod oracle;
 pub mod rpc;
 pub mod value;
 
@@ -41,7 +49,7 @@ pub use endpoint::{CpuModel, ServiceHandler, SoapClient, SoapServer, RPC_ROUTER_
 pub use fault::{Fault, FaultCode};
 pub use http::{
     HttpClient, HttpError, HttpRequest, HttpRequestRef, HttpResponse, HttpResponseRef, HttpServer,
-    ResponseParts, TcpModel, ZeroRouteHandler,
+    Responder, ResponseHead, Sent, TcpModel, ZeroRouteHandler,
 };
 pub use rpc::{call_envelope, fault_envelope, RpcCall, RpcResponse, SoapError};
 pub use value::{base64_decode, base64_encode, Value, ValueError};
@@ -114,6 +122,220 @@ mod proptests {
         fn envelope_decoder_never_panics(s in ".{0,300}") {
             let _ = RpcCall::from_envelope(&s);
             let _ = RpcResponse::from_envelope(&s);
+        }
+    }
+
+    /// The three decodes of `doc`, on the one-pass path and on the
+    /// tree oracle, rendered with `Debug` so a `NaN` double compares
+    /// equal to itself.
+    fn decodes(doc: &str) -> [(String, String); 3] {
+        let call = format!("{:?}", RpcCall::from_envelope(doc));
+        let resp = format!("{:?}", RpcResponse::from_envelope(doc));
+        let value = format!("{:?}", rpc::response_value(doc));
+        let tree_call = format!("{:?}", oracle::call_from_envelope(doc));
+        let tree_resp = oracle::response_from_envelope(doc);
+        let tree_value = format!("{:?}", tree_resp.clone().map(|r| r.value));
+        [
+            (call, tree_call),
+            (resp, format!("{tree_resp:?}")),
+            (value, tree_value),
+        ]
+    }
+
+    fn check_decodes(doc: &str) -> Result<(), TestCaseError> {
+        for (streamed, tree) in decodes(doc) {
+            prop_assert_eq!(streamed, tree, "document {:?}", doc);
+        }
+        Ok(())
+    }
+
+    /// Pieces an envelope can be built from: values, typed and broken
+    /// scalars, compounds with a bad member, nil markers, escapes,
+    /// CDATA, comments and whitespace.
+    const PIECES: &[&str] = &[
+        r#"<a xsi:type="xsd:int">12</a>"#,
+        r#"<a xsi:type="xsd:int"> zz </a>"#,
+        r#"<b xsi:type="xsd:boolean">maybe</b>"#,
+        r#"<c xsi:type="xsd:double">1e3</c>"#,
+        r#"<d xsi:type="SOAP-ENC:base64">!!</d>"#,
+        r#"<e xsi:type="vendor:odd">x</e>"#,
+        r#"<f xsi:nil="true"><g xsi:type="bogus"/></f>"#,
+        r#"<h xsi:type="SOAP-ENC:Struct"><i xsi:type="xsd:int">1</i><j xsi:type="xsd:long">q</j></h>"#,
+        r#"<k xsi:type="SOAP-ENC:Array"><item xsi:type="xsd:string"> </item><item/></k>"#,
+        r#"<l xsi:type="xsd:&#115;tring">&lt;&amp;&gt;</l>"#,
+        r#"<m xsi:type="xsd:string"> <n/> <![CDATA[ x ]]></m>"#,
+        r#"<return xsi:type="xsd:int">7</return>"#,
+        r#"<return xsi:type="xsd:int">seven</return>"#,
+        "<faultcode>SOAP-ENV:Server</faultcode>",
+        "<faultcode>Client</faultcode><faultstring>bad &amp; worse</faultstring>",
+        "<faultcode>Nonsense</faultcode>",
+        "<faultstring>boom</faultstring>",
+        "<faultstring/>",
+        "<detail>why <x/></detail>",
+        "<!-- note -->",
+        " ",
+        "\n  ",
+        "text",
+        "<![CDATA[]]>",
+    ];
+
+    fn pieces(max: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(0..PIECES.len(), 0..max)
+            .prop_map(|ix| ix.iter().map(|&i| PIECES[i]).collect())
+    }
+
+    /// An element named from `names`, wrapping `inner`.
+    fn element(
+        names: &'static [&'static str],
+        inner: impl Strategy<Value = String>,
+    ) -> impl Strategy<Value = String> {
+        (0..names.len(), inner).prop_map(move |(i, inner)| {
+            let name = names[i];
+            format!("<{name} xmlns:ns1=\"urn:x\">{inner}</{name}>")
+        })
+    }
+
+    /// Envelopes of every shape the decoders distinguish: Header and
+    /// Body in either order or missing or repeated, empty Bodies,
+    /// extra Body children, Faults with known and unknown codes, and
+    /// roots that are not Envelopes.
+    fn arb_envelope() -> impl Strategy<Value = String> {
+        const ROOTS: &[&str] = &["SOAP-ENV:Envelope", "Envelope", "s:Envelope", "Envelop"];
+        const SECTIONS: &[&str] = &[
+            "SOAP-ENV:Header",
+            "SOAP-ENV:Body",
+            "SOAP-ENV:Body",
+            "Body",
+            "Header",
+            "x",
+        ];
+        const FIRSTS: &[&str] = &[
+            "ns1:set",
+            "ns1:getResponse",
+            "SOAP-ENV:Fault",
+            "SOAP-ENV:Fault",
+            "Fault",
+            "e",
+        ];
+        let body_child = element(FIRSTS, pieces(5));
+        let section = (
+            element(
+                SECTIONS,
+                prop::collection::vec(body_child, 0..3).prop_map(|c| c.concat()),
+            ),
+            pieces(2),
+        )
+            .prop_map(|(section, junk)| format!("{section}{junk}"));
+        (
+            0..ROOTS.len(),
+            prop::collection::vec(section, 0..4),
+            any::<bool>(),
+        )
+            .prop_map(|(root, sections, decl)| {
+                let root = ROOTS[root];
+                let decl = if decl { "<?xml version=\"1.0\"?>" } else { "" };
+                format!("{decl}<{root}>{}</{root}>", sections.concat())
+            })
+    }
+
+    /// Well-formed call, response and fault envelopes as the encoders
+    /// write them.
+    fn arb_wire_envelope() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (
+                "[a-z]{1,8}",
+                prop::collection::vec(("[a-z][a-z0-9]{0,6}", arb_value(2)), 0..4),
+                prop::collection::vec(("[A-Z][a-z]{0,6}", "[ -~]{0,12}"), 0..3),
+            )
+                .prop_map(|(method, args, headers)| {
+                    let mut call = RpcCall::new("urn:vsg:prop", method);
+                    call.args = args;
+                    call.headers = headers;
+                    call.to_envelope()
+                }),
+            ("[a-z]{1,8}", arb_value(2)).prop_map(|(m, v)| RpcResponse::new(m, v).to_envelope()),
+            ("[ -~]{0,16}", any::<bool>()).prop_map(|(msg, detail)| {
+                let f = Fault::server(msg);
+                fault_envelope(&if detail { f.with_detail("d") } else { f })
+            }),
+        ]
+    }
+
+    /// Tokens spliced into well-formed envelopes.
+    const INSERTS: &[&str] = &[
+        "<",
+        ">",
+        "/>",
+        "</a>",
+        "<a>",
+        "<Body>",
+        "</Body>",
+        "<SOAP-ENV:Header>",
+        "<Header/>",
+        "<x/>",
+        "<return>9</return>",
+        "<Fault>",
+        "<!--",
+        "-->",
+        "<![CDATA[",
+        "]]>",
+        "&amp;",
+        "&",
+        "\"",
+        "'",
+        " xsi:type=\"xsd:int\"",
+        " xsi:nil=\"true\"",
+        "=",
+        " ",
+        "\u{a0}",
+        "é",
+        "<?pi?>",
+        "<!DOCTYPE x>",
+    ];
+
+    /// A well-formed envelope with a few tokens spliced in at random
+    /// character boundaries.
+    fn arb_spliced_envelope() -> impl Strategy<Value = String> {
+        (
+            arb_wire_envelope(),
+            prop::collection::vec((0..10_000usize, 0..INSERTS.len()), 1..4),
+        )
+            .prop_map(|(doc, inserts)| {
+                let mut doc = doc;
+                for (at, token) in inserts {
+                    let mut at = at % (doc.len() + 1);
+                    while !doc.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    doc.insert_str(at, INSERTS[token]);
+                }
+                doc
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn one_pass_decode_equals_tree_oracle_on_arbitrary_strings(
+            s in "[ -~\t\n\u{a0}é]{0,300}",
+        ) {
+            check_decodes(&s)?;
+        }
+
+        #[test]
+        fn one_pass_decode_equals_tree_oracle_on_generated_envelopes(doc in arb_envelope()) {
+            check_decodes(&doc)?;
+        }
+
+        #[test]
+        fn one_pass_decode_equals_tree_oracle_on_spliced_envelopes(doc in arb_spliced_envelope()) {
+            check_decodes(&doc)?;
+        }
+
+        #[test]
+        fn one_pass_decode_equals_tree_oracle_on_wire_envelopes(doc in arb_wire_envelope()) {
+            check_decodes(&doc)?;
         }
     }
 }

@@ -1,9 +1,22 @@
 //! SOAP 1.1 RPC envelopes: calls, responses, and their wire encoding.
+//!
+//! Envelopes decode in one pass over the pull [`Reader`]: the decoder
+//! keeps only what the caller gets (method, namespace, arguments,
+//! header entries, the return value or the fault) and skips everything
+//! else — extra Body children, unused header subtrees — by counting
+//! depth, so no element tree is built and nesting costs no call stack.
+//! When a document has several problems the first of these wins, as
+//! it would on the parsed tree: an XML error anywhere in the document;
+//! a root that is not an `Envelope`; no `Body`; an empty `Body`; then
+//! the first value error in document order.
 
-use crate::fault::Fault;
+use crate::fault::{Fault, FaultParts};
 use crate::http::HttpError;
 use crate::value::{Value, ValueError};
-use minixml::{escape_attr_into, escape_text_into, ElemRef, Element, ParseError};
+use minixml::{
+    escape_attr_into, escape_text_into, local_name, unescape_cow, Element, Event, Measure,
+    ParseError, Reader, XmlOut,
+};
 use std::fmt;
 
 const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -55,48 +68,32 @@ impl RpcCall {
         call_envelope_with_headers(
             &self.namespace,
             &self.method,
-            self.args.iter().map(|(k, v)| (k.as_str(), v)),
+            self.arg_refs(),
             &self.headers,
         )
     }
 
-    /// Decodes a call envelope.
-    ///
-    /// Runs over the borrowed parse tier: tag names, attributes and
-    /// clean text stay slices of `doc`, and only the strings that end
-    /// up in the returned call are copied out.
+    /// The arguments as borrowed `(name, value)` pairs.
+    pub(crate) fn arg_refs(&self) -> impl Iterator<Item = (&str, &Value)> + Clone {
+        self.args.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Decodes a call envelope in one pass: only the strings that end
+    /// up in the returned call are copied out of `doc`.
     pub fn from_envelope(doc: &str) -> Result<RpcCall, SoapError> {
-        let root = minixml::parse_ref(doc)?;
-        let headers = root
-            .find("Header")
-            .map(|h| {
-                h.elements()
-                    .map(|e| (e.local_name().to_owned(), e.text_content().into_owned()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let body = body_of(&root)?;
-        let call = body
-            .elements()
-            .next()
-            .ok_or_else(|| SoapError::malformed("empty SOAP body"))?;
-        let method = call.local_name().to_owned();
-        let namespace = call
-            .attrs
-            .iter()
-            .find(|(k, _)| k.starts_with("xmlns"))
-            .map(|(_, v)| v.clone().into_owned())
-            .unwrap_or_default();
-        let args = call
-            .elements()
-            .map(|a| Value::from_element_ref(a).map(|v| (a.local_name().to_owned(), v)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RpcCall {
-            namespace,
-            method,
-            args,
-            headers,
-        })
+        let mut headers = Vec::new();
+        let call = read_envelope(
+            doc,
+            |r| {
+                r.for_each_child(|name, r| {
+                    let text = r.text_content()?.into_owned();
+                    headers.push((local_name(name).to_owned(), text));
+                    Ok(())
+                })
+            },
+            |r| read_body(r, read_call),
+        )?;
+        Ok(RpcCall { headers, ..call })
     }
 
     /// Looks up an argument by name.
@@ -132,43 +129,153 @@ impl RpcResponse {
     }
 
     /// Encodes as a complete SOAP envelope document, streamed straight
-    /// into the output string (no element tree).
+    /// into an exactly sized string (no element tree).
     pub fn to_envelope(&self) -> String {
-        let mut out = String::with_capacity(384);
-        write_envelope_open(&mut out, NO_HEADERS);
-        out.push_str("<SOAP-ENV:Body><ns1:");
-        out.push_str(&self.method);
-        out.push_str("Response xmlns:ns1=\"urn:vsg:response\">");
-        self.value.write_xml("return", &mut out);
-        out.push_str("</ns1:");
-        out.push_str(&self.method);
-        out.push_str("Response></SOAP-ENV:Body></SOAP-ENV:Envelope>");
+        let mut len = Measure::default();
+        write_response(&mut len, &self.method, &self.value);
+        let mut out = String::with_capacity(len.0);
+        write_response(&mut out, &self.method, &self.value);
         out
     }
 
-    /// Decodes a response envelope, surfacing a carried fault as
-    /// `Err(SoapError::Fault)`. Runs over the borrowed parse tier.
+    /// Decodes a response envelope in one pass, surfacing a carried
+    /// fault as `Err(SoapError::Fault)`.
     pub fn from_envelope(doc: &str) -> Result<RpcResponse, SoapError> {
-        let root = minixml::parse_ref(doc)?;
-        let body = body_of(&root)?;
-        let first = body
-            .elements()
-            .next()
-            .ok_or_else(|| SoapError::malformed("empty SOAP body"))?;
-        if let Some(fault) = Fault::from_element_ref(first) {
-            return Err(SoapError::Fault(fault));
-        }
-        let method = first
-            .local_name()
-            .strip_suffix("Response")
-            .unwrap_or(first.local_name())
-            .to_owned();
-        let value = match first.find("return") {
-            Some(r) => Value::from_element_ref(r)?,
-            None => Value::Null,
-        };
-        Ok(RpcResponse { method, value })
+        read_envelope(doc, Reader::skip_element, |r| {
+            read_body(r, |name, r| {
+                let value = read_return(name, r)?;
+                let local = local_name(name);
+                let method = local.strip_suffix("Response").unwrap_or(local);
+                Ok(value.map(|value| RpcResponse::new(method, value)))
+            })
+        })
     }
+}
+
+/// A response envelope's return value or fault — what a client keeps
+/// of [`RpcResponse::from_envelope`], without the method name.
+pub(crate) fn response_value(doc: &str) -> Result<Value, SoapError> {
+    read_envelope(doc, Reader::skip_element, |r| read_body(r, read_return))
+}
+
+/// Walks an envelope. `header` consumes the first `Header` element and
+/// `body` the first `Body` element, each from just after its `Start`;
+/// every other child of the Envelope is skipped. XML errors propagate
+/// at once; the SOAP errors wait until the whole document has been
+/// read, so an XML error anywhere wins.
+fn read_envelope<'a, T>(
+    doc: &'a str,
+    mut header: impl FnMut(&mut Reader<'a>) -> Result<(), ParseError>,
+    mut body: impl FnMut(&mut Reader<'a>) -> Result<Result<T, SoapError>, ParseError>,
+) -> Result<T, SoapError> {
+    let mut r = Reader::new(doc);
+    let Event::Start(root) = r.next()? else {
+        unreachable!("a document's first event is its root's start tag")
+    };
+    if local_name(root) != "Envelope" {
+        r.skip_element()?;
+        r.next()?;
+        return Err(SoapError::malformed(format!(
+            "root element is <{root}>, not an Envelope"
+        )));
+    }
+    let mut seen_header = false;
+    let mut outcome = None;
+    r.for_each_child(|name, r| match local_name(name) {
+        "Header" if !seen_header => {
+            seen_header = true;
+            header(r)
+        }
+        "Body" if outcome.is_none() => {
+            outcome = Some(body(r)?);
+            Ok(())
+        }
+        _ => r.skip_element(),
+    })?;
+    r.next()?;
+    outcome.unwrap_or_else(|| Err(SoapError::malformed("Envelope has no Body")))
+}
+
+/// Reads a `Body`: `read` gets its first child element, the rest are
+/// skipped. A Body with no child element is an empty SOAP body.
+fn read_body<'a, T>(
+    r: &mut Reader<'a>,
+    mut read: impl FnMut(&'a str, &mut Reader<'a>) -> Result<Result<T, SoapError>, ParseError>,
+) -> Result<Result<T, SoapError>, ParseError> {
+    let mut outcome = None;
+    r.for_each_child(|name, r| {
+        if outcome.is_some() {
+            return r.skip_element();
+        }
+        outcome = Some(read(name, r)?);
+        Ok(())
+    })?;
+    Ok(outcome.unwrap_or_else(|| Err(SoapError::malformed("empty SOAP body"))))
+}
+
+/// Reads the call element `name`: its namespace (the first `xmlns…`
+/// attribute) and its arguments. The first value error skips the rest.
+fn read_call<'a>(
+    name: &'a str,
+    r: &mut Reader<'a>,
+) -> Result<Result<RpcCall, SoapError>, ParseError> {
+    let namespace = r
+        .attrs()
+        .iter()
+        .find(|(k, _)| k.starts_with("xmlns"))
+        .map(|&(_, v)| unescape_cow(v).into_owned())
+        .unwrap_or_default();
+    let mut args = Vec::new();
+    let mut failed = None;
+    r.for_each_child(|arg, r| {
+        if failed.is_some() {
+            return r.skip_element();
+        }
+        match Value::decode(r)? {
+            Ok(v) => args.push((local_name(arg).to_owned(), v)),
+            Err(e) => failed = Some(e),
+        }
+        Ok(())
+    })?;
+    Ok(match failed {
+        Some(e) => Err(e.into()),
+        None => Ok(RpcCall {
+            namespace,
+            method: local_name(name).to_owned(),
+            args,
+            headers: Vec::new(),
+        }),
+    })
+}
+
+/// Reads a response's first Body element `name`: the value of its
+/// first `return` child (`Null` without one), or — when it is a
+/// `Fault` with a known code and a `faultstring` — the fault, which
+/// wins over a value error. A `Fault` with an unknown code reads as an
+/// ordinary response.
+fn read_return<'a>(
+    name: &'a str,
+    r: &mut Reader<'a>,
+) -> Result<Result<Value, SoapError>, ParseError> {
+    let mut fault = (local_name(name) == "Fault").then(FaultParts::default);
+    let mut value = None;
+    r.for_each_child(|child, r| {
+        let child = local_name(child);
+        if let Some(parts) = &mut fault {
+            if parts.take(child, r)? {
+                return Ok(());
+            }
+        }
+        if child == "return" && value.is_none() {
+            value = Some(Value::decode(r)?);
+            return Ok(());
+        }
+        r.skip_element()
+    })?;
+    if let Some(fault) = fault.and_then(FaultParts::into_fault) {
+        return Ok(Err(SoapError::Fault(fault)));
+    }
+    Ok(value.unwrap_or(Ok(Value::Null)).map_err(SoapError::from))
 }
 
 /// Encodes a call envelope directly from borrowed parts — bit-identical
@@ -185,10 +292,6 @@ pub fn call_envelope<'a>(
 /// Like [`call_envelope`], with `SOAP-ENV:Header` entries. Headers are
 /// emitted as text elements in the `urn:vsg:ext` namespace, before the
 /// Body as SOAP 1.1 requires.
-///
-/// The envelope streams straight into the output string — no element
-/// tree is built. The output stays byte-identical to serialising the
-/// equivalent tree (the equivalence test in this module enforces it).
 pub fn call_envelope_with_headers<'a, K: AsRef<str>, V: AsRef<str>>(
     namespace: &str,
     method: &str,
@@ -196,29 +299,55 @@ pub fn call_envelope_with_headers<'a, K: AsRef<str>, V: AsRef<str>>(
     headers: &[(K, V)],
 ) -> String {
     let mut out = String::with_capacity(512);
-    write_envelope_open(&mut out, headers);
-    out.push_str("<SOAP-ENV:Body><ns1:");
-    out.push_str(method);
-    out.push_str(" xmlns:ns1=\"");
-    escape_attr_into(namespace, &mut out);
-    out.push('"');
+    write_call(&mut out, namespace, method, args, headers);
+    out
+}
+
+/// Streams a call envelope into `out` — no element tree is built. The
+/// output stays byte-identical to serialising the equivalent tree (the
+/// equivalence test in this module enforces it).
+pub(crate) fn write_call<'a, O: XmlOut + ?Sized, K: AsRef<str>, V: AsRef<str>>(
+    out: &mut O,
+    namespace: &str,
+    method: &str,
+    args: impl IntoIterator<Item = (&'a str, &'a Value)>,
+    headers: &[(K, V)],
+) {
+    write_envelope_open(out, headers);
+    out.put("<SOAP-ENV:Body><ns1:");
+    out.put(method);
+    out.put(" xmlns:ns1=\"");
+    escape_attr_into(namespace, out);
+    out.put("\"");
     let mut empty = true;
     for (name, value) in args {
         if empty {
-            out.push('>');
+            out.put(">");
             empty = false;
         }
-        value.write_xml(name, &mut out);
+        value.write_xml(name, out);
     }
     if empty {
-        out.push_str("/>");
+        out.put("/>");
     } else {
-        out.push_str("</ns1:");
-        out.push_str(method);
-        out.push('>');
+        out.put("</ns1:");
+        out.put(method);
+        out.put(">");
     }
-    out.push_str("</SOAP-ENV:Body></SOAP-ENV:Envelope>");
-    out
+    out.put("</SOAP-ENV:Body></SOAP-ENV:Envelope>");
+}
+
+/// Streams a response envelope for `method` returning `value` into
+/// `out`.
+pub(crate) fn write_response<O: XmlOut + ?Sized>(out: &mut O, method: &str, value: &Value) {
+    write_envelope_open(out, NO_HEADERS);
+    out.put("<SOAP-ENV:Body><ns1:");
+    out.put(method);
+    out.put("Response xmlns:ns1=\"urn:vsg:response\">");
+    value.write_xml("return", out);
+    out.put("</ns1:");
+    out.put(method);
+    out.put("Response></SOAP-ENV:Body></SOAP-ENV:Envelope>");
 }
 
 /// Type hint for header-less streaming envelopes.
@@ -226,30 +355,33 @@ const NO_HEADERS: &[(&str, &str)] = &[];
 
 /// Writes the XML declaration, the envelope open tag with its
 /// namespace attributes, and the (optional) `SOAP-ENV:Header` block.
-fn write_envelope_open<K: AsRef<str>, V: AsRef<str>>(out: &mut String, headers: &[(K, V)]) {
-    out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?><SOAP-ENV:Envelope xmlns:SOAP-ENV=\"");
-    out.push_str(ENVELOPE_NS);
-    out.push_str("\" xmlns:xsd=\"");
-    out.push_str(XSD_NS);
-    out.push_str("\" xmlns:xsi=\"");
-    out.push_str(XSI_NS);
-    out.push_str("\" SOAP-ENV:encodingStyle=\"");
-    out.push_str(ENCODING_NS);
-    out.push_str("\">");
+fn write_envelope_open<O: XmlOut + ?Sized, K: AsRef<str>, V: AsRef<str>>(
+    out: &mut O,
+    headers: &[(K, V)],
+) {
+    out.put("<?xml version=\"1.0\" encoding=\"UTF-8\"?><SOAP-ENV:Envelope xmlns:SOAP-ENV=\"");
+    out.put(ENVELOPE_NS);
+    out.put("\" xmlns:xsd=\"");
+    out.put(XSD_NS);
+    out.put("\" xmlns:xsi=\"");
+    out.put(XSI_NS);
+    out.put("\" SOAP-ENV:encodingStyle=\"");
+    out.put(ENCODING_NS);
+    out.put("\">");
     if !headers.is_empty() {
-        out.push_str("<SOAP-ENV:Header>");
+        out.put("<SOAP-ENV:Header>");
         for (name, value) in headers {
-            out.push_str("<vsg:");
-            out.push_str(name.as_ref());
-            out.push_str(" xmlns:vsg=\"urn:vsg:ext\">");
+            out.put("<vsg:");
+            out.put(name.as_ref());
+            out.put(" xmlns:vsg=\"urn:vsg:ext\">");
             // Always open/close form: the element path stores a
             // (possibly empty) text child, never self-closing.
             escape_text_into(value.as_ref(), out);
-            out.push_str("</vsg:");
-            out.push_str(name.as_ref());
-            out.push('>');
+            out.put("</vsg:");
+            out.put(name.as_ref());
+            out.put(">");
         }
-        out.push_str("</SOAP-ENV:Header>");
+        out.put("</SOAP-ENV:Header>");
     }
 }
 
@@ -263,17 +395,6 @@ pub fn fault_envelope(fault: &Fault) -> String {
         .attr("SOAP-ENV:encodingStyle", ENCODING_NS)
         .child(Element::new("SOAP-ENV:Body").child(fault.to_element()))
         .to_document()
-}
-
-fn body_of<'a, 'd>(root: &'a ElemRef<'d>) -> Result<&'a ElemRef<'d>, SoapError> {
-    if root.local_name() != "Envelope" {
-        return Err(SoapError::malformed(format!(
-            "root element is <{}>, not an Envelope",
-            root.name
-        )));
-    }
-    root.find("Body")
-        .ok_or_else(|| SoapError::malformed("Envelope has no Body"))
 }
 
 /// Errors surfaced by SOAP encoding, decoding and transport.

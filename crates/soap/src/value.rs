@@ -6,7 +6,8 @@
 //! this model (exactly the role Apache SOAP's type mappings played in the
 //! paper's prototype).
 
-use minixml::{escape_text_into, ElemRef, Element};
+use minixml::{escape_text_into, local_name, Element, ParseError, Reader, XmlOut};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dynamically typed RPC value.
@@ -76,32 +77,31 @@ impl Value {
     /// to serialising [`Value::to_element`] compactly, without building
     /// the intermediate element tree (whose every name, attribute and
     /// text run is an owned `String`). This is the marshal hot path.
-    pub fn write_xml(&self, name: &str, out: &mut String) {
-        out.push('<');
-        out.push_str(name);
-        out.push_str(" xsi:type=\"");
-        out.push_str(self.type_label());
-        out.push('"');
-        let close = |out: &mut String| {
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
+    pub fn write_xml<O: XmlOut + ?Sized>(&self, name: &str, out: &mut O) {
+        out.put("<");
+        out.put(name);
+        out.put(" xsi:type=\"");
+        out.put(self.type_label());
+        out.put("\"");
+        let close = |out: &mut O| {
+            out.put("</");
+            out.put(name);
+            out.put(">");
         };
         match self {
-            Value::Null => out.push_str(" xsi:nil=\"true\"/>"),
+            Value::Null => out.put(" xsi:nil=\"true\"/>"),
             Value::Bool(b) => {
-                out.push('>');
-                out.push_str(if *b { "true" } else { "false" });
+                out.put(">");
+                out.put(if *b { "true" } else { "false" });
                 close(out);
             }
             Value::Int(i) => {
-                use std::fmt::Write as _;
-                out.push('>');
-                write!(out, "{i}").expect("string write");
+                out.put(">");
+                out.put_fmt(format_args!("{i}"));
                 close(out);
             }
             Value::Float(f) => {
-                out.push('>');
+                out.put(">");
                 write_f64(*f, out);
                 close(out);
             }
@@ -109,21 +109,21 @@ impl Value {
             // form — the element path stores a (possibly empty) text
             // child, which never serialises self-closing.
             Value::Str(s) => {
-                out.push('>');
+                out.put(">");
                 escape_text_into(s, out);
                 close(out);
             }
             Value::Bytes(b) => {
-                out.push('>');
+                out.put(">");
                 base64_encode_into(b, out);
                 close(out);
             }
             Value::List(items) => {
                 if items.is_empty() {
-                    out.push_str("/>");
+                    out.put("/>");
                     return;
                 }
-                out.push('>');
+                out.put(">");
                 for item in items {
                     item.write_xml("item", out);
                 }
@@ -131,10 +131,10 @@ impl Value {
             }
             Value::Record(fields) => {
                 if fields.is_empty() {
-                    out.push_str("/>");
+                    out.put("/>");
                     return;
                 }
-                out.push('>');
+                out.put(">");
                 for (k, v) in fields {
                     v.write_xml(k, out);
                 }
@@ -143,91 +143,71 @@ impl Value {
         }
     }
 
-    /// Decodes from an element produced by [`Value::to_element`] (or by a
-    /// foreign SOAP stack using the same subset).
-    pub fn from_element(e: &Element) -> Result<Value, ValueError> {
-        let ty = e.get_attr("xsi:type").unwrap_or("xsd:string");
-        if e.get_attr("xsi:nil") == Some("true") || ty == "xsi:null" {
-            return Ok(Value::Null);
+    /// Decodes the element whose `Start` the reader just returned —
+    /// as produced by [`Value::to_element`] or a foreign SOAP stack
+    /// using the same subset — through its `End`. The outer error is
+    /// the document's and wins over everything; the inner one is this
+    /// value's. A scalar reads its element's text; a Struct's or an
+    /// Array's child elements decode in document order, and the first
+    /// error skips the rest of the element.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Result<Value, ValueError>, ParseError> {
+        let ty = r.attr("xsi:type");
+        let ty = ty.as_deref().unwrap_or("xsd:string");
+        if r.attr("xsi:nil").as_deref() == Some("true") || ty == "xsi:null" {
+            r.skip_element()?;
+            return Ok(Ok(Value::Null));
         }
-        match ty {
-            "xsd:boolean" => match e.text_content().trim() {
-                "true" | "1" => Ok(Value::Bool(true)),
-                "false" | "0" => Ok(Value::Bool(false)),
-                other => Err(ValueError::new(format!("bad boolean '{other}'"))),
-            },
-            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => e
-                .text_content()
-                .trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| ValueError::new(format!("bad integer '{}'", e.text_content()))),
-            "xsd:double" | "xsd:float" | "xsd:decimal" => e
-                .text_content()
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| ValueError::new(format!("bad double '{}'", e.text_content()))),
-            "xsd:string" => Ok(Value::Str(e.text_content())),
-            "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(e.text_content().trim())
-                .map(Value::Bytes)
-                .ok_or_else(|| ValueError::new("bad base64 payload")),
-            "SOAP-ENC:Array" => e
-                .elements()
-                .map(Value::from_element)
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::List),
-            "SOAP-ENC:Struct" => e
-                .elements()
-                .map(|c| Value::from_element(c).map(|v| (c.local_name().to_owned(), v)))
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::Record),
-            other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
-        }
+        let record = match ty {
+            "SOAP-ENC:Array" => false,
+            "SOAP-ENC:Struct" => true,
+            _ => {
+                let text = r.text_content()?;
+                return Ok(Value::from_text(ty, text));
+            }
+        };
+        let mut items = Vec::new();
+        let mut fields = Vec::new();
+        let mut failed = None;
+        r.for_each_child(|name, r| {
+            if failed.is_some() {
+                return Ok(());
+            }
+            match Value::decode(r)? {
+                Ok(v) if record => fields.push((local_name(name).to_owned(), v)),
+                Ok(v) => items.push(v),
+                Err(e) => failed = Some(e),
+            }
+            Ok(())
+        })?;
+        Ok(match failed {
+            Some(e) => Err(e),
+            None if record => Ok(Value::Record(fields)),
+            None => Ok(Value::List(items)),
+        })
     }
 
-    /// [`Value::from_element`] over the borrowed parse tier: decodes
-    /// straight from document slices, so only the resulting `Value`'s
-    /// own strings allocate — no intermediate owned element tree. Kept
-    /// in lock-step with `from_element` (the equivalence proptest in
-    /// this module enforces it).
-    pub fn from_element_ref(e: &ElemRef<'_>) -> Result<Value, ValueError> {
-        let ty = e.get_attr("xsi:type").unwrap_or("xsd:string");
-        if e.get_attr("xsi:nil") == Some("true") || ty == "xsi:null" {
-            return Ok(Value::Null);
-        }
+    /// A scalar of `xsi:type` `ty` from its element's text.
+    fn from_text(ty: &str, text: Cow<'_, str>) -> Result<Value, ValueError> {
         match ty {
-            "xsd:boolean" => match e.text_content().trim() {
+            "xsd:boolean" => match text.trim() {
                 "true" | "1" => Ok(Value::Bool(true)),
                 "false" | "0" => Ok(Value::Bool(false)),
                 other => Err(ValueError::new(format!("bad boolean '{other}'"))),
             },
-            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => e
-                .text_content()
+            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => text
                 .trim()
                 .parse::<i64>()
                 .map(Value::Int)
-                .map_err(|_| ValueError::new(format!("bad integer '{}'", e.text_content()))),
-            "xsd:double" | "xsd:float" | "xsd:decimal" => e
-                .text_content()
+                .map_err(|_| ValueError::new(format!("bad integer '{text}'"))),
+            "xsd:double" | "xsd:float" | "xsd:decimal" => text
                 .trim()
                 .parse::<f64>()
                 .map(Value::Float)
-                .map_err(|_| ValueError::new(format!("bad double '{}'", e.text_content()))),
-            "xsd:string" => Ok(Value::Str(e.text_content().into_owned())),
-            "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(e.text_content().trim())
+                .map_err(|_| ValueError::new(format!("bad double '{text}'"))),
+            "xsd:string" => Ok(Value::Str(text.into_owned())),
+            "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(text.trim())
                 .map(Value::Bytes)
                 .ok_or_else(|| ValueError::new("bad base64 payload")),
-            "SOAP-ENC:Array" => e
-                .elements()
-                .map(Value::from_element_ref)
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::List),
-            "SOAP-ENC:Struct" => e
-                .elements()
-                .map(|c| Value::from_element_ref(c).map(|v| (c.local_name().to_owned(), v)))
-                .collect::<Result<Vec<_>, _>>()
-                .map(Value::Record),
             other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
         }
     }
@@ -350,15 +330,14 @@ fn format_f64(f: f64) -> String {
     out
 }
 
-/// [`format_f64`] written into the caller's buffer (no intermediate
+/// [`format_f64`] written into the caller's sink (no intermediate
 /// `String` on the marshal hot path).
-fn write_f64(f: f64, out: &mut String) {
-    use std::fmt::Write as _;
+fn write_f64<O: XmlOut + ?Sized>(f: f64, out: &mut O) {
     // Keep integral doubles distinguishable from xsd:long on re-parse.
     if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-        write!(out, "{f:.1}").expect("string write")
+        out.put_fmt(format_args!("{f:.1}"));
     } else {
-        write!(out, "{f}").expect("string write")
+        out.put_fmt(format_args!("{f}"));
     }
 }
 
@@ -394,9 +373,8 @@ pub fn base64_encode(data: &[u8]) -> String {
     out
 }
 
-/// [`base64_encode`] written into the caller's buffer.
-pub fn base64_encode_into(data: &[u8], out: &mut String) {
-    out.reserve(data.len().div_ceil(3) * 4);
+/// [`base64_encode`] written into the caller's sink.
+pub fn base64_encode_into<O: XmlOut + ?Sized>(data: &[u8], out: &mut O) {
     for chunk in data.chunks(3) {
         let b = [
             chunk[0],
@@ -404,18 +382,21 @@ pub fn base64_encode_into(data: &[u8], out: &mut String) {
             chunk.get(2).copied().unwrap_or(0),
         ];
         let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        out.push(B64[(n >> 18) as usize & 63] as char);
-        out.push(B64[(n >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 {
-            B64[(n >> 6) as usize & 63] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            B64[n as usize & 63] as char
-        } else {
-            '='
-        });
+        let quad = [
+            B64[(n >> 18) as usize & 63],
+            B64[(n >> 12) as usize & 63],
+            if chunk.len() > 1 {
+                B64[(n >> 6) as usize & 63]
+            } else {
+                b'='
+            },
+            if chunk.len() > 2 {
+                B64[n as usize & 63]
+            } else {
+                b'='
+            },
+        ];
+        out.put(std::str::from_utf8(&quad).expect("base64 alphabet is ASCII"));
     }
 }
 
@@ -468,10 +449,15 @@ pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// Decodes a document whose root element is one value.
+    fn decode(doc: &str) -> Result<Value, ValueError> {
+        let mut r = Reader::new(doc);
+        r.next().unwrap();
+        Value::decode(&mut r).unwrap()
+    }
+
     fn round_trip(v: &Value) -> Value {
-        let e = v.to_element("arg");
-        let reparsed = minixml::parse(&e.to_document()).unwrap();
-        Value::from_element(&reparsed).unwrap()
+        decode(&v.to_element("arg").to_document()).unwrap()
     }
 
     #[test]
@@ -518,8 +504,10 @@ mod tests {
     #[test]
     fn untyped_elements_decode_as_strings() {
         // Lenient like Apache SOAP: missing xsi:type means string.
-        let e = minixml::parse("<arg>plain</arg>").unwrap();
-        assert_eq!(Value::from_element(&e).unwrap(), Value::Str("plain".into()));
+        assert_eq!(
+            decode("<arg>plain</arg>").unwrap(),
+            Value::Str("plain".into())
+        );
     }
 
     #[test]
@@ -531,8 +519,7 @@ mod tests {
             r#"<a xsi:type="SOAP-ENC:base64">!!!</a>"#,
             r#"<a xsi:type="vendor:custom">x</a>"#,
         ] {
-            let e = minixml::parse(xml).unwrap();
-            assert!(Value::from_element(&e).is_err(), "{xml}");
+            assert!(decode(xml).is_err(), "{xml}");
         }
     }
 
@@ -598,23 +585,26 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_decode_matches_owned() {
+    fn streamed_decode_matches_tree_oracle() {
         for v in edge_values() {
             let doc = v.to_element("arg").to_document();
-            let owned = Value::from_element(&minixml::parse(&doc).unwrap()).unwrap();
-            let borrowed = Value::from_element_ref(&minixml::parse_ref(&doc).unwrap()).unwrap();
-            assert_eq!(borrowed, owned, "value {v}");
-            assert_eq!(borrowed, v, "value {v}");
+            let tree =
+                crate::oracle::value_from_element_ref(&minixml::parse_ref(&doc).unwrap()).unwrap();
+            assert_eq!(decode(&doc).unwrap(), tree, "value {v}");
+            assert_eq!(tree, v, "value {v}");
         }
-        // Bad payloads fail identically on both tiers.
+        // Bad payloads fail identically on both paths, and a scalar's
+        // child elements are skipped, not decoded.
         for xml in [
             r#"<a xsi:type="xsd:int">notanumber</a>"#,
             r#"<a xsi:type="vendor:custom">x</a>"#,
+            r#"<a xsi:type="xsd:int"> 7 <b xsi:type="bogus"/></a>"#,
+            r#"<a xsi:type="SOAP-ENC:Struct"><b xsi:type="xsd:int">x</b><c xsi:type="bogus"/></a>"#,
+            r#"<a xsi:type="xsd:string"> <b/> </a>"#,
+            r#"<a xsi:type="xsd:&#115;tring" xsi:nil="false">&lt;x&gt;</a>"#,
         ] {
-            let owned = Value::from_element(&minixml::parse(xml).unwrap());
-            let borrowed = Value::from_element_ref(&minixml::parse_ref(xml).unwrap());
-            assert_eq!(owned, borrowed, "{xml}");
-            assert!(owned.is_err());
+            let tree = crate::oracle::value_from_element_ref(&minixml::parse_ref(xml).unwrap());
+            assert_eq!(decode(xml), tree, "{xml}");
         }
     }
 

@@ -29,7 +29,7 @@ fn main() {
     // --- An independent TV-guide web service across the WAN ----------------
     let inet = Network::internet(&sim);
     let guide_server = SoapServer::bind(&inet, "tvguide.example.org");
-    guide_server.mount("urn:tvguide", |_, call: &RpcCall| {
+    guide_server.mount("urn:tvguide", |_, call: &mut RpcCall| {
         let genre = call.get("genre").and_then(Value::as_str).unwrap_or("");
         // The broadcaster's schedule (start times in virtual seconds).
         let listings = [
