@@ -20,13 +20,16 @@ pub(crate) const EVENT_ARG: &str = "event";
 /// Knobs of the adaptive flush policy (Nagle-with-a-deadline) and the
 /// per-peer backpressure bound.
 ///
-/// The flush rule: work for an *idle* peer (its queue is empty) goes
-/// out immediately, so a lone call or event pays no coalescing tax;
-/// under load, members coalesce until the batch reaches
+/// The flush rule of the event fan-out: work for an *idle* peer (its
+/// queue is empty) goes out immediately, so a lone event pays no
+/// coalescing tax; under load, members coalesce until the batch reaches
 /// [`BatchPolicy::max_batch`] members or the oldest queued member has
-/// waited [`BatchPolicy::max_delay`], whichever comes first. A queue
-/// that reaches [`BatchPolicy::max_queue`] rejects further members with
-/// [`crate::MetaError::Overloaded`] instead of growing without bound.
+/// waited [`BatchPolicy::max_delay`], whichever comes first.
+/// [`crate::Vsg::invoke_batch`] receives its members all at once, so it
+/// reads no timer: it cuts each peer's queue into frames of at most
+/// `max_batch` members. A queue that reaches [`BatchPolicy::max_queue`]
+/// rejects further members with [`crate::MetaError::Overloaded`]
+/// instead of growing without bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Master switch; `false` reproduces the unbatched wire exactly.

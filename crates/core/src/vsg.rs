@@ -35,9 +35,48 @@ struct LocalEntry {
     composite: bool,
 }
 
-/// Receives event notifications that arrived as batch members over the
-/// gateway-to-gateway wire.
+/// Receives the event notifications addressed to this gateway's
+/// services, from local batch members and from the wire alike.
 type EventSink = Box<dyn FnMut(&Sim, &str, &Value) + Send>;
+
+/// How a route was learned — from a live cache entry, from the VSR just
+/// now, or from a stale entry while the VSR is unreachable. It decides
+/// what a call's answer teaches the cache (see [`Vsg::learn`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Learned {
+    Cache,
+    Vsr,
+    Stale,
+}
+
+/// Where a service lives: its record, its gateway's backbone node, and
+/// how this gateway learned that.
+struct Route {
+    record: Arc<ServiceRecord>,
+    gw_node: NodeId,
+    learned: Learned,
+}
+
+/// One round of a batch's remote members. Each service is routed once
+/// per round; members queue per peer gateway.
+#[derive(Default)]
+struct BatchRound<'a> {
+    /// Whether routes may come from the cache: in the first round only.
+    use_cache: bool,
+    /// Each service routed so far, with its route.
+    routes: Vec<(&'a str, Route)>,
+    peers: Vec<PeerQueue>,
+}
+
+/// Members bound for one remote gateway, queued in submission order
+/// (kept as parallel vectors so a chunk of requests can be borrowed
+/// mutably for the wire without cloning).
+struct PeerQueue {
+    gw_node: NodeId,
+    /// Each member's item index and its route's index in the round.
+    members: Vec<(usize, usize)>,
+    reqs: Vec<VsgRequest>,
+}
 
 struct VsgInner {
     name: String,
@@ -270,14 +309,13 @@ impl Vsg {
         args: &[(String, Value)],
         policy: Option<&ResiliencePolicy>,
     ) -> Result<Value, MetaError> {
-        let tracer = &self.inner.tracer;
         let scope = self.scope(sim, HopKind::ClientProxy, || {
             format!("{service}.{operation}")
         });
-        let result = if self.inner.local.lock().contains_key(service) {
+        let result = if self.is_local(service) {
             dispatch_local(
                 &self.inner.local,
-                tracer,
+                &self.inner.tracer,
                 &self.inner.metrics,
                 sim,
                 service,
@@ -285,10 +323,16 @@ impl Vsg {
                 args,
             )
         } else {
-            self.invoke_remote(sim, service, operation, args, policy)
+            let mut req = VsgRequest::new(service, operation);
+            req.args = args.to_vec();
+            self.invoke_remote(sim, req, policy)
         };
         scope.finish_invocation(service, &result);
         result
+    }
+
+    fn is_local(&self, service: &str) -> bool {
+        self.inner.local.lock().contains_key(service)
     }
 
     // ---- batched invocation (the multiplexed wire) -----------------------
@@ -304,141 +348,152 @@ impl Vsg {
         self.inner.batching.lock().clone()
     }
 
-    /// Installs the receiver for event notifications that arrive as
-    /// batch members over the gateway-to-gateway wire; `handler` gets
-    /// `(service, event)` per delivered member. Replaces any previous
-    /// sink.
+    /// Installs the receiver for the event notifications batches send
+    /// to this gateway's services, from local callers or over the wire;
+    /// `handler` gets `(service, event)` per delivered member. Replaces
+    /// any previous sink.
     pub fn set_event_sink(&self, handler: impl FnMut(&Sim, &str, &Value) + Send + 'static) {
         *self.inner.event_sink.lock() = Some(Box::new(handler));
     }
 
-    /// Invokes a batch of work, coalescing members bound for the same
-    /// remote gateway into shared wire frames (chunked by
-    /// [`BatchPolicy::max_batch`]), and returns one result per item in
-    /// item order.
+    /// Invokes a batch of work and returns one result per item, in item
+    /// order. Every member routes, recovers from a stale route and
+    /// degrades while the VSR is down exactly as [`Vsg::invoke`] does.
     ///
-    /// Semantics match per-item [`Vsg::invoke`]: local members dispatch
-    /// directly, application faults stay per member, and order is
-    /// preserved per peer. A whole-frame transport failure is applied
-    /// to every member of that frame; a lost frame containing any
-    /// non-idempotent member is never re-sent (the no-double-invoke
-    /// guarantee extends to batches). Members beyond
-    /// [`BatchPolicy::max_queue`] for one peer are rejected with
-    /// [`MetaError::Overloaded`] — backpressure, not silent queueing.
-    /// With batching disabled every item takes the ordinary unbatched
-    /// path, one wire exchange each.
+    /// With batching enabled, local members dispatch in place and remote
+    /// ones queue per peer gateway, in submission order, for frames of at
+    /// most [`BatchPolicy::max_batch`] members (0 counts as 1). A frame's
+    /// transport failure answers every member aboard; a lost frame with
+    /// a non-idempotent member is never re-sent. Past
+    /// [`BatchPolicy::max_queue`] members per peer, the rest get
+    /// [`MetaError::Overloaded`]; no flush timer applies. With batching
+    /// disabled, a call item is [`Vsg::invoke`] and a remote event item
+    /// the same call carrying the reserved event operation.
     pub fn invoke_batch(&self, sim: &Sim, items: &[BatchItem]) -> Vec<Result<Value, MetaError>> {
         let policy = self.inner.batching.lock().clone();
         if !policy.enabled {
             return items
                 .iter()
-                .map(|item| self.invoke_item_unbatched(sim, item))
+                .map(|item| match item {
+                    BatchItem::Call(call) => {
+                        self.invoke(sim, &call.service, &call.operation, &call.args)
+                    }
+                    BatchItem::Event { service, event } if self.is_local(service) => {
+                        deliver_event(&self.inner.event_sink, sim, service, event)
+                    }
+                    BatchItem::Event { .. } => self.invoke_remote(sim, item_request(item), None),
+                })
                 .collect();
         }
         let started = sim.now();
-        let tracer = &self.inner.tracer;
+        let resilience = self.resilience();
         let _root = self.scope(sim, HopKind::ClientProxy, || {
             format!("batch[{}]", items.len())
         });
         let mut results: Vec<Option<Result<Value, MetaError>>> =
             (0..items.len()).map(|_| None).collect();
-
-        // Members bound for one remote gateway, queued in submission
-        // order (kept as parallel vectors so a chunk of requests can be
-        // borrowed mutably for the wire without cloning).
-        struct PeerQueue {
-            gw_node: NodeId,
-            gateway: String,
-            indices: Vec<usize>,
-            reqs: Vec<VsgRequest>,
-            idempotent: Vec<bool>,
-        }
-        let mut peers: Vec<PeerQueue> = Vec::new();
-
-        for (i, item) in items.iter().enumerate() {
-            let (service, req, declared_idempotent) = match item {
-                BatchItem::Call(call) => {
-                    if self.inner.local.lock().contains_key(&call.service) {
-                        // No wire to coalesce for: dispatch in place.
-                        let r = dispatch_local(
-                            &self.inner.local,
-                            tracer,
-                            &self.inner.metrics,
-                            sim,
-                            &call.service,
-                            &call.operation,
-                            &call.args,
-                        );
-                        self.record_member(sim, &call.service, started, &r);
-                        results[i] = Some(r);
-                        continue;
-                    }
-                    let mut req = VsgRequest::new(&call.service, &call.operation);
-                    req.args = call.args.clone();
-                    (call.service.as_str(), req, None)
-                }
-                BatchItem::Event { service, event } => {
-                    if self.inner.local.lock().contains_key(service) {
-                        if let Some(sink) = self.inner.event_sink.lock().as_mut() {
-                            sink(sim, service, event);
-                        }
-                        let r = Ok(Value::Null);
-                        self.record_member(sim, service, started, &r);
-                        results[i] = Some(r);
-                        continue;
-                    }
-                    let req =
-                        VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone());
-                    // A duplicated notification is tolerable; a dropped
-                    // one is not — events never block a frame re-send.
-                    (service.as_str(), req, Some(true))
-                }
+        // Round one leaves unanswered only members whose cached route
+        // proved stale: they did not execute, so round two may re-send
+        // them, and routing past the cache, it answers every one.
+        for use_cache in [true, false] {
+            let mut round = BatchRound {
+                use_cache,
+                ..BatchRound::default()
             };
-            let (record, gw_node) = match self.resolve_route(service) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    let r = Err(e);
-                    self.record_member(sim, service, started, &r);
-                    results[i] = Some(r);
+            for (i, item) in items.iter().enumerate() {
+                if results[i].is_some() {
                     continue;
                 }
-            };
-            let idempotent =
-                declared_idempotent.unwrap_or_else(|| op_is_idempotent(&record, &req.operation));
-            let pidx = peers
-                .iter()
-                .position(|p| p.gw_node == gw_node)
-                .unwrap_or_else(|| {
-                    peers.push(PeerQueue {
-                        gw_node,
-                        gateway: record.gateway.clone(),
-                        indices: Vec::new(),
-                        reqs: Vec::new(),
-                        idempotent: Vec::new(),
-                    });
-                    peers.len() - 1
-                });
-            let peer = &mut peers[pidx];
-            if peer.reqs.len() >= policy.max_queue {
-                let r = Err(MetaError::Overloaded {
-                    gateway: peer.gateway.clone(),
-                    queued: peer.reqs.len() as u64,
-                });
-                self.record_member(sim, service, started, &r);
-                results[i] = Some(r);
-                continue;
+                let answer = match item {
+                    BatchItem::Call(call) if self.is_local(&call.service) => dispatch_local(
+                        &self.inner.local,
+                        &self.inner.tracer,
+                        &self.inner.metrics,
+                        sim,
+                        &call.service,
+                        &call.operation,
+                        &call.args,
+                    ),
+                    BatchItem::Event { service, event } if self.is_local(service) => {
+                        deliver_event(&self.inner.event_sink, sim, service, event)
+                    }
+                    _ => match self.enqueue(sim, &mut round, i, item, &resilience, &policy) {
+                        Ok(()) => continue,
+                        Err(e) => Err(e),
+                    },
+                };
+                results[i] = Some(self.record_member(sim, item_service(item), started, answer));
             }
-            peer.indices.push(i);
-            peer.reqs.push(req);
-            peer.idempotent.push(idempotent);
+            self.flush(sim, round, &policy, started, &resilience, &mut results);
         }
+        results
+            .into_iter()
+            .map(|r| r.expect("the second round answers every member"))
+            .collect()
+    }
 
-        let resilience = self.resilience();
-        for mut peer in peers {
+    /// Routes remote batch member `i` and queues it for its peer
+    /// gateway. A service routed earlier in the round keeps its route.
+    fn enqueue<'a>(
+        &self,
+        sim: &Sim,
+        round: &mut BatchRound<'a>,
+        i: usize,
+        item: &'a BatchItem,
+        resilience: &ResiliencePolicy,
+        policy: &BatchPolicy,
+    ) -> Result<(), MetaError> {
+        let service = item_service(item);
+        let r = match round.routes.iter().position(|(s, _)| *s == service) {
+            Some(r) => r,
+            None => {
+                let route = self.route(sim, service, resilience, round.use_cache)?;
+                round.routes.push((service, route));
+                round.routes.len() - 1
+            }
+        };
+        let route = &round.routes[r].1;
+        let p = match round.peers.iter().position(|p| p.gw_node == route.gw_node) {
+            Some(p) => p,
+            None => {
+                round.peers.push(PeerQueue {
+                    gw_node: route.gw_node,
+                    members: Vec::new(),
+                    reqs: Vec::new(),
+                });
+                round.peers.len() - 1
+            }
+        };
+        let peer = &mut round.peers[p];
+        if peer.reqs.len() >= policy.max_queue {
+            return Err(MetaError::Overloaded {
+                gateway: route.record.gateway.clone(),
+                queued: peer.reqs.len() as u64,
+            });
+        }
+        peer.members.push((i, r));
+        peer.reqs.push(item_request(item));
+        Ok(())
+    }
+
+    /// Sends each peer's queued members in frames of at most
+    /// [`BatchPolicy::max_batch`] (0 counts as 1) and teaches the route
+    /// cache from every member's answer. A member whose cached route
+    /// proved stale is left unanswered in `results`.
+    fn flush(
+        &self,
+        sim: &Sim,
+        round: BatchRound<'_>,
+        policy: &BatchPolicy,
+        started: SimTime,
+        resilience: &ResiliencePolicy,
+        results: &mut [Option<Result<Value, MetaError>>],
+    ) {
+        let chunk = policy.max_batch.max(1);
+        for mut peer in round.peers {
             let n = peer.reqs.len();
-            let mut start = 0;
-            while start < n {
-                let end = (start + policy.max_batch).min(n);
+            for start in (0..n).step_by(chunk) {
+                let end = (start + chunk).min(n);
                 // Everything queued behind earlier frames to this (or
                 // another) peer waited from submission until now — the
                 // coalescing delay the queue-wait histogram exposes.
@@ -446,124 +501,147 @@ impl Vsg {
                 for _ in start..end {
                     self.inner.metrics.record_queue_wait(wait_us);
                 }
+                let route = |k: usize| &round.routes[peer.members[k].1].1;
                 // An ambiguous frame loss is re-sent only when *every*
                 // member is idempotent: the remote may have executed all
                 // of them.
-                let all_idempotent = peer.idempotent[start..end].iter().all(|b| *b);
-                let outcome = self.resilient_wire_call(
+                let all_idempotent = (start..end)
+                    .all(|k| op_is_idempotent(&route(k).record, &peer.reqs[k].operation));
+                let answers = match self.resilient_wire_call(
                     sim,
-                    peer.gw_node,
-                    &peer.gateway,
+                    route(start),
                     &mut peer.reqs[start..end],
                     true,
                     all_idempotent,
                     started,
-                    &resilience,
-                    |reqs| self.wire_batch_call(sim, peer.gw_node, &peer.gateway, reqs),
-                );
-                match outcome {
-                    Ok(rs) => {
-                        for (k, r) in rs.into_iter().enumerate() {
-                            self.record_member(sim, &peer.reqs[start + k].service, started, &r);
-                            results[peer.indices[start + k]] = Some(r);
-                        }
-                    }
-                    Err(e) => {
-                        for k in start..end {
-                            let r = Err(e.clone());
-                            self.record_member(sim, &peer.reqs[k].service, started, &r);
-                            results[peer.indices[k]] = Some(r);
-                        }
+                    resilience,
+                    |reqs| self.wire_batch_call(sim, route(start), reqs),
+                ) {
+                    // Every protocol answers a frame member for member.
+                    Ok(answers) => answers,
+                    Err(e) => vec![Err(e); end - start],
+                };
+                for (k, answer) in (start..end).zip(answers) {
+                    let (i, service) = (peer.members[k].0, &peer.reqs[k].service);
+                    if !self.learn(service, route(k), &answer) {
+                        results[i] = Some(self.record_member(sim, service, started, answer));
                     }
                 }
-                start = end;
-            }
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| Err(MetaError::Protocol("batch member lost".into()))))
-            .collect()
-    }
-
-    /// The unbatched fallback for one batch item: calls route through
-    /// [`Vsg::invoke`]; events go out as single event-operation frames.
-    fn invoke_item_unbatched(&self, sim: &Sim, item: &BatchItem) -> Result<Value, MetaError> {
-        match item {
-            BatchItem::Call(call) => self.invoke(sim, &call.service, &call.operation, &call.args),
-            BatchItem::Event { service, event } => {
-                if self.inner.local.lock().contains_key(service) {
-                    if let Some(sink) = self.inner.event_sink.lock().as_mut() {
-                        sink(sim, service, event);
-                    }
-                    return Ok(Value::Null);
-                }
-                let (record, gw_node) = self.resolve_route(service)?;
-                let mut req =
-                    VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone());
-                self.resilient_wire_call(
-                    sim,
-                    gw_node,
-                    &record.gateway,
-                    std::slice::from_mut(&mut req),
-                    false,
-                    true,
-                    sim.now(),
-                    &self.resilience(),
-                    |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
-                )
             }
         }
     }
 
-    /// Records one batch member in the invocation metrics, mirroring
-    /// what [`Vsg::invoke`] records per call.
+    /// Records one batch member's answer in the invocation metrics,
+    /// mirroring what [`Vsg::invoke`] records per call, and returns it.
     fn record_member(
         &self,
         sim: &Sim,
         service: &str,
         started: SimTime,
-        result: &Result<Value, MetaError>,
-    ) {
+        answer: Result<Value, MetaError>,
+    ) -> Result<Value, MetaError> {
+        let kind = answer.as_ref().err().map(MetaError::kind);
         let elapsed_us = (sim.now() - started).as_micros();
-        self.inner.metrics.record(
-            service,
-            elapsed_us,
-            result.as_ref().err().map(MetaError::kind),
-        );
+        self.inner.metrics.record(service, elapsed_us, kind);
+        answer
     }
 
-    /// Resolves `service` to its record and serving gateway node via
-    /// the cache, falling back to the VSR (and filling the cache, both
-    /// positively and negatively) — the route half of
-    /// [`Vsg::invoke_remote`] without the call.
-    fn resolve_route(&self, service: &str) -> Result<(Arc<ServiceRecord>, NodeId), MetaError> {
-        let looked_up = self.inner.rescache.lock().lookup(service);
-        match looked_up {
-            Lookup::Hit(record, gw_node) => return Ok((record, gw_node)),
+    /// Finds `service`'s route: a live cache entry when `use_cache`,
+    /// else the VSR's, else — the VSR unreachable and `policy` allowing
+    /// degraded reads — a stale entry. A definitive "unknown" is cached
+    /// negatively; a fresh route only once answered ([`Vsg::learn`]).
+    fn route(
+        &self,
+        sim: &Sim,
+        service: &str,
+        policy: &ResiliencePolicy,
+        use_cache: bool,
+    ) -> Result<Route, MetaError> {
+        // A warm entry carries the full record and the serving gateway's
+        // node — zero VSR round trips.
+        let looked_up = if use_cache {
+            self.inner.rescache.lock().lookup(service)
+        } else {
+            Lookup::Miss
+        };
+        let label = looked_up.label();
+        if !matches!(looked_up, Lookup::Miss) {
+            self.inner
+                .tracer
+                .note(sim, HopKind::CacheHit, || format!("{label} {service}"));
+        }
+        let (record, gw_node, learned) = match looked_up {
+            Lookup::Hit(record, gw_node) => (record, gw_node, Learned::Cache),
             Lookup::NegativeHit => return Err(MetaError::UnknownService(service.to_owned())),
-            Lookup::Miss => {}
-        }
-        match self.inner.vsr.resolve(service) {
-            Ok(record) => {
-                let gw_node = self
-                    .inner
-                    .vsr
-                    .gateway_node(&record.gateway)
-                    .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
-                let record = Arc::new(record);
-                self.inner
-                    .rescache
-                    .lock()
-                    .insert_resolved(service, record.clone(), gw_node);
-                Ok((record, gw_node))
+            Lookup::Miss => match self.inner.vsr.resolve(service) {
+                Ok(record) => {
+                    let gw_node = self
+                        .inner
+                        .vsr
+                        .gateway_node(&record.gateway)
+                        .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
+                    (Arc::new(record), gw_node, Learned::Vsr)
+                }
+                Err(MetaError::UnknownService(name)) => {
+                    // Definitive answer from the repository — cacheable.
+                    self.inner.rescache.lock().insert_negative(service);
+                    return Err(MetaError::UnknownService(name));
+                }
+                // The VSR itself is unreachable. Degraded mode: a stale
+                // (previously invalidated) route beats failing the call
+                // — §3.1's backbone still works when discovery is down.
+                Err(e) if e.is_transport_failure() => {
+                    let (record, gw_node) = policy
+                        .degraded_reads
+                        .then(|| self.inner.rescache.lock().stale_lookup(service))
+                        .flatten()
+                        .ok_or(e)?;
+                    self.inner.metrics.record_degraded_serve();
+                    self.inner.tracer.note(sim, HopKind::Resilience, || {
+                        format!(
+                            "degraded: VSR down, stale route for {service} via {}",
+                            record.gateway
+                        )
+                    });
+                    (record, gw_node, Learned::Stale)
+                }
+                Err(e) => return Err(e),
+            },
+        };
+        Ok(Route {
+            record,
+            gw_node,
+            learned,
+        })
+    }
+
+    /// What `answer`, a call's answer over `route`, teaches the cache —
+    /// one rule for calls, batch members and events. Only a retry-safe
+    /// error proves a route wrong (and that the call did not execute);
+    /// it invalidates a cached route. Any other answer proves the route:
+    /// a fresh resolution is cached, and a stale route is re-promoted
+    /// by a success. Returns whether a cached route proved stale, so
+    /// the caller re-routes once, past the cache.
+    fn learn(&self, service: &str, route: &Route, answer: &Result<Value, MetaError>) -> bool {
+        let route_failed = matches!(answer, Err(e) if e.is_retry_safe());
+        let promote = match route.learned {
+            Learned::Cache => {
+                if route_failed {
+                    self.inner.rescache.lock().invalidate(service);
+                }
+                return route_failed;
             }
-            Err(MetaError::UnknownService(name)) => {
-                self.inner.rescache.lock().insert_negative(service);
-                Err(MetaError::UnknownService(name))
-            }
-            Err(e) => Err(e),
+            Learned::Vsr => !route_failed,
+            Learned::Stale => answer.is_ok(),
+        };
+        if promote {
+            let (record, gw_node) = (route.record.clone(), route.gw_node);
+            self.inner
+                .rescache
+                .lock()
+                .insert_resolved(service, record, gw_node);
         }
+        false
     }
 
     /// One batch frame exchange under a `vsg-wire` span. The frame span
@@ -573,17 +651,17 @@ impl Vsg {
     fn wire_batch_call(
         &self,
         sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
+        route: &Route,
         reqs: &mut [VsgRequest],
     ) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
         let tracer = &self.inner.tracer;
         let mut scope = self
             .scope(sim, HopKind::VsgWire, || {
                 format!(
-                    "batch of {} via {} to {gateway}",
+                    "batch of {} via {} to {}",
                     reqs.len(),
-                    self.inner.protocol.name()
+                    self.inner.protocol.name(),
+                    route.record.gateway
                 )
             })
             .bytes_from(&self.inner.backbone);
@@ -591,10 +669,12 @@ impl Vsg {
         for req in reqs.iter_mut() {
             req.trace = ctx;
         }
-        let result =
-            self.inner
-                .protocol
-                .call_batch(&self.inner.backbone, self.inner.node, gw_node, reqs);
+        let result = self.inner.protocol.call_batch(
+            &self.inner.backbone,
+            self.inner.node,
+            route.gw_node,
+            reqs,
+        );
         match &result {
             Ok(members) if scope.trace_id().is_some() && !reqs.is_empty() => {
                 let bytes = scope.take_bytes();
@@ -616,169 +696,40 @@ impl Vsg {
         result
     }
 
+    /// Sends `req` to its service's gateway under `policy` (this
+    /// gateway's own when `None`): route, send, learn — and once more,
+    /// past the cache, when the cached route proved stale.
     fn invoke_remote(
         &self,
         sim: &Sim,
-        service: &str,
-        operation: &str,
-        args: &[(String, Value)],
-        policy_override: Option<&ResiliencePolicy>,
+        mut req: VsgRequest,
+        policy: Option<&ResiliencePolicy>,
     ) -> Result<Value, MetaError> {
-        let mut req = VsgRequest::new(service, operation);
-        req.args = args.to_vec();
         // The invocation's deadline spans everything that follows:
         // cached attempt, re-resolution, retries, and backoff waits.
         let started = sim.now();
-        let policy = policy_override
-            .cloned()
-            .unwrap_or_else(|| self.inner.resilience.lock().clone());
-
-        // Fast path: a warm cache entry carries the full record and the
-        // serving gateway's node — zero VSR round trips. (Bound to a
-        // local so the cache guard is released before the network call.)
-        let looked_up = self.inner.rescache.lock().lookup(service);
-        let looked_up_label = looked_up.label();
-        match looked_up {
-            Lookup::Hit(record, gw_node) => {
-                self.inner.tracer.note(sim, HopKind::CacheHit, || {
-                    format!("{looked_up_label} {service}")
-                });
-                let idempotent = op_is_idempotent(&record, operation);
-                match self.resilient_wire_call(
-                    sim,
-                    gw_node,
-                    &record.gateway,
-                    std::slice::from_mut(&mut req),
-                    false,
-                    idempotent,
-                    started,
-                    &policy,
-                    |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
-                ) {
-                    Ok(v) => return Ok(v),
-                    // Only errors that guarantee the operation did not
-                    // execute (gateway gone, stale route) may evict and
-                    // retry over a fresh resolution. An application
-                    // fault means the remote side processed the call:
-                    // re-invoking could double-apply a non-idempotent
-                    // operation, so it propagates as-is.
-                    Err(e) if e.is_retry_safe() => {
-                        self.inner.rescache.lock().invalidate(service);
-                    }
-                    Err(e) => return Err(e),
-                }
+        let policy = policy.cloned().unwrap_or_else(|| self.resilience());
+        let mut use_cache = true;
+        loop {
+            let route = self.route(sim, &req.service, &policy, use_cache)?;
+            let idempotent = op_is_idempotent(&route.record, &req.operation);
+            let answer = self.resilient_wire_call(
+                sim,
+                &route,
+                std::slice::from_mut(&mut req),
+                false,
+                idempotent,
+                started,
+                &policy,
+                |r| self.wire_call(sim, &route, &mut r[0]),
+            );
+            // Only a cached route can prove stale, so this re-routes at
+            // most once.
+            if !self.learn(&req.service, &route, &answer) {
+                return answer;
             }
-            Lookup::NegativeHit => {
-                self.inner.tracer.note(sim, HopKind::CacheHit, || {
-                    format!("{looked_up_label} {service}")
-                });
-                return Err(MetaError::UnknownService(service.to_owned()));
-            }
-            Lookup::Miss => {}
+            use_cache = false;
         }
-
-        // Slow path: resolve via the VSR and fill the cache.
-        let record = match self.inner.vsr.resolve(service) {
-            Ok(r) => r,
-            Err(MetaError::UnknownService(name)) => {
-                // Definitive answer from the repository — cacheable.
-                self.inner.rescache.lock().insert_negative(service);
-                return Err(MetaError::UnknownService(name));
-            }
-            // The VSR itself is unreachable. Degraded mode: a stale
-            // (previously invalidated) route beats failing the call —
-            // §3.1's backbone still works even when discovery is down.
-            Err(e) if e.is_transport_failure() => {
-                return self
-                    .invoke_degraded(sim, service, operation, &mut req, started, e, &policy);
-            }
-            Err(e) => return Err(e),
-        };
-        let gw_node = self
-            .inner
-            .vsr
-            .gateway_node(&record.gateway)
-            .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
-        let idempotent = op_is_idempotent(&record, operation);
-        let result = self.resilient_wire_call(
-            sim,
-            gw_node,
-            &record.gateway,
-            std::slice::from_mut(&mut req),
-            false,
-            idempotent,
-            started,
-            &policy,
-            |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
-        );
-        // Cache the resolution unless the call failed in a way that
-        // leaves the route in doubt (an application fault proves the
-        // remote gateway serves this record, so the route is good).
-        match &result {
-            Ok(_) => {
-                self.inner
-                    .rescache
-                    .lock()
-                    .insert_resolved(service, record, gw_node);
-            }
-            Err(e) if !e.is_retry_safe() => {
-                self.inner
-                    .rescache
-                    .lock()
-                    .insert_resolved(service, record, gw_node);
-            }
-            Err(_) => {}
-        }
-        result
-    }
-
-    /// The VSR is down. If degraded reads are allowed and an
-    /// invalidated route survives in the cache, serve over it; a
-    /// success re-promotes the route to resolved. Otherwise the
-    /// original resolution error propagates.
-    #[allow(clippy::too_many_arguments)]
-    fn invoke_degraded(
-        &self,
-        sim: &Sim,
-        service: &str,
-        operation: &str,
-        req: &mut VsgRequest,
-        started: SimTime,
-        resolve_err: MetaError,
-        policy: &ResiliencePolicy,
-    ) -> Result<Value, MetaError> {
-        if !policy.degraded_reads {
-            return Err(resolve_err);
-        }
-        let Some((record, gw_node)) = self.inner.rescache.lock().stale_lookup(service) else {
-            return Err(resolve_err);
-        };
-        self.inner.metrics.record_degraded_serve();
-        self.inner.tracer.note(sim, HopKind::Resilience, || {
-            format!(
-                "degraded: VSR down, stale route for {service} via {}",
-                record.gateway
-            )
-        });
-        let idempotent = op_is_idempotent(&record, operation);
-        let result = self.resilient_wire_call(
-            sim,
-            gw_node,
-            &record.gateway,
-            std::slice::from_mut(req),
-            false,
-            idempotent,
-            started,
-            policy,
-            |r| self.wire_call(sim, gw_node, &record.gateway, &mut r[0]),
-        );
-        if result.is_ok() {
-            self.inner
-                .rescache
-                .lock()
-                .insert_resolved(service, record, gw_node);
-        }
-        result
     }
 
     /// One logical wire call under the resilience policy: `send` puts
@@ -793,8 +744,7 @@ impl Vsg {
     fn resilient_wire_call<T>(
         &self,
         sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
+        route: &Route,
         reqs: &mut [VsgRequest],
         batch: bool,
         idempotent: bool,
@@ -802,6 +752,7 @@ impl Vsg {
         policy: &ResiliencePolicy,
         send: impl Fn(&mut [VsgRequest]) -> Result<T, MetaError>,
     ) -> Result<T, MetaError> {
+        let (gw_node, gateway) = (route.gw_node, route.record.gateway.as_str());
         let (admitted, moved) = self.inner.breakers.admit(gw_node, sim.now());
         self.report_breaker(sim, gateway, moved);
         if !admitted {
@@ -882,21 +833,20 @@ impl Vsg {
     fn wire_call(
         &self,
         sim: &Sim,
-        gw_node: NodeId,
-        gateway: &str,
+        route: &Route,
         req: &mut VsgRequest,
     ) -> Result<Value, MetaError> {
         let tracer = &self.inner.tracer;
         let scope = self
             .scope(sim, HopKind::VsgWire, || {
-                format!("{} to {gateway}", self.inner.protocol.name())
+                format!("{} to {}", self.inner.protocol.name(), route.record.gateway)
             })
             .bytes_from(&self.inner.backbone);
         req.trace = tracer.current_context();
-        let result = self
-            .inner
-            .protocol
-            .call(&self.inner.backbone, self.inner.node, gw_node, req);
+        let result =
+            self.inner
+                .protocol
+                .call(&self.inner.backbone, self.inner.node, route.gw_node, req);
         scope.finish(&result);
         result
     }
@@ -908,12 +858,20 @@ impl Vsg {
         self.inner.vsr.resolve(service)
     }
 
-    /// Resolves a service record through the resolution cache: a warm
-    /// entry costs zero VSR round trips; a miss resolves, learns the
-    /// serving gateway's node, and fills the cache.
+    /// Resolves a service record the way an invocation routes: a warm
+    /// cache entry costs zero VSR round trips, a miss resolves and fills
+    /// the cache, and with the VSR down degraded reads serve a stale
+    /// entry (left stale: no call has confirmed it).
     pub fn resolve_cached(&self, service: &str) -> Result<ServiceRecord, MetaError> {
-        self.resolve_route(service)
-            .map(|(record, _)| ServiceRecord::clone(&record))
+        let route = self.route(self.inner.backbone.sim(), service, &self.resilience(), true)?;
+        if route.learned == Learned::Vsr {
+            self.inner.rescache.lock().insert_resolved(
+                service,
+                route.record.clone(),
+                route.gw_node,
+            );
+        }
+        Ok(ServiceRecord::clone(&route.record))
     }
 
     /// Drops all cached resolutions, forcing fresh VSR resolution on the
@@ -1045,14 +1003,53 @@ impl fmt::Debug for Vsg {
     }
 }
 
-/// Whether `operation` is declared idempotent in the resolved record's
-/// interface. Unknown operations default to *not* idempotent — the
-/// server rejects them anyway, and that answer is never ambiguous.
+/// Whether `operation` may be re-sent after an ambiguous loss: events
+/// may (a duplicate is tolerable, a drop is not); calls as the record's
+/// interface declares, unknown operations not — the server rejects
+/// them anyway, and that answer is never ambiguous.
 fn op_is_idempotent(record: &ServiceRecord, operation: &str) -> bool {
-    record
-        .interface
-        .find(operation)
-        .is_some_and(|sig| sig.idempotent)
+    operation == EVENT_OP
+        || record
+            .interface
+            .find(operation)
+            .is_some_and(|sig| sig.idempotent)
+}
+
+/// The service a batch item addresses.
+fn item_service(item: &BatchItem) -> &str {
+    match item {
+        BatchItem::Call(call) => &call.service,
+        BatchItem::Event { service, .. } => service,
+    }
+}
+
+/// The wire request for a remote batch item: an event rides the
+/// reserved event operation.
+fn item_request(item: &BatchItem) -> VsgRequest {
+    match item {
+        BatchItem::Call(call) => VsgRequest {
+            args: call.args.clone(),
+            ..VsgRequest::new(&call.service, &call.operation)
+        },
+        BatchItem::Event { service, event } => {
+            VsgRequest::new(service.as_str(), EVENT_OP).arg(EVENT_ARG, event.clone())
+        }
+    }
+}
+
+/// Hands an event about `service`, local or from the wire, to the event
+/// sink. Delivery is acknowledged even with no sink installed — events
+/// are notifications, not queries; an uninterested gateway is fine.
+fn deliver_event(
+    sink: &Mutex<Option<EventSink>>,
+    sim: &Sim,
+    service: &str,
+    event: &Value,
+) -> Result<Value, MetaError> {
+    if let Some(sink) = sink.lock().as_mut() {
+        sink(sim, service, event);
+    }
+    Ok(Value::Null)
 }
 
 /// Serves one request arriving over the gateway-to-gateway wire: joins
@@ -1070,23 +1067,15 @@ fn serve_remote(
 ) -> Result<Value, MetaError> {
     let adopted = req.trace.is_some_and(|ctx| tracer.adopt(ctx));
     let result = if req.operation == EVENT_OP {
-        let scope = Scope::child(sim, tracer, metrics, HopKind::Event, || {
+        let _scope = Scope::child(sim, tracer, metrics, HopKind::Event, || {
             format!("event {}", req.service)
         });
         let payload = req
             .args
             .iter()
             .find(|(k, _)| k == EVENT_ARG)
-            .map(|(_, v)| v.clone())
-            .unwrap_or(Value::Null);
-        if let Some(sink) = event_sink.lock().as_mut() {
-            sink(sim, &req.service, &payload);
-        }
-        // Delivery is acknowledged even with no sink installed — events
-        // are notifications, not queries; an uninterested gateway is
-        // not an error.
-        drop(scope);
-        Ok(Value::Null)
+            .map_or(&Value::Null, |(_, v)| v);
+        deliver_event(event_sink, sim, &req.service, payload)
     } else {
         let scope = Scope::child(sim, tracer, metrics, HopKind::ServerProxy, || {
             format!("{}.{}", req.service, req.operation)
@@ -1407,30 +1396,62 @@ mod tests {
         assert_eq!(vsr.service_count(), 0);
     }
 
+    /// The three ways to send one call: [`Vsg::invoke`], and a batch of
+    /// one with batching on and off.
+    fn ways() -> [Option<BatchPolicy>; 3] {
+        [
+            None,
+            Some(BatchPolicy::default()),
+            Some(BatchPolicy::disabled()),
+        ]
+    }
+
+    /// `hall-lamp.status` from `gw`, sent the way `way` names (see
+    /// [`ways`]).
+    fn lamp_status(gw: &Vsg, sim: &Sim, way: &Option<BatchPolicy>) -> Result<Value, MetaError> {
+        let Some(policy) = way else {
+            return gw.invoke(sim, "hall-lamp", "status", &[]);
+        };
+        gw.set_batching(policy.clone());
+        let item = BatchItem::Call(crate::batch::BatchCall::new("hall-lamp", "status"));
+        gw.invoke_batch(sim, &[item]).remove(0)
+    }
+
     #[test]
     fn service_move_between_gateways_serves_fresh_record() {
-        let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
-        let gw_c = Vsg::start(&net, "gw-c", gw_a.protocol().clone(), vsr.node()).unwrap();
-        export_lamp(&gw_a);
-        gw_c.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-a");
+        let runs = ways().map(|way| {
+            let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+            let gw_c = Vsg::start(&net, "gw-c", gw_a.protocol().clone(), vsr.node()).unwrap();
+            export_lamp(&gw_a);
+            lamp_status(&gw_c, &sim, &way).unwrap();
+            assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-a");
 
-        // The lamp relocates to gw_b; gw_c's cached record is stale.
-        gw_a.withdraw("hall-lamp").unwrap();
-        let on = Arc::new(Mutex::new(false));
-        gw_b.export(
-            VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, "gw-b"),
-            move |_: &Sim, op: &str, _: &[(String, Value)]| match op {
-                "status" => Ok(Value::Bool(*on.lock())),
-                _ => Ok(Value::Null),
-            },
-        )
-        .unwrap();
+            // The lamp relocates to gw_b; gw_c's cached record is stale.
+            gw_a.withdraw("hall-lamp").unwrap();
+            let on = Arc::new(Mutex::new(false));
+            gw_b.export(
+                VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, "gw-b"),
+                move |_: &Sim, op: &str, _: &[(String, Value)]| match op {
+                    "status" => Ok(Value::Bool(*on.lock())),
+                    _ => Ok(Value::Null),
+                },
+            )
+            .unwrap();
 
-        // Invocation recovers transparently, and the re-learned record
-        // names the new gateway — no stale interface or endpoint.
-        gw_c.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(gw_c.resolve_cached("hall-lamp").unwrap().gateway, "gw-b");
+            // Invocation recovers transparently on its first call, and
+            // the re-learned record names the new gateway — no stale
+            // interface or endpoint.
+            let answer = lamp_status(&gw_c, &sim, &way);
+            let gateway = gw_c.resolve_cached("hall-lamp").unwrap().gateway;
+            (answer, gateway, gw_c.cache_stats())
+        });
+        let (answer, gateway, stats) = &runs[0];
+        assert_eq!(*answer, Ok(Value::Bool(false)));
+        assert_eq!(gateway, "gw-b");
+        assert_eq!(stats.invalidations, 1);
+        // A batch member, batched or not, routes and learns as a call.
+        assert_eq!(runs[1], runs[0], "batched");
+        assert_eq!(runs[2], runs[0], "unbatched");
     }
 
     #[test]
@@ -1590,38 +1611,170 @@ mod tests {
 
     #[test]
     fn vsr_outage_serves_stale_routes_degraded() {
-        let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
-        export_lamp(&gw_a);
-        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap(); // warm the route
-        gw_b.set_resilience(ResiliencePolicy {
-            max_retries: 0,
-            ..ResiliencePolicy::default()
+        let runs = ways().map(|way| {
+            let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+            export_lamp(&gw_a);
+            lamp_status(&gw_b, &sim, &way).unwrap(); // warm the route
+            gw_b.set_resilience(ResiliencePolicy {
+                max_retries: 0,
+                ..ResiliencePolicy::default()
+            });
+            let t = sim.now();
+            net.set_fault_plan(
+                simnet::FaultPlan::new()
+                    .node_down(gw_a.node(), t, t + simnet::SimDuration::from_secs(1))
+                    .node_down(vsr.node(), t, t + simnet::SimDuration::from_secs(3600)),
+            );
+            // Gateway and VSR both down: the wire call fails, the route is
+            // demoted to stale, re-resolution fails, the stale route is
+            // tried (degraded) and fails too — but gracefully typed.
+            let err = lamp_status(&gw_b, &sim, &way).unwrap_err();
+            assert!(err.is_transport_failure(), "{way:?}: {err}");
+
+            // gw-a recovers; the VSR is still down for an hour. Degraded
+            // mode keeps the home controllable from the stale route.
+            sim.advance(simnet::SimDuration::from_secs(2));
+            let answer = lamp_status(&gw_b, &sim, &way);
+            let degraded = gw_b.metrics().snapshot().degraded_serves;
+            let stale = gw_b.cache_stats().stale_serves;
+
+            // The degraded success re-promoted the route: next call is a
+            // plain cache hit, no VSR needed.
+            let hits_before = gw_b.cache_stats().hits;
+            lamp_status(&gw_b, &sim, &way).unwrap();
+            assert_eq!(gw_b.cache_stats().hits, hits_before + 1, "{way:?}");
+            (answer, degraded, stale)
         });
-        let t = sim.now();
-        net.set_fault_plan(
-            simnet::FaultPlan::new()
-                .node_down(gw_a.node(), t, t + simnet::SimDuration::from_secs(1))
-                .node_down(vsr.node(), t, t + simnet::SimDuration::from_secs(3600)),
+        assert_eq!(runs[0], (Ok(Value::Bool(false)), 2, 2));
+        // A batch member, batched or not, degrades as a call does.
+        assert_eq!(runs[1], runs[0], "batched");
+        assert_eq!(runs[2], runs[0], "unbatched");
+    }
+
+    #[test]
+    fn request_leg_loss_invalidates_the_cached_route_and_reroutes_once() {
+        let runs = ways().map(|way| {
+            let (sim, net, vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+            export_lamp(&gw_a);
+            lamp_status(&gw_b, &sim, &way).unwrap(); // warm the route
+            gw_b.set_resilience(ResiliencePolicy {
+                max_retries: 0,
+                ..ResiliencePolicy::default()
+            });
+            gw_b.set_tracing(true);
+            let t = sim.now();
+            net.set_fault_plan(simnet::FaultPlan::new().partition(
+                vec![gw_b.node()],
+                vec![gw_a.node()],
+                t,
+                t + simnet::SimDuration::from_secs(60),
+            ));
+            let inquiries = vsr.registry_stats().inquiries;
+            // Every request is lost before delivery, so none executed:
+            // the cached route is invalidated and the call re-routed
+            // through the VSR once — and only once.
+            let err = lamp_status(&gw_b, &sim, &way).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MetaError::Transport {
+                        not_executed: true,
+                        ..
+                    }
+                ),
+                "{way:?}: {err}"
+            );
+            let sends = gw_b
+                .tracer()
+                .take_spans()
+                .iter()
+                .filter(|s| s.kind == HopKind::VsgWire && !s.name.starts_with("member"))
+                .count();
+            let stats = gw_b.cache_stats();
+            (sends, vsr.registry_stats().inquiries - inquiries, stats)
+        });
+        let (sends, _, stats) = &runs[0];
+        assert_eq!((*sends, stats.invalidations), (2, 1), "one re-route");
+        assert_eq!(runs[1], runs[0], "batched");
+        assert_eq!(runs[2], runs[0], "unbatched");
+    }
+
+    #[test]
+    fn ambiguous_loss_is_never_rerouted() {
+        let runs = ways().map(|way| {
+            let (sim, net, _vsr, gw_a, gw_b) = world(Arc::new(Soap11::new()));
+            let count = Arc::new(Mutex::new(0u32));
+            let c = count.clone();
+            gw_a.export(
+                VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, "gw-a"),
+                move |sim: &Sim, _: &str, _: &[(String, Value)]| {
+                    *c.lock() += 1;
+                    sim.advance(simnet::SimDuration::from_millis(10));
+                    Ok(Value::Null)
+                },
+            )
+            .unwrap();
+            lamp_status(&gw_b, &sim, &way).unwrap(); // warm the route
+            gw_b.set_resilience(ResiliencePolicy {
+                max_retries: 0,
+                ..ResiliencePolicy::default()
+            });
+            // The partition opens mid-call and heals before any second
+            // attempt: only the response is lost. The call may have run,
+            // so it must fail ambiguously rather than re-route.
+            let t = sim.now();
+            net.set_fault_plan(simnet::FaultPlan::new().partition(
+                vec![gw_a.node()],
+                vec![gw_b.node()],
+                t + simnet::SimDuration::from_millis(5),
+                t + simnet::SimDuration::from_millis(13),
+            ));
+            let before = *count.lock();
+            let answer = lamp_status(&gw_b, &sim, &way);
+            let ambiguous = matches!(
+                answer,
+                Err(MetaError::Transport {
+                    not_executed: false,
+                    ..
+                })
+            );
+            let executed = *count.lock() - before;
+            (ambiguous, executed, gw_b.cache_stats().invalidations)
+        });
+        // Failed ambiguously, executed once, route kept: in every way.
+        assert_eq!(runs, [(true, 1, 0); 3]);
+    }
+
+    #[test]
+    fn zero_max_batch_sends_one_frame_per_member() {
+        use crate::batch::{BatchCall, BatchItem};
+        let (sim, _net, _vsr, gw_a, gw_b) = world(Arc::new(CompactBinary::new()));
+        export_lamp(&gw_a);
+        gw_b.set_batching(BatchPolicy {
+            max_batch: 0,
+            ..BatchPolicy::default()
+        });
+        gw_b.set_tracing(true);
+        let items: Vec<BatchItem> = (0..3)
+            .map(|_| BatchItem::Call(BatchCall::new("hall-lamp", "status")))
+            .collect();
+        let results = gw_b.invoke_batch(&sim, &items);
+        assert!(
+            results.iter().all(|r| r == &Ok(Value::Bool(false))),
+            "{results:?}"
         );
-        // Gateway and VSR both down: the wire call fails, the route is
-        // demoted to stale, re-resolution fails, the stale route is
-        // tried (degraded) and fails too — but gracefully typed.
-        let err = gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap_err();
-        assert!(err.is_transport_failure(), "{err}");
-
-        // gw-a recovers; the VSR is still down for an hour. Degraded
-        // mode keeps the home controllable from the stale route.
-        sim.advance(simnet::SimDuration::from_secs(2));
-        let v = gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(v, Value::Bool(false));
-        assert_eq!(gw_b.metrics().snapshot().degraded_serves, 2);
-        assert_eq!(gw_b.cache_stats().stale_serves, 2);
-
-        // The degraded success re-promoted the route: next call is a
-        // plain cache hit, no VSR needed.
-        let hits_before = gw_b.cache_stats().hits;
-        gw_b.invoke(&sim, "hall-lamp", "status", &[]).unwrap();
-        assert_eq!(gw_b.cache_stats().hits, hits_before + 1);
+        let frames: Vec<String> = gw_b
+            .tracer()
+            .take_spans()
+            .into_iter()
+            .filter(|s| s.name.starts_with("batch of"))
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(frames.len(), 3, "{frames:?}");
+        assert!(
+            frames.iter().all(|f| f.starts_with("batch of 1 ")),
+            "{frames:?}"
+        );
     }
 
     #[test]
@@ -1720,6 +1873,36 @@ mod tests {
             batched_frames < unbatched_frames,
             "batched moved {batched_frames} frames, unbatched {unbatched_frames}"
         );
+
+        // From a cold cache, the batch asks the VSR once per distinct
+        // service: later members share the route the first one found,
+        // and the repeated unknown service hits its negative entry.
+        let mut items = items;
+        items.push(BatchItem::Call(BatchCall::new("ghost", "status")));
+        let cold = |batched: bool| {
+            let (sim, _net, vsr, gw_a, gw_b) = world(Arc::new(CompactBinary::new()));
+            export_lamp(&gw_a);
+            gw_b.set_batching(if batched {
+                BatchPolicy::default()
+            } else {
+                BatchPolicy::disabled()
+            });
+            let inquiries = || vsr.registry_stats().inquiries;
+            let before = inquiries();
+            let results = gw_b.invoke_batch(&sim, &items);
+            let spent = inquiries() - before;
+            // What resolving each distinct service once costs the VSR.
+            let before = inquiries();
+            gw_b.resolve("hall-lamp").unwrap();
+            gw_b.resolve("ghost").unwrap_err();
+            (results, spent, inquiries() - before)
+        };
+        let (batched, batched_inquiries, once_each) = cold(true);
+        let (unbatched, unbatched_inquiries, _) = cold(false);
+        assert_eq!(batched, unbatched, "batching must not change answers");
+        assert!(matches!(batched[6], Err(MetaError::UnknownService(_))));
+        assert_eq!(batched_inquiries, once_each, "each service resolved once");
+        assert_eq!(unbatched_inquiries, once_each);
     }
 
     #[test]

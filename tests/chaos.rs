@@ -13,22 +13,29 @@
 
 use metaware::{
     catalog, BatchCall, BatchItem, Binding, BreakerState, CloudConfig, CloudIsland, CompositeSpec,
-    FederationConfig, MetaError, Middleware, OpSig, ServiceInterface, Soap11, StepSpec, TypeTag,
-    VirtualService, Vsg, VsgProtocol, Vsr, VsrClient,
+    FederationConfig, MetaError, Middleware, OpSig, ResiliencePolicy, ServiceInterface, Soap11,
+    StepSpec, TypeTag, VirtualService, Vsg, VsgProtocol, Vsr, VsrClient,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use simnet::{FaultPlan, Network, Sim, SimDuration, SimRng, SimTime};
+use simnet::{FaultPlan, Network, NodeId, Sim, SimDuration, SimRng, SimTime};
 use soap::Value;
 use std::sync::Arc;
 
 /// A fault window before node ids exist: concretized in `build_plan`.
 #[derive(Debug, Clone)]
 enum WindowSpec {
-    Loss { prob_pct: u8 },
-    Latency { extra_ms: u16 },
+    Loss {
+        prob_pct: u8,
+    },
+    Latency {
+        extra_ms: u16,
+    },
     ServerDown,
     Partition,
+    /// The VSR is down: routes the cache cannot serve degrade to stale
+    /// ones or fail typed.
+    VsrDown,
 }
 
 #[derive(Debug, Clone)]
@@ -45,6 +52,19 @@ fn arb_window() -> impl Strategy<Value = ChaosWindow> {
         Just(WindowSpec::ServerDown),
         Just(WindowSpec::Partition),
     ];
+    windows_of(spec)
+}
+
+/// [`arb_window`]'s kinds plus VSR outages, for the invocation
+/// schedules (the composite schedules keep the four network kinds).
+fn arb_invoke_window() -> impl Strategy<Value = ChaosWindow> {
+    prop_oneof![
+        4 => arb_window(),
+        1 => windows_of(Just(WindowSpec::VsrDown)),
+    ]
+}
+
+fn windows_of(spec: impl Strategy<Value = WindowSpec>) -> impl Strategy<Value = ChaosWindow> {
     (spec, 0u16..500, 10u16..300).prop_map(|(spec, from_ms, len_ms)| ChaosWindow {
         spec,
         from_ms,
@@ -52,9 +72,11 @@ fn arb_window() -> impl Strategy<Value = ChaosWindow> {
     })
 }
 
-/// `true` = non-idempotent `switch`, `false` = idempotent `status`.
-fn arb_ops() -> impl Strategy<Value = Vec<bool>> {
-    prop::collection::vec(any::<bool>(), 4..12)
+/// One op: `true` = non-idempotent `switch`, `false` = idempotent
+/// `status`; sent alone (`None`) or as the first member of a batch with
+/// that many idempotent `status` members behind it.
+fn arb_ops() -> impl Strategy<Value = Vec<(bool, Option<u8>)>> {
+    prop::collection::vec((any::<bool>(), prop::option::of(0u8..3)), 4..12)
 }
 
 fn chaos_seed() -> u64 {
@@ -67,6 +89,7 @@ fn chaos_seed() -> u64 {
 struct ChaosWorld {
     sim: Sim,
     net: Network,
+    vsr_node: NodeId,
     caller: Vsg,
     server: Vsg,
     /// Executions of the non-idempotent `switch` on the server.
@@ -100,6 +123,7 @@ fn build_world(seed: u64) -> ChaosWorld {
     ChaosWorld {
         sim,
         net,
+        vsr_node: vsr.node(),
         caller,
         server,
         switches,
@@ -123,6 +147,7 @@ fn build_plan(windows: &[ChaosWindow], t0: SimTime, world: &ChaosWorld) -> Fault
                 from,
                 until,
             ),
+            WindowSpec::VsrDown => plan.node_down(world.vsr_node, from, until),
         };
     }
     plan
@@ -133,13 +158,24 @@ proptest! {
 
     /// Invariant 1+2 under arbitrary schedules. Each case builds a
     /// fresh two-gateway world, runs a random op mix through a random
-    /// fault plan, then heals and demands convergence.
+    /// fault plan, then heals and demands convergence. An op sent as a
+    /// batch member must keep the invariants too. Half the cases give
+    /// the caller no retries, so a lost request fails its cached route
+    /// at once and the re-route — a batch's second round — runs under
+    /// the chaos as well.
     #[test]
     fn chaos_never_double_invokes_and_always_converges(
-        windows in prop::collection::vec(arb_window(), 1..6),
+        windows in prop::collection::vec(arb_invoke_window(), 1..6),
         ops in arb_ops(),
+        no_retries in any::<bool>(),
     ) {
         let world = build_world(chaos_seed());
+        if no_retries {
+            world.caller.set_resilience(ResiliencePolicy {
+                max_retries: 0,
+                ..ResiliencePolicy::default()
+            });
+        }
         // Warm the route so the chaos hits the cached fast path too.
         world.caller.invoke(&world.sim, "chaos-lamp", "status", &[]).unwrap();
 
@@ -148,18 +184,25 @@ proptest! {
         let healed_by = plan.healed_by();
         world.net.set_fault_plan(plan);
 
-        for &is_switch in &ops {
+        for &(is_switch, batch) in &ops {
             let before = *world.switches.lock();
-            let result = if is_switch {
-                world.caller.invoke(
-                    &world.sim,
-                    "chaos-lamp",
-                    "switch",
-                    &[("on".into(), Value::Bool(true))],
-                )
+            let (op, args) = if is_switch {
+                ("switch", vec![("on".to_owned(), Value::Bool(true))])
             } else {
-                world.caller.invoke(&world.sim, "chaos-lamp", "status", &[])
+                ("status", vec![])
             };
+            let results = match batch {
+                None => vec![world.caller.invoke(&world.sim, "chaos-lamp", op, &args)],
+                Some(companions) => {
+                    let mut call = BatchCall::new("chaos-lamp", op);
+                    call.args = args;
+                    let status = BatchItem::Call(BatchCall::new("chaos-lamp", "status"));
+                    let mut items = vec![BatchItem::Call(call)];
+                    items.extend(std::iter::repeat_n(status, companions.into()));
+                    world.caller.invoke_batch(&world.sim, &items)
+                }
+            };
+            let result = &results[0];
             let delta = *world.switches.lock() - before;
 
             if is_switch {
@@ -176,7 +219,7 @@ proptest! {
             } else {
                 prop_assert_eq!(delta, 0, "status must never execute switch");
             }
-            if let Err(e) = &result {
+            for e in results.iter().filter_map(|r| r.as_ref().err()) {
                 // Chaos may surface only as typed, expected failures.
                 prop_assert!(
                     matches!(
@@ -527,6 +570,7 @@ const PIPE_STEPS: usize = 4;
 struct ComposeWorld {
     sim: Sim,
     net: Network,
+    vsr_node: NodeId,
     /// Hosts the composite; entry dispatch is local, steps go over the wire.
     host: Vsg,
     /// Hosts the step service the chaos schedule targets.
@@ -597,6 +641,7 @@ fn build_compose_world(seed: u64) -> ComposeWorld {
     ComposeWorld {
         sim,
         net,
+        vsr_node: vsr.node(),
         host,
         server,
         fired,
@@ -621,6 +666,7 @@ fn build_compose_plan(windows: &[ChaosWindow], t0: SimTime, world: &ComposeWorld
                 from,
                 until,
             ),
+            WindowSpec::VsrDown => plan.node_down(world.vsr_node, from, until),
         };
     }
     plan
