@@ -122,51 +122,64 @@ run_parallel_determinism() {
 }
 
 run_bench() {
+    # Start from an empty results directory, so the gate below reads
+    # only what this run wrote: a bench that stops writing its
+    # BENCH_*.json fails the gate instead of passing on an old copy.
+    rm -rf crates/bench/target/bench-results
+
     stage "cargo bench --no-run (benches compile)"
     cargo bench --workspace --no-run -q
+
+    # The paper's experiments E1–E10 in one run: prints their 13 tables
+    # and writes every value cell to BENCH_paper.json. E3, E4, E8 and E9
+    # assert their claims inline (the Fig. 4 lamp switches, SOAP's fixed
+    # cost dwarfs binary, find '%' returns every service, every remote
+    # button takes effect), so a broken claim fails this step outright.
+    stage "paper experiments E1-E10 (BENCH_paper.json)"
+    cargo bench -p bench --bench paper
 
     # E11 smoke run: the hot-path ablations (indexed registry, route
     # cache, allocation-lean dispatch). Emits BENCH_hotpath.json.
     stage "e11 hot-path smoke (ablation rows)"
-    cargo bench -p bench --bench e11_ablations -- --test
+    cargo bench -p bench --bench e11_ablations
 
     # E13 smoke run: availability under the canonical chaos schedule
     # with the resilient wire on vs off. Emits BENCH_resilience.json.
     stage "e13 resilience smoke (availability rows)"
-    cargo bench -p bench --bench e13_resilience -- --test
+    cargo bench -p bench --bench e13_resilience
 
     # E14 smoke run: its report functions assert the multiplexed-wire
     # thresholds (batched events/sec >= 3x unbatched at fan-out 64, wire
     # bytes/event <= 0.5x, idle p50 within 10%), so a regression in the
     # batching path fails this step outright.
     stage "e14 throughput smoke (threshold assertions)"
-    cargo bench -p bench --bench e14_throughput -- --test
+    cargo bench -p bench --bench e14_throughput
 
     # E15 smoke run: asserts the federated VSR holds >= 99% invoke
     # availability through primary-crash windows with replication on (and
     # that a single replica doesn't), and that anti-entropy converges.
     stage "e15 federated VSR smoke (threshold assertions)"
-    cargo bench -p bench --bench e15_vsr_scale -- --test
+    cargo bench -p bench --bench e15_vsr_scale
 
     # E12 smoke run: tracing off/on/sampled ablation plus the sketch-vs-
     # exact quantile rows; asserts the sketch's p99 stays within one
     # bucket of exact. Emits BENCH_obs.json for the gate below.
     stage "e12 observability smoke (sketch/sampling assertions)"
-    cargo bench -p bench --bench e12_obs_overhead -- --test
+    cargo bench -p bench --bench e12_obs_overhead
 
     # E16 smoke run: asserts metrics snapshots and scheduler statistics
     # are bit-for-bit identical at 1/2/4 worker threads, and (on hosts
     # with >= 4 cores) that 4 threads give >= 2.5x wall-clock throughput
     # on the independent-homes topology. Emits BENCH_parallel.json.
     stage "e16 parallel fleet smoke (determinism + scaling assertions)"
-    cargo bench -p bench --bench e16_parallel -- --test
+    cargo bench -p bench --bench e16_parallel
 
     # E17 smoke run: the cloud bridge under canonical WAN chaos — asserts
     # zero duplicate command effects, >= 99% delivered notifications after
     # heal (and measurably fewer with store-and-forward off), thread-count
     # determinism, and flash-crowd pushback. Emits BENCH_cloud.json.
     stage "e17 cloud bridge smoke (WAN robustness assertions)"
-    cargo bench -p bench --bench e17_cloud -- --test
+    cargo bench -p bench --bench e17_cloud
 
     # E18 smoke run: the three-codec wire ablation over the zero-copy
     # stack — asserts SOAP's warm-path allocs/op stay >= 6x below the
@@ -174,7 +187,7 @@ run_bench() {
     # than SOAP, the streaming decoder buffers <= 1 frame, and every codec
     # is thread-count deterministic. Emits BENCH_codec.json.
     stage "e18 codec ablation smoke (zero-copy + determinism assertions)"
-    cargo bench -p bench --bench e18_codec -- --test
+    cargo bench -p bench --bench e18_codec
 
     # E19 smoke run: the composition engine — asserts an 8-step
     # cross-island composite costs 1 client round trip where the
@@ -183,7 +196,7 @@ run_bench() {
     # fingerprint is identical at 1 vs 4 worker threads. Emits
     # BENCH_compose.json.
     stage "e19 composition smoke (round-trip + saga assertions)"
-    cargo bench -p bench --bench e19_compose -- --test
+    cargo bench -p bench --bench e19_compose
 
     # Compare the freshly emitted BENCH_*.json from the smoke runs
     # above against bench-baselines/ within a tolerance band. Fails on

@@ -15,7 +15,6 @@
 //!    unacknowledged medium: delivery probability vs repeats vs noise.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{
     catalog, Middleware, SmartHome, Soap11, VirtualService, Vsg, VsgProtocol, VsgRequest, Vsr,
 };
@@ -279,46 +278,13 @@ fn metrics_snapshot_report() {
             .collect::<Vec<_>>()
             .join(",\n")
     );
-    let dir = std::path::PathBuf::from("target/bench-results");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("e11_metrics_snapshot.json");
-    let _ = std::fs::write(&path, json);
-    println!("[written {}]", path.display());
+    bench::write_result("e11_metrics_snapshot.json", &json);
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     route_cache_ablation();
     hotpath_ablation();
     java_tax_ablation();
     x10_repeat_ablation();
     metrics_snapshot_report();
-
-    // Real-CPU: the cached vs uncached remote call.
-    let home = SmartHome::builder().build().unwrap();
-    let gw = home.jini.as_ref().unwrap().vsg.clone();
-    gw.invoke(&home.sim, "hall-lamp", "status", &[]).unwrap();
-    c.bench_function("e11_cached_remote_call", |b| {
-        b.iter(|| gw.invoke(&home.sim, "hall-lamp", "status", &[]).unwrap())
-    });
-    c.bench_function("e11_uncached_remote_call", |b| {
-        b.iter(|| {
-            gw.clear_route_cache();
-            gw.invoke(&home.sim, "hall-lamp", "status", &[]).unwrap()
-        })
-    });
-
-    // Real-CPU: argument type checking in isolation.
-    let sig = metaware::OpSig::new("record")
-        .param("channel", metaware::TypeTag::Int)
-        .param("title", metaware::TypeTag::Str);
-    let args = vec![
-        ("channel".to_owned(), Value::Int(42)),
-        ("title".to_owned(), Value::Str("News".into())),
-    ];
-    c.bench_function("e11_type_check", |b| {
-        b.iter(|| sig.check_args(&args).unwrap())
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -12,7 +12,6 @@
 //! only, so `bench_gate.py` never sees scheduler noise.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{HistSketch, Middleware, SamplePolicy, SmartHome};
 use std::time::Instant;
 
@@ -114,30 +113,6 @@ fn obs_overhead_ablation() {
     report.emit_as("BENCH_obs.json");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     obs_overhead_ablation();
-
-    // Real-CPU: the same warm call under Criterion, both modes.
-    for traced in [false, true] {
-        let home = SmartHome::builder().build().unwrap();
-        home.set_tracing(traced);
-        home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-            .unwrap();
-        let name = if traced {
-            "e12_obs_traced_call"
-        } else {
-            "e12_obs_untraced_call"
-        };
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-                    .unwrap()
-            })
-        });
-        // Keep span storage bounded across Criterion's many iterations.
-        home.take_spans();
-    }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 
 use bench::workload::{replay, Workload};
 use bench::{cell, fmt_us, percentile, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::SmartHome;
 
 const CALLS: usize = 400;
@@ -55,24 +54,6 @@ fn saturation_table() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     saturation_table();
-
-    // Real-CPU throughput of the replay engine.
-    let mut group = c.benchmark_group("e12");
-    group.sample_size(10);
-    group.bench_function("replay_100_calls", |b| {
-        b.iter_with_setup(
-            || {
-                let home = SmartHome::builder().build().unwrap();
-                let trace = Workload::new(7).trace(100);
-                (home, trace)
-            },
-            |(home, trace)| replay(&home, &trace),
-        )
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -11,7 +11,6 @@
 //! Resilience-on must be strictly more available than resilience-off.
 
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{Middleware, ResiliencePolicy, SmartHome};
 use simnet::{FaultPlan, SimDuration, SimTime};
 
@@ -154,23 +153,6 @@ fn resilience_ablation() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     resilience_ablation();
-
-    // Real-CPU cost of the resilient fast path on a healthy network:
-    // the policy machinery (deadline bookkeeping + breaker admission)
-    // rides every warm call, so its overhead must stay negligible.
-    let home = SmartHome::builder().build().unwrap();
-    home.set_resilience(ResiliencePolicy::default());
-    home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-        .unwrap();
-    c.bench_function("e13_resilient_warm_call", |b| {
-        b.iter(|| {
-            home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-                .unwrap()
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

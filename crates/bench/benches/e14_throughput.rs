@@ -12,14 +12,13 @@
 //!    not queue behind a batch deadline: p50 within 10% of unbatched.
 //!
 //! The threshold assertions live inside the report functions so
-//! `cargo bench --bench e14_throughput -- --test` (ci.sh's smoke gate)
+//! `cargo bench --bench e14_throughput` (run by `ci.sh --stage bench`)
 //! exercises them: batched events/sec must be ≥ 3× unbatched at
 //! fan-out 64, wire bytes/event ≤ 0.5×, and idle p50 within 10%.
 //!
 //! Emits `BENCH_throughput.json`.
 
 use bench::{cell, fmt_us, percentile, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{
     catalog, BatchCall, BatchItem, BatchPolicy, Middleware, SipPublisher, SipSubscriber, Soap11,
     VirtualService, Vsg, VsgProtocol, Vsr,
@@ -244,43 +243,6 @@ fn throughput_report() {
     report.emit_as("BENCH_throughput.json");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     throughput_report();
-
-    // Real-CPU cost of the coalescing fan-out: publish+flush one full
-    // frame to 8 subscribers, and one 16-member invocation batch.
-    let mut group = c.benchmark_group("e14");
-    group.sample_size(20);
-    group.bench_function("publish_batched_fanout8", |b| {
-        let sim = Sim::new(7);
-        let net = Network::ethernet(&sim);
-        let source = net.attach("publisher");
-        let publisher = SipPublisher::new(&net, source).with_batching(BatchPolicy {
-            max_batch: 16,
-            ..BatchPolicy::default()
-        });
-        let mut subs = Vec::new();
-        for i in 0..8 {
-            let node = net.attach(format!("sink-{i}"));
-            subs.push(SipSubscriber::install(&net, node, |_, _, _| {}));
-            publisher.subscribe(node, "%");
-        }
-        b.iter(|| {
-            for e in 0..16i64 {
-                publisher.publish("hall-motion", &Value::Int(e));
-            }
-            publisher.flush();
-        })
-    });
-    group.bench_function("invoke_batch16", |b| {
-        let (sim, _net, caller) = invocation_world(true);
-        let items: Vec<BatchItem> = (0..16)
-            .map(|_| BatchItem::Call(BatchCall::new("bench-lamp", "status")))
-            .collect();
-        b.iter(|| caller.invoke_batch(&sim, &items))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

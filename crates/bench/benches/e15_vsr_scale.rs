@@ -20,13 +20,12 @@
 //!    Both passes must leave lag 0.
 //!
 //! The threshold assertions live inside the report functions so
-//! `cargo bench --bench e15_vsr_scale -- --test` (ci.sh's smoke gate)
+//! `cargo bench --bench e15_vsr_scale` (run by `ci.sh --stage bench`)
 //! exercises them.
 //!
 //! Emits `BENCH_vsr_scale.json`.
 
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{
     catalog, FederationConfig, Middleware, ResiliencePolicy, Soap11, VirtualService, Vsg,
     VsgProtocol, Vsr, VsrClient,
@@ -271,23 +270,6 @@ fn scale_report() {
     report.emit_as("BENCH_vsr_scale.json");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     scale_report();
-
-    let mut group = c.benchmark_group("e15_vsr_scale");
-    group.sample_size(10);
-    group.bench_function("resolve_3r8s", |b| {
-        let (_sim, _net, _vsr, client) = cluster(13, 8, 3);
-        client.publish(&service("bench-lamp", "x10-gw")).unwrap();
-        b.iter(|| client.resolve("bench-lamp").unwrap())
-    });
-    group.bench_function("publish_3r8s", |b| {
-        let (_sim, _net, _vsr, client) = cluster(13, 8, 3);
-        let svc = service("bench-lamp", "x10-gw");
-        b.iter(|| client.publish(&svc).unwrap())
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

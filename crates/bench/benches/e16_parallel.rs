@@ -22,7 +22,6 @@
 
 use bench::workload::Workload;
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{HomeFleet, SmartHome, Vsg};
 use simnet::{ParRunStats, ParSim, Sim, SimDuration};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,21 +199,6 @@ fn parallel_report() {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     parallel_report();
-
-    // Real-CPU cost of one parallel barrier cycle: a small fleet
-    // advanced 100 ms per iteration.
-    let mut group = c.benchmark_group("e16");
-    group.sample_size(10);
-    group.bench_function("fleet_advance_100ms_2homes", |b| {
-        let fleet = HomeFleet::build(SmartHome::builder().threads(2), 2).unwrap();
-        let invocations = Arc::new(AtomicU64::new(0));
-        arm_drivers(&fleet, &invocations);
-        b.iter(|| fleet.run_for(SimDuration::from_millis(100)))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

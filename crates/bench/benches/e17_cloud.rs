@@ -26,7 +26,6 @@
 
 use bench::workload::{home_plan, install_cloud_plan, DiurnalProfile};
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{CloudConfig, CloudFleetSummary, HomeFleet, SmartHome};
 use simnet::{FaultPlan, SimDuration, SimTime};
 use std::time::Instant;
@@ -258,28 +257,6 @@ fn cloud_report() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     cloud_report();
-
-    // Real-CPU cost of one pump/drain cycle across a mid-size fleet.
-    let mut group = c.benchmark_group("e17");
-    group.sample_size(10);
-    group.bench_function("cloud_fleet_advance_1s_100homes", |b| {
-        let fleet = HomeFleet::build_lazy(
-            SmartHome::builder()
-                .threads(4)
-                .cloud(CloudConfig::default()),
-            100,
-        )
-        .unwrap();
-        let p = profile();
-        for (i, home) in fleet.homes().iter().enumerate() {
-            install_cloud_plan(home, &home_plan(PLAN_SEED, i as u32, 3, &p));
-        }
-        b.iter(|| fleet.run_for(SimDuration::from_secs(1)))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

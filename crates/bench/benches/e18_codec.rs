@@ -23,7 +23,8 @@
 //!    backbone bytes must be bit-for-bit identical (every codec, not
 //!    just the default).
 //!
-//! Threshold assertions (exercised by `-- --test`, ci.sh's smoke gate):
+//! Threshold assertions (exercised by every run, `ci.sh --stage bench`
+//! included):
 //!
 //!  * warm-path SOAP allocs/op must be >= 6x down from the
 //!    pre-zero-copy stack ([`PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP`]);
@@ -34,7 +35,6 @@
 
 use bench::workload::{replay, Workload};
 use bench::{cell, fmt_us, percentile, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::protocol::binval;
 use metaware::{
     catalog, BatchCall, BatchItem, BatchPolicy, CompactBinary, HomeFleet, Middleware, SipLike,
@@ -366,20 +366,6 @@ fn codec_report() {
     report.emit_as("BENCH_codec.json");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     codec_report();
-
-    // Real-CPU cost of one warm single call per codec.
-    let mut group = c.benchmark_group("e18");
-    group.sample_size(20);
-    for (name, protocol) in codecs() {
-        let (sim, _net, caller) = batch_world(protocol);
-        group.bench_function(&format!("invoke_warm_{name}"), |b| {
-            b.iter(|| caller.invoke(&sim, "bench-lamp", "status", &[]).unwrap())
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

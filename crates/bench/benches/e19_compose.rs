@@ -18,11 +18,9 @@
 //!    (`SIM_THREADS=1 ≡ SIM_THREADS=4`).
 //!
 //! `BENCH_compose.json` carries only virtual-time (deterministic)
-//! cells so the bench gate can hold a band; Criterion measures the
-//! real CPU cost of one engine run at depth 8.
+//! cells so the bench gate can hold a band.
 
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{
     Binding, CompositeSpec, HomeFleet, Layer, Middleware, OpSig, ResiliencePolicy,
     ServiceInterface, SmartHome, Soap11, StepSpec, TypeTag, VirtualService, Vsg, VsgProtocol, Vsr,
@@ -461,27 +459,6 @@ fn compose_report() {
     report.emit_as("BENCH_compose.json");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     compose_report();
-
-    // Real-CPU cost of one depth-8 engine run (route caches warm).
-    let mut group = c.benchmark_group("e19");
-    group.sample_size(20);
-    group.bench_function("engine_pipeline_depth8", |b| {
-        let world = build_world();
-        world.islands[0]
-            .register_composite(pipe_spec(8))
-            .expect("composite registers");
-        warm_routes(&world, 8, true);
-        b.iter(|| {
-            world
-                .client
-                .invoke(&world.sim, "pipe-8", "run", &[])
-                .expect("engine pipeline succeeds")
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

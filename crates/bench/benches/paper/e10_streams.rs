@@ -10,7 +10,6 @@
 //! order of magnitude even with large chunks.
 
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use havi::{StreamManager, DV_BYTES_PER_CYCLE};
 use metaware::{CompactBinary, Soap11, VsgProtocol, VsgRequest};
 use simnet::{Network, NodeId, Sim, SimDuration};
@@ -57,7 +56,7 @@ fn bridged_stream(protocol: Arc<dyn VsgProtocol>, chunk: usize, total_bytes: usi
     (mbps, per_chunk)
 }
 
-fn simulated_comparison() {
+pub fn run() -> Vec<Report> {
     let mut report = Report::new(
         "E10",
         "DV stream (needs 30.7 Mbit/s, 125us cadence): native vs VSG bridge",
@@ -100,43 +99,11 @@ fn simulated_comparison() {
         bench::fmt_us(lat),
         format!("{} (no jitter bound)", mbps >= required_mbps),
     ]);
-    report.emit();
+    report.print();
 
     println!(
         "(required: {required_mbps:.1} Mbit/s gross DV rate; §6: \"another Meta\n\
          middleware should be developed for … multimedia services\")"
     );
+    vec![report]
 }
-
-fn bench(c: &mut Criterion) {
-    simulated_comparison();
-
-    let mut group = c.benchmark_group("e10");
-    group.sample_size(10);
-    group.bench_function("native_iso_1s", |b| {
-        let sim = Sim::new(1);
-        let bus = Network::ieee1394(&sim);
-        let smgr = StreamManager::new(&bus);
-        let conn = smgr
-            .connect(
-                havi::Seid::new(NodeId(1), 1),
-                havi::Seid::new(NodeId(2), 1),
-                DV_BYTES_PER_CYCLE,
-            )
-            .unwrap();
-        b.iter(|| smgr.pump(&sim, &conn, SimDuration::from_secs(1)))
-    });
-    group.bench_function("soap_chunk_4800B", |b| {
-        let sim = Sim::new(1);
-        let net = Network::ethernet(&sim);
-        let protocol = Soap11::new();
-        let server = VsgProtocol::bind(&protocol, &net, "sink", Arc::new(|_, _| Ok(Value::Null)));
-        let client = net.attach("src");
-        let req = VsgRequest::new("sink", "put").arg("data", Value::Bytes(vec![0xAA; 4_800]));
-        b.iter(|| VsgProtocol::call(&protocol, &net, client, server, &req).unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

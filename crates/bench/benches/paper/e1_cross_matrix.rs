@@ -7,7 +7,6 @@
 //! are dominated by the powerline regardless of caller.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{Middleware, SmartHome};
 use soap::Value;
 
@@ -26,7 +25,7 @@ fn probes() -> Vec<Probe> {
     ]
 }
 
-fn simulated_matrix() {
+pub fn run() -> Vec<Report> {
     let mut report = Report::new(
         "E1",
         "cross-middleware invocation latency (rows: client island; cols: target service)",
@@ -86,31 +85,6 @@ fn simulated_matrix() {
             cell(0),
         ]);
     }
-    report.emit();
+    report.print();
+    vec![report]
 }
-
-fn bench(c: &mut Criterion) {
-    simulated_matrix();
-
-    // Real-CPU cost of one warm cross-island call (Jini -> X10 status).
-    let home = SmartHome::builder().build().unwrap();
-    home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-        .unwrap();
-    c.bench_function("e1_cross_call_jini_to_x10", |b| {
-        b.iter(|| {
-            home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-                .unwrap()
-        })
-    });
-
-    // And the full home construction cost.
-    let mut group = c.benchmark_group("e1_setup");
-    group.sample_size(10);
-    group.bench_function("build_full_home", |b| {
-        b.iter(|| SmartHome::builder().build().unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -6,8 +6,7 @@
 //! milliseconds per class and amortises after a handful of calls.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
-use metaware::{generate, MetaError, OpSig, ProxyGenCost, ServiceInterface, TypeTag};
+use metaware::{generate, OpSig, ProxyGenCost, ServiceInterface, TypeTag};
 use simnet::Sim;
 use soap::Value;
 use std::sync::Arc;
@@ -28,7 +27,7 @@ fn echo_target() -> metaware::ProxyTarget {
     Arc::new(|_, _, args| Ok(Value::Int(args.len() as i64)))
 }
 
-fn simulated_generation_cost() {
+pub fn run() -> Vec<Report> {
     let mut report = Report::new(
         "E2",
         "proxy auto-generation cost vs interface size (virtual time)",
@@ -65,37 +64,6 @@ fn simulated_generation_cost() {
             format!("{:.1}", gen_cost as f64 / soap_rt as f64),
         ]);
     }
-    report.emit();
+    report.print();
+    vec![report]
 }
-
-fn bench(c: &mut Criterion) {
-    simulated_generation_cost();
-
-    // Real-CPU: generation itself.
-    let sim = Sim::new(1);
-    let iface = iface_with(16, 4);
-    c.bench_function("e2_generate_16x4", |b| {
-        b.iter(|| generate(&sim, ProxyGenCost::free(), &iface, echo_target()))
-    });
-
-    // Real-CPU: generated dispatch vs a hand-written proxy doing the
-    // same validation inline (the ablation: what does the generated
-    // indirection cost?).
-    let proxy = generate(&sim, ProxyGenCost::free(), &iface, echo_target());
-    let args: Vec<(String, Value)> = (0..4).map(|p| (format!("p{p}"), Value::Int(1))).collect();
-    c.bench_function("e2_generated_dispatch", |b| {
-        b.iter(|| proxy.dispatch(&sim, "op7", &args).unwrap())
-    });
-
-    let hand_sig = iface.find("op7").unwrap().clone();
-    let hand_target = echo_target();
-    c.bench_function("e2_handwritten_dispatch", |b| {
-        b.iter(|| -> Result<Value, MetaError> {
-            hand_sig.check_args(&args)?;
-            hand_target(&sim, "op7", &args)
-        })
-    });
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

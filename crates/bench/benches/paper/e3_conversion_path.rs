@@ -8,7 +8,6 @@
 //! could afford a "simple protocol" for the VSG.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{Middleware, SmartHome};
 use simnet::Protocol;
 use soap::Value;
@@ -123,7 +122,7 @@ fn measure_stages() -> Vec<Stage> {
     stages
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() -> Vec<Report> {
     let stages = measure_stages();
     let full = stages.last().unwrap().virtual_us;
     let mut report = Report::new(
@@ -140,27 +139,6 @@ fn bench(c: &mut Criterion) {
             format!("{:.1}%", 100.0 * s.virtual_us as f64 / full as f64),
         ]);
     }
-    report.emit();
-
-    // Real-CPU cost of the full conversion path.
-    let home = SmartHome::builder().build().unwrap();
-    home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
-        .unwrap();
-    let mut group = c.benchmark_group("e3");
-    group.sample_size(20);
-    group.bench_function("full_jini_to_x10_switch", |b| {
-        b.iter(|| {
-            home.invoke_from(
-                Middleware::Jini,
-                "hall-lamp",
-                "switch",
-                &[("on".into(), Value::Bool(true))],
-            )
-            .unwrap()
-        })
-    });
-    group.finish();
+    report.print();
+    vec![report]
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 //! handshakes.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{CompactBinary, SipLike, Soap11, VsgProtocol, VsgRequest};
 use simnet::{Network, Protocol, Sim};
 use soap::Value;
@@ -36,7 +35,7 @@ fn one_call(protocol: &Arc<dyn VsgProtocol>, wire: Protocol, payload_bytes: usiz
     (us, bytes)
 }
 
-fn simulated_ablation() {
+pub fn run() -> Vec<Report> {
     let mut report = Report::new(
         "E4",
         "VSG protocol ablation: one gateway call, varying payload",
@@ -69,7 +68,7 @@ fn simulated_ablation() {
         cells.push(format!("{:.1}x", soap_bytes as f64 / bin_bytes as f64));
         report.row(cells);
     }
-    report.emit();
+    report.print();
 
     // The qualitative §4.1 claims, checked as data.
     let (_, soap0) = one_call(
@@ -86,23 +85,5 @@ fn simulated_ablation() {
         soap0 > bin0 * 8,
         "SOAP fixed cost dwarfs binary ({soap0} vs {bin0})"
     );
+    vec![report]
 }
-
-fn bench(c: &mut Criterion) {
-    simulated_ablation();
-
-    // Real-CPU per protocol (the XML tax is real here too).
-    for (name, protocol, _) in protocols() {
-        let sim = Sim::new(1);
-        let net = Network::ethernet(&sim);
-        let server = protocol.bind(&net, "gw", Arc::new(|_, _| Ok(Value::Null)));
-        let client = net.attach("c");
-        let req = VsgRequest::new("svc", "ping").arg("x", 1);
-        c.bench_function(&format!("e4_call_{name}"), |b| {
-            b.iter(|| protocol.call(&net, client, server, &req).unwrap())
-        });
-    }
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

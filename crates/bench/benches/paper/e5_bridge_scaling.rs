@@ -10,11 +10,10 @@
 //! per-PCM component counts of the real four-island home.
 
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{ProtocolConversionManager, SmartHome};
 
-fn simulated_scaling() {
-    let mut report = Report::new(
+pub fn run() -> Vec<Report> {
+    let mut scaling = Report::new(
         "E5",
         "connecting N middleware: pairwise bridges vs one-PCM-per-middleware",
         &[
@@ -31,7 +30,7 @@ fn simulated_scaling() {
         let bridge_halves = bridges * 2;
         let pcms = n;
         let pcm_modules = n * 2; // one SP + one CP each
-        report.row(vec![
+        scaling.row(vec![
             cell(n),
             cell(bridges),
             cell(bridge_halves),
@@ -40,7 +39,7 @@ fn simulated_scaling() {
             format!("{:.1}x", bridge_halves as f64 / pcm_modules as f64),
         ]);
     }
-    report.emit();
+    scaling.print();
 
     // Ground truth from the built system: each island contributed
     // exactly one PCM, and every island reaches every other island.
@@ -71,31 +70,6 @@ fn simulated_scaling() {
             cell(n - 1),
         ]);
     }
-    report.emit();
+    report.print();
+    vec![scaling, report]
 }
-
-fn bench(c: &mut Criterion) {
-    simulated_scaling();
-
-    // Real-CPU: what adding the Nth island costs (build homes of
-    // increasing width).
-    let mut group = c.benchmark_group("e5_build");
-    group.sample_size(10);
-    group.bench_function("two_islands", |b| {
-        b.iter(|| {
-            SmartHome::builder()
-                .havi(false)
-                .mail(false)
-                .upnp(false)
-                .build()
-                .unwrap()
-        })
-    });
-    group.bench_function("five_islands", |b| {
-        b.iter(|| SmartHome::builder().upnp(true).build().unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -14,7 +14,6 @@
 //! one message per event.
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{PollingBridge, SipPublisher, SipSubscriber, SmartHome};
 use parking_lot::Mutex;
 use simnet::SimDuration;
@@ -114,7 +113,7 @@ fn run_native() -> u64 {
         .saturating_sub(fired)
 }
 
-fn bench(c: &mut Criterion) {
+pub fn run() -> Vec<Report> {
     let mut report = Report::new(
         "E6",
         "motion-sensor -> HAVi camera event delivery (8 events, 30s apart)",
@@ -143,32 +142,6 @@ fn bench(c: &mut Criterion) {
         cell(0),
         cell(0),
     ]);
-    report.emit();
-
-    // Real-CPU cost: one poll cycle vs one push.
-    let mut group = c.benchmark_group("e6");
-    group.sample_size(20);
-    group.bench_function("poll_cycle_soap", |b| {
-        let home = SmartHome::builder().build().unwrap();
-        let gw = home.havi.as_ref().unwrap().vsg.clone();
-        gw.invoke(&home.sim, "hall-motion", "drain_events", &[])
-            .unwrap();
-        b.iter(|| {
-            gw.invoke(&home.sim, "hall-motion", "drain_events", &[])
-                .unwrap()
-        })
-    });
-    group.bench_function("push_notify_sip", |b| {
-        let home = SmartHome::builder().build().unwrap();
-        let x10 = home.x10.as_ref().unwrap();
-        let havi_gw = home.havi.as_ref().unwrap().vsg.clone();
-        let publisher = SipPublisher::new(&home.backbone, x10.vsg.node());
-        publisher.subscribe(havi_gw.node(), "%");
-        let _sub = SipSubscriber::install(&home.backbone, havi_gw.node(), |_, _, _| {});
-        b.iter(|| publisher.publish("hall-motion", &Value::Bool(true)))
-    });
-    group.finish();
+    report.print();
+    vec![report]
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -13,22 +13,21 @@
 //! simulation.
 
 use bench::{cell, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::footprint::{DEVICE_CLASSES, STACKS};
 use metaware::{Middleware, SmartHome};
 use simnet::Protocol;
 use soap::Value;
 
-fn static_tables() {
-    let mut report = Report::new(
+fn static_tables() -> Vec<Report> {
+    let mut stacks = Report::new(
         "E7",
         "protocol stack footprints (2002-era figures)",
         &["stack", "code bytes", "RAM bytes"],
     );
     for s in STACKS {
-        report.row(vec![cell(s.name), cell(s.code_bytes), cell(s.ram_bytes)]);
+        stacks.row(vec![cell(s.name), cell(s.code_bytes), cell(s.ram_bytes)]);
     }
-    report.emit();
+    stacks.print();
 
     let mut headers = vec!["device class (code/RAM)"];
     headers.extend(STACKS.iter().map(|s| s.name));
@@ -44,10 +43,11 @@ fn static_tables() {
         }
         report.row(cells);
     }
-    report.emit();
+    report.print();
+    vec![stacks, report]
 }
 
-fn dynamic_table() {
+fn dynamic_table() -> Report {
     // Wire bytes per logical command at each device's attachment point.
     let home = SmartHome::builder().build().unwrap();
     let x10 = home.x10.as_ref().unwrap();
@@ -95,29 +95,12 @@ fn dynamic_table() {
         cell(x10_bytes),
         "1x".into(),
     ]);
-    report.emit();
+    report.print();
+    report
 }
 
-fn bench(c: &mut Criterion) {
-    static_tables();
-    dynamic_table();
-
-    // Real-CPU: the hosting check is trivially cheap, but registering it
-    // keeps the harness uniform.
-    c.bench_function("e7_feasibility_matrix", |b| {
-        b.iter(|| {
-            let mut fits = 0u32;
-            for d in DEVICE_CLASSES {
-                for s in &STACKS {
-                    if d.can_host(s) {
-                        fits += 1;
-                    }
-                }
-            }
-            fits
-        })
-    });
+pub fn run() -> Vec<Report> {
+    let mut tables = static_tables();
+    tables.push(dynamic_table());
+    tables
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 //! away, not a linear scan (`BENCH_hotpath.json` has the ablation).
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::{catalog, Middleware, VirtualService, Vsr, VsrClient};
 use simnet::{Network, Sim};
 
@@ -32,7 +31,7 @@ fn populated(n: usize) -> (Sim, Network, Vsr, VsrClient) {
     (sim, net, vsr, client)
 }
 
-fn simulated_scaling() {
+pub fn run() -> Vec<Report> {
     let mut report = Report::new(
         "E8",
         "VSR operations vs registry size (virtual time per op)",
@@ -81,23 +80,6 @@ fn simulated_scaling() {
             cell(vsr.registry_stats().records_scanned),
         ]);
     }
-    report.emit();
+    report.print();
+    vec![report]
 }
-
-fn bench(c: &mut Criterion) {
-    simulated_scaling();
-
-    // Real-CPU at a realistic home scale and at building scale.
-    for n in [10usize, 500] {
-        let (_sim, _net, _vsr, client) = populated(n);
-        c.bench_function(&format!("e8_resolve_n{n}"), |b| {
-            b.iter(|| client.resolve("svc-0000").unwrap())
-        });
-        c.bench_function(&format!("e8_find_all_n{n}"), |b| {
-            b.iter(|| client.find("%", None).unwrap())
-        });
-    }
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 //! instantaneous to its user: human-scale, not network-scale, latency).
 
 use bench::{cell, fmt_us, Report};
-use criterion::{criterion_group, criterion_main, Criterion};
 use metaware::pcm::x10::Route;
 use metaware::{house, unit, SmartHome};
 use simnet::SimDuration;
@@ -41,7 +40,7 @@ fn routed_home() -> SmartHome {
     home
 }
 
-fn replay() {
+pub fn run() -> Vec<Report> {
     let home = routed_home();
     let x10 = home.x10.as_ref().unwrap();
     let _poll = x10.pcm.start_polling(SimDuration::from_millis(250));
@@ -123,7 +122,8 @@ fn replay() {
         cell("all"),
         format!("{} ({:.2} cmd/s)", fmt_us(per_cmd), 1e6 / per_cmd as f64),
     ]);
-    report.emit();
+    report.print();
+    vec![report]
 }
 
 // A tiny helper so the replay loop reads cleanly.
@@ -140,26 +140,3 @@ impl StateProbe for havi::Dcm {
         })
     }
 }
-
-fn bench(c: &mut Criterion) {
-    replay();
-
-    // Real-CPU: one full press-to-effect cycle for the bridged path.
-    let mut group = c.benchmark_group("e9");
-    group.sample_size(10);
-    group.bench_function("press_route_invoke_cycle", |b| {
-        let home = routed_home();
-        let x10 = home.x10.as_ref().unwrap();
-        let mut remote = x10.remote();
-        b.iter(|| {
-            remote.press(Button::On(5));
-            x10.pcm.pump();
-            remote.press(Button::Off(5));
-            x10.pcm.pump();
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,16 +1,24 @@
-//! Shared harness for the experiment benches (E1–E10).
+//! Shared code for the experiment benches (E1–E19).
 //!
-//! Each bench regenerates one figure/claim of the paper's evaluation:
-//! it prints the simulated-metric table the experiment is about (these
-//! are deterministic — byte counts and virtual-time latencies), records
-//! it as JSON under `target/bench-results/`, and then lets Criterion
-//! measure the real CPU cost of the simulated scenario.
+//! Each bench is a plain `fn main()` that regenerates one figure or
+//! claim: it prints the simulated-metric tables the experiment is about
+//! (deterministic byte counts and virtual-time latencies) and writes
+//! them as JSON under `target/bench-results/`. The paper's own
+//! experiments, E1–E10, run as one target, `paper`, whose tables are
+//! flattened by [`Report::flatten`] into one gated `BENCH_paper.json`.
+//! Wall-clock cost is measured by `crates/hmbench`; no JSON artefact
+//! written here holds wall time.
 
 pub mod workload;
 
+use std::collections::HashSet;
 use std::fmt::Display;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
+
+/// Where the benches write their artefacts, relative to the package
+/// directory (`cargo bench` runs each bench there).
+const RESULTS_DIR: &str = "target/bench-results";
 
 /// One experiment report: a named table.
 #[derive(Debug)]
@@ -51,6 +59,12 @@ impl Report {
     /// Prints the table and writes the JSON artefact under an explicit
     /// file name (for artefacts whose exact name is part of a spec).
     pub fn emit_as(&self, filename: &str) {
+        self.print();
+        write_result(filename, &self.to_json());
+    }
+
+    /// Prints the table.
+    pub fn print(&self) {
         let widths: Vec<usize> = self
             .headers
             .iter()
@@ -81,12 +95,32 @@ impl Report {
         for r in &self.rows {
             println!("{}", fmt_row(r));
         }
+    }
 
-        let dir = PathBuf::from("target/bench-results");
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join(filename);
-        let _ = fs::write(&path, self.to_json());
-        println!("[written {}]", path.display());
+    /// Flattens `tables` into one `["cell", "value"]` report with a row
+    /// per value cell (every cell but a row's first, its label), in
+    /// table, row, column order. A cell's key is
+    /// `"<table id> / <row label> / <column header>"`; a row label that
+    /// repeats within its table is qualified by the row's second column,
+    /// e.g. `"SOAP VSG bridge (chunk 480)"`. Panics on a duplicate key.
+    pub fn flatten(id: &str, title: &str, tables: &[Report]) -> Report {
+        let mut out = Report::new(id, title, &["cell", "value"]);
+        let mut keys = HashSet::new();
+        for table in tables {
+            for row in &table.rows {
+                let label = if table.rows.iter().filter(|r| r[0] == row[0]).count() > 1 {
+                    format!("{} ({} {})", row[0], table.headers[1], row[1])
+                } else {
+                    row[0].clone()
+                };
+                for (header, value) in table.headers.iter().zip(row).skip(1) {
+                    let key = format!("{} / {label} / {header}", table.id);
+                    assert!(keys.insert(key.clone()), "duplicate cell key {key:?}");
+                    out.row(vec![key, value.clone()]);
+                }
+            }
+        }
+        out
     }
 
     /// Serializes the report as pretty-printed JSON.
@@ -132,6 +166,21 @@ fn json_str_array(items: &[String], _indent: &str) -> String {
     format!("[{}]", cells.join(", "))
 }
 
+/// Writes `contents` as `target/bench-results/<filename>`, panicking
+/// with the path if it cannot: a bench that fails to write its artefact
+/// must not leave the gate reading an older one.
+pub fn write_result(filename: &str, contents: &str) {
+    write_into(Path::new(RESULTS_DIR), filename, contents);
+}
+
+fn write_into(dir: &Path, filename: &str, contents: &str) {
+    let path = dir.join(filename);
+    if let Err(e) = fs::create_dir_all(dir).and_then(|()| fs::write(&path, contents)) {
+        panic!("cannot write {}: {e}", path.display());
+    }
+    println!("[written {}]", path.display());
+}
+
 /// Formats a cell.
 pub fn cell(v: impl Display) -> String {
     v.to_string()
@@ -165,8 +214,57 @@ mod tests {
         let mut r = Report::new("E0", "smoke", &["a", "b"]);
         r.row(vec![cell(1), cell("x")]);
         r.row(vec![cell(22), fmt_us(1_500)]);
-        r.emit();
-        assert_eq!(r.rows.len(), 2);
+        r.print();
+        // A private directory, so `cargo test` leaves `target/bench-results/` alone.
+        let dir = std::env::temp_dir().join(format!("bench-report-{}", std::process::id()));
+        write_into(&dir, "e0.json", &r.to_json());
+        assert_eq!(
+            fs::read_to_string(dir.join("e0.json")).unwrap(),
+            r.to_json()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "unwritable.json")]
+    fn write_failure_names_the_path() {
+        // The test binary itself: a file where the directory should be.
+        let file = std::env::current_exe().unwrap();
+        write_into(&file, "unwritable.json", "{}");
+    }
+
+    #[test]
+    fn flatten_keys_every_value_cell_in_order() {
+        let mut a = Report::new("A", "a", &["name", "x", "y"]);
+        a.row(vec![cell("p"), cell(1), cell("-")]);
+        a.row(vec![cell("q"), cell(2), fmt_us(30)]);
+        let mut b = Report::new("B", "b", &["carrier", "chunk", "rate"]);
+        b.row(vec![cell("bridge"), cell(480), cell("1.38")]);
+        b.row(vec![cell("bridge"), cell(4800), cell("5.98")]);
+        b.row(vec![cell("native"), cell(480), cell("30.7")]);
+
+        let flat = Report::flatten("T", "all", &[a, b]);
+        assert_eq!(flat.headers, ["cell", "value"]);
+        let expected = [
+            ("A / p / x", "1"),
+            ("A / p / y", "-"),
+            ("A / q / x", "2"),
+            ("A / q / y", "30us"),
+            ("B / bridge (chunk 480) / chunk", "480"),
+            ("B / bridge (chunk 480) / rate", "1.38"),
+            ("B / bridge (chunk 4800) / chunk", "4800"),
+            ("B / bridge (chunk 4800) / rate", "5.98"),
+            ("B / native / chunk", "480"),
+            ("B / native / rate", "30.7"),
+        ];
+        let got: Vec<(&str, &str)> = flat
+            .rows
+            .iter()
+            .map(|r| (r[0].as_str(), r[1].as_str()))
+            .collect();
+        assert_eq!(got, expected);
+        let keys: HashSet<&str> = got.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys.len(), got.len(), "keys are unique");
     }
 
     #[test]

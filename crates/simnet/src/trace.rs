@@ -1,8 +1,11 @@
 //! Lightweight event tracing.
 //!
 //! Traces are kept in a bounded ring buffer so long benchmark runs cannot
-//! exhaust memory. The conversion-path experiment (E3) and the examples use
-//! traces to print the per-stage transaction breakdown of Figure 4.
+//! exhaust memory. Components note free-form events here through
+//! `Sim::trace` (bus resets, lease expiries, failed polls); only a HAVi
+//! unit test reads the ring back. The Figure 4 breakdown (E3) comes from
+//! per-network wire statistics, and the examples' trace trees from the
+//! gateways' span tracer in `metaware::trace`, not from this ring.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;

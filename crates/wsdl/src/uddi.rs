@@ -616,7 +616,7 @@ mod tests {
         let found = reg.find_service("device-0777", &[]);
         assert_eq!(found.len(), 1);
         let scanned = reg.stats().records_scanned - before;
-        // Acceptance criterion: >=10x fewer records examined than the
+        // Required: >=10x fewer records examined than the
         // full 1000-record scan. The index gets it down to exactly 1.
         assert_eq!(scanned, 1, "exact-name inquiry examined {scanned} records");
 
