@@ -17,7 +17,12 @@
 //!    3r/4s pass when the eager push already converged every backup
 //!    (a fingerprint exchange per backup, nothing else), and after one
 //!    lost push (one shard also swaps a digest and fetches one name).
-//!    Both passes must leave lag 0.
+//!    Both passes must leave lag 0;
+//!  * **what the repository plane allocates** — heap allocations per
+//!    warm `resolve`, per `gateway_node` and per `publish` (a service
+//!    moving gateways) on a 3r/4s cluster, client and replicas
+//!    together, counted by the bench's allocator the way E18 counts
+//!    its codec rows.
 //!
 //! The threshold assertions live inside the report functions so
 //! `cargo bench --bench e15_vsr_scale` (run by `ci.sh --stage bench`)
@@ -36,6 +41,11 @@ use std::sync::Arc;
 
 const SERVICES: usize = 48;
 const RESOLVES: usize = 192;
+
+/// Counts heap allocations for the repository-plane rows. Only the
+/// bench harness pays this; the repository itself is unchanged.
+#[global_allocator]
+static A: bench::CountingAlloc = bench::CountingAlloc;
 
 fn service(name: &str, gateway: &str) -> VirtualService {
     VirtualService::new(name, catalog::lamp(), Middleware::X10, gateway)
@@ -174,6 +184,45 @@ fn anti_entropy_pass_bytes() -> (u64, u64) {
     (converged, pass())
 }
 
+/// Allocations per call of `op`, averaged over `n` calls.
+fn allocs_per_call(n: usize, mut op: impl FnMut(usize)) -> f64 {
+    let before = bench::allocs();
+    for i in 0..n {
+        op(i);
+    }
+    (bench::allocs() - before) as f64 / n as f64
+}
+
+/// Allocations per warm repository call on a 3r/4s cluster holding
+/// `SERVICES` records: a `resolve` (one round trip to the owning
+/// shard), a `gateway_node` lookup, and a `publish` that moves a
+/// service to another gateway (replicated to its shard's backup).
+/// Everything a call needs is built before counting starts.
+fn repository_allocs() -> (f64, f64, f64) {
+    let (_sim, net, _vsr, client) = cluster(19, 4, 3);
+    let names: Vec<String> = (0..SERVICES).map(|i| format!("svc-{i:02}")).collect();
+    for name in &names {
+        client.publish(&service(name, "x10-gw")).unwrap();
+    }
+    client
+        .register_gateway("x10-gw", net.attach("x10-gw"))
+        .unwrap();
+    for name in &names {
+        client.resolve(name).unwrap();
+    }
+    client.gateway_node("x10-gw").unwrap();
+    let moves: Vec<VirtualService> = names.iter().map(|n| service(n, "x10-gw-2")).collect();
+
+    let resolve = allocs_per_call(RESOLVES, |i| {
+        client.resolve(&names[i % names.len()]).unwrap();
+    });
+    let gateway_node = allocs_per_call(RESOLVES, |_| {
+        client.gateway_node("x10-gw").unwrap();
+    });
+    let publish = allocs_per_call(SERVICES, |i| client.publish(&moves[i]).unwrap());
+    (resolve, gateway_node, publish)
+}
+
 fn scale_report() {
     let mut report = Report::new(
         "E15",
@@ -266,6 +315,20 @@ fn scale_report() {
         converged < missed_push,
         "a converged pass must send less than a repairing one"
     );
+
+    let (resolve, gateway_node, publish) = repository_allocs();
+    for (workload, allocs) in [
+        ("allocs per warm resolve", resolve),
+        ("allocs per gateway_node", gateway_node),
+        ("allocs per publish (gateway move)", publish),
+    ] {
+        report.row(vec![
+            workload.into(),
+            "3r/4s".into(),
+            format!("{allocs:.1}"),
+            "allocs/op".into(),
+        ]);
+    }
 
     report.emit_as("BENCH_vsr_scale.json");
 }

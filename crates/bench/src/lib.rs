@@ -11,10 +11,53 @@
 
 pub mod workload;
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::fmt::Display;
 use std::fs;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A global allocator that counts heap allocations (reallocations
+/// included), so a bench can report allocs/op. A bench that reports
+/// them installs it in its own binary:
+///
+/// ```ignore
+/// #[global_allocator]
+/// static A: bench::CountingAlloc = bench::CountingAlloc;
+/// ```
+///
+/// Only the bench harness pays for the count; the stack it measures is
+/// unchanged.
+pub struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; the counter is
+// a relaxed atomic that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(l)
+    }
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        System.dealloc(p, l)
+    }
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(p, l, n)
+    }
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(l)
+    }
+}
+
+/// Heap allocations so far in this process, as counted by
+/// [`CountingAlloc`] (always 0 in a binary that did not install it).
+pub fn allocs() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
 
 /// Where the benches write their artefacts, relative to the package
 /// directory (`cargo bench` runs each bench there).

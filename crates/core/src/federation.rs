@@ -735,9 +735,10 @@ impl ReplicaState {
     }
 }
 
-/// Deletes every record named `name` (index-backed, no scan) together
-/// with the tModels its bindings referenced. Returns whether anything
-/// was removed.
+/// Deletes the record named exactly `name` (index-backed, no scan)
+/// together with the tModels its bindings referenced; a case variant's
+/// record stays, as its entry does. Returns whether anything was
+/// removed.
 pub(crate) fn delete_by_name(registry: &mut UddiRegistry, name: &str) -> bool {
     let removed = registry.delete_services_by_name(name);
     let found = !removed.is_empty();
@@ -753,39 +754,35 @@ pub(crate) fn delete_by_name(registry: &mut UddiRegistry, name: &str) -> bool {
 
 /// Serializes one registry inquiry hit the way the single-node VSR
 /// did: categories carry middleware/gateway/contexts, the bound tModel
-/// carries the WSDL (and the `get_tmodel` inquiry is counted).
+/// carries the WSDL (and the `get_tmodel` inquiry is counted). Reads
+/// the borrowed records; only the reply `Value` owns copies.
 pub(crate) fn service_to_value(
-    registry: &mut UddiRegistry,
+    registry: &UddiRegistry,
     svc: &wsdl::BusinessService,
 ) -> Option<Value> {
-    let middleware = svc
-        .categories
-        .iter()
-        .find(|c| c.taxonomy == TAX_MIDDLEWARE)?
-        .value
-        .clone();
-    let gateway = svc
-        .categories
-        .iter()
-        .find(|c| c.taxonomy == TAX_GATEWAY)?
-        .value
-        .clone();
-    let tmodel_key = svc.bindings.first()?.tmodel_key.clone()?;
-    let tmodel = registry.get_tmodel(&tmodel_key)?;
+    let category = |taxonomy: &str| {
+        svc.categories
+            .iter()
+            .find(|c| c.taxonomy == taxonomy)
+            .map(|c| c.value.as_str())
+    };
+    let middleware = category(TAX_MIDDLEWARE)?;
+    let gateway = category(TAX_GATEWAY)?;
+    let tmodel = registry.get_tmodel(svc.bindings.first()?.tmodel_key.as_ref()?)?;
     let contexts: Vec<(String, Value)> = svc
         .categories
         .iter()
         .filter_map(|c| {
             c.taxonomy
                 .strip_prefix(TAX_CONTEXT_PREFIX)
-                .map(|k| (k.to_owned(), Value::Str(c.value.clone())))
+                .map(|k| (k.to_owned(), Value::from(c.value.as_str())))
         })
         .collect();
     Some(Value::Record(vec![
-        ("name".into(), Value::Str(svc.name.clone())),
-        ("middleware".into(), Value::Str(middleware)),
-        ("gateway".into(), Value::Str(gateway)),
-        ("wsdl".into(), Value::Str(tmodel.overview_doc)),
+        ("name".into(), Value::from(svc.name.as_str())),
+        ("middleware".into(), Value::from(middleware)),
+        ("gateway".into(), Value::from(gateway)),
+        ("wsdl".into(), Value::from(tmodel.overview_doc.as_str())),
         ("contexts".into(), Value::Record(contexts)),
     ]))
 }
@@ -913,10 +910,9 @@ impl ReplicaCtx {
 /// `sync_fetch`) never push in turn, so the call chain is bounded.
 fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaError> {
     let now = sim.now();
-    let str_arg = |name: &str| -> Result<String, MetaError> {
+    let str_arg = |name: &str| -> Result<&str, MetaError> {
         call.get(name)
             .and_then(Value::as_str)
-            .map(str::to_owned)
             .ok_or_else(|| MetaError::Repository(format!("missing argument '{name}'")))
     };
 
@@ -1018,23 +1014,23 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                 let node = u32::try_from(node)
                     .map_err(|_| MetaError::Repository(format!("bad node {node}")))?;
                 let version = st.next_version(now);
-                st.apply_gateway(&name, node, version);
+                st.apply_gateway(name, node, version);
                 Ok(Value::Null)
             }
             "gateway_node" => {
                 let name = str_arg("name")?;
                 st.gateways
-                    .get(&name)
+                    .get(name)
                     .map(|&(n, _)| Value::Int(i64::from(n)))
-                    .ok_or(MetaError::GatewayUnreachable(name))
+                    .ok_or_else(|| MetaError::GatewayUnreachable(name.to_owned()))
             }
             "publish" => {
                 let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, &name)?;
+                let shard = route_write(ctx, sim, call, name)?;
                 let record = StoredRecord {
-                    middleware: str_arg("middleware")?,
-                    gateway: str_arg("gateway")?,
-                    wsdl: str_arg("wsdl")?,
+                    middleware: str_arg("middleware")?.to_owned(),
+                    gateway: str_arg("gateway")?.to_owned(),
+                    wsdl: str_arg("wsdl")?.to_owned(),
                     contexts: match call.get("contexts") {
                         Some(Value::Record(fields)) => fields
                             .iter()
@@ -1044,26 +1040,26 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                     },
                     expires_at: st.lease.map(|l| now + l),
                 };
-                let entry = st.write(&name, shard, EntryKind::Record(record), now);
-                outgoing.push((name, entry));
+                let entry = st.write(name, shard, EntryKind::Record(record), now);
+                outgoing.push((name.to_owned(), entry));
                 Ok(Value::Null)
             }
             "unpublish" => {
                 let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, &name)?;
+                let shard = route_write(ctx, sim, call, name)?;
                 let found = matches!(
-                    st.entries.get(&name).map(|e| &e.kind),
+                    st.entries.get(name).map(|e| &e.kind),
                     Some(EntryKind::Record(_))
                 );
-                let entry = st.write(&name, shard, EntryKind::Unpublished, now);
-                outgoing.push((name, entry));
+                let entry = st.write(name, shard, EntryKind::Unpublished, now);
+                outgoing.push((name.to_owned(), entry));
                 Ok(Value::Bool(found))
             }
             "renew" => {
                 let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, &name)?;
+                let shard = route_write(ctx, sim, call, name)?;
                 let lease = st.lease;
-                match st.entries.get(&name).map(|e| e.kind.clone()) {
+                match st.entries.get(name).map(|e| e.kind.clone()) {
                     Some(EntryKind::Record(mut rec)) => {
                         // With leases on, a renewal is a real write: it
                         // bumps the version so a later stale reaper
@@ -1071,8 +1067,8 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                         // cannot kill the renewed record.
                         if let Some(lease) = lease {
                             rec.expires_at = Some(now + lease);
-                            let entry = st.write(&name, shard, EntryKind::Record(rec), now);
-                            outgoing.push((name, entry));
+                            let entry = st.write(name, shard, EntryKind::Record(rec), now);
+                            outgoing.push((name.to_owned(), entry));
                         }
                         Ok(Value::Bool(true))
                     }
@@ -1081,13 +1077,14 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
             }
             "resolve" => {
                 let name = str_arg("name")?;
-                route_read(ctx, call, &name)?;
-                let services = st.registry.find_service(&name, &[]);
-                let svc = services
+                route_read(ctx, call, name)?;
+                let registry = &st.registry;
+                let svc = registry
+                    .find_service(name, &[])
                     .into_iter()
                     .find(|s| s.name == name)
-                    .ok_or(MetaError::UnknownService(name))?;
-                service_to_value(&mut st.registry, &svc)
+                    .ok_or_else(|| MetaError::UnknownService(name.to_owned()))?;
+                service_to_value(registry, svc)
                     .ok_or_else(|| MetaError::Repository("corrupt record".into()))
             }
             "find" => {
@@ -1096,9 +1093,9 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                 let categories: Vec<KeyedReference> = if middleware.is_empty() {
                     vec![]
                 } else {
-                    vec![KeyedReference::new(TAX_MIDDLEWARE, &middleware)]
+                    vec![KeyedReference::new(TAX_MIDDLEWARE, middleware)]
                 };
-                serve_inquiry(ctx, call, &mut st, &pattern, &categories)
+                serve_inquiry(ctx, call, &st, pattern, &categories)
             }
             "find_ctx" => {
                 let pattern = str_arg("pattern")?;
@@ -1112,7 +1109,7 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaErro
                         .collect(),
                     _ => Vec::new(),
                 };
-                serve_inquiry(ctx, call, &mut st, &pattern, &categories)
+                serve_inquiry(ctx, call, &st, pattern, &categories)
             }
             "count" => match hosted_shard(ctx, call)? {
                 Some(shard) => {
@@ -1242,7 +1239,7 @@ fn route_read(ctx: &ReplicaCtx, call: &RpcCall, name: &str) -> Result<u32, MetaE
 fn serve_inquiry(
     ctx: &ReplicaCtx,
     call: &RpcCall,
-    st: &mut ReplicaState,
+    st: &ReplicaState,
     pattern: &str,
     categories: &[KeyedReference],
 ) -> Result<Value, MetaError> {
@@ -1256,7 +1253,7 @@ fn serve_inquiry(
                 _ => continue,
             }
         }
-        if let Some(v) = service_to_value(&mut st.registry, &svc) {
+        if let Some(v) = service_to_value(&st.registry, svc) {
             out.push(v);
         }
     }

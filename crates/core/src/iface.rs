@@ -216,28 +216,32 @@ impl ServiceInterface {
     }
 
     /// Reconstructs an interface from a WSDL description (used when a PCM
-    /// learns about a remote service from the VSR).
-    pub fn from_wsdl(desc: &ServiceDescription) -> ServiceInterface {
-        let mut iface = ServiceInterface::new(
-            desc.documentation
-                .strip_prefix("interface ")
-                .unwrap_or(&desc.name)
-                .to_owned(),
-        );
-        for op in &desc.operations {
-            let mut sig = OpSig::new(&op.name);
-            if op.idempotent {
-                sig = sig.idempotent();
-            }
-            for part in &op.inputs {
-                sig = sig.param(&part.name, TypeTag::from_xsd(part.ty));
-            }
-            if let Some(out) = &op.output {
-                sig = sig.returns(TypeTag::from_xsd(out.ty));
-            }
-            iface = iface.op(sig);
-        }
-        iface
+    /// learns about a remote service from the VSR). Consumes the
+    /// description: its names move into the interface, uncopied.
+    pub fn from_wsdl(desc: ServiceDescription) -> ServiceInterface {
+        const PREFIX: &str = "interface ";
+        let name = if desc.documentation.starts_with(PREFIX) {
+            let mut name = desc.documentation;
+            name.drain(..PREFIX.len());
+            name
+        } else {
+            desc.name
+        };
+        let operations = desc
+            .operations
+            .into_iter()
+            .map(|op| OpSig {
+                name: op.name,
+                params: op
+                    .inputs
+                    .into_iter()
+                    .map(|part| (part.name, TypeTag::from_xsd(part.ty)))
+                    .collect(),
+                returns: op.output.map(|out| TypeTag::from_xsd(out.ty)),
+                idempotent: op.idempotent,
+            })
+            .collect();
+        ServiceInterface { name, operations }
     }
 }
 
@@ -462,7 +466,7 @@ mod tests {
         let iface = catalog::vcr();
         let desc = iface.to_wsdl("living-room-vcr", "vsg://havi-gw/living-room-vcr");
         assert_eq!(desc.namespace, "urn:vsg:living-room-vcr");
-        let back = ServiceInterface::from_wsdl(&desc);
+        let back = ServiceInterface::from_wsdl(desc);
         assert_eq!(back, iface);
     }
 
@@ -470,10 +474,9 @@ mod tests {
     fn wsdl_survives_the_wire() {
         let iface = catalog::mailer();
         let desc = iface.to_wsdl("mailer", "vsg://inet-gw/mailer");
-        let text = desc.to_xml().to_document();
-        let parsed =
-            wsdl::ServiceDescription::from_xml(&minixml::parse_ref(&text).unwrap()).unwrap();
-        assert_eq!(ServiceInterface::from_wsdl(&parsed), iface);
+        let text = desc.to_document();
+        let parsed = wsdl::ServiceDescription::from_document(&text).unwrap();
+        assert_eq!(ServiceInterface::from_wsdl(parsed), iface);
     }
 
     #[test]

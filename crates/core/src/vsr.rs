@@ -29,9 +29,10 @@ use crate::rescache::ShardMapCache;
 use crate::resilience::BreakerBank;
 use crate::service::{Middleware, VirtualService};
 use crate::trace::{HopKind, Span, Tracer};
+use minixml::{ParseError, Reader};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
-use soap::{RpcCall, SoapClient, SoapError, Value};
+use soap::{Compound, SoapClient, SoapError, Value, ValueError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,6 +48,13 @@ const ROUTE_BREAKER_WINDOW_MS: u64 = 1_000;
 /// `MovedShard` redirects tolerated per operation before giving up
 /// (one stale map plus one promotion race is the realistic worst case).
 const MAX_REDIRECTS: u32 = 2;
+
+/// The flag a write carries when it fails over to a backup.
+static PROMOTE: Value = Value::Bool(true);
+
+/// Reads a reply's `return` element into a `T` (see
+/// [`SoapClient::call_parts_decode`]).
+type Decode<T> = fn(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>;
 
 /// A resolved repository record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,13 +94,82 @@ impl ServiceRecord {
             .and_then(|(_, xml)| crate::compose::CompositeSpec::from_xml(xml))
     }
 
+    /// Reads a `resolve` reply's `return` element straight into a
+    /// record, in one pass: the struct's fields decode as `Value`s,
+    /// the first of each named field is kept, and the WSDL text is
+    /// read by [`wsdl::ServiceDescription::from_document`]. Unknown
+    /// fields decode too, so a field's value error is the reply's
+    /// error whatever the field. `Ok(None)` is a reply that decodes
+    /// but is no record: not a Struct, or a field missing or of the
+    /// wrong type, or a WSDL document that does not read.
+    fn decode(r: &mut Reader<'_>) -> Result<Result<Option<ServiceRecord>, ValueError>, ParseError> {
+        if Value::compound(r) != Some(Compound::Struct) {
+            return Ok(Value::decode(r)?.map(|_| None));
+        }
+        let mut fields: [Option<Value>; RECORD_FIELDS.len()] = Default::default();
+        let decoded = Value::decode_members(r, |name, r| {
+            Ok(Value::decode(r)?.map(|v| {
+                if let Some(i) = RECORD_FIELDS.iter().position(|f| *f == name) {
+                    fields[i].get_or_insert(v);
+                }
+            }))
+        })?;
+        Ok(decoded.map(|()| ServiceRecord::from_fields(fields)))
+    }
+
+    /// Reads a `find`/`find_ctx` reply: an Array of records, decoded
+    /// item by item through [`ServiceRecord::decode`]. Items that are
+    /// no record are dropped; `Ok(None)` is a reply that is no Array.
+    fn decode_list(
+        r: &mut Reader<'_>,
+    ) -> Result<Result<Option<Vec<ServiceRecord>>, ValueError>, ParseError> {
+        if Value::compound(r) != Some(Compound::Array) {
+            return Ok(Value::decode(r)?.map(|_| None));
+        }
+        let mut records = Vec::new();
+        let decoded = Value::decode_members(r, |_, r| {
+            Ok(ServiceRecord::decode(r)?.map(|record| records.extend(record)))
+        })?;
+        Ok(decoded.map(|()| Some(records)))
+    }
+
+    /// A record from the first value of each of [`RECORD_FIELDS`].
+    fn from_fields(fields: [Option<Value>; RECORD_FIELDS.len()]) -> Option<ServiceRecord> {
+        let [Some(Value::Str(name)), Some(middleware), Some(Value::Str(gateway)), Some(wsdl), contexts] =
+            fields
+        else {
+            return None;
+        };
+        let middleware = Middleware::from_label(middleware.as_str()?)?;
+        let desc = wsdl::ServiceDescription::from_document(wsdl.as_str()?).ok()?;
+        let contexts = match contexts {
+            Some(Value::Record(fields)) => fields
+                .into_iter()
+                .filter_map(|(k, v)| match v {
+                    Value::Str(s) => Some((k, s)),
+                    _ => None,
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        Some(ServiceRecord {
+            name: Name::new(&name),
+            middleware,
+            gateway,
+            interface: Arc::new(ServiceInterface::from_wsdl(desc)),
+            contexts,
+        })
+    }
+
+    /// The `Value`-tree decode the one-pass [`ServiceRecord::decode`]
+    /// replaced, kept as its test oracle.
+    #[cfg(test)]
     fn from_value(v: &Value) -> Option<ServiceRecord> {
         let name = Name::new(v.field("name")?.as_str()?);
         let middleware = Middleware::from_label(v.field("middleware")?.as_str()?)?;
         let gateway = v.field("gateway")?.as_str()?.to_owned();
         let wsdl_doc = v.field("wsdl")?.as_str()?;
-        let parsed = minixml::parse_ref(wsdl_doc).ok()?;
-        let desc = wsdl::ServiceDescription::from_xml(&parsed).ok()?;
+        let desc = wsdl::ServiceDescription::from_document(wsdl_doc).ok()?;
         let contexts = match v.field("contexts") {
             Some(Value::Record(fields)) => fields
                 .iter()
@@ -104,11 +181,15 @@ impl ServiceRecord {
             name,
             middleware,
             gateway,
-            interface: Arc::new(ServiceInterface::from_wsdl(&desc)),
+            interface: Arc::new(ServiceInterface::from_wsdl(desc)),
             contexts,
         })
     }
 }
+
+/// The fields a repository record carries on the wire, in
+/// [`ServiceRecord::from_fields`]'s order.
+const RECORD_FIELDS: [&str; 5] = ["name", "middleware", "gateway", "wsdl", "contexts"];
 
 /// The running repository service — one handle for the whole cluster,
 /// however many replicas it has.
@@ -338,40 +419,53 @@ impl VsrClient {
     }
 
     /// One SOAP round trip to a specific replica, traced and with
-    /// faults mapped back to typed errors.
-    fn call_node(&self, node: NodeId, call: &RpcCall) -> Result<Value, MetaError> {
+    /// faults mapped back to typed errors. The call is written from the
+    /// borrowed `args`, and the reply's `return` element is read
+    /// straight into a `T` by `decode` (`None`: the reply had none).
+    fn call_node<'a, T>(
+        &self,
+        node: NodeId,
+        method: &str,
+        args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
+        decode: Decode<T>,
+    ) -> Result<Option<T>, MetaError> {
         let scope = Scope::child(
             &self.sim,
             &self.tracer,
             &self.metrics,
             HopKind::VsrLookup,
-            || call.method.clone(),
+            || method.to_owned(),
         );
-        let result = self.soap.call(node, call).map_err(|e| match e {
-            SoapError::Fault(f) => MetaError::from_fault_string(&f.string),
-            // A wire failure on the repository leg: typed, so callers
-            // can tell "VSR down" from a protocol bug and degrade.
-            SoapError::Http(h) => MetaError::from_http_error(&h),
-            other => MetaError::Protocol(other.to_string()),
-        });
+        let result = self
+            .soap
+            .call_parts_decode(node, VSR_NS, method, args, decode)
+            .map_err(|e| match e {
+                SoapError::Fault(f) => MetaError::from_fault_string(&f.string),
+                // A wire failure on the repository leg: typed, so callers
+                // can tell "VSR down" from a protocol bug and degrade.
+                SoapError::Http(h) => MetaError::from_http_error(&h),
+                other => MetaError::Protocol(other.to_string()),
+            });
         scope.finish(&result);
         result
     }
 
     /// One round trip to replica `node` behind its breaker: `None` when
-    /// the breaker is open (the call is not even built), otherwise the
-    /// result, already fed back to the breaker. Transitions go
+    /// the breaker is open (the call is not even written), otherwise
+    /// the result, already fed back to the breaker. Transitions go
     /// unreported: replica breakers steer routing, and the gateway
     /// reports its own peers' health.
-    fn guarded(
+    fn guarded<'a, T>(
         &self,
         node: NodeId,
-        call: impl FnOnce() -> RpcCall,
-    ) -> Option<Result<Value, MetaError>> {
+        method: &str,
+        args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
+        decode: Decode<T>,
+    ) -> Option<Result<Option<T>, MetaError>> {
         if !self.breakers.admit(node, self.sim.now()).0 {
             return None;
         }
-        let result = self.call_node(node, &call());
+        let result = self.call_node(node, method, args, decode);
         self.breakers.record(node, self.sim.now(), &result);
         Some(result)
     }
@@ -406,10 +500,11 @@ impl VsrClient {
         }
         let mut last: Option<MetaError> = None;
         for node in candidates {
-            let Some(result) = self.guarded(node, || RpcCall::new(VSR_NS, "shard_map")) else {
+            let Some(result) = self.guarded(node, "shard_map", [].into_iter(), Value::decode)
+            else {
                 continue;
             };
-            match result.map(|v| ShardMap::from_value(&v)) {
+            match result.map(|v| v.as_ref().and_then(ShardMap::from_value)) {
                 Ok(Some(map)) => {
                     let map = Arc::new(map);
                     self.map_cache.put(map.clone());
@@ -430,20 +525,28 @@ impl VsrClient {
     /// list (skipping replicas whose breaker is open), failing over on
     /// transport errors — a write landing on a backup carries a
     /// promotion request — and refreshing the map on `MovedShard`.
-    fn route(
+    /// Every routed call names its shard after `args`, so the owning
+    /// replica need not hash the name again.
+    fn route<T>(
         &self,
         shard: u32,
         write: bool,
-        build: &dyn Fn(bool) -> RpcCall,
-    ) -> Result<Value, MetaError> {
+        method: &str,
+        args: &[(&str, &Value)],
+        decode: Decode<T>,
+    ) -> Result<Option<T>, MetaError> {
         self.metrics.record_shard_op(shard);
+        let shard_arg = Value::Int(i64::from(shard));
+        let routed = args.iter().copied().chain([("shard", &shard_arg)]);
         let mut map = self.map()?;
         let mut redirects = 0u32;
         'with_map: loop {
-            let prefs: Vec<NodeId> = map.replicas_for(shard).to_vec();
             let mut last_transport: Option<MetaError> = None;
-            for (i, &node) in prefs.iter().enumerate() {
-                let Some(result) = self.guarded(node, || build(write && i > 0)) else {
+            for (i, &node) in map.replicas_for(shard).iter().enumerate() {
+                let promote = (write && i > 0).then_some(("promote", &PROMOTE));
+                let Some(result) =
+                    self.guarded(node, method, routed.clone().chain(promote), decode)
+                else {
                     continue;
                 };
                 match result {
@@ -487,15 +590,12 @@ impl VsrClient {
     /// success on any replica counts — anti-entropy spreads the rest.
     pub fn register_gateway(&self, name: &str, node: NodeId) -> Result<(), MetaError> {
         let map = self.map()?;
+        let (name, node) = (Value::from(name), Value::Int(i64::from(node.0)));
+        let args = [("name", &name), ("node", &node)];
         let mut ok = false;
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
-            let call = || {
-                RpcCall::new(VSR_NS, "register_gateway")
-                    .arg("name", name)
-                    .arg("node", i64::from(node.0))
-            };
-            match self.guarded(target, call) {
+            match self.guarded(target, "register_gateway", args.into_iter(), Value::decode) {
                 Some(Ok(_)) => ok = true,
                 Some(Err(e)) => last = Some(e),
                 None => {}
@@ -514,13 +614,19 @@ impl VsrClient {
     /// up).
     pub fn gateway_node(&self, name: &str) -> Result<NodeId, MetaError> {
         let map = self.map()?;
+        let name = Value::from(name);
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
-            let call = || RpcCall::new(VSR_NS, "gateway_node").arg("name", name);
-            match self.guarded(target, call) {
+            match self.guarded(
+                target,
+                "gateway_node",
+                [("name", &name)].into_iter(),
+                Value::decode,
+            ) {
                 Some(Ok(v)) => {
                     return v
-                        .as_int()
+                        .as_ref()
+                        .and_then(Value::as_int)
                         .and_then(|n| u32::try_from(n).ok())
                         .map(NodeId)
                         .ok_or_else(|| MetaError::Repository("bad gateway_node reply".into()));
@@ -533,33 +639,36 @@ impl VsrClient {
     }
 
     /// Publishes a virtual service (a write: routed to its shard's
-    /// primary).
+    /// primary). The WSDL document is written once, by the streaming
+    /// writer, and every attempt sends it from the same borrowed
+    /// argument list.
     pub fn publish(&self, service: &VirtualService) -> Result<(), MetaError> {
-        let wsdl_doc = service
-            .interface
-            .to_wsdl(&service.name, &service.endpoint())
-            .to_xml()
-            .to_document();
-        let contexts: Vec<(String, Value)> = service
-            .contexts
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-            .collect();
+        let wsdl_doc = Value::Str(
+            service
+                .interface
+                .to_wsdl(&service.name, &service.endpoint())
+                .to_document(),
+        );
+        let contexts = Value::Record(
+            service
+                .contexts
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::from(v.as_str())))
+                .collect(),
+        );
         let shard = self.map()?.shard_of(&service.name);
-        self.route(shard, true, &|promote| {
-            let mut call = RpcCall::new(VSR_NS, "publish")
-                .arg("name", service.name.as_str())
-                .arg("middleware", service.origin.label())
-                .arg("gateway", service.gateway.as_str())
-                .arg("wsdl", wsdl_doc.clone())
-                .arg("contexts", Value::Record(contexts.clone()))
-                .arg("shard", i64::from(shard));
-            if promote {
-                call = call.arg("promote", true);
-            }
-            call
-        })
-        .map(|_| ())
+        let name = Value::from(service.name.as_str());
+        let middleware = Value::from(service.origin.label());
+        let gateway = Value::from(service.gateway.as_str());
+        let args = [
+            ("name", &name),
+            ("middleware", &middleware),
+            ("gateway", &gateway),
+            ("wsdl", &wsdl_doc),
+            ("contexts", &contexts),
+        ];
+        self.route(shard, true, "publish", &args, Value::decode)
+            .map(|_| ())
     }
 
     /// Finds services whose name matches `pattern` and whose context bag
@@ -571,16 +680,17 @@ impl VsrClient {
         pattern: &str,
         contexts: &[(&str, &str)],
     ) -> Result<Vec<ServiceRecord>, MetaError> {
-        let ctx: Vec<(String, Value)> = contexts
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), Value::Str((*v).to_owned())))
-            .collect();
-        self.fan_out(&|shard| {
-            RpcCall::new(VSR_NS, "find_ctx")
-                .arg("pattern", pattern)
-                .arg("contexts", Value::Record(ctx.clone()))
-                .arg("shard", i64::from(shard))
-        })
+        let pattern = Value::from(pattern);
+        let contexts = Value::Record(
+            contexts
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), Value::from(*v)))
+                .collect(),
+        );
+        self.fan_out(
+            "find_ctx",
+            &[("pattern", &pattern), ("contexts", &contexts)],
+        )
     }
 
     /// Renews `name`'s lease (a no-op when the repository runs without
@@ -589,34 +699,23 @@ impl VsrClient {
     /// like one, so a renewal can promote a backup if the shard's
     /// primary just died.
     pub fn renew(&self, name: &str) -> Result<bool, MetaError> {
-        let shard = self.map()?.shard_of(name);
-        let v = self.route(shard, true, &|promote| {
-            let mut call = RpcCall::new(VSR_NS, "renew")
-                .arg("name", name)
-                .arg("shard", i64::from(shard));
-            if promote {
-                call = call.arg("promote", true);
-            }
-            call
-        })?;
-        v.as_bool()
-            .ok_or_else(|| MetaError::Repository("bad renew reply".into()))
+        self.write_by_name("renew", name)
     }
 
     /// Withdraws a service by name. Returns whether it existed.
     pub fn unpublish(&self, name: &str) -> Result<bool, MetaError> {
+        self.write_by_name("unpublish", name)
+    }
+
+    /// A write whose only argument is the service's name, routed to the
+    /// name's shard, answered with a flag.
+    fn write_by_name(&self, method: &str, name: &str) -> Result<bool, MetaError> {
         let shard = self.map()?.shard_of(name);
-        let v = self.route(shard, true, &|promote| {
-            let mut call = RpcCall::new(VSR_NS, "unpublish")
-                .arg("name", name)
-                .arg("shard", i64::from(shard));
-            if promote {
-                call = call.arg("promote", true);
-            }
-            call
-        })?;
-        v.as_bool()
-            .ok_or_else(|| MetaError::Repository("bad unpublish reply".into()))
+        let name = Value::from(name);
+        self.route(shard, true, method, &[("name", &name)], Value::decode)?
+            .as_ref()
+            .and_then(Value::as_bool)
+            .ok_or_else(|| MetaError::Repository(format!("bad {method} reply")))
     }
 
     /// Finds services by name pattern (`%` wildcards) and optional
@@ -627,25 +726,29 @@ impl VsrClient {
         pattern: &str,
         middleware: Option<Middleware>,
     ) -> Result<Vec<ServiceRecord>, MetaError> {
-        self.fan_out(&|shard| {
-            RpcCall::new(VSR_NS, "find")
-                .arg("pattern", pattern)
-                .arg("middleware", middleware.map_or("", Middleware::label))
-                .arg("shard", i64::from(shard))
-        })
+        let pattern = Value::from(pattern);
+        let middleware = Value::from(middleware.map_or("", Middleware::label));
+        self.fan_out(
+            "find",
+            &[("pattern", &pattern), ("middleware", &middleware)],
+        )
     }
 
     /// Resolves one service by exact name (routed straight to its
-    /// shard — one round trip, no fan-out).
+    /// shard — one round trip, no fan-out). The reply decodes straight
+    /// into the record.
     pub fn resolve(&self, name: &str) -> Result<ServiceRecord, MetaError> {
         let shard = self.map()?.shard_of(name);
-        let v = self.route(shard, false, &|_| {
-            RpcCall::new(VSR_NS, "resolve")
-                .arg("name", name)
-                .arg("shard", i64::from(shard))
-        })?;
-        ServiceRecord::from_value(&v)
-            .ok_or_else(|| MetaError::Repository("bad resolve reply".into()))
+        let name = Value::from(name);
+        self.route(
+            shard,
+            false,
+            "resolve",
+            &[("name", &name)],
+            ServiceRecord::decode,
+        )?
+        .flatten()
+        .ok_or_else(|| MetaError::Repository("bad resolve reply".into()))
     }
 
     /// Number of published services, summed across shards.
@@ -653,11 +756,10 @@ impl VsrClient {
         let map = self.map()?;
         let mut total: usize = 0;
         for shard in 0..map.shard_count() {
-            let v = self.route(shard, false, &|_| {
-                RpcCall::new(VSR_NS, "count").arg("shard", i64::from(shard))
-            })?;
-            total += v
-                .as_int()
+            total += self
+                .route(shard, false, "count", &[], Value::decode)?
+                .as_ref()
+                .and_then(Value::as_int)
                 .and_then(|n| usize::try_from(n).ok())
                 .ok_or_else(|| MetaError::Repository("bad count reply".into()))?;
         }
@@ -666,17 +768,22 @@ impl VsrClient {
 
     /// Shared shard fan-out for the inquiry operations: queries every
     /// shard, concatenates, sorts by name (shards are disjoint, so no
-    /// dedup is needed).
-    fn fan_out(&self, build: &dyn Fn(u32) -> RpcCall) -> Result<Vec<ServiceRecord>, MetaError> {
+    /// dedup is needed). Each shard's reply decodes item by item into
+    /// records.
+    fn fan_out(
+        &self,
+        method: &str,
+        args: &[(&str, &Value)],
+    ) -> Result<Vec<ServiceRecord>, MetaError> {
         let map = self.map()?;
         let mut out: Vec<ServiceRecord> = Vec::new();
         for shard in 0..map.shard_count() {
-            let v = self.route(shard, false, &|_| build(shard))?;
-            match v {
-                Value::List(items) => {
-                    out.extend(items.iter().filter_map(ServiceRecord::from_value));
-                }
-                _ => return Err(MetaError::Repository("bad find reply".into())),
+            match self
+                .route(shard, false, method, args, ServiceRecord::decode_list)?
+                .flatten()
+            {
+                Some(records) => out.extend(records),
+                None => return Err(MetaError::Repository("bad find reply".into())),
             }
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -884,5 +991,225 @@ mod tests {
         assert!(client.renew("hall-lamp").is_ok());
         assert_eq!(vsr.shard_map().primary(shard), backup);
         assert_eq!(client.resolve("hall-lamp").unwrap().name, "hall-lamp");
+    }
+
+    #[test]
+    fn record_decoder_reads_what_the_replica_writes() {
+        let (_sim, _net, _vsr, client) = world();
+        let service = lamp_service()
+            .context("room", "hall")
+            .context("note", "a & <b>");
+        client.publish(&service).unwrap();
+        let rec = client.resolve("hall-lamp").unwrap();
+        assert_eq!(
+            rec.contexts,
+            [
+                ("room".to_owned(), "hall".to_owned()),
+                ("note".to_owned(), "a & <b>".to_owned())
+            ]
+        );
+        assert_eq!(*rec.interface, catalog::lamp());
+        assert_eq!(client.find("%", None).unwrap(), [rec]);
+    }
+}
+
+/// The one-pass record decoders against the `Value` tree: a reply
+/// decoded by [`ServiceRecord::decode`] must give what decoding it to a
+/// `Value` and then running the [`ServiceRecord::from_value`] oracle
+/// gives — the same record, or the same error kind and message.
+#[cfg(test)]
+mod decode_oracle {
+    use super::*;
+    use crate::iface::catalog;
+    use proptest::prelude::*;
+    use soap::{decode_response, fault_envelope, Fault};
+
+    fn wsdl_text(name: &str) -> String {
+        let iface = [catalog::lamp(), catalog::vcr(), catalog::display()][name.len() % 3].clone();
+        iface
+            .to_wsdl(name, &format!("vsg://gw/{name}"))
+            .to_document()
+    }
+
+    fn escape(s: &str) -> String {
+        minixml::escape_text(s)
+    }
+
+    /// Struct fields a record reply can carry: every field well typed,
+    /// mistyped, undecodable or nil, WSDL text that does not read, and
+    /// unknown fields that decode or do not.
+    fn field_pool() -> Vec<String> {
+        let wsdl = wsdl_text("hall-lamp");
+        vec![
+            r#"<name xsi:type="xsd:string">hall-lamp</name>"#.into(),
+            r#"<name xsi:type="xsd:string">Den &amp; VCR</name>"#.into(),
+            r#"<name xsi:type="xsd:long">7</name>"#.into(),
+            r#"<name xsi:type="xsd:long">seven</name>"#.into(),
+            r#"<name xsi:nil="true"/>"#.into(),
+            r#"<middleware xsi:type="xsd:string">x10</middleware>"#.into(),
+            r#"<middleware xsi:type="xsd:string">jini</middleware>"#.into(),
+            r#"<middleware xsi:type="xsd:string">corba</middleware>"#.into(),
+            r#"<middleware xsi:type="xsd:boolean">maybe</middleware>"#.into(),
+            r#"<gateway xsi:type="xsd:string">x10-gw</gateway>"#.into(),
+            r#"<gateway>untyped-gw</gateway>"#.into(),
+            r#"<gateway xsi:type="SOAP-ENC:Struct"><a xsi:type="xsd:long">1</a></gateway>"#.into(),
+            format!(r#"<wsdl xsi:type="xsd:string">{}</wsdl>"#, escape(&wsdl)),
+            format!(
+                r#"<wsdl xsi:type="xsd:string">{}</wsdl>"#,
+                escape(&wsdl_text("den-vcr"))
+            ),
+            format!(
+                r#"<wsdl xsi:type="xsd:string">{}</wsdl>"#,
+                escape(&wsdl[..wsdl.len() / 2])
+            ),
+            r#"<wsdl xsi:type="xsd:string">&lt;other/&gt;</wsdl>"#.into(),
+            r#"<wsdl xsi:type="SOAP-ENC:base64">!!</wsdl>"#.into(),
+            r#"<contexts xsi:type="SOAP-ENC:Struct"><room xsi:type="xsd:string">hall</room><n xsi:type="xsd:long">2</n></contexts>"#.into(),
+            r#"<contexts xsi:type="SOAP-ENC:Struct"><room xsi:type="xsd:long">x</room></contexts>"#.into(),
+            r#"<contexts xsi:type="xsd:string">room=hall</contexts>"#.into(),
+            r#"<contexts xsi:type="SOAP-ENC:Struct"/>"#.into(),
+            r#"<extra xsi:type="xsd:long">1</extra>"#.into(),
+            r#"<extra xsi:type="xsd:double">one</extra>"#.into(),
+            r#"<extra xsi:type="vendor:odd">?</extra>"#.into(),
+            r#"<ns1:name xsi:type="xsd:string">prefixed</ns1:name>"#.into(),
+        ]
+    }
+
+    /// Valid records as pool indices: all five fields in wire order,
+    /// reordered without contexts, and with an empty context struct.
+    const COMPLETE: &[&[usize]] = &[&[0, 5, 9, 12, 17], &[13, 10, 6, 1], &[1, 20, 6, 10, 12]];
+
+    fn arb_fields() -> impl Strategy<Value = String> {
+        let pool = field_pool();
+        let picks = prop::collection::vec(0..pool.len(), 0..9);
+        (picks, 0..COMPLETE.len() + 1).prop_map(move |(picks, base)| {
+            // Most cases start from a complete, valid record, then add
+            // fields that the first of each must not let override it.
+            let base = COMPLETE.get(base).copied().unwrap_or(&[]);
+            let mut fields: String = base.iter().map(|&i| pool[i].as_str()).collect();
+            for i in picks {
+                fields.push_str(&pool[i]);
+            }
+            fields
+        })
+    }
+
+    /// A `return` element: a Struct of fields, or one of the shapes
+    /// that is no record (nil, a scalar, an undecodable scalar, an
+    /// Array).
+    fn arb_record_return() -> impl Strategy<Value = String> {
+        (arb_fields(), 0..8u8).prop_map(|(fields, shape)| match shape {
+            0 => format!(r#"<return xsi:nil="true">{fields}</return>"#),
+            1 => r#"<return xsi:type="xsd:string">hall-lamp</return>"#.to_owned(),
+            2 => r#"<return xsi:type="xsd:long">x</return>"#.to_owned(),
+            3 => format!(r#"<return xsi:type="SOAP-ENC:Array">{fields}</return>"#),
+            4 => format!(r#"<return xsi:type="SOAP-ENC:Struct" xsi:nil="true">{fields}</return>"#),
+            _ => format!(r#"<return xsi:type="SOAP-ENC:Struct">{fields}</return>"#),
+        })
+    }
+
+    /// A `find` reply's `return`: an Array mixing records with items
+    /// that are no record, or a return that is no Array.
+    fn arb_list_return() -> impl Strategy<Value = String> {
+        (prop::collection::vec((arb_fields(), 0..5u8), 0..4), 0..6u8).prop_map(|(items, shape)| {
+            let items: String = items
+                .into_iter()
+                .map(|(fields, kind)| match kind {
+                    0 => r#"<item xsi:type="xsd:long">3</item>"#.to_owned(),
+                    1 => r#"<item xsi:type="xsd:long">three</item>"#.to_owned(),
+                    2 => format!(r#"<item xsi:type="SOAP-ENC:Array">{fields}</item>"#),
+                    _ => format!(r#"<item xsi:type="SOAP-ENC:Struct">{fields}</item>"#),
+                })
+                .collect();
+            match shape {
+                0 => format!(r#"<return xsi:type="SOAP-ENC:Struct">{items}</return>"#),
+                1 => r#"<return xsi:nil="true"/>"#.to_owned(),
+                _ => format!(r#"<return xsi:type="SOAP-ENC:Array">{items}</return>"#),
+            }
+        })
+    }
+
+    /// Wraps `ret` in a response envelope; some cases carry a fault
+    /// (which wins over any value error), a second `return`, or no
+    /// `return` at all.
+    fn envelope(ret: &str, variant: u8) -> String {
+        let body = match variant {
+            0 => return fault_envelope(&Fault::server("unknown service 'ghost'")),
+            1 => format!(
+                "<SOAP-ENV:Fault><faultcode>SOAP-ENV:Server</faultcode>\
+                 <faultstring>bad</faultstring>{ret}</SOAP-ENV:Fault>"
+            ),
+            2 => r#"<ns1:resolveResponse xmlns:ns1="urn:vsg:response"/>"#.to_owned(),
+            3 => format!(
+                r#"<ns1:resolveResponse xmlns:ns1="urn:vsg:response">{ret}<return xsi:type="xsd:long">1</return></ns1:resolveResponse>"#
+            ),
+            _ => format!(
+                r#"<ns1:resolveResponse xmlns:ns1="urn:vsg:response">{ret}</ns1:resolveResponse>"#
+            ),
+        };
+        format!(
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><SOAP-ENV:Envelope \
+             xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\"><SOAP-ENV:Body>\
+             {body}</SOAP-ENV:Body></SOAP-ENV:Envelope>"
+        )
+    }
+
+    /// The reply as the `Value` path reads it.
+    fn value_reply(doc: &str) -> Result<Value, SoapError> {
+        decode_response(doc, Value::decode).map(|v| v.unwrap_or(Value::Null))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn record_decoder_equals_value_oracle(ret in arb_record_return(), variant in 0..8u8) {
+            let doc = envelope(&ret, variant);
+            let streamed = decode_response(&doc, ServiceRecord::decode).map(Option::flatten);
+            let oracle = value_reply(&doc).map(|v| ServiceRecord::from_value(&v));
+            prop_assert_eq!(streamed, oracle, "document {}", doc);
+        }
+
+        #[test]
+        fn list_decoder_equals_value_oracle(ret in arb_list_return(), variant in 0..8u8) {
+            let doc = envelope(&ret, variant);
+            let streamed = decode_response(&doc, ServiceRecord::decode_list).map(Option::flatten);
+            let oracle = value_reply(&doc).map(|v| match v {
+                Value::List(items) => Some(items.iter().filter_map(ServiceRecord::from_value).collect()),
+                _ => None,
+            });
+            prop_assert_eq!(streamed, oracle, "document {}", doc);
+        }
+    }
+
+    #[test]
+    fn the_oracle_cases_are_not_all_alike() {
+        // A complete record decodes; a broken field is a value error;
+        // a fault wins; a bare scalar is no record.
+        let pool = field_pool();
+        let complete: String = COMPLETE[0].iter().map(|&i| pool[i].as_str()).collect();
+        let ret = format!(r#"<return xsi:type="SOAP-ENC:Struct">{complete}</return>"#);
+        let rec = decode_response(&envelope(&ret, 7), ServiceRecord::decode)
+            .unwrap()
+            .flatten()
+            .unwrap();
+        assert_eq!(rec.name, "hall-lamp");
+        assert_eq!(rec.contexts, [("room".to_owned(), "hall".to_owned())]);
+        let broken = format!(
+            r#"<return xsi:type="SOAP-ENC:Struct">{complete}<extra xsi:type="xsd:double">one</extra></return>"#
+        );
+        assert!(matches!(
+            decode_response(&envelope(&broken, 7), ServiceRecord::decode),
+            Err(SoapError::Value(_))
+        ));
+        assert!(matches!(
+            decode_response(&envelope(&broken, 1), ServiceRecord::decode),
+            Err(SoapError::Fault(_))
+        ));
+        let scalar = r#"<return xsi:type="xsd:string">x</return>"#;
+        assert_eq!(
+            decode_response(&envelope(scalar, 7), ServiceRecord::decode),
+            Ok(Some(None))
+        );
     }
 }

@@ -6,9 +6,9 @@ use crate::http::{
     HttpClient, HttpRequestRef, HttpResponseRef, HttpServer, PostHead, Responder, ResponseHead,
     TcpModel,
 };
-use crate::rpc::{fault_envelope, response_value, write_call, write_response, RpcCall, SoapError};
-use crate::value::Value;
-use minixml::Measure;
+use crate::rpc::{decode_response, fault_envelope, write_call, write_response, RpcCall, SoapError};
+use crate::value::{Value, ValueError};
+use minixml::{Measure, ParseError, Reader};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
 use std::borrow::Cow;
@@ -238,7 +238,9 @@ impl SoapClient {
             &call.method,
             call.arg_refs(),
             &call.headers,
+            Value::decode,
         )
+        .map(value_or_null)
     }
 
     /// Invokes `method` under `namespace` with borrowed arguments —
@@ -272,21 +274,58 @@ impl SoapClient {
         I: IntoIterator<Item = (&'a str, &'a Value)>,
         I::IntoIter: Clone,
     {
-        self.dispatch(server, namespace, method, args.into_iter(), headers)
+        self.dispatch(
+            server,
+            namespace,
+            method,
+            args.into_iter(),
+            headers,
+            Value::decode,
+        )
+        .map(value_or_null)
+    }
+
+    /// [`SoapClient::call_parts`] that hands the reply's `return`
+    /// element to `decode` instead of building a [`Value`]: the entry
+    /// point for callers that read a reply straight into their own
+    /// types. `Ok(None)` is a reply with no `return` element; a fault
+    /// and a transport failure are errors exactly as for `call_parts`,
+    /// and so is the first error `decode` reports.
+    pub fn call_parts_decode<'a, I, T>(
+        &self,
+        server: NodeId,
+        namespace: &str,
+        method: &str,
+        args: I,
+        decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
+    ) -> Result<Option<T>, SoapError>
+    where
+        I: IntoIterator<Item = (&'a str, &'a Value)>,
+        I::IntoIter: Clone,
+    {
+        self.dispatch(
+            server,
+            namespace,
+            method,
+            args.into_iter(),
+            NO_HEADERS,
+            decode,
+        )
     }
 
     /// Writes the POST — head, `SOAPAction` in place, then the envelope
     /// — into one buffer reserved to its exact size (the envelope is
-    /// measured first), sends it, and decodes only the return value or
-    /// the fault of the answer.
-    fn dispatch<'a, K: AsRef<str>, V: AsRef<str>>(
+    /// measured first), sends it, and decodes only the return element,
+    /// through `decode`, or the fault of the answer.
+    fn dispatch<'a, K: AsRef<str>, V: AsRef<str>, T>(
         &self,
         server: NodeId,
         namespace: &str,
         method: &str,
         args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
         headers: &[(K, V)],
-    ) -> Result<Value, SoapError> {
+        decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
+    ) -> Result<Option<T>, SoapError> {
         let mut body_len = Measure::default();
         write_call(&mut body_len, namespace, method, args.clone(), headers);
         let body_len = body_len.0;
@@ -307,12 +346,17 @@ impl SoapClient {
         let resp = HttpResponseRef::parse(&raw).map_err(SoapError::Http)?;
         self.sim.advance(self.cpu.parse_cost(resp.body.len()));
         // Both 200s and 500-carried faults parse as envelopes.
-        response_value(&body_text(resp.body))
+        decode_response(&body_text(resp.body), decode)
     }
 }
 
 /// Type hint for header-less calls.
 const NO_HEADERS: &[(&str, &str)] = &[];
+
+/// A `Value` reply: a response without a `return` element is `Null`.
+fn value_or_null(v: Option<Value>) -> Value {
+    v.unwrap_or(Value::Null)
+}
 
 #[cfg(test)]
 mod tests {

@@ -51,8 +51,8 @@ pub use http::{
     HttpClient, HttpError, HttpRequest, HttpRequestRef, HttpResponse, HttpResponseRef, HttpServer,
     Responder, ResponseHead, Sent, TcpModel, ZeroRouteHandler,
 };
-pub use rpc::{call_envelope, fault_envelope, RpcCall, RpcResponse, SoapError};
-pub use value::{base64_decode, base64_encode, Value, ValueError};
+pub use rpc::{call_envelope, decode_response, fault_envelope, RpcCall, RpcResponse, SoapError};
+pub use value::{base64_decode, base64_encode, Compound, Value, ValueError};
 
 #[cfg(test)]
 mod proptests {
@@ -131,7 +131,10 @@ mod proptests {
     fn decodes(doc: &str) -> [(String, String); 3] {
         let call = format!("{:?}", RpcCall::from_envelope(doc));
         let resp = format!("{:?}", RpcResponse::from_envelope(doc));
-        let value = format!("{:?}", rpc::response_value(doc));
+        let value = format!(
+            "{:?}",
+            decode_response(doc, Value::decode).map(|v| v.unwrap_or(Value::Null))
+        );
         let tree_call = format!("{:?}", oracle::call_from_envelope(doc));
         let tree_resp = oracle::response_from_envelope(doc);
         let tree_value = format!("{:?}", tree_resp.clone().map(|r| r.value));

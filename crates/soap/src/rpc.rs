@@ -143,19 +143,30 @@ impl RpcResponse {
     pub fn from_envelope(doc: &str) -> Result<RpcResponse, SoapError> {
         read_envelope(doc, Reader::skip_element, |r| {
             read_body(r, |name, r| {
-                let value = read_return(name, r)?;
+                let value = read_return(name, r, Value::decode)?;
                 let local = local_name(name);
                 let method = local.strip_suffix("Response").unwrap_or(local);
-                Ok(value.map(|value| RpcResponse::new(method, value)))
+                Ok(value.map(|value| RpcResponse::new(method, value.unwrap_or(Value::Null))))
             })
         })
     }
 }
 
-/// A response envelope's return value or fault — what a client keeps
-/// of [`RpcResponse::from_envelope`], without the method name.
-pub(crate) fn response_value(doc: &str) -> Result<Value, SoapError> {
-    read_envelope(doc, Reader::skip_element, |r| read_body(r, read_return))
+/// Decodes a response envelope in one pass, handing its `return`
+/// element to `decode`: what a client keeps of an answer, without the
+/// method name and without a `Value` unless `decode` builds one. A
+/// carried fault is `Err(SoapError::Fault)`; `Ok(None)` is a response
+/// with no `return` element (a `Value` reads that as `Null`).
+/// [`Value::decode`] as `decode` gives what
+/// [`RpcResponse::from_envelope`] gives, so this is the one walker of
+/// every reply, whatever it decodes into.
+pub fn decode_response<T>(
+    doc: &str,
+    mut decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
+) -> Result<Option<T>, SoapError> {
+    read_envelope(doc, Reader::skip_element, |r| {
+        read_body(r, |name, r| read_return(name, r, &mut decode))
+    })
 }
 
 /// Walks an envelope. `header` consumes the first `Header` element and
@@ -248,15 +259,16 @@ fn read_call<'a>(
     })
 }
 
-/// Reads a response's first Body element `name`: the value of its
-/// first `return` child (`Null` without one), or — when it is a
+/// Reads a response's first Body element `name`: its first `return`
+/// child through `decode` (`None` without one), or — when it is a
 /// `Fault` with a known code and a `faultstring` — the fault, which
 /// wins over a value error. A `Fault` with an unknown code reads as an
 /// ordinary response.
-fn read_return<'a>(
+fn read_return<'a, T>(
     name: &'a str,
     r: &mut Reader<'a>,
-) -> Result<Result<Value, SoapError>, ParseError> {
+    mut decode: impl FnMut(&mut Reader<'a>) -> Result<Result<T, ValueError>, ParseError>,
+) -> Result<Result<Option<T>, SoapError>, ParseError> {
     let mut fault = (local_name(name) == "Fault").then(FaultParts::default);
     let mut value = None;
     r.for_each_child(|child, r| {
@@ -267,7 +279,7 @@ fn read_return<'a>(
             }
         }
         if child == "return" && value.is_none() {
-            value = Some(Value::decode(r)?);
+            value = Some(decode(r)?);
             return Ok(());
         }
         r.skip_element()
@@ -275,7 +287,7 @@ fn read_return<'a>(
     if let Some(fault) = fault.and_then(FaultParts::into_fault) {
         return Ok(Err(SoapError::Fault(fault)));
     }
-    Ok(value.unwrap_or(Ok(Value::Null)).map_err(SoapError::from))
+    Ok(value.transpose().map_err(SoapError::from))
 }
 
 /// Encodes a call envelope directly from borrowed parts — bit-identical

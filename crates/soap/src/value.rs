@@ -31,6 +31,42 @@ pub enum Value {
     Record(Vec<(String, Value)>),
 }
 
+/// The compound kinds of the data model: the elements whose child
+/// elements are members (see [`Value::compound`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Compound {
+    /// `SOAP-ENC:Struct`: named fields, a [`Value::Record`].
+    Struct,
+    /// `SOAP-ENC:Array`: items, a [`Value::List`].
+    Array,
+}
+
+/// What an element's start tag says it holds, read from its `xsi:nil`
+/// and `xsi:type` attributes once.
+enum Shape<'a> {
+    /// `xsi:nil="true"` or `xsi:type="xsi:null"`.
+    Nil,
+    /// A scalar of this `xsi:type` (`xsd:string` when untyped).
+    Scalar(Cow<'a, str>),
+    /// A Struct or an Array.
+    Compound(Compound),
+}
+
+impl<'a> Shape<'a> {
+    /// The shape of the element whose `Start` the reader just returned.
+    fn of(r: &Reader<'a>) -> Shape<'a> {
+        let ty = r.attr("xsi:type");
+        if r.attr("xsi:nil").as_deref() == Some("true") || ty.as_deref() == Some("xsi:null") {
+            return Shape::Nil;
+        }
+        match ty.as_deref() {
+            Some("SOAP-ENC:Struct") => Shape::Compound(Compound::Struct),
+            Some("SOAP-ENC:Array") => Shape::Compound(Compound::Array),
+            _ => Shape::Scalar(ty.unwrap_or(Cow::Borrowed("xsd:string"))),
+        }
+    }
+}
+
 impl Value {
     /// The `xsi:type` label used on the wire.
     pub fn type_label(&self) -> &'static str {
@@ -144,46 +180,71 @@ impl Value {
     }
 
     /// Decodes the element whose `Start` the reader just returned —
-    /// as produced by [`Value::to_element`] or a foreign SOAP stack
-    /// using the same subset — through its `End`. The outer error is
-    /// the document's and wins over everything; the inner one is this
-    /// value's. A scalar reads its element's text; a Struct's or an
-    /// Array's child elements decode in document order, and the first
-    /// error skips the rest of the element.
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Result<Value, ValueError>, ParseError> {
-        let ty = r.attr("xsi:type");
-        let ty = ty.as_deref().unwrap_or("xsd:string");
-        if r.attr("xsi:nil").as_deref() == Some("true") || ty == "xsi:null" {
-            r.skip_element()?;
-            return Ok(Ok(Value::Null));
-        }
-        let record = match ty {
-            "SOAP-ENC:Array" => false,
-            "SOAP-ENC:Struct" => true,
-            _ => {
-                let text = r.text_content()?;
-                return Ok(Value::from_text(ty, text));
+    /// as produced by [`Value::write_xml`] or a foreign SOAP stack
+    /// using the same subset — through its `End`: the reading twin of
+    /// `write_xml`. The outer error is the document's and wins over
+    /// everything; the inner one is this value's. A scalar reads its
+    /// element's text; a Struct's or an Array's child elements decode
+    /// in document order, and the first error skips the rest of the
+    /// element.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Result<Value, ValueError>, ParseError> {
+        let kind = match Shape::of(r) {
+            Shape::Nil => {
+                r.skip_element()?;
+                return Ok(Ok(Value::Null));
             }
+            Shape::Scalar(ty) => {
+                let text = r.text_content()?;
+                return Ok(Value::from_text(&ty, text));
+            }
+            Shape::Compound(kind) => kind,
         };
         let mut items = Vec::new();
         let mut fields = Vec::new();
+        let decoded = Value::decode_members(r, |name, r| {
+            Ok(Value::decode(r)?.map(|v| match kind {
+                Compound::Struct => fields.push((name.to_owned(), v)),
+                Compound::Array => items.push(v),
+            }))
+        })?;
+        Ok(decoded.map(|()| match kind {
+            Compound::Struct => Value::Record(fields),
+            Compound::Array => Value::List(items),
+        }))
+    }
+
+    /// Whether the element whose `Start` the reader just returned
+    /// decodes as a Struct or an Array — the two kinds whose members
+    /// [`Value::decode_members`] walks — or `None` for a scalar or a
+    /// nil. Reads only the start tag.
+    pub fn compound(r: &Reader<'_>) -> Option<Compound> {
+        match Shape::of(r) {
+            Shape::Compound(kind) => Some(kind),
+            Shape::Nil | Shape::Scalar(_) => None,
+        }
+    }
+
+    /// Walks the members of the compound element whose `Start` the
+    /// reader just returned, through its `End`, the way
+    /// [`Value::decode`] does: `member` gets each child element's local
+    /// name right after its `Start` and decodes as much of it as it
+    /// wants. The first member error skips the rest of the element and
+    /// is the result. Callers that want a compound's members as
+    /// something other than a `Value` (a typed record, say) decode
+    /// them here, one at a time, instead of collecting a `Record` or a
+    /// `List` first.
+    pub fn decode_members<'a>(
+        r: &mut Reader<'a>,
+        mut member: impl FnMut(&'a str, &mut Reader<'a>) -> Result<Result<(), ValueError>, ParseError>,
+    ) -> Result<Result<(), ValueError>, ParseError> {
         let mut failed = None;
         r.for_each_child(|name, r| {
-            if failed.is_some() {
-                return Ok(());
-            }
-            match Value::decode(r)? {
-                Ok(v) if record => fields.push((local_name(name).to_owned(), v)),
-                Ok(v) => items.push(v),
-                Err(e) => failed = Some(e),
+            if failed.is_none() {
+                failed = member(local_name(name), r)?.err();
             }
             Ok(())
         })?;
-        Ok(match failed {
-            Some(e) => Err(e),
-            None if record => Ok(Value::Record(fields)),
-            None => Ok(Value::List(items)),
-        })
+        Ok(failed.map_or(Ok(()), Err))
     }
 
     /// A scalar of `xsi:type` `ty` from its element's text.

@@ -7,7 +7,12 @@
 //! concrete VSG endpoint that reaches it.
 
 use crate::types::XsdType;
+use minixml::{
+    escape_attr_into, escape_text_into, local_name, Event, Measure, ParseError, Reader, XmlOut,
+};
+#[cfg(test)]
 use minixml::{ElemRef, Element};
+use std::borrow::Cow;
 use std::fmt;
 
 /// One named, typed message part (a parameter or return value).
@@ -126,8 +131,87 @@ impl ServiceDescription {
         self.operations.iter().find(|o| o.name == name)
     }
 
-    /// Serialises to a WSDL-style document.
-    pub fn to_xml(&self) -> Element {
+    /// Serialises to a WSDL-style document, written once into an
+    /// exactly sized string (the document is measured first).
+    pub fn to_document(&self) -> String {
+        let mut len = Measure::default();
+        self.write_document(&mut len);
+        let mut out = String::with_capacity(len.0);
+        self.write_document(&mut out);
+        out
+    }
+
+    /// Streams the WSDL-style document into `out`, XML declaration
+    /// first — no element tree is built. Byte-identical to serialising
+    /// the element tree this crate's tests keep as the oracle.
+    pub fn write_document<O: XmlOut + ?Sized>(&self, out: &mut O) {
+        out.put("<?xml version=\"1.0\" encoding=\"UTF-8\"?><definitions name=\"");
+        escape_attr_into(&self.name, out);
+        out.put("\" targetNamespace=\"");
+        escape_attr_into(&self.namespace, out);
+        out.put("\">");
+        if !self.documentation.is_empty() {
+            out.put("<documentation>");
+            escape_text_into(&self.documentation, out);
+            out.put("</documentation>");
+        }
+        out.put("<portType name=\"");
+        escape_attr_into(&self.name, out);
+        out.put("PortType\"");
+        if self.operations.is_empty() {
+            out.put("/>");
+        } else {
+            out.put(">");
+            for op in &self.operations {
+                out.put("<operation name=\"");
+                escape_attr_into(&op.name, out);
+                out.put(if op.idempotent {
+                    "\" idempotent=\"true\"><input"
+                } else {
+                    "\"><input"
+                });
+                if op.inputs.is_empty() {
+                    out.put("/>");
+                } else {
+                    out.put(">");
+                    for p in &op.inputs {
+                        write_part(p, out);
+                    }
+                    out.put("</input>");
+                }
+                if let Some(p) = &op.output {
+                    out.put("<output>");
+                    write_part(p, out);
+                    out.put("</output>");
+                }
+                out.put("</operation>");
+            }
+            out.put("</portType>");
+        }
+        out.put("<service name=\"");
+        escape_attr_into(&self.name, out);
+        out.put("\"><port><soap:address location=\"");
+        escape_attr_into(&self.endpoint, out);
+        out.put("\"/></port></service></definitions>");
+    }
+
+    /// Parses a WSDL-style document in one pass over the pull
+    /// [`Reader`]: only what ends up in the description is copied out
+    /// of `doc`, and no element tree is built. The first of each
+    /// singular element counts (`documentation`, `portType`, an
+    /// operation's `input` and `output`, the `service` / `port` /
+    /// `address` path); later ones are skipped. An XML error anywhere
+    /// wins over a description error; a malformed document's error
+    /// carries the XML error's text.
+    pub fn from_document(doc: &str) -> Result<ServiceDescription, DescriptionError> {
+        read_description(&mut Reader::new(doc))
+            .unwrap_or_else(|e| Err(DescriptionError::new(e.to_string())))
+    }
+
+    /// Serialises to a WSDL-style element tree — the oracle the
+    /// streaming [`Self::write_document`] must match byte for byte.
+    #[cfg(test)]
+    pub(crate) fn to_xml(&self) -> Element {
         let mut port_type = Element::new("portType").attr("name", format!("{}PortType", self.name));
         for op in &self.operations {
             let mut op_el = Element::new("operation").attr("name", &op.name);
@@ -170,10 +254,11 @@ impl ServiceDescription {
         defs
     }
 
-    /// Parses a WSDL-style document produced by [`Self::to_xml`], from
-    /// the borrowed tree of [`minixml::parse_ref`]: names and clean text
-    /// are copied out of the document once, into the description.
-    pub fn from_xml(e: &ElemRef<'_>) -> Result<ServiceDescription, DescriptionError> {
+    /// Parses a WSDL-style document from the borrowed tree of
+    /// [`minixml::parse_ref`] — the oracle the one-pass
+    /// [`Self::from_document`] must agree with on every input.
+    #[cfg(test)]
+    pub(crate) fn from_xml(e: &ElemRef<'_>) -> Result<ServiceDescription, DescriptionError> {
         if e.local_name() != "definitions" {
             return Err(DescriptionError::new("root must be <definitions>"));
         }
@@ -227,6 +312,152 @@ impl ServiceDescription {
             documentation,
         })
     }
+}
+
+/// Writes one message part as a `part` element.
+fn write_part<O: XmlOut + ?Sized>(p: &Part, out: &mut O) {
+    out.put("<part name=\"");
+    escape_attr_into(&p.name, out);
+    out.put("\" type=\"");
+    out.put(p.ty.as_qname());
+    out.put("\"/>");
+}
+
+/// Reads a whole document for [`ServiceDescription::from_document`]:
+/// the root, its children, and what follows the root. The outer error
+/// is the document's; the inner one is the description's, reported
+/// only once the document has been read through.
+fn read_description(
+    r: &mut Reader<'_>,
+) -> Result<Result<ServiceDescription, DescriptionError>, ParseError> {
+    let Event::Start(root) = r.next()? else {
+        unreachable!("a document's first event is its root's start tag")
+    };
+    let name = match (local_name(root), r.attr("name")) {
+        ("definitions", Some(name)) => name.into_owned(),
+        (root, _) => {
+            let failed = if root == "definitions" {
+                "definitions missing name"
+            } else {
+                "root must be <definitions>"
+            };
+            r.skip_element()?;
+            r.next()?;
+            return Ok(Err(DescriptionError::new(failed)));
+        }
+    };
+    let mut desc = ServiceDescription::new(name, attr_or(r, "targetNamespace", ""));
+    let mut failed = None;
+    let (mut documentation, mut port_type, mut service) = (true, true, true);
+    r.for_each_child(|child, r| match local_name(child) {
+        "documentation" if documentation => {
+            documentation = false;
+            desc.documentation = r.text_content()?.into_owned();
+            Ok(())
+        }
+        "portType" if port_type => {
+            port_type = false;
+            read_all(r, "operation", |r| {
+                if failed.is_none() {
+                    match read_operation(r)? {
+                        Some(op) => desc.operations.push(op),
+                        None => failed = Some("operation missing name"),
+                    }
+                }
+                Ok(())
+            })
+        }
+        "service" if service => {
+            service = false;
+            read_first(r, "port", |r| {
+                read_first(r, "address", |r| {
+                    desc.endpoint = attr_or(r, "location", "");
+                    Ok(())
+                })
+            })
+        }
+        _ => Ok(()),
+    })?;
+    r.next()?;
+    Ok(match failed {
+        Some(failed) => Err(DescriptionError::new(failed)),
+        None => Ok(desc),
+    })
+}
+
+/// The operation whose start tag the reader just returned, or `None`
+/// when it has no name (its content is then left for the caller to
+/// skip).
+fn read_operation(r: &mut Reader<'_>) -> Result<Option<Operation>, ParseError> {
+    let Some(name) = r.attr("name") else {
+        return Ok(None);
+    };
+    let mut op = Operation::new(name);
+    op.idempotent = r.attr("idempotent").as_deref() == Some("true");
+    let (mut input, mut output) = (true, true);
+    r.for_each_child(|child, r| match local_name(child) {
+        "input" if input => {
+            input = false;
+            read_all(r, "part", |r| {
+                op.inputs.push(read_part(r, "arg"));
+                Ok(())
+            })
+        }
+        "output" if output => {
+            output = false;
+            read_first(r, "part", |r| {
+                op.output = Some(read_part(r, "return"));
+                Ok(())
+            })
+        }
+        _ => Ok(()),
+    })?;
+    Ok(Some(op))
+}
+
+/// The part whose start tag the reader just returned; `name` is the
+/// default for a part without one.
+fn read_part(r: &Reader<'_>, name: &str) -> Part {
+    Part {
+        name: attr_or(r, "name", name),
+        ty: XsdType::from_qname(&r.attr("type").unwrap_or(Cow::Borrowed("anyType"))),
+    }
+}
+
+/// Attribute `key` of the start tag just returned, unescaped, or
+/// `default`.
+fn attr_or(r: &Reader<'_>, key: &str, default: &str) -> String {
+    r.attr(key)
+        .map_or_else(|| default.to_owned(), Cow::into_owned)
+}
+
+/// Hands every child element named `local` of the innermost open
+/// element to `read`, skipping the rest, through the parent's `End`.
+fn read_all<'a>(
+    r: &mut Reader<'a>,
+    local: &str,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    r.for_each_child(|child, r| {
+        if local_name(child) == local {
+            read(r)?;
+        }
+        Ok(())
+    })
+}
+
+/// Hands the first child element named `local` of the innermost open
+/// element to `read`, skipping the rest, through the parent's `End`.
+fn read_first<'a>(
+    r: &mut Reader<'a>,
+    local: &str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let mut read = Some(read);
+    read_all(r, local, |r| match read.take() {
+        Some(read) => read(r),
+        None => Ok(()),
+    })
 }
 
 /// A description parse failure.

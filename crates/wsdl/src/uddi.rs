@@ -7,8 +7,11 @@
 //! tModels hold the technical fingerprints (here: WSDL documents) —
 //! with the v2 `find_*` inquiry semantics ('%' wildcards, category bags).
 
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::ops::Bound;
 
 /// A registry key (`uuid:NNNN` style).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,6 +121,10 @@ pub struct RegistryStats {
 /// always maintained; [`UddiRegistry::set_indexing`] only switches
 /// the *lookup* path back to a full scan, so benches can ablate
 /// indexed vs. scan behaviour on identical registry state.
+///
+/// Inquiries take `&self` and hand out records by reference: only the
+/// statistics change on a read, and they live in a [`Cell`], so a
+/// caller may hold a found service while it looks up its tModel.
 #[derive(Debug)]
 pub struct UddiRegistry {
     businesses: BTreeMap<Key, BusinessEntity>,
@@ -129,7 +136,7 @@ pub struct UddiRegistry {
     category_index: HashMap<String, HashMap<String, BTreeSet<Key>>>,
     indexing: bool,
     next_id: u64,
-    stats: RegistryStats,
+    stats: Cell<RegistryStats>,
 }
 
 impl Default for UddiRegistry {
@@ -142,17 +149,19 @@ impl Default for UddiRegistry {
             category_index: HashMap::new(),
             indexing: true,
             next_id: 0,
-            stats: RegistryStats::default(),
+            stats: Cell::default(),
         }
     }
 }
 
-/// Which records an inquiry must examine.
-enum Candidates {
+/// Which records an inquiry must examine, borrowed from the indexes.
+enum Candidates<'r> {
     /// No index applies — scan every record.
     All,
+    /// An exact name: only the records under it can match.
+    Named(&'r [Key]),
     /// Only these keys can possibly match.
-    Keys(Vec<Key>),
+    Keys(Vec<&'r Key>),
 }
 
 impl UddiRegistry {
@@ -168,6 +177,14 @@ impl UddiRegistry {
         self.indexing = enabled;
     }
 
+    /// Counts one inquiry that examined `records` records.
+    fn count_inquiry(&self, records: usize) {
+        let mut stats = self.stats.get();
+        stats.inquiries += 1;
+        stats.records_scanned += records as u64;
+        self.stats.set(stats);
+    }
+
     fn fresh_key(&mut self, kind: &str) -> Key {
         self.next_id += 1;
         Key(format!("uuid:{kind}:{:06}", self.next_id))
@@ -177,7 +194,7 @@ impl UddiRegistry {
 
     /// Registers a business entity, returning its key.
     pub fn save_business(&mut self, name: &str, description: &str) -> Key {
-        self.stats.publishes += 1;
+        self.stats.get_mut().publishes += 1;
         let key = self.fresh_key("biz");
         self.businesses.insert(
             key.clone(),
@@ -192,7 +209,7 @@ impl UddiRegistry {
 
     /// Registers a tModel, returning its key.
     pub fn save_tmodel(&mut self, name: &str, overview_doc: &str) -> Key {
-        self.stats.publishes += 1;
+        self.stats.get_mut().publishes += 1;
         let key = self.fresh_key("tm");
         self.tmodels.insert(
             key.clone(),
@@ -216,7 +233,7 @@ impl UddiRegistry {
         access_point: &str,
         tmodel_key: Option<Key>,
     ) -> Option<Key> {
-        self.stats.publishes += 1;
+        self.stats.get_mut().publishes += 1;
         if !self.businesses.contains_key(business_key) {
             return None;
         }
@@ -249,16 +266,21 @@ impl UddiRegistry {
         }
     }
 
-    /// Removes every service whose name equals `name` (UDDI names are
-    /// case-insensitive), returning the removed records so callers can
-    /// clean up orphaned tModels. Index-backed: no scan of unrelated
-    /// records.
+    /// Removes every service named exactly `name`, returning the
+    /// removed records so callers can clean up orphaned tModels.
+    /// Inquiries match names case-insensitively, as UDDI does, but a
+    /// deletion by name leaves a case variant's record alone (a record
+    /// keyed by its exact name must not take `Hall-Lamp` with
+    /// `hall-lamp`). Index-backed: no scan of unrelated records.
     pub fn delete_services_by_name(&mut self, name: &str) -> Vec<BusinessService> {
-        let keys = self
+        let keys: Vec<Key> = self
             .name_index
-            .get(&name.to_ascii_lowercase())
+            .get(lowercase(name).as_ref())
+            .into_iter()
+            .flatten()
+            .filter(|k| self.services.get(*k).is_some_and(|s| s.name == name))
             .cloned()
-            .unwrap_or_default();
+            .collect();
         let mut removed = Vec::with_capacity(keys.len());
         for key in keys {
             if let Some(service) = self.services.remove(&key) {
@@ -290,11 +312,11 @@ impl UddiRegistry {
     }
 
     fn unindex_service(&mut self, service: &BusinessService) {
-        let lname = service.name.to_ascii_lowercase();
-        if let Some(keys) = self.name_index.get_mut(&lname) {
+        let lname = lowercase(&service.name);
+        if let Some(keys) = self.name_index.get_mut(lname.as_ref()) {
             keys.retain(|k| k != &service.key);
             if keys.is_empty() {
-                self.name_index.remove(&lname);
+                self.name_index.remove(lname.as_ref());
             }
         }
         for cat in &service.categories {
@@ -316,13 +338,11 @@ impl UddiRegistry {
 
     /// Finds businesses whose name matches `pattern` (`%` wildcards,
     /// case-insensitive — UDDI v2 semantics).
-    pub fn find_business(&mut self, pattern: &str) -> Vec<BusinessEntity> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += self.businesses.len() as u64;
+    pub fn find_business(&self, pattern: &str) -> Vec<&BusinessEntity> {
+        self.count_inquiry(self.businesses.len());
         self.businesses
             .values()
             .filter(|b| matches_pattern(pattern, &b.name))
-            .cloned()
             .collect()
     }
 
@@ -334,60 +354,52 @@ impl UddiRegistry {
     /// `RegistryStats::records_scanned` counts exactly those — so E8
     /// reports the true lookup cost either way.
     pub fn find_service(
-        &mut self,
+        &self,
         pattern: &str,
         categories: &[KeyedReference],
-    ) -> Vec<BusinessService> {
-        self.stats.inquiries += 1;
-        let matches = |s: &BusinessService| {
+    ) -> Vec<&BusinessService> {
+        let matches = |s: &&BusinessService| {
             matches_pattern(pattern, &s.name)
                 && categories
                     .iter()
                     .all(|c| s.has_category(&c.taxonomy, &c.value))
         };
+        let keyed = |keys: &mut dyn ExactSizeIterator<Item = &Key>| {
+            self.count_inquiry(keys.len());
+            keys.filter_map(|k| self.services.get(k))
+                .filter(matches)
+                .collect()
+        };
         match self.candidates(pattern, categories) {
             Candidates::All => {
-                self.stats.records_scanned += self.services.len() as u64;
-                self.services
-                    .values()
-                    .filter(|s| matches(s))
-                    .cloned()
-                    .collect()
+                self.count_inquiry(self.services.len());
+                self.services.values().filter(matches).collect()
             }
-            Candidates::Keys(keys) => {
-                self.stats.records_scanned += keys.len() as u64;
-                keys.iter()
-                    .filter_map(|k| self.services.get(k))
-                    .filter(|s| matches(s))
-                    .cloned()
-                    .collect()
-            }
+            Candidates::Named(keys) => keyed(&mut keys.iter()),
+            Candidates::Keys(keys) => keyed(&mut keys.into_iter()),
         }
     }
 
     /// Picks the cheapest candidate set for an inquiry: exact-name hit,
     /// name-prefix range, or the smallest matching category bucket.
-    fn candidates(&self, pattern: &str, categories: &[KeyedReference]) -> Candidates {
+    fn candidates(&self, pattern: &str, categories: &[KeyedReference]) -> Candidates<'_> {
         if !self.indexing {
             return Candidates::All;
         }
         // The run of literal characters before the first wildcard is an
         // index-resolvable prefix (UDDI names compare case-insensitively).
-        let prefix: String = pattern
-            .chars()
-            .take_while(|c| *c != '%')
-            .collect::<String>()
-            .to_ascii_lowercase();
-        if !pattern.contains('%') {
-            let keys = self.name_index.get(&prefix).cloned().unwrap_or_default();
-            return Candidates::Keys(keys);
+        let wildcard = pattern.find('%');
+        let prefix = lowercase(&pattern[..wildcard.unwrap_or(pattern.len())]);
+        let prefix = prefix.as_ref();
+        if wildcard.is_none() {
+            return Candidates::Named(self.name_index.get(prefix).map_or(&[], Vec::as_slice));
         }
         if !prefix.is_empty() {
-            let keys: Vec<Key> = self
+            let keys = self
                 .name_index
-                .range(prefix.clone()..)
-                .take_while(|(name, _)| name.starts_with(&prefix))
-                .flat_map(|(_, ks)| ks.iter().cloned())
+                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+                .take_while(|(name, _)| name.starts_with(prefix))
+                .flat_map(|(_, ks)| ks)
                 .collect();
             return Candidates::Keys(keys);
         }
@@ -404,37 +416,29 @@ impl UddiRegistry {
             })
             .min_by_key(|bucket| bucket.map_or(0, |keys| keys.len()));
         match smallest {
-            Some(bucket) => Candidates::Keys(
-                bucket
-                    .map(|keys| keys.iter().cloned().collect())
-                    .unwrap_or_default(),
-            ),
+            Some(bucket) => Candidates::Keys(bucket.into_iter().flatten().collect()),
             None => Candidates::All,
         }
     }
 
     /// Full detail for one service.
-    pub fn get_service(&mut self, key: &Key) -> Option<BusinessService> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += 1;
-        self.services.get(key).cloned()
+    pub fn get_service(&self, key: &Key) -> Option<&BusinessService> {
+        self.count_inquiry(1);
+        self.services.get(key)
     }
 
     /// Full detail for one tModel.
-    pub fn get_tmodel(&mut self, key: &Key) -> Option<TModel> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += 1;
-        self.tmodels.get(key).cloned()
+    pub fn get_tmodel(&self, key: &Key) -> Option<&TModel> {
+        self.count_inquiry(1);
+        self.tmodels.get(key)
     }
 
     /// Finds tModels by name pattern.
-    pub fn find_tmodel(&mut self, pattern: &str) -> Vec<TModel> {
-        self.stats.inquiries += 1;
-        self.stats.records_scanned += self.tmodels.len() as u64;
+    pub fn find_tmodel(&self, pattern: &str) -> Vec<&TModel> {
+        self.count_inquiry(self.tmodels.len());
         self.tmodels
             .values()
             .filter(|t| matches_pattern(pattern, &t.name))
-            .cloned()
             .collect()
     }
 
@@ -452,7 +456,17 @@ impl UddiRegistry {
 
     /// Inquiry/publication statistics.
     pub fn stats(&self) -> RegistryStats {
-        self.stats
+        self.stats.get()
+    }
+}
+
+/// `s` ASCII-lowercased, borrowed when it has no uppercase letter (the
+/// name index's key form).
+fn lowercase(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
@@ -504,7 +518,7 @@ mod tests {
 
     #[test]
     fn publish_and_find_by_name() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         assert_eq!(reg.service_count(), 2);
         let found = reg.find_service("living%", &[]);
         assert_eq!(found.len(), 1);
@@ -517,7 +531,7 @@ mod tests {
 
     #[test]
     fn find_by_category() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         let havi = reg.find_service("%", &[KeyedReference::new("uddi:middleware", "havi")]);
         assert_eq!(havi.len(), 2);
         let vcrs = reg.find_service(
@@ -534,7 +548,7 @@ mod tests {
 
     #[test]
     fn tmodel_carries_wsdl() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         let svc = &reg.find_service("living%", &[])[0];
         let tm_key = svc.bindings[0].tmodel_key.clone().unwrap();
         let tm = reg.get_tmodel(&tm_key).unwrap();
@@ -561,7 +575,7 @@ mod tests {
 
     #[test]
     fn stats_track_activity() {
-        let (mut reg, _) = seeded();
+        let (reg, _) = seeded();
         let before = reg.stats();
         assert_eq!(before.publishes, 4); // 1 biz + 1 tmodel + 2 services
         reg.find_service("%", &[]);
@@ -629,7 +643,7 @@ mod tests {
 
     #[test]
     fn prefix_pattern_scans_only_the_name_range() {
-        let mut reg = populated(1000);
+        let reg = populated(1000);
         let before = reg.stats().records_scanned;
         let found = reg.find_service("device-099%", &[]);
         assert_eq!(found.len(), 10); // device-0990 .. device-0999
@@ -638,7 +652,7 @@ mod tests {
 
     #[test]
     fn leading_wildcard_uses_the_category_index() {
-        let mut reg = populated(1000);
+        let reg = populated(1000);
         let before = reg.stats().records_scanned;
         let found = reg.find_service("%", &[KeyedReference::new("uddi:middleware", "x10")]);
         assert_eq!(found.len(), 250);
@@ -669,9 +683,17 @@ mod tests {
         ];
         for pattern in patterns {
             for cat in &cats {
-                let indexed = reg.find_service(pattern, cat);
+                let indexed: Vec<BusinessService> = reg
+                    .find_service(pattern, cat)
+                    .into_iter()
+                    .cloned()
+                    .collect();
                 reg.set_indexing(false);
-                let scanned = reg.find_service(pattern, cat);
+                let scanned: Vec<BusinessService> = reg
+                    .find_service(pattern, cat)
+                    .into_iter()
+                    .cloned()
+                    .collect();
                 reg.set_indexing(true);
                 assert_eq!(indexed, scanned, "pattern {pattern:?} cats {cat:?}");
             }
@@ -681,7 +703,8 @@ mod tests {
     #[test]
     fn delete_by_name_updates_indexes() {
         let (mut reg, biz) = seeded();
-        // A second service under the same (case-insensitively equal) name.
+        // A second service under a case variant of the name: inquiry
+        // finds both, deletion by name takes only the exact spelling.
         reg.save_service(
             &biz,
             "Living-Room-VCR",
@@ -690,11 +713,17 @@ mod tests {
             None,
         )
         .unwrap();
+        assert_eq!(reg.find_service("living-room-vcr", &[]).len(), 2);
         let removed = reg.delete_services_by_name("living-room-vcr");
-        assert_eq!(removed.len(), 2);
-        assert_eq!(reg.service_count(), 1);
-        assert!(reg.find_service("living-room-vcr", &[]).is_empty());
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].name, "living-room-vcr");
+        assert_eq!(reg.service_count(), 2);
         assert!(reg.delete_services_by_name("living-room-vcr").is_empty());
+        let variant = reg.find_service("living-room-vcr", &[]);
+        assert_eq!(variant.len(), 1);
+        assert_eq!(variant[0].name, "Living-Room-VCR");
+        assert_eq!(reg.delete_services_by_name("Living-Room-VCR").len(), 1);
+        assert!(reg.find_service("living-room-vcr", &[]).is_empty());
         // The survivor is still fully indexed.
         let found = reg.find_service("%", &[KeyedReference::new("uddi:middleware", "havi")]);
         assert_eq!(found.len(), 1);
