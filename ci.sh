@@ -184,8 +184,8 @@ run_bench() {
     # E18 smoke run: the three-codec wire ablation over the zero-copy
     # stack — asserts SOAP's warm-path allocs/op stay >= 6x below the
     # pre-zero-copy baseline, the binary codec moves fewer wire bytes/op
-    # than SOAP, the streaming decoder buffers <= 1 frame, and every codec
-    # is thread-count deterministic. Emits BENCH_codec.json.
+    # than SOAP, and every codec is thread-count deterministic. Emits
+    # BENCH_codec.json.
     stage "e18 codec ablation smoke (zero-copy + determinism assertions)"
     cargo bench -p bench --bench e18_codec
 

@@ -15,8 +15,6 @@
 //!    carries no counting), and virtual-time p50/p99;
 //!  * **batch train** — a 32-member invocation batch between two
 //!    gateways: bytes and allocs per member;
-//!  * **stream decode** — the binary codec's length-prefixed streaming
-//!    mode: the decoder's peak buffer must stay at or below one frame;
 //!  * **fleet identity** — a 4-home fleet with per-home call drivers
 //!    and periodic fan-out bursts, run at 1 and 2 worker threads:
 //!    metrics snapshots, scheduler statistics, invocation counts and
@@ -28,14 +26,12 @@
 //!
 //!  * warm-path SOAP allocs/op must be >= 6x down from the
 //!    pre-zero-copy stack ([`PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP`]);
-//!  * the binary codec must move fewer wire bytes/op than SOAP;
-//!  * the streaming decoder's peak buffer must be <= 1x the frame.
+//!  * the binary codec must move fewer wire bytes/op than SOAP.
 //!
 //! Emits `BENCH_codec.json`.
 
 use bench::workload::{replay, Workload};
 use bench::{cell, fmt_us, percentile, Report};
-use metaware::protocol::binval;
 use metaware::{
     catalog, BatchCall, BatchItem, BatchPolicy, CompactBinary, HomeFleet, Middleware, SipLike,
     SmartHome, Soap11, VirtualService, Vsg, VsgProtocol, Vsr,
@@ -142,39 +138,6 @@ fn run_batch(protocol: Arc<dyn VsgProtocol>) -> (f64, f64) {
     )
 }
 
-/// Streams a 64-item binary batch frame through [`binval::StreamDecoder`]
-/// in small chunks and returns peak-buffer / frame-length. The decoder
-/// must never buffer more than one frame (the streaming-mode promise).
-fn run_stream_decode() -> f64 {
-    let items: Vec<Value> = (0..64)
-        .map(|i| {
-            Value::Record(vec![
-                ("i".into(), Value::Int(i)),
-                ("pad".into(), Value::Str("x".repeat(64))),
-            ])
-        })
-        .collect();
-    let mut frame = Vec::new();
-    binval::encode_frame_into(&items, &mut frame);
-    let mut dec = binval::StreamDecoder::new();
-    let mut got = 0usize;
-    for chunk in frame.chunks(48) {
-        dec.push(chunk);
-        while dec.next_item().is_some() {
-            got += 1;
-        }
-    }
-    assert_eq!(got, items.len(), "streamed decode recovers every item");
-    assert!(dec.finished() && !dec.is_malformed());
-    assert!(
-        dec.peak_buffer() <= frame.len(),
-        "streaming peak buffer {} exceeds one frame {}",
-        dec.peak_buffer(),
-        frame.len()
-    );
-    dec.peak_buffer() as f64 / frame.len() as f64
-}
-
 struct FleetRun {
     stats: ParRunStats,
     invocations: u64,
@@ -258,7 +221,7 @@ fn run_fleet(protocol: &Arc<dyn VsgProtocol>, threads: usize) -> FleetRun {
 fn codec_report() {
     let mut report = Report::new(
         "E18",
-        "three-codec wire ablation: 256-call mix, 32-member batch, stream decode, 4-home fleet",
+        "three-codec wire ablation: 256-call mix, 32-member batch, 4-home fleet",
         &["codec", "workload", "bytes/op", "allocs/op", "p50", "p99"],
     );
 
@@ -305,16 +268,6 @@ fn codec_report() {
         "binary codec must move fewer wire bytes/op than SOAP \
          ({binary_mix_bytes:.1} vs {soap_mix_bytes:.1})"
     );
-
-    let peak_ratio = run_stream_decode();
-    report.row(vec![
-        "binary".into(),
-        "stream decode peak-buffer/frame".into(),
-        format!("{peak_ratio:.3}"),
-        cell("-"),
-        cell("-"),
-        cell("-"),
-    ]);
 
     // Fleet identity: every codec must stay deterministic under the
     // conservative parallel scheduler.

@@ -129,7 +129,6 @@ impl Activator {
             },
         );
         drop(st);
-        sim.trace("activator", format!("activated {name}"));
 
         // Wrap the invoker so usage refreshes the idle clock.
         let activator = self.clone();

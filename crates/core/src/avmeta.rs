@@ -164,16 +164,6 @@ impl AvBroker {
             connection,
         };
         st.sessions.insert(session.id, session.clone());
-        sim.trace(
-            "avmeta",
-            format!(
-                "session {} open: {source}({}) -> {sink}({}) on ch{}",
-                session.id,
-                source_format.label(),
-                sink_format.label(),
-                session.connection.channel
-            ),
-        );
         Ok(session)
     }
 

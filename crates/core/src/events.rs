@@ -70,17 +70,13 @@ impl PollingBridge {
             let scope = vsg.root_scope(sim, HopKind::Event, || format!("poll {service}"));
             let result = vsg.invoke(sim, &service, "drain_events", &[]);
             scope.finish(&result);
-            match result {
-                Ok(Value::List(events)) => {
-                    let mut st = stats2.lock();
-                    st.events_delivered += events.len() as u64;
-                    drop(st);
-                    for e in &events {
-                        handler(sim, e);
-                    }
+            if let Ok(Value::List(events)) = result {
+                let mut st = stats2.lock();
+                st.events_delivered += events.len() as u64;
+                drop(st);
+                for e in &events {
+                    handler(sim, e);
                 }
-                Ok(_) => {}
-                Err(e) => sim.trace("poll-bridge", format!("poll failed: {e}")),
             }
         });
         PollingBridge { handle, stats }

@@ -388,9 +388,6 @@ impl HaviPcm {
                 });
                 let result = vsg.invoke(sim, &service, op, args);
                 scope.finish(&result);
-                if let Err(e) = result {
-                    sim.trace("havi-ddi", format!("{service}.{op} failed: {e}"));
-                }
             }
         });
         self.registry
@@ -717,6 +714,7 @@ mod ddi_tests {
     #[test]
     fn panel_failures_are_traced_not_fatal() {
         let home = SmartHome::builder().build().unwrap();
+        home.set_tracing(true);
         let havi = home.havi.as_ref().unwrap();
         let record = havi.vsg.resolve("hall-lamp").unwrap();
         let (_bridge, panel) = havi.pcm.export_remote_with_panel(&record).unwrap();
@@ -734,7 +732,12 @@ mod ddi_tests {
         let ui = controller.fetch(panel.seid()).unwrap();
         let (id, _) = ui.buttons()[0];
         controller.press(panel.seid(), id).unwrap();
-        let traced = home.sim.with_tracer(|t| t.by_component("havi-ddi").count());
-        assert!(traced >= 1, "failure should be traced");
+        let spans = havi.vsg.tracer().spans();
+        let press = spans
+            .iter()
+            .find(|s| s.parent.is_none() && s.name.starts_with("ddi-press hall-lamp."))
+            .expect("the press opens a root span");
+        let error = press.error.as_deref().expect("the failure is on the span");
+        assert!(error.contains("hall-lamp"), "{error}");
     }
 }

@@ -145,7 +145,6 @@ impl JiniPcm {
                 continue;
             };
             let Some(iface) = self.catalog.get(iface_name).cloned() else {
-                sim.trace("jini-pcm", format!("no catalog interface for {iface_name}"));
                 continue;
             };
             let name = item

@@ -444,20 +444,6 @@ impl X10Inner {
                 .vsg
                 .invoke(&self.sim, &route.service, &route.operation, &route.args);
             scope.finish(&result);
-            match result {
-                Ok(_) => self.sim.trace(
-                    "x10-pcm",
-                    format!(
-                        "routed {}{} {} -> {}.{}",
-                        house.letter(),
-                        unit.number(),
-                        function,
-                        route.service,
-                        route.operation
-                    ),
-                ),
-                Err(e) => self.sim.trace("x10-pcm", format!("route failed: {e}")),
-            }
         }
     }
 }

@@ -6,8 +6,8 @@
 //! the prototype's "simple protocol" choice.
 
 use super::{
-    binval, member_from_ref, member_to_value, result_from_ref, result_to_value, GatewayHandler,
-    VsgProtocol, VsgRequest,
+    binval, member_from_ref, member_to_value, members_from_bytes, result_to_value,
+    results_from_bytes, GatewayHandler, VsgProtocol, VsgRequest,
 };
 use crate::error::MetaError;
 use simnet::{Network, NodeId, Protocol, SimDuration};
@@ -26,7 +26,7 @@ impl CompactBinary {
     }
 }
 
-fn encode_request(req: &VsgRequest) -> Vec<u8> {
+pub(super) fn encode_request(req: &VsgRequest) -> Vec<u8> {
     // Wire form of Record{s, o, a[, t]}, marshalled from borrows — no
     // clone of the service name, operation, or argument list. The "t"
     // field carries the caller's trace context and is simply absent
@@ -43,14 +43,11 @@ fn encode_request(req: &VsgRequest) -> Vec<u8> {
     out
 }
 
-fn decode_request(data: &[u8]) -> Option<VsgRequest> {
-    // Borrowed decode: the request body has exactly the batch-member
-    // shape {s, o, a[, t]}, and `member_from_ref` converts it to an
-    // owned request straight from frame slices — the old path built an
-    // owned `Value` tree first and then cloned the argument list out
-    // of it, buffering every string twice.
-    let body = binval::from_bytes_ref(data.strip_prefix(MAGIC)?)?;
-    member_from_ref(&body)
+pub(super) fn decode_request(data: &[u8]) -> Option<VsgRequest> {
+    // The request body has exactly the batch-member shape {s, o, a[, t]};
+    // `member_from_ref` reads it from the validated frame, so only the
+    // request's own fields allocate.
+    member_from_ref(&binval::from_bytes_ref(data.strip_prefix(MAGIC)?)?)
 }
 
 // Reply tags. Tag 2 is distinct from the generic fault so a stale
@@ -65,7 +62,7 @@ const TAG_BATCH: u8 = 3;
 // A batch request is MAGIC + Record{"B": List[member records]} — the
 // "B" key cannot collide with a single request, which always carries
 // "s"/"o"/"a" fields.
-fn encode_batch_request(reqs: &[VsgRequest]) -> Vec<u8> {
+pub(super) fn encode_batch_request(reqs: &[VsgRequest]) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
     binval::begin_record(1, &mut out);
     binval::encode_field_key("B", &mut out);
@@ -76,22 +73,13 @@ fn encode_batch_request(reqs: &[VsgRequest]) -> Vec<u8> {
     out
 }
 
-fn decode_batch_request(data: &[u8]) -> Option<Vec<VsgRequest>> {
+pub(super) fn decode_batch_request(data: &[u8]) -> Option<Vec<VsgRequest>> {
     // The batch head is fixed: Record{1 field} with key "B" — match its
-    // four wire bytes directly, then stream the member list. Each
-    // member is converted to an owned request and its borrowed form
-    // dropped before the next is decoded, so peak live decode state is
-    // one member, not the whole frame's value tree.
-    let rest = data.strip_prefix(MAGIC)?.strip_prefix(&[7u8, 1, 1, b'B'])?;
-    let mut stream = binval::ListStream::open(rest)?;
-    let mut reqs = Vec::with_capacity(stream.remaining());
-    while stream.remaining() > 0 {
-        reqs.push(member_from_ref(&stream.next_ref()?)?);
-    }
-    stream.finished_clean().then_some(reqs)
+    // four wire bytes directly, then read the member list.
+    members_from_bytes(data.strip_prefix(MAGIC)?.strip_prefix(&[7u8, 1, 1, b'B'])?)
 }
 
-fn encode_batch_reply(results: &[Result<Value, MetaError>]) -> Vec<u8> {
+pub(super) fn encode_batch_reply(results: &[Result<Value, MetaError>]) -> Vec<u8> {
     let mut out = vec![TAG_BATCH];
     binval::begin_list(results.len(), &mut out);
     for r in results {
@@ -100,24 +88,10 @@ fn encode_batch_reply(results: &[Result<Value, MetaError>]) -> Vec<u8> {
     out
 }
 
-fn decode_batch_reply(data: &[u8]) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
-    let bad = || MetaError::Protocol("bad batch reply body".into());
+pub(super) fn decode_batch_reply(data: &[u8]) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
     match data.split_first() {
-        Some((&TAG_BATCH, rest)) => {
-            // Stream the result list: an undecodable member fails the
-            // whole frame (as `from_bytes` used to); a decodable member
-            // of the wrong shape stays a per-member error.
-            let mut stream = binval::ListStream::open(rest).ok_or_else(bad)?;
-            let mut results = Vec::with_capacity(stream.remaining());
-            while stream.remaining() > 0 {
-                let member = stream.next_ref().ok_or_else(bad)?;
-                results.push(result_from_ref(&member));
-            }
-            if !stream.finished_clean() {
-                return Err(bad());
-            }
-            Ok(results)
-        }
+        Some((&TAG_BATCH, rest)) => results_from_bytes(rest)
+            .ok_or_else(|| MetaError::Protocol("bad batch reply body".into())),
         // The server answered in single-reply form (e.g. it rejected
         // the frame as malformed): surface that as the whole-batch
         // error.
@@ -127,7 +101,7 @@ fn decode_batch_reply(data: &[u8]) -> Result<Vec<Result<Value, MetaError>>, Meta
     }
 }
 
-fn encode_reply(result: &Result<Value, MetaError>) -> Vec<u8> {
+pub(super) fn encode_reply(result: &Result<Value, MetaError>) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     match result {
         Ok(v) => {
@@ -146,9 +120,9 @@ fn encode_reply(result: &Result<Value, MetaError>) -> Vec<u8> {
     out
 }
 
-fn decode_reply(data: &[u8]) -> Result<Value, MetaError> {
+pub(super) fn decode_reply(data: &[u8]) -> Result<Value, MetaError> {
     let payload_str = |rest: &[u8], fallback: &str| {
-        binval::from_bytes(rest)
+        binval::from_bytes_ref(rest)
             .and_then(|v| v.as_str().map(str::to_owned))
             .unwrap_or_else(|| fallback.to_owned())
     };

@@ -3,23 +3,24 @@
 //! Used by the `CompactBinary` VSG protocol (the E4 strawman showing what
 //! SOAP's XML costs) and as the SIP-like protocol's body encoding.
 //!
-//! Three decode tiers share one wire format:
+//! One decoder reads the format. [`from_bytes_ref`] walks a buffer once
+//! and checks all of it: every tag, every length against the end of the
+//! buffer, UTF-8 in strings and record keys, nesting no deeper than
+//! [`MAX_DEPTH`], and no trailing bytes. It returns a [`ValueRef`], a
+//! view that reads the validated bytes in place: strings and byte runs
+//! are slices of the buffer, and a list or record holds its item count
+//! and its bytes and is iterated lazily (how batch frames are
+//! demultiplexed member by member). The view allocates nothing, and
+//! iterating it cannot fail. [`ValueRef::to_owned`] copies a view into an
+//! owned [`Value`], and [`from_bytes`] is that copy of a whole buffer.
 //!
-//! * [`from_bytes`] — owned [`Value`] tree (copies every string).
-//! * [`from_bytes_ref`] — borrowed [`ValueRef`] tree: strings and byte
-//!   runs are slices of the frame, only the tree spine allocates.
-//! * [`ListStream`] — single-pass iteration over a wire-form list's
-//!   items without materialising the outer list at all (how batch
-//!   frames are demultiplexed member by member).
-//!
-//! There is additionally a *length-prefixed streaming frame* mode
-//! ([`FrameEncoder`] / [`StreamDecoder`]) for large batch frames moving
-//! through chunked transports: each item is prefixed with its encoded
-//! byte length, so the receiver can decode item-by-item as chunks
-//! arrive, holding at most one frame's worth of bytes (never the frame
-//! *plus* a decoded copy of all of it — the old double buffer).
+//! Reading a list or record item walks the item once to find where it
+//! ends, so a full traversal walks a byte once more for each list or
+//! record around it: [`MAX_DEPTH`] bounds that work as well as the
+//! stack.
 
 use soap::Value;
+use std::fmt;
 
 /// Encodes a value.
 pub fn encode(v: &Value, out: &mut Vec<u8>) {
@@ -128,81 +129,34 @@ pub fn encode_record_fields<K: AsRef<str>>(fields: &[(K, Value)], out: &mut Vec<
     }
 }
 
-/// Decodes one value, advancing `pos`.
-pub fn decode(data: &[u8], pos: &mut usize) -> Option<Value> {
-    let tag = *data.get(*pos)?;
-    *pos += 1;
-    match tag {
-        0 => Some(Value::Null),
-        1 => {
-            let b = *data.get(*pos)?;
-            *pos += 1;
-            Some(Value::Bool(b != 0))
-        }
-        2 => {
-            let bytes = data.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(Value::Int(i64::from_le_bytes(bytes.try_into().ok()?)))
-        }
-        3 => {
-            let bytes = data.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(Value::Float(f64::from_le_bytes(bytes.try_into().ok()?)))
-        }
-        4 => {
-            let len = read_len(data, pos)?;
-            let bytes = data.get(*pos..*pos + len)?;
-            *pos += len;
-            Some(Value::Str(std::str::from_utf8(bytes).ok()?.to_owned()))
-        }
-        5 => {
-            let len = read_len(data, pos)?;
-            let bytes = data.get(*pos..*pos + len)?;
-            *pos += len;
-            Some(Value::Bytes(bytes.to_vec()))
-        }
-        6 => {
-            let len = read_len(data, pos)?;
-            if len > data.len() {
-                return None;
-            }
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push(decode(data, pos)?);
-            }
-            Some(Value::List(items))
-        }
-        7 => {
-            let len = read_len(data, pos)?;
-            if len > data.len() {
-                return None;
-            }
-            let mut fields = Vec::with_capacity(len);
-            for _ in 0..len {
-                let klen = read_len(data, pos)?;
-                let kbytes = data.get(*pos..*pos + klen)?;
-                *pos += klen;
-                let key = std::str::from_utf8(kbytes).ok()?.to_owned();
-                fields.push((key, decode(data, pos)?));
-            }
-            Some(Value::Record(fields))
-        }
-        _ => None,
-    }
+/// How deep lists and records may nest in one buffer. The framework's
+/// own framing wraps an application value in at most three levels (a
+/// batch list, a member record, its argument record), so this only ever
+/// turns away hostile or corrupt input. It bounds the stack of every
+/// walk over a view: validation, [`ValueRef::to_owned`] and dropping the
+/// owned [`Value`].
+pub const MAX_DEPTH: usize = 64;
+
+/// Decodes a whole buffer into an owned [`Value`]: [`ValueRef::to_owned`]
+/// over [`from_bytes_ref`], so it accepts exactly what that accepts.
+pub fn from_bytes(data: &[u8]) -> Option<Value> {
+    from_bytes_ref(data).map(|v| v.to_owned())
 }
 
-/// Decodes a whole buffer; fails on trailing bytes.
-pub fn from_bytes(data: &[u8]) -> Option<Value> {
+/// Validates a whole buffer and returns a view of its value. Fails on an
+/// unknown tag, a length running past the end, a string or record key
+/// that is not UTF-8, lists and records nested deeper than
+/// [`MAX_DEPTH`], or trailing bytes.
+pub fn from_bytes_ref(data: &[u8]) -> Option<ValueRef<'_>> {
     let mut pos = 0;
-    let v = decode(data, &mut pos)?;
+    let v = read(data, &mut pos, MAX_DEPTH)?;
     (pos == data.len()).then_some(v)
 }
 
-// ---- borrowed decode ---------------------------------------------------
-
-/// A value decoded without copying: strings and byte runs are slices of
-/// the frame buffer; only list/record spines allocate.
-#[derive(Debug, Clone, PartialEq)]
+/// A view of one validated value: scalars are decoded, strings and byte
+/// runs are slices of the buffer, and lists and records are read in
+/// place as they are iterated. A view allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {
     /// Explicit null.
     Null,
@@ -212,329 +166,180 @@ pub enum ValueRef<'a> {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// String slice of the frame.
+    /// String slice of the buffer.
     Str(&'a str),
-    /// Byte slice of the frame.
+    /// Byte slice of the buffer.
     Bytes(&'a [u8]),
     /// Ordered list.
-    List(Vec<ValueRef<'a>>),
+    List(ListRef<'a>),
     /// Named fields in order.
-    Record(Vec<(&'a str, ValueRef<'a>)>),
+    Record(RecordRef<'a>),
 }
 
 impl<'a> ValueRef<'a> {
-    /// Copies into an owned [`Value`].
+    /// Copies into an owned [`Value`]: one `Vec` of exactly the item
+    /// count per list or record, one `String` per string or key, one
+    /// `Vec<u8>` per byte run.
     pub fn to_owned(&self) -> Value {
-        match self {
+        match *self {
             ValueRef::Null => Value::Null,
-            ValueRef::Bool(b) => Value::Bool(*b),
-            ValueRef::Int(i) => Value::Int(*i),
-            ValueRef::Float(f) => Value::Float(*f),
-            ValueRef::Str(s) => Value::Str((*s).to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
             ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
-            ValueRef::List(items) => Value::List(items.iter().map(ValueRef::to_owned).collect()),
-            ValueRef::Record(fields) => Value::Record(
-                fields
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), v.to_owned()))
-                    .collect(),
-            ),
+            ValueRef::List(items) => {
+                let mut list = Vec::with_capacity(items.len());
+                for item in items.iter() {
+                    list.push(item.to_owned());
+                }
+                Value::List(list)
+            }
+            ValueRef::Record(fields) => Value::Record(fields.to_owned_fields()),
         }
     }
 
     /// The string slice, if this is a `Str`.
     pub fn as_str(&self) -> Option<&'a str> {
-        match self {
+        match *self {
             ValueRef::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    /// The named field's value, if this is a `Record` containing it.
-    pub fn field(&self, name: &str) -> Option<&ValueRef<'a>> {
+    /// The first field named `name`, if this is a `Record` holding one.
+    pub fn field(&self, name: &str) -> Option<ValueRef<'a>> {
         match self {
-            ValueRef::Record(fields) => fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v),
+            ValueRef::Record(fields) => fields.field(name),
             _ => None,
         }
     }
 }
 
-/// Decodes one value without copying, advancing `pos`.
-pub fn decode_ref<'a>(data: &'a [u8], pos: &mut usize) -> Option<ValueRef<'a>> {
-    let tag = *data.get(*pos)?;
-    *pos += 1;
-    match tag {
-        0 => Some(ValueRef::Null),
-        1 => {
-            let b = *data.get(*pos)?;
-            *pos += 1;
-            Some(ValueRef::Bool(b != 0))
-        }
-        2 => {
-            let bytes = data.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(ValueRef::Int(i64::from_le_bytes(bytes.try_into().ok()?)))
-        }
-        3 => {
-            let bytes = data.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(ValueRef::Float(f64::from_le_bytes(bytes.try_into().ok()?)))
-        }
-        4 => {
-            let len = read_len(data, pos)?;
-            let bytes = data.get(*pos..*pos + len)?;
-            *pos += len;
-            Some(ValueRef::Str(std::str::from_utf8(bytes).ok()?))
-        }
-        5 => {
-            let len = read_len(data, pos)?;
-            let bytes = data.get(*pos..*pos + len)?;
-            *pos += len;
-            Some(ValueRef::Bytes(bytes))
-        }
-        6 => {
-            let len = read_len(data, pos)?;
-            if len > data.len() {
-                return None;
-            }
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push(decode_ref(data, pos)?);
-            }
-            Some(ValueRef::List(items))
-        }
-        7 => {
-            let len = read_len(data, pos)?;
-            if len > data.len() {
-                return None;
-            }
-            let mut fields = Vec::with_capacity(len);
-            for _ in 0..len {
-                let klen = read_len(data, pos)?;
-                let kbytes = data.get(*pos..*pos + klen)?;
-                *pos += klen;
-                let key = std::str::from_utf8(kbytes).ok()?;
-                fields.push((key, decode_ref(data, pos)?));
-            }
-            Some(ValueRef::Record(fields))
-        }
-        _ => None,
+/// The items of a validated list, read in place.
+#[derive(Clone, Copy)]
+pub struct ListRef<'a> {
+    len: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> ListRef<'a> {
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the list has no items.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Iterates the items in order. The bytes were validated, so every
+    /// read succeeds and all `len` items come out.
+    pub fn iter(&self) -> impl Iterator<Item = ValueRef<'a>> {
+        let (bytes, mut pos) = (self.bytes, 0);
+        (0..self.len).map_while(move |_| read(bytes, &mut pos, MAX_DEPTH))
     }
 }
 
-/// Decodes a whole buffer without copying; fails on trailing bytes.
-pub fn from_bytes_ref(data: &[u8]) -> Option<ValueRef<'_>> {
-    let mut pos = 0;
-    let v = decode_ref(data, &mut pos)?;
-    (pos == data.len()).then_some(v)
+impl fmt::Debug for ListRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
-/// Single-pass iteration over a wire-form list's items.
-///
-/// Where [`from_bytes`] on a batch frame materialises the outer
-/// `Value::List` *and* every member before the first one is looked at,
-/// `ListStream` verifies only the list header up front and then decodes
-/// one member per [`ListStream::next_ref`] call — the demultiplexer can
-/// convert, dispatch and drop each member before touching the next.
-pub struct ListStream<'a> {
-    data: &'a [u8],
-    pos: usize,
-    remaining: usize,
+/// The fields of a validated record, read in place.
+#[derive(Clone, Copy)]
+pub struct RecordRef<'a> {
+    len: usize,
+    bytes: &'a [u8],
 }
 
-impl<'a> ListStream<'a> {
-    /// Opens the list wire form starting at `data[0]`. Fails unless a
-    /// list header is present.
-    pub fn open(data: &'a [u8]) -> Option<ListStream<'a>> {
-        let mut pos = 0;
-        if *data.get(pos)? != 6 {
-            return None;
-        }
-        pos += 1;
-        let remaining = read_len(data, &mut pos)?;
-        if remaining > data.len() {
-            return None;
-        }
-        Some(ListStream {
-            data,
-            pos,
-            remaining,
+impl<'a> RecordRef<'a> {
+    /// Iterates the `(key, value)` fields in order, as
+    /// [`ListRef::iter`] does the items of a list.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, ValueRef<'a>)> {
+        let (bytes, mut pos) = (self.bytes, 0);
+        (0..self.len).map_while(move |_| {
+            let key = read_str(bytes, &mut pos)?;
+            Some((key, read(bytes, &mut pos, MAX_DEPTH)?))
         })
     }
 
-    /// Number of items not yet decoded.
-    pub fn remaining(&self) -> usize {
-        self.remaining
+    /// The first field named `name`; scans the record up to it.
+    pub fn field(&self, name: &str) -> Option<ValueRef<'a>> {
+        self.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 
-    /// Decodes the next item without copying; `None` when exhausted or
-    /// on a malformed item.
-    pub fn next_ref(&mut self) -> Option<ValueRef<'a>> {
-        if self.remaining == 0 {
-            return None;
+    /// Copies the fields into owned pairs, as [`ValueRef::to_owned`]
+    /// copies a record.
+    pub fn to_owned_fields(&self) -> Vec<(String, Value)> {
+        let mut fields = Vec::with_capacity(self.len);
+        for (k, v) in self.iter() {
+            fields.push((k.to_owned(), v.to_owned()));
         }
-        self.remaining -= 1;
-        decode_ref(self.data, &mut self.pos)
-    }
-
-    /// True if every announced item was decoded and the buffer holds
-    /// no trailing bytes.
-    pub fn finished_clean(&self) -> bool {
-        self.remaining == 0 && self.pos == self.data.len()
+        fields
     }
 }
 
-// ---- length-prefixed streaming frames ----------------------------------
-
-/// Encodes a streaming frame: a varint item count followed by items,
-/// each prefixed with its encoded byte length.
-///
-/// The encoder owns one reusable scratch buffer sized to the largest
-/// single item — the whole frame is never held twice. Call
-/// [`FrameEncoder::begin`], then [`FrameEncoder::item`] per member,
-/// writing into the same output the frame head went to.
-#[derive(Default)]
-pub struct FrameEncoder {
-    scratch: Vec<u8>,
-}
-
-impl FrameEncoder {
-    /// Creates an encoder (scratch grows to the largest item seen).
-    pub fn new() -> FrameEncoder {
-        FrameEncoder::default()
-    }
-
-    /// Writes the frame head announcing `count` items.
-    pub fn begin(&mut self, count: usize, out: &mut Vec<u8>) {
-        write_len(out, count);
-    }
-
-    /// Appends one item: varint byte-length prefix, then the item's
-    /// ordinary wire form.
-    pub fn item(&mut self, v: &Value, out: &mut Vec<u8>) {
-        self.scratch.clear();
-        encode(v, &mut self.scratch);
-        write_len(out, self.scratch.len());
-        out.extend_from_slice(&self.scratch);
-    }
-
-    /// Appends one already-encoded item (its plain wire bytes).
-    pub fn item_bytes(&mut self, encoded: &[u8], out: &mut Vec<u8>) {
-        write_len(out, encoded.len());
-        out.extend_from_slice(encoded);
-    }
-
-    /// Current scratch capacity — the encode-side peak extra buffer.
-    pub fn peak_scratch(&self) -> usize {
-        self.scratch.capacity()
+impl fmt::Debug for RecordRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
-/// Encodes `items` as one streaming frame into `out`. Convenience over
-/// [`FrameEncoder`] for callers that already hold every item.
-pub fn encode_frame_into(items: &[Value], out: &mut Vec<u8>) {
-    let mut enc = FrameEncoder::new();
-    enc.begin(items.len(), out);
-    for v in items {
-        enc.item(v, out);
-    }
-}
-
-/// Incremental decoder for streaming frames arriving in arbitrary
-/// chunks.
-///
-/// Feed bytes with [`StreamDecoder::push`]; drain decoded items with
-/// [`StreamDecoder::next_item`]. Consumed bytes are dropped from the
-/// internal buffer as each item completes, so the decoder holds at most
-/// the bytes of items not yet decoded — bounded by one frame, never the
-/// frame plus a second copy. [`StreamDecoder::peak_buffer`] reports the
-/// high-water mark for harness asserts.
-pub struct StreamDecoder {
-    buf: Vec<u8>,
-    expected: Option<usize>,
-    yielded: usize,
-    peak: usize,
-    malformed: bool,
-}
-
-impl Default for StreamDecoder {
-    fn default() -> Self {
-        StreamDecoder::new()
-    }
-}
-
-impl StreamDecoder {
-    /// Creates an empty decoder awaiting a frame head.
-    pub fn new() -> StreamDecoder {
-        StreamDecoder {
-            buf: Vec::new(),
-            expected: None,
-            yielded: 0,
-            peak: 0,
-            malformed: false,
+/// The one walk over the grammar: checks the value at `pos` to its last
+/// byte, leaves `pos` just past it and returns its view. `depth` is how
+/// many more levels of lists and records may open; the iterators read a
+/// container's items with the full bound, since the container was
+/// checked at its own depth.
+fn read<'a>(data: &'a [u8], pos: &mut usize, depth: usize) -> Option<ValueRef<'a>> {
+    let tag = *data.get(*pos)?;
+    *pos += 1;
+    Some(match tag {
+        0 => ValueRef::Null,
+        1 => ValueRef::Bool(take(data, pos, 1)?[0] != 0),
+        2 => ValueRef::Int(i64::from_le_bytes(take(data, pos, 8)?.try_into().ok()?)),
+        3 => ValueRef::Float(f64::from_le_bytes(take(data, pos, 8)?.try_into().ok()?)),
+        4 => ValueRef::Str(read_str(data, pos)?),
+        5 => {
+            let len = read_len(data, pos)?;
+            ValueRef::Bytes(take(data, pos, len)?)
         }
-    }
-
-    /// Feeds one chunk of frame bytes.
-    pub fn push(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-        self.peak = self.peak.max(self.buf.len());
-    }
-
-    /// Decodes the next complete item, if one is buffered. `None`
-    /// means "need more bytes" (or the frame is done / malformed —
-    /// check [`StreamDecoder::is_malformed`] and
-    /// [`StreamDecoder::finished`]).
-    pub fn next_item(&mut self) -> Option<Value> {
-        if self.malformed {
-            return None;
-        }
-        let mut pos = 0;
-        if self.expected.is_none() {
-            match read_len(&self.buf, &mut pos) {
-                Some(n) => {
-                    self.expected = Some(n);
-                    self.buf.drain(..pos);
+        6 | 7 => {
+            let depth = depth.checked_sub(1)?;
+            let len = read_len(data, pos)?;
+            if len > data.len() {
+                return None;
+            }
+            let start = *pos;
+            for _ in 0..len {
+                if tag == 7 {
+                    read_str(data, pos)?;
                 }
-                None => return None, // head not complete yet
+                read(data, pos, depth)?;
+            }
+            let bytes = &data[start..*pos];
+            if tag == 6 {
+                ValueRef::List(ListRef { len, bytes })
+            } else {
+                ValueRef::Record(RecordRef { len, bytes })
             }
         }
-        if self.yielded >= self.expected.unwrap_or(0) {
-            return None;
-        }
-        let mut pos = 0;
-        let item_len = read_len(&self.buf, &mut pos)?;
-        if self.buf.len() < pos + item_len {
-            return None; // item not complete yet
-        }
-        let item = from_bytes(&self.buf[pos..pos + item_len]);
-        self.buf.drain(..pos + item_len);
-        match item {
-            Some(v) => {
-                self.yielded += 1;
-                Some(v)
-            }
-            None => {
-                self.malformed = true;
-                None
-            }
-        }
-    }
+        _ => return None,
+    })
+}
 
-    /// True once every announced item was yielded.
-    pub fn finished(&self) -> bool {
-        !self.malformed && self.expected == Some(self.yielded)
-    }
+/// A length-prefixed UTF-8 run: a string's body or a record key.
+fn read_str<'a>(data: &'a [u8], pos: &mut usize) -> Option<&'a str> {
+    let len = read_len(data, pos)?;
+    std::str::from_utf8(take(data, pos, len)?).ok()
+}
 
-    /// True if an item failed to decode (frame corrupt).
-    pub fn is_malformed(&self) -> bool {
-        self.malformed
-    }
-
-    /// High-water mark of buffered bytes — the decode-side peak buffer.
-    pub fn peak_buffer(&self) -> usize {
-        self.peak
-    }
+fn take<'a>(data: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let bytes = data.get(*pos..)?.get(..len)?;
+    *pos += len;
+    Some(bytes)
 }
 
 fn write_len(out: &mut Vec<u8>, len: usize) {
@@ -719,183 +524,62 @@ mod tests {
     }
 
     #[test]
-    fn list_stream_iterates_without_outer_list() {
+    fn views_iterate_lists_and_records_in_place() {
         let items = sample_values();
         let wire = to_bytes(&Value::List(items.clone()));
-        let mut stream = ListStream::open(&wire).unwrap();
-        assert_eq!(stream.remaining(), items.len());
-        for want in &items {
-            assert_eq!(stream.next_ref().unwrap().to_owned(), *want);
-        }
-        assert!(stream.next_ref().is_none());
-        assert!(stream.finished_clean());
-        // Not a list → refuses to open.
-        assert!(ListStream::open(&to_bytes(&Value::Int(3))).is_none());
-    }
-
-    #[test]
-    fn streamed_frame_round_trips_and_bounds_buffering() {
-        let items: Vec<Value> = (0..40)
-            .map(|i| {
-                Value::Record(vec![
-                    ("i".into(), Value::Int(i)),
-                    ("pad".into(), Value::Str("x".repeat(50))),
-                ])
-            })
-            .collect();
-        let mut frame = Vec::new();
-        encode_frame_into(&items, &mut frame);
-
-        // Feed in awkward chunk sizes; items must come out intact.
-        let mut dec = StreamDecoder::new();
-        let mut got = Vec::new();
-        for chunk in frame.chunks(13) {
-            dec.push(chunk);
-            while let Some(v) = dec.next_item() {
-                got.push(v);
-            }
-        }
+        let Some(ValueRef::List(list)) = from_bytes_ref(&wire) else {
+            panic!("a list decodes to a list view");
+        };
+        assert_eq!(list.len(), items.len());
+        let got: Vec<Value> = list.iter().map(|v| v.to_owned()).collect();
         assert_eq!(got, items);
-        assert!(dec.finished());
-        assert!(!dec.is_malformed());
-        // The decoder never held anywhere near the whole frame: items
-        // are drained as they complete.
-        assert!(
-            dec.peak_buffer() <= frame.len(),
-            "peak {} > frame {}",
-            dec.peak_buffer(),
-            frame.len()
+
+        // The first field of a name wins; absent names and non-records
+        // have none.
+        let wire = to_bytes(&Value::Record(vec![
+            ("k".into(), Value::Int(1)),
+            ("l".into(), Value::List(vec![])),
+            ("k".into(), Value::Int(2)),
+        ]));
+        let record = from_bytes_ref(&wire).unwrap();
+        assert!(matches!(record.field("k"), Some(ValueRef::Int(1))));
+        assert!(matches!(record.field("l"), Some(ValueRef::List(l)) if l.is_empty()));
+        assert!(record.field("missing").is_none());
+        assert!(ValueRef::Int(3).field("k").is_none());
+        let ValueRef::Record(fields) = record else {
+            panic!("a record decodes to a record view");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["k", "l", "k"]);
+        assert_eq!(
+            format!("{record:?}"),
+            r#"Record({"k": Int(1), "l": List([]), "k": Int(2)})"#
         );
     }
 
-    #[test]
-    fn streamed_equals_buffered_encoding_per_item() {
-        // Each item's bytes inside the streaming frame are exactly its
-        // plain wire form — only the length prefix is new.
-        let items = sample_values();
-        let mut frame = Vec::new();
-        encode_frame_into(&items, &mut frame);
-        let mut pos = 0;
-        let count = read_len(&frame, &mut pos).unwrap();
-        assert_eq!(count, items.len());
-        for want in &items {
-            let len = read_len(&frame, &mut pos).unwrap();
-            let body = &frame[pos..pos + len];
-            assert_eq!(body, to_bytes(want).as_slice());
-            pos += len;
-        }
-        assert_eq!(pos, frame.len());
+    /// `depth` lists of one item each around a `Null`.
+    fn nested_lists(depth: usize) -> Vec<u8> {
+        let mut wire = [6u8, 1].repeat(depth);
+        wire.push(0);
+        wire
     }
 
     #[test]
-    fn stream_decoder_flags_corrupt_items() {
-        let mut frame = Vec::new();
-        let mut enc = FrameEncoder::new();
-        enc.begin(1, &mut frame);
-        enc.item_bytes(&[99, 99], &mut frame); // bogus tag
-        let mut dec = StreamDecoder::new();
-        dec.push(&frame);
-        assert_eq!(dec.next_item(), None);
-        assert!(dec.is_malformed());
-        assert!(!dec.finished());
-    }
-
-    #[test]
-    fn empty_streaming_frame_finishes_immediately() {
-        let mut frame = Vec::new();
-        encode_frame_into(&[], &mut frame);
-        let mut dec = StreamDecoder::new();
-        dec.push(&frame);
-        assert_eq!(dec.next_item(), None);
-        assert!(dec.finished());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Arbitrary [`Value`] trees, bounded in depth and width so frames
-    /// stay a few KB.
-    fn arb_value() -> BoxedStrategy<Value> {
-        arb_value_depth(2)
-    }
-
-    fn arb_value_depth(depth: usize) -> BoxedStrategy<Value> {
-        let leaf = prop_oneof![
-            Just(Value::Null),
-            any::<bool>().prop_map(Value::Bool),
-            any::<i64>().prop_map(Value::Int),
-            (-1.0e12f64..1.0e12).prop_map(Value::Float),
-            "[ -~]{0,24}".prop_map(Value::Str),
-            prop::collection::vec(any::<u8>(), 0..24).prop_map(Value::Bytes),
-        ]
-        .boxed();
-        if depth == 0 {
-            return leaf;
+    fn nesting_is_bounded() {
+        let deepest = nested_lists(MAX_DEPTH);
+        let v = from_bytes(&deepest).expect("MAX_DEPTH levels decode");
+        assert_eq!(to_bytes(&v), deepest);
+        for too_deep in [nested_lists(MAX_DEPTH + 1), nested_lists(100_000)] {
+            assert!(from_bytes_ref(&too_deep).is_none());
+            assert_eq!(from_bytes(&too_deep), None);
         }
-        let list = prop::collection::vec(arb_value_depth(depth - 1), 0..4)
-            .prop_map(Value::List)
-            .boxed();
-        let record = prop::collection::vec(("[a-z]{1,6}", arb_value_depth(depth - 1)), 0..4)
-            .prop_map(Value::Record)
-            .boxed();
-        prop_oneof![3 => leaf, 1 => list, 1 => record].boxed()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Streamed framing is the buffered encoding plus length
-        /// prefixes: pushing the frame through [`StreamDecoder`] in
-        /// arbitrary chunk sizes recovers exactly the input items, each
-        /// item's bytes inside the frame equal its plain [`to_bytes`]
-        /// form, and the decoder never buffers more than one frame.
-        #[test]
-        fn streamed_equals_buffered(
-            items in prop::collection::vec(arb_value(), 0..6),
-            chunk in 1usize..64,
-        ) {
-            let mut frame = Vec::new();
-            encode_frame_into(&items, &mut frame);
-
-            // Per-item bytes match the buffered encoder exactly.
-            let mut pos = 0;
-            let count = read_len(&frame, &mut pos).unwrap();
-            prop_assert_eq!(count, items.len());
-            for want in &items {
-                let len = read_len(&frame, &mut pos).unwrap();
-                let buffered = to_bytes(want);
-                prop_assert_eq!(&frame[pos..pos + len], buffered.as_slice());
-                pos += len;
-            }
-            prop_assert_eq!(pos, frame.len());
-
-            // Chunked streaming decode recovers the items in order.
-            let mut dec = StreamDecoder::new();
-            let mut got = Vec::new();
-            for piece in frame.chunks(chunk) {
-                dec.push(piece);
-                while let Some(v) = dec.next_item() {
-                    got.push(v);
-                }
-            }
-            prop_assert_eq!(got, items);
-            prop_assert!(dec.finished());
-            prop_assert!(!dec.is_malformed());
-            prop_assert!(dec.peak_buffer() <= frame.len().max(1));
-        }
-
-        /// The borrowed decode tier agrees with the owned tier on every
-        /// frame the owned tier accepts.
-        #[test]
-        fn borrowed_decode_equals_owned(v in arb_value()) {
-            let wire = to_bytes(&v);
-            let owned = from_bytes(&wire).unwrap();
-            let borrowed = from_bytes_ref(&wire).unwrap().to_owned();
-            prop_assert_eq!(&owned, &v);
-            prop_assert_eq!(borrowed, owned);
-        }
+        // Records count toward the same bound, and so does an empty
+        // container at the level past it.
+        let mut records = [7u8, 1, 1, b'r'].repeat(MAX_DEPTH);
+        records.push(0);
+        assert!(from_bytes_ref(&records).is_some());
+        let mut records = [7u8, 1, 1, b'r'].repeat(MAX_DEPTH);
+        records.extend_from_slice(&[6, 0]);
+        assert!(from_bytes_ref(&records).is_none());
     }
 }

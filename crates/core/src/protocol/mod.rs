@@ -17,6 +17,8 @@
 
 mod binary;
 pub mod binval;
+#[cfg(test)]
+mod oracle;
 mod siplike;
 mod soap11;
 
@@ -123,28 +125,23 @@ pub(crate) fn member_from_value(v: Value) -> Option<VsgRequest> {
     })
 }
 
-/// Borrowed-tier twin of [`member_from_value`]: builds the owned
-/// request straight from slices of the frame buffer, so only the final
-/// `VsgRequest` fields allocate — no intermediate owned `Value` tree.
+/// View twin of [`member_from_value`]: builds the owned request straight
+/// from the validated frame, so only the final `VsgRequest` fields
+/// allocate — no intermediate owned `Value` tree.
 pub(crate) fn member_from_ref(v: &binval::ValueRef<'_>) -> Option<VsgRequest> {
-    use binval::ValueRef;
     let service = v.field("s")?.as_str()?;
     let operation = v.field("o")?.as_str()?.to_owned();
-    let args = match v.field("a")? {
-        ValueRef::Record(fields) => fields
-            .iter()
-            .map(|(k, val)| ((*k).to_owned(), val.to_owned()))
-            .collect(),
-        _ => return None,
+    let binval::ValueRef::Record(args) = v.field("a")? else {
+        return None;
     };
     let trace = v
         .field("t")
-        .and_then(ValueRef::as_str)
+        .and_then(|t| t.as_str())
         .and_then(TraceContext::from_wire);
     Some(VsgRequest {
         service: service.into(),
         operation,
-        args,
+        args: args.to_owned_fields(),
         trace,
     })
 }
@@ -177,16 +174,44 @@ pub(crate) fn result_from_value(v: Value) -> Result<Value, MetaError> {
     }
 }
 
-/// Borrowed-tier twin of [`result_from_value`]: only the `ok` payload
-/// (or the typed error) is copied out of the frame.
-pub(crate) fn result_from_ref(v: &binval::ValueRef<'_>) -> Result<Value, MetaError> {
+/// View twin of [`result_from_value`]: only the `ok` payload (or the
+/// typed error) is copied out of the frame.
+fn result_from_ref(v: &binval::ValueRef<'_>) -> Result<Value, MetaError> {
     if let Some(ok) = v.field("ok") {
         return Ok(ok.to_owned());
     }
-    match v.field("err").and_then(binval::ValueRef::as_str) {
+    match v.field("err").and_then(|e| e.as_str()) {
         Some(fault) => Err(MetaError::from_fault_string(fault)),
         None => Err(MetaError::Protocol("malformed batch member result".into())),
     }
+}
+
+/// Decodes a batch frame's member list, shared by the binary and SIP
+/// batch requests: `None` unless `body` is a valid list whose every item
+/// is a member record. Each member is read from the validated frame and
+/// converted before the next is touched.
+pub(crate) fn members_from_bytes(body: &[u8]) -> Option<Vec<VsgRequest>> {
+    let binval::ValueRef::List(items) = binval::from_bytes_ref(body)? else {
+        return None;
+    };
+    let mut reqs = Vec::with_capacity(items.len());
+    for item in items.iter() {
+        reqs.push(member_from_ref(&item)?);
+    }
+    Some(reqs)
+}
+
+/// Decodes a batch reply's result list: `None` unless `body` is a valid
+/// list. A decodable member of the wrong shape stays a per-member error.
+pub(crate) fn results_from_bytes(body: &[u8]) -> Option<Vec<Result<Value, MetaError>>> {
+    let binval::ValueRef::List(items) = binval::from_bytes_ref(body)? else {
+        return None;
+    };
+    let mut results = Vec::with_capacity(items.len());
+    for item in items.iter() {
+        results.push(result_from_ref(&item));
+    }
+    Some(results)
 }
 
 /// A wire protocol connecting Virtual Service Gateways.

@@ -10,8 +10,8 @@
 //! that the HTTP-based prototype lacks (§4.2).
 
 use super::{
-    binval, member_from_ref, member_to_value, result_from_ref, result_to_value, GatewayHandler,
-    VsgProtocol, VsgRequest,
+    binval, member_to_value, members_from_bytes, result_to_value, results_from_bytes,
+    GatewayHandler, VsgProtocol, VsgRequest,
 };
 use crate::error::MetaError;
 use parking_lot::Mutex;
@@ -118,45 +118,48 @@ impl SipLike {
     ) {
         let handler = Arc::new(Mutex::new(Box::new(handler) as PushHandler));
         net.set_frame_handler(node, move |sim, frame| {
-            let Some((head, body)) = split_head(&frame.payload) else {
-                return;
-            };
-            let Some(service) = head
-                .strip_prefix("NOTIFY vsg:")
-                .and_then(|r| r.split_whitespace().next())
-            else {
-                return;
-            };
-            // `vsg:*` marks a coalesced frame: a list of `{s, l}` run
-            // groups, each a service name and its consecutive events,
-            // delivered one by one in enqueue order.
-            if service == "*" {
-                // Stream the run groups: each group is decoded from
-                // frame slices, its events handed over one by one, and
-                // dropped before the next group is touched.
-                let Some(mut groups) = binval::ListStream::open(body) else {
-                    return;
-                };
-                let mut h = handler.lock();
-                while let Some(group) = groups.next_ref() {
-                    let Some(svc) = group.field("s").and_then(binval::ValueRef::as_str) else {
-                        continue;
-                    };
-                    let Some(binval::ValueRef::List(events)) = group.field("l") else {
-                        continue;
-                    };
-                    for event in events {
-                        h(sim, svc, &event.to_owned());
-                    }
-                }
-                return;
-            }
-            let Some(event) = binval::from_bytes(body) else {
-                return;
-            };
-            (handler.lock())(sim, service, &event);
+            let mut h = handler.lock();
+            read_notify(&frame.payload, |service, event| h(sim, service, event));
         })
         .expect("push node exists");
+    }
+}
+
+/// Hands each event a NOTIFY frame carries to `deliver`, in order. A
+/// frame that is not a NOTIFY, or whose body fails validation, delivers
+/// nothing.
+pub(super) fn read_notify(payload: &[u8], mut deliver: impl FnMut(&str, &Value)) {
+    let Some((head, body)) = split_head(payload) else {
+        return;
+    };
+    let Some(service) = head
+        .strip_prefix("NOTIFY vsg:")
+        .and_then(|r| r.split_whitespace().next())
+    else {
+        return;
+    };
+    let Some(body) = binval::from_bytes_ref(body) else {
+        return;
+    };
+    if service != "*" {
+        deliver(service, &body.to_owned());
+        return;
+    }
+    // `vsg:*` marks a coalesced frame: a list of `{s, l}` run groups,
+    // each a service name and its consecutive events, delivered one by
+    // one in enqueue order. Groups of another shape are skipped.
+    let binval::ValueRef::List(groups) = body else {
+        return;
+    };
+    for group in groups.iter() {
+        let (Some(svc), Some(binval::ValueRef::List(events))) =
+            (group.field("s").and_then(|s| s.as_str()), group.field("l"))
+        else {
+            continue;
+        };
+        for event in events.iter() {
+            deliver(svc, &event.to_owned());
+        }
     }
 }
 
@@ -171,7 +174,7 @@ fn split_head(payload: &[u8]) -> Option<(&str, &[u8])> {
 /// The SIP-style header line carrying the caller's trace context.
 const TRACE_HEADER: &str = "Trace-Context: ";
 
-fn encode_invite(req: &VsgRequest) -> Vec<u8> {
+pub(super) fn encode_invite(req: &VsgRequest) -> Vec<u8> {
     // Head written straight into the output bytes — the old `format!`
     // built (and immediately threw away) an intermediate `String` on
     // every call.
@@ -192,7 +195,7 @@ fn encode_invite(req: &VsgRequest) -> Vec<u8> {
     out
 }
 
-fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
+pub(super) fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
     let sep = payload.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(&payload[..sep]).ok()?;
     let mut lines = head.lines();
@@ -213,14 +216,13 @@ fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
             trace = crate::trace::TraceContext::from_wire(ctx);
         }
     }
-    let args = match binval::from_bytes(&payload[sep + 4..])? {
-        Value::Record(fields) => fields,
-        _ => return None,
+    let binval::ValueRef::Record(args) = binval::from_bytes_ref(&payload[sep + 4..])? else {
+        return None;
     };
     Some(VsgRequest {
         service: service.into(),
         operation: operation?,
-        args,
+        args: args.to_owned_fields(),
         trace,
     })
 }
@@ -229,7 +231,7 @@ fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
 // `Members:` count header and a binval list of member records as the
 // body; the response is a 200 whose body is the list of per-member
 // result records.
-fn encode_batch(reqs: &[VsgRequest]) -> Vec<u8> {
+pub(super) fn encode_batch(reqs: &[VsgRequest]) -> Vec<u8> {
     use std::io::Write as _;
     let mut out = Vec::with_capacity(48);
     out.extend_from_slice(b"BATCH vsg:- VSG-SIP/1.0\r\nMembers: ");
@@ -242,22 +244,14 @@ fn encode_batch(reqs: &[VsgRequest]) -> Vec<u8> {
     out
 }
 
-fn decode_batch(payload: &[u8]) -> Option<Vec<VsgRequest>> {
+pub(super) fn decode_batch(payload: &[u8]) -> Option<Vec<VsgRequest>> {
     let sep = payload.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(&payload[..sep]).ok()?;
     head.lines().next()?.strip_prefix("BATCH vsg:")?;
-    // Stream the member list: each member becomes an owned request
-    // straight from frame slices, dropped from decode state before the
-    // next — no intermediate owned `Value` tree for the whole frame.
-    let mut stream = binval::ListStream::open(&payload[sep + 4..])?;
-    let mut reqs = Vec::with_capacity(stream.remaining());
-    while stream.remaining() > 0 {
-        reqs.push(member_from_ref(&stream.next_ref()?)?);
-    }
-    stream.finished_clean().then_some(reqs)
+    members_from_bytes(&payload[sep + 4..])
 }
 
-fn encode_batch_response(results: &[Result<Value, MetaError>]) -> Vec<u8> {
+pub(super) fn encode_batch_response(results: &[Result<Value, MetaError>]) -> Vec<u8> {
     let mut out = b"VSG-SIP/1.0 200 OK\r\n\r\n".to_vec();
     binval::begin_list(results.len(), &mut out);
     for r in results {
@@ -266,21 +260,13 @@ fn encode_batch_response(results: &[Result<Value, MetaError>]) -> Vec<u8> {
     out
 }
 
-fn decode_batch_response(payload: &[u8]) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
+pub(super) fn decode_batch_response(
+    payload: &[u8],
+) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
     let (head, body) =
         split_head(payload).ok_or_else(|| MetaError::Protocol("malformed SIP response".into()))?;
     if head.strip_prefix("VSG-SIP/1.0 200").is_some() {
-        let bad = || MetaError::Protocol("bad SIP batch body".into());
-        let mut stream = binval::ListStream::open(body).ok_or_else(bad)?;
-        let mut results = Vec::with_capacity(stream.remaining());
-        while stream.remaining() > 0 {
-            let member = stream.next_ref().ok_or_else(bad)?;
-            results.push(result_from_ref(&member));
-        }
-        if !stream.finished_clean() {
-            return Err(bad());
-        }
-        Ok(results)
+        results_from_bytes(body).ok_or_else(|| MetaError::Protocol("bad SIP batch body".into()))
     } else {
         // Non-200 means the frame itself was rejected; decode it the
         // single-response way and apply the error to the whole batch.
@@ -290,7 +276,7 @@ fn decode_batch_response(payload: &[u8]) -> Result<Vec<Result<Value, MetaError>>
     }
 }
 
-fn encode_response(result: &Result<Value, MetaError>) -> Vec<u8> {
+pub(super) fn encode_response(result: &Result<Value, MetaError>) -> Vec<u8> {
     match result {
         Ok(v) => {
             let mut out = b"VSG-SIP/1.0 200 OK\r\n\r\n".to_vec();
@@ -306,7 +292,7 @@ fn encode_response(result: &Result<Value, MetaError>) -> Vec<u8> {
     }
 }
 
-fn decode_response(payload: &[u8]) -> Result<Value, MetaError> {
+pub(super) fn decode_response(payload: &[u8]) -> Result<Value, MetaError> {
     let (head, body) =
         split_head(payload).ok_or_else(|| MetaError::Protocol("malformed SIP response".into()))?;
     if let Some(rest) = head.strip_prefix("VSG-SIP/1.0 200") {
@@ -463,6 +449,45 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(*count.lock(), 0);
+    }
+
+    #[test]
+    fn push_drops_a_coalesced_frame_that_fails_validation() {
+        let sim = Sim::new(1);
+        let net = simnet::Network::ethernet(&sim);
+        let p = SipLike::new();
+        let gw = p.bind(&net, "gw", Arc::new(|_, _| Ok(Value::Null)));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        p.install_push_handler(&net, gw, move |_, service, event| {
+            seen2.lock().push((service.to_owned(), event.clone()));
+        });
+        let src = net.attach("src");
+        let e1 = SipLike::encode_event_payload(&Value::Int(1));
+        let e2 = SipLike::encode_event_payload(&Value::Int(2));
+        assert!(p.notify_batch(&net, src, gw, &[("door", &e1), ("cam", &e2)]));
+        assert_eq!(seen.lock().len(), 2, "a valid frame delivers every run");
+
+        let mut frame = b"NOTIFY vsg:* VSG-SIP/1.0\r\n\r\n".to_vec();
+        binval::begin_list(2, &mut frame);
+        binval::begin_record(2, &mut frame);
+        binval::encode_str_field("s", "door", &mut frame);
+        binval::encode_field_key("l", &mut frame);
+        binval::begin_list(1, &mut frame);
+        frame.extend_from_slice(&e1);
+        let valid_group = frame.len();
+        // The second group is cut short: the whole frame is dropped,
+        // the valid first group with it.
+        frame.extend_from_slice(&[7, 2, 1, b's', 4]);
+        net.send(Frame::new(src, gw, Protocol::Sip, frame.clone()))
+            .unwrap();
+        // So is a frame with bytes after its last group.
+        frame.truncate(valid_group);
+        frame[29] = 1; // the list now announces one group
+        frame.push(0);
+        net.send(Frame::new(src, gw, Protocol::Sip, frame)).unwrap();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 2, "{seen:?}");
     }
 
     #[test]

@@ -82,14 +82,6 @@ pub fn generate(
     target: ProxyTarget,
 ) -> GeneratedProxy {
     sim.advance(cost.total(interface));
-    sim.trace(
-        "proxygen",
-        format!(
-            "generated proxy for {} ({} methods)",
-            interface.name,
-            interface.operations.len()
-        ),
-    );
     GeneratedProxy {
         interface_name: interface.name.clone(),
         thunks: interface

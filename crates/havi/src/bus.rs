@@ -16,10 +16,8 @@ pub const RESET_OUTAGE: SimDuration = SimDuration::from_millis(2);
 /// [`crate::dcm::Dcm::reannounce`]).
 pub fn bus_reset(sim: &Sim, net: &Network) {
     net.set_down(true);
-    sim.trace("1394", "bus reset started");
     sim.advance(RESET_OUTAGE);
     net.set_down(false);
-    sim.trace("1394", "bus reset complete");
 }
 
 /// Schedules a bus reset `delay` from now (for failure injection during a

@@ -187,7 +187,7 @@ impl Fcm {
         let self_seid: Arc<Mutex<Option<Seid>>> = Arc::new(Mutex::new(None));
         let self_seid2 = self_seid.clone();
 
-        let seid = ms.register_element(move |sim, msg| {
+        let seid = ms.register_element(move |_, msg| {
             if msg.opcode.api != kind.api_code() {
                 return (HaviStatus::EUnsupported, vec![]);
             }
@@ -205,7 +205,6 @@ impl Fcm {
                         event_type::TRANSPORT_CHANGED,
                         vec![HValue::Str(new_transport.label().to_owned())],
                     );
-                    sim.trace("havi-fcm", format!("{kind} -> {}", new_transport.label()));
                 }
             }
             result

@@ -51,7 +51,7 @@ impl JoinManager {
         let period = lease / 2;
         let handle = net
             .sim()
-            .every(period.max(SimDuration::from_millis(1)), move |sim| {
+            .every(period.max(SimDuration::from_millis(1)), move |_| {
                 let current = state2.lock().registration;
                 let Some(reg) = current else { return };
                 match client.renew(reg.lease.id, lease) {
@@ -68,19 +68,10 @@ impl JoinManager {
                         // the same service id so clients keep working.
                         let mut fresh = item.clone();
                         fresh.service_id = reg.service_id;
-                        match client.register(&fresh, lease) {
-                            Ok(new_reg) => {
-                                let mut st = state2.lock();
-                                st.stats.reregistrations += 1;
-                                st.registration = Some(new_reg);
-                                sim.trace(
-                                    "join-manager",
-                                    format!("re-registered {}", reg.service_id),
-                                );
-                            }
-                            Err(e) => {
-                                sim.trace("join-manager", format!("rejoin failed: {e}"));
-                            }
+                        if let Ok(new_reg) = client.register(&fresh, lease) {
+                            let mut st = state2.lock();
+                            st.stats.reregistrations += 1;
+                            st.registration = Some(new_reg);
                         }
                     }
                 }

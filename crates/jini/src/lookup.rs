@@ -189,7 +189,6 @@ impl LookupService {
             for lease_id in st.leases.collect_expired(now) {
                 if let Some(id) = st.by_lease.remove(&lease_id) {
                     st.items.remove(&id);
-                    sim.trace("reggie", format!("service {id} expired"));
                 }
             }
         });

@@ -5,7 +5,7 @@
 //! IEEE1394, the X10 powerline, serial lines, Bluetooth, and the Internet
 //! uplink — is modelled as a [`Network`] with a per-technology
 //! [`LinkModel`], sharing one [`Sim`] world that provides a virtual clock,
-//! a discrete-event timer queue, a seeded RNG and a trace buffer.
+//! a discrete-event timer queue and a seeded RNG.
 //!
 //! Results are **exactly reproducible**: all latency comes from integer
 //! microsecond arithmetic over link models, and all randomness (powerline
@@ -44,7 +44,6 @@ pub mod sched;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use chaos::{FaultKind, FaultPlan, FaultWindow};
 pub use error::{SimError, SimResult};
@@ -58,4 +57,3 @@ pub use sched::TimerId;
 pub use sim::{RepeatHandle, Sim};
 pub use stats::{Counter, NetStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};

@@ -1,4 +1,4 @@
-//! The simulation context: virtual clock, timer queue, RNG and tracer.
+//! The simulation context: virtual clock, timer queue and RNG.
 //!
 //! # Execution model
 //!
@@ -20,7 +20,6 @@
 use crate::rng::SimRng;
 use crate::sched::{EventQueue, TimerId};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,8 +27,7 @@ use std::sync::Arc;
 /// A cheaply clonable handle to one simulation world.
 ///
 /// All components of a scenario (networks, middleware, the meta-middleware
-/// framework) share one `Sim`, giving them a common clock, RNG stream and
-/// trace.
+/// framework) share one `Sim`, giving them a common clock and RNG stream.
 #[derive(Clone)]
 pub struct Sim {
     inner: Arc<SimInner>,
@@ -39,7 +37,6 @@ struct SimInner {
     clock: Mutex<SimTime>,
     queue: Mutex<EventQueue>,
     rng: Mutex<SimRng>,
-    tracer: Mutex<Tracer>,
     /// Which island of a partitioned run this world is (0 for
     /// standalone worlds). Baked into every id drawn from `next_serial`
     /// so ids are unique fleet-wide without cross-island coordination.
@@ -93,7 +90,6 @@ impl Sim {
                 clock: Mutex::new(SimTime::ZERO),
                 queue: Mutex::new(EventQueue::new()),
                 rng: Mutex::new(SimRng::for_island(seed, island)),
-                tracer: Mutex::new(Tracer::default()),
                 island,
                 serial: AtomicU64::new(0),
             }),
@@ -309,19 +305,6 @@ impl Sim {
     pub fn chance(&self, p: f64) -> bool {
         self.with_rng(|r| r.chance(p))
     }
-
-    // ---- tracing --------------------------------------------------------
-
-    /// Records a trace event at the current virtual time.
-    pub fn trace(&self, component: &str, detail: impl Into<String>) {
-        let now = self.now();
-        self.inner.tracer.lock().record(now, component, detail);
-    }
-
-    /// Runs `f` with exclusive access to the tracer (to read or configure).
-    pub fn with_tracer<T>(&self, f: impl FnOnce(&mut Tracer) -> T) -> T {
-        f(&mut self.inner.tracer.lock())
-    }
 }
 
 impl Default for Sim {
@@ -458,18 +441,6 @@ mod tests {
         let va: Vec<u64> = (0..10).map(|_| a.with_rng(|r| r.range(0, 100))).collect();
         let vb: Vec<u64> = (0..10).map(|_| b.with_rng(|r| r.range(0, 100))).collect();
         assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn trace_records_at_current_time() {
-        let sim = Sim::new(1);
-        sim.advance(SimDuration::from_millis(3));
-        sim.trace("test", "hello");
-        sim.with_tracer(|t| {
-            let e = t.events().next().unwrap();
-            assert_eq!(e.at, SimTime::from_micros(3_000));
-            assert_eq!(e.component, "test");
-        });
     }
 
     #[test]

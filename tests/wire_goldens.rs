@@ -7,8 +7,9 @@
 //! bit-identical across that refactor: these tests re-drive the public
 //! protocol API through a frame tap and compare against the frozen hex.
 
-use metaware::protocol::{CompactBinary, SipLike, Soap11, VsgProtocol, VsgRequest};
+use metaware::protocol::{binval, CompactBinary, SipLike, Soap11, VsgProtocol, VsgRequest};
 use metaware::trace::{SpanId, TraceContext, TraceId};
+use metaware::MetaError;
 use parking_lot::Mutex;
 use simnet::net::Network;
 use simnet::sim::Sim;
@@ -180,6 +181,78 @@ fn soap_gateway_faults_100k_unclosed_tags() {
         }
         other => panic!("expected a typed fault, got {other:?}"),
     }
+}
+
+/// A binval body of `DEPTH_BOMB` nested one-item lists around a null,
+/// two bytes a level.
+fn binval_depth_bomb() -> Vec<u8> {
+    let mut body = [6u8, 1].repeat(DEPTH_BOMB);
+    body.push(0);
+    body
+}
+
+/// Sends `frame` as-is to a gateway speaking `p`, whose handler must
+/// never run, and returns the raw reply.
+fn request_to_gateway(p: &dyn VsgProtocol, proto: Protocol, frame: Vec<u8>) -> Vec<u8> {
+    let sim = Sim::new(1);
+    let net = Network::ethernet(&sim);
+    let gw = p.bind(
+        &net,
+        "gw",
+        Arc::new(|_, req: &VsgRequest| panic!("handler reached with {req:?}")),
+    );
+    let client = net.attach("c");
+    net.request(client, gw, proto, frame).unwrap().to_vec()
+}
+
+#[test]
+fn binary_gateway_rejects_a_100k_deep_body() {
+    let frame = [b"VSGB".as_slice(), &binval_depth_bomb()].concat();
+    let reply = request_to_gateway(&CompactBinary::new(), Protocol::Raw, frame);
+    // A fault reply: tag 0, then the error text as a binval string.
+    assert_eq!(reply[0], 0);
+    let Some(Value::Str(fault)) = binval::from_bytes(&reply[1..]) else {
+        panic!("fault text expected, got {reply:02x?}");
+    };
+    assert_eq!(
+        MetaError::from_fault_string(&fault),
+        MetaError::Protocol("malformed binary request".into())
+    );
+}
+
+#[test]
+fn sip_gateway_rejects_a_100k_deep_invite() {
+    let frame = [
+        b"INVITE vsg:hall-lamp VSG-SIP/1.0\r\nOperation: status\r\n\r\n".as_slice(),
+        &binval_depth_bomb(),
+    ]
+    .concat();
+    let reply = request_to_gateway(&SipLike::new(), Protocol::Sip, frame);
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        "VSG-SIP/1.0 500 VSG protocol error: malformed INVITE\r\n\r\n"
+    );
+}
+
+#[test]
+fn sip_push_drops_a_100k_deep_notify() {
+    let sim = Sim::new(1);
+    // A one-way frame must fit the link's MTU; this one has none.
+    let net = Network::new(&sim, "lan", simnet::LinkModel::ideal());
+    let p = SipLike::new();
+    let gw = p.bind(&net, "gw", Arc::new(|_, _| Ok(Value::Null)));
+    let calls = Arc::new(Mutex::new(0u32));
+    let calls2 = calls.clone();
+    p.install_push_handler(&net, gw, move |_, _, _| *calls2.lock() += 1);
+    let src = net.attach("src");
+    let frame = [
+        b"NOTIFY vsg:motion-1 VSG-SIP/1.0\r\n\r\n".as_slice(),
+        &binval_depth_bomb(),
+    ]
+    .concat();
+    net.send(simnet::Frame::new(src, gw, Protocol::Sip, frame))
+        .unwrap();
+    assert_eq!(*calls.lock(), 0);
 }
 
 const G_SOAP_0: &str = concat!(
