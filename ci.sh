@@ -161,6 +161,12 @@ run_bench() {
     stage "e15 federated VSR smoke (threshold assertions)"
     cargo bench -p bench --bench e15_vsr_scale
 
+    # E12 saturation: the default home's 400-call mixed replay through
+    # the SOAP wire, latency percentiles per service. Emits
+    # BENCH_saturation.json.
+    stage "e12 saturation table (BENCH_saturation.json)"
+    cargo bench -p bench --bench e12_saturation
+
     # E12 smoke run: tracing off/on/sampled ablation plus the sketch-vs-
     # exact quantile rows; asserts the sketch's p99 stays within one
     # bucket of exact. Emits BENCH_obs.json for the gate below.

@@ -5,7 +5,8 @@
 //! writes replayed through the framework, reporting latency percentiles
 //! per call class. Expected shape: reads/writes that stay on their
 //! island or cross only the backbone sit at sub-3ms; anything touching
-//! the powerline pays ~0.8s; nothing fails.
+//! the powerline pays ~0.8s; nothing fails. The table goes to
+//! `BENCH_saturation.json`, which `ci.sh --stage bench` gates.
 
 use bench::workload::{replay, Workload};
 use bench::{cell, fmt_us, percentile, Report};
@@ -46,7 +47,7 @@ fn saturation_table() {
         fmt_us(percentile(&latencies, 99.0)),
         fmt_us(*latencies.iter().max().unwrap()),
     ]);
-    report.emit();
+    report.emit_as("BENCH_saturation.json");
     println!(
         "virtual time for the whole session: {} ({:.2} calls/s sustained)",
         home.sim.now(),

@@ -2,7 +2,7 @@
 //!
 //! The paper's gateways pay one carrier frame per event per subscriber
 //! and one TCP setup per invocation. This bench measures what the
-//! batched, pipelined wire buys:
+//! batched, multiplexed wire buys:
 //!
 //!  * **event fan-out** at 1/8/64 subscribers — events/sec and wire
 //!    bytes per delivered event, coalesced vs one-NOTIFY-per-event;

@@ -182,9 +182,13 @@ struct FlushCtx {
 }
 
 impl FlushCtx {
-    /// Sends one peer's queued events as a single NOTIFY batch frame:
-    /// one carrier message whatever the member count, one shared
-    /// transport fate, per-event queue wait recorded at flush.
+    /// Sends one peer's queued events as NOTIFY batch frames, in
+    /// publish order: one frame when the whole queue fits the link's
+    /// MTU, otherwise consecutive runs, each the longest that fits. A
+    /// frame is one carrier message with one transport fate; an event
+    /// too large for a frame of its own goes alone and is lost, as its
+    /// unbatched NOTIFY would be. Per-event queue wait is recorded at
+    /// flush.
     fn flush_peer(&self, peer: NodeId, items: Vec<QueuedEvent>) {
         if items.is_empty() {
             return;
@@ -203,15 +207,27 @@ impl FlushCtx {
             .iter()
             .map(|q| (q.service.as_str(), q.payload.as_slice()))
             .collect();
-        self.stats.lock().carrier_messages += 1;
-        let ok = self
-            .proto
-            .notify_batch(&self.net, self.node, peer, &members);
-        let mut st = self.stats.lock();
-        if ok {
-            st.events_delivered += n;
-        } else {
-            st.events_dropped += n;
+        let mut rest = members.as_slice();
+        while !rest.is_empty() {
+            let fits = |n: usize| {
+                let frame = SipLike::notify_batch_len(&rest[..n]);
+                self.net.link().fits(frame)
+            };
+            let take = if fits(rest.len()) {
+                rest.len()
+            } else {
+                (2..rest.len()).take_while(|&n| fits(n)).count() + 1
+            };
+            let (run, tail) = rest.split_at(take);
+            self.stats.lock().carrier_messages += 1;
+            let ok = self.proto.notify_batch(&self.net, self.node, peer, run);
+            let mut st = self.stats.lock();
+            if ok {
+                st.events_delivered += take as u64;
+            } else {
+                st.events_dropped += take as u64;
+            }
+            rest = tail;
         }
     }
 }
@@ -700,6 +716,59 @@ mod tests {
         assert_eq!(publisher.stats().events_dropped, 2);
         publisher.flush();
         assert_eq!(publisher.stats().events_delivered, 3);
+    }
+
+    /// Publishes `events` for one service through a default-policy
+    /// batched publisher to one Ethernet subscriber, then flushes.
+    /// Returns the size of every NOTIFY frame that reached the
+    /// subscriber, the events it delivered in order, and the
+    /// publisher's statistics.
+    fn publish_to_one_sink(events: &[Value]) -> (Vec<usize>, Vec<Value>, BridgeStats) {
+        let sim = Sim::new(1);
+        let net = Network::ethernet(&sim);
+        let source = net.attach("src-gw");
+        // No frame handler yet: frames wait in the sink's inbox, where
+        // they can be measured before they are delivered.
+        let sink = net.attach("sink-gw");
+        let publisher = SipPublisher::new(&net, source).with_batching(BatchPolicy::default());
+        publisher.subscribe(sink, "%");
+        for e in events {
+            publisher.publish("cam", e);
+        }
+        publisher.flush();
+        let frames: Vec<simnet::Frame> = std::iter::from_fn(|| net.recv(sink)).collect();
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let got2 = got.clone();
+        let _sub = SipSubscriber::install(&net, sink, move |_, _, e| got2.lock().push(e.clone()));
+        for frame in &frames {
+            net.inject(frame).unwrap();
+        }
+        let sizes = frames.iter().map(simnet::Frame::len).collect();
+        let got = got.lock().clone();
+        (sizes, got, publisher.stats())
+    }
+
+    #[test]
+    fn batched_flush_splits_a_queue_over_the_mtu_into_fitting_frames() {
+        // The first event finds the peer idle and leaves alone; the
+        // next sixteen fill a ~3.3 KB queue, over Ethernet's 1 500 B.
+        let events: Vec<Value> = (0..17).map(|i| Value::Str(format!("{i:0>200}"))).collect();
+        let (sizes, got, stats) = publish_to_one_sink(&events);
+        assert_eq!(got, events, "every event arrives, in publish order");
+        assert_eq!(stats.events_delivered, 17);
+        assert_eq!(stats.events_dropped, 0);
+        assert!(sizes.iter().all(|&n| n <= 1_500), "frame sizes {sizes:?}");
+        assert_eq!(sizes.len(), 4, "one single, then runs of 7, 7 and 2");
+        assert_eq!(stats.carrier_messages, 4);
+
+        // One event too large for any frame is lost alone.
+        let mut with_giant = events.clone();
+        with_giant.insert(9, Value::Str("x".repeat(2_000)));
+        let (sizes, got, stats) = publish_to_one_sink(&with_giant);
+        assert_eq!(got, events);
+        assert_eq!(stats.events_delivered, 17);
+        assert_eq!(stats.events_dropped, 1);
+        assert!(sizes.iter().all(|&n| n <= 1_500), "frame sizes {sizes:?}");
     }
 
     #[test]

@@ -104,6 +104,13 @@ pub fn begin_list(len: usize, out: &mut Vec<u8>) {
     write_len(out, len);
 }
 
+/// The size on the wire of a length or item count of `len`: the varint
+/// that [`begin_list`], [`begin_record`], [`encode_field_key`] and every
+/// string and byte run write.
+pub(crate) fn len_size(len: usize) -> usize {
+    (usize::BITS - (len | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 /// Writes one record field key; follow with the field's value.
 pub fn encode_field_key(key: &str, out: &mut Vec<u8>) {
     write_len(out, key.len());
@@ -470,6 +477,21 @@ mod tests {
     fn varint_lengths() {
         let long = Value::Str("x".repeat(300));
         assert_eq!(from_bytes(&to_bytes(&long)), Some(long));
+        for len in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            usize::MAX >> 1,
+            usize::MAX,
+        ] {
+            let mut out = Vec::new();
+            write_len(&mut out, len);
+            assert_eq!(len_size(len), out.len(), "length {len}");
+        }
     }
 
     fn sample_values() -> Vec<Value> {

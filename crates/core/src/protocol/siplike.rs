@@ -22,6 +22,17 @@ use std::sync::Arc;
 /// Receives pushed events: `(service, event-payload)`.
 pub type PushHandler = Box<dyn FnMut(&Sim, &str, &Value) + Send>;
 
+/// The head of a coalesced NOTIFY frame.
+const NOTIFY_BATCH_HEAD: &[u8] = b"NOTIFY vsg:* VSG-SIP/1.0\r\n\r\n";
+
+/// The runs of consecutive same-service members a coalesced NOTIFY
+/// frames as one `{s, l}` group each.
+fn notify_runs<'m, 'a>(
+    members: &'m [(&'a str, &'a [u8])],
+) -> impl Iterator<Item = &'m [(&'a str, &'a [u8])]> {
+    members.chunk_by(|a, b| a.0 == b.0)
+}
+
 /// The SIP-like protocol.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SipLike;
@@ -70,34 +81,36 @@ impl SipLike {
         to: NodeId,
         members: &[(&str, &[u8])],
     ) -> bool {
-        let mut payload = b"NOTIFY vsg:* VSG-SIP/1.0\r\n\r\n".to_vec();
-        let mut runs = 0usize;
-        let mut prev: Option<&str> = None;
-        for (svc, _) in members {
-            if prev != Some(*svc) {
-                runs += 1;
-                prev = Some(svc);
-            }
-        }
-        binval::begin_list(runs, &mut payload);
-        let mut i = 0;
-        while i < members.len() {
-            let svc = members[i].0;
-            let mut j = i;
-            while j < members.len() && members[j].0 == svc {
-                j += 1;
-            }
+        let mut payload = NOTIFY_BATCH_HEAD.to_vec();
+        binval::begin_list(notify_runs(members).count(), &mut payload);
+        for run in notify_runs(members) {
             binval::begin_record(2, &mut payload);
-            binval::encode_str_field("s", svc, &mut payload);
+            binval::encode_str_field("s", run[0].0, &mut payload);
             binval::encode_field_key("l", &mut payload);
-            binval::begin_list(j - i, &mut payload);
-            for (_, blob) in &members[i..j] {
+            binval::begin_list(run.len(), &mut payload);
+            for (_, blob) in run {
                 payload.extend_from_slice(blob);
             }
-            i = j;
         }
         net.send(Frame::new(from, to, Protocol::Sip, payload))
             .is_ok()
+    }
+
+    /// The size of the frame [`SipLike::notify_batch`] sends for
+    /// `members`, computed without encoding it.
+    pub(crate) fn notify_batch_len(members: &[(&str, &[u8])]) -> usize {
+        // What each binval call of `notify_batch` writes: a list or
+        // record header is a tag and a count, a key its length and its
+        // bytes, and a string a tag and a key's worth.
+        let header = |n: usize| 1 + binval::len_size(n);
+        let key = |k: &str| binval::len_size(k.len()) + k.len();
+        let groups: usize = notify_runs(members)
+            .map(|run| {
+                let blobs: usize = run.iter().map(|(_, blob)| blob.len()).sum();
+                header(2) + key("s") + 1 + key(run[0].0) + key("l") + header(run.len()) + blobs
+            })
+            .sum();
+        NOTIFY_BATCH_HEAD.len() + header(notify_runs(members).count()) + groups
     }
 
     /// Marshals one event payload to the wire bytes
@@ -488,6 +501,31 @@ mod tests {
         net.send(Frame::new(src, gw, Protocol::Sip, frame)).unwrap();
         let seen = seen.lock();
         assert_eq!(seen.len(), 2, "{seen:?}");
+    }
+
+    #[test]
+    fn notify_batch_len_is_the_frame_size() {
+        let sim = Sim::new(1);
+        let net = simnet::Network::new(&sim, "lan", simnet::LinkModel::ideal());
+        let (src, inbox) = (net.attach("src"), net.attach("inbox"));
+        let small = SipLike::encode_event_payload(&Value::Int(1));
+        let big = SipLike::encode_event_payload(&Value::Str("x".repeat(300)));
+        let long_name = "n".repeat(200);
+        let alternating: Vec<(&str, &[u8])> = (0..300)
+            .map(|i| (if i % 2 == 0 { "a" } else { "b" }, small.as_slice()))
+            .collect();
+        let cases: Vec<Vec<(&str, &[u8])>> = vec![
+            vec![("door", &small)],
+            vec![("door", &small), ("door", &big), ("cam", &small)],
+            vec![(long_name.as_str(), &big)],
+            vec![("cam", small.as_slice()); 200],
+            alternating,
+        ];
+        for members in &cases {
+            assert!(SipLike::new().notify_batch(&net, src, inbox, members));
+            let frame = net.recv(inbox).unwrap();
+            assert_eq!(SipLike::notify_batch_len(members), frame.len());
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl SoapServer {
         let services2 = services.clone();
         // Zero-copy route: the request is read in place and decoded in
         // one pass, and the response is written straight into the
-        // server's response train.
+        // server's one response buffer.
         http.route_zero(
             RPC_ROUTER_PATH,
             move |sim, req: &HttpRequestRef<'_>, reply: Responder<'_>| {

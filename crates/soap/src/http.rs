@@ -5,7 +5,9 @@
 //! (no asynchronous notification, §4.2) and it rides a TCP stack that is
 //! heavy for small appliances. The simulation therefore models the
 //! request/response pattern, per-connection handshake cost, and real
-//! header bytes on the wire.
+//! header bytes on the wire. A frame carries exactly one HTTP message:
+//! the server answers a frame holding anything past its one request's
+//! body with a 400 and runs no route.
 
 use bytes::Bytes;
 use minixml::{Measure, XmlOut};
@@ -14,10 +16,6 @@ use simnet::{Frame, Network, NodeId, Protocol, Sim, SimDuration, SimError};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// Header a pipelining client stamps on each request so it can match
-/// responses that the server finishes in a different order.
-const CORR_HEADER: &str = "X-Corr-Id";
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,33 +87,19 @@ impl HttpRequest {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serialises to wire bytes.
+    /// Serialises to wire bytes in one allocation, reserved to the
+    /// exact size of head plus body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_bytes_into(&mut out, None);
-        out
-    }
-
-    /// Serialises into the caller's buffer, reserving exact capacity up
-    /// front — one allocation for head plus body instead of an
-    /// intermediate head `String` that grows as headers are appended.
-    /// `extra` appends one more header line (the pipelining client's
-    /// correlation id) without cloning the request to add it.
-    pub(crate) fn write_bytes_into(&self, out: &mut Vec<u8>, extra: Option<(&str, &str)>) {
         let mut head_len = self.method.len() + 1 + self.path.len() + " HTTP/1.1\r\n".len();
         for (k, v) in &self.headers {
             head_len += k.len() + 2 + v.len() + 2;
         }
-        if let Some((k, v)) = extra {
-            head_len += k.len() + 2 + v.len() + 2;
-        }
-        out.reserve(head_len + 2 + self.body.len());
+        let mut out = Vec::with_capacity(head_len + 2 + self.body.len());
         out.extend_from_slice(self.method.as_bytes());
         out.push(b' ');
         out.extend_from_slice(self.path.as_bytes());
         out.extend_from_slice(b" HTTP/1.1\r\n");
-        let lines = self.headers.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-        for (k, v) in lines.chain(extra) {
+        for (k, v) in &self.headers {
             out.extend_from_slice(k.as_bytes());
             out.extend_from_slice(b": ");
             out.extend_from_slice(v.as_bytes());
@@ -123,6 +107,7 @@ impl HttpRequest {
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
+        out
     }
 
     /// Parses wire bytes.
@@ -150,7 +135,7 @@ impl<'a> HttpRequestRef<'a> {
     /// Parses wire bytes without copying. Accepts and rejects exactly
     /// what [`HttpRequest::from_bytes`] does.
     pub fn parse(data: &'a [u8]) -> Result<HttpRequestRef<'a>, HttpError> {
-        let head = Head::scan(data, false)?;
+        let head = Head::scan(data)?;
         head.request(&data[head.body_start..])
     }
 
@@ -188,7 +173,7 @@ impl<'a> HttpResponseRef<'a> {
     /// Parses wire bytes without copying. Accepts and rejects exactly
     /// what [`HttpResponse::from_bytes`] does.
     pub fn parse(data: &'a [u8]) -> Result<HttpResponseRef<'a>, HttpError> {
-        let head = Head::scan(data, false)?;
+        let head = Head::scan(data)?;
         head.response(&data[head.body_start..])
     }
 
@@ -213,13 +198,12 @@ impl<'a> HttpResponseRef<'a> {
     }
 }
 
-/// One pass over a message head. It finds the `\r\n\r\n` terminator
-/// and, line by line, whether each header line before the first empty
-/// one has a colon. When framing a pipelined message it also finds the
-/// last `Content-Length` (every line after the start line counts) and
-/// the first `X-Corr-Id` (before the first empty line). The start line
-/// is checked only when the message is read as a request or a
-/// response.
+/// One pass over a message head. It finds the `\r\n\r\n` terminator,
+/// the last `Content-Length` (every line after the start line counts)
+/// and whether each header line before the first empty one has a
+/// colon. The start line is checked only when the message is read as a
+/// request or a response; only the server's [`read_request`] uses the
+/// length.
 #[derive(Debug, Clone, Copy)]
 struct Head<'a> {
     /// The first line, or `None` for an empty head.
@@ -230,12 +214,11 @@ struct Head<'a> {
     body_start: usize,
     content_length: Option<usize>,
     colon_ok: bool,
-    corr: Option<&'a str>,
 }
 
 impl<'a> Head<'a> {
     /// Fails only when there is no terminator or the head is not UTF-8.
-    fn scan(data: &'a [u8], framing: bool) -> Result<Head<'a>, HttpError> {
+    fn scan(data: &'a [u8]) -> Result<Head<'a>, HttpError> {
         let sep = find_terminator(data).ok_or(HttpError::Malformed("missing header terminator"))?;
         let head = std::str::from_utf8(&data[..sep])
             .map_err(|_| HttpError::Malformed("non-UTF8 header block"))?;
@@ -252,21 +235,15 @@ impl<'a> Head<'a> {
             body_start: sep + 4,
             content_length: None,
             colon_ok: true,
-            corr: None,
         };
         let mut in_block = true;
         for line in lines {
             match line.split_once(':') {
-                Some((k, v)) if framing => {
+                Some((k, v)) => {
                     if is_key(k, "content-length") {
                         scan.content_length = v.trim().parse().ok();
                     }
-                    if in_block && scan.corr.is_none() && is_key(k, CORR_HEADER) {
-                        scan.corr = Some(v.trim());
-                    }
                 }
-                Some(_) => {}
-                None if line.is_empty() && !framing => break,
                 None if line.is_empty() => in_block = false,
                 None => scan.colon_ok &= !in_block,
             }
@@ -277,8 +254,7 @@ impl<'a> Head<'a> {
     /// The length of the message that starts `data` (of `data_len`
     /// bytes): head, terminator, then `Content-Length` body bytes. A
     /// message without `Content-Length` runs to the end of the buffer
-    /// (the `Connection: close` convention), so only messages that
-    /// declare their length can share a pipelined payload.
+    /// (the `Connection: close` convention).
     fn message_len(&self, data_len: usize) -> Result<usize, HttpError> {
         match self.content_length {
             Some(n) => self
@@ -340,6 +316,21 @@ impl<'a> Head<'a> {
             Err(HttpError::Malformed("header without colon"))
         }
     }
+}
+
+/// Reads a frame that must hold exactly one request, as the server
+/// does: the head is scanned once, the declared body must end exactly
+/// where the frame does, and then the request line and the header block
+/// are checked. A short body is a "truncated body" error and anything
+/// after the body, a second request included, is a "bytes past
+/// Content-Length" error. A request without `Content-Length` takes the
+/// rest of the frame as its body.
+fn read_request(data: &[u8]) -> Result<HttpRequestRef<'_>, HttpError> {
+    let head = Head::scan(data)?;
+    if head.message_len(data.len())? < data.len() {
+        return Err(HttpError::Malformed("bytes past Content-Length"));
+    }
+    head.request(&data[head.body_start..])
 }
 
 /// Whether header name `k`, trimmed, is `key` up to ASCII case. Most
@@ -428,22 +419,15 @@ impl HttpResponse {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serialises to wire bytes.
+    /// Serialises to wire bytes in one allocation, reserved to the
+    /// exact size of head plus body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_bytes_into(&mut out);
-        out
-    }
-
-    /// Serialises into the caller's buffer — the server assembles a
-    /// whole pipelined response train in one buffer this way.
-    pub(crate) fn write_bytes_into(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
         let mut head_len = "HTTP/1.1 nnn ".len() + self.reason.len() + 2;
         for (k, v) in &self.headers {
             head_len += k.len() + 2 + v.len() + 2;
         }
-        out.reserve(head_len + 2 + self.body.len());
+        let mut out = Vec::with_capacity(head_len + 2 + self.body.len());
         out.extend_from_slice(b"HTTP/1.1 ");
         write!(out, "{}", self.status).expect("vec write");
         out.push(b' ');
@@ -457,6 +441,7 @@ impl HttpResponse {
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
+        out
     }
 
     /// Parses wire bytes.
@@ -583,7 +568,7 @@ pub type RouteHandler = Box<dyn FnMut(&Sim, &HttpRequest) -> HttpResponse + Send
 
 /// A zero-copy route handler: reads the request in place (borrowed
 /// tier) and writes its response through the [`Responder`], straight
-/// into the server's response train.
+/// into the server's response buffer.
 pub type ZeroRouteHandler =
     Box<dyn for<'a, 't> FnMut(&Sim, &HttpRequestRef<'a>, Responder<'t>) -> Sent + Send>;
 
@@ -631,10 +616,8 @@ impl ResponseHead {
         }
     }
 
-    /// Writes the head of a response with `body_len` body bytes,
-    /// echoing `corr` last — the same position the owned tier gives a
-    /// correlation header pushed after construction.
-    fn write<O: XmlOut + ?Sized>(&self, out: &mut O, body_len: usize, corr: Option<&str>) {
+    /// Writes the head of a response with `body_len` body bytes.
+    fn write<O: XmlOut + ?Sized>(&self, out: &mut O, body_len: usize) {
         out.put("HTTP/1.1 ");
         out.put_fmt(format_args!("{}", self.status));
         out.put(" ");
@@ -647,22 +630,15 @@ impl ResponseHead {
         if self.server_header {
             out.put("Server: metaware/0.1\r\n");
         }
-        if let Some(id) = corr {
-            out.put(CORR_HEADER);
-            out.put(": ");
-            out.put(id);
-            out.put("\r\n");
-        }
         out.put("\r\n");
     }
 }
 
 /// Where a zero-copy route writes its response: the server's response
-/// train, head and body in one stretch reserved to their exact size.
+/// buffer, head and body reserved to their exact size.
 #[derive(Debug)]
 pub struct Responder<'t> {
-    train: &'t mut Vec<u8>,
-    corr: Option<&'t str>,
+    buf: &'t mut Vec<u8>,
 }
 
 /// Proof that a zero-copy route answered; only [`Responder`] makes one.
@@ -679,13 +655,12 @@ impl<'t> Responder<'t> {
         write_body: impl FnOnce(&mut Vec<u8>),
     ) -> Sent {
         let mut head_len = Measure::default();
-        head.write(&mut head_len, body_len, self.corr);
-        self.train.reserve(head_len.0 + body_len);
-        let start = self.train.len();
-        head.write(self.train, body_len, self.corr);
-        write_body(self.train);
+        head.write(&mut head_len, body_len);
+        self.buf.reserve(head_len.0 + body_len);
+        head.write(self.buf, body_len);
+        write_body(self.buf);
         debug_assert_eq!(
-            self.train.len() - start,
+            self.buf.len(),
             head_len.0 + body_len,
             "the body is as long as its Content-Length"
         );
@@ -712,98 +687,38 @@ impl HttpServer {
         let routes: Arc<Mutex<HashMap<String, Route>>> = Arc::new(Mutex::new(HashMap::new()));
         let routes2 = routes.clone();
         net.set_request_handler(node, move |sim, frame: &Frame| {
-            // A payload may carry several pipelined requests; each is
-            // self-delimiting (Content-Length) and each pays the
-            // per-request server overhead. One pass over each head
-            // frames the message, checks it and finds the correlation
-            // id; owned-route handlers get a materialised request,
-            // zero-copy routes read in place.
-            let mut data: &[u8] = &frame.payload;
-            let mut train: Vec<u8> = Vec::new();
-            // Where each response ends in the train; a lone response
-            // (the common case) needs no list.
-            let mut ends: Vec<usize> = Vec::new();
-            let bad_request = |train: &mut Vec<u8>, e: HttpError| {
-                let head = ResponseHead::error(400, "Bad Request", "text/plain");
-                let reply = Responder { train, corr: None };
-                reply.send_bytes(head, e.to_string().as_bytes());
-            };
-            loop {
-                sim.advance(tcp.server_overhead);
-                let framed = Head::scan(data, true)
-                    .and_then(|head| Ok((head, head.message_len(data.len())?)));
-                let (head, len) = match framed {
-                    Ok(framed) => framed,
-                    Err(e) => {
-                        bad_request(&mut train, e);
-                        if !ends.is_empty() {
-                            ends.push(train.len());
+            // One frame, one request, one response, one per-request
+            // server overhead. Owned-route handlers get a materialised
+            // request; zero-copy routes read it in place and write
+            // their response straight into the one response buffer.
+            sim.advance(tcp.server_overhead);
+            let mut buf = Vec::new();
+            let reply = Responder { buf: &mut buf };
+            match read_request(&frame.payload) {
+                Ok(req) => {
+                    let mut routes = routes2.lock();
+                    match routes.get_mut(req.path) {
+                        Some(Route::Zero(h)) => {
+                            h(sim, &req, reply);
                         }
-                        break;
-                    }
-                };
-                let (msg, rest) = data.split_at(len);
-                match head.request(&msg[head.body_start..]) {
-                    Ok(req) => {
-                        // The correlation id is echoed so the client
-                        // can match responses regardless of completion
-                        // order.
-                        let corr = head.corr;
-                        let mut routes = routes2.lock();
-                        match routes.get_mut(req.path) {
-                            Some(Route::Zero(h)) => {
-                                h(
-                                    sim,
-                                    &req,
-                                    Responder {
-                                        train: &mut train,
-                                        corr,
-                                    },
-                                );
-                            }
-                            Some(Route::Owned(h)) => {
-                                let owned = req.to_owned();
-                                let mut resp = h(sim, &owned);
-                                if let Some(id) = corr {
-                                    resp.headers.push((CORR_HEADER.into(), id.to_owned()));
-                                }
-                                resp.write_bytes_into(&mut train);
-                            }
-                            None => {
-                                let head = ResponseHead::error(404, "Not Found", "text/plain");
-                                let reply = Responder {
-                                    train: &mut train,
-                                    corr,
-                                };
-                                reply.send(head, 15 + req.path.len(), |out| {
-                                    out.extend_from_slice(b"no handler for ");
-                                    out.extend_from_slice(req.path.as_bytes());
-                                });
-                            }
+                        Some(Route::Owned(h)) => {
+                            return Ok(Bytes::from(h(sim, &req.to_owned()).to_bytes()));
+                        }
+                        None => {
+                            let head = ResponseHead::error(404, "Not Found", "text/plain");
+                            reply.send(head, 15 + req.path.len(), |out| {
+                                out.extend_from_slice(b"no handler for ");
+                                out.extend_from_slice(req.path.as_bytes());
+                            });
                         }
                     }
-                    Err(e) => bad_request(&mut train, e),
                 }
-                data = rest;
-                if !(data.is_empty() && ends.is_empty()) {
-                    ends.push(train.len());
-                }
-                if data.is_empty() {
-                    break;
+                Err(e) => {
+                    let head = ResponseHead::error(400, "Bad Request", "text/plain");
+                    reply.send_bytes(head, e.to_string().as_bytes());
                 }
             }
-            // A pipelined server may finish requests in any order; we
-            // reverse deliberately so clients must correlate by id
-            // instead of assuming FIFO.
-            if ends.len() > 1 {
-                let mut out = Vec::with_capacity(train.len());
-                for (i, &end) in ends.iter().enumerate().rev() {
-                    let start = if i == 0 { 0 } else { ends[i - 1] };
-                    out.extend_from_slice(&train[start..end]);
-                }
-                return Ok(Bytes::from(out));
-            }
-            Ok(Bytes::from(train))
+            Ok(Bytes::from(buf))
         })
         .expect("node attached above");
         HttpServer { node, routes }
@@ -828,7 +743,7 @@ impl HttpServer {
     /// Registers (or replaces) a zero-copy handler for `path`: it reads
     /// the request through [`HttpRequestRef`] (no per-request
     /// materialisation) and writes its response through the
-    /// [`Responder`] into the response train.
+    /// [`Responder`] into the response buffer.
     pub fn route_zero(
         &self,
         path: impl Into<String>,
@@ -943,55 +858,6 @@ impl HttpClient {
     /// zero-copy twin of [`HttpClient::send`].
     pub(crate) fn send_raw(&self, server: NodeId, payload: Vec<u8>) -> Result<Bytes, HttpError> {
         self.exchange(server, payload)
-    }
-
-    /// Pipelines several requests over one exchange: all requests go
-    /// out back-to-back on one connection, the server may finish them
-    /// in any order, and responses are matched back to their requests
-    /// by correlation id. Returns responses in *request* order. The
-    /// whole pipeline shares one transport fate: a network error fails
-    /// every request in it.
-    pub fn send_pipelined(
-        &self,
-        server: NodeId,
-        reqs: &[HttpRequest],
-    ) -> Result<Vec<HttpResponse>, HttpError> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Each request is written with its correlation id appended in
-        // place — no clone of the request (body included) just to tag
-        // it with one extra header.
-        let mut payload = Vec::new();
-        let mut id = String::with_capacity(4);
-        for (i, req) in reqs.iter().enumerate() {
-            use std::fmt::Write as _;
-            id.clear();
-            write!(id, "{i}").expect("string write");
-            req.write_bytes_into(&mut payload, Some((CORR_HEADER, &id)));
-        }
-        let raw = self.exchange(server, payload)?;
-        let mut slots: Vec<Option<HttpResponse>> = vec![None; reqs.len()];
-        let mut data: &[u8] = &raw;
-        while !data.is_empty() {
-            let head = Head::scan(data, true)?;
-            let (msg, rest) = data.split_at(head.message_len(data.len())?);
-            let resp = head.response(&msg[head.body_start..])?.to_owned();
-            let idx = head
-                .corr
-                .and_then(|id| id.parse::<usize>().ok())
-                .filter(|i| *i < slots.len())
-                .ok_or(HttpError::Malformed("missing or bad correlation id"))?;
-            if slots[idx].is_some() {
-                return Err(HttpError::Malformed("duplicate correlation id"));
-            }
-            slots[idx] = Some(resp);
-            data = rest;
-        }
-        slots
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(HttpError::Malformed("missing pipelined response"))
     }
 
     /// `send` + non-2xx as error.
@@ -1116,64 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_responses_correlate_despite_reordering() {
-        let sim = Sim::new(1);
-        let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
-        server.route("/echo", |_, req| {
-            HttpResponse::ok("text/plain", req.body.clone())
-        });
-        let client = HttpClient::attach(&net, "pc", TcpModel::persistent());
-        let reqs: Vec<HttpRequest> = (0..4)
-            .map(|i| HttpRequest::post("/echo", "text/plain", format!("body-{i}")))
-            .collect();
-        let resps = client.send_pipelined(server.node(), &reqs).unwrap();
-        assert_eq!(resps.len(), 4);
-        // The server reverses completion order, so matching in request
-        // order proves correlation really happened.
-        for (i, resp) in resps.iter().enumerate() {
-            assert_eq!(resp.body, format!("body-{i}").into_bytes());
-        }
-        // One connection, one request frame for the whole pipeline.
-        assert_eq!(net.with_stats(|s| s.conns_opened()), 1);
-    }
-
-    #[test]
-    fn pipelined_batch_is_cheaper_than_serial_sends() {
-        let elapsed_for = |pipelined: bool| {
-            let sim = Sim::new(1);
-            let net = Network::ethernet(&sim);
-            let server = HttpServer::bind(&net, "web", TcpModel::default());
-            server.route("/x", |_, _| HttpResponse::ok("text/plain", "ok"));
-            let tcp = if pipelined {
-                TcpModel::persistent()
-            } else {
-                TcpModel::default()
-            };
-            let client = HttpClient::attach(&net, "pc", tcp);
-            let reqs: Vec<HttpRequest> = (0..8)
-                .map(|_| HttpRequest::post("/x", "text/plain", "b"))
-                .collect();
-            let before = sim.now();
-            if pipelined {
-                let resps = client.send_pipelined(server.node(), &reqs).unwrap();
-                assert!(resps.iter().all(|r| r.is_success()));
-            } else {
-                for req in &reqs {
-                    assert!(client.send(server.node(), req).unwrap().is_success());
-                }
-            }
-            (sim.now() - before).as_micros()
-        };
-        let serial = elapsed_for(false);
-        let batched = elapsed_for(true);
-        assert!(
-            batched * 3 < serial,
-            "pipelined {batched}us vs serial {serial}us"
-        );
-    }
-
-    #[test]
     fn unroute_removes_handler() {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
@@ -1206,33 +1014,35 @@ mod tests {
 
     #[test]
     fn zero_copy_heads_match_the_owned_responses() {
-        let mut train = Vec::new();
-        Responder {
-            train: &mut train,
-            corr: None,
-        }
-        .send_bytes(ResponseHead::ok("text/xml"), b"<ok/>");
-        assert_eq!(train, HttpResponse::ok("text/xml", "<ok/>").to_bytes());
-        let mut train = Vec::new();
-        Responder {
-            train: &mut train,
-            corr: Some("7"),
-        }
-        .send_bytes(ResponseHead::error(404, "Not Found", "text/plain"), b"gone");
-        let mut owned = HttpResponse::error(404, "Not Found", "gone");
-        owned.headers.push((CORR_HEADER.into(), "7".into()));
-        assert_eq!(train, owned.to_bytes());
+        let mut buf = Vec::new();
+        Responder { buf: &mut buf }.send_bytes(ResponseHead::ok("text/xml"), b"<ok/>");
+        assert_eq!(buf, HttpResponse::ok("text/xml", "<ok/>").to_bytes());
+        let mut buf = Vec::new();
+        Responder { buf: &mut buf }
+            .send_bytes(ResponseHead::error(404, "Not Found", "text/plain"), b"gone");
+        assert_eq!(
+            buf,
+            HttpResponse::error(404, "Not Found", "gone").to_bytes()
+        );
     }
 
     #[test]
     fn last_content_length_wins_and_blank_lines_end_the_header_block() {
-        let msg = b"POST / HTTP/1.1\r\nContent-Length: 9\r\nX-Corr-Id: 1\n\nX-Corr-Id: 2\r\nContent-Length: 2\r\n\r\nabXY";
-        let head = Head::scan(msg, true).unwrap();
+        let msg = b"POST / HTTP/1.1\r\nContent-Length: 9\r\nHost: a\n\nno colon\r\nContent-Length: 2\r\n\r\nabXY";
+        let head = Head::scan(msg).unwrap();
         assert_eq!(head.content_length, Some(2));
-        assert_eq!(head.corr, Some("1"));
+        assert!(
+            head.colon_ok,
+            "the colon-less line is past the header block"
+        );
         assert_eq!(head.message_len(msg.len()), Ok(msg.len() - 2));
+        assert_eq!(
+            read_request(msg).map(|r| r.body),
+            Err(HttpError::Malformed("bytes past Content-Length"))
+        );
+        assert_eq!(read_request(&msg[..msg.len() - 2]).unwrap().body, b"ab");
         let huge = b"POST / HTTP/1.1\r\nContent-Length: 18446744073709551615\r\n\r\n";
-        let head = Head::scan(huge, true).unwrap();
+        let head = Head::scan(huge).unwrap();
         assert_eq!(
             head.message_len(huge.len()),
             Err(HttpError::Malformed("truncated body"))
@@ -1241,40 +1051,34 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// One message of a request train through the one-pass scan, in
-    /// the oracle's shape.
-    fn frame_one_pass(data: &[u8]) -> crate::oracle::Framed<'_> {
-        let head = Head::scan(data, true)?;
-        let len = head.message_len(data.len())?;
-        let parsed = head
-            .request(&data[head.body_start..len])
-            .map(|r| (r.method, r.path, r.body, head.corr));
-        Ok((len, parsed))
+    /// What the server makes of a frame by the oracle's three scans
+    /// under the one-message rule: the first message's framing error or
+    /// parse, or, when that message ends short of the frame, the 400 for
+    /// bytes past `Content-Length`.
+    fn oracle_read(data: &[u8]) -> Result<(&str, &str, &[u8]), HttpError> {
+        let (len, parsed) = crate::oracle::frame_request(data)?;
+        if len < data.len() {
+            return Err(HttpError::Malformed("bytes past Content-Length"));
+        }
+        parsed
     }
 
-    /// Frames a whole train both ways, message by message, until the
-    /// data runs out or framing fails.
-    fn check_train(mut data: &[u8]) -> Result<(), TestCaseError> {
-        loop {
-            let framed = frame_one_pass(data);
-            prop_assert_eq!(
-                &framed,
-                &crate::oracle::frame_request(data),
-                "train {:?}",
-                data
-            );
-            match framed {
-                Ok((len, _)) if len < data.len() => data = &data[len..],
-                _ => return Ok(()),
-            }
-        }
+    /// The server's one-frame read against the oracle.
+    fn check_frame(data: &[u8]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            read_request(data).map(|r| (r.method, r.path, r.body)),
+            oracle_read(data),
+            "frame {:?}",
+            data
+        );
+        Ok(())
     }
 
     /// Both borrowed parses against the oracle, header lookups and
     /// owned headers included.
     fn check_parses(data: &[u8]) -> Result<(), TestCaseError> {
         use crate::oracle::{find_header, parse_request, parse_response};
-        let keys = ["content-length", "X-Corr-Id", "host", ""];
+        let keys = ["content-length", "content-type", "host", ""];
         let req = HttpRequestRef::parse(data);
         let old = parse_request(data);
         prop_assert_eq!(
@@ -1323,8 +1127,6 @@ mod tests {
         b": ",
         b"Content-Length",
         b"content-length",
-        b"X-Corr-Id",
-        b"x-corr-id",
         b"0",
         b"3",
         b"12",
@@ -1349,20 +1151,18 @@ mod tests {
         })
     }
 
-    /// A valid pipelined request, or one broken in a way the framing
-    /// and the parse must agree about.
-    fn train_message() -> impl Strategy<Value = Vec<u8>> {
+    /// A valid request to a path matching `path`, or one broken in a
+    /// way the framing and the parse must agree about; concatenated,
+    /// these make frames that hold more than one message.
+    fn train_message(path: &'static str) -> impl Strategy<Value = Vec<u8>> {
         (
-            "/[a-z]{0,6}",
+            path,
             prop::collection::vec(any::<u8>(), 0..24),
-            0..1000u32,
             0..10u8,
             any::<usize>(),
         )
-            .prop_map(|(path, body, corr, breakage, at)| {
-                let req =
-                    HttpRequest::post(path, "text/xml", body).header(CORR_HEADER, corr.to_string());
-                let mut wire = req.to_bytes();
+            .prop_map(|(path, body, breakage, at)| {
+                let mut wire = HttpRequest::post(path, "text/xml", body).to_bytes();
                 let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
                 let at = at % (head_end + 1);
                 match breakage {
@@ -1395,30 +1195,103 @@ mod tests {
             })
     }
 
+    /// Paths for requests, two of which [`serve_frame`] routes.
+    const PATHS: &str = "/(zero|owned|none)";
+
+    /// Sends `frame` as one request to a fresh server with a counting
+    /// zero-copy route at `/zero` and a counting owned route at
+    /// `/owned`, both echoing the body; returns the raw reply and how
+    /// often each route ran.
+    fn serve_frame(frame: Vec<u8>) -> (Bytes, u32, u32) {
+        let sim = Sim::new(1);
+        let net = Network::ethernet(&sim);
+        let server = HttpServer::bind(&net, "web", TcpModel::default());
+        let runs = Arc::new(Mutex::new((0u32, 0u32)));
+        let zero = runs.clone();
+        server.route_zero("/zero", move |_, req, reply| {
+            zero.lock().0 += 1;
+            reply.send_bytes(ResponseHead::ok("text/plain"), req.body)
+        });
+        let owned = runs.clone();
+        server.route("/owned", move |_, req| {
+            owned.lock().1 += 1;
+            HttpResponse::ok("text/plain", req.body.clone())
+        });
+        let client = net.attach("pc");
+        let reply = net
+            .request(client, server.node(), Protocol::Http, frame)
+            .expect("the exchange completes");
+        let (zero, owned) = *runs.lock();
+        (reply, zero, owned)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
         #[test]
-        fn one_pass_framing_equals_three_scans_on_arbitrary_bytes(
+        fn one_frame_read_equals_three_scans_on_arbitrary_bytes(
             data in prop::collection::vec(any::<u8>(), 0..200),
         ) {
-            check_train(&data)?;
+            check_frame(&data)?;
             check_parses(&data)?;
         }
 
         #[test]
-        fn one_pass_framing_equals_three_scans_on_http_soup(data in http_soup()) {
-            check_train(&data)?;
+        fn one_frame_read_equals_three_scans_on_http_soup(data in http_soup()) {
+            check_frame(&data)?;
             check_parses(&data)?;
         }
 
         #[test]
-        fn one_pass_framing_equals_three_scans_on_pipelined_trains(
-            msgs in prop::collection::vec(train_message(), 1..6),
+        fn one_frame_read_equals_three_scans_on_single_requests(
+            msg in train_message("/[a-z]{0,6}"),
         ) {
-            let train = msgs.concat();
-            check_train(&train)?;
-            check_parses(&train)?;
+            check_frame(&msg)?;
+            check_parses(&msg)?;
+        }
+
+        #[test]
+        fn one_frame_read_equals_three_scans_on_concatenated_requests(
+            msgs in prop::collection::vec(train_message("/[a-z]{0,6}"), 2..6),
+        ) {
+            let frame = msgs.concat();
+            check_frame(&frame)?;
+            check_parses(&frame)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// The server never panics and answers every frame with exactly
+        /// one response. A route runs at most once, and exactly when the
+        /// oracle frames the whole payload as one valid request to its
+        /// path; a valid request to any other path is a 404, anything
+        /// else a 400.
+        #[test]
+        fn every_frame_gets_one_response_and_runs_at_most_one_route(
+            frame in prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..200),
+                http_soup(),
+                prop::collection::vec(train_message(PATHS), 1..4).prop_map(|m| m.concat()),
+            ],
+        ) {
+            let routed = oracle_read(&frame).map(|(_, path, _)| path.to_owned());
+            let (reply, zero, owned) = serve_frame(frame);
+            let resp = HttpResponseRef::parse(&reply);
+            prop_assert!(resp.is_ok(), "reply {:?}", reply);
+            let resp = resp.unwrap();
+            let declared = resp.get_header("content-length").and_then(|n| n.parse().ok());
+            prop_assert_eq!(declared, Some(resp.body.len()), "one response in {:?}", reply);
+            let path = routed.as_deref();
+            prop_assert_eq!(zero, u32::from(path == Ok("/zero")));
+            prop_assert_eq!(owned, u32::from(path == Ok("/owned")));
+            let status = match path {
+                Ok("/zero" | "/owned") => 200,
+                Ok(_) => 404,
+                Err(_) => 400,
+            };
+            prop_assert_eq!(resp.status, status);
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The decoders the one-pass wire replaced, kept verbatim as test
 //! oracles: the element-tree envelope decode (`parse_ref`, then walk
 //! the tree) and the three-scan HTTP request framing (`message_len`,
-//! then the borrowed parse, then a header lookup). For every input the
-//! streaming decoders must return what these return, errors included.
+//! then the borrowed parse, then the header block's checks). For every
+//! input the streaming decoders must return what these return, errors
+//! included.
 
 use crate::fault::{Fault, FaultCode};
 use crate::http::HttpError;
@@ -133,31 +134,22 @@ pub(crate) fn response_from_envelope(doc: &str) -> Result<RpcResponse, SoapError
     Ok(RpcResponse { method, value })
 }
 
-/// One request of a pipelined train as the three-scan server saw it:
-/// the framing error that stops the train, or the message length with
-/// its parse outcome (method, path, body, correlation id) or parse
-/// error.
-pub(crate) type Framed<'a> = Result<
-    (
-        usize,
-        Result<(&'a str, &'a str, &'a [u8], Option<&'a str>), HttpError>,
-    ),
-    HttpError,
->;
+/// The first request of a frame as the three-scan server saw it: the
+/// framing error, or the message length with its parse outcome
+/// (method, path, body) or parse error.
+pub(crate) type Framed<'a> =
+    Result<(usize, Result<(&'a str, &'a str, &'a [u8]), HttpError>), HttpError>;
 
-/// The server's per-message steps before the one-pass scan:
-/// `message_len`, then `HttpRequestRef::parse` on the message, then
-/// `get_header("X-Corr-Id")`. The one departure is `checked_add` on
-/// the declared length, which overflowed there (a debug-build panic, a
-/// wrapped length in release).
+/// The server's steps before the one-pass scan: `message_len`, then
+/// `HttpRequestRef::parse` on the message. The one departure is
+/// `checked_add` on the declared length, which overflowed there (a
+/// debug-build panic, a wrapped length in release).
 pub(crate) fn frame_request(data: &[u8]) -> Framed<'_> {
     let n = message_len(data)?;
     let msg = &data[..n];
     Ok((
         n,
-        parse_request(msg).map(|(method, path, lines, body)| {
-            (method, path, body, find_header(lines, "X-Corr-Id"))
-        }),
+        parse_request(msg).map(|(method, path, _, body)| (method, path, body)),
     ))
 }
 

@@ -2,7 +2,10 @@
 //! home must behave identically over SOAP, compact binary, and the
 //! SIP-like protocol — differing only in cost.
 
-use metaware::{CompactBinary, Middleware, SipLike, SmartHome, Soap11, VsgProtocol};
+use metaware::{
+    BatchCall, BatchItem, BatchPolicy, CompactBinary, Middleware, SipLike, SmartHome, Soap11,
+    VsgProtocol,
+};
 use simnet::Protocol;
 use soap::Value;
 use std::sync::Arc;
@@ -116,4 +119,84 @@ fn only_sip_supports_push() {
     assert!(!Soap11::new().supports_push());
     assert!(!CompactBinary::new().supports_push());
     assert!(SipLike::new().supports_push());
+}
+
+/// Backbone HTTP frames and TCP connections opened by `calls` warm
+/// Jini-to-X10 calls in a home speaking `protocol`.
+fn soap_traffic(protocol: Soap11, calls: u64) -> (u64, u64) {
+    let home = SmartHome::builder()
+        .protocol(Arc::new(protocol))
+        .build()
+        .unwrap();
+    // The first call resolves the route and opens the connection.
+    home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
+        .unwrap();
+    let count = || {
+        home.backbone
+            .with_stats(|s| (s.protocol(Protocol::Http).frames, s.conns_opened()))
+    };
+    let (frames, conns) = count();
+    for _ in 0..calls {
+        home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
+            .unwrap();
+    }
+    let (frames_after, conns_after) = count();
+    (frames_after - frames, conns_after - conns)
+}
+
+#[test]
+fn every_soap_call_is_one_http_exchange() {
+    // One request frame and one response frame per call, whether the
+    // gateways connect per call or keep a connection per peer.
+    assert_eq!(soap_traffic(Soap11::new(), 5).0, 10);
+    assert_eq!(soap_traffic(Soap11::multiplexed(), 5).0, 10);
+}
+
+#[test]
+fn multiplexed_soap_keeps_one_connection_per_peer() {
+    // The prototype's SOAP wire pays a handshake on every call; the
+    // multiplexed one reuses the connection its first call opened.
+    assert_eq!(soap_traffic(Soap11::new(), 5).1, 5);
+    assert_eq!(soap_traffic(Soap11::multiplexed(), 5).1, 0);
+}
+
+#[test]
+fn a_soap_batch_of_calls_is_one_http_exchange() {
+    // A batch envelope is the one HTTP message that carries several
+    // calls: six calls to the X10 gateway ride one request frame and
+    // one response frame, where the unbatched wire needs six exchanges.
+    let items: Vec<BatchItem> = ["hall-lamp", "desk-lamp"]
+        .iter()
+        .flat_map(|lamp| {
+            [
+                BatchCall::new(*lamp, "switch").arg("on", true),
+                BatchCall::new(*lamp, "status"),
+                BatchCall::new(*lamp, "switch").arg("on", false),
+            ]
+        })
+        .map(BatchItem::Call)
+        .collect();
+    let frames_for = |policy: BatchPolicy| {
+        let home = SmartHome::builder()
+            .protocol(Arc::new(Soap11::new()))
+            .batching(policy)
+            .build()
+            .unwrap();
+        let caller = home.gateway(Middleware::Jini).unwrap();
+        // Resolve both routes first.
+        for lamp in ["hall-lamp", "desk-lamp"] {
+            caller.invoke(&home.sim, lamp, "status", &[]).unwrap();
+        }
+        let before = home
+            .backbone
+            .with_stats(|s| s.protocol(Protocol::Http).frames);
+        let results = caller.invoke_batch(&home.sim, &items);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert!(!home.x10.as_ref().unwrap().hall_lamp.is_on());
+        home.backbone
+            .with_stats(|s| s.protocol(Protocol::Http).frames)
+            - before
+    };
+    assert_eq!(frames_for(BatchPolicy::default()), 2);
+    assert_eq!(frames_for(BatchPolicy::disabled()), 12);
 }

@@ -6,15 +6,23 @@
 //! BATCH / NOTIFY frames, and compact-binary request frames — must stay
 //! bit-identical across that refactor: these tests re-drive the public
 //! protocol API through a frame tap and compare against the frozen hex.
+//!
+//! The SOAP goldens also drive the gateway's HTTP edge, which reads a
+//! frame as exactly one request: what is past the declared body, a
+//! second request included, gets one 400 and runs nothing.
 
 use metaware::protocol::{binval, CompactBinary, SipLike, Soap11, VsgProtocol, VsgRequest};
 use metaware::trace::{SpanId, TraceContext, TraceId};
 use metaware::MetaError;
 use parking_lot::Mutex;
+use proptest::prelude::*;
 use simnet::net::Network;
 use simnet::sim::Sim;
 use simnet::Protocol;
-use soap::{FaultCode, HttpRequest, HttpResponse, RpcResponse, SoapError, Value, RPC_ROUTER_PATH};
+use soap::{
+    FaultCode, HttpRequest, HttpResponse, HttpResponseRef, RpcResponse, SoapError, Value,
+    RPC_ROUTER_PATH,
+};
 use std::sync::Arc;
 
 fn requests() -> Vec<VsgRequest> {
@@ -253,6 +261,234 @@ fn sip_push_drops_a_100k_deep_notify() {
     net.send(simnet::Frame::new(src, gw, Protocol::Sip, frame))
         .unwrap();
     assert_eq!(*calls.lock(), 0);
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+const SOAP_GOLDENS: [&str; 4] = [G_SOAP_0, G_SOAP_1, G_SOAP_2, G_SOAP_3];
+
+/// The exact reply of the SOAP gateway's HTTP edge to a frame it cannot
+/// read as one request.
+fn bad_request(reason: &str) -> String {
+    let body = format!("malformed HTTP message: {reason}");
+    format!(
+        "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Sends `frame` as-is to a SOAP gateway whose handler answers every
+/// call with null, and returns the raw reply and the operations the
+/// handler ran, in order.
+fn serve_soap_frame(frame: Vec<u8>) -> (Vec<u8>, Vec<String>) {
+    let sim = Sim::new(1);
+    let net = Network::ethernet(&sim);
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let ran2 = ran.clone();
+    let gw = Soap11::new().bind(
+        &net,
+        "gw",
+        Arc::new(move |_, req: &VsgRequest| {
+            ran2.lock().push(req.operation.clone());
+            Ok(Value::Null)
+        }),
+    );
+    let client = net.attach("c");
+    let reply = net.request(client, gw, Protocol::Http, frame).unwrap();
+    let ran = ran.lock().clone();
+    (reply.to_vec(), ran)
+}
+
+/// Offsets in a golden request: just past its request line, and the
+/// start of its `\r\n\r\n` head terminator.
+fn head_offsets(golden: &[u8]) -> (usize, usize) {
+    let line_end = golden.windows(2).position(|w| w == b"\r\n").unwrap() + 2;
+    let head_end = golden.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+    (line_end, head_end)
+}
+
+#[test]
+fn soap_gateway_answers_a_two_request_frame_with_one_400() {
+    // Two golden gateway calls back to back in one frame, each naming
+    // its `__service`: the edge turns the frame away whole, and neither
+    // call reaches the handler.
+    let frame = [unhex(G_SOAP_0), unhex(G_SOAP_1)].concat();
+    let reply = request_to_gateway(&Soap11::new(), Protocol::Http, frame);
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        bad_request("bytes past Content-Length")
+    );
+}
+
+#[test]
+fn soap_gateway_answers_trailing_bytes_with_one_400() {
+    // A stray line break after the declared body is not a second
+    // message to skip or to run: the whole frame is refused.
+    let frame = [unhex(G_SOAP_1), b"\r\n".to_vec()].concat();
+    let reply = request_to_gateway(&Soap11::new(), Protocol::Http, frame);
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        bad_request("bytes past Content-Length")
+    );
+}
+
+#[test]
+fn soap_gateway_answers_a_short_body_with_one_400() {
+    let mut frame = unhex(G_SOAP_2);
+    frame.pop();
+    let reply = request_to_gateway(&Soap11::new(), Protocol::Http, frame);
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        bad_request("truncated body")
+    );
+}
+
+#[test]
+fn soap_gateway_frames_by_the_last_content_length() {
+    let golden = unhex(G_SOAP_0);
+    let (line_end, head_end) = head_offsets(&golden);
+    // A lying length before the true one is overridden by it.
+    let early = [
+        &golden[..line_end],
+        b"Content-Length: 3\r\n",
+        &golden[line_end..],
+    ]
+    .concat();
+    let (reply, ran) = serve_soap_frame(early);
+    assert_eq!(ran, ["status"]);
+    assert_eq!(HttpResponseRef::parse(&reply).unwrap().status, 200);
+    // A lying length after it wins: its body ends short of the frame.
+    let late = [
+        &golden[..head_end],
+        b"\r\nContent-Length: 3",
+        &golden[head_end..],
+    ]
+    .concat();
+    let (reply, ran) = serve_soap_frame(late);
+    assert!(ran.is_empty(), "ran {ran:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        bad_request("bytes past Content-Length")
+    );
+}
+
+#[test]
+fn soap_gateway_reads_a_request_without_content_length_to_the_end_of_the_frame() {
+    let golden = String::from_utf8(unhex(G_SOAP_1)).unwrap();
+    let frame = golden.replacen("Content-Length: 476\r\n", "", 1);
+    assert_ne!(frame, golden);
+    let (reply, ran) = serve_soap_frame(frame.into_bytes());
+    assert_eq!(ran, ["switch"]);
+    assert_eq!(HttpResponseRef::parse(&reply).unwrap().status, 200);
+}
+
+#[test]
+fn soap_gateway_answers_a_correlation_id_like_any_other_header() {
+    // `X-Corr-Id` means nothing to the edge: the reply neither echoes
+    // it nor differs from the reply to the same call without it.
+    let golden = unhex(G_SOAP_0);
+    let (line_end, _) = head_offsets(&golden);
+    let tagged = [
+        &golden[..line_end],
+        b"X-Corr-Id: 7\r\n",
+        &golden[line_end..],
+    ]
+    .concat();
+    let (plain, _) = serve_soap_frame(golden);
+    let (reply, ran) = serve_soap_frame(tagged);
+    assert_eq!(ran, ["status"]);
+    assert_eq!(
+        String::from_utf8_lossy(&reply),
+        String::from_utf8_lossy(&plain)
+    );
+    let resp = HttpResponseRef::parse(&reply).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.get_header("x-corr-id"), None);
+}
+
+#[test]
+fn soap_gateway_runs_every_member_of_a_batch_envelope() {
+    // The batch envelope is the one frame that carries several calls:
+    // one HTTP message, every member run in order, one response.
+    let (reply, ran) = serve_soap_frame(unhex(G_SOAP_3));
+    assert_eq!(ran, ["status", "switch", "record"]);
+    let resp = HttpResponseRef::parse(&reply).unwrap();
+    assert_eq!(resp.status, 200);
+    let declared: usize = resp.get_header("content-length").unwrap().parse().unwrap();
+    assert_eq!(declared, resp.body.len(), "one response in {reply:?}");
+    let results = RpcResponse::from_envelope(std::str::from_utf8(resp.body).unwrap())
+        .unwrap()
+        .value;
+    assert!(
+        matches!(&results, Value::List(members) if members.len() == 3),
+        "{results:?}"
+    );
+}
+
+/// A golden request cut short, with one byte replaced, or with one byte
+/// inserted, at an arbitrary offset.
+fn mangled_golden() -> impl Strategy<Value = Vec<u8>> {
+    (0..4usize, any::<usize>(), any::<u8>(), 0..3u8).prop_map(|(i, at, byte, how)| {
+        let mut frame = unhex(SOAP_GOLDENS[i]);
+        let at = at % frame.len();
+        match how {
+            0 => frame.truncate(at),
+            1 => frame[at] = byte,
+            _ => frame.insert(at, byte),
+        }
+        frame
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Two to five golden requests back to back, or one followed by
+    /// stray bytes, get the one 400 and run no call: the handler of
+    /// `request_to_gateway` panics if reached.
+    #[test]
+    fn soap_gateway_answers_every_multi_message_frame_with_one_400(
+        frame in prop_oneof![
+            prop::collection::vec(0..4usize, 2..6).prop_map(|ix| {
+                ix.iter().flat_map(|&i| unhex(SOAP_GOLDENS[i])).collect::<Vec<u8>>()
+            }),
+            (0..4usize, prop::collection::vec(any::<u8>(), 1..64))
+                .prop_map(|(i, tail)| [unhex(SOAP_GOLDENS[i]), tail].concat()),
+        ],
+    ) {
+        let reply = request_to_gateway(&Soap11::new(), Protocol::Http, frame);
+        prop_assert_eq!(
+            String::from_utf8_lossy(&reply),
+            bad_request("bytes past Content-Length")
+        );
+    }
+
+    /// The gateway never panics and answers every frame with exactly
+    /// one HTTP response whose `Content-Length` is its body's length;
+    /// a frame refused with a 4xx runs no call.
+    #[test]
+    fn soap_gateway_answers_every_frame_with_exactly_one_response(
+        frame in prop_oneof![
+            mangled_golden(),
+            prop::collection::vec(any::<u8>(), 0..200),
+            prop::collection::vec(mangled_golden(), 2..4).prop_map(|m| m.concat()),
+        ],
+    ) {
+        let (reply, ran) = serve_soap_frame(frame);
+        let resp = HttpResponseRef::parse(&reply);
+        prop_assert!(resp.is_ok(), "reply {:?}", reply);
+        let resp = resp.unwrap();
+        let declared = resp.get_header("content-length").and_then(|n| n.parse().ok());
+        prop_assert_eq!(declared, Some(resp.body.len()), "one response in {:?}", reply);
+        if (400..500).contains(&resp.status) {
+            prop_assert!(ran.is_empty(), "{} ran {:?}", resp.status, ran);
+        }
+    }
 }
 
 const G_SOAP_0: &str = concat!(
