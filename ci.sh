@@ -139,8 +139,10 @@ run_bench() {
     cargo bench -p bench --bench paper
 
     # E11 smoke run: the hot-path ablations (indexed registry, route
-    # cache, allocation-lean dispatch). Emits BENCH_hotpath.json.
-    stage "e11 hot-path smoke (ablation rows)"
+    # cache, allocation-lean dispatch) emit BENCH_hotpath.json; every
+    # value cell of the side tables E11a-E11d goes to
+    # BENCH_ablations.json.
+    stage "e11 ablations (BENCH_hotpath.json, BENCH_ablations.json)"
     cargo bench -p bench --bench e11_ablations
 
     # E13 smoke run: availability under the canonical chaos schedule

@@ -13,6 +13,11 @@
 //!    CPU model (isolates wire from CPU);
 //!  * **X10 blind repeats** — the PCM's only reliability tool on an
 //!    unacknowledged medium: delivery probability vs repeats vs noise.
+//!
+//! Every value cell of the side tables E11a–E11d is written to one gated
+//! artefact, `BENCH_ablations.json` (see [`Report::flatten`]); the raw
+//! per-gateway snapshots of E11d land, ungated, in
+//! `e11_metrics_snapshot.json`.
 
 use bench::{cell, fmt_us, Report};
 use metaware::{
@@ -22,7 +27,7 @@ use simnet::{LinkModel, Network, Sim};
 use soap::{CpuModel, TcpModel, Value};
 use std::sync::Arc;
 
-fn route_cache_ablation() {
+fn route_cache_ablation() -> Report {
     let mut report = Report::new(
         "E11a",
         "route cache: one warm remote call vs re-resolving every call",
@@ -62,7 +67,8 @@ fn route_cache_ablation() {
             cell(bytes),
         ]);
     }
-    report.emit();
+    report.print();
+    report
 }
 
 /// The PR's before/after artefact: resolution-cache on/off over repeat
@@ -159,7 +165,7 @@ fn hotpath_ablation() {
     report.emit_as("BENCH_hotpath.json");
 }
 
-fn java_tax_ablation() {
+fn java_tax_ablation() -> Report {
     let mut report = Report::new(
         "E11b",
         "the 2002 Java tax: SOAP call with JVM-era XML costs vs free CPU",
@@ -188,10 +194,11 @@ fn java_tax_ablation() {
             format!("{:.0}%", 100.0 * wire_only as f64 / dt as f64),
         ]);
     }
-    report.emit();
+    report.print();
+    report
 }
 
-fn x10_repeat_ablation() {
+fn x10_repeat_ablation() -> Report {
     let mut report = Report::new(
         "E11c",
         "X10 blind repeats vs powerline noise: delivery rate over 200 commands",
@@ -227,14 +234,15 @@ fn x10_repeat_ablation() {
         }
         report.row(cells);
     }
-    report.emit();
+    report.print();
+    report
 }
 
 /// The per-gateway observability snapshot (`Vsg::metrics_snapshot`):
 /// counters + latency histogram + cache stats after a mixed workload.
 /// The raw merged-JSON snapshots land in
 /// `target/bench-results/e11_metrics_snapshot.json`.
-fn metrics_snapshot_report() {
+fn metrics_snapshot_report() -> Report {
     let mut report = Report::new(
         "E11d",
         "per-gateway metrics registry after a mixed cross-island workload",
@@ -268,7 +276,7 @@ fn metrics_snapshot_report() {
             format!("{:.0}%", 100.0 * snap.cache.hit_ratio()),
         ]);
     }
-    report.emit();
+    report.print();
 
     let json = format!(
         "[\n{}\n]",
@@ -279,12 +287,22 @@ fn metrics_snapshot_report() {
             .join(",\n")
     );
     bench::write_result("e11_metrics_snapshot.json", &json);
+    report
 }
 
 fn main() {
-    route_cache_ablation();
+    let route_cache = route_cache_ablation();
     hotpath_ablation();
-    java_tax_ablation();
-    x10_repeat_ablation();
-    metrics_snapshot_report();
+    let tables = [
+        route_cache,
+        java_tax_ablation(),
+        x10_repeat_ablation(),
+        metrics_snapshot_report(),
+    ];
+    let cells = Report::flatten(
+        "ablations",
+        "E11a–E11d: every value cell of the ablation side tables",
+        &tables,
+    );
+    bench::write_result("BENCH_ablations.json", &cells.to_json());
 }

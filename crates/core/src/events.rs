@@ -740,10 +740,10 @@ mod tests {
         let got = Arc::new(Mutex::new(Vec::new()));
         let got2 = got.clone();
         let _sub = SipSubscriber::install(&net, sink, move |_, _, e| got2.lock().push(e.clone()));
-        for frame in &frames {
+        let sizes = frames.iter().map(simnet::Frame::len).collect();
+        for frame in frames {
             net.inject(frame).unwrap();
         }
-        let sizes = frames.iter().map(simnet::Frame::len).collect();
         let got = got.lock().clone();
         (sizes, got, publisher.stats())
     }

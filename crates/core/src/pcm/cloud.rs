@@ -668,7 +668,8 @@ impl CloudBridgePcm {
             Protocol::Http,
             msg.into_bytes(),
         ) {
-            Ok(bytes) => Ok(String::from_utf8_lossy(&bytes).into_owned()),
+            Ok(bytes) => Ok(String::from_utf8(bytes)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())),
             Err(e) => Err(MetaError::from_wire_error(&e, self.inner.home_node)),
         }
     }
@@ -869,7 +870,7 @@ impl CloudCell {
                 msg.clone().into_bytes(),
             ) {
                 Ok(bytes) => {
-                    let text = String::from_utf8_lossy(&bytes).into_owned();
+                    let text = String::from_utf8_lossy(&bytes);
                     if let Some(result) = text.strip_prefix("OK ") {
                         break Ok(result.to_owned());
                     } else if let Some(e) = text.strip_prefix("STALE ") {
@@ -1073,18 +1074,16 @@ impl CloudIsland {
         };
         let cell_for_upward = cell.clone();
         wan.set_request_handler(cloud_node, move |_, frame| {
-            let text = String::from_utf8_lossy(&frame.payload).into_owned();
-            cell_for_upward
-                .handle_upward(&text)
-                .map(|s| bytes::Bytes::from(s.into_bytes()))
+            let text = String::from_utf8_lossy(&frame.payload);
+            cell_for_upward.handle_upward(&text).map(String::into_bytes)
         })
         .expect("cloud node attached");
         let bridge_for_cmd = bridge.clone();
         wan.set_request_handler(home_node, move |sim, frame| {
-            let text = String::from_utf8_lossy(&frame.payload).into_owned();
+            let text = String::from_utf8_lossy(&frame.payload);
             bridge_for_cmd
                 .handle_command(sim, &text)
-                .map(|s| bytes::Bytes::from(s.into_bytes()))
+                .map(String::into_bytes)
         })
         .expect("home node attached");
         let bridge_for_pump = bridge.clone();
@@ -1556,5 +1555,122 @@ mod tests {
             island.cell.stats().throttled > 0,
             "the fair share must bind when the per-home bucket does not"
         );
+    }
+
+    /// One valid frame of each kind the WAN carries, for a fresh island
+    /// (both epochs 0, nothing applied yet).
+    const GOLDEN_FRAMES: [&[u8]; 3] = [
+        b"HELLO 1",
+        b"PUSH 0 3\n1 reg 0 lamp\n2 state 0 lamp on\n3 unreg 0 lamp",
+        b"CMD 1 0 lamp switch on",
+    ];
+
+    /// Sends `frame` to the cloud edge and to the home bridge of a fresh
+    /// island. Each must answer with an `OK`, `STALE` or `RETRY` text or
+    /// refuse it, and the cloud edge must still answer a valid `HELLO`
+    /// afterwards.
+    fn hostile_frame_is_answered(frame: &[u8]) -> Result<(), String> {
+        let (_sim, island) = world();
+        let bridge = &island.bridge;
+        let (home, cloud) = (bridge.home_node(), bridge.cloud_node());
+        let answered = |reply: &str, kinds: &[&str]| kinds.iter().any(|k| reply.starts_with(k));
+        for (from, to) in [(home, cloud), (cloud, home)] {
+            match bridge.wan().request(from, to, Protocol::Http, frame) {
+                Ok(reply) => {
+                    let reply = String::from_utf8_lossy(&reply);
+                    if !answered(&reply, &["OK ", "STALE ", "RETRY "]) {
+                        return Err(format!("reply {reply:?} to {frame:?}"));
+                    }
+                }
+                Err(simnet::SimError::Refused(_)) => {}
+                Err(e) => return Err(format!("{e} on {frame:?}")),
+            }
+        }
+        let hello = format!("HELLO {}", island.cell.epoch().saturating_add(1));
+        match bridge.wan().request(home, cloud, Protocol::Http, hello) {
+            Ok(reply) if answered(&String::from_utf8_lossy(&reply), &["OK ", "STALE "]) => Ok(()),
+            other => Err(format!("HELLO after {frame:?} got {other:?}")),
+        }
+    }
+
+    #[test]
+    fn golden_frames_are_applied() {
+        for frame in GOLDEN_FRAMES {
+            let (_sim, island) = world();
+            let (home, cloud) = (island.bridge.home_node(), island.bridge.cloud_node());
+            // A command travels down to the home; HELLO and PUSH go up.
+            let (from, to) = if frame.starts_with(b"CMD") {
+                (cloud, home)
+            } else {
+                (home, cloud)
+            };
+            let wan = island.bridge.wan();
+            let reply = wan.request(from, to, Protocol::Http, frame).unwrap();
+            assert!(
+                reply.starts_with(b"OK "),
+                "{}",
+                String::from_utf8_lossy(&reply)
+            );
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_byte_edit_of_the_golden_frames_is_answered() {
+        let mut cases = 0;
+        for frame in GOLDEN_FRAMES {
+            for cut in 0..frame.len() {
+                hostile_frame_is_answered(&frame[..cut]).unwrap();
+            }
+            for at in 0..frame.len() {
+                for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xFF] {
+                    let mut edited = frame.to_vec();
+                    edited[at] ^= mask;
+                    hostile_frame_is_answered(&edited).unwrap();
+                }
+            }
+            cases += frame.len() * 10;
+        }
+        assert!(cases >= 800, "{cases} cases");
+    }
+
+    mod never_panics {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The head of each frame kind, so arbitrary bodies reach every
+        /// parser behind the admission check.
+        const HEADS: [&[u8]; 4] = [b"", b"HELLO ", b"PUSH ", b"CMD "];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(500))]
+
+            #[test]
+            fn arbitrary_bytes_behind_every_head_are_answered(
+                head in 0..HEADS.len(),
+                body in prop::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let frame = [HEADS[head], body.as_slice()].concat();
+                hostile_frame_is_answered(&frame).map_err(TestCaseError::fail)?;
+            }
+
+            #[test]
+            fn frame_shaped_text_is_answered(
+                text in "(HELLO|PUSH|CMD) [0-9a-z ]{0,12}(\n[0-9a-z ]{0,16}){0,3}",
+            ) {
+                hostile_frame_is_answered(text.as_bytes()).map_err(TestCaseError::fail)?;
+            }
+
+            #[test]
+            fn golden_frames_with_invalid_utf8_are_answered(
+                which in 0..GOLDEN_FRAMES.len(),
+                at in any::<usize>(),
+                junk in prop::collection::vec(0x80u8..=0xFF, 1..4),
+            ) {
+                let frame = GOLDEN_FRAMES[which];
+                let at = at % (frame.len() + 1);
+                let frame = [&frame[..at], junk.as_slice(), &frame[at..]].concat();
+                hostile_frame_is_answered(&frame).map_err(TestCaseError::fail)?;
+            }
+        }
     }
 }

@@ -152,13 +152,13 @@ impl VsgProtocol for CompactBinary {
             sim.advance(SimDuration::from_micros(20)); // cheap dispatch
             if let Some(reqs) = decode_batch_request(&frame.payload) {
                 let results: Vec<_> = reqs.iter().map(|req| handler(sim, req)).collect();
-                return Ok(encode_batch_reply(&results).into());
+                return Ok(encode_batch_reply(&results));
             }
             let result = match decode_request(&frame.payload) {
                 Some(req) => handler(sim, &req),
                 None => Err(MetaError::Protocol("malformed binary request".into())),
             };
-            Ok(encode_reply(&result).into())
+            Ok(encode_reply(&result))
         })
         .expect("node attached");
         node

@@ -333,13 +333,13 @@ impl VsgProtocol for SipLike {
             sim.advance(SimDuration::from_micros(60)); // header parse
             if let Some(reqs) = decode_batch(&frame.payload) {
                 let results: Vec<_> = reqs.iter().map(|req| handler(sim, req)).collect();
-                return Ok(encode_batch_response(&results).into());
+                return Ok(encode_batch_response(&results));
             }
             let result = match decode_invite(&frame.payload) {
                 Some(req) => handler(sim, &req),
                 None => Err(MetaError::Protocol("malformed INVITE".into())),
             };
-            Ok(encode_response(&result).into())
+            Ok(encode_response(&result))
         })
         .expect("node attached");
         node

@@ -725,4 +725,33 @@ mod tests {
         assert!(tree.contains("1482B"), "{tree}");
         assert!(tree.contains("unreachable"), "{tree}");
     }
+
+    mod wire {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+            #[test]
+            fn from_wire_never_panics_on_arbitrary_text(s in ".{0,48}") {
+                let _ = TraceContext::from_wire(&s);
+            }
+
+            #[test]
+            fn from_wire_never_panics_on_hex_soup(s in "[0-9a-fA-F+-]{0,40}") {
+                let _ = TraceContext::from_wire(&s);
+            }
+
+            #[test]
+            fn every_context_round_trips(trace in any::<u64>(), parent in any::<u64>()) {
+                let c = TraceContext {
+                    trace: TraceId(trace),
+                    parent: SpanId(parent),
+                };
+                prop_assert_eq!(TraceContext::from_wire(&c.to_string()), Some(c));
+                prop_assert_eq!(c.to_wire(), c.to_string());
+            }
+        }
+    }
 }

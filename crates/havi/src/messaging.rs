@@ -159,7 +159,7 @@ impl MessagingSystem {
                 }
                 Err(_) => encode_reply(HaviStatus::EParameter, &[]),
             };
-            Ok(reply.into())
+            Ok(reply)
         })
         .expect("node attached");
         MessagingSystem {

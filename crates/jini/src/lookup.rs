@@ -159,7 +159,7 @@ impl LookupService {
         net.set_request_handler(node, move |sim, frame| {
             sim.advance(SimDuration::from_micros(100)); // registrar CPU
             let reply = handle_request(&state2, registrar_id2, sim.now(), &frame.payload);
-            Ok(reply.into())
+            Ok(reply)
         })
         .expect("registrar node exists");
 

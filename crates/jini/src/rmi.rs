@@ -124,7 +124,7 @@ impl RmiExporter {
                 Err(e) => rmi_err(&format!("unmarshal failed: {e}")),
             };
             cost.marshal(sim, reply.len());
-            Ok(reply.into())
+            Ok(reply)
         })
         .expect("exporter node exists");
         RmiExporter {

@@ -31,7 +31,7 @@ impl MailServer {
             sim.advance(SimDuration::from_micros(500)); // relay processing
             let text = String::from_utf8_lossy(&frame.payload);
             let reply = handle(&boxes2, sim.now(), &text);
-            Ok(reply.into_bytes().into())
+            Ok(reply.into_bytes())
         })
         .expect("mail node exists");
         MailServer { node, boxes }

@@ -1,7 +1,6 @@
 //! Frames: the unit of transfer on every simulated network.
 
 use crate::node::{Addr, NodeId};
-use bytes::Bytes;
 use std::fmt;
 
 /// Tags the protocol family a frame belongs to, so that traces and
@@ -55,8 +54,10 @@ pub struct Frame {
     pub dst: Addr,
     /// Protocol family, for tracing and statistics.
     pub protocol: Protocol,
-    /// Application payload.
-    pub payload: Bytes,
+    /// Application payload. A frame owns its bytes: the buffer the
+    /// sender filled is the one the receiver reads, and cloning a
+    /// frame copies them.
+    pub payload: Vec<u8>,
 }
 
 impl Frame {
@@ -65,7 +66,7 @@ impl Frame {
         src: NodeId,
         dst: impl Into<Addr>,
         protocol: Protocol,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Vec<u8>>,
     ) -> Self {
         Frame {
             src,

@@ -21,7 +21,7 @@
 //! let pc = eth.attach("pc");
 //! let fridge = eth.attach("fridge");
 //! eth.set_request_handler(fridge, |_, req| {
-//!     Ok(bytes::Bytes::from(format!("echo:{}", req.len())))
+//!     Ok(format!("echo:{}", req.len()).into_bytes())
 //! }).unwrap();
 //! let resp = eth.request(pc, fridge, Protocol::Raw, &b"temp?"[..]).unwrap();
 //! assert_eq!(&resp[..], b"echo:5");

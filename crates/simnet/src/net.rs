@@ -14,7 +14,6 @@ use crate::node::{Addr, NodeId};
 use crate::sim::Sim;
 use crate::stats::NetStats;
 use crate::time::SimDuration;
-use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,8 +24,10 @@ pub type FrameHandler = Box<dyn FnMut(&Sim, &Frame) + Send>;
 
 /// Handles request/response exchanges addressed to a node.
 ///
-/// Returning `Err` surfaces to the caller as [`SimError::Refused`].
-pub type RequestHandler = Box<dyn FnMut(&Sim, &Frame) -> Result<Bytes, String> + Send>;
+/// The handler reads the request frame in place; the buffer it returns
+/// is the one the caller of [`Network::request`] gets back. Returning
+/// `Err` surfaces to the caller as [`SimError::Refused`].
+pub type RequestHandler = Box<dyn FnMut(&Sim, &Frame) -> Result<Vec<u8>, String> + Send>;
 
 struct NodePort {
     label: String,
@@ -169,7 +170,7 @@ impl Network {
     pub fn set_request_handler(
         &self,
         node: NodeId,
-        f: impl FnMut(&Sim, &Frame) -> Result<Bytes, String> + Send + 'static,
+        f: impl FnMut(&Sim, &Frame) -> Result<Vec<u8>, String> + Send + 'static,
     ) -> SimResult<()> {
         let mut nodes = self.inner.nodes.lock();
         let port = nodes.get_mut(&node).ok_or(SimError::UnknownNode(node))?;
@@ -249,9 +250,9 @@ impl Network {
 
     /// Draws against the gate's extra loss probability, recording a
     /// chaos-injected drop in the stats.
-    fn chaos_drop(&self, gate: &ChaosGate, frame: &Frame) -> bool {
+    fn chaos_drop(&self, gate: &ChaosGate, protocol: Protocol) -> bool {
         if gate.extra_loss > 0.0 && self.inner.sim.chance(gate.extra_loss) {
-            self.inner.stats.lock().record_lost(frame.protocol);
+            self.inner.stats.lock().record_lost(protocol);
             true
         } else {
             false
@@ -281,7 +282,8 @@ impl Network {
 
     /// Sends a one-way frame, advancing the virtual clock by the transfer
     /// time. Broadcast frames are delivered to every other node in
-    /// ascending node order.
+    /// ascending node order. A unicast frame moves into its receiver:
+    /// a handler reads it in place and [`Network::recv`] returns it.
     pub fn send(&self, frame: Frame) -> SimResult<()> {
         self.check_up()?;
         if !self.inner.link.fits(frame.len()) {
@@ -302,7 +304,7 @@ impl Network {
         )?;
         let sim = &self.inner.sim;
         sim.advance(self.inner.link.transfer_time(frame.len()) + gate.extra_latency);
-        if self.lossy_drop(&frame) || self.chaos_drop(&gate, &frame) {
+        if self.lossy_drop(frame.protocol) || self.chaos_drop(&gate, frame.protocol) {
             return Err(SimError::FrameLost {
                 dst: match frame.dst {
                     Addr::Unicast(n) => n,
@@ -314,7 +316,7 @@ impl Network {
         // At-least-once: a duplicated frame arrives a second time,
         // after its own independent reorder slip.
         if self.chaos_duplicate(&gate) {
-            self.deliver_slipped(&frame, self.chaos_slip(&gate));
+            self.deliver_slipped(frame.clone(), self.chaos_slip(&gate));
         }
         // Out-of-order: a slipped frame leaves the sender now but lands
         // in the destination's future; frames sent after it may arrive
@@ -322,22 +324,21 @@ impl Network {
         // exactly how a late datagram to a vanished node behaves.
         let slip = self.chaos_slip(&gate);
         if !slip.is_zero() {
-            self.deliver_slipped(&frame, slip);
+            self.deliver_slipped(frame, slip);
             return Ok(());
         }
-        self.deliver(&frame)
+        self.deliver(frame)
     }
 
     /// Delivers `frame` after `slip` of extra delay (immediately when
     /// `slip` is zero), swallowing delivery errors on the deferred path.
-    fn deliver_slipped(&self, frame: &Frame, slip: SimDuration) {
+    fn deliver_slipped(&self, frame: Frame, slip: SimDuration) {
         if slip.is_zero() {
             let _ = self.deliver(frame);
         } else {
             let net = self.clone();
-            let frame = frame.clone();
             self.inner.sim.schedule_in(slip, move |_| {
-                let _ = net.deliver(&frame);
+                let _ = net.deliver(frame);
             });
         }
     }
@@ -346,21 +347,20 @@ impl Network {
     /// invokes its request handler inline, transfers the response back,
     /// and returns the response payload.
     ///
-    /// The clock advances by both transfer times plus whatever the handler
-    /// itself charges.
+    /// Neither leg copies its bytes: the handler reads `payload` in
+    /// place, and the buffer it returns is the one handed back. The
+    /// clock advances by both transfer times plus whatever the handler
+    /// itself charges. Request/response runs over a stream (TCP-like),
+    /// so a payload over the link's MTU is fragmented rather than
+    /// rejected.
     pub fn request(
         &self,
         src: NodeId,
         dst: NodeId,
         protocol: Protocol,
-        payload: impl Into<Bytes>,
-    ) -> SimResult<Bytes> {
+        payload: impl Into<Vec<u8>>,
+    ) -> SimResult<Vec<u8>> {
         self.check_up()?;
-        let payload = payload.into();
-        if !self.inner.link.fits(payload.len()) && self.inner.link.mtu < usize::MAX {
-            // Request/response runs over a stream abstraction (TCP-like):
-            // fragment rather than reject.
-        }
         let sim = self.inner.sim.clone();
         let frame = Frame::new(src, dst, protocol, payload);
 
@@ -372,10 +372,10 @@ impl Network {
                 + gate.extra_latency
                 + self.chaos_slip(&gate),
         );
-        if self.lossy_drop(&frame) || self.chaos_drop(&gate, &frame) {
+        if self.lossy_drop(protocol) || self.chaos_drop(&gate, protocol) {
             return Err(SimError::FrameLost { dst, at: sim.now() });
         }
-        self.record_delivered(&frame);
+        self.record_delivered(protocol, frame.len());
 
         let handler = {
             let nodes = self.inner.nodes.lock();
@@ -394,7 +394,7 @@ impl Network {
         // unless the receiver deduplicates. The duplicate's response is
         // discarded (the caller only matches the first).
         if self.chaos_duplicate(&gate) {
-            self.record_delivered(&frame);
+            self.record_delivered(protocol, frame.len());
             let mut h = handler.lock();
             let _ = (h)(&sim, &frame);
         }
@@ -404,7 +404,6 @@ impl Network {
         // the caller ([`SimError::before_delivery`] returns false) —
         // including a partition or crash whose window opened while the
         // handler was executing.
-        let resp_frame = Frame::new(dst, src, protocol, response.clone());
         let resp_gate = match self.chaos_gate(dst, Some(src)) {
             Ok(gate) => gate,
             Err(_) => {
@@ -415,17 +414,17 @@ impl Network {
             }
         };
         sim.advance(
-            self.inner.link.fragmented_transfer_time(resp_frame.len())
+            self.inner.link.fragmented_transfer_time(response.len())
                 + resp_gate.extra_latency
                 + self.chaos_slip(&resp_gate),
         );
-        if self.lossy_drop(&resp_frame) || self.chaos_drop(&resp_gate, &resp_frame) {
+        if self.lossy_drop(protocol) || self.chaos_drop(&resp_gate, protocol) {
             return Err(SimError::FrameLost {
                 dst: src,
                 at: sim.now(),
             });
         }
-        self.record_delivered(&resp_frame);
+        self.record_delivered(protocol, response.len());
         Ok(response)
     }
 
@@ -436,7 +435,7 @@ impl Network {
     /// scheduled delivery time; no further clock advance or loss draw
     /// happens (the send side already drew against its own RNG stream,
     /// keeping outcomes independent of the island partitioning).
-    pub fn inject(&self, frame: &Frame) -> SimResult<()> {
+    pub fn inject(&self, frame: Frame) -> SimResult<()> {
         self.check_up()?;
         self.deliver(frame)
     }
@@ -449,24 +448,21 @@ impl Network {
         }
     }
 
-    fn lossy_drop(&self, frame: &Frame) -> bool {
+    fn lossy_drop(&self, protocol: Protocol) -> bool {
         let p = self.inner.link.loss_prob;
         if p > 0.0 && self.inner.sim.chance(p) {
-            self.inner.stats.lock().record_lost(frame.protocol);
+            self.inner.stats.lock().record_lost(protocol);
             true
         } else {
             false
         }
     }
 
-    fn record_delivered(&self, frame: &Frame) {
-        self.inner
-            .stats
-            .lock()
-            .record_delivered(frame.protocol, frame.len());
+    fn record_delivered(&self, protocol: Protocol, len: usize) {
+        self.inner.stats.lock().record_delivered(protocol, len);
     }
 
-    fn deliver(&self, frame: &Frame) -> SimResult<()> {
+    fn deliver(&self, frame: Frame) -> SimResult<()> {
         // Collect destinations first so handler invocation happens without
         // holding the node-table lock (handlers may send on this network).
         type Target = (
@@ -492,11 +488,18 @@ impl Network {
                 }
             }
         };
-        for (_, handler, inbox) in targets {
-            self.record_delivered(frame);
+        // The last target takes the frame itself; only an inbox earlier
+        // in a broadcast's order gets a copy.
+        let mut targets = targets.into_iter().peekable();
+        while let Some((_, handler, inbox)) = targets.next() {
+            self.record_delivered(frame.protocol, frame.len());
             match handler {
-                Some(h) => (h.lock())(&self.inner.sim, frame),
-                None => inbox.lock().push_back(frame.clone()),
+                Some(h) => (h.lock())(&self.inner.sim, &frame),
+                None if targets.peek().is_some() => inbox.lock().push_back(frame.clone()),
+                None => {
+                    inbox.lock().push_back(frame);
+                    break;
+                }
             }
         }
         Ok(())
@@ -596,7 +599,7 @@ mod tests {
         let server = net.attach("server");
         net.set_request_handler(server, |sim, f| {
             sim.advance(SimDuration::from_micros(50)); // processing
-            Ok(Bytes::from(vec![0u8; f.len() * 2]))
+            Ok(vec![0u8; f.len() * 2])
         })
         .unwrap();
         let resp = net
@@ -661,7 +664,7 @@ mod tests {
         let net = fast_net(&sim);
         let a = net.attach("a");
         let b = net.attach("b");
-        net.set_request_handler(b, |_, _| Ok(Bytes::new())).unwrap();
+        net.set_request_handler(b, |_, _| Ok(Vec::new())).unwrap();
         // 3000 bytes over MTU 1500 fragments fine (TCP-like stream).
         net.request(a, b, Protocol::Http, vec![0u8; 3000]).unwrap();
     }
@@ -713,7 +716,7 @@ mod tests {
         let client = net.attach("client");
         let front = net.attach("front");
         let back = net.attach("back");
-        net.set_request_handler(back, |_, _| Ok(Bytes::from_static(b"deep")))
+        net.set_request_handler(back, |_, _| Ok(b"deep".to_vec()))
             .unwrap();
         let net2 = net.clone();
         net.set_request_handler(front, move |_, f| {
@@ -739,9 +742,9 @@ mod tests {
         let a = net.attach("a");
         let b = net.attach("b");
         let c = net.attach("c");
-        net.set_request_handler(b, |_, _| Ok(Bytes::from_static(b"ok")))
+        net.set_request_handler(b, |_, _| Ok(b"ok".to_vec()))
             .unwrap();
-        net.set_request_handler(c, |_, _| Ok(Bytes::from_static(b"ok")))
+        net.set_request_handler(c, |_, _| Ok(b"ok".to_vec()))
             .unwrap();
         net.set_fault_plan(
             FaultPlan::new()
@@ -824,7 +827,7 @@ mod tests {
         // executed, so the caller must see an *ambiguous* failure.
         net.set_request_handler(b, |sim, _| {
             sim.advance(SimDuration::from_micros(50_000));
-            Ok(Bytes::from_static(b"done"))
+            Ok(b"done".to_vec())
         })
         .unwrap();
         net.set_fault_plan(FaultPlan::new().partition(
@@ -856,7 +859,7 @@ mod tests {
         let hits2 = hits.clone();
         net.set_request_handler(b, move |_, _| {
             *hits2.lock() += 1;
-            Ok(Bytes::from_static(b"ok"))
+            Ok(b"ok".to_vec())
         })
         .unwrap();
         net.set_fault_plan(FaultPlan::new().duplicate_spike(

@@ -9,7 +9,6 @@
 //! the server answers a frame holding anything past its one request's
 //! body with a 400 and runs no route.
 
-use bytes::Bytes;
 use minixml::{Measure, XmlOut};
 use parking_lot::Mutex;
 use simnet::{Frame, Network, NodeId, Protocol, Sim, SimDuration, SimError};
@@ -702,7 +701,7 @@ impl HttpServer {
                             h(sim, &req, reply);
                         }
                         Some(Route::Owned(h)) => {
-                            return Ok(Bytes::from(h(sim, &req.to_owned()).to_bytes()));
+                            return Ok(h(sim, &req.to_owned()).to_bytes());
                         }
                         None => {
                             let head = ResponseHead::error(404, "Not Found", "text/plain");
@@ -718,7 +717,7 @@ impl HttpServer {
                     reply.send_bytes(head, e.to_string().as_bytes());
                 }
             }
-            Ok(Bytes::from(buf))
+            Ok(buf)
         })
         .expect("node attached above");
         HttpServer { node, routes }
@@ -826,7 +825,7 @@ impl HttpClient {
     /// One raw exchange: connect (if needed), send `payload`, return
     /// the raw response bytes. A transport fault tears a persistent
     /// connection down, so the next exchange pays a fresh handshake.
-    fn exchange(&self, server: NodeId, payload: Vec<u8>) -> Result<Bytes, HttpError> {
+    fn exchange(&self, server: NodeId, payload: Vec<u8>) -> Result<Vec<u8>, HttpError> {
         let sim = self.net.sim().clone();
         self.connect(&sim, server);
         self.net
@@ -856,7 +855,7 @@ impl HttpClient {
     /// One exchange over pre-assembled wire bytes, returning the raw
     /// response for the caller to parse on the borrowed tier — the
     /// zero-copy twin of [`HttpClient::send`].
-    pub(crate) fn send_raw(&self, server: NodeId, payload: Vec<u8>) -> Result<Bytes, HttpError> {
+    pub(crate) fn send_raw(&self, server: NodeId, payload: Vec<u8>) -> Result<Vec<u8>, HttpError> {
         self.exchange(server, payload)
     }
 
@@ -1202,7 +1201,7 @@ mod tests {
     /// zero-copy route at `/zero` and a counting owned route at
     /// `/owned`, both echoing the body; returns the raw reply and how
     /// often each route ran.
-    fn serve_frame(frame: Vec<u8>) -> (Bytes, u32, u32) {
+    fn serve_frame(frame: Vec<u8>) -> (Vec<u8>, u32, u32) {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
         let server = HttpServer::bind(&net, "web", TcpModel::default());

@@ -76,7 +76,7 @@ impl Cm11a {
                         let pair = [bytes[0], bytes[1]];
                         *pending.lock() = Some(pair);
                         let checksum = pair[0].wrapping_add(pair[1]);
-                        Ok(vec![checksum].into())
+                        Ok(vec![checksum])
                     }
                     1 if bytes[0] == ACK_OK => {
                         // Commit: transmit the stored command on the
@@ -87,7 +87,7 @@ impl Cm11a {
                         match decode_pc_command(pair) {
                             Some(frame) => {
                                 let _ = pl_tx.transmit_frame(frame);
-                                Ok(vec![IF_READY].into())
+                                Ok(vec![IF_READY])
                             }
                             None => Err("malformed command".into()),
                         }
@@ -99,7 +99,7 @@ impl Cm11a {
                         for f in buf.drain(..) {
                             out.extend_from_slice(&f.encode());
                         }
-                        Ok(out.into())
+                        Ok(out)
                     }
                     _ => Err(format!("unexpected serial bytes {bytes:?}")),
                 }
@@ -217,7 +217,6 @@ impl Cm11aDriver {
     fn exchange(&self, bytes: Vec<u8>) -> Result<Vec<u8>, Cm11aError> {
         self.serial
             .request(self.pc, self.interface, Protocol::X10, bytes)
-            .map(|b| b.to_vec())
             .map_err(|e| Cm11aError::Serial(e.to_string()))
     }
 
