@@ -115,13 +115,14 @@ fn op_to_fcm(kind: FcmKind, op: &str, args: &[(String, Value)]) -> Option<(OpCod
     Some(code)
 }
 
-fn fcm_reply_to_value(op: &str, params: &[HValue]) -> Value {
+/// Reads an FCM's reply parameters as the operation's canonical result,
+/// moving a status string out of the reply instead of copying it.
+fn fcm_reply_to_value(op: &str, params: Vec<HValue>) -> Value {
     match op {
-        "status" => params
-            .first()
-            .and_then(HValue::as_str)
-            .map(|s| Value::Str(s.to_owned()))
-            .unwrap_or(Value::Null),
+        "status" => match params.into_iter().next() {
+            Some(HValue::Str(s)) => Value::Str(s),
+            _ => Value::Null,
+        },
         "position" => params
             .get(1)
             .and_then(HValue::as_u32)
@@ -276,7 +277,7 @@ impl HaviPcm {
             let result = ms
                 .send_ok(control.handle, fcm, opcode, params)
                 .map_err(|e: HaviError| MetaError::native("havi", e))
-                .map(|reply| fcm_reply_to_value(op, &reply));
+                .map(|reply| fcm_reply_to_value(op, reply));
             scope.finish(&result);
             result
         })

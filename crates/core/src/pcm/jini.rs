@@ -54,20 +54,21 @@ pub fn value_to_jvalue(v: &Value) -> JValue {
     }
 }
 
-/// Converts a Jini value to the canonical representation.
-pub fn jvalue_to_value(j: &JValue) -> Value {
+/// Converts a Jini value to the canonical representation, moving its
+/// strings, byte runs and field names instead of copying them.
+pub fn jvalue_to_value(j: JValue) -> Value {
     match j {
         JValue::Null => Value::Null,
-        JValue::Bool(b) => Value::Bool(*b),
-        JValue::Int(i) => Value::Int(*i),
-        JValue::Double(d) => Value::Float(*d),
-        JValue::Str(s) => Value::Str(s.clone()),
-        JValue::Bytes(b) => Value::Bytes(b.clone()),
-        JValue::List(items) => Value::List(items.iter().map(jvalue_to_value).collect()),
+        JValue::Bool(b) => Value::Bool(b),
+        JValue::Int(i) => Value::Int(i),
+        JValue::Double(d) => Value::Float(d),
+        JValue::Str(s) => Value::Str(s),
+        JValue::Bytes(b) => Value::Bytes(b),
+        JValue::List(items) => Value::List(items.into_iter().map(jvalue_to_value).collect()),
         JValue::Object { fields, .. } => Value::Record(
             fields
-                .iter()
-                .map(|(k, v)| (k.clone(), jvalue_to_value(v)))
+                .into_iter()
+                .map(|(k, v)| (k, jvalue_to_value(v)))
                 .collect(),
         ),
     }
@@ -201,7 +202,7 @@ impl JiniPcm {
             let scope = vsg.scope(sim, HopKind::PcmConvert, || format!("jini rmi {op}"));
             let result = proxy
                 .invoke(op, &jargs)
-                .map(|j| jvalue_to_value(&j))
+                .map(jvalue_to_value)
                 .map_err(|e: JiniError| MetaError::native("jini", e));
             scope.finish(&result);
             result
@@ -227,7 +228,7 @@ impl JiniPcm {
                     .params
                     .iter()
                     .zip(jargs)
-                    .map(|((name, _), j)| (name.clone(), jvalue_to_value(j)))
+                    .map(|((name, _), j)| (name.clone(), jvalue_to_value(j.clone())))
                     .collect();
                 // An RMI call from a native Jini client starts a fresh
                 // trace — it arrives from outside any framework call.
@@ -496,7 +497,7 @@ mod tests {
             Value::List(vec![Value::Int(1), Value::Str("a".into())]),
             Value::Record(vec![("k".into(), Value::Int(9))]),
         ] {
-            assert_eq!(jvalue_to_value(&value_to_jvalue(&v)), v);
+            assert_eq!(jvalue_to_value(value_to_jvalue(&v)), v);
         }
     }
 

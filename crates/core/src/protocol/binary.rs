@@ -28,17 +28,28 @@ impl CompactBinary {
 
 pub(super) fn encode_request(req: &VsgRequest) -> Vec<u8> {
     // Wire form of Record{s, o, a[, t]}, marshalled from borrows — no
-    // clone of the service name, operation, or argument list. The "t"
-    // field carries the caller's trace context and is simply absent
-    // when tracing is off, so the untraced wire form is unchanged.
-    let mut out = MAGIC.to_vec();
-    binval::begin_record(if req.trace.is_some() { 4 } else { 3 }, &mut out);
+    // clone of the service name, operation, or argument list — into one
+    // buffer measured first. The "t" field carries the caller's trace
+    // context and is simply absent when tracing is off, so the untraced
+    // wire form is unchanged.
+    let trace = req.trace.as_ref().map(|ctx| ctx.to_wire());
+    let fields = if trace.is_some() { 4 } else { 3 };
+    let len = MAGIC.len()
+        + binval::head_len(fields)
+        + binval::str_field_len("s", &req.service)
+        + binval::str_field_len("o", &req.operation)
+        + binval::key_len("a")
+        + binval::record_fields_len(&req.args)
+        + trace.as_ref().map_or(0, |t| binval::str_field_len("t", t));
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(MAGIC);
+    binval::begin_record(fields, &mut out);
     binval::encode_str_field("s", &req.service, &mut out);
     binval::encode_str_field("o", &req.operation, &mut out);
     binval::encode_field_key("a", &mut out);
     binval::encode_record_fields(&req.args, &mut out);
-    if let Some(ctx) = &req.trace {
-        binval::encode_str_field("t", &ctx.to_wire(), &mut out);
+    if let Some(t) = &trace {
+        binval::encode_str_field("t", t, &mut out);
     }
     out
 }
@@ -101,22 +112,24 @@ pub(super) fn decode_batch_reply(data: &[u8]) -> Result<Vec<Result<Value, MetaEr
     }
 }
 
+/// A reply tag and its body, in one buffer of exactly their size.
 pub(super) fn encode_reply(result: &Result<Value, MetaError>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
     match result {
         Ok(v) => {
+            let mut out = Vec::with_capacity(1 + binval::encoded_len(v));
             out.push(TAG_OK);
             binval::encode(v, &mut out);
+            out
         }
-        Err(MetaError::UnknownService(name)) => {
-            out.push(TAG_UNKNOWN_SERVICE);
-            binval::encode_str(name, &mut out);
-        }
-        Err(e) => {
-            out.push(TAG_FAULT);
-            binval::encode_str(&e.to_string(), &mut out);
-        }
+        Err(MetaError::UnknownService(name)) => tagged_str(TAG_UNKNOWN_SERVICE, name),
+        Err(e) => tagged_str(TAG_FAULT, &e.to_string()),
     }
+}
+
+fn tagged_str(tag: u8, s: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + binval::str_len(s));
+    out.push(tag);
+    binval::encode_str(s, &mut out);
     out
 }
 

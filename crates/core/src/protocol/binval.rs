@@ -67,9 +67,9 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes to a fresh buffer.
+/// Encodes to a fresh buffer of exactly the encoding's size.
 pub fn to_bytes(v: &Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+    let mut out = Vec::with_capacity(encoded_len(v));
     encode(v, &mut out);
     out
 }
@@ -109,6 +109,49 @@ pub fn begin_list(len: usize, out: &mut Vec<u8>) {
 /// string and byte run write.
 pub(crate) fn len_size(len: usize) -> usize {
     (usize::BITS - (len | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The size on the wire of `v`: what [`encode`] appends, so a writer can
+/// reserve its buffer once.
+pub fn encoded_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Bool(_) => 2,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => str_len(s),
+        Value::Bytes(b) => 1 + len_size(b.len()) + b.len(),
+        Value::List(items) => head_len(items.len()) + items.iter().map(encoded_len).sum::<usize>(),
+        Value::Record(fields) => record_fields_len(fields),
+    }
+}
+
+/// The size of what [`begin_list`] or [`begin_record`] appends.
+pub(crate) fn head_len(len: usize) -> usize {
+    1 + len_size(len)
+}
+
+/// The size of what [`encode_field_key`] appends.
+pub(crate) fn key_len(key: &str) -> usize {
+    len_size(key.len()) + key.len()
+}
+
+/// The size of what [`encode_str`] appends.
+pub(crate) fn str_len(s: &str) -> usize {
+    1 + key_len(s)
+}
+
+/// The size of what [`encode_str_field`] appends.
+pub(crate) fn str_field_len(key: &str, value: &str) -> usize {
+    key_len(key) + str_len(value)
+}
+
+/// The size of what [`encode_record_fields`] appends.
+pub(crate) fn record_fields_len<K: AsRef<str>>(fields: &[(K, Value)]) -> usize {
+    head_len(fields.len())
+        + fields
+            .iter()
+            .map(|(k, v)| key_len(k.as_ref()) + encoded_len(v))
+            .sum::<usize>()
 }
 
 /// Writes one record field key; follow with the field's value.

@@ -38,8 +38,8 @@ use std::sync::Arc;
 pub struct VsgRequest {
     /// Target service name (interned — clones are refcount bumps).
     pub service: Name,
-    /// Operation.
-    pub operation: String,
+    /// Operation name, interned like the service name.
+    pub operation: Name,
     /// Canonical arguments.
     pub args: Vec<(String, Value)>,
     /// The caller's trace context, when tracing is enabled — carried
@@ -51,7 +51,7 @@ pub struct VsgRequest {
 
 impl VsgRequest {
     /// Creates a request.
-    pub fn new(service: impl Into<Name>, operation: impl Into<String>) -> VsgRequest {
+    pub fn new(service: impl Into<Name>, operation: impl Into<Name>) -> VsgRequest {
         VsgRequest {
             service: service.into(),
             operation: operation.into(),
@@ -82,7 +82,7 @@ pub type GatewayHandler = Arc<dyn Fn(&Sim, &VsgRequest) -> Result<Value, MetaErr
 pub(crate) fn member_to_value(req: &VsgRequest) -> Value {
     let mut fields = vec![
         ("s".to_owned(), Value::Str(req.service.as_str().to_owned())),
-        ("o".to_owned(), Value::Str(req.operation.clone())),
+        ("o".to_owned(), Value::Str(req.operation.as_str().into())),
         ("a".to_owned(), Value::Record(req.args.clone())),
     ];
     if let Some(ctx) = &req.trace {
@@ -119,18 +119,18 @@ pub(crate) fn member_from_value(v: Value) -> Option<VsgRequest> {
         .and_then(TraceContext::from_wire);
     Some(VsgRequest {
         service: service.into(),
-        operation,
+        operation: operation.into(),
         args,
         trace,
     })
 }
 
 /// View twin of [`member_from_value`]: builds the owned request straight
-/// from the validated frame, so only the final `VsgRequest` fields
-/// allocate — no intermediate owned `Value` tree.
+/// from the validated frame, so only the arguments allocate — the names
+/// are interned, and no intermediate owned `Value` tree is built.
 pub(crate) fn member_from_ref(v: &binval::ValueRef<'_>) -> Option<VsgRequest> {
     let service = v.field("s")?.as_str()?;
-    let operation = v.field("o")?.as_str()?.to_owned();
+    let operation = v.field("o")?.as_str()?;
     let binval::ValueRef::Record(args) = v.field("a")? else {
         return None;
     };
@@ -140,7 +140,7 @@ pub(crate) fn member_from_ref(v: &binval::ValueRef<'_>) -> Option<VsgRequest> {
         .and_then(TraceContext::from_wire);
     Some(VsgRequest {
         service: service.into(),
-        operation,
+        operation: operation.into(),
         args: args.to_owned_fields(),
         trace,
     })

@@ -310,7 +310,7 @@ fn member_from_ref(v: &binval::ValueRef<'_>) -> Option<VsgRequest> {
         .and_then(TraceContext::from_wire);
     Some(VsgRequest {
         service: service.into(),
-        operation,
+        operation: operation.into(),
         args,
         trace,
     })
@@ -446,7 +446,7 @@ fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
     };
     Some(VsgRequest {
         service: service.into(),
-        operation: operation?,
+        operation: operation?.into(),
         args,
         trace,
     })
@@ -788,7 +788,7 @@ mod props {
             .prop_map(|(service, operation, args, trace)| {
                 let req = VsgRequest {
                     service: service.as_str().into(),
-                    operation,
+                    operation: operation.into(),
                     args,
                     trace: None,
                 };
@@ -904,7 +904,18 @@ mod props {
         #[test]
         fn encoded_values_decode_to_themselves(v in arb_value(3)) {
             let wire = view::to_bytes(&v);
+            prop_assert_eq!(view::encoded_len(&v), wire.len());
+            prop_assert_eq!(wire.capacity(), wire.len());
             prop_assert_eq!(dbg(view::from_bytes(&wire)), dbg(Some(&v)));
+        }
+
+        /// A binary request and reply are each written into one buffer
+        /// sized before writing.
+        #[test]
+        fn binary_frames_fill_exactly_sized_buffers(req in arb_request(), result in arb_result()) {
+            for frame in [binary::encode_request(&req), binary::encode_reply(&result)] {
+                prop_assert_eq!(frame.capacity(), frame.len());
+            }
         }
     }
 

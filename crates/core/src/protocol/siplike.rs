@@ -14,6 +14,7 @@ use super::{
     GatewayHandler, VsgProtocol, VsgRequest,
 };
 use crate::error::MetaError;
+use crate::intern::Name;
 use parking_lot::Mutex;
 use simnet::{Frame, Network, NodeId, Protocol, Sim, SimDuration};
 use soap::Value;
@@ -212,19 +213,20 @@ pub(super) fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
     let sep = payload.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(&payload[..sep]).ok()?;
     let mut lines = head.lines();
-    let service = lines
-        .next()?
-        .strip_prefix("INVITE vsg:")?
-        .split_whitespace()
-        .next()?
-        .to_owned();
+    let service = Name::new(
+        lines
+            .next()?
+            .strip_prefix("INVITE vsg:")?
+            .split_whitespace()
+            .next()?,
+    );
     // Remaining header lines in any order; unknown ones are tolerated
     // (real SIP parsers skip headers they don't understand).
     let mut operation = None;
     let mut trace = None;
     for line in lines {
         if let Some(op) = line.strip_prefix("Operation: ") {
-            operation = Some(op.to_owned());
+            operation = Some(Name::new(op));
         } else if let Some(ctx) = line.strip_prefix(TRACE_HEADER) {
             trace = crate::trace::TraceContext::from_wire(ctx);
         }
@@ -233,7 +235,7 @@ pub(super) fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
         return None;
     };
     Some(VsgRequest {
-        service: service.into(),
+        service,
         operation: operation?,
         args: args.to_owned_fields(),
         trace,

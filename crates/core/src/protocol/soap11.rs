@@ -128,7 +128,7 @@ impl VsgProtocol for Soap11 {
             };
             let req = VsgRequest {
                 service,
-                operation: call.method.clone(),
+                operation: Name::new(&call.method),
                 args: std::mem::take(&mut call.args),
                 trace: call
                     .get_header(TRACE_HEADER)

@@ -51,6 +51,17 @@ impl HValue {
         }
     }
 
+    /// The parameter's size on the wire.
+    fn wire_len(&self) -> usize {
+        match self {
+            HValue::Bool(_) | HValue::U8(_) => 2,
+            HValue::U16(_) => 3,
+            HValue::U32(_) => 5,
+            HValue::Str(s) => 3 + s.len(),
+            HValue::Bytes(b) => 3 + b.len(),
+        }
+    }
+
     fn write(&self, out: &mut Vec<u8>) {
         match self {
             HValue::Bool(b) => {
@@ -119,13 +130,24 @@ impl HValue {
     }
 }
 
-/// Encodes a parameter list.
-pub fn encode_params(params: &[HValue]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + params.len() * 4);
+/// The size on the wire of a parameter list: what [`write_params`]
+/// appends.
+pub(crate) fn params_len(params: &[HValue]) -> usize {
+    1 + params.iter().map(HValue::wire_len).sum::<usize>()
+}
+
+/// Appends a parameter list to a frame being written.
+pub(crate) fn write_params(params: &[HValue], out: &mut Vec<u8>) {
     out.push(params.len() as u8);
     for p in params {
-        p.write(&mut out);
+        p.write(out);
     }
+}
+
+/// Encodes a parameter list into a buffer of its own.
+pub fn encode_params(params: &[HValue]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(params_len(params));
+    write_params(params, &mut out);
     out
 }
 
@@ -185,6 +207,8 @@ mod tests {
         ];
         let enc = encode_params(&params);
         assert_eq!(decode_params(&enc).unwrap(), params);
+        assert_eq!(params_len(&params), enc.len());
+        assert_eq!(enc.capacity(), enc.len(), "one exactly sized buffer");
     }
 
     #[test]

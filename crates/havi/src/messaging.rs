@@ -4,7 +4,7 @@
 //! software elements and carries request/response messages between SEIDs
 //! over IEEE1394 asynchronous transactions.
 
-use crate::hvalue::{decode_params, encode_params, CodecError, HValue};
+use crate::hvalue::{decode_params, params_len, write_params, CodecError, HValue};
 use crate::seid::{HaviStatus, Seid};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Protocol, Sim, SimDuration};
@@ -47,20 +47,26 @@ pub struct HaviMessage {
     pub params: Vec<HValue>,
 }
 
+/// A message's fixed head: source node and handle, destination handle,
+/// opcode.
+const HEAD_LEN: usize = 16;
+
 impl HaviMessage {
+    /// Writes the head and appends the parameter list into one buffer
+    /// of exactly the frame's size.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20);
+        let mut out = Vec::with_capacity(HEAD_LEN + params_len(&self.params));
         out.extend_from_slice(&self.src.node.0.to_be_bytes());
         out.extend_from_slice(&self.src.handle.to_be_bytes());
         out.extend_from_slice(&self.dst.handle.to_be_bytes());
         out.extend_from_slice(&self.opcode.api.to_be_bytes());
         out.extend_from_slice(&self.opcode.oper.to_be_bytes());
-        out.extend_from_slice(&encode_params(&self.params));
+        write_params(&self.params, &mut out);
         out
     }
 
     fn decode(dst_node: NodeId, data: &[u8]) -> Result<HaviMessage, CodecError> {
-        if data.len() < 16 {
+        if data.len() < HEAD_LEN {
             return Err(CodecError::Truncated);
         }
         let src_node = u32::from_be_bytes(data[0..4].try_into().unwrap());
@@ -68,7 +74,7 @@ impl HaviMessage {
         let dst_handle = u32::from_be_bytes(data[8..12].try_into().unwrap());
         let api = u16::from_be_bytes(data[12..14].try_into().unwrap());
         let oper = u16::from_be_bytes(data[14..16].try_into().unwrap());
-        let params = decode_params(&data[16..])?;
+        let params = decode_params(&data[HEAD_LEN..])?;
         Ok(HaviMessage {
             src: Seid::new(NodeId(src_node), src_handle),
             dst: Seid::new(dst_node, dst_handle),
@@ -255,9 +261,12 @@ impl fmt::Debug for MessagingSystem {
     }
 }
 
+/// Writes the status byte and appends the parameter list into one
+/// buffer of exactly the reply's size.
 fn encode_reply(status: HaviStatus, params: &[HValue]) -> Vec<u8> {
-    let mut out = vec![status.code()];
-    out.extend_from_slice(&encode_params(params));
+    let mut out = Vec::with_capacity(1 + params_len(params));
+    out.push(status.code());
+    write_params(params, &mut out);
     out
 }
 
@@ -346,6 +355,7 @@ mod tests {
             params: vec![HValue::U32(1), HValue::Str("t".into())],
         };
         let enc = msg.encode();
+        assert_eq!(enc.capacity(), enc.len(), "one exactly sized buffer");
         let back = HaviMessage::decode(NodeId(9), &enc).unwrap();
         assert_eq!(back, msg);
         assert!(HaviMessage::decode(NodeId(9), &enc[..10]).is_err());

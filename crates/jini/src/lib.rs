@@ -9,7 +9,8 @@
 //! * the **lookup service** ([`LookupService`]) holding [`ServiceItem`]s,
 //! * **leases** ([`Lease`]) with renewal and expiry,
 //! * **mobile proxies** over **RMI** ([`ProxyStub`], [`RemoteProxy`],
-//!   [`RmiExporter`]) with a Java-serialization-like codec ([`JValue`]),
+//!   [`RmiExporter`]) with a Java-serialization-like codec ([`JValue`],
+//!   read in place through [`JRef`]),
 //! * **remote events** ([`EventSource`], [`export_listener`]) — Jini's
 //!   native *push* notification path.
 //!
@@ -51,6 +52,8 @@ pub mod join;
 pub mod jvalue;
 pub mod lease;
 pub mod lookup;
+#[cfg(test)]
+mod oracle;
 pub mod rmi;
 
 pub use discovery::{discover, DISCOVERY_REQ_PREFIX, DISCOVERY_RESP_PREFIX};
@@ -58,7 +61,7 @@ pub use entry::{Entry, ServiceTemplate};
 pub use events::{export_listener, EventSource, RemoteEvent};
 pub use id::ServiceId;
 pub use join::{JoinManager, JoinStats};
-pub use jvalue::{JValue, MarshalError};
+pub use jvalue::{JList, JObject, JRef, JValue, MarshalError, MAX_DEPTH};
 pub use lease::{Lease, LeaseError, LeaseId, LeasePolicy, LeaseTable};
 pub use lookup::{LookupService, RegistrarClient, ServiceItem, ServiceRegistration};
 pub use rmi::{JiniError, ProxyStub, RemoteProxy, RmiCost, RmiExporter};
@@ -66,7 +69,10 @@ pub use rmi::{JiniError, ProxyStub, RemoteProxy, RmiCost, RmiExporter};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::jvalue::{write_list_head, write_object_head, write_utf, STREAM_MAGIC};
+    use crate::rmi::{call_frame, read_call, read_result, result_frame};
     use proptest::prelude::*;
+    use simnet::{Network, NodeId, Protocol, Sim, SimDuration};
 
     fn arb_jvalue(depth: u32) -> BoxedStrategy<JValue> {
         let leaf = prop_oneof![
@@ -90,6 +96,65 @@ mod proptests {
         .boxed()
     }
 
+    /// A stream nesting `depth` levels far past [`MAX_DEPTH`]: one-item
+    /// lists around a null, or a chain of objects each holding the next
+    /// in its one field. A reader that recurses once per level overflows
+    /// its stack on these.
+    fn depth_bomb(objects: bool, depth: usize) -> Vec<u8> {
+        let mut level = Vec::new();
+        if objects {
+            write_object_head(&mut level, "o", 1);
+            write_utf(&mut level, "f");
+        } else {
+            write_list_head(&mut level, 1);
+        }
+        [STREAM_MAGIC.as_slice(), &level.repeat(depth), &[0x70]].concat()
+    }
+
+    /// Arbitrary bytes, or one of the depth bombs.
+    fn hostile_stream() -> BoxedStrategy<Vec<u8>> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..200),
+            Just(depth_bomb(false, 20_000)),
+            Just(depth_bomb(false, 100_000)),
+            Just(depth_bomb(true, 100_000)),
+        ]
+        .boxed()
+    }
+
+    /// A Jini island: a registrar, an exporter of one object, a client.
+    fn island() -> (Network, LookupService, RmiExporter, NodeId) {
+        let net = Network::ethernet(&Sim::new(1));
+        let reggie = LookupService::start(&net, "reggie", &["public"], SimDuration::from_secs(5));
+        let exporter = RmiExporter::attach(&net, "svc");
+        exporter.export("X", |_, _, _| Ok(JValue::Null));
+        let client = net.attach("pc");
+        (net, reggie, exporter, client)
+    }
+
+    /// The view-based readers give what the tree readers give: the same
+    /// value or the same error. Compared as text, since a byte edit can
+    /// make a `Double` NaN.
+    fn agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let text = |v: &dyn std::fmt::Debug| format!("{v:?}");
+        prop_assert_eq!(
+            text(&JValue::unmarshal(bytes)),
+            text(&oracle::unmarshal(bytes)),
+            "unmarshal of {bytes:?}"
+        );
+        prop_assert_eq!(
+            text(&read_call(bytes).map(|(id, method, args)| (id, method.to_owned(), args))),
+            text(&oracle::decode_call(bytes)),
+            "call read from {bytes:?}"
+        );
+        prop_assert_eq!(
+            text(&read_result(bytes)),
+            text(&oracle::decode_result(bytes)),
+            "result read from {bytes:?}"
+        );
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn marshal_round_trip(v in arb_jvalue(3)) {
@@ -97,9 +162,29 @@ mod proptests {
             prop_assert_eq!(JValue::unmarshal(&bytes).unwrap(), v);
         }
 
+        /// No stream crashes a reader, and an exporter and a registrar
+        /// answer every one with an error reply: arbitrary bytes, and
+        /// lists or objects nested far past [`MAX_DEPTH`].
         #[test]
-        fn unmarshal_never_panics(data in prop::collection::vec(any::<u8>(), 0..200)) {
+        fn unmarshal_never_panics(data in hostile_stream()) {
             let _ = JValue::unmarshal(&data);
+            let (net, reggie, exporter, client) = island();
+            let reply = net
+                .request(client, exporter.node(), Protocol::Jini, data.clone())
+                .expect("the exporter answers");
+            let answer = read_result(&reply);
+            prop_assert!(
+                matches!(answer, Err(JiniError::Remote(_))),
+                "exporter answered {answer:?}"
+            );
+            let reply = net
+                .request(client, reggie.node(), Protocol::Jini, data)
+                .expect("the registrar answers");
+            let answer = JValue::unmarshal(&reply).expect("a well-formed reply");
+            prop_assert!(
+                matches!(&answer, JValue::Object { class, .. } if class == "ReggieError"),
+                "registrar answered {answer:?}"
+            );
         }
 
         #[test]
@@ -109,6 +194,62 @@ mod proptests {
                 // Any strict prefix must fail, never mis-decode.
                 let cut = bytes.len() - 1;
                 prop_assert!(JValue::unmarshal(&bytes[..cut]).is_err());
+            }
+        }
+
+        /// The RMI frames written from borrows, and `marshal`, are the
+        /// bytes the tree-built codec gives, each in one exactly sized
+        /// buffer.
+        #[test]
+        fn frames_are_the_tree_built_bytes(
+            object_id in any::<u64>(),
+            method in "[a-zA-Z_][a-zA-Z0-9_]{0,15}",
+            args in prop::collection::vec(arb_jvalue(3), 0..4),
+            value in arb_jvalue(3),
+            error in "[ -~]{0,40}",
+        ) {
+            for (frame, tree) in [
+                (call_frame(object_id, &method, &args), oracle::call_tree(object_id, &method, &args)),
+                (result_frame(Ok(&value)), oracle::ok_tree(value.clone())),
+                (result_frame(Err(&error)), oracle::err_tree(&error)),
+                (value.marshal(), oracle::marshal(&value)),
+            ] {
+                prop_assert_eq!(&frame, &tree);
+                prop_assert_eq!(frame.capacity(), frame.len(), "one exactly sized buffer");
+            }
+        }
+
+        /// On arbitrary bytes, and on every truncation and every
+        /// single-byte edit of valid call and reply frames, the readers
+        /// agree with the tree readers.
+        #[test]
+        fn readers_agree_with_the_tree_readers(
+            (object_id, method, args) in (
+                any::<u64>(),
+                "[a-zA-Z_]{0,8}",
+                prop::collection::vec(arb_jvalue(2), 0..3),
+            ),
+            value in arb_jvalue(2),
+            error in "[ -~]{0,16}",
+            noise in prop::collection::vec(any::<u8>(), 0..200),
+            mask in 1u8..=255,
+        ) {
+            agree(&noise)?;
+            agree(&[STREAM_MAGIC.as_slice(), &noise].concat())?;
+            for frame in [
+                call_frame(object_id, &method, &args),
+                result_frame(Ok(&value)),
+                result_frame(Err(&error)),
+            ] {
+                for cut in 0..=frame.len() {
+                    agree(&frame[..cut])?;
+                }
+                let mut edited = frame.clone();
+                for at in 0..frame.len() {
+                    edited[at] ^= mask;
+                    agree(&edited)?;
+                    edited[at] ^= mask;
+                }
             }
         }
 

@@ -6,7 +6,10 @@
 //! lookup service and handed to any client) and invoking it costs a
 //! marshal → network round trip → unmarshal.
 
-use crate::jvalue::{JValue, MarshalError};
+use crate::jvalue::{
+    marshal_with, write_list_head, write_object_head, write_str, write_utf, JRef, JValue,
+    MarshalError,
+};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Protocol, Sim, SimDuration};
 use std::collections::HashMap;
@@ -110,18 +113,18 @@ impl RmiExporter {
         net.set_request_handler(node, move |sim, frame| {
             cost.unmarshal(sim, frame.payload.len());
             sim.advance(cost.dispatch);
-            let reply = match decode_call(&frame.payload) {
+            let reply = match read_call(&frame.payload) {
                 Ok((object_id, method, args)) => {
                     let mut objects = objects2.lock();
                     match objects.get_mut(&object_id) {
-                        Some(obj) => match obj(sim, &method, &args) {
-                            Ok(v) => rmi_ok(v),
-                            Err(e) => rmi_err(&e),
+                        Some(obj) => match obj(sim, method, &args) {
+                            Ok(v) => result_frame(Ok(&v)),
+                            Err(e) => result_frame(Err(&e)),
                         },
-                        None => rmi_err(&format!("no exported object {object_id}")),
+                        None => result_frame(Err(&format!("no exported object {object_id}"))),
                     }
                 }
-                Err(e) => rmi_err(&format!("unmarshal failed: {e}")),
+                Err(e) => result_frame(Err(&format!("unmarshal failed: {e}"))),
             };
             cost.marshal(sim, reply.len());
             Ok(reply)
@@ -201,77 +204,95 @@ impl RemoteProxy {
         &self.stub
     }
 
-    /// Invokes a remote method.
+    /// Invokes a remote method: the `RmiCall` frame is written straight
+    /// into one exactly sized buffer, and the `RmiResult` frame is read
+    /// in place, so only the returned value is copied out of it.
     pub fn invoke(&self, method: &str, args: &[JValue]) -> Result<JValue, JiniError> {
         let sim = self.net.sim().clone();
-        let call = JValue::object(
-            "RmiCall",
-            vec![
-                ("objectId".into(), JValue::Int(self.stub.object_id as i64)),
-                ("method".into(), JValue::Str(method.to_owned())),
-                ("args".into(), JValue::List(args.to_vec())),
-            ],
-        );
-        let payload = call.marshal();
+        let payload = call_frame(self.stub.object_id, method, args);
         self.cost.marshal(&sim, payload.len());
         let reply = self
             .net
             .request(self.caller, self.stub.host, Protocol::Jini, payload)
             .map_err(|e| JiniError::Network(e.to_string()))?;
         self.cost.unmarshal(&sim, reply.len());
-        let v = JValue::unmarshal(&reply)?;
-        match v.field("ok").and_then(JValue::as_bool) {
-            Some(true) => Ok(v.field("value").cloned().unwrap_or(JValue::Null)),
-            Some(false) => Err(JiniError::Remote(
-                v.field("error")
-                    .and_then(JValue::as_str)
-                    .unwrap_or("unknown")
-                    .to_owned(),
-            )),
-            None => Err(JiniError::Protocol("malformed RMI reply".into())),
-        }
+        read_result(&reply)
     }
 }
 
-fn decode_call(data: &[u8]) -> Result<(u64, String, Vec<JValue>), MarshalError> {
-    let v = JValue::unmarshal(data)?;
+/// Writes an `RmiCall` frame, `{objectId, method, args}`, from borrows:
+/// the bytes `JValue::object("RmiCall", ..).marshal()` gives, with no
+/// object built and no argument cloned.
+pub(crate) fn call_frame(object_id: u64, method: &str, args: &[JValue]) -> Vec<u8> {
+    marshal_with(|out| {
+        write_object_head(out, "RmiCall", 3);
+        write_utf(out, "objectId");
+        JValue::Int(object_id as i64).write(out);
+        write_utf(out, "method");
+        write_str(out, method);
+        write_utf(out, "args");
+        write_list_head(out, args.len());
+        for arg in args {
+            arg.write(out);
+        }
+    })
+}
+
+/// Reads an `RmiCall` frame through the view: the object id, the method
+/// name borrowed from the frame, and the arguments, the one part copied
+/// out (a remote object takes them as owned values).
+pub(crate) fn read_call(data: &[u8]) -> Result<(u64, &str, Vec<JValue>), MarshalError> {
+    let v = JRef::unmarshal(data)?;
     let object_id = v
         .field("objectId")
-        .and_then(JValue::as_int)
-        .ok_or_else(|| marshal_err("missing objectId"))? as u64;
+        .and_then(|id| id.as_int())
+        .ok_or_else(|| MarshalError::new("missing objectId"))? as u64;
     let method = v
         .field("method")
-        .and_then(JValue::as_str)
-        .ok_or_else(|| marshal_err("missing method"))?
-        .to_owned();
-    let args = match v.field("args") {
-        Some(JValue::List(items)) => items.clone(),
-        _ => return Err(marshal_err("missing args")),
+        .and_then(|m| m.as_str())
+        .ok_or_else(|| MarshalError::new("missing method"))?;
+    let Some(JRef::List(args)) = v.field("args") else {
+        return Err(MarshalError::new("missing args"));
     };
-    Ok((object_id, method, args))
+    Ok((object_id, method, args.to_owned_items()))
 }
 
-fn marshal_err(m: &str) -> MarshalError {
-    MarshalError::new(m)
+/// Writes an `RmiResult` frame from a borrow: `{ok: true, value}` for a
+/// returned value, `{ok: false, error}` for a remote exception.
+pub(crate) fn result_frame(result: Result<&JValue, &str>) -> Vec<u8> {
+    marshal_with(|out| {
+        write_object_head(out, "RmiResult", 2);
+        write_utf(out, "ok");
+        JValue::Bool(result.is_ok()).write(out);
+        match result {
+            Ok(value) => {
+                write_utf(out, "value");
+                value.write(out);
+            }
+            Err(error) => {
+                write_utf(out, "error");
+                write_str(out, error);
+            }
+        }
+    })
 }
 
-fn rmi_ok(v: JValue) -> Vec<u8> {
-    JValue::object(
-        "RmiResult",
-        vec![("ok".into(), JValue::Bool(true)), ("value".into(), v)],
-    )
-    .marshal()
-}
-
-fn rmi_err(e: &str) -> Vec<u8> {
-    JValue::object(
-        "RmiResult",
-        vec![
-            ("ok".into(), JValue::Bool(false)),
-            ("error".into(), JValue::Str(e.to_owned())),
-        ],
-    )
-    .marshal()
+/// Reads an `RmiResult` frame through the view: only the returned value,
+/// or the exception's text, is copied out of the frame.
+pub(crate) fn read_result(data: &[u8]) -> Result<JValue, JiniError> {
+    let v = JRef::unmarshal(data)?;
+    match v.field("ok").and_then(|ok| ok.as_bool()) {
+        Some(true) => Ok(v
+            .field("value")
+            .map_or(JValue::Null, |value| value.to_owned())),
+        Some(false) => Err(JiniError::Remote(
+            v.field("error")
+                .and_then(|e| e.as_str())
+                .unwrap_or("unknown")
+                .to_owned(),
+        )),
+        None => Err(JiniError::Protocol("malformed RMI reply".into())),
+    }
 }
 
 /// Errors surfaced by the Jini layer.

@@ -15,7 +15,8 @@ use crate::sim::Sim;
 use crate::stats::NetStats;
 use crate::time::SimDuration;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -36,11 +37,45 @@ struct NodePort {
     inbox: Arc<Mutex<VecDeque<Frame>>>,
 }
 
+/// A node a frame is delivered to: its port's handler and inbox,
+/// cloned out so the node table is unlocked while they are used.
+struct Receiver {
+    id: NodeId,
+    handler: Option<Arc<Mutex<FrameHandler>>>,
+    inbox: Arc<Mutex<VecDeque<Frame>>>,
+}
+
+impl Receiver {
+    fn of(id: NodeId, port: &NodePort) -> Receiver {
+        Receiver {
+            id,
+            handler: port.frame_handler.clone(),
+            inbox: port.inbox.clone(),
+        }
+    }
+
+    /// The lowest-numbered node from `from` up to `last` that a
+    /// broadcast `frame` reaches.
+    fn first_in(
+        nodes: &BTreeMap<NodeId, NodePort>,
+        frame: &Frame,
+        from: Bound<NodeId>,
+        last: NodeId,
+    ) -> Option<Receiver> {
+        nodes
+            .range((from, Bound::Included(last)))
+            .find(|(id, _)| frame.dst.matches(**id, frame.src))
+            .map(|(id, port)| Receiver::of(*id, port))
+    }
+}
+
 struct NetInner {
     name: String,
     sim: Sim,
     link: LinkModel,
-    nodes: Mutex<HashMap<NodeId, NodePort>>,
+    /// Ordered by id, so a broadcast reaches its receivers in ascending
+    /// order without sorting them.
+    nodes: Mutex<BTreeMap<NodeId, NodePort>>,
     next_node: Mutex<u32>,
     stats: Mutex<NetStats>,
     down: AtomicBool,
@@ -80,7 +115,7 @@ impl Network {
                 name: name.into(),
                 sim: sim.clone(),
                 link,
-                nodes: Mutex::new(HashMap::new()),
+                nodes: Mutex::new(BTreeMap::new()),
                 next_node: Mutex::new(0),
                 stats: Mutex::new(NetStats::new()),
                 down: AtomicBool::new(false),
@@ -147,9 +182,7 @@ impl Network {
 
     /// Ids of all attached nodes, in ascending order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.inner.nodes.lock().keys().copied().collect();
-        v.sort();
-        v
+        self.inner.nodes.lock().keys().copied().collect()
     }
 
     /// Installs a handler invoked synchronously for every one-way frame
@@ -462,43 +495,51 @@ impl Network {
         self.inner.stats.lock().record_delivered(protocol, len);
     }
 
+    /// Hands `frame` to its receivers in ascending node-id order, with
+    /// no node-table lock held while a handler runs (handlers may send on
+    /// this network) and nothing collected: each receiver is looked up
+    /// once the one before it has been served. A broadcast reaches the
+    /// nodes attached when it arrived. The last receiver takes the frame
+    /// itself; only an inbox earlier in a broadcast's order gets a copy.
     fn deliver(&self, frame: Frame) -> SimResult<()> {
-        // Collect destinations first so handler invocation happens without
-        // holding the node-table lock (handlers may send on this network).
-        type Target = (
-            NodeId,
-            Option<Arc<Mutex<FrameHandler>>>,
-            Arc<Mutex<VecDeque<Frame>>>,
-        );
-        let targets: Vec<Target> = {
+        // `last` bounds a broadcast's walk; a unicast frame has one
+        // receiver and no walk.
+        let (mut next, last) = {
             let nodes = self.inner.nodes.lock();
             match frame.dst {
                 Addr::Unicast(dst) => {
                     let port = nodes.get(&dst).ok_or(SimError::UnknownNode(dst))?;
-                    vec![(dst, port.frame_handler.clone(), port.inbox.clone())]
+                    (Some(Receiver::of(dst, port)), None)
                 }
                 Addr::Broadcast => {
-                    let mut v: Vec<_> = nodes
-                        .iter()
-                        .filter(|(id, _)| frame.dst.matches(**id, frame.src))
-                        .map(|(id, p)| (*id, p.frame_handler.clone(), p.inbox.clone()))
-                        .collect();
-                    v.sort_by_key(|(id, _, _)| *id);
-                    v
+                    let last = nodes.keys().next_back().copied();
+                    let first = last.and_then(|last| {
+                        Receiver::first_in(&nodes, &frame, Bound::Unbounded, last)
+                    });
+                    (first, last)
                 }
             }
         };
-        // The last target takes the frame itself; only an inbox earlier
-        // in a broadcast's order gets a copy.
-        let mut targets = targets.into_iter().peekable();
-        while let Some((_, handler, inbox)) = targets.next() {
+        while let Some(Receiver { id, handler, inbox }) = next {
             self.record_delivered(frame.protocol, frame.len());
+            let after = || {
+                last.and_then(|last| {
+                    let nodes = self.inner.nodes.lock();
+                    Receiver::first_in(&nodes, &frame, Bound::Excluded(id), last)
+                })
+            };
             match handler {
-                Some(h) => (h.lock())(&self.inner.sim, &frame),
-                None if targets.peek().is_some() => inbox.lock().push_back(frame.clone()),
+                Some(h) => {
+                    (h.lock())(&self.inner.sim, &frame);
+                    next = after();
+                }
                 None => {
-                    inbox.lock().push_back(frame);
-                    break;
+                    next = after();
+                    if next.is_none() {
+                        inbox.lock().push_back(frame);
+                        break;
+                    }
+                    inbox.lock().push_back(frame.clone());
                 }
             }
         }

@@ -1,15 +1,18 @@
 //! What a frame costs on its way through simnet: no copy. The buffer a
 //! caller hands [`Network::request`] is the one its handler reads, the
-//! buffer the handler returns is the one the caller gets back, and a
-//! unicast [`Network::send`] moves its buffer into the receiver's inbox.
+//! buffer the handler returns is the one the caller gets back, a unicast
+//! [`Network::send`] moves its buffer into the receiver's inbox, and a
+//! broadcast to nodes with frame handlers allocates nothing at all.
 //! A dedicated test binary, so the counting global allocator sees no
 //! other test's work; counts are per thread, so the harness's own
 //! threads cannot leak in either (handlers run inline on the caller's
 //! thread).
 
-use simnet::{Frame, Network, NodeId, Protocol, Sim};
+use simnet::{Addr, Frame, Network, NodeId, Protocol, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 struct Counting;
 
@@ -127,5 +130,37 @@ fn a_unicast_send_moves_its_buffer_into_the_inbox() {
         got.payload.as_ptr() as usize,
         sent,
         "the inbox holds a copy"
+    );
+}
+
+#[test]
+fn a_broadcast_to_handler_nodes_allocates_nothing() {
+    const LISTENERS: u32 = 8;
+    let net = Network::ethernet(&Sim::new(1));
+    let sender = net.attach("sender");
+    // Each listener records its id, so the order of delivery shows.
+    let order = Arc::new(AtomicU32::new(0));
+    for _ in 0..LISTENERS {
+        let node = net.attach("listener");
+        let order = order.clone();
+        net.set_frame_handler(node, move |_, _| {
+            order.store(
+                order.load(Ordering::Relaxed) * 16 + node.0,
+                Ordering::Relaxed,
+            );
+        })
+        .expect("listener attached");
+    }
+    let broadcast = || Frame::new(sender, Addr::Broadcast, Protocol::Raw, vec![0x66, 0x0e]);
+    net.send(broadcast()).expect("warm-up broadcast");
+    order.store(0, Ordering::Relaxed);
+    let frame = broadcast();
+    let (cost, sent) = counted(|| net.send(frame));
+    sent.expect("broadcast delivered");
+    assert_eq!(cost, (0, 0), "(allocations, bytes) of one warm broadcast");
+    assert_eq!(
+        order.load(Ordering::Relaxed),
+        0x1234_5678,
+        "every listener, in ascending id order"
     );
 }

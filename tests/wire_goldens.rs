@@ -294,7 +294,7 @@ fn serve_soap_frame(frame: Vec<u8>) -> (Vec<u8>, Vec<String>) {
         &net,
         "gw",
         Arc::new(move |_, req: &VsgRequest| {
-            ran2.lock().push(req.operation.clone());
+            ran2.lock().push(req.operation.to_string());
             Ok(Value::Null)
         }),
     );
