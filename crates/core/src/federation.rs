@@ -38,9 +38,14 @@ use crate::error::MetaError;
 use crate::metrics::MetricsRegistry;
 use crate::obs::Scope;
 use crate::trace::{HopKind, Tracer};
+use minixml::XmlOut;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration, SimTime};
-use soap::{Fault, RpcCall, SoapClient, SoapServer, Value};
+use soap::{
+    write_compound_xml, write_str_xml, Answered, CallRef, Compound, Fault, Reply, SoapClient,
+    SoapServer, Value,
+};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use wsdl::{Key, KeyedReference, UddiRegistry};
@@ -120,8 +125,8 @@ fn fingerprint_to_wire(fp: u64) -> Value {
     Value::Int(i64::from_ne_bytes(fp.to_ne_bytes()))
 }
 
-fn fingerprint_from_wire(v: &Value) -> Option<u64> {
-    v.as_int().map(|i| u64::from_ne_bytes(i.to_ne_bytes()))
+fn fingerprint_from_int(i: i64) -> u64 {
+    u64::from_ne_bytes(i.to_ne_bytes())
 }
 
 // ---- configuration ---------------------------------------------------------
@@ -752,10 +757,76 @@ pub(crate) fn delete_by_name(registry: &mut UddiRegistry, name: &str) -> bool {
     found
 }
 
-/// Serializes one registry inquiry hit the way the single-node VSR
-/// did: categories carry middleware/gateway/contexts, the bound tModel
-/// carries the WSDL (and the `get_tmodel` inquiry is counted). Reads
-/// the borrowed records; only the reply `Value` owns copies.
+/// One registry inquiry hit as a `resolve` or `find` reply carries it,
+/// looked up once: categories carry middleware, gateway and contexts,
+/// and the bound tModel carries the WSDL (its `get_tmodel` inquiry is
+/// counted here). Everything is borrowed from the registry, so the
+/// reply is written straight from the stored records.
+pub(crate) struct RecordParts<'r> {
+    svc: &'r wsdl::BusinessService,
+    middleware: &'r str,
+    gateway: &'r str,
+    wsdl: &'r str,
+}
+
+impl<'r> RecordParts<'r> {
+    /// `svc`'s parts, or `None` for a corrupt record.
+    pub(crate) fn of(registry: &'r UddiRegistry, svc: &'r wsdl::BusinessService) -> Option<Self> {
+        let category = |taxonomy: &str| {
+            svc.categories
+                .iter()
+                .find(|c| c.taxonomy == taxonomy)
+                .map(|c| c.value.as_str())
+        };
+        let middleware = category(TAX_MIDDLEWARE)?;
+        let gateway = category(TAX_GATEWAY)?;
+        let tmodel = registry.get_tmodel(svc.bindings.first()?.tmodel_key.as_ref()?)?;
+        Some(RecordParts {
+            svc,
+            middleware,
+            gateway,
+            wsdl: &tmodel.overview_doc,
+        })
+    }
+
+    /// The service's `(key, value)` contexts.
+    fn contexts(&self) -> impl Iterator<Item = (&'r str, &'r str)> + Clone {
+        self.svc.categories.iter().filter_map(|c| {
+            c.taxonomy
+                .strip_prefix(TAX_CONTEXT_PREFIX)
+                .map(|k| (k, c.value.as_str()))
+        })
+    }
+
+    /// Writes the record as the Struct element `name`: the bytes its
+    /// `Value::Record` of name, middleware, gateway, wsdl and contexts
+    /// writes.
+    pub(crate) fn write_xml(&self, name: &str, out: &mut dyn XmlOut) {
+        write_compound_xml(Compound::Struct, name, 5, out, |out| {
+            write_str_xml("name", &self.svc.name, out);
+            write_str_xml("middleware", self.middleware, out);
+            write_str_xml("gateway", self.gateway, out);
+            write_str_xml("wsdl", self.wsdl, out);
+            let contexts = self.contexts();
+            write_compound_xml(
+                Compound::Struct,
+                "contexts",
+                contexts.clone().count(),
+                out,
+                |out| {
+                    for (k, v) in contexts {
+                        write_str_xml(k, v, out);
+                    }
+                },
+            );
+        });
+    }
+}
+
+/// Serializes one registry inquiry hit as the `Value` the replicas
+/// answered with before they wrote [`RecordParts`] in place: the
+/// oracle of their byte identity.
+#[cfg(test)]
 pub(crate) fn service_to_value(
     registry: &UddiRegistry,
     svc: &wsdl::BusinessService,
@@ -849,8 +920,8 @@ pub(crate) fn start_replicas(
                 tracer: tracer.clone(),
                 metrics: metrics.clone(),
             };
-            server.mount(VSR_NS, move |sim, call: &mut RpcCall| {
-                handle(&ctx, sim, call).map_err(|e| Fault::server(e.to_string()))
+            server.mount(VSR_NS, move |sim, call, reply| {
+                handle(&ctx, sim, call, reply)
             });
             Replica {
                 node,
@@ -894,250 +965,306 @@ impl ReplicaCtx {
                     format!("replicate {n} entr{plural} -> n{peer}")
                 },
             );
-            let result = self.client.call(
-                NodeId(peer),
-                &RpcCall::new(VSR_NS, "replicate").arg("entries", Value::List(entries)),
-            );
+            let entries = Value::List(entries);
+            let result =
+                self.client
+                    .call_parts(NodeId(peer), VSR_NS, "replicate", [("entries", &entries)]);
             scope.finish(&result);
         }
     }
 }
 
-/// The replica's request handler. Mutates state under one lock, then
-/// releases it *before* pushing replication traffic to peers (a peer's
-/// handler may be reached over the same synchronous wire). The
-/// replication-facing operations (`replicate`, `sync_digest`,
-/// `sync_fetch`) never push in turn, so the call chain is bounded.
-fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall) -> Result<Value, MetaError> {
-    let now = sim.now();
-    let str_arg = |name: &str| -> Result<&str, MetaError> {
-        call.get(name)
-            .and_then(Value::as_str)
-            .ok_or_else(|| MetaError::Repository(format!("missing argument '{name}'")))
-    };
-
+/// The replica's request handler. Reads the call in place and mutates
+/// state under one lock, then releases it *before* pushing replication
+/// traffic to peers (a peer's handler may be reached over the same
+/// synchronous wire). The replication-facing operations (`replicate`,
+/// `sync_digest`, `sync_fetch`) never push in turn, so the call chain
+/// is bounded. A `resolve` or `find` reply is written under the lock,
+/// straight from the borrowed registry records; the router charges its
+/// emit cost after the handler returns, so any pushes run before it
+/// on the virtual clock.
+fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &CallRef<'_>, reply: Reply<'_>) -> Answered {
     // The replication plane: applied under the state lock, no reaping,
     // no pushes (these arrive from peers that are mid-handler).
-    match call.method.as_str() {
-        "shard_map" => return Ok(ctx.map.lock().to_value()),
+    match call.method() {
+        "shard_map" => return reply.value(&ctx.map.lock().to_value()),
         "replicate" => {
+            let owned = |name| call.get(name).map(|v| v.to_owned());
+            let (entries, gateways) = (owned("entries"), owned("gateways"));
             let applied = ctx
                 .state
                 .lock()
-                .apply_items(call.get("entries"), call.get("gateways"));
-            return Ok(Value::Int(applied));
+                .apply_items(entries.as_ref(), gateways.as_ref());
+            return reply.value(&Value::Int(applied));
         }
-        "sync_digest" => {
-            let shard = shard_arg(call)?;
-            let st = ctx.state.lock();
-            // Fingerprint first: a backup whose pairs already match
-            // ours needs no digest at all.
-            let theirs = call.get("fingerprint").and_then(fingerprint_from_wire);
-            if theirs == Some(st.fingerprint(shard)) {
-                return Ok(Value::Record(vec![("in_sync".into(), Value::Bool(true))]));
-            }
-            let mut records: Vec<(String, Version)> = st
-                .entries
-                .iter()
-                .filter(|(_, e)| e.shard == shard)
-                .map(|(name, e)| (name.clone(), e.version))
-                .collect();
-            records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let mut gateways: Vec<(String, Version)> = st
-                .gateways
-                .iter()
-                .map(|(name, &(_, v))| (name.clone(), v))
-                .collect();
-            gateways.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let digest = |pairs: Vec<(String, Version)>| {
-                Value::List(
-                    pairs
-                        .into_iter()
-                        .map(|(name, v)| {
-                            Value::Record(vec![
-                                ("name".into(), Value::Str(name)),
-                                ("version".into(), v.to_value()),
-                            ])
-                        })
-                        .collect(),
-                )
-            };
-            return Ok(Value::Record(vec![
-                ("records".into(), digest(records)),
-                ("gateways".into(), digest(gateways)),
-            ]));
-        }
-        "sync_fetch" => {
-            let st = ctx.state.lock();
-            let mut records = Vec::new();
-            if let Some(Value::List(names)) = call.get("names") {
-                for n in names {
-                    if let Some(name) = n.as_str() {
-                        if let Some(entry) = st.entries.get(name) {
-                            records.push(entry.to_value(name));
-                        }
-                    }
-                }
-            }
-            let mut gateways = Vec::new();
-            if let Some(Value::List(names)) = call.get("gw_names") {
-                for n in names {
-                    if let Some(name) = n.as_str() {
-                        if let Some(&(node, version)) = st.gateways.get(name) {
-                            gateways.push(gateway_to_value(name, node, version));
-                        }
-                    }
-                }
-            }
-            return Ok(Value::Record(vec![
-                ("records".into(), Value::List(records)),
-                ("gateways".into(), Value::List(gateways)),
-            ]));
-        }
+        "sync_digest" => return answer(reply, sync_digest(ctx, call)),
+        "sync_fetch" => return reply.value(&sync_fetch(ctx, call)),
         _ => {}
     }
 
     // The client plane: reap due leases first (lazily, like the
     // single-node VSR), remember what must be pushed to peers, answer,
     // then push with the lock released.
+    let now = sim.now();
     let mut st = ctx.state.lock();
     let mut outgoing = st.expire_due(now);
-
-    let result = (|| -> Result<Value, MetaError> {
-        match call.method.as_str() {
-            "register_gateway" => {
-                let name = str_arg("name")?;
-                let node = call
-                    .get("node")
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| MetaError::Repository("missing node".into()))?;
-                let node = u32::try_from(node)
-                    .map_err(|_| MetaError::Repository(format!("bad node {node}")))?;
-                let version = st.next_version(now);
-                st.apply_gateway(name, node, version);
-                Ok(Value::Null)
-            }
-            "gateway_node" => {
-                let name = str_arg("name")?;
-                st.gateways
-                    .get(name)
-                    .map(|&(n, _)| Value::Int(i64::from(n)))
-                    .ok_or_else(|| MetaError::GatewayUnreachable(name.to_owned()))
-            }
-            "publish" => {
-                let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, name)?;
-                let record = StoredRecord {
-                    middleware: str_arg("middleware")?.to_owned(),
-                    gateway: str_arg("gateway")?.to_owned(),
-                    wsdl: str_arg("wsdl")?.to_owned(),
-                    contexts: match call.get("contexts") {
-                        Some(Value::Record(fields)) => fields
-                            .iter()
-                            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_owned())))
-                            .collect(),
-                        _ => Vec::new(),
-                    },
-                    expires_at: st.lease.map(|l| now + l),
-                };
-                let entry = st.write(name, shard, EntryKind::Record(record), now);
-                outgoing.push((name.to_owned(), entry));
-                Ok(Value::Null)
-            }
-            "unpublish" => {
-                let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, name)?;
-                let found = matches!(
-                    st.entries.get(name).map(|e| &e.kind),
-                    Some(EntryKind::Record(_))
-                );
-                let entry = st.write(name, shard, EntryKind::Unpublished, now);
-                outgoing.push((name.to_owned(), entry));
-                Ok(Value::Bool(found))
-            }
-            "renew" => {
-                let name = str_arg("name")?;
-                let shard = route_write(ctx, sim, call, name)?;
-                let lease = st.lease;
-                match st.entries.get(name).map(|e| e.kind.clone()) {
-                    Some(EntryKind::Record(mut rec)) => {
-                        // With leases on, a renewal is a real write: it
-                        // bumps the version so a later stale reaper
-                        // (EntryKind::Expired of an older incarnation)
-                        // cannot kill the renewed record.
-                        if let Some(lease) = lease {
-                            rec.expires_at = Some(now + lease);
-                            let entry = st.write(name, shard, EntryKind::Record(rec), now);
-                            outgoing.push((name.to_owned(), entry));
-                        }
-                        Ok(Value::Bool(true))
-                    }
-                    _ => Ok(Value::Bool(false)),
+    let answered = match client_op(ctx, sim, call, &mut st, &mut outgoing) {
+        Ok(ClientAnswer::Value(v)) => reply.value(&v),
+        Ok(ClientAnswer::Record(record)) => reply.write(|out| record.write_xml("return", out)),
+        Ok(ClientAnswer::Records(records)) => reply.write(|out| {
+            write_compound_xml(Compound::Array, "return", records.len(), out, |out| {
+                for record in &records {
+                    record.write_xml("item", out);
                 }
-            }
-            "resolve" => {
-                let name = str_arg("name")?;
-                route_read(ctx, call, name)?;
-                let registry = &st.registry;
-                let svc = registry
-                    .find_service(name, &[])
-                    .into_iter()
-                    .find(|s| s.name == name)
-                    .ok_or_else(|| MetaError::UnknownService(name.to_owned()))?;
-                service_to_value(registry, svc)
-                    .ok_or_else(|| MetaError::Repository("corrupt record".into()))
-            }
-            "find" => {
-                let pattern = str_arg("pattern")?;
-                let middleware = str_arg("middleware")?;
-                let categories: Vec<KeyedReference> = if middleware.is_empty() {
-                    vec![]
-                } else {
-                    vec![KeyedReference::new(TAX_MIDDLEWARE, middleware)]
-                };
-                serve_inquiry(ctx, call, &st, pattern, &categories)
-            }
-            "find_ctx" => {
-                let pattern = str_arg("pattern")?;
-                let categories: Vec<KeyedReference> = match call.get("contexts") {
-                    Some(Value::Record(fields)) => fields
-                        .iter()
-                        .filter_map(|(k, v)| {
-                            v.as_str()
-                                .map(|s| KeyedReference::new(format!("{TAX_CONTEXT_PREFIX}{k}"), s))
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                serve_inquiry(ctx, call, &st, pattern, &categories)
-            }
-            "count" => match hosted_shard(ctx, call)? {
-                Some(shard) => {
-                    let n = st
-                        .entries
-                        .values()
-                        .filter(|e| e.shard == shard && matches!(e.kind, EntryKind::Record(_)))
-                        .count();
-                    Ok(Value::Int(n as i64))
-                }
-                None => Ok(Value::Int(st.registry.service_count() as i64)),
-            },
-            other => Err(MetaError::Repository(format!(
-                "unknown VSR operation '{other}'"
-            ))),
-        }
-    })();
-
+            })
+        }),
+        Err(e) => reply.fault(&Fault::server(e.to_string())),
+    };
     drop(st);
     if !outgoing.is_empty() {
         ctx.replicate_out(sim, &outgoing);
     }
-    result
+    answered
 }
 
-fn shard_arg(call: &RpcCall) -> Result<u32, MetaError> {
+/// Answers with `result`'s value, or with its error as a server fault.
+fn answer(reply: Reply<'_>, result: Result<Value, MetaError>) -> Answered {
+    match result {
+        Ok(v) => reply.value(&v),
+        Err(e) => reply.fault(&Fault::server(e.to_string())),
+    }
+}
+
+/// What a client-plane operation answers: a value, or registry records
+/// borrowed from the replica's state, written in place.
+enum ClientAnswer<'r> {
+    Value(Value),
+    Record(RecordParts<'r>),
+    Records(Vec<RecordParts<'r>>),
+}
+
+/// The call's string argument `name`, read in place.
+fn str_arg<'a>(call: &CallRef<'a>, name: &str) -> Result<Cow<'a, str>, MetaError> {
+    call.get(name)
+        .and_then(|v| v.as_str())
+        .ok_or_else(|| MetaError::Repository(format!("missing argument '{name}'")))
+}
+
+/// The string fields of the call's Struct argument `name`, in order;
+/// none if it is missing or no Struct.
+fn str_fields<'a>(call: &CallRef<'a>, name: &str) -> impl Iterator<Item = (&'a str, Cow<'a, str>)> {
+    call.get(name)
+        .filter(|v| v.compound() == Some(Compound::Struct))
+        .into_iter()
+        .flat_map(|v| v.members())
+        .filter_map(|(k, v)| v.as_str().map(|s| (k, s)))
+}
+
+/// The string items of the call's Array argument `name`; none if it
+/// is missing or no Array.
+fn str_items<'a>(call: &CallRef<'a>, name: &str) -> impl Iterator<Item = Cow<'a, str>> {
+    call.get(name)
+        .filter(|v| v.compound() == Some(Compound::Array))
+        .into_iter()
+        .flat_map(|v| v.members())
+        .filter_map(|(_, v)| v.as_str())
+}
+
+/// `sync_digest`: the shard's `(name, version)` pairs and the gateway
+/// directory's, or `in_sync` when the caller's fingerprint matches.
+fn sync_digest(ctx: &ReplicaCtx, call: &CallRef<'_>) -> Result<Value, MetaError> {
+    let shard = shard_arg(call)?;
+    let st = ctx.state.lock();
+    // Fingerprint first: a backup whose pairs already match ours needs
+    // no digest at all.
+    let theirs = call
+        .get("fingerprint")
+        .and_then(|v| v.as_int())
+        .map(fingerprint_from_int);
+    if theirs == Some(st.fingerprint(shard)) {
+        return Ok(Value::Record(vec![("in_sync".into(), Value::Bool(true))]));
+    }
+    let mut records: Vec<(String, Version)> = st
+        .entries
+        .iter()
+        .filter(|(_, e)| e.shard == shard)
+        .map(|(name, e)| (name.clone(), e.version))
+        .collect();
+    records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut gateways: Vec<(String, Version)> = st
+        .gateways
+        .iter()
+        .map(|(name, &(_, v))| (name.clone(), v))
+        .collect();
+    gateways.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let digest = |pairs: Vec<(String, Version)>| {
+        Value::List(
+            pairs
+                .into_iter()
+                .map(|(name, v)| {
+                    Value::Record(vec![
+                        ("name".into(), Value::Str(name)),
+                        ("version".into(), v.to_value()),
+                    ])
+                })
+                .collect(),
+        )
+    };
+    Ok(Value::Record(vec![
+        ("records".into(), digest(records)),
+        ("gateways".into(), digest(gateways)),
+    ]))
+}
+
+/// `sync_fetch`: the named entries and gateway items this replica has.
+fn sync_fetch(ctx: &ReplicaCtx, call: &CallRef<'_>) -> Value {
+    let st = ctx.state.lock();
+    let records = str_items(call, "names")
+        .filter_map(|name| st.entries.get(&*name).map(|entry| entry.to_value(&name)))
+        .collect();
+    let gateways = str_items(call, "gw_names")
+        .filter_map(|name| {
+            let &(node, version) = st.gateways.get(&*name)?;
+            Some(gateway_to_value(&name, node, version))
+        })
+        .collect();
+    Value::Record(vec![
+        ("records".into(), Value::List(records)),
+        ("gateways".into(), Value::List(gateways)),
+    ])
+}
+
+/// One client-plane operation, run under the state lock: writes push
+/// their entries onto `outgoing`, and reads answer with records
+/// borrowed from `st`.
+fn client_op<'s>(
+    ctx: &ReplicaCtx,
+    sim: &Sim,
+    call: &CallRef<'_>,
+    st: &'s mut ReplicaState,
+    outgoing: &mut Vec<(String, Entry)>,
+) -> Result<ClientAnswer<'s>, MetaError> {
+    let now = sim.now();
+    let value = match call.method() {
+        "register_gateway" => {
+            let name = str_arg(call, "name")?;
+            let node = call
+                .get("node")
+                .and_then(|v| v.as_int())
+                .ok_or_else(|| MetaError::Repository("missing node".into()))?;
+            let node = u32::try_from(node)
+                .map_err(|_| MetaError::Repository(format!("bad node {node}")))?;
+            let version = st.next_version(now);
+            st.apply_gateway(&name, node, version);
+            Value::Null
+        }
+        "gateway_node" => {
+            let name = str_arg(call, "name")?;
+            st.gateways
+                .get(&*name)
+                .map(|&(n, _)| Value::Int(i64::from(n)))
+                .ok_or_else(|| MetaError::GatewayUnreachable(name.into_owned()))?
+        }
+        "publish" => {
+            let name = str_arg(call, "name")?;
+            let shard = route_write(ctx, sim, call, &name)?;
+            let record = StoredRecord {
+                middleware: str_arg(call, "middleware")?.into_owned(),
+                gateway: str_arg(call, "gateway")?.into_owned(),
+                wsdl: str_arg(call, "wsdl")?.into_owned(),
+                contexts: str_fields(call, "contexts")
+                    .map(|(k, v)| (k.to_owned(), v.into_owned()))
+                    .collect(),
+                expires_at: st.lease.map(|l| now + l),
+            };
+            let entry = st.write(&name, shard, EntryKind::Record(record), now);
+            outgoing.push((name.into_owned(), entry));
+            Value::Null
+        }
+        "unpublish" => {
+            let name = str_arg(call, "name")?;
+            let shard = route_write(ctx, sim, call, &name)?;
+            let found = matches!(
+                st.entries.get(&*name).map(|e| &e.kind),
+                Some(EntryKind::Record(_))
+            );
+            let entry = st.write(&name, shard, EntryKind::Unpublished, now);
+            outgoing.push((name.into_owned(), entry));
+            Value::Bool(found)
+        }
+        "renew" => {
+            let name = str_arg(call, "name")?;
+            let shard = route_write(ctx, sim, call, &name)?;
+            let lease = st.lease;
+            match st.entries.get(&*name).map(|e| e.kind.clone()) {
+                Some(EntryKind::Record(mut rec)) => {
+                    // With leases on, a renewal is a real write: it
+                    // bumps the version so a later stale reaper
+                    // (EntryKind::Expired of an older incarnation)
+                    // cannot kill the renewed record.
+                    if let Some(lease) = lease {
+                        rec.expires_at = Some(now + lease);
+                        let entry = st.write(&name, shard, EntryKind::Record(rec), now);
+                        outgoing.push((name.into_owned(), entry));
+                    }
+                    Value::Bool(true)
+                }
+                _ => Value::Bool(false),
+            }
+        }
+        "resolve" => {
+            let name = str_arg(call, "name")?;
+            route_read(ctx, call, &name)?;
+            let registry = &st.registry;
+            let svc = registry
+                .find_service(&name, &[])
+                .into_iter()
+                .find(|s| s.name == name)
+                .ok_or_else(|| MetaError::UnknownService(name.into_owned()))?;
+            return RecordParts::of(registry, svc)
+                .map(ClientAnswer::Record)
+                .ok_or_else(|| MetaError::Repository("corrupt record".into()));
+        }
+        "find" => {
+            let pattern = str_arg(call, "pattern")?;
+            let middleware = str_arg(call, "middleware")?;
+            let categories: Vec<KeyedReference> = if middleware.is_empty() {
+                vec![]
+            } else {
+                vec![KeyedReference::new(TAX_MIDDLEWARE, middleware)]
+            };
+            return serve_inquiry(ctx, call, st, &pattern, &categories).map(ClientAnswer::Records);
+        }
+        "find_ctx" => {
+            let pattern = str_arg(call, "pattern")?;
+            let categories: Vec<KeyedReference> = str_fields(call, "contexts")
+                .map(|(k, v)| KeyedReference::new(format!("{TAX_CONTEXT_PREFIX}{k}"), v))
+                .collect();
+            return serve_inquiry(ctx, call, st, &pattern, &categories).map(ClientAnswer::Records);
+        }
+        "count" => match hosted_shard(ctx, call)? {
+            Some(shard) => {
+                let n = st
+                    .entries
+                    .values()
+                    .filter(|e| e.shard == shard && matches!(e.kind, EntryKind::Record(_)))
+                    .count();
+                Value::Int(n as i64)
+            }
+            None => Value::Int(st.registry.service_count() as i64),
+        },
+        other => {
+            return Err(MetaError::Repository(format!(
+                "unknown VSR operation '{other}'"
+            )))
+        }
+    };
+    Ok(ClientAnswer::Value(value))
+}
+
+fn shard_arg(call: &CallRef<'_>) -> Result<u32, MetaError> {
     call.get("shard")
-        .and_then(Value::as_int)
+        .and_then(|v| v.as_int())
         .and_then(|i| u32::try_from(i).ok())
         .ok_or_else(|| MetaError::Repository("missing argument 'shard'".into()))
 }
@@ -1145,8 +1272,8 @@ fn shard_arg(call: &RpcCall) -> Result<u32, MetaError> {
 /// A client-plane call's optional `shard` argument, folded onto the
 /// map's shards. A value that is no `u32` is a malformed call, never a
 /// shard (a negative one must not wrap onto a real shard).
-fn client_shard(call: &RpcCall, map: &ShardMap) -> Result<Option<u32>, MetaError> {
-    match call.get("shard").and_then(Value::as_int) {
+fn client_shard(call: &CallRef<'_>, map: &ShardMap) -> Result<Option<u32>, MetaError> {
+    match call.get("shard").and_then(|v| v.as_int()) {
         None => Ok(None),
         Some(s) => u32::try_from(s)
             .map(|s| Some(s % map.shard_count()))
@@ -1168,7 +1295,7 @@ fn hosts_or_moved(ctx: &ReplicaCtx, map: &ShardMap, shard: u32) -> Result<u32, M
 }
 
 /// The call's `shard` argument, if any, checked to be hosted here.
-fn hosted_shard(ctx: &ReplicaCtx, call: &RpcCall) -> Result<Option<u32>, MetaError> {
+fn hosted_shard(ctx: &ReplicaCtx, call: &CallRef<'_>) -> Result<Option<u32>, MetaError> {
     let map = ctx.map.lock();
     client_shard(call, &map)?
         .map(|shard| hosts_or_moved(ctx, &map, shard))
@@ -1196,14 +1323,19 @@ fn gateway_from_value(item: &Value) -> Option<(&str, u32, Version)> {
 /// write must land on the shard's primary — unless the caller set the
 /// `promote` flag (it could not reach the primary), in which case this
 /// backup promotes itself before accepting.
-fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall, name: &str) -> Result<u32, MetaError> {
+fn route_write(
+    ctx: &ReplicaCtx,
+    sim: &Sim,
+    call: &CallRef<'_>,
+    name: &str,
+) -> Result<u32, MetaError> {
     let mut map = ctx.map.lock();
     let shard = client_shard(call, &map)?.unwrap_or_else(|| map.shard_of(name));
     hosts_or_moved(ctx, &map, shard)?;
     if map.primary(shard) != ctx.node {
         let promote = call
             .get("promote")
-            .and_then(Value::as_bool)
+            .and_then(|v| v.as_bool())
             .unwrap_or(false);
         if !promote {
             let primary = map.primary(shard);
@@ -1227,7 +1359,7 @@ fn route_write(ctx: &ReplicaCtx, sim: &Sim, call: &RpcCall, name: &str) -> Resul
 
 /// Validates a read's routing: any member of the shard's preference
 /// list may answer (a backup serves reads during a primary outage).
-fn route_read(ctx: &ReplicaCtx, call: &RpcCall, name: &str) -> Result<u32, MetaError> {
+fn route_read(ctx: &ReplicaCtx, call: &CallRef<'_>, name: &str) -> Result<u32, MetaError> {
     let map = ctx.map.lock();
     let shard = client_shard(call, &map)?.unwrap_or_else(|| map.shard_of(name));
     hosts_or_moved(ctx, &map, shard)
@@ -1235,14 +1367,15 @@ fn route_read(ctx: &ReplicaCtx, call: &RpcCall, name: &str) -> Result<u32, MetaE
 
 /// Serves a `find`/`find_ctx` inquiry from the local registry mirror,
 /// filtered to the requested shard when one is given (the shard-aware
-/// client fans an inquiry out to every shard and merges).
-fn serve_inquiry(
+/// client fans an inquiry out to every shard and merges). Each hit is
+/// looked up once, and borrowed.
+fn serve_inquiry<'s>(
     ctx: &ReplicaCtx,
-    call: &RpcCall,
-    st: &ReplicaState,
+    call: &CallRef<'_>,
+    st: &'s ReplicaState,
     pattern: &str,
     categories: &[KeyedReference],
-) -> Result<Value, MetaError> {
+) -> Result<Vec<RecordParts<'s>>, MetaError> {
     let shard = hosted_shard(ctx, call)?;
     let services = st.registry.find_service(pattern, categories);
     let mut out = Vec::with_capacity(services.len());
@@ -1253,11 +1386,9 @@ fn serve_inquiry(
                 _ => continue,
             }
         }
-        if let Some(v) = service_to_value(&st.registry, svc) {
-            out.push(v);
-        }
+        out.extend(RecordParts::of(&st.registry, svc));
     }
-    Ok(Value::List(out))
+    Ok(out)
 }
 
 // ---- anti-entropy ----------------------------------------------------------
@@ -1362,11 +1493,15 @@ fn sync_pair(
         format!("sync shard {shard}: n{} <-> n{}", backup.0, primary.0)
     });
     let fingerprint = rep.state.lock().fingerprint(shard);
-    let digest = match rep.client.call(
+    let shard_arg = Value::Int(i64::from(shard));
+    let digest = match rep.client.call_parts(
         primary,
-        &RpcCall::new(VSR_NS, "sync_digest")
-            .arg("shard", i64::from(shard))
-            .arg("fingerprint", fingerprint_to_wire(fingerprint)),
+        VSR_NS,
+        "sync_digest",
+        [
+            ("shard", &shard_arg),
+            ("fingerprint", &fingerprint_to_wire(fingerprint)),
+        ],
     ) {
         Ok(v) => v,
         failed @ Err(_) => {
@@ -1431,12 +1566,15 @@ fn sync_pair(
 
     // Pull newer/different entries from the primary and merge locally.
     if !need.is_empty() || !need_gw.is_empty() {
-        let fetched = rep.client.call(
+        let fetched = rep.client.call_parts(
             primary,
-            &RpcCall::new(VSR_NS, "sync_fetch")
-                .arg("shard", i64::from(shard))
-                .arg("names", Value::List(need))
-                .arg("gw_names", Value::List(need_gw)),
+            VSR_NS,
+            "sync_fetch",
+            [
+                ("shard", &shard_arg),
+                ("names", &Value::List(need)),
+                ("gw_names", &Value::List(need_gw)),
+            ],
         );
         if let Ok(v) = fetched {
             rep.state
@@ -1455,11 +1593,14 @@ fn sync_pair(
         .iter()
         .map(|(name, node, v)| gateway_to_value(name, *node, *v))
         .collect();
-    let applied = rep.client.call(
+    let applied = rep.client.call_parts(
         primary,
-        &RpcCall::new(VSR_NS, "replicate")
-            .arg("entries", Value::List(entries))
-            .arg("gateways", Value::List(gateways)),
+        VSR_NS,
+        "replicate",
+        [
+            ("entries", &Value::List(entries)),
+            ("gateways", &Value::List(gateways)),
+        ],
     );
     matches!(applied, Ok(Value::Int(n)) if n > 0)
 }
@@ -1468,6 +1609,7 @@ fn sync_pair(
 mod tests {
     use super::*;
     use simnet::SimRng;
+    use soap::RpcCall;
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(|i| NodeId(100 + i)).collect()
@@ -1957,24 +2099,31 @@ mod tests {
             1 << 63,
             u64::MAX,
         ] {
-            assert_eq!(fingerprint_from_wire(&fingerprint_to_wire(fp)), Some(fp));
+            assert_eq!(
+                fingerprint_to_wire(fp).as_int().map(fingerprint_from_int),
+                Some(fp)
+            );
             // Through the SOAP envelope `sync_digest` rides in, too.
             let call =
                 RpcCall::new(VSR_NS, "sync_digest").arg("fingerprint", fingerprint_to_wire(fp));
-            let back = RpcCall::from_envelope(&call.to_envelope()).unwrap();
+            let doc = call.to_envelope();
+            let back = CallRef::parse(&doc).unwrap();
             assert_eq!(
-                back.get("fingerprint").and_then(fingerprint_from_wire),
+                back.get("fingerprint")
+                    .and_then(|v| v.as_int())
+                    .map(fingerprint_from_int),
                 Some(fp)
             );
         }
     }
 
-    /// A one-replica, four-shard replica context, driven through
-    /// [`handle`] directly.
-    fn replica_ctx() -> (Sim, ReplicaCtx) {
+    /// A one-replica, four-shard replica context mounted on a router of
+    /// its own, and the client that drives [`handle`] through it.
+    fn replica_ctx() -> (Sim, ReplicaCtx, Driver) {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let node = net.attach("vsr-0");
+        let server = SoapServer::bind(&net, "vsr-0");
+        let node = server.node();
         let ctx = ReplicaCtx {
             node,
             state: Arc::new(Mutex::new(ReplicaState::new(0))),
@@ -1988,12 +2137,35 @@ mod tests {
             tracer: Tracer::new("vsr-test"),
             metrics: Arc::new(MetricsRegistry::new()),
         };
-        (sim, ctx)
+        let served = ctx.clone();
+        server.mount(VSR_NS, move |sim, call, reply| {
+            handle(&served, sim, call, reply)
+        });
+        let driver = Driver {
+            client: SoapClient::attach(&net, "driver"),
+            server: node,
+        };
+        (sim, ctx, driver)
+    }
+
+    /// Sends calls to one replica and reads its faults back as errors.
+    struct Driver {
+        client: SoapClient,
+        server: NodeId,
+    }
+
+    impl Driver {
+        fn serve(&self, call: &RpcCall) -> Result<Value, MetaError> {
+            self.client.call(self.server, call).map_err(|e| match e {
+                soap::SoapError::Fault(f) => MetaError::from_fault_string(&f.string),
+                other => panic!("transport failure {other:?}"),
+            })
+        }
     }
 
     #[test]
     fn malformed_client_plane_integers_are_repository_errors() {
-        let (sim, ctx) = replica_ctx();
+        let (_sim, ctx, driver) = replica_ctx();
         let call = |method: &str| {
             RpcCall::new(VSR_NS, method)
                 .arg("name", "hall-lamp")
@@ -2002,10 +2174,10 @@ mod tests {
                 .arg("gateway", "x10-gw")
                 .arg("wsdl", "<definitions name=\"hall-lamp\"/>")
         };
-        assert!(handle(&ctx, &sim, &call("publish").arg("shard", 1i64)).is_ok());
+        assert!(driver.serve(&call("publish").arg("shard", 1i64)).is_ok());
         for shard in [-1, i64::MIN, OVERSIZED_U32] {
             for method in ["publish", "unpublish", "renew", "resolve", "find", "count"] {
-                let result = handle(&ctx, &sim, &call(method).arg("shard", shard));
+                let result = driver.serve(&call(method).arg("shard", shard));
                 assert!(
                     matches!(result, Err(MetaError::Repository(_))),
                     "{method} with shard {shard}: {result:?}"
@@ -2013,7 +2185,7 @@ mod tests {
             }
         }
         for node in [-1, OVERSIZED_U32] {
-            let result = handle(&ctx, &sim, &call("register_gateway").arg("node", node));
+            let result = driver.serve(&call("register_gateway").arg("node", node));
             assert!(
                 matches!(result, Err(MetaError::Repository(_))),
                 "{result:?}"
@@ -2030,7 +2202,7 @@ mod tests {
 
     #[test]
     fn replicate_skips_malformed_items() {
-        let (sim, ctx) = replica_ctx();
+        let (_sim, ctx, driver) = replica_ctx();
         let v = |seq| Version {
             at_us: 1,
             replica: 1,
@@ -2055,7 +2227,7 @@ mod tests {
                 Value::List(vec![good, bad_version, never_expires]),
             )
             .arg("gateways", Value::List(vec![gw_ok, gw_bad]));
-        assert_eq!(handle(&ctx, &sim, &call).unwrap(), Value::Int(2));
+        assert_eq!(driver.serve(&call).unwrap(), Value::Int(2));
         let st = ctx.state.lock();
         let mut names: Vec<&str> = st.entries.keys().map(String::as_str).collect();
         names.sort_unstable();
@@ -2065,7 +2237,7 @@ mod tests {
 
     #[test]
     fn sync_digest_answers_in_sync_only_on_a_matching_fingerprint() {
-        let (sim, ctx) = replica_ctx();
+        let (_sim, ctx, driver) = replica_ctx();
         let version = Version {
             at_us: 1,
             replica: 0,
@@ -2080,7 +2252,7 @@ mod tests {
             if let Some(fp) = fp {
                 call = call.arg("fingerprint", fingerprint_to_wire(fp));
             }
-            handle(&ctx, &sim, &call).unwrap()
+            driver.serve(&call).unwrap()
         };
         assert_eq!(
             digest(Some(fp)),
@@ -2092,6 +2264,88 @@ mod tests {
             match full.field("records") {
                 Some(Value::List(items)) => assert_eq!(items.len(), 1),
                 other => panic!("full digest expected, got {other:?}"),
+            }
+        }
+    }
+
+    /// What a replica answers a `resolve` and a `find` with, written in
+    /// place from the registry, is byte for byte what writing the
+    /// `Value` of [`service_to_value`] gave, and it makes the same
+    /// `get_tmodel` inquiries.
+    mod in_place_replies {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_text() -> impl Strategy<Value = String> {
+            "[ -~é<>&\"']{0,16}"
+        }
+
+        fn arb_record() -> impl Strategy<Value = (String, StoredRecord)> {
+            (
+                "[a-z][a-z0-9-]{0,10}",
+                arb_text(),
+                arb_text(),
+                arb_text(),
+                prop::collection::vec(("[a-z][a-z0-9]{0,6}", arb_text()), 0..4),
+            )
+                .prop_map(|(name, middleware, gateway, wsdl, contexts)| {
+                    let record = StoredRecord {
+                        middleware,
+                        gateway,
+                        wsdl,
+                        contexts,
+                        expires_at: None,
+                    };
+                    (name, record)
+                })
+        }
+
+        fn xml(write: impl FnOnce(&mut String)) -> String {
+            let mut out = String::new();
+            write(&mut out);
+            out
+        }
+
+        proptest! {
+            #[test]
+            fn replies_are_the_value_bytes(records in prop::collection::vec(arb_record(), 1..6)) {
+                let mut st = ReplicaState::new(0);
+                for (i, (name, record)) in records.into_iter().enumerate() {
+                    let version = Version { at_us: 1, replica: 0, seq: i as u64 + 1 };
+                    st.apply_entry(&name, Entry { version, shard: 0, kind: EntryKind::Record(record) });
+                }
+                let services = st.registry.find_service("%", &[]);
+                let before = st.registry.stats();
+                let parts: Vec<RecordParts<'_>> = services
+                    .iter()
+                    .map(|svc| RecordParts::of(&st.registry, svc).expect("a stored record"))
+                    .collect();
+                let in_place_inquiries = st.registry.stats().inquiries - before.inquiries;
+                let values: Vec<Value> = services
+                    .iter()
+                    .map(|svc| service_to_value(&st.registry, svc).expect("a stored record"))
+                    .collect();
+                let after = st.registry.stats();
+                prop_assert_eq!(after.inquiries - before.inquiries, 2 * in_place_inquiries);
+                for (part, value) in parts.iter().zip(&values) {
+                    prop_assert_eq!(
+                        xml(|out| part.write_xml("return", out)),
+                        xml(|out| value.write_xml("return", out))
+                    );
+                }
+                let list = Value::List(values);
+                prop_assert_eq!(
+                    xml(|out| write_compound_xml(Compound::Array, "return", parts.len(), out, |out| {
+                        for part in &parts {
+                            part.write_xml("item", out);
+                        }
+                    })),
+                    xml(|out| list.write_xml("return", out))
+                );
+                prop_assert_eq!(
+                    xml(|out| write_compound_xml(Compound::Array, "return", 0, out, |_| {})),
+                    xml(|out| Value::List(Vec::new()).write_xml("return", out))
+                );
             }
         }
     }

@@ -395,6 +395,49 @@ mod tests {
     }
 
     #[test]
+    fn a_string_too_long_for_its_stream_is_refused_before_it_is_sent() {
+        let (sim, jini_net, vsg, pcm) = world();
+        let exporter = RmiExporter::attach(&jini_net, "display");
+        let stub = exporter.export("Display", |_, _, args| {
+            Ok(JValue::Int(
+                args.first()
+                    .and_then(JValue::as_str)
+                    .map_or(0, |s| s.len() as i64),
+            ))
+        });
+        let node = jini_net.attach("display-join");
+        let registrar = discover(&jini_net, node, "public")[0];
+        RegistrarClient::new(&jini_net, node, registrar)
+            .register(
+                &ServiceItem::new(stub, vec!["Display".into()], vec![Entry::name("wall")]),
+                SimDuration::from_secs(300),
+            )
+            .unwrap();
+        pcm.import_services().unwrap();
+        let show = |len: usize| {
+            vsg.invoke(
+                &sim,
+                "wall",
+                "show",
+                &[("text".into(), Value::Str("x".repeat(len)))],
+            )
+        };
+        assert_eq!(show(65_535), Ok(Value::Int(65_535)));
+        let frames = jini_net.with_stats(|s| s.protocol(simnet::Protocol::Jini).frames);
+        let err = show(70_000).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("a string of 70000 bytes is over the 65535 its length holds"),
+            "{err}"
+        );
+        assert_eq!(
+            jini_net.with_stats(|s| s.protocol(simnet::Protocol::Jini).frames),
+            frames,
+            "no frame was sent"
+        );
+    }
+
+    #[test]
     fn client_proxy_imports_jini_service() {
         let (sim, _jini_net, vsg, pcm) = world();
         let names = pcm.import_services().unwrap();

@@ -92,7 +92,9 @@ pub(crate) fn member_to_value(req: &VsgRequest) -> Value {
 }
 
 /// Moves a member record's fields into a request (the first field of
-/// each name counts, as [`Value::field`] reads them).
+/// each name counts, as [`Value::field`] reads them). The oracle of the
+/// view readers that replaced it.
+#[cfg(test)]
 pub(crate) fn member_from_value(v: Value) -> Option<VsgRequest> {
     let Value::Record(fields) = v else {
         return None;
@@ -125,7 +127,7 @@ pub(crate) fn member_from_value(v: Value) -> Option<VsgRequest> {
     })
 }
 
-/// View twin of [`member_from_value`]: builds the owned request straight
+/// View twin of `member_from_value`: builds the owned request straight
 /// from the validated frame, so only the arguments allocate — the names
 /// are interned, and no intermediate owned `Value` tree is built.
 pub(crate) fn member_from_ref(v: &binval::ValueRef<'_>) -> Option<VsgRequest> {

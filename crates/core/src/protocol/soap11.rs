@@ -6,14 +6,15 @@
 //! only, heavy TCP).
 
 use super::{
-    member_from_value, member_to_value, result_from_value, result_to_value, GatewayHandler,
-    VsgProtocol, VsgRequest,
+    member_to_value, result_from_value, result_to_value, GatewayHandler, VsgProtocol, VsgRequest,
 };
 use crate::error::MetaError;
 use crate::intern::Name;
 use parking_lot::Mutex;
 use simnet::{Network, NodeId};
-use soap::{CpuModel, Fault, RpcCall, SoapClient, SoapError, SoapServer, TcpModel, Value};
+use soap::{
+    Arg, Compound, CpuModel, Fault, SoapClient, SoapError, SoapServer, TcpModel, Value, ValueRef,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -95,46 +96,50 @@ impl VsgProtocol for Soap11 {
 
     fn bind(&self, net: &Network, label: &str, handler: GatewayHandler) -> NodeId {
         let server = SoapServer::bind_with(net, label, self.cpu, self.tcp);
-        server.mount(GATEWAY_NS, move |sim, call: &mut RpcCall| {
+        server.mount(GATEWAY_NS, move |sim, call, reply| {
             // A batch envelope: every `mN` argument is a member record;
             // the reply is the list of per-member results (application
             // faults stay per member, so the envelope itself is a 200).
-            if call.method == BATCH_METHOD && call.get_header(BATCH_HEADER).is_some() {
-                let results = call
-                    .args
-                    .drain(..)
+            if call.method() == BATCH_METHOD && call.get_header(BATCH_HEADER).is_some() {
+                let results: Vec<Value> = call
+                    .args()
                     .map(|(_, member)| {
-                        let result = match member_from_value(member) {
+                        let result = match member_from_ref(&member) {
                             Some(req) => handler(sim, &req),
                             None => Err(MetaError::Protocol("malformed batch member".into())),
                         };
                         result_to_value(&result)
                     })
                     .collect();
-                return Ok(Value::List(results));
+                return reply.value(&Value::List(results));
             }
-            // The arguments move into the request; the last `__service`
-            // names the target, and a non-string one names none.
+            // The last `__service` names the target, and a non-string
+            // one names none; it is interned straight from the view, and
+            // only the real arguments are copied into the request.
             let mut service = None;
-            call.args.retain(|(k, v)| {
-                if k != SERVICE_ARG {
-                    return true;
+            let mut args = Vec::with_capacity(call.args().len().saturating_sub(1));
+            for (name, value) in call.args() {
+                if name == SERVICE_ARG {
+                    service = value.as_str().map(|s| Name::new(&s));
+                } else {
+                    args.push((name.to_owned(), value.to_owned()));
                 }
-                service = v.as_str().map(Name::new);
-                false
-            });
+            }
             let Some(service) = service else {
-                return Err(Fault::client("missing __service argument"));
+                return reply.fault(&Fault::client("missing __service argument"));
             };
             let req = VsgRequest {
                 service,
-                operation: Name::new(&call.method),
-                args: std::mem::take(&mut call.args),
+                operation: Name::new(call.method()),
+                args,
                 trace: call
                     .get_header(TRACE_HEADER)
-                    .and_then(crate::trace::TraceContext::from_wire),
+                    .and_then(|t| crate::trace::TraceContext::from_wire(&t)),
             };
-            handler(sim, &req).map_err(|e| Fault::server(e.to_string()))
+            match handler(sim, &req) {
+                Ok(v) => reply.value(&v),
+                Err(e) => reply.fault(&Fault::server(e.to_string())),
+            }
         });
         server.node()
     }
@@ -147,11 +152,10 @@ impl VsgProtocol for Soap11 {
         req: &VsgRequest,
     ) -> Result<Value, MetaError> {
         let client = self.client(net, from);
-        // Marshal from borrows: the only owned datum is the service
-        // name riding along as the routing argument.
-        let service = Value::Str(req.service.as_str().to_owned());
-        let args = std::iter::once((SERVICE_ARG, &service))
-            .chain(req.args.iter().map(|(k, v)| (k.as_str(), v)));
+        // Marshal from borrows: the service name rides along as the
+        // routing argument, written straight from the interned name.
+        let args = std::iter::once((SERVICE_ARG, Arg::Str(&req.service)))
+            .chain(req.args.iter().map(|(k, v)| (k.as_str(), Arg::Value(v))));
         let result = match &req.trace {
             // A trace context rides as a SOAP header element, never as
             // a call argument.
@@ -219,6 +223,40 @@ impl VsgProtocol for Soap11 {
     }
 }
 
+/// Reads a batch member record straight from the view (the first field
+/// of each name counts, as `Value::field` reads them): the names are
+/// interned, and only the arguments are copied out.
+fn member_from_ref(member: &ValueRef<'_>) -> Option<VsgRequest> {
+    if member.compound() != Some(Compound::Struct) {
+        return None;
+    }
+    let (mut service, mut operation, mut args, mut trace) = (None, None, None, None);
+    for (k, v) in member.members() {
+        let slot = match k {
+            "s" => &mut service,
+            "o" => &mut operation,
+            "a" => &mut args,
+            "t" => &mut trace,
+            _ => continue,
+        };
+        slot.get_or_insert(v);
+    }
+    let service = service?.as_str()?;
+    let operation = operation?.as_str()?;
+    let Value::Record(args) = args?.to_owned() else {
+        return None;
+    };
+    let trace = trace
+        .and_then(|t| t.as_str())
+        .and_then(|t| crate::trace::TraceContext::from_wire(&t));
+    Some(VsgRequest {
+        service: Name::new(&service),
+        operation: Name::new(&operation),
+        args,
+        trace,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +265,72 @@ mod tests {
     #[test]
     fn soap11_conformance() {
         conformance::run(&Soap11::new());
+    }
+
+    mod members {
+        use super::super::member_from_ref;
+        use crate::protocol::member_from_value;
+        use proptest::prelude::*;
+        use soap::{CallRef, RpcCall, Value};
+
+        fn arb_field_value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                "[a-z-]{0,8}".prop_map(Value::Str),
+                Just(Value::Str("0000000000000abc-0000000000000def".into())),
+                any::<i64>().prop_map(Value::Int),
+                Just(Value::Null),
+                prop::collection::vec(("[a-z]{1,4}", any::<i64>().prop_map(Value::Int)), 0..3)
+                    .prop_map(|fields| Value::Record(fields.into_iter().collect())),
+                prop::collection::vec(any::<bool>().prop_map(Value::Bool), 0..3)
+                    .prop_map(Value::List),
+            ]
+        }
+
+        /// Batch members of every shape: records with the member fields
+        /// in any order, repeated, missing or mistyped, and lists.
+        fn arb_member() -> impl Strategy<Value = Value> {
+            let key = prop_oneof![Just("s"), Just("o"), Just("a"), Just("t"), Just("x")];
+            (
+                prop::collection::vec((key, arb_field_value()), 0..7),
+                0..5u8,
+            )
+                .prop_map(|(fields, shape)| {
+                    let fields = fields.into_iter().map(|(k, v)| (k.to_owned(), v));
+                    // A well-formed member, with the drawn fields after it.
+                    let valid = [
+                        ("s".to_owned(), Value::Str("hall-lamp".into())),
+                        ("o".to_owned(), Value::Str("switch".into())),
+                        (
+                            "a".to_owned(),
+                            Value::Record(vec![("on".into(), Value::Bool(true))]),
+                        ),
+                    ];
+                    match shape {
+                        0 => Value::List(fields.map(|(_, v)| v).collect()),
+                        1 | 2 => Value::Record(valid.into_iter().chain(fields).collect()),
+                        _ => Value::Record(fields.collect()),
+                    }
+                })
+        }
+
+        proptest! {
+            /// A member read from the view is the member decoded to a
+            /// `Value` and converted.
+            #[test]
+            fn view_members_are_the_value_members(
+                members in prop::collection::vec(arb_member(), 1..4),
+            ) {
+                let mut call = RpcCall::new("urn:vsg:gateway", "__batch__");
+                for (i, m) in members.iter().enumerate() {
+                    call = call.arg(format!("m{i}"), m.clone());
+                }
+                let doc = call.to_envelope();
+                let view = CallRef::parse(&doc).unwrap();
+                for ((_, member), value) in view.args().zip(&members) {
+                    prop_assert_eq!(member_from_ref(&member), member_from_value(value.clone()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::trace::{HopKind, Span, Tracer};
 use minixml::{ParseError, Reader};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
-use soap::{Compound, SoapClient, SoapError, Value, ValueError};
+use soap::{Arg, Compound, SoapClient, SoapError, Value, ValueError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -426,7 +426,7 @@ impl VsrClient {
         &self,
         node: NodeId,
         method: &str,
-        args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
+        args: impl Iterator<Item = (&'a str, Arg<'a>)> + Clone,
         decode: Decode<T>,
     ) -> Result<Option<T>, MetaError> {
         let scope = Scope::child(
@@ -459,7 +459,7 @@ impl VsrClient {
         &self,
         node: NodeId,
         method: &str,
-        args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
+        args: impl Iterator<Item = (&'a str, Arg<'a>)> + Clone,
         decode: Decode<T>,
     ) -> Option<Result<Option<T>, MetaError>> {
         if !self.breakers.admit(node, self.sim.now()).0 {
@@ -532,18 +532,21 @@ impl VsrClient {
         shard: u32,
         write: bool,
         method: &str,
-        args: &[(&str, &Value)],
+        args: &[(&str, Arg<'_>)],
         decode: Decode<T>,
     ) -> Result<Option<T>, MetaError> {
         self.metrics.record_shard_op(shard);
         let shard_arg = Value::Int(i64::from(shard));
-        let routed = args.iter().copied().chain([("shard", &shard_arg)]);
+        let routed = args
+            .iter()
+            .copied()
+            .chain([("shard", Arg::Value(&shard_arg))]);
         let mut map = self.map()?;
         let mut redirects = 0u32;
         'with_map: loop {
             let mut last_transport: Option<MetaError> = None;
             for (i, &node) in map.replicas_for(shard).iter().enumerate() {
-                let promote = (write && i > 0).then_some(("promote", &PROMOTE));
+                let promote = (write && i > 0).then_some(("promote", Arg::Value(&PROMOTE)));
                 let Some(result) =
                     self.guarded(node, method, routed.clone().chain(promote), decode)
                 else {
@@ -590,8 +593,8 @@ impl VsrClient {
     /// success on any replica counts — anti-entropy spreads the rest.
     pub fn register_gateway(&self, name: &str, node: NodeId) -> Result<(), MetaError> {
         let map = self.map()?;
-        let (name, node) = (Value::from(name), Value::Int(i64::from(node.0)));
-        let args = [("name", &name), ("node", &node)];
+        let node = Value::Int(i64::from(node.0));
+        let args = [("name", Arg::Str(name)), ("node", Arg::Value(&node))];
         let mut ok = false;
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
@@ -614,13 +617,12 @@ impl VsrClient {
     /// up).
     pub fn gateway_node(&self, name: &str) -> Result<NodeId, MetaError> {
         let map = self.map()?;
-        let name = Value::from(name);
         let mut last: Option<MetaError> = None;
         for target in map.nodes() {
             match self.guarded(
                 target,
                 "gateway_node",
-                [("name", &name)].into_iter(),
+                [("name", Arg::Str(name))].into_iter(),
                 Value::decode,
             ) {
                 Some(Ok(v)) => {
@@ -643,12 +645,10 @@ impl VsrClient {
     /// writer, and every attempt sends it from the same borrowed
     /// argument list.
     pub fn publish(&self, service: &VirtualService) -> Result<(), MetaError> {
-        let wsdl_doc = Value::Str(
-            service
-                .interface
-                .to_wsdl(&service.name, &service.endpoint())
-                .to_document(),
-        );
+        let wsdl_doc = service
+            .interface
+            .to_wsdl(&service.name, &service.endpoint())
+            .to_document();
         let contexts = Value::Record(
             service
                 .contexts
@@ -657,15 +657,12 @@ impl VsrClient {
                 .collect(),
         );
         let shard = self.map()?.shard_of(&service.name);
-        let name = Value::from(service.name.as_str());
-        let middleware = Value::from(service.origin.label());
-        let gateway = Value::from(service.gateway.as_str());
         let args = [
-            ("name", &name),
-            ("middleware", &middleware),
-            ("gateway", &gateway),
-            ("wsdl", &wsdl_doc),
-            ("contexts", &contexts),
+            ("name", Arg::Str(&service.name)),
+            ("middleware", Arg::Str(service.origin.label())),
+            ("gateway", Arg::Str(&service.gateway)),
+            ("wsdl", Arg::Str(&wsdl_doc)),
+            ("contexts", Arg::Value(&contexts)),
         ];
         self.route(shard, true, "publish", &args, Value::decode)
             .map(|_| ())
@@ -680,7 +677,6 @@ impl VsrClient {
         pattern: &str,
         contexts: &[(&str, &str)],
     ) -> Result<Vec<ServiceRecord>, MetaError> {
-        let pattern = Value::from(pattern);
         let contexts = Value::Record(
             contexts
                 .iter()
@@ -689,7 +685,10 @@ impl VsrClient {
         );
         self.fan_out(
             "find_ctx",
-            &[("pattern", &pattern), ("contexts", &contexts)],
+            &[
+                ("pattern", Arg::Str(pattern)),
+                ("contexts", Arg::Value(&contexts)),
+            ],
         )
     }
 
@@ -711,11 +710,16 @@ impl VsrClient {
     /// name's shard, answered with a flag.
     fn write_by_name(&self, method: &str, name: &str) -> Result<bool, MetaError> {
         let shard = self.map()?.shard_of(name);
-        let name = Value::from(name);
-        self.route(shard, true, method, &[("name", &name)], Value::decode)?
-            .as_ref()
-            .and_then(Value::as_bool)
-            .ok_or_else(|| MetaError::Repository(format!("bad {method} reply")))
+        self.route(
+            shard,
+            true,
+            method,
+            &[("name", Arg::Str(name))],
+            Value::decode,
+        )?
+        .as_ref()
+        .and_then(Value::as_bool)
+        .ok_or_else(|| MetaError::Repository(format!("bad {method} reply")))
     }
 
     /// Finds services by name pattern (`%` wildcards) and optional
@@ -726,11 +730,13 @@ impl VsrClient {
         pattern: &str,
         middleware: Option<Middleware>,
     ) -> Result<Vec<ServiceRecord>, MetaError> {
-        let pattern = Value::from(pattern);
-        let middleware = Value::from(middleware.map_or("", Middleware::label));
+        let middleware = middleware.map_or("", Middleware::label);
         self.fan_out(
             "find",
-            &[("pattern", &pattern), ("middleware", &middleware)],
+            &[
+                ("pattern", Arg::Str(pattern)),
+                ("middleware", Arg::Str(middleware)),
+            ],
         )
     }
 
@@ -739,12 +745,11 @@ impl VsrClient {
     /// into the record.
     pub fn resolve(&self, name: &str) -> Result<ServiceRecord, MetaError> {
         let shard = self.map()?.shard_of(name);
-        let name = Value::from(name);
         self.route(
             shard,
             false,
             "resolve",
-            &[("name", &name)],
+            &[("name", Arg::Str(name))],
             ServiceRecord::decode,
         )?
         .flatten()
@@ -773,7 +778,7 @@ impl VsrClient {
     fn fan_out(
         &self,
         method: &str,
-        args: &[(&str, &Value)],
+        args: &[(&str, Arg<'_>)],
     ) -> Result<Vec<ServiceRecord>, MetaError> {
         let map = self.map()?;
         let mut out: Vec<ServiceRecord> = Vec::new();

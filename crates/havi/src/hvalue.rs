@@ -136,7 +136,34 @@ pub(crate) fn params_len(params: &[HValue]) -> usize {
     1 + params.iter().map(HValue::wire_len).sum::<usize>()
 }
 
-/// Appends a parameter list to a frame being written.
+/// The most parameters a list's one-byte count holds.
+pub const MAX_PARAMS: usize = u8::MAX as usize;
+/// The longest string or byte run a two-byte length prefix holds.
+pub const MAX_RUN: usize = u16::MAX as usize;
+
+/// Checks that a parameter list fits its wire form: at most
+/// [`MAX_PARAMS`] parameters, and no string or byte run longer than
+/// [`MAX_RUN`] bytes. A list that does not fit would be written with a
+/// wrapped count or length and misread at the other end.
+pub(crate) fn check_params(params: &[HValue]) -> Result<(), CodecError> {
+    if params.len() > MAX_PARAMS {
+        return Err(CodecError::TooMany(params.len()));
+    }
+    for p in params {
+        let run = match p {
+            HValue::Str(s) => s.len(),
+            HValue::Bytes(b) => b.len(),
+            _ => 0,
+        };
+        if run > MAX_RUN {
+            return Err(CodecError::TooLong(run));
+        }
+    }
+    Ok(())
+}
+
+/// Appends a parameter list, already checked by [`check_params`], to a
+/// frame being written.
 pub(crate) fn write_params(params: &[HValue], out: &mut Vec<u8>) {
     out.push(params.len() as u8);
     for p in params {
@@ -144,11 +171,13 @@ pub(crate) fn write_params(params: &[HValue], out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a parameter list into a buffer of its own.
-pub fn encode_params(params: &[HValue]) -> Vec<u8> {
+/// Encodes a parameter list into a buffer of its own, or refuses one
+/// that does not fit its wire form.
+pub fn encode_params(params: &[HValue]) -> Result<Vec<u8>, CodecError> {
+    check_params(params)?;
     let mut out = Vec::with_capacity(params_len(params));
     write_params(params, &mut out);
-    out
+    Ok(out)
 }
 
 /// Decodes a parameter list; must consume all input.
@@ -176,6 +205,12 @@ pub enum CodecError {
     BadString,
     /// Bytes left over after the declared parameter count.
     Trailing,
+    /// A string or byte run of this many bytes, more than a length
+    /// prefix holds ([`MAX_RUN`]): refused before it is written.
+    TooLong(usize),
+    /// This many parameters, more than a list's count holds
+    /// ([`MAX_PARAMS`]): refused before they are written.
+    TooMany(usize),
 }
 
 impl fmt::Display for CodecError {
@@ -185,6 +220,15 @@ impl fmt::Display for CodecError {
             CodecError::UnknownTag(t) => write!(f, "unknown parameter tag {t}"),
             CodecError::BadString => write!(f, "invalid UTF-8 in string parameter"),
             CodecError::Trailing => write!(f, "trailing bytes after parameters"),
+            CodecError::TooLong(n) => {
+                write!(
+                    f,
+                    "a parameter of {n} bytes is over the {MAX_RUN} its length holds"
+                )
+            }
+            CodecError::TooMany(n) => {
+                write!(f, "{n} parameters are over the {MAX_PARAMS} a list holds")
+            }
         }
     }
 }
@@ -205,7 +249,7 @@ mod tests {
             HValue::Str("camera".into()),
             HValue::Bytes(vec![1, 2, 3]),
         ];
-        let enc = encode_params(&params);
+        let enc = encode_params(&params).unwrap();
         assert_eq!(decode_params(&enc).unwrap(), params);
         assert_eq!(params_len(&params), enc.len());
         assert_eq!(enc.capacity(), enc.len(), "one exactly sized buffer");
@@ -213,7 +257,7 @@ mod tests {
 
     #[test]
     fn empty_list() {
-        let enc = encode_params(&[]);
+        let enc = encode_params(&[]).unwrap();
         assert_eq!(enc, vec![0]);
         assert!(decode_params(&enc).unwrap().is_empty());
     }
@@ -224,7 +268,7 @@ mod tests {
         assert_eq!(decode_params(&[1]), Err(CodecError::Truncated));
         assert_eq!(decode_params(&[1, 99, 0]), Err(CodecError::UnknownTag(99)));
         // Trailing bytes.
-        let mut enc = encode_params(&[HValue::U8(1)]);
+        let mut enc = encode_params(&[HValue::U8(1)]).unwrap();
         enc.push(0);
         assert_eq!(decode_params(&enc), Err(CodecError::Trailing));
         // Bad UTF-8.
@@ -233,10 +277,33 @@ mod tests {
     }
 
     #[test]
+    fn lists_past_their_prefixes_are_refused() {
+        for fits in [
+            vec![HValue::Str("x".repeat(MAX_RUN))],
+            vec![HValue::Bytes(vec![7; MAX_RUN])],
+            vec![HValue::U8(1); MAX_PARAMS],
+        ] {
+            assert_eq!(decode_params(&encode_params(&fits).unwrap()), Ok(fits));
+        }
+        assert_eq!(
+            encode_params(&[HValue::Str("x".repeat(MAX_RUN + 1))]),
+            Err(CodecError::TooLong(MAX_RUN + 1))
+        );
+        assert_eq!(
+            encode_params(&[HValue::U8(0), HValue::Bytes(vec![0; 70_000])]),
+            Err(CodecError::TooLong(70_000))
+        );
+        assert_eq!(
+            encode_params(&vec![HValue::Bool(true); MAX_PARAMS + 1]),
+            Err(CodecError::TooMany(MAX_PARAMS + 1))
+        );
+    }
+
+    #[test]
     fn havi_encoding_is_compact() {
         // The same logical payload is far smaller than Jini's marshalled
         // object form — the representation gap E3/E4 measure.
-        let enc = encode_params(&[HValue::U16(42), HValue::Bool(true)]);
+        let enc = encode_params(&[HValue::U16(42), HValue::Bool(true)]).unwrap();
         assert!(enc.len() <= 8, "got {} bytes", enc.len());
     }
 

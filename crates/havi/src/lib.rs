@@ -67,7 +67,7 @@ pub use events::{
     decode_forwarded, event_type, post, subscribe, unsubscribe, EventManager, HaviEvent,
 };
 pub use fcm::{oper, Fcm, FcmKind, FcmStateSnapshot, TransportState};
-pub use hvalue::{decode_params, encode_params, CodecError, HValue};
+pub use hvalue::{decode_params, encode_params, CodecError, HValue, MAX_PARAMS, MAX_RUN};
 pub use messaging::{ElementHandler, HaviError, HaviMessage, MessagingSystem, OpCode};
 pub use registry::{attr, Registry, RegistryClient, RegistryEntry};
 pub use seid::{HaviStatus, Seid};
@@ -95,7 +95,7 @@ mod proptests {
     proptest! {
         #[test]
         fn params_round_trip(params in prop::collection::vec(arb_hvalue(), 0..12)) {
-            let enc = encode_params(&params);
+            let enc = encode_params(&params).unwrap();
             prop_assert_eq!(decode_params(&enc).unwrap(), params);
         }
 
@@ -106,7 +106,7 @@ mod proptests {
 
         #[test]
         fn truncated_params_always_error(params in prop::collection::vec(arb_hvalue(), 1..8)) {
-            let enc = encode_params(&params);
+            let enc = encode_params(&params).unwrap();
             prop_assert!(decode_params(&enc[..enc.len() - 1]).is_err());
         }
 

@@ -4,7 +4,7 @@
 //! software elements and carries request/response messages between SEIDs
 //! over IEEE1394 asynchronous transactions.
 
-use crate::hvalue::{decode_params, params_len, write_params, CodecError, HValue};
+use crate::hvalue::{check_params, decode_params, params_len, write_params, CodecError, HValue};
 use crate::seid::{HaviStatus, Seid};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Protocol, Sim, SimDuration};
@@ -53,8 +53,10 @@ const HEAD_LEN: usize = 16;
 
 impl HaviMessage {
     /// Writes the head and appends the parameter list into one buffer
-    /// of exactly the frame's size.
-    fn encode(&self) -> Vec<u8> {
+    /// of exactly the frame's size, or refuses a list that does not
+    /// fit its wire form.
+    fn encode(&self) -> Result<Vec<u8>, CodecError> {
+        check_params(&self.params)?;
         let mut out = Vec::with_capacity(HEAD_LEN + params_len(&self.params));
         out.extend_from_slice(&self.src.node.0.to_be_bytes());
         out.extend_from_slice(&self.src.handle.to_be_bytes());
@@ -62,7 +64,7 @@ impl HaviMessage {
         out.extend_from_slice(&self.opcode.api.to_be_bytes());
         out.extend_from_slice(&self.opcode.oper.to_be_bytes());
         write_params(&self.params, &mut out);
-        out
+        Ok(out)
     }
 
     fn decode(dst_node: NodeId, data: &[u8]) -> Result<HaviMessage, CodecError> {
@@ -229,7 +231,7 @@ impl MessagingSystem {
         }
         let reply = self
             .net
-            .request(self.node, dst.node, Protocol::Havi, msg.encode())
+            .request(self.node, dst.node, Protocol::Havi, msg.encode()?)
             .map_err(|e| HaviError::Network(e.to_string()))?;
         decode_reply(&reply)
     }
@@ -262,8 +264,12 @@ impl fmt::Debug for MessagingSystem {
 }
 
 /// Writes the status byte and appends the parameter list into one
-/// buffer of exactly the reply's size.
+/// buffer of exactly the reply's size. Reply parameters that do not
+/// fit their wire form are refused: the reply is `EResource`, with none.
 fn encode_reply(status: HaviStatus, params: &[HValue]) -> Vec<u8> {
+    if check_params(params).is_err() {
+        return encode_reply(HaviStatus::EResource, &[]);
+    }
     let mut out = Vec::with_capacity(1 + params_len(params));
     out.push(status.code());
     write_params(params, &mut out);
@@ -319,6 +325,30 @@ mod tests {
     }
 
     #[test]
+    fn parameters_too_long_for_the_wire_are_refused_on_both_legs() {
+        let (_sim, net) = bus();
+        let a = MessagingSystem::attach(&net, "a");
+        let b = MessagingSystem::attach(&net, "b");
+        let src = a.register_element(|_, _| (HaviStatus::Success, vec![]));
+        let echo = b.register_element(|_, msg| (HaviStatus::Success, msg.params.clone()));
+        let op = OpCode::new(1, 1);
+        let frames = || net.with_stats(|s| s.protocol(Protocol::Havi).frames);
+        let before = frames();
+        assert_eq!(
+            a.send(src.handle, echo, op, vec![HValue::Str("x".repeat(70_000))]),
+            Err(HaviError::Codec(CodecError::TooLong(70_000)))
+        );
+        assert_eq!(frames(), before, "nothing was sent");
+        // A reply that would not fit is refused by the responder.
+        let big =
+            b.register_element(|_, _| (HaviStatus::Success, vec![HValue::Bytes(vec![0; 70_000])]));
+        assert_eq!(
+            a.send(src.handle, big, op, vec![]),
+            Ok((HaviStatus::EResource, vec![]))
+        );
+    }
+
+    #[test]
     fn unknown_seid_and_send_ok() {
         let (_sim, net) = bus();
         let a = MessagingSystem::attach(&net, "a");
@@ -354,7 +384,7 @@ mod tests {
             opcode: OpCode::new(0x0103, 5),
             params: vec![HValue::U32(1), HValue::Str("t".into())],
         };
-        let enc = msg.encode();
+        let enc = msg.encode().unwrap();
         assert_eq!(enc.capacity(), enc.len(), "one exactly sized buffer");
         let back = HaviMessage::decode(NodeId(9), &enc).unwrap();
         assert_eq!(back, msg);

@@ -120,8 +120,10 @@ impl JValue {
     }
 
     /// Serialises to a marshalled stream (with magic), in one buffer of
-    /// exactly its size.
-    pub fn marshal(&self) -> Vec<u8> {
+    /// exactly its size. A string, class name or field name longer than
+    /// [`MAX_UTF`] bytes, or an object with more than [`MAX_FIELDS`]
+    /// fields, does not fit its length prefix and is refused.
+    pub fn marshal(&self) -> Result<Vec<u8>, MarshalError> {
         marshal_with(|out| self.write(out))
     }
 
@@ -173,10 +175,21 @@ impl JValue {
 // only borrow; these pieces write the wire form of the owned object they
 // stand for without building it.
 
+/// The longest string, class name or field name a two-byte length
+/// prefix holds.
+pub const MAX_UTF: usize = u16::MAX as usize;
+/// The most fields an object's two-byte field count holds.
+pub const MAX_FIELDS: usize = u16::MAX as usize;
+
 /// Where a writer puts marshalled bytes: a buffer, or a counter.
 pub(crate) trait Sink {
     /// Appends `bytes`.
     fn put(&mut self, bytes: &[u8]);
+
+    /// Notes that the stream cannot be written as it stands: a length
+    /// its prefix cannot hold. The measuring pass keeps the first, and
+    /// marshalling stops there, before a byte is written.
+    fn refuse(&mut self, _why: MarshalError) {}
 }
 
 impl Sink for Vec<u8> {
@@ -185,24 +198,39 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// A sink that only counts what is written to it.
-struct Measure(usize);
+/// A sink that only counts what is written to it, and remembers the
+/// first refusal.
+struct Measure {
+    len: usize,
+    refused: Option<MarshalError>,
+}
 
 impl Sink for Measure {
     fn put(&mut self, bytes: &[u8]) {
-        self.0 += bytes.len();
+        self.len += bytes.len();
+    }
+
+    fn refuse(&mut self, why: MarshalError) {
+        self.refused.get_or_insert(why);
     }
 }
 
 /// Marshals the stream `write` writes after the magic into one buffer
-/// of exactly its size: `write` runs once to measure and once to fill.
-pub(crate) fn marshal_with(write: impl Fn(&mut dyn Sink)) -> Vec<u8> {
-    let mut len = Measure(STREAM_MAGIC.len());
-    write(&mut len);
-    let mut out = Vec::with_capacity(len.0);
+/// of exactly its size: `write` runs once to measure, which also checks
+/// every length against its prefix, and once to fill.
+pub(crate) fn marshal_with(write: impl Fn(&mut dyn Sink)) -> Result<Vec<u8>, MarshalError> {
+    let mut measure = Measure {
+        len: STREAM_MAGIC.len(),
+        refused: None,
+    };
+    write(&mut measure);
+    if let Some(why) = measure.refused {
+        return Err(why);
+    }
+    let mut out = Vec::with_capacity(measure.len);
     out.extend_from_slice(STREAM_MAGIC);
     write(&mut out);
-    out
+    Ok(out)
 }
 
 /// Writes a `Str` value.
@@ -225,12 +253,23 @@ pub(crate) fn write_object_head(out: &mut dyn Sink, class: &str, fields: usize) 
     out.put(&[TAG_OBJECT]);
     write_utf(out, class);
     out.put(&class_uid(class).to_be_bytes());
+    if fields > MAX_FIELDS {
+        out.refuse(MarshalError::new(format!(
+            "an object of {fields} fields is over the {MAX_FIELDS} its count holds"
+        )));
+    }
     out.put(&(fields as u16).to_be_bytes());
 }
 
 /// Writes a length-prefixed UTF string: a field or class name, or a
 /// string's body.
 pub(crate) fn write_utf(out: &mut dyn Sink, s: &str) {
+    if s.len() > MAX_UTF {
+        out.refuse(MarshalError::new(format!(
+            "a string of {} bytes is over the {MAX_UTF} its length holds",
+            s.len()
+        )));
+    }
     out.put(&(s.len() as u16).to_be_bytes());
     out.put(s.as_bytes());
 }
@@ -516,7 +555,7 @@ mod tests {
     use super::*;
 
     fn round_trip(v: &JValue) -> JValue {
-        JValue::unmarshal(&v.marshal()).unwrap()
+        JValue::unmarshal(&v.marshal().unwrap()).unwrap()
     }
 
     #[test]
@@ -568,11 +607,11 @@ mod tests {
         assert!(JValue::unmarshal(b"JRM1").is_err());
         assert!(JValue::unmarshal(b"JRM1\xff").is_err());
         // Trailing garbage is rejected.
-        let mut data = JValue::Int(1).marshal();
+        let mut data = JValue::Int(1).marshal().unwrap();
         data.push(0);
         assert!(JValue::unmarshal(&data).is_err());
         // Truncation is rejected.
-        let data = JValue::Str("hello".into()).marshal();
+        let data = JValue::Str("hello".into()).marshal().unwrap();
         assert!(JValue::unmarshal(&data[..data.len() - 2]).is_err());
     }
 
@@ -580,7 +619,7 @@ mod tests {
     fn uid_mismatch_detected() {
         // Corrupt the class-name byte so the UID no longer matches —
         // the incompatible-class-change failure mode of real RMI.
-        let mut data = JValue::object("com.sun.X", vec![]).marshal();
+        let mut data = JValue::object("com.sun.X", vec![]).marshal().unwrap();
         let name_start = 4 + 1 + 2;
         data[name_start] ^= 0x01;
         let err = JValue::unmarshal(&data).unwrap_err();
@@ -596,7 +635,7 @@ mod tests {
             vec![("a".into(), JValue::Int(1))],
         );
         let plain = JValue::Int(1);
-        assert!(obj.marshal().len() > plain.marshal().len() * 4);
+        assert!(obj.marshal().unwrap().len() > plain.marshal().unwrap().len() * 4);
     }
 
     #[test]
@@ -624,7 +663,7 @@ mod tests {
                 ("k".into(), JValue::Int(2)),
             ],
         );
-        let wire = v.marshal();
+        let wire = v.marshal().unwrap();
         let view = JRef::unmarshal(&wire).unwrap();
         assert_eq!(view.to_owned(), v);
         // The first field of a name wins; absent names and non-objects
@@ -662,10 +701,43 @@ mod tests {
     }
 
     #[test]
+    fn lengths_past_their_prefixes_are_refused() {
+        let fits = JValue::Str("x".repeat(MAX_UTF));
+        assert_eq!(JValue::unmarshal(&fits.marshal().unwrap()), Ok(fits));
+        let refused = |v: JValue| v.marshal().unwrap_err().message;
+        assert_eq!(
+            refused(JValue::Str("x".repeat(MAX_UTF + 1))),
+            "a string of 65536 bytes is over the 65535 its length holds"
+        );
+        // Past the limit the prefix would wrap and misframe what follows.
+        assert!(JValue::List(vec![
+            JValue::Str("x".repeat(70_000)),
+            JValue::Str(String::new())
+        ])
+        .marshal()
+        .is_err());
+        assert!(JValue::object("x".repeat(MAX_UTF + 1), vec![])
+            .marshal()
+            .is_err());
+        assert!(
+            JValue::object("C", vec![("f".repeat(MAX_UTF + 1), JValue::Null)])
+                .marshal()
+                .is_err()
+        );
+        let fields = |n: usize| (0..n).map(|_| (String::new(), JValue::Null)).collect();
+        let wide = JValue::object("C", fields(MAX_FIELDS));
+        assert_eq!(JValue::unmarshal(&wide.marshal().unwrap()), Ok(wide));
+        assert_eq!(
+            refused(JValue::object("C", fields(MAX_FIELDS + 1))),
+            "an object of 65536 fields is over the 65535 its count holds"
+        );
+    }
+
+    #[test]
     fn nesting_is_bounded() {
         let deepest = nested_lists(MAX_DEPTH);
         let v = JValue::unmarshal(&deepest).expect("MAX_DEPTH levels decode");
-        assert_eq!(v.marshal(), deepest);
+        assert_eq!(v.marshal().unwrap(), deepest);
         for too_deep in [nested_lists(MAX_DEPTH + 1), nested_lists(100_000)] {
             let err = JRef::unmarshal(&too_deep).unwrap_err();
             assert_eq!(err.message, "nesting deeper than 64 levels");

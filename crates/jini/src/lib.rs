@@ -158,7 +158,7 @@ mod proptests {
     proptest! {
         #[test]
         fn marshal_round_trip(v in arb_jvalue(3)) {
-            let bytes = v.marshal();
+            let bytes = v.marshal().unwrap();
             prop_assert_eq!(JValue::unmarshal(&bytes).unwrap(), v);
         }
 
@@ -189,7 +189,7 @@ mod proptests {
 
         #[test]
         fn truncated_streams_always_error(v in arb_jvalue(2)) {
-            let bytes = v.marshal();
+            let bytes = v.marshal().unwrap();
             if bytes.len() > 5 {
                 // Any strict prefix must fail, never mis-decode.
                 let cut = bytes.len() - 1;
@@ -209,10 +209,10 @@ mod proptests {
             error in "[ -~]{0,40}",
         ) {
             for (frame, tree) in [
-                (call_frame(object_id, &method, &args), oracle::call_tree(object_id, &method, &args)),
-                (result_frame(Ok(&value)), oracle::ok_tree(value.clone())),
-                (result_frame(Err(&error)), oracle::err_tree(&error)),
-                (value.marshal(), oracle::marshal(&value)),
+                (call_frame(object_id, &method, &args).unwrap(), oracle::call_tree(object_id, &method, &args)),
+                (result_frame(Ok(&value)).unwrap(), oracle::ok_tree(value.clone())),
+                (result_frame(Err(&error)).unwrap(), oracle::err_tree(&error)),
+                (value.marshal().unwrap(), oracle::marshal(&value)),
             ] {
                 prop_assert_eq!(&frame, &tree);
                 prop_assert_eq!(frame.capacity(), frame.len(), "one exactly sized buffer");
@@ -237,9 +237,9 @@ mod proptests {
             agree(&noise)?;
             agree(&[STREAM_MAGIC.as_slice(), &noise].concat())?;
             for frame in [
-                call_frame(object_id, &method, &args),
-                result_frame(Ok(&value)),
-                result_frame(Err(&error)),
+                call_frame(object_id, &method, &args).unwrap(),
+                result_frame(Ok(&value)).unwrap(),
+                result_frame(Err(&error)).unwrap(),
             ] {
                 for cut in 0..=frame.len() {
                     agree(&frame[..cut])?;

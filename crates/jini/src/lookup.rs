@@ -7,7 +7,7 @@
 use crate::discovery::{DISCOVERY_REQ_PREFIX, DISCOVERY_RESP_PREFIX};
 use crate::entry::{Entry, ServiceTemplate};
 use crate::id::ServiceId;
-use crate::jvalue::JValue;
+use crate::jvalue::{JValue, MarshalError};
 use crate::lease::{Lease, LeaseId, LeasePolicy, LeaseTable};
 use crate::rmi::{JiniError, ProxyStub};
 use parking_lot::Mutex;
@@ -158,7 +158,11 @@ impl LookupService {
         let registrar_id2 = registrar_id;
         net.set_request_handler(node, move |sim, frame| {
             sim.advance(SimDuration::from_micros(100)); // registrar CPU
-            let reply = handle_request(&state2, registrar_id2, sim.now(), &frame.payload);
+                                                        // A reply that does not fit its stream goes back as the
+                                                        // error saying so, which does.
+            let reply = handle_request(&state2, registrar_id2, sim.now(), &frame.payload)
+                .or_else(|e| reggie_err(&format!("reply refused: {e}")))
+                .expect("a short error marshals");
             Ok(reply)
         })
         .expect("registrar node exists");
@@ -227,7 +231,7 @@ fn handle_request(
     registrar_id: u64,
     now: SimTime,
     payload: &[u8],
-) -> Vec<u8> {
+) -> Result<Vec<u8>, MarshalError> {
     let req = match JValue::unmarshal(payload) {
         Ok(v) => v,
         Err(e) => return reggie_err(&format!("bad request: {e}")),
@@ -347,7 +351,7 @@ fn handle_request(
     }
 }
 
-fn reggie_err(m: &str) -> Vec<u8> {
+fn reggie_err(m: &str) -> Result<Vec<u8>, MarshalError> {
     JValue::object(
         "ReggieError",
         vec![("message".into(), JValue::Str(m.to_owned()))],
@@ -376,7 +380,7 @@ impl RegistrarClient {
     fn call(&self, req: JValue) -> Result<JValue, JiniError> {
         let reply = self
             .net
-            .request(self.node, self.registrar, Protocol::Jini, req.marshal())
+            .request(self.node, self.registrar, Protocol::Jini, req.marshal()?)
             .map_err(|e| JiniError::Network(e.to_string()))?;
         let v = JValue::unmarshal(&reply)?;
         if let JValue::Object { class, .. } = &v {

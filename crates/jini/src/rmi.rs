@@ -126,6 +126,11 @@ impl RmiExporter {
                 }
                 Err(e) => result_frame(Err(&format!("unmarshal failed: {e}"))),
             };
+            // A result that does not fit its stream goes back as the
+            // exception saying so, which does.
+            let reply = reply
+                .or_else(|e| result_frame(Err(&format!("result refused: {e}"))))
+                .expect("a short exception marshals");
             cost.marshal(sim, reply.len());
             Ok(reply)
         })
@@ -209,7 +214,7 @@ impl RemoteProxy {
     /// in place, so only the returned value is copied out of it.
     pub fn invoke(&self, method: &str, args: &[JValue]) -> Result<JValue, JiniError> {
         let sim = self.net.sim().clone();
-        let payload = call_frame(self.stub.object_id, method, args);
+        let payload = call_frame(self.stub.object_id, method, args)?;
         self.cost.marshal(&sim, payload.len());
         let reply = self
             .net
@@ -223,7 +228,11 @@ impl RemoteProxy {
 /// Writes an `RmiCall` frame, `{objectId, method, args}`, from borrows:
 /// the bytes `JValue::object("RmiCall", ..).marshal()` gives, with no
 /// object built and no argument cloned.
-pub(crate) fn call_frame(object_id: u64, method: &str, args: &[JValue]) -> Vec<u8> {
+pub(crate) fn call_frame(
+    object_id: u64,
+    method: &str,
+    args: &[JValue],
+) -> Result<Vec<u8>, MarshalError> {
     marshal_with(|out| {
         write_object_head(out, "RmiCall", 3);
         write_utf(out, "objectId");
@@ -259,7 +268,7 @@ pub(crate) fn read_call(data: &[u8]) -> Result<(u64, &str, Vec<JValue>), Marshal
 
 /// Writes an `RmiResult` frame from a borrow: `{ok: true, value}` for a
 /// returned value, `{ok: false, error}` for a remote exception.
-pub(crate) fn result_frame(result: Result<&JValue, &str>) -> Vec<u8> {
+pub(crate) fn result_frame(result: Result<&JValue, &str>) -> Result<Vec<u8>, MarshalError> {
     marshal_with(|out| {
         write_object_head(out, "RmiResult", 2);
         write_utf(out, "ok");

@@ -36,7 +36,7 @@ pub use escape::{
 };
 pub use node::{Element, XmlNode};
 pub use parser::{parse, parse_ref, ErrorKind, ParseError};
-pub use reader::{local_name, Event, Reader, Text};
+pub use reader::{local_name, Event, Reader, Stack, Text};
 pub use writer::{Measure, XmlOut};
 
 #[cfg(test)]

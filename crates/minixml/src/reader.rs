@@ -100,6 +100,8 @@ pub struct Reader<'a> {
     input: &'a str,
     pos: usize,
     state: State,
+    /// Where the `<` of the last start tag is.
+    tag_at: usize,
     open: Stack<&'a str, 16>,
     attrs: Stack<(&'a str, &'a str), 8>,
 }
@@ -111,6 +113,7 @@ impl<'a> Reader<'a> {
             input,
             pos: 0,
             state: State::Prologue,
+            tag_at: 0,
             open: Stack::new(),
             attrs: Stack::new(),
         }
@@ -163,6 +166,14 @@ impl<'a> Reader<'a> {
             .iter()
             .find(|(k, _)| *k == key)
             .map(|&(_, v)| unescape_cow(v))
+    }
+
+    /// The byte offset of the `<` of the start tag [`Reader::next`]
+    /// last returned. A reader over the input from there reads that
+    /// element as its root, so a caller can note where an element
+    /// starts and read it again later.
+    pub fn tag_offset(&self) -> usize {
+        self.tag_at
     }
 
     /// Number of elements currently open (the one whose `Start` was
@@ -333,6 +344,7 @@ impl<'a> Reader<'a> {
 
     /// After `<`: the name and attributes through `>` or `/>`.
     fn start_tag(&mut self) -> Result<Event<'a>, ParseError> {
+        self.tag_at = self.pos - 1;
         let name = self.name()?;
         self.attrs.clear();
         loop {
@@ -374,7 +386,7 @@ impl<'a> Reader<'a> {
     /// Pops the innermost element and returns its `End`.
     fn close(&mut self) -> Event<'a> {
         let name = self.open.pop().unwrap_or_default();
-        self.state = if self.open.len() == 0 {
+        self.state = if self.open.is_empty() {
             State::Epilogue
         } else {
             State::Content
@@ -441,16 +453,26 @@ fn push<'a>(acc: &mut Cow<'a, str>, text: Cow<'a, str>) {
 }
 
 /// A stack kept inline up to `N` entries that spills to the heap
-/// beyond; either way its entries are one contiguous slice.
+/// beyond; either way its entries are one contiguous slice. The reader
+/// keeps its open elements and attributes in two; a caller that notes
+/// a handful of positions per document can keep them off the heap the
+/// same way.
 #[derive(Debug)]
-struct Stack<T: Copy + Default, const N: usize> {
+pub struct Stack<T: Copy + Default, const N: usize> {
     inline: [T; N],
     len: usize,
     heap: Vec<T>,
 }
 
+impl<T: Copy + Default, const N: usize> Default for Stack<T, N> {
+    fn default() -> Self {
+        Stack::new()
+    }
+}
+
 impl<T: Copy + Default, const N: usize> Stack<T, N> {
-    fn new() -> Self {
+    /// An empty stack.
+    pub fn new() -> Self {
         Stack {
             inline: [T::default(); N],
             len: 0,
@@ -458,11 +480,18 @@ impl<T: Copy + Default, const N: usize> Stack<T, N> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn as_slice(&self) -> &[T] {
+    /// Whether the stack is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries, oldest first.
+    pub fn as_slice(&self) -> &[T] {
         if self.heap.is_empty() {
             &self.inline[..self.len]
         } else {
@@ -470,11 +499,14 @@ impl<T: Copy + Default, const N: usize> Stack<T, N> {
         }
     }
 
-    fn last(&self) -> Option<T> {
+    /// The newest entry.
+    pub fn last(&self) -> Option<T> {
         self.as_slice().last().copied()
     }
 
-    fn push(&mut self, value: T) {
+    /// Adds an entry, spilling every entry to the heap once `N` are
+    /// held.
+    pub fn push(&mut self, value: T) {
         if self.heap.is_empty() && self.len < N {
             self.inline[self.len] = value;
         } else {
@@ -486,7 +518,8 @@ impl<T: Copy + Default, const N: usize> Stack<T, N> {
         self.len += 1;
     }
 
-    fn pop(&mut self) -> Option<T> {
+    /// Removes the newest entry.
+    pub fn pop(&mut self) -> Option<T> {
         if self.len == 0 {
             return None;
         }
@@ -498,7 +531,8 @@ impl<T: Copy + Default, const N: usize> Stack<T, N> {
         }
     }
 
-    fn clear(&mut self) {
+    /// Removes every entry, keeping a spilled buffer's capacity.
+    pub fn clear(&mut self) {
         self.len = 0;
         self.heap.clear();
     }

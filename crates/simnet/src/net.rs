@@ -26,9 +26,11 @@ pub type FrameHandler = Box<dyn FnMut(&Sim, &Frame) + Send>;
 /// Handles request/response exchanges addressed to a node.
 ///
 /// The handler reads the request frame in place; the buffer it returns
-/// is the one the caller of [`Network::request`] gets back. Returning
-/// `Err` surfaces to the caller as [`SimError::Refused`].
-pub type RequestHandler = Box<dyn FnMut(&Sim, &Frame) -> Result<Vec<u8>, String> + Send>;
+/// is the one the caller of [`Network::request`] gets back. The frame
+/// is the handler's to change: it may take `frame.payload` and write
+/// its answer into that buffer. Returning `Err` surfaces to the caller
+/// as [`SimError::Refused`].
+pub type RequestHandler = Box<dyn FnMut(&Sim, &mut Frame) -> Result<Vec<u8>, String> + Send>;
 
 struct NodePort {
     label: String,
@@ -203,7 +205,7 @@ impl Network {
     pub fn set_request_handler(
         &self,
         node: NodeId,
-        f: impl FnMut(&Sim, &Frame) -> Result<Vec<u8>, String> + Send + 'static,
+        f: impl FnMut(&Sim, &mut Frame) -> Result<Vec<u8>, String> + Send + 'static,
     ) -> SimResult<()> {
         let mut nodes = self.inner.nodes.lock();
         let port = nodes.get_mut(&node).ok_or(SimError::UnknownNode(node))?;
@@ -381,7 +383,8 @@ impl Network {
     /// and returns the response payload.
     ///
     /// Neither leg copies its bytes: the handler reads `payload` in
-    /// place, and the buffer it returns is the one handed back. The
+    /// place (and may answer in the same buffer), and the buffer it
+    /// returns is the one handed back. The
     /// clock advances by both transfer times plus whatever the handler
     /// itself charges. Request/response runs over a stream (TCP-like),
     /// so a payload over the link's MTU is fragmented rather than
@@ -395,7 +398,7 @@ impl Network {
     ) -> SimResult<Vec<u8>> {
         self.check_up()?;
         let sim = self.inner.sim.clone();
-        let frame = Frame::new(src, dst, protocol, payload);
+        let mut frame = Frame::new(src, dst, protocol, payload);
 
         // Request leg. The chaos gate runs before any clock advance:
         // these failures guarantee the request never reached `dst`.
@@ -418,18 +421,24 @@ impl Network {
                 .ok_or(SimError::NoHandler(dst))?
                 .clone()
         };
+        // A duplicate re-runs the handler on the request as it arrived,
+        // and the first run may take the payload: where the gate can
+        // duplicate, keep a copy for it.
+        let mut duplicate = (gate.duplicate > 0.0).then(|| frame.clone());
         let response = {
             let mut h = handler.lock();
-            (h)(&sim, &frame).map_err(SimError::Refused)?
+            (h)(&sim, &mut frame).map_err(SimError::Refused)?
         };
         // At-least-once on the request leg: a duplicated request
         // re-invokes the handler — the side effect happens *twice*
         // unless the receiver deduplicates. The duplicate's response is
         // discarded (the caller only matches the first).
         if self.chaos_duplicate(&gate) {
-            self.record_delivered(protocol, frame.len());
-            let mut h = handler.lock();
-            let _ = (h)(&sim, &frame);
+            if let Some(mut duplicate) = duplicate.take() {
+                self.record_delivered(protocol, duplicate.len());
+                let mut h = handler.lock();
+                let _ = (h)(&sim, &mut duplicate);
+            }
         }
 
         // Response leg. The handler has already run, so every failure

@@ -1,8 +1,9 @@
 //! What a frame costs on its way through simnet: no copy. The buffer a
-//! caller hands [`Network::request`] is the one its handler reads, the
-//! buffer the handler returns is the one the caller gets back, a unicast
-//! [`Network::send`] moves its buffer into the receiver's inbox, and a
-//! broadcast to nodes with frame handlers allocates nothing at all.
+//! caller hands [`Network::request`] is the one its handler reads (and
+//! may answer in), the buffer the handler returns is the one the caller
+//! gets back, a unicast [`Network::send`] moves its buffer into the
+//! receiver's inbox, and a broadcast to nodes with frame handlers
+//! allocates nothing at all. Only a chaos duplicate copies a request.
 //! A dedicated test binary, so the counting global allocator sees no
 //! other test's work; counts are per thread, so the harness's own
 //! threads cannot leak in either (handlers run inline on the caller's
@@ -163,4 +164,62 @@ fn a_broadcast_to_handler_nodes_allocates_nothing() {
         0x1234_5678,
         "every listener, in ascending id order"
     );
+}
+
+#[test]
+fn a_handler_that_answers_in_the_request_buffer_allocates_nothing() {
+    let net = Network::ethernet(&Sim::new(1));
+    let client = net.attach("client");
+    let server = net.attach("server");
+    net.set_request_handler(server, |_, frame| {
+        let mut reply = std::mem::take(&mut frame.payload);
+        reply.truncate(1);
+        reply[0] ^= 0xff;
+        Ok(reply)
+    })
+    .expect("server attached");
+    net.request(client, server, Protocol::X10, vec![1u8, 2])
+        .expect("warm-up exchange");
+    let request = vec![7u8, 9];
+    let sent = request.as_ptr() as usize;
+    let (cost, reply) = counted(|| net.request(client, server, Protocol::X10, request));
+    let reply = reply.expect("exchange completes");
+    assert_eq!(reply, [0xf8]);
+    assert_eq!(
+        reply.as_ptr() as usize,
+        sent,
+        "the reply is the request's buffer"
+    );
+    assert_eq!(cost, (0, 0), "(allocations, bytes) of one warm exchange");
+}
+
+#[test]
+fn a_duplicate_sees_the_request_a_payload_taking_handler_was_sent() {
+    use simnet::{FaultPlan, SimTime};
+    let net = Network::ethernet(&Sim::new(1));
+    let client = net.attach("client");
+    let server = net.attach("server");
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen2 = seen.clone();
+    net.set_request_handler(server, move |_, frame| {
+        let payload = std::mem::take(&mut frame.payload);
+        seen2.lock().push(payload.clone());
+        Ok(payload)
+    })
+    .expect("server attached");
+    net.set_fault_plan(FaultPlan::new().duplicate_spike(
+        SimTime::ZERO,
+        SimTime::from_micros(u64::MAX / 2),
+        1.0,
+    ));
+    let before = net.with_stats(|s| s.protocol(Protocol::Raw).bytes);
+    let reply = net
+        .request(client, server, Protocol::Raw, b"once".to_vec())
+        .expect("exchange completes");
+    assert_eq!(reply, b"once");
+    assert_eq!(*seen.lock(), [b"once".to_vec(), b"once".to_vec()]);
+    // Both deliveries of the request and the reply are counted at the
+    // request's length.
+    let after = net.with_stats(|s| s.protocol(Protocol::Raw).bytes);
+    assert_eq!(after - before, 3 * 4);
 }

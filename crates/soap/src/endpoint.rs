@@ -4,11 +4,13 @@
 use crate::fault::Fault;
 use crate::http::{
     HttpClient, HttpRequestRef, HttpResponseRef, HttpServer, PostHead, Responder, ResponseHead,
-    TcpModel,
+    Sent, TcpModel,
 };
-use crate::rpc::{decode_response, fault_envelope, write_call, write_response, RpcCall, SoapError};
+use crate::rpc::{
+    decode_response, fault_envelope, write_call, write_response, Arg, CallRef, RpcCall, SoapError,
+};
 use crate::value::{Value, ValueError};
-use minixml::{Measure, ParseError, Reader};
+use minixml::{Measure, ParseError, Reader, XmlOut};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
 use std::borrow::Cow;
@@ -75,10 +77,64 @@ impl CpuModel {
     }
 }
 
-/// A service handler mounted on a [`SoapServer`]. It gets the decoded
-/// call by `&mut`, so it can move the arguments out instead of cloning
-/// them; the router answers for the call's `method`.
-pub type ServiceHandler = Box<dyn FnMut(&Sim, &mut RpcCall) -> Result<Value, Fault> + Send>;
+/// A service handler mounted on a [`SoapServer`]. It reads the call
+/// in place through the [`CallRef`] and answers through the [`Reply`],
+/// which writes straight into the router's response buffer.
+pub type ServiceHandler =
+    Box<dyn for<'c, 'r> FnMut(&Sim, &CallRef<'c>, Reply<'r>) -> Answered + Send>;
+
+/// How a mounted service answers one call: with a value, with a
+/// closure that writes the `return` element, or with a fault. Either
+/// way the envelope goes straight into the router's response buffer.
+#[derive(Debug)]
+pub struct Reply<'r> {
+    responder: Responder<'r>,
+    method: &'r str,
+}
+
+/// Proof that a service answered, with the length of the envelope it
+/// wrote: the router charges its emit cost once the handler is done.
+#[derive(Debug)]
+pub struct Answered {
+    sent: Sent,
+    body_len: usize,
+}
+
+impl Reply<'_> {
+    /// Answers with `value` as the `return` element.
+    pub fn value(self, value: &Value) -> Answered {
+        self.write(|out| value.write_xml("return", out))
+    }
+
+    /// Answers with the `return` element `ret` writes, typically from
+    /// data the handler only borrows. `ret` runs twice: once into a
+    /// counter, so the buffer is reserved exactly, and once into it.
+    pub fn write(self, ret: impl Fn(&mut dyn XmlOut)) -> Answered {
+        let method = self.method;
+        let mut len = Measure::default();
+        write_response(&mut len, method, |out| ret(out));
+        let sent = self
+            .responder
+            .send(ResponseHead::ok(XML_CONTENT_TYPE), len.0, |out| {
+                write_response(out, method, |out| ret(out))
+            });
+        Answered {
+            sent,
+            body_len: len.0,
+        }
+    }
+
+    /// Answers with a fault envelope, on a 500 as SOAP 1.1 over HTTP
+    /// has it.
+    pub fn fault(self, fault: &Fault) -> Answered {
+        let body = fault_envelope(fault);
+        let head = ResponseHead::error(500, "Internal Server Error", XML_CONTENT_TYPE);
+        Answered {
+            sent: self.responder.send_bytes(head, body.as_bytes()),
+            body_len: body.len(),
+        }
+    }
+}
 
 /// A SOAP RPC server: one HTTP endpoint dispatching by target namespace,
 /// mirroring Apache SOAP's rpcrouter servlet.
@@ -101,45 +157,38 @@ impl SoapServer {
         let services: Arc<Mutex<HashMap<String, ServiceHandler>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let services2 = services.clone();
-        // Zero-copy route: the request is read in place and decoded in
-        // one pass, and the response is written straight into the
-        // server's one response buffer.
+        // Zero-copy route: the request is read in place through a
+        // checked view, and the handler writes its answer straight
+        // into the server's one response buffer.
         http.route_zero(
             RPC_ROUTER_PATH,
-            move |sim, req: &HttpRequestRef<'_>, reply: Responder<'_>| {
+            move |sim, req: &HttpRequestRef<'_>, responder: Responder<'_>| {
                 sim.advance(cpu.parse_cost(req.body.len()));
-                let outcome = match RpcCall::from_envelope(&body_text(req.body)) {
-                    Ok(mut call) => {
+                let body = body_text(req.body);
+                let answered = match CallRef::parse(&body) {
+                    Ok(call) => {
                         sim.advance(cpu.dispatch);
+                        let reply = Reply {
+                            responder,
+                            method: call.method(),
+                        };
                         let mut services = services2.lock();
-                        match services.get_mut(&call.namespace) {
-                            Some(h) => h(sim, &mut call).map(|v| (call.method, v)),
-                            None => Err(Fault::client(format!(
+                        match services.get_mut(&*call.namespace()) {
+                            Some(h) => h(sim, &call, reply),
+                            None => reply.fault(&Fault::client(format!(
                                 "no service registered for namespace '{}'",
-                                call.namespace
+                                call.namespace()
                             ))),
                         }
                     }
-                    Err(e) => Err(Fault::client(e.to_string())),
+                    Err(e) => Reply {
+                        responder,
+                        method: "",
+                    }
+                    .fault(&Fault::client(e.to_string())),
                 };
-                // SOAP 1.1 over HTTP: faults ride a 500, successes a 200.
-                match outcome {
-                    Ok((method, value)) => {
-                        let mut len = Measure::default();
-                        write_response(&mut len, &method, &value);
-                        sim.advance(cpu.emit_cost(len.0));
-                        reply.send(ResponseHead::ok(XML_CONTENT_TYPE), len.0, |out| {
-                            write_response(out, &method, &value)
-                        })
-                    }
-                    Err(fault) => {
-                        let body = fault_envelope(&fault);
-                        sim.advance(cpu.emit_cost(body.len()));
-                        let head =
-                            ResponseHead::error(500, "Internal Server Error", XML_CONTENT_TYPE);
-                        reply.send_bytes(head, body.as_bytes())
-                    }
-                }
+                sim.advance(cpu.emit_cost(answered.body_len));
+                answered.sent
             },
         );
         SoapServer {
@@ -158,7 +207,7 @@ impl SoapServer {
     pub fn mount(
         &self,
         namespace: impl Into<String>,
-        handler: impl FnMut(&Sim, &mut RpcCall) -> Result<Value, Fault> + Send + 'static,
+        handler: impl for<'c, 'r> FnMut(&Sim, &CallRef<'c>, Reply<'r>) -> Answered + Send + 'static,
     ) {
         self.services
             .lock()
@@ -236,7 +285,7 @@ impl SoapClient {
             server,
             &call.namespace,
             &call.method,
-            call.arg_refs(),
+            call.arg_refs().map(|(k, v)| (k, Arg::Value(v))),
             &call.headers,
             Value::decode,
         )
@@ -246,7 +295,8 @@ impl SoapClient {
     /// Invokes `method` under `namespace` with borrowed arguments —
     /// the hot-path variant that skips assembling an owned [`RpcCall`]
     /// (and thus cloning every argument) just to encode an envelope.
-    pub fn call_parts<'a, I>(
+    /// An argument is a `&Value` or a `&str` (see [`Arg`]).
+    pub fn call_parts<'a, I, A>(
         &self,
         server: NodeId,
         namespace: &str,
@@ -254,15 +304,16 @@ impl SoapClient {
         args: I,
     ) -> Result<Value, SoapError>
     where
-        I: IntoIterator<Item = (&'a str, &'a Value)>,
+        I: IntoIterator<Item = (&'a str, A)>,
         I::IntoIter: Clone,
+        A: Into<Arg<'a>>,
     {
         self.call_parts_with_headers(server, namespace, method, args, NO_HEADERS)
     }
 
     /// [`SoapClient::call_parts`] with `SOAP-ENV:Header` entries
     /// (out-of-band metadata such as a trace context).
-    pub fn call_parts_with_headers<'a, I, K: AsRef<str>, V: AsRef<str>>(
+    pub fn call_parts_with_headers<'a, I, A, K: AsRef<str>, V: AsRef<str>>(
         &self,
         server: NodeId,
         namespace: &str,
@@ -271,14 +322,15 @@ impl SoapClient {
         headers: &[(K, V)],
     ) -> Result<Value, SoapError>
     where
-        I: IntoIterator<Item = (&'a str, &'a Value)>,
+        I: IntoIterator<Item = (&'a str, A)>,
         I::IntoIter: Clone,
+        A: Into<Arg<'a>>,
     {
         self.dispatch(
             server,
             namespace,
             method,
-            args.into_iter(),
+            args.into_iter().map(|(k, a)| (k, a.into())),
             headers,
             Value::decode,
         )
@@ -291,7 +343,7 @@ impl SoapClient {
     /// types. `Ok(None)` is a reply with no `return` element; a fault
     /// and a transport failure are errors exactly as for `call_parts`,
     /// and so is the first error `decode` reports.
-    pub fn call_parts_decode<'a, I, T>(
+    pub fn call_parts_decode<'a, I, A, T>(
         &self,
         server: NodeId,
         namespace: &str,
@@ -300,14 +352,15 @@ impl SoapClient {
         decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
     ) -> Result<Option<T>, SoapError>
     where
-        I: IntoIterator<Item = (&'a str, &'a Value)>,
+        I: IntoIterator<Item = (&'a str, A)>,
         I::IntoIter: Clone,
+        A: Into<Arg<'a>>,
     {
         self.dispatch(
             server,
             namespace,
             method,
-            args.into_iter(),
+            args.into_iter().map(|(k, a)| (k, a.into())),
             NO_HEADERS,
             decode,
         )
@@ -322,7 +375,7 @@ impl SoapClient {
         server: NodeId,
         namespace: &str,
         method: &str,
-        args: impl Iterator<Item = (&'a str, &'a Value)> + Clone,
+        args: impl Iterator<Item = (&'a str, Arg<'a>)> + Clone,
         headers: &[(K, V)],
         decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
     ) -> Result<Option<T>, SoapError> {
@@ -373,12 +426,12 @@ mod tests {
     #[test]
     fn end_to_end_rpc() {
         let (_sim, server, client) = setup();
-        server.mount("urn:calc", |_, call| {
-            let a = call.get("a").and_then(Value::as_int).unwrap_or(0);
-            let b = call.get("b").and_then(Value::as_int).unwrap_or(0);
-            match call.method.as_str() {
-                "add" => Ok(Value::Int(a + b)),
-                other => Err(Fault::client(format!("no method {other}"))),
+        server.mount("urn:calc", |_, call, reply| {
+            let a = call.get("a").and_then(|v| v.as_int()).unwrap_or(0);
+            let b = call.get("b").and_then(|v| v.as_int()).unwrap_or(0);
+            match call.method() {
+                "add" => reply.value(&Value::Int(a + b)),
+                other => reply.fault(&Fault::client(format!("no method {other}"))),
             }
         });
         let result = client
@@ -393,7 +446,9 @@ mod tests {
     #[test]
     fn fault_propagates_to_caller() {
         let (_sim, server, client) = setup();
-        server.mount("urn:calc", |_, _| Err(Fault::server("overheated")));
+        server.mount("urn:calc", |_, _, reply| {
+            reply.fault(&Fault::server("overheated"))
+        });
         let err = client
             .call(server.node(), &RpcCall::new("urn:calc", "add"))
             .unwrap_err();
@@ -425,7 +480,7 @@ mod tests {
     #[test]
     fn mount_unmount_cycle() {
         let (_sim, server, client) = setup();
-        server.mount("urn:a", |_, _| Ok(Value::Null));
+        server.mount("urn:a", |_, _, reply| reply.value(&Value::Null));
         assert_eq!(server.namespaces(), vec!["urn:a".to_owned()]);
         assert!(client
             .call(server.node(), &RpcCall::new("urn:a", "m"))
@@ -443,7 +498,7 @@ mod tests {
         // virtual time — the "SOAP is light but not free" observation
         // that E4 quantifies.
         let (sim, server, client) = setup();
-        server.mount("urn:x", |_, _| Ok(Value::Int(1)));
+        server.mount("urn:x", |_, _, reply| reply.value(&Value::Int(1)));
         let before = sim.now();
         client
             .call(server.node(), &RpcCall::new("urn:x", "ping"))
@@ -493,7 +548,7 @@ mod tests {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
         let server = SoapServer::bind_with(&net, "r", CpuModel::free(), TcpModel::default());
-        server.mount("urn:x", |_, _| Ok(Value::Null));
+        server.mount("urn:x", |_, _, reply| reply.value(&Value::Null));
         let free_client = SoapClient::attach_with(&net, "c", CpuModel::free(), TcpModel::default());
         let t0 = sim.now();
         free_client
@@ -504,7 +559,7 @@ mod tests {
         let sim2 = Sim::new(1);
         let net2 = Network::ethernet(&sim2);
         let server2 = SoapServer::bind(&net2, "r");
-        server2.mount("urn:x", |_, _| Ok(Value::Null));
+        server2.mount("urn:x", |_, _, reply| reply.value(&Value::Null));
         let client2 = SoapClient::attach(&net2, "c");
         let t0 = sim2.now();
         client2

@@ -685,7 +685,7 @@ impl HttpServer {
         let node = net.attach(label);
         let routes: Arc<Mutex<HashMap<String, Route>>> = Arc::new(Mutex::new(HashMap::new()));
         let routes2 = routes.clone();
-        net.set_request_handler(node, move |sim, frame: &Frame| {
+        net.set_request_handler(node, move |sim, frame: &mut Frame| {
             // One frame, one request, one response, one per-request
             // server overhead. Owned-route handlers get a materialised
             // request; zero-copy routes read it in place and write

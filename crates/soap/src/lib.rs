@@ -6,7 +6,9 @@
 //!
 //! * [`Value`] — the SOAP section-5 RPC data model, the framework's
 //!   lingua franca.
-//! * [`RpcCall`] / [`RpcResponse`] / [`Fault`] — envelope encoding.
+//! * [`RpcCall`] / [`RpcResponse`] / [`Fault`] — envelope encoding, and
+//!   [`CallRef`], the checked in-place view a server reads a call
+//!   through.
 //! * [`HttpRequest`] / [`HttpResponse`] / [`HttpServer`] / [`HttpClient`]
 //!   — simulated HTTP/1.1 with per-connection TCP costs.
 //! * [`SoapServer`] / [`SoapClient`] — the rpcrouter endpoint, with a
@@ -19,14 +21,14 @@
 //! let sim = Sim::new(7);
 //! let net = Network::ethernet(&sim);
 //! let server = SoapServer::bind(&net, "router");
-//! // The handler gets the decoded call by `&mut`: it can move the
-//! // arguments out instead of cloning them.
-//! server.mount("urn:vcr", |_, call| match call.method.as_str() {
-//!     "record" => Ok(std::mem::take(&mut call.args)
-//!         .into_iter()
-//!         .find_map(|(name, v)| (name == "channel").then_some(v))
-//!         .unwrap_or(Value::Null)),
-//!     m => Err(Fault::client(format!("no method {m}"))),
+//! // The handler reads the call in place and writes its answer
+//! // straight into the response.
+//! server.mount("urn:vcr", |_, call, reply| match call.method() {
+//!     "record" => match call.get("channel") {
+//!         Some(channel) => reply.value(&channel.to_owned()),
+//!         None => reply.value(&Value::Null),
+//!     },
+//!     m => reply.fault(&Fault::client(format!("no method {m}"))),
 //! });
 //! let client = SoapClient::attach(&net, "pc");
 //! let call = RpcCall::new("urn:vcr", "record").arg("channel", 42);
@@ -45,14 +47,21 @@ mod oracle;
 pub mod rpc;
 pub mod value;
 
-pub use endpoint::{CpuModel, ServiceHandler, SoapClient, SoapServer, RPC_ROUTER_PATH};
+pub use endpoint::{
+    Answered, CpuModel, Reply, ServiceHandler, SoapClient, SoapServer, RPC_ROUTER_PATH,
+};
 pub use fault::{Fault, FaultCode};
 pub use http::{
     HttpClient, HttpError, HttpRequest, HttpRequestRef, HttpResponse, HttpResponseRef, HttpServer,
     Responder, ResponseHead, Sent, TcpModel, ZeroRouteHandler,
 };
-pub use rpc::{call_envelope, decode_response, fault_envelope, RpcCall, RpcResponse, SoapError};
-pub use value::{base64_decode, base64_encode, Compound, Value, ValueError};
+pub use rpc::{
+    call_envelope, decode_response, fault_envelope, Arg, CallRef, RpcCall, RpcResponse, SoapError,
+};
+pub use value::{
+    base64_decode, base64_encode, write_compound_xml, write_str_xml, Compound, Members, Value,
+    ValueError, ValueRef, MAX_DEPTH,
+};
 
 #[cfg(test)]
 mod proptests {
@@ -118,11 +127,88 @@ mod proptests {
             prop_assert_eq!(back, req);
         }
 
+        /// Arbitrary text, and calls and replies whose one value nests
+        /// past the depth bound, decode to a value or an error, and a
+        /// router answers each as a request body.
         #[test]
-        fn envelope_decoder_never_panics(s in ".{0,300}") {
+        fn envelope_decoder_never_panics(s in hostile_envelope()) {
             let _ = RpcCall::from_envelope(&s);
             let _ = RpcResponse::from_envelope(&s);
+            let _ = decode_response(&s, Value::decode);
+            let (net, server, client) = router();
+            let wire = HttpRequest::post(RPC_ROUTER_PATH, "text/xml; charset=utf-8", s).to_bytes();
+            let raw = net
+                .request(client, server.node(), simnet::Protocol::Http, wire)
+                .expect("the router answers");
+            let status = HttpResponseRef::parse(&raw).expect("an HTTP response").status;
+            prop_assert!(status == 200 || status == 500, "status {status}");
         }
+    }
+
+    /// A router with one service, which echoes its first argument, and
+    /// a client node.
+    fn router() -> (simnet::Network, SoapServer, simnet::NodeId) {
+        let net = simnet::Network::ethernet(&simnet::Sim::new(1));
+        let server = SoapServer::bind(&net, "router");
+        server.mount("urn:x", |_, call, reply| match call.args().next() {
+            Some((_, v)) => reply.value(&v.to_owned()),
+            None => reply.value(&Value::Null),
+        });
+        let client = net.attach("pc");
+        (net, server, client)
+    }
+
+    /// An envelope whose one value nests `depth` Structs (or Arrays)
+    /// deep around an int: a call to `urn:x` or a reply, closed or cut
+    /// off inside the innermost level. Written as text, since the
+    /// recursive writer would overflow the stack too.
+    pub(crate) fn deep_envelope(depth: usize, array: bool, reply: bool, closed: bool) -> String {
+        let (open, close) = if array {
+            ("<item xsi:type=\"SOAP-ENC:Array\">", "</item>")
+        } else {
+            ("<f xsi:type=\"SOAP-ENC:Struct\">", "</f>")
+        };
+        let (head, tail) = if reply {
+            (
+                "<ns1:mResponse xmlns:ns1=\"urn:vsg:response\"><return",
+                "</return></ns1:mResponse>",
+            )
+        } else {
+            ("<ns1:m xmlns:ns1=\"urn:x\"><arg", "</arg></ns1:m>")
+        };
+        let kind = if array { "Array" } else { "Struct" };
+        let mut doc = format!(
+            "<?xml version=\"1.0\"?><SOAP-ENV:Envelope xmlns:SOAP-ENV=\"urn:env\"><SOAP-ENV:Body>{head} xsi:type=\"SOAP-ENC:{kind}\">"
+        );
+        doc.reserve(depth * (open.len() + close.len()) + 128);
+        for _ in 1..depth {
+            doc.push_str(open);
+        }
+        doc.push_str("<n xsi:type=\"xsd:int\">1</n>");
+        if closed {
+            for _ in 1..depth {
+                doc.push_str(close);
+            }
+            doc.push_str(tail);
+            doc.push_str("</SOAP-ENV:Body></SOAP-ENV:Envelope>");
+        }
+        doc
+    }
+
+    /// Arbitrary text, and envelopes nested just past the depth bound
+    /// and 100 000 levels deep.
+    fn hostile_envelope() -> BoxedStrategy<String> {
+        prop_oneof![
+            4 => ".{0,300}",
+            1 => (
+                prop_oneof![Just(MAX_DEPTH + 1), Just(100_000usize)],
+                any::<bool>(),
+                any::<bool>(),
+                any::<bool>(),
+            )
+                .prop_map(|(depth, array, reply, closed)| deep_envelope(depth, array, reply, closed)),
+        ]
+        .boxed()
     }
 
     /// The three decodes of `doc`, on the one-pass path and on the
@@ -149,6 +235,64 @@ mod proptests {
         for (streamed, tree) in decodes(doc) {
             prop_assert_eq!(streamed, tree, "document {:?}", doc);
         }
+        check_call(doc)
+    }
+
+    /// The view gives what the owned one-pass decode it replaced gives
+    /// (the same call or the same error), and its lookups read what
+    /// the owned call's do.
+    fn check_call(doc: &str) -> Result<(), TestCaseError> {
+        let view = CallRef::parse(doc);
+        let oracle = oracle::call_from_envelope_one_pass(doc);
+        prop_assert_eq!(
+            format!("{:?}", view.as_ref().map(CallRef::to_owned)),
+            format!("{oracle:?}"),
+            "document {:?}",
+            doc
+        );
+        let (Ok(view), Ok(call)) = (view, oracle) else {
+            return Ok(());
+        };
+        prop_assert_eq!(view.namespace(), call.namespace.as_str());
+        prop_assert_eq!(view.method(), call.method.as_str());
+        prop_assert_eq!(view.args().len(), call.args.len());
+        for (name, _) in call
+            .args
+            .iter()
+            .map(|(k, v)| (k.as_str(), v))
+            .chain([("absent", &Value::Null)])
+        {
+            let (got, want) = (view.get(name), call.get(name));
+            prop_assert_eq!(
+                format!("{:?}", got.map(|v| v.to_owned())),
+                format!("{want:?}")
+            );
+            let (Some(got), Some(want)) = (got, want) else {
+                continue;
+            };
+            let text = got.as_str();
+            prop_assert_eq!(text.as_deref(), want.as_str());
+            prop_assert_eq!(got.as_int(), want.as_int());
+            prop_assert_eq!(got.as_bool(), want.as_bool());
+            // An Array's items are whatever their elements are named.
+            let array = matches!(want, Value::List(_));
+            let members: Vec<String> = got
+                .members()
+                .map(|(k, v)| format!("{}={:?}", if array { "" } else { k }, v.to_owned()))
+                .collect();
+            let expected: Vec<String> = match want {
+                Value::Record(fields) => fields.iter().map(|(k, v)| format!("{k}={v:?}")).collect(),
+                Value::List(items) => items.iter().map(|v| format!("={v:?}")).collect(),
+                _ => Vec::new(),
+            };
+            prop_assert_eq!(members, expected);
+        }
+        for (name, text) in &call.headers {
+            let got = view.get_header(name);
+            prop_assert_eq!(got.as_deref(), call.get_header(name));
+            prop_assert!(view.headers().any(|(k, t)| k == name && t == text.as_str()));
+        }
+        prop_assert_eq!(view.get_header("absent"), None);
         Ok(())
     }
 
@@ -339,6 +483,58 @@ mod proptests {
         #[test]
         fn one_pass_decode_equals_tree_oracle_on_wire_envelopes(doc in arb_wire_envelope()) {
             check_decodes(&doc)?;
+        }
+    }
+
+    /// A gateway-shaped call: header entries, a repeated `__service`,
+    /// strings that need escaping and nested Structs.
+    fn arb_gateway_call() -> impl Strategy<Value = String> {
+        (
+            "[a-z]{1,8}",
+            prop::collection::vec("[ -~]{0,12}", 1..3),
+            prop::collection::vec(("[a-z][a-z0-9]{0,6}", arb_value(3)), 0..3),
+            prop::collection::vec(("[A-Z][a-z]{0,6}", "[ -~]{0,12}"), 0..3),
+        )
+            .prop_map(|(method, services, args, headers)| {
+                let mut call = RpcCall::new("urn:vsg:gateway", method);
+                for (i, service) in services.into_iter().enumerate() {
+                    call = call.arg("__service", service);
+                    if let Some((k, v)) = args.get(i) {
+                        call = call.arg(k.as_str(), v.clone());
+                    }
+                }
+                for (k, v) in args.into_iter().skip(2) {
+                    call = call.arg(k, v);
+                }
+                call.headers = headers;
+                call.arg(
+                    "nested",
+                    Value::Record(vec![(
+                        "inner".into(),
+                        Value::Record(vec![("s".into(), Value::Str("<&>".into()))]),
+                    )]),
+                )
+                .to_envelope()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On every truncation and every single-byte edit of a valid
+        /// call envelope the view agrees with the oracles.
+        #[test]
+        fn view_agrees_on_every_cut_and_byte_edit(doc in arb_gateway_call(), mask in 1u8..=255) {
+            let bytes = doc.as_bytes();
+            for cut in 0..=bytes.len() {
+                check_call(&String::from_utf8_lossy(&bytes[..cut]))?;
+            }
+            let mut edited = bytes.to_vec();
+            for at in 0..bytes.len() {
+                edited[at] ^= mask;
+                check_decodes(&String::from_utf8_lossy(&edited))?;
+                edited[at] ^= mask;
+            }
         }
     }
 }

@@ -1,15 +1,69 @@
 //! The decoders the one-pass wire replaced, kept verbatim as test
 //! oracles: the element-tree envelope decode (`parse_ref`, then walk
-//! the tree) and the three-scan HTTP request framing (`message_len`,
-//! then the borrowed parse, then the header block's checks). For every
-//! input the streaming decoders must return what these return, errors
-//! included.
+//! the tree), the owned one-pass call decode the [`crate::CallRef`]
+//! view replaced, and the three-scan HTTP request framing
+//! (`message_len`, then the borrowed parse, then the header block's
+//! checks). For every input the streaming decoders must return what
+//! these return, errors included.
 
 use crate::fault::{Fault, FaultCode};
 use crate::http::HttpError;
-use crate::rpc::{RpcCall, RpcResponse, SoapError};
+use crate::rpc::{read_body, read_envelope, RpcCall, RpcResponse, SoapError};
 use crate::value::{base64_decode, Value, ValueError};
-use minixml::ElemRef;
+use minixml::{local_name, unescape_cow, ElemRef, ParseError, Reader};
+
+/// The owned one-pass call decode: copies the namespace, method,
+/// header entries and decoded arguments out as it reads.
+pub(crate) fn call_from_envelope_one_pass(doc: &str) -> Result<RpcCall, SoapError> {
+    let mut headers = Vec::new();
+    let call = read_envelope(
+        doc,
+        |r| {
+            r.for_each_child(|name, r| {
+                let text = r.text_content()?.into_owned();
+                headers.push((local_name(name).to_owned(), text));
+                Ok(())
+            })
+        },
+        |r| read_body(r, read_call),
+    )?;
+    Ok(RpcCall { headers, ..call })
+}
+
+/// Reads the call element `name`: its namespace (the first `xmlns…`
+/// attribute) and its arguments. The first value error skips the rest.
+fn read_call<'a>(
+    name: &'a str,
+    r: &mut Reader<'a>,
+) -> Result<Result<RpcCall, SoapError>, ParseError> {
+    let namespace = r
+        .attrs()
+        .iter()
+        .find(|(k, _)| k.starts_with("xmlns"))
+        .map(|&(_, v)| unescape_cow(v).into_owned())
+        .unwrap_or_default();
+    let mut args = Vec::new();
+    let mut failed = None;
+    r.for_each_child(|arg, r| {
+        if failed.is_some() {
+            return r.skip_element();
+        }
+        match Value::decode(r)? {
+            Ok(v) => args.push((local_name(arg).to_owned(), v)),
+            Err(e) => failed = Some(e),
+        }
+        Ok(())
+    })?;
+    Ok(match failed {
+        Some(e) => Err(e.into()),
+        None => Ok(RpcCall {
+            namespace,
+            method: local_name(name).to_owned(),
+            args,
+            headers: Vec::new(),
+        }),
+    })
+}
 
 pub(crate) fn value_from_element_ref(e: &ElemRef<'_>) -> Result<Value, ValueError> {
     let ty = e.get_attr("xsi:type").unwrap_or("xsd:string");

@@ -1,22 +1,26 @@
 //! SOAP 1.1 RPC envelopes: calls, responses, and their wire encoding.
 //!
-//! Envelopes decode in one pass over the pull [`Reader`]: the decoder
-//! keeps only what the caller gets (method, namespace, arguments,
-//! header entries, the return value or the fault) and skips everything
-//! else — extra Body children, unused header subtrees — by counting
-//! depth, so no element tree is built and nesting costs no call stack.
-//! When a document has several problems the first of these wins, as
-//! it would on the parsed tree: an XML error anywhere in the document;
-//! a root that is not an `Envelope`; no `Body`; an empty `Body`; then
-//! the first value error in document order.
+//! Envelopes decode in one pass over the pull [`Reader`]. A call is
+//! read through [`CallRef`], a view that checks the whole envelope
+//! once and records where the method, the namespace, each argument and
+//! each header entry are, so a handler reads them in place and copies
+//! only what it keeps. A response decoder keeps only the return value
+//! or the fault. Everything else — extra Body children, unused header
+//! subtrees — is skipped by counting depth, so no element tree is
+//! built and nesting costs no call stack. When a document has several
+//! problems the first of these wins, as it would on the parsed tree:
+//! an XML error anywhere in the document; a root that is not an
+//! `Envelope`; no `Body`; an empty `Body`; then the first value error
+//! in document order.
 
 use crate::fault::{Fault, FaultParts};
 use crate::http::HttpError;
-use crate::value::{Value, ValueError};
+use crate::value::{write_str_xml, Value, ValueError, ValueRef};
 use minixml::{
     escape_attr_into, escape_text_into, local_name, unescape_cow, Element, Event, Measure,
-    ParseError, Reader, XmlOut,
+    ParseError, Reader, Stack, XmlOut,
 };
+use std::borrow::Cow;
 use std::fmt;
 
 const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -78,22 +82,10 @@ impl RpcCall {
         self.args.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Decodes a call envelope in one pass: only the strings that end
-    /// up in the returned call are copied out of `doc`.
+    /// Decodes a call envelope: [`CallRef::to_owned`] over
+    /// [`CallRef::parse`], so it accepts exactly what the view does.
     pub fn from_envelope(doc: &str) -> Result<RpcCall, SoapError> {
-        let mut headers = Vec::new();
-        let call = read_envelope(
-            doc,
-            |r| {
-                r.for_each_child(|name, r| {
-                    let text = r.text_content()?.into_owned();
-                    headers.push((local_name(name).to_owned(), text));
-                    Ok(())
-                })
-            },
-            |r| read_body(r, read_call),
-        )?;
-        Ok(RpcCall { headers, ..call })
+        CallRef::parse(doc).map(|call| call.to_owned())
     }
 
     /// Looks up an argument by name.
@@ -107,6 +99,143 @@ impl RpcCall {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
+    }
+}
+
+/// How many arguments and header entries a [`CallRef`] notes inline;
+/// more spill to the heap.
+const INLINE_ARGS: usize = 8;
+const INLINE_HEADERS: usize = 2;
+
+/// A call envelope read in place. [`CallRef::parse`] checks the whole
+/// document in one pass — XML, envelope structure and every argument's
+/// value, with the errors and precedence of the module docs — and
+/// notes where the call element's parts are. The method, the namespace
+/// and string values are then slices of the document (`Cow` only where
+/// an entity had to be unescaped), and any other value is decoded when
+/// it is asked for. Parsing allocates nothing for a call of up to
+/// eight arguments and two header entries.
+#[derive(Debug)]
+pub struct CallRef<'a> {
+    doc: &'a str,
+    /// The call element's first `xmlns…` attribute, still escaped.
+    namespace: &'a str,
+    method: &'a str,
+    /// Each argument's local name and the offset of its start tag.
+    args: Stack<(&'a str, usize), INLINE_ARGS>,
+    /// Each entry of the first Header: its local name and offset.
+    headers: Stack<(&'a str, usize), INLINE_HEADERS>,
+}
+
+impl<'a> CallRef<'a> {
+    /// Checks a call envelope and returns its view, or the error
+    /// [`RpcCall::from_envelope`] reports for it.
+    pub fn parse(doc: &'a str) -> Result<CallRef<'a>, SoapError> {
+        let mut headers = Stack::new();
+        let call = read_envelope(
+            doc,
+            |r| {
+                r.for_each_child(|name, r| {
+                    headers.push((local_name(name), r.tag_offset()));
+                    Ok(())
+                })
+            },
+            |r| read_body(r, |name, r| read_call(doc, name, r)),
+        )?;
+        Ok(CallRef { headers, ..call })
+    }
+
+    /// The target service namespace.
+    pub fn namespace(&self) -> Cow<'a, str> {
+        unescape_cow(self.namespace)
+    }
+
+    /// The operation name: the call element's local name.
+    pub fn method(&self) -> &'a str {
+        self.method
+    }
+
+    /// The arguments in call order, each with its name.
+    pub fn args(&self) -> impl ExactSizeIterator<Item = (&'a str, ValueRef<'a>)> + '_ {
+        self.args
+            .as_slice()
+            .iter()
+            .map(|&(name, at)| (name, ValueRef::at(self.doc, at)))
+    }
+
+    /// The first argument named `name`, as [`RpcCall::get`] finds it.
+    pub fn get(&self, name: &str) -> Option<ValueRef<'a>> {
+        self.args().find(|&(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// The header entries in document order: local name and text.
+    pub fn headers(&self) -> impl Iterator<Item = (&'a str, Cow<'a, str>)> + '_ {
+        self.headers
+            .as_slice()
+            .iter()
+            .map(|&(name, at)| (name, self.header_text(at)))
+    }
+
+    /// The text of the first header entry named `name`, as
+    /// [`RpcCall::get_header`] finds it.
+    pub fn get_header(&self, name: &str) -> Option<Cow<'a, str>> {
+        let &(_, at) = self.headers.as_slice().iter().find(|(k, _)| *k == name)?;
+        Some(self.header_text(at))
+    }
+
+    /// The owned call, with every argument decoded.
+    pub fn to_owned(&self) -> RpcCall {
+        RpcCall {
+            namespace: self.namespace().into_owned(),
+            method: self.method.to_owned(),
+            args: self
+                .args()
+                .map(|(name, v)| (name.to_owned(), v.to_owned()))
+                .collect(),
+            headers: self
+                .headers()
+                .map(|(name, text)| (name.to_owned(), text.into_owned()))
+                .collect(),
+        }
+    }
+
+    /// The text of the header entry whose start tag is at `at`.
+    fn header_text(&self, at: usize) -> Cow<'a, str> {
+        let mut r = Reader::new(&self.doc[at..]);
+        let _ = r.next();
+        r.text_content().unwrap_or_default()
+    }
+}
+
+/// One argument a call is written from: a borrowed [`Value`], or a
+/// borrowed string, written as the `Value::Str` it stands for, so a
+/// caller need not copy a name into a `Value` to send it.
+#[derive(Debug, Clone, Copy)]
+pub enum Arg<'a> {
+    /// Any value.
+    Value(&'a Value),
+    /// A string.
+    Str(&'a str),
+}
+
+impl Arg<'_> {
+    fn write_xml<O: XmlOut + ?Sized>(self, name: &str, out: &mut O) {
+        match self {
+            Arg::Value(v) => v.write_xml(name, out),
+            Arg::Str(s) => write_str_xml(name, s, out),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for Arg<'a> {
+    fn from(v: &'a Value) -> Arg<'a> {
+        Arg::Value(v)
+    }
+}
+
+impl<'a> From<&'a str> for Arg<'a> {
+    fn from(s: &'a str) -> Arg<'a> {
+        Arg::Str(s)
     }
 }
 
@@ -132,9 +261,13 @@ impl RpcResponse {
     /// into an exactly sized string (no element tree).
     pub fn to_envelope(&self) -> String {
         let mut len = Measure::default();
-        write_response(&mut len, &self.method, &self.value);
+        write_response(&mut len, &self.method, |out| {
+            self.value.write_xml("return", out)
+        });
         let mut out = String::with_capacity(len.0);
-        write_response(&mut out, &self.method, &self.value);
+        write_response(&mut out, &self.method, |out| {
+            self.value.write_xml("return", out)
+        });
         out
     }
 
@@ -174,7 +307,7 @@ pub fn decode_response<T>(
 /// every other child of the Envelope is skipped. XML errors propagate
 /// at once; the SOAP errors wait until the whole document has been
 /// read, so an XML error anywhere wins.
-fn read_envelope<'a, T>(
+pub(crate) fn read_envelope<'a, T>(
     doc: &'a str,
     mut header: impl FnMut(&mut Reader<'a>) -> Result<(), ParseError>,
     mut body: impl FnMut(&mut Reader<'a>) -> Result<Result<T, SoapError>, ParseError>,
@@ -209,7 +342,7 @@ fn read_envelope<'a, T>(
 
 /// Reads a `Body`: `read` gets its first child element, the rest are
 /// skipped. A Body with no child element is an empty SOAP body.
-fn read_body<'a, T>(
+pub(crate) fn read_body<'a, T>(
     r: &mut Reader<'a>,
     mut read: impl FnMut(&'a str, &mut Reader<'a>) -> Result<Result<T, SoapError>, ParseError>,
 ) -> Result<Result<T, SoapError>, ParseError> {
@@ -224,37 +357,36 @@ fn read_body<'a, T>(
     Ok(outcome.unwrap_or_else(|| Err(SoapError::malformed("empty SOAP body"))))
 }
 
-/// Reads the call element `name`: its namespace (the first `xmlns…`
-/// attribute) and its arguments. The first value error skips the rest.
+/// Reads the call element `name` of `doc`: notes its namespace (the
+/// first `xmlns…` attribute) and where each argument starts, and
+/// checks each argument's value. The first value error skips the rest.
 fn read_call<'a>(
+    doc: &'a str,
     name: &'a str,
     r: &mut Reader<'a>,
-) -> Result<Result<RpcCall, SoapError>, ParseError> {
+) -> Result<Result<CallRef<'a>, SoapError>, ParseError> {
     let namespace = r
         .attrs()
         .iter()
         .find(|(k, _)| k.starts_with("xmlns"))
-        .map(|&(_, v)| unescape_cow(v).into_owned())
-        .unwrap_or_default();
-    let mut args = Vec::new();
+        .map_or("", |&(_, v)| v);
+    let mut args = Stack::new();
     let mut failed = None;
     r.for_each_child(|arg, r| {
-        if failed.is_some() {
-            return r.skip_element();
-        }
-        match Value::decode(r)? {
-            Ok(v) => args.push((local_name(arg).to_owned(), v)),
-            Err(e) => failed = Some(e),
+        if failed.is_none() {
+            args.push((local_name(arg), r.tag_offset()));
+            failed = Value::check(r)?.err();
         }
         Ok(())
     })?;
     Ok(match failed {
         Some(e) => Err(e.into()),
-        None => Ok(RpcCall {
+        None => Ok(CallRef {
+            doc,
             namespace,
-            method: local_name(name).to_owned(),
+            method: local_name(name),
             args,
-            headers: Vec::new(),
+            headers: Stack::new(),
         }),
     })
 }
@@ -293,10 +425,10 @@ fn read_return<'a, T>(
 /// Encodes a call envelope directly from borrowed parts — bit-identical
 /// to building an [`RpcCall`] and calling [`RpcCall::to_envelope`], but
 /// without cloning the argument list into an owned value first.
-pub fn call_envelope<'a>(
+pub fn call_envelope<'a, A: Into<Arg<'a>>>(
     namespace: &str,
     method: &str,
-    args: impl IntoIterator<Item = (&'a str, &'a Value)>,
+    args: impl IntoIterator<Item = (&'a str, A)>,
 ) -> String {
     call_envelope_with_headers(namespace, method, args, NO_HEADERS)
 }
@@ -304,10 +436,10 @@ pub fn call_envelope<'a>(
 /// Like [`call_envelope`], with `SOAP-ENV:Header` entries. Headers are
 /// emitted as text elements in the `urn:vsg:ext` namespace, before the
 /// Body as SOAP 1.1 requires.
-pub fn call_envelope_with_headers<'a, K: AsRef<str>, V: AsRef<str>>(
+pub fn call_envelope_with_headers<'a, A: Into<Arg<'a>>, K: AsRef<str>, V: AsRef<str>>(
     namespace: &str,
     method: &str,
-    args: impl IntoIterator<Item = (&'a str, &'a Value)>,
+    args: impl IntoIterator<Item = (&'a str, A)>,
     headers: &[(K, V)],
 ) -> String {
     let mut out = String::with_capacity(512);
@@ -318,13 +450,18 @@ pub fn call_envelope_with_headers<'a, K: AsRef<str>, V: AsRef<str>>(
 /// Streams a call envelope into `out` — no element tree is built. The
 /// output stays byte-identical to serialising the equivalent tree (the
 /// equivalence test in this module enforces it).
-pub(crate) fn write_call<'a, O: XmlOut + ?Sized, K: AsRef<str>, V: AsRef<str>>(
+pub(crate) fn write_call<'a, O, A, K, V>(
     out: &mut O,
     namespace: &str,
     method: &str,
-    args: impl IntoIterator<Item = (&'a str, &'a Value)>,
+    args: impl IntoIterator<Item = (&'a str, A)>,
     headers: &[(K, V)],
-) {
+) where
+    O: XmlOut + ?Sized,
+    A: Into<Arg<'a>>,
+    K: AsRef<str>,
+    V: AsRef<str>,
+{
     write_envelope_open(out, headers);
     out.put("<SOAP-ENV:Body><ns1:");
     out.put(method);
@@ -337,7 +474,7 @@ pub(crate) fn write_call<'a, O: XmlOut + ?Sized, K: AsRef<str>, V: AsRef<str>>(
             out.put(">");
             empty = false;
         }
-        value.write_xml(name, out);
+        value.into().write_xml(name, out);
     }
     if empty {
         out.put("/>");
@@ -349,14 +486,18 @@ pub(crate) fn write_call<'a, O: XmlOut + ?Sized, K: AsRef<str>, V: AsRef<str>>(
     out.put("</SOAP-ENV:Body></SOAP-ENV:Envelope>");
 }
 
-/// Streams a response envelope for `method` returning `value` into
-/// `out`.
-pub(crate) fn write_response<O: XmlOut + ?Sized>(out: &mut O, method: &str, value: &Value) {
+/// Streams a response envelope for `method` into `out`, with the
+/// `return` element `ret` writes.
+pub(crate) fn write_response<O: XmlOut + ?Sized>(
+    out: &mut O,
+    method: &str,
+    ret: impl FnOnce(&mut O),
+) {
     write_envelope_open(out, NO_HEADERS);
     out.put("<SOAP-ENV:Body><ns1:");
     out.put(method);
     out.put("Response xmlns:ns1=\"urn:vsg:response\">");
-    value.write_xml("return", out);
+    ret(out);
     out.put("</ns1:");
     out.put(method);
     out.put("Response></SOAP-ENV:Body></SOAP-ENV:Envelope>");

@@ -6,9 +6,14 @@
 //! this model (exactly the role Apache SOAP's type mappings played in the
 //! paper's prototype).
 
-use minixml::{escape_text_into, local_name, Element, ParseError, Reader, XmlOut};
+use minixml::{escape_text_into, local_name, Element, Event, ParseError, Reader, XmlOut};
 use std::borrow::Cow;
 use std::fmt;
+
+/// How deep Structs and Arrays may nest (binval's and Jini's bound).
+/// A deeper value is a [`ValueError`], so no walk over an arriving
+/// value, and no drop of a decoded one, recurses further than this.
+pub const MAX_DEPTH: usize = 64;
 
 /// A dynamically typed RPC value.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,28 +159,16 @@ impl Value {
                 base64_encode_into(b, out);
                 close(out);
             }
-            Value::List(items) => {
-                if items.is_empty() {
-                    out.put("/>");
-                    return;
-                }
-                out.put(">");
+            Value::List(items) => members_xml(name, items.len(), out, |out| {
                 for item in items {
                     item.write_xml("item", out);
                 }
-                close(out);
-            }
-            Value::Record(fields) => {
-                if fields.is_empty() {
-                    out.put("/>");
-                    return;
-                }
-                out.put(">");
+            }),
+            Value::Record(fields) => members_xml(name, fields.len(), out, |out| {
                 for (k, v) in fields {
                     v.write_xml(k, out);
                 }
-                close(out);
-            }
+            }),
         }
     }
 
@@ -186,8 +179,18 @@ impl Value {
     /// everything; the inner one is this value's. A scalar reads its
     /// element's text; a Struct's or an Array's child elements decode
     /// in document order, and the first error skips the rest of the
-    /// element.
+    /// element. Structs and Arrays nested deeper than [`MAX_DEPTH`]
+    /// are an error, found where the first too-deep one opens.
     pub fn decode(r: &mut Reader<'_>) -> Result<Result<Value, ValueError>, ParseError> {
+        Value::decode_within(r, MAX_DEPTH)
+    }
+
+    /// [`Value::decode`] with `depth` more levels of Structs and Arrays
+    /// allowed.
+    fn decode_within(
+        r: &mut Reader<'_>,
+        depth: usize,
+    ) -> Result<Result<Value, ValueError>, ParseError> {
         let kind = match Shape::of(r) {
             Shape::Nil => {
                 r.skip_element()?;
@@ -195,14 +198,18 @@ impl Value {
             }
             Shape::Scalar(ty) => {
                 let text = r.text_content()?;
-                return Ok(Value::from_text(&ty, text));
+                return Ok(Scalar::read(&ty, text).map(Scalar::into_value));
             }
             Shape::Compound(kind) => kind,
+        };
+        let Some(depth) = depth.checked_sub(1) else {
+            r.skip_element()?;
+            return Ok(Err(ValueError::too_deep()));
         };
         let mut items = Vec::new();
         let mut fields = Vec::new();
         let decoded = Value::decode_members(r, |name, r| {
-            Ok(Value::decode(r)?.map(|v| match kind {
+            Ok(Value::decode_within(r, depth)?.map(|v| match kind {
                 Compound::Struct => fields.push((name.to_owned(), v)),
                 Compound::Array => items.push(v),
             }))
@@ -211,6 +218,34 @@ impl Value {
             Compound::Struct => Value::Record(fields),
             Compound::Array => Value::List(items),
         }))
+    }
+
+    /// Checks the element whose `Start` the reader just returned
+    /// through its `End`, exactly as [`Value::decode`] would (the same
+    /// first error, or none), without building the value: a string's
+    /// text is not even gathered.
+    pub(crate) fn check(r: &mut Reader<'_>) -> Result<Result<(), ValueError>, ParseError> {
+        Value::check_within(r, MAX_DEPTH)
+    }
+
+    fn check_within(
+        r: &mut Reader<'_>,
+        depth: usize,
+    ) -> Result<Result<(), ValueError>, ParseError> {
+        match Shape::of(r) {
+            Shape::Scalar(ty) if ty != "xsd:string" => {
+                let text = r.text_content()?;
+                Ok(Scalar::read(&ty, text).map(drop))
+            }
+            Shape::Nil | Shape::Scalar(_) => r.skip_element().map(Ok),
+            Shape::Compound(_) => match depth.checked_sub(1) {
+                Some(depth) => Value::decode_members(r, |_, r| Value::check_within(r, depth)),
+                None => {
+                    r.skip_element()?;
+                    Ok(Err(ValueError::too_deep()))
+                }
+            },
+        }
     }
 
     /// Whether the element whose `Start` the reader just returned
@@ -245,32 +280,6 @@ impl Value {
             Ok(())
         })?;
         Ok(failed.map_or(Ok(()), Err))
-    }
-
-    /// A scalar of `xsi:type` `ty` from its element's text.
-    fn from_text(ty: &str, text: Cow<'_, str>) -> Result<Value, ValueError> {
-        match ty {
-            "xsd:boolean" => match text.trim() {
-                "true" | "1" => Ok(Value::Bool(true)),
-                "false" | "0" => Ok(Value::Bool(false)),
-                other => Err(ValueError::new(format!("bad boolean '{other}'"))),
-            },
-            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => text
-                .trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| ValueError::new(format!("bad integer '{text}'"))),
-            "xsd:double" | "xsd:float" | "xsd:decimal" => text
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| ValueError::new(format!("bad double '{text}'"))),
-            "xsd:string" => Ok(Value::Str(text.into_owned())),
-            "SOAP-ENC:base64" | "xsd:base64Binary" => base64_decode(text.trim())
-                .map(Value::Bytes)
-                .ok_or_else(|| ValueError::new("bad base64 payload")),
-            other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
-        }
     }
 
     // ---- convenience accessors -------------------------------------------
@@ -314,6 +323,223 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// A scalar read from its element's text and checked: what
+/// [`Value::decode`] makes of it, short of the copy into a `Value`.
+enum Scalar<'t> {
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(Cow<'t, str>),
+    /// Checked base64 text; decoded by [`Scalar::into_value`].
+    Base64(Cow<'t, str>),
+}
+
+impl<'t> Scalar<'t> {
+    /// The scalar of `xsi:type` `ty` whose element's text is `text`.
+    fn read(ty: &str, text: Cow<'t, str>) -> Result<Scalar<'t>, ValueError> {
+        match ty {
+            "xsd:boolean" => match text.trim() {
+                "true" | "1" => Ok(Scalar::Bool(true)),
+                "false" | "0" => Ok(Scalar::Bool(false)),
+                other => Err(ValueError::new(format!("bad boolean '{other}'"))),
+            },
+            "xsd:int" | "xsd:long" | "xsd:short" | "xsd:byte" => text
+                .trim()
+                .parse::<i64>()
+                .map(Scalar::Int)
+                .map_err(|_| ValueError::new(format!("bad integer '{text}'"))),
+            "xsd:double" | "xsd:float" | "xsd:decimal" => text
+                .trim()
+                .parse::<f64>()
+                .map(Scalar::Float)
+                .map_err(|_| ValueError::new(format!("bad double '{text}'"))),
+            "xsd:string" => Ok(Scalar::Str(text)),
+            "SOAP-ENC:base64" | "xsd:base64Binary" => {
+                if base64_walk(text.trim(), |_| {}) {
+                    Ok(Scalar::Base64(text))
+                } else {
+                    Err(ValueError::new("bad base64 payload"))
+                }
+            }
+            other => Err(ValueError::new(format!("unsupported xsi:type '{other}'"))),
+        }
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Str(s) => Value::Str(s.into_owned()),
+            Scalar::Base64(text) => Value::Bytes(base64_decode(text.trim()).unwrap_or_default()),
+        }
+    }
+}
+
+/// A value element read in place from a document already checked
+/// (the arguments of a [`crate::CallRef`], and their members): what
+/// [`Value::decode`] would build from it, read a piece at a time. A
+/// string is a slice of the document unless an entity had to be
+/// unescaped; nothing else is copied until [`ValueRef::to_owned`].
+#[derive(Debug, Clone, Copy)]
+pub struct ValueRef<'a> {
+    /// The document from the element's start tag on.
+    xml: &'a str,
+}
+
+impl<'a> ValueRef<'a> {
+    /// The value element whose start tag is at byte `at` of `doc`.
+    pub(crate) fn at(doc: &'a str, at: usize) -> ValueRef<'a> {
+        ValueRef { xml: &doc[at..] }
+    }
+
+    /// A reader that has just returned the element's `Start`.
+    fn reader(&self) -> Reader<'a> {
+        let mut r = Reader::new(self.xml);
+        let _ = r.next();
+        r
+    }
+
+    fn scalar(&self) -> Option<Scalar<'a>> {
+        let mut r = self.reader();
+        let Shape::Scalar(ty) = Shape::of(&r) else {
+            return None;
+        };
+        Scalar::read(&ty, r.text_content().ok()?).ok()
+    }
+
+    /// The string, if the value is a `Str` ([`Value::as_str`]).
+    pub fn as_str(&self) -> Option<Cow<'a, str>> {
+        match self.scalar()? {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer, if the value is an `Int` ([`Value::as_int`]).
+    pub fn as_int(&self) -> Option<i64> {
+        match self.scalar()? {
+            Scalar::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if the value is a `Bool` ([`Value::as_bool`]).
+    pub fn as_bool(&self) -> Option<bool> {
+        match self.scalar()? {
+            Scalar::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Whether the value is a Struct or an Array ([`Value::compound`]).
+    pub fn compound(&self) -> Option<Compound> {
+        Value::compound(&self.reader())
+    }
+
+    /// A Struct's fields or an Array's items in document order, each
+    /// with its element's local name (an Array's are `item`); nothing
+    /// for any other value.
+    pub fn members(&self) -> Members<'a> {
+        let r = self.reader();
+        Members {
+            xml: self.xml,
+            r: Value::compound(&r).map(|_| r),
+        }
+    }
+
+    /// The owned value: what [`Value::decode`] gives for the element.
+    pub fn to_owned(&self) -> Value {
+        match Value::decode(&mut self.reader()) {
+            Ok(Ok(v)) => v,
+            // A view is only made over a checked document.
+            _ => Value::Null,
+        }
+    }
+}
+
+/// The members of a Struct or an Array [`ValueRef`], read in place.
+#[derive(Debug)]
+pub struct Members<'a> {
+    xml: &'a str,
+    /// Inside the compound element; `None` once it has closed.
+    r: Option<Reader<'a>>,
+}
+
+impl<'a> Iterator for Members<'a> {
+    type Item = (&'a str, ValueRef<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let r = self.r.as_mut()?;
+        loop {
+            match r.next() {
+                Ok(Event::Start(name)) => {
+                    let member = ValueRef::at(self.xml, r.tag_offset());
+                    let _ = r.skip_element();
+                    return Some((local_name(name), member));
+                }
+                Ok(Event::Text(_)) => {}
+                _ => {
+                    self.r = None;
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+/// Writes a Struct (`kind` [`Compound::Struct`]) or an Array element
+/// named `name` with `len` members, which `members` writes: the bytes
+/// [`Value::write_xml`] gives for a `Record` or a `List` of those
+/// members, for a writer that has them as something other than
+/// `Value`s.
+pub fn write_compound_xml<O: XmlOut + ?Sized>(
+    kind: Compound,
+    name: &str,
+    len: usize,
+    out: &mut O,
+    members: impl FnOnce(&mut O),
+) {
+    out.put("<");
+    out.put(name);
+    out.put(match kind {
+        Compound::Struct => " xsi:type=\"SOAP-ENC:Struct\"",
+        Compound::Array => " xsi:type=\"SOAP-ENC:Array\"",
+    });
+    members_xml(name, len, out, members);
+}
+
+/// The rest of a compound element after its `xsi:type`: self-closing
+/// when it has no members.
+fn members_xml<O: XmlOut + ?Sized>(
+    name: &str,
+    len: usize,
+    out: &mut O,
+    members: impl FnOnce(&mut O),
+) {
+    if len == 0 {
+        out.put("/>");
+        return;
+    }
+    out.put(">");
+    members(out);
+    out.put("</");
+    out.put(name);
+    out.put(">");
+}
+
+/// Writes the element `Value::Str(s.to_owned()).write_xml(name, out)`
+/// writes, from the borrowed string.
+pub fn write_str_xml<O: XmlOut + ?Sized>(name: &str, s: &str, out: &mut O) {
+    out.put("<");
+    out.put(name);
+    out.put(" xsi:type=\"xsd:string\">");
+    escape_text_into(s, out);
+    out.put("</");
+    out.put(name);
+    out.put(">");
 }
 
 impl fmt::Display for Value {
@@ -415,6 +641,11 @@ impl ValueError {
             message: message.into(),
         }
     }
+
+    /// A Struct or Array nested deeper than [`MAX_DEPTH`].
+    fn too_deep() -> Self {
+        ValueError::new(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
 }
 
 impl fmt::Display for ValueError {
@@ -463,6 +694,15 @@ pub fn base64_encode_into<O: XmlOut + ?Sized>(data: &[u8], out: &mut O) {
 
 /// Inverse of [`base64_encode`]. Returns `None` on malformed input.
 pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
+    let digits = s.bytes().filter(|b| !b.is_ascii_whitespace()).count();
+    let mut out = Vec::with_capacity(digits / 4 * 3);
+    base64_walk(s, |b| out.push(b)).then_some(out)
+}
+
+/// Decodes base64 text byte by byte into `emit`, ignoring whitespace;
+/// `false` if the text is malformed. Checking a payload this way
+/// allocates nothing.
+fn base64_walk(s: &str, mut emit: impl FnMut(u8)) -> bool {
     fn val(c: u8) -> Option<u32> {
         match c {
             b'A'..=b'Z' => Some(u32::from(c - b'A')),
@@ -473,37 +713,47 @@ pub fn base64_decode(s: &str) -> Option<Vec<u8>> {
             _ => None,
         }
     }
-    let s: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
-    if !s.len().is_multiple_of(4) {
-        return None;
+    let mut digits = s.bytes().filter(|b| !b.is_ascii_whitespace());
+    if !digits.clone().count().is_multiple_of(4) {
+        return false;
     }
-    let mut out = Vec::with_capacity(s.len() / 4 * 3);
-    for chunk in s.chunks(4) {
+    let mut chunk = [0u8; 4];
+    loop {
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            match digits.next() {
+                Some(c) => *slot = c,
+                // The count is a multiple of four: only a whole chunk ends.
+                None if i == 0 => return true,
+                None => return false,
+            }
+        }
         let pad = chunk.iter().rev().take_while(|&&c| c == b'=').count();
         if pad > 2 {
-            return None;
+            return false;
         }
         let mut n: u32 = 0;
         for (i, &c) in chunk.iter().enumerate() {
             let v = if c == b'=' {
                 if i < 4 - pad {
-                    return None;
+                    return false;
                 }
                 0
             } else {
-                val(c)?
+                match val(c) {
+                    Some(v) => v,
+                    None => return false,
+                }
             };
             n = (n << 6) | v;
         }
-        out.push((n >> 16) as u8);
+        emit((n >> 16) as u8);
         if pad < 2 {
-            out.push((n >> 8) as u8);
+            emit((n >> 8) as u8);
         }
         if pad < 1 {
-            out.push(n as u8);
+            emit(n as u8);
         }
     }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -666,6 +916,66 @@ mod tests {
         ] {
             let tree = crate::oracle::value_from_element_ref(&minixml::parse_ref(xml).unwrap());
             assert_eq!(decode(xml), tree, "{xml}");
+        }
+    }
+
+    /// `depth` Structs (or Arrays) nested around an int, as text.
+    fn nested(depth: usize, array: bool) -> String {
+        let (open, close, leaf) = if array {
+            ("<item xsi:type=\"SOAP-ENC:Array\">", "</item>", "item")
+        } else {
+            ("<f xsi:type=\"SOAP-ENC:Struct\">", "</f>", "n")
+        };
+        format!(
+            "{}<{leaf} xsi:type=\"xsd:long\">1</{leaf}>{}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for array in [false, true] {
+            let deepest = nested(MAX_DEPTH, array);
+            let v = decode(&deepest).expect("MAX_DEPTH levels decode");
+            let mut again = String::new();
+            v.write_xml(if array { "item" } else { "f" }, &mut again);
+            assert_eq!(again, deepest);
+            for too_deep in [nested(MAX_DEPTH + 1, array), nested(100_000, array)] {
+                let err = decode(&too_deep).unwrap_err();
+                assert_eq!(err.message, "nesting deeper than 64 levels");
+                let mut r = Reader::new(&too_deep);
+                r.next().unwrap();
+                assert_eq!(Value::check(&mut r), Ok(Err(err)));
+                assert_eq!(r.next(), Ok(Event::Eof), "the rest was read");
+            }
+        }
+        // An earlier error at a shallower level comes first.
+        let doc = format!(
+            "<r xsi:type=\"SOAP-ENC:Struct\"><b xsi:type=\"xsd:int\">x</b>{}</r>",
+            nested(100, false)
+        );
+        assert_eq!(decode(&doc).unwrap_err().message, "bad integer 'x'");
+    }
+
+    #[test]
+    fn base64_checks_without_decoding_agree_with_the_decoder() {
+        for text in [
+            "",
+            "Zg==",
+            "Zm9v YmFy",
+            "Zg=",
+            "====",
+            "Z*==",
+            "Zg==Zg==",
+            "Z===",
+            "QUJD\nREVG",
+        ] {
+            assert_eq!(
+                base64_walk(text, |_| {}),
+                base64_decode(text).is_some(),
+                "{text:?}"
+            );
         }
     }
 

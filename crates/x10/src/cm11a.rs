@@ -63,22 +63,23 @@ impl Cm11a {
             .expect("powerline node exists");
 
         // Serial side: the command protocol. The two-byte command and its
-        // commit arrive as one serial exchange each.
+        // commit arrive as one serial exchange each. Every answer is
+        // written into the request's own buffer.
         let pending: Arc<Mutex<Option<[u8; 2]>>> = Arc::new(Mutex::new(None));
         let buffer3 = buffer.clone();
         serial
             .set_request_handler(serial_node, move |sim, frame| {
                 sim.advance(SimDuration::from_millis(1)); // 8-bit MCU
-                let bytes = &frame.payload;
-                match bytes.len() {
-                    2 => {
+                let mut out = std::mem::take(&mut frame.payload);
+                match *out.as_slice() {
+                    [header, code] => {
                         // Header/code pair: store and echo the checksum.
-                        let pair = [bytes[0], bytes[1]];
-                        *pending.lock() = Some(pair);
-                        let checksum = pair[0].wrapping_add(pair[1]);
-                        Ok(vec![checksum])
+                        *pending.lock() = Some([header, code]);
+                        out.clear();
+                        out.push(header.wrapping_add(code));
+                        Ok(out)
                     }
-                    1 if bytes[0] == ACK_OK => {
+                    [ACK_OK] => {
                         // Commit: transmit the stored command on the
                         // powerline.
                         let Some(pair) = pending.lock().take() else {
@@ -87,21 +88,23 @@ impl Cm11a {
                         match decode_pc_command(pair) {
                             Some(frame) => {
                                 let _ = pl_tx.transmit_frame(frame);
-                                Ok(vec![IF_READY])
+                                out[0] = IF_READY;
+                                Ok(out)
                             }
                             None => Err("malformed command".into()),
                         }
                     }
-                    1 if bytes[0] == POLL_FETCH => {
+                    [POLL_FETCH] => {
                         // Upload and clear the receive buffer.
                         let mut buf = buffer3.lock();
-                        let mut out = vec![buf.len() as u8];
+                        out.clear();
+                        out.push(buf.len() as u8);
                         for f in buf.drain(..) {
                             out.extend_from_slice(&f.encode());
                         }
                         Ok(out)
                     }
-                    _ => Err(format!("unexpected serial bytes {bytes:?}")),
+                    _ => Err(format!("unexpected serial bytes {out:?}")),
                 }
             })
             .expect("serial node exists");
@@ -195,12 +198,16 @@ impl fmt::Display for Cm11aError {
 
 impl std::error::Error for Cm11aError {}
 
-/// The PC-side driver speaking the CM11A serial protocol.
+/// The PC-side driver speaking the CM11A serial protocol. It keeps one
+/// spare buffer: each request is written into it, and each reply, once
+/// read, becomes the spare for the next request, so a warm serial
+/// exchange allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Cm11aDriver {
     serial: Network,
     pc: NodeId,
     interface: NodeId,
+    spare: Arc<Mutex<Vec<u8>>>,
 }
 
 impl Cm11aDriver {
@@ -211,32 +218,42 @@ impl Cm11aDriver {
             serial: serial.clone(),
             pc: serial.attach("pc-serial"),
             interface,
+            spare: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
-    fn exchange(&self, bytes: Vec<u8>) -> Result<Vec<u8>, Cm11aError> {
-        self.serial
-            .request(self.pc, self.interface, Protocol::X10, bytes)
-            .map_err(|e| Cm11aError::Serial(e.to_string()))
+    /// Sends `bytes` in the spare buffer and hands the reply to `read`;
+    /// the reply's buffer is then the spare.
+    fn exchange<T>(&self, bytes: &[u8], read: impl FnOnce(&[u8]) -> T) -> Result<T, Cm11aError> {
+        let mut request = std::mem::take(&mut *self.spare.lock());
+        request.clear();
+        request.extend_from_slice(bytes);
+        let reply = self
+            .serial
+            .request(self.pc, self.interface, Protocol::X10, request)
+            .map_err(|e| Cm11aError::Serial(e.to_string()))?;
+        let out = read(&reply);
+        *self.spare.lock() = reply;
+        Ok(out)
     }
 
     fn send_frame(&self, frame: X10Frame) -> Result<(), Cm11aError> {
         let pair = encode_pc_command(frame);
         let expected = pair[0].wrapping_add(pair[1]);
-        let echo = self.exchange(pair.to_vec())?;
-        match echo.first() {
-            Some(&got) if got == expected => {}
-            Some(&got) => return Err(Cm11aError::ChecksumMismatch { expected, got }),
+        match self.exchange(&pair, |echo| echo.first().copied())? {
+            Some(got) if got == expected => {}
+            Some(got) => return Err(Cm11aError::ChecksumMismatch { expected, got }),
             None => return Err(Cm11aError::Protocol("empty checksum reply".into())),
         }
-        let ready = self.exchange(vec![ACK_OK])?;
-        if ready.first() == Some(&IF_READY) {
-            Ok(())
-        } else {
-            Err(Cm11aError::Protocol(format!(
-                "expected 0x55 ready, got {ready:?}"
-            )))
-        }
+        self.exchange(&[ACK_OK], |ready| {
+            if ready.first() == Some(&IF_READY) {
+                Ok(())
+            } else {
+                Err(Cm11aError::Protocol(format!(
+                    "expected 0x55 ready, got {ready:?}"
+                )))
+            }
+        })?
     }
 
     /// Sends a complete X10 command (address then function).
@@ -268,21 +285,23 @@ impl Cm11aDriver {
     /// Fetches everything the interface has heard on the powerline since
     /// the last poll.
     pub fn poll(&self) -> Result<Vec<X10Frame>, Cm11aError> {
-        let data = self.exchange(vec![POLL_FETCH])?;
-        let count = *data
-            .first()
-            .ok_or(Cm11aError::Protocol("empty poll reply".into()))? as usize;
-        let mut frames = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = 1 + i * 2;
-            let pair = data
-                .get(at..at + 2)
-                .ok_or(Cm11aError::Protocol("truncated poll reply".into()))?;
-            if let Some(f) = X10Frame::decode(pair) {
-                frames.push(f);
+        self.exchange(&[POLL_FETCH], |data| {
+            let count = *data
+                .first()
+                .ok_or_else(|| Cm11aError::Protocol("empty poll reply".into()))?
+                as usize;
+            let mut frames = Vec::with_capacity(count);
+            for i in 0..count {
+                let at = 1 + i * 2;
+                let pair = data
+                    .get(at..at + 2)
+                    .ok_or_else(|| Cm11aError::Protocol("truncated poll reply".into()))?;
+                if let Some(f) = X10Frame::decode(pair) {
+                    frames.push(f);
+                }
             }
-        }
-        Ok(frames)
+            Ok(frames)
+        })?
     }
 }
 

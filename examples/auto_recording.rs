@@ -29,8 +29,11 @@ fn main() {
     // --- An independent TV-guide web service across the WAN ----------------
     let inet = Network::internet(&sim);
     let guide_server = SoapServer::bind(&inet, "tvguide.example.org");
-    guide_server.mount("urn:tvguide", |_, call: &mut RpcCall| {
-        let genre = call.get("genre").and_then(Value::as_str).unwrap_or("");
+    guide_server.mount("urn:tvguide", |_, call, reply| {
+        let genre = call
+            .get("genre")
+            .and_then(|g| g.as_str())
+            .unwrap_or_default();
         // The broadcaster's schedule (start times in virtual seconds).
         let listings = [
             ("news", 42, "Evening News", 30u64),
@@ -38,12 +41,12 @@ fn main() {
             ("sports", 3, "Midnight Football", 120),
         ];
         match listings.iter().find(|(g, ..)| *g == genre) {
-            Some((_, channel, title, starts)) => Ok(Value::Record(vec![
+            Some((_, channel, title, starts)) => reply.value(&Value::Record(vec![
                 ("channel".into(), Value::Int(*channel)),
                 ("title".into(), Value::Str((*title).into())),
                 ("starts_in_s".into(), Value::Int(*starts as i64)),
             ])),
-            None => Err(Fault::client(format!("no programme for genre '{genre}'"))),
+            None => reply.fault(&Fault::client(format!("no programme for genre '{genre}'"))),
         }
     });
 

@@ -191,6 +191,70 @@ fn soap_gateway_faults_100k_unclosed_tags() {
     }
 }
 
+/// A `DEPTH_BOMB`-deep chain of Structs around an int, written as text
+/// (the recursive writer would overflow the stack as well).
+fn struct_depth_bomb(name: &str) -> String {
+    let open = "<f xsi:type=\"SOAP-ENC:Struct\">";
+    format!(
+        "<{name} xsi:type=\"SOAP-ENC:Struct\">{}<n xsi:type=\"xsd:int\">1</n>{}</{name}>",
+        open.repeat(DEPTH_BOMB - 1),
+        "</f>".repeat(DEPTH_BOMB - 1),
+    )
+}
+
+#[test]
+fn soap_gateway_faults_a_100k_deep_argument_and_keeps_serving() {
+    let sim = Sim::new(1);
+    let net = Network::ethernet(&sim);
+    let soap = Soap11::new();
+    let gw = soap.bind(&net, "gw", Arc::new(|_, _| Ok(Value::Int(7))));
+    let client = net.attach("c");
+    let envelope = format!(
+        "{ENVELOPE_OPEN}<SOAP-ENV:Body><ns1:ping xmlns:ns1=\"urn:vsg:gateway\">\
+         <__service xsi:type=\"xsd:string\">hall-lamp</__service>{}</ns1:ping>\
+         </SOAP-ENV:Body></SOAP-ENV:Envelope>",
+        struct_depth_bomb("deep"),
+    );
+    let wire = HttpRequest::post(RPC_ROUTER_PATH, "text/xml; charset=utf-8", envelope)
+        .header("SOAPAction", "\"urn:vsg:gateway#ping\"")
+        .to_bytes();
+    let raw = net.request(client, gw, Protocol::Http, wire).unwrap();
+    let resp = HttpResponse::from_bytes(&raw).unwrap();
+    assert_eq!(resp.status, 500, "a fault rides a 500");
+    match RpcResponse::from_envelope(std::str::from_utf8(&resp.body).unwrap()) {
+        Err(SoapError::Fault(f)) => {
+            assert_eq!(f.code, FaultCode::Client);
+            assert_eq!(f.string, "SOAP value error: nesting deeper than 64 levels");
+        }
+        other => panic!("expected a typed fault, got {other:?}"),
+    }
+    let ok = soap.call(&net, client, gw, &VsgRequest::new("hall-lamp", "ping"));
+    assert_eq!(ok.unwrap(), Value::Int(7), "the gateway still serves");
+}
+
+#[test]
+fn soap_client_gets_a_typed_error_for_a_100k_deep_reply() {
+    let sim = Sim::new(1);
+    let net = Network::ethernet(&sim);
+    let server = net.attach("deep-server");
+    let body = format!(
+        "{ENVELOPE_OPEN}<SOAP-ENV:Body><ns1:pingResponse xmlns:ns1=\"urn:vsg:response\">{}\
+         </ns1:pingResponse></SOAP-ENV:Body></SOAP-ENV:Envelope>",
+        struct_depth_bomb("return"),
+    );
+    let reply = HttpResponse::ok("text/xml; charset=utf-8", body).to_bytes();
+    net.set_request_handler(server, move |_, _| Ok(reply.clone()))
+        .unwrap();
+    let client = soap::SoapClient::attach(&net, "c");
+    let err = client
+        .call(server, &soap::RpcCall::new("urn:vsg:gateway", "ping"))
+        .unwrap_err();
+    match err {
+        SoapError::Value(e) => assert_eq!(e.message, "nesting deeper than 64 levels"),
+        other => panic!("expected a typed value error, got {other:?}"),
+    }
+}
+
 /// A binval body of `DEPTH_BOMB` nested one-item lists around a null,
 /// two bytes a level.
 fn binval_depth_bomb() -> Vec<u8> {
