@@ -2268,6 +2268,188 @@ mod tests {
         }
     }
 
+    /// Golden wire bytes of the replication plane.
+    ///
+    /// One scripted session on a three-replica, four-shard cluster with
+    /// replication 2 and leases on records every `replicate`,
+    /// `sync_digest` and `sync_fetch` request a replica sends to a peer
+    /// and every reply, and must reproduce
+    /// `tests/goldens/replication_wire.hex` byte for byte. The replicas'
+    /// routers sit on one network and their push clients on another;
+    /// on the second, a forwarding tap stands in for each replica (the
+    /// taps are attached first, so they get the replicas' node ids),
+    /// records the payloads and can lose the requests bound for one
+    /// replica. The repository client talks to the routers directly.
+    mod replication_goldens {
+        use super::*;
+        use crate::iface::catalog;
+        use crate::service::{Middleware, VirtualService};
+        use crate::vsr::VsrClient;
+        use simnet::Protocol;
+
+        const GOLDENS: &str = include_str!("../../../tests/goldens/replication_wire.hex");
+
+        fn hex(b: &[u8]) -> String {
+            use std::fmt::Write;
+            b.iter().fold(String::new(), |mut s, x| {
+                let _ = write!(s, "{x:02x}");
+                s
+            })
+        }
+
+        /// Runs the session: one line per payload, `> nS->nD <hex>` for
+        /// a request, `< <hex>` for its reply, `x lost` for a request
+        /// the tap dropped.
+        fn session() -> Vec<String> {
+            let sim = Sim::new(1);
+            let server_net = Network::ethernet(&sim);
+            let push_net = Network::ethernet(&sim);
+            let servers: Vec<SoapServer> = (0..3)
+                .map(|i| SoapServer::bind(&server_net, &format!("vsr-{i}")))
+                .collect();
+            let nodes: Vec<NodeId> = servers.iter().map(SoapServer::node).collect();
+            let forwarder = server_net.attach("forwarder");
+            let map = Arc::new(Mutex::new(ShardMap::build(4, &nodes, 2)));
+            let tracer = Tracer::new("golden");
+            let metrics = Arc::new(MetricsRegistry::new());
+            let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+            let lost: Arc<Mutex<Option<NodeId>>> = Arc::new(Mutex::new(None));
+            let lease = SimDuration::from_secs(30);
+
+            let replicas: Vec<Replica> = servers
+                .into_iter()
+                .enumerate()
+                .map(|(i, server)| {
+                    let node = server.node();
+                    let tap = push_net.attach(format!("tap-{i}"));
+                    assert_eq!(tap, node, "the tap must stand in for the replica");
+                    let (log, lost, server_net) = (seen.clone(), lost.clone(), server_net.clone());
+                    push_net
+                        .set_request_handler(tap, move |_sim, frame| {
+                            log.lock().push(format!(
+                                "> n{}->n{} {}",
+                                frame.src.0,
+                                node.0,
+                                hex(&frame.payload)
+                            ));
+                            if *lost.lock() == Some(node) {
+                                log.lock().push("x lost".to_owned());
+                                return Err("lost".to_owned());
+                            }
+                            let reply = server_net
+                                .request(forwarder, node, Protocol::Http, frame.payload.clone())
+                                .map_err(|e| e.to_string())?;
+                            log.lock().push(format!("< {}", hex(&reply)));
+                            Ok(reply)
+                        })
+                        .unwrap();
+                    let client = SoapClient::on_node(
+                        &push_net,
+                        node,
+                        soap::CpuModel::default(),
+                        soap::TcpModel::default(),
+                    );
+                    let state = Arc::new(Mutex::new(ReplicaState::new(i as u32)));
+                    state.lock().lease = Some(lease);
+                    let ctx = ReplicaCtx {
+                        node,
+                        state: state.clone(),
+                        map: map.clone(),
+                        client: client.clone(),
+                        tracer: tracer.clone(),
+                        metrics: metrics.clone(),
+                    };
+                    server.mount(VSR_NS, move |sim, call, reply| {
+                        handle(&ctx, sim, call, reply)
+                    });
+                    Replica {
+                        node,
+                        state,
+                        client,
+                    }
+                })
+                .collect();
+
+            let pcm = server_net.attach("pcm");
+            let client = VsrClient::new(&server_net, pcm, nodes[0]);
+            let driver = SoapClient::attach(&server_net, "driver");
+            let replica_of = |name: &str, i: usize| {
+                let map = map.lock();
+                map.replicas_for(map.shard_of(name))[i]
+            };
+            let primary = |name: &str| replica_of(name, 0);
+            let backup = |name: &str| replica_of(name, 1);
+            let sync = || sync_cluster(&sim, &replicas, &map, &metrics, &tracer);
+
+            client.register_gateway("x10-gw", NodeId(7)).unwrap();
+            let lamp = |gateway: &str| {
+                VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, gateway)
+                    .context("room", "hall")
+                    .context("floor", "1 & <ground>")
+            };
+            client.publish(&lamp("x10-gw")).unwrap();
+            client
+                .publish(&VirtualService::new(
+                    "den-vcr",
+                    catalog::vcr(),
+                    Middleware::Havi,
+                    "havi-gw",
+                ))
+                .unwrap();
+            // A gateway move, then a case variant of the same name.
+            client.publish(&lamp("x10-gw-2")).unwrap();
+            client
+                .publish(
+                    &VirtualService::new("Hall-Lamp", catalog::lamp(), Middleware::X10, "x10-gw")
+                        .context("room", "<attic>"),
+                )
+                .unwrap();
+            assert!(client.renew("hall-lamp").unwrap());
+            assert!(client.unpublish("den-vcr").unwrap());
+
+            // A push lost on its way to the backup, repaired by the
+            // next anti-entropy pass.
+            *lost.lock() = Some(backup("porch-light"));
+            client
+                .publish(&VirtualService::new(
+                    "porch-light",
+                    catalog::lamp(),
+                    Middleware::X10,
+                    "x10-gw",
+                ))
+                .unwrap();
+            *lost.lock() = None;
+            assert_eq!(sync(), 0);
+
+            // Every lease runs out. The backup of `hall-lamp`'s shard
+            // reaps first and its tombstones to the primary are lost,
+            // so anti-entropy pushes them from the backup.
+            sim.advance(lease + SimDuration::from_secs(1));
+            *lost.lock() = Some(primary("hall-lamp"));
+            driver
+                .call(backup("hall-lamp"), &RpcCall::new(VSR_NS, "count"))
+                .unwrap();
+            *lost.lock() = None;
+            sync();
+            // The primaries reap the rest.
+            client.count().unwrap();
+            assert_eq!(sync(), 0);
+            assert!(client.resolve("hall-lamp").is_err());
+            let lines = seen.lock().clone();
+            lines
+        }
+
+        #[test]
+        fn replication_wire_bytes_match_goldens() {
+            let got = session();
+            let want: Vec<&str> = GOLDENS.lines().filter(|l| !l.is_empty()).collect();
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "payload {i} differs from the golden");
+            }
+            assert_eq!(got.len(), want.len(), "payload count");
+        }
+    }
+
     /// What a replica answers a `resolve` and a `find` with, written in
     /// place from the registry, is byte for byte what writing the
     /// `Value` of [`service_to_value`] gave, and it makes the same
