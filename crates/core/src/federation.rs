@@ -38,12 +38,12 @@ use crate::error::MetaError;
 use crate::metrics::MetricsRegistry;
 use crate::obs::Scope;
 use crate::trace::{HopKind, Tracer};
-use minixml::XmlOut;
+use minixml::{Measure, Stack, XmlOut};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration, SimTime};
 use soap::{
-    write_compound_xml, write_str_xml, Answered, CallRef, Compound, Fault, Reply, SoapClient,
-    SoapServer, Value,
+    write_compound_xml, write_str_xml, Answered, Arg, CallRef, Compound, Fault, Reply, SoapClient,
+    SoapServer, Value, ValueRef,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -196,6 +196,30 @@ impl Version {
             _ => None,
         }
     }
+
+    /// Writes the version as the Array element `name`: the bytes of
+    /// [`Version::to_value`].
+    fn write_xml<O: XmlOut + ?Sized>(self, name: &str, out: &mut O) {
+        write_compound_xml(Compound::Array, name, 3, out, |out| {
+            int_to_wire(self.at_us).write_xml("item", out);
+            Value::Int(i64::from(self.replica)).write_xml("item", out);
+            int_to_wire(self.seq).write_xml("item", out);
+        });
+    }
+
+    /// [`Version::from_value`] of a value read in place.
+    fn from_ref(v: ValueRef<'_>) -> Option<Version> {
+        let mut items = array_items(Some(v));
+        let (at_us, replica, seq) = (items.next()?, items.next()?, items.next()?);
+        if items.next().is_some() {
+            return None;
+        }
+        Some(Version {
+            at_us: u64::try_from(at_us.as_int()?).ok()?,
+            replica: u32::try_from(replica.as_int()?).ok()?,
+            seq: u64::try_from(seq.as_int()?).ok()?,
+        })
+    }
 }
 
 // ---- the shard map ---------------------------------------------------------
@@ -208,6 +232,10 @@ pub struct ShardMap {
     version: u64,
     /// Per-shard preference lists (primary first).
     assignments: Vec<Vec<NodeId>>,
+    /// Every node of any preference list, deduplicated in
+    /// first-appearance order: kept, since a promotion is the only
+    /// change that can reorder it.
+    nodes: Vec<NodeId>,
     /// Sorted `(point, shard)` ring mapping name hashes to shards.
     ring: Vec<(u64, u32)>,
 }
@@ -243,7 +271,7 @@ impl ShardMap {
         }
         replica_ring.sort_unstable();
 
-        let assignments = (0..shards)
+        let assignments: Vec<Vec<NodeId>> = (0..shards)
             .map(|s| {
                 let anchor = fnv1a(format!("shard-{s}").as_bytes());
                 let start = replica_ring.partition_point(|&(point, _)| point < anchor);
@@ -263,6 +291,7 @@ impl ShardMap {
 
         ShardMap {
             version: 1,
+            nodes: distinct_nodes(&assignments),
             assignments,
             ring: shard_ring(shards),
         }
@@ -304,16 +333,8 @@ impl ShardMap {
 
     /// Every node appearing in any preference list, deduplicated in
     /// first-appearance order (deterministic).
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = Vec::new();
-        for prefs in &self.assignments {
-            for &n in prefs {
-                if !out.contains(&n) {
-                    out.push(n);
-                }
-            }
-        }
-        out
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
     }
 
     /// True if `node` is in `shard`'s preference list.
@@ -331,6 +352,7 @@ impl ShardMap {
             Some(i) => {
                 prefs.remove(i);
                 prefs.insert(0, node);
+                self.nodes = distinct_nodes(&self.assignments);
                 self.version += 1;
                 true
             }
@@ -375,31 +397,37 @@ impl ShardMap {
         let ring = shard_ring(shards.len() as u32);
         Some(ShardMap {
             version,
+            nodes: distinct_nodes(&shards),
             assignments: shards,
             ring,
         })
     }
 }
 
-// ---- the replicated store --------------------------------------------------
-
-/// The raw publish payload, replicated verbatim so any replica can
-/// serve (or re-serve) the record. The lease deadline travels with it:
-/// a replica may only reap what the *replicated* state says is due.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StoredRecord {
-    pub middleware: String,
-    pub gateway: String,
-    pub wsdl: String,
-    pub contexts: Vec<(String, String)>,
-    pub expires_at: Option<SimTime>,
+/// The nodes of `assignments`, deduplicated in first-appearance order.
+fn distinct_nodes(assignments: &[Vec<NodeId>]) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for &n in assignments.iter().flatten() {
+        if !out.contains(&n) {
+            out.push(n);
+        }
+    }
+    out
 }
 
-/// What a versioned entry holds.
-#[derive(Debug, Clone, PartialEq)]
+// ---- the replicated store --------------------------------------------------
+
+/// What a versioned entry holds. A live record's body (middleware,
+/// gateway, WSDL text, contexts) is not here: the replica's UDDI
+/// registry keeps it, as its only copy (see [`ReplicaState::store`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum EntryKind {
-    /// A live record.
-    Record(StoredRecord),
+    /// A live record. Its lease deadline travels with it: a replica may
+    /// only reap what the *replicated* state says is due.
+    Record {
+        /// When the lease runs out; `None` without a lease.
+        expires_at: Option<SimTime>,
+    },
     /// A deliberate withdrawal — beats anything older, LWW.
     Unpublished,
     /// A lease-expiry tombstone. `of` names the exact incarnation the
@@ -413,7 +441,7 @@ pub(crate) enum EntryKind {
     },
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Entry {
     pub version: Version,
     pub shard: u32,
@@ -421,93 +449,232 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
-    fn to_value(&self, name: &str) -> Value {
-        let mut fields = vec![
-            ("name".into(), Value::Str(name.to_owned())),
-            ("shard".into(), Value::Int(i64::from(self.shard))),
-            ("version".into(), self.version.to_value()),
-        ];
-        match &self.kind {
-            EntryKind::Record(rec) => {
-                fields.push(("kind".into(), Value::Str("record".into())));
-                fields.push(("middleware".into(), Value::Str(rec.middleware.clone())));
-                fields.push(("gateway".into(), Value::Str(rec.gateway.clone())));
-                fields.push(("wsdl".into(), Value::Str(rec.wsdl.clone())));
-                fields.push((
-                    "contexts".into(),
-                    Value::Record(
-                        rec.contexts
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                            .collect(),
-                    ),
-                ));
-                fields.push((
-                    "expires_at".into(),
-                    rec.expires_at
-                        .map_or(Value::Null, |t| int_to_wire(t.as_micros())),
-                ));
-            }
-            EntryKind::Unpublished => {
-                fields.push(("kind".into(), Value::Str("unpublish".into())));
-            }
-            EntryKind::Expired { of } => {
-                fields.push(("kind".into(), Value::Str("expired".into())));
-                fields.push(("of".into(), of.to_value()));
-            }
-        }
-        Value::Record(fields)
-    }
-
-    fn from_value(v: &Value) -> Option<(String, Entry)> {
-        let name = v.field("name")?.as_str()?.to_owned();
-        let shard = u32::try_from(v.field("shard")?.as_int()?).ok()?;
-        let version = Version::from_value(v.field("version")?)?;
-        let kind = match v.field("kind")?.as_str()? {
-            "record" => EntryKind::Record(StoredRecord {
-                middleware: v.field("middleware")?.as_str()?.to_owned(),
-                gateway: v.field("gateway")?.as_str()?.to_owned(),
-                wsdl: v.field("wsdl")?.as_str()?.to_owned(),
-                contexts: match v.field("contexts") {
-                    Some(Value::Record(fields)) => fields
-                        .iter()
-                        .filter_map(|(k, val)| val.as_str().map(|s| (k.clone(), s.to_owned())))
-                        .collect(),
-                    _ => Vec::new(),
-                },
-                // No deadline means no lease; a negative one is malformed,
-                // never a lease that cannot expire.
-                expires_at: match v.field("expires_at").and_then(Value::as_int) {
-                    None => None,
-                    Some(us) => Some(SimTime::from_micros(u64::try_from(us).ok()?)),
-                },
-            }),
-            "unpublish" => EntryKind::Unpublished,
-            "expired" => EntryKind::Expired {
-                of: Version::from_value(v.field("of")?)?,
-            },
-            _ => return None,
+    /// Writes `name`'s entry as the Struct element `elem`, a live
+    /// record's body from `body`: the bytes of the oracle
+    /// `Entry::to_value(name, ..).write_xml(elem, ..)`.
+    fn write_xml<O: XmlOut + ?Sized>(
+        &self,
+        elem: &str,
+        name: &str,
+        body: Option<&RecordParts<'_>>,
+        out: &mut O,
+    ) {
+        let fields = match (self.kind, body) {
+            (EntryKind::Record { .. }, Some(_)) => 9,
+            (EntryKind::Record { .. }, None) | (EntryKind::Expired { .. }, _) => 5,
+            (EntryKind::Unpublished, _) => 4,
         };
-        Some((
-            name,
-            Entry {
-                version,
-                shard,
-                kind,
+        write_compound_xml(Compound::Struct, elem, fields, out, |out| {
+            write_str_xml("name", name, out);
+            Value::Int(i64::from(self.shard)).write_xml("shard", out);
+            self.version.write_xml("version", out);
+            match self.kind {
+                EntryKind::Record { expires_at } => {
+                    write_str_xml("kind", "record", out);
+                    if let Some(body) = body {
+                        body.write_body(out);
+                    }
+                    expires_at
+                        .map_or(Value::Null, |t| int_to_wire(t.as_micros()))
+                        .write_xml("expires_at", out);
+                }
+                EntryKind::Unpublished => write_str_xml("kind", "unpublish", out),
+                EntryKind::Expired { of } => {
+                    write_str_xml("kind", "expired", out);
+                    of.write_xml("of", out);
+                }
+            }
+        });
+    }
+}
+
+/// `v` if it is a Struct.
+fn struct_of(v: Option<ValueRef<'_>>) -> Option<ValueRef<'_>> {
+    v.filter(|v| v.compound() == Some(Compound::Struct))
+}
+
+/// The first field named `name` of the Struct `v`, as [`Value::field`]
+/// finds it.
+fn struct_field<'a>(v: Option<ValueRef<'a>>, name: &str) -> Option<ValueRef<'a>> {
+    struct_of(v)?
+        .members()
+        .find(|&(k, _)| k == name)
+        .map(|(_, v)| v)
+}
+
+/// The items of the Array `v`; none if it is missing or no Array.
+fn array_items<'a>(v: Option<ValueRef<'a>>) -> impl Iterator<Item = ValueRef<'a>> {
+    v.filter(|v| v.compound() == Some(Compound::Array))
+        .into_iter()
+        .flat_map(|v| v.members())
+        .map(|(_, item)| item)
+}
+
+/// Reads one pushed or fetched entry in place, or `None` for a
+/// malformed item. The first field of each name counts, as the oracle
+/// `Entry::from_value` reads them. A record's body stays borrowed from
+/// the message.
+fn read_entry(item: ValueRef<'_>) -> Option<(Cow<'_, str>, Entry, Option<WireBody<'_>>)> {
+    const FIELDS: [&str; 10] = [
+        "name",
+        "shard",
+        "version",
+        "kind",
+        "middleware",
+        "gateway",
+        "wsdl",
+        "contexts",
+        "expires_at",
+        "of",
+    ];
+    let mut fields = [None; FIELDS.len()];
+    for (k, v) in struct_of(Some(item))?.members() {
+        if let Some(i) = FIELDS.iter().position(|&f| f == k) {
+            fields[i].get_or_insert(v);
+        }
+    }
+    let [name, shard, version, kind, middleware, gateway, wsdl, contexts, expires_at, of] = fields;
+    let name = name?.as_str()?;
+    let shard = u32::try_from(shard?.as_int()?).ok()?;
+    let version = Version::from_ref(version?)?;
+    let (kind, body) = match &*kind?.as_str()? {
+        "record" => {
+            let body = WireBody {
+                middleware: middleware?.as_str()?,
+                gateway: gateway?.as_str()?,
+                wsdl: wsdl?.as_str()?,
+                contexts: struct_of(contexts),
+            };
+            // No deadline means no lease; a negative one is malformed,
+            // never a lease that cannot expire.
+            let expires_at = match expires_at.and_then(|v| v.as_int()) {
+                None => None,
+                Some(us) => Some(SimTime::from_micros(u64::try_from(us).ok()?)),
+            };
+            (EntryKind::Record { expires_at }, Some(body))
+        }
+        "unpublish" => (EntryKind::Unpublished, None),
+        "expired" => (
+            EntryKind::Expired {
+                of: Version::from_ref(of?)?,
             },
-        ))
+            None,
+        ),
+        _ => return None,
+    };
+    Some((
+        name,
+        Entry {
+            version,
+            shard,
+            kind,
+        },
+        body,
+    ))
+}
+
+/// Writes a gateway-directory item as the Struct element `elem`: the
+/// bytes of the oracle `gateway_to_value`.
+fn write_gateway<O: XmlOut + ?Sized>(
+    elem: &str,
+    name: &str,
+    node: u32,
+    version: Version,
+    out: &mut O,
+) {
+    write_compound_xml(Compound::Struct, elem, 3, out, |out| {
+        write_str_xml("name", name, out);
+        Value::Int(i64::from(node)).write_xml("node", out);
+        version.write_xml("version", out);
+    });
+}
+
+/// Reads one gateway-directory item in place, or `None` for a
+/// malformed one (the oracle is `gateway_from_value`).
+fn read_gateway(item: ValueRef<'_>) -> Option<(Cow<'_, str>, u32, Version)> {
+    let field = |name| struct_field(Some(item), name);
+    Some((
+        field("name")?.as_str()?,
+        u32::try_from(field("node")?.as_int()?).ok()?,
+        Version::from_ref(field("version")?)?,
+    ))
+}
+
+/// A live record's body as it arrives, read in place: a `publish`
+/// call's arguments, or a pushed or fetched entry's fields. Strings are
+/// slices of the message unless an entity had to be unescaped.
+struct WireBody<'a> {
+    middleware: Cow<'a, str>,
+    gateway: Cow<'a, str>,
+    wsdl: Cow<'a, str>,
+    /// The contexts Struct, whose string fields are the contexts.
+    contexts: Option<ValueRef<'a>>,
+}
+
+impl<'a> WireBody<'a> {
+    /// The body as the registry saves it. A WSDL text that had to be
+    /// unescaped is moved in, not copied.
+    fn into_body(self) -> Body<'a> {
+        let mut categories = vec![
+            KeyedReference::new(TAX_MIDDLEWARE, self.middleware),
+            KeyedReference::new(TAX_GATEWAY, self.gateway),
+        ];
+        categories.extend(context_categories(self.contexts));
+        Body {
+            wsdl: self.wsdl,
+            categories,
+        }
+    }
+}
+
+/// The `uddi:ctx:<key>` categories of a contexts Struct's string
+/// fields, in order.
+fn context_categories<'a>(
+    contexts: Option<ValueRef<'a>>,
+) -> impl Iterator<Item = KeyedReference> + 'a {
+    struct_of(contexts)
+        .into_iter()
+        .flat_map(|v| v.members())
+        .filter_map(|(k, v)| {
+            Some(KeyedReference::new(
+                format!("{TAX_CONTEXT_PREFIX}{k}"),
+                v.as_str()?,
+            ))
+        })
+}
+
+/// A live record's body as the registry saves it: the WSDL text its
+/// tModel keeps, and its category list — middleware, gateway, then one
+/// per context.
+struct Body<'a> {
+    wsdl: Cow<'a, str>,
+    categories: Vec<KeyedReference>,
+}
+
+impl Body<'_> {
+    /// The body as record `name`'s parts, to write it.
+    fn parts<'p>(&'p self, name: &'p str) -> RecordParts<'p> {
+        RecordParts {
+            name,
+            middleware: &self.categories[0].value,
+            gateway: &self.categories[1].value,
+            wsdl: &self.wsdl,
+            categories: &self.categories,
+        }
     }
 }
 
 pub(crate) struct ReplicaState {
     pub id: u32,
+    /// The §3.3 store: the one copy of each live record's body, kept
+    /// for inquiry (pattern matching, category filters, inquiry
+    /// statistics) and read back, uncounted, to replicate it.
     pub registry: UddiRegistry,
     pub business: Key,
-    /// The replicated, versioned truth. The UDDI registry below is a
-    /// mirror of the live records, kept for §3.3-faithful inquiry
-    /// (pattern matching, category filters, inquiry statistics).
-    /// Private: every write goes through [`ReplicaState::store`], which
-    /// keeps the watermark and fingerprints below in step.
+    /// The replicated, versioned truth: each name's version, shard,
+    /// and lease or tombstone. Private: every write goes through
+    /// [`ReplicaState::store`], which keeps the registry, the watermark
+    /// and the fingerprints below in step.
     entries: HashMap<String, Entry>,
     /// The gateway directory, versioned like entries but not sharded
     /// (every replica carries the full directory).
@@ -557,6 +724,15 @@ impl ReplicaState {
         }
     }
 
+    /// A local write's entry, stamped with this replica's next version.
+    fn stamp(&mut self, shard: u32, kind: EntryKind, now: SimTime) -> Entry {
+        Entry {
+            version: self.next_version(now),
+            shard,
+            kind,
+        }
+    }
+
     /// The anti-entropy fingerprint of `shard`: the sum of a hash per
     /// `(name, version)` over the shard's entries and the gateway
     /// directory. Two replicas holding the same pairs have the same
@@ -566,54 +742,52 @@ impl ReplicaState {
         records.wrapping_add(self.gateway_sum)
     }
 
-    /// Stamps a local write with this replica's next version, applies
-    /// it, and returns it for replication to the shard's peers.
-    fn write(&mut self, name: &str, shard: u32, kind: EntryKind, now: SimTime) -> Entry {
-        let entry = Entry {
-            version: self.next_version(now),
-            shard,
-            kind,
-        };
-        self.apply_entry(name, entry.clone());
-        entry
-    }
-
-    /// Merges one incoming entry; returns whether it was applied. The
-    /// general rule is last-writer-wins on [`Version`]; expiry
+    /// Merges one entry, local or replicated; returns whether it was
+    /// applied. The decision reads the name, version and kind alone:
+    /// the general rule is last-writer-wins on [`Version`]; expiry
     /// tombstones are scoped to the incarnation they reaped (see
-    /// [`EntryKind::Expired`]).
-    pub(crate) fn apply_entry(&mut self, name: &str, inc: Entry) -> bool {
+    /// [`EntryKind::Expired`]). A live record's `body` is asked for
+    /// only once its entry is accepted.
+    fn apply<'b>(
+        &mut self,
+        name: &str,
+        inc: Entry,
+        body: impl FnOnce() -> Option<Body<'b>>,
+    ) -> bool {
         let accept = match self.entries.get(name) {
             None => true,
-            Some(cur) => match (&inc.kind, &cur.kind) {
+            Some(cur) => match (inc.kind, cur.kind) {
                 // An expiry tombstone kills only the incarnation it
                 // reaped (or older); a later renew/republish survives.
-                (EntryKind::Expired { of }, EntryKind::Record(_)) => *of >= cur.version,
+                (EntryKind::Expired { of }, EntryKind::Record { .. }) => of >= cur.version,
                 // A record written after the reaped incarnation
                 // supersedes the tombstone even if the tombstone's own
                 // stamp is later (the stale-reaper race).
-                (EntryKind::Record(_), EntryKind::Expired { of }) => inc.version > *of,
+                (EntryKind::Record { .. }, EntryKind::Expired { of }) => inc.version > of,
                 _ => inc.version > cur.version,
             },
         };
-        if !accept {
-            return false;
+        if accept {
+            self.store(name, inc, body());
         }
-        self.store(name, inc);
-        true
+        accept
     }
 
-    /// Stores an accepted entry: rebuilds its UDDI mirror, lowers the
-    /// lease watermark to its deadline, and moves its fingerprint term
-    /// from the entry it replaces.
-    fn store(&mut self, name: &str, entry: Entry) {
-        self.mirror(name, &entry);
-        if let EntryKind::Record(StoredRecord {
+    /// Stores an accepted entry: rebuilds its UDDI record from `body`
+    /// (a live record's), lowers the lease watermark to its deadline,
+    /// and moves its fingerprint term from the entry it replaces.
+    fn store(&mut self, name: &str, entry: Entry, body: Option<Body<'_>>) {
+        debug_assert_eq!(
+            matches!(entry.kind, EntryKind::Record { .. }),
+            body.is_some(),
+            "a live record and only a live record has a body"
+        );
+        self.mirror(name, body);
+        if let EntryKind::Record {
             expires_at: Some(at),
-            ..
-        }) = &entry.kind
+        } = entry.kind
         {
-            self.next_expiry = Some(self.next_expiry.map_or(*at, |w| w.min(*at)));
+            self.next_expiry = Some(self.next_expiry.map_or(at, |w| w.min(at)));
         }
         let sum = self.shard_sums.entry(entry.shard).or_default();
         *sum = sum.wrapping_add(pair_hash(TAG_RECORD, name, entry.version));
@@ -627,27 +801,29 @@ impl ReplicaState {
         }
     }
 
-    /// Rebuilds the UDDI mirror for `name` from an entry about to be
-    /// stored (same save/delete calls the single-node VSR made, so
-    /// publish statistics and inquiry behaviour are unchanged).
-    fn mirror(&mut self, name: &str, entry: &Entry) {
+    /// Rebuilds the UDDI record of `name` from `body` (`None`: the name
+    /// has no live record) with the delete and save calls the
+    /// single-node VSR made, so publish statistics and inquiry
+    /// behaviour are unchanged.
+    fn mirror(&mut self, name: &str, body: Option<Body<'_>>) {
         delete_by_name(&mut self.registry, name);
-        if let EntryKind::Record(rec) = &entry.kind {
-            let tmodel = self
-                .registry
-                .save_tmodel(&format!("{name}-interface"), &rec.wsdl);
-            let endpoint = format!("vsg://{}/{}", rec.gateway, name);
-            let business = self.business.clone();
-            let mut categories = vec![
-                KeyedReference::new(TAX_MIDDLEWARE, &rec.middleware),
-                KeyedReference::new(TAX_GATEWAY, &rec.gateway),
-            ];
-            for (k, v) in &rec.contexts {
-                categories.push(KeyedReference::new(format!("{TAX_CONTEXT_PREFIX}{k}"), v));
-            }
+        if let Some(Body { wsdl, categories }) = body {
+            let tmodel = self.registry.save_tmodel(format!("{name}-interface"), wsdl);
+            // The second category is the gateway.
+            let endpoint = format!("vsg://{}/{}", categories[1].value, name);
             self.registry
-                .save_service(&business, name, categories, &endpoint, Some(tmodel));
+                .save_service(&self.business, name, categories, &endpoint, Some(tmodel));
         }
+    }
+
+    /// Writes `name`'s entry as the element `elem`, a live record's
+    /// body read back from the registry.
+    fn write_entry<O: XmlOut + ?Sized>(&self, elem: &str, name: &str, entry: &Entry, out: &mut O) {
+        let body = match entry.kind {
+            EntryKind::Record { .. } => RecordParts::stored(&self.registry, name),
+            EntryKind::Unpublished | EntryKind::Expired { .. } => None,
+        };
+        entry.write_xml(elem, name, body.as_ref(), out);
     }
 
     /// Lazily reaps every record whose replicated lease deadline has
@@ -662,15 +838,14 @@ impl ReplicaState {
         let mut due: Vec<String> = Vec::new();
         let mut next: Option<SimTime> = None;
         for (name, e) in &self.entries {
-            if let EntryKind::Record(StoredRecord {
+            if let EntryKind::Record {
                 expires_at: Some(at),
-                ..
-            }) = &e.kind
+            } = e.kind
             {
-                if *at <= now {
+                if at <= now {
                     due.push(name.clone());
                 } else {
-                    next = Some(next.map_or(*at, |n| n.min(*at)));
+                    next = Some(next.map_or(at, |n| n.min(at)));
                 }
             }
         }
@@ -678,16 +853,9 @@ impl ReplicaState {
         due.sort_unstable();
         let mut out = Vec::with_capacity(due.len());
         for name in due {
-            let (of, shard) = {
-                let cur = &self.entries[&name];
-                (cur.version, cur.shard)
-            };
-            let tomb = Entry {
-                version: self.next_version(now),
-                shard,
-                kind: EntryKind::Expired { of },
-            };
-            self.store(&name, tomb.clone());
+            let Entry { version, shard, .. } = self.entries[&name];
+            let tomb = self.stamp(shard, EntryKind::Expired { of: version }, now);
+            self.store(&name, tomb, None);
             out.push((name, tomb));
         }
         out
@@ -713,26 +881,23 @@ impl ReplicaState {
         true
     }
 
-    /// Applies the entries and gateway items of a `replicate` call or
-    /// a `sync_fetch` reply, skipping malformed items. Returns how many
-    /// were applied.
-    fn apply_items(&mut self, entries: Option<&Value>, gateways: Option<&Value>) -> i64 {
+    /// Applies the entry and gateway items of a `replicate` call or a
+    /// `sync_fetch` reply, read in place and skipping malformed items;
+    /// an accepted record is saved from the borrowed strings. Returns
+    /// how many items were applied.
+    fn apply_wire(&mut self, entries: Option<ValueRef<'_>>, gateways: Option<ValueRef<'_>>) -> i64 {
         let mut applied = 0i64;
-        if let Some(Value::List(items)) = entries {
-            for item in items {
-                if let Some((name, entry)) = Entry::from_value(item) {
-                    if self.apply_entry(&name, entry) {
-                        applied += 1;
-                    }
+        for item in array_items(entries) {
+            if let Some((name, entry, body)) = read_entry(item) {
+                if self.apply(&name, entry, || body.map(WireBody::into_body)) {
+                    applied += 1;
                 }
             }
         }
-        if let Some(Value::List(items)) = gateways {
-            for item in items {
-                if let Some((name, node, version)) = gateway_from_value(item) {
-                    if self.apply_gateway(name, node, version) {
-                        applied += 1;
-                    }
+        for item in array_items(gateways) {
+            if let Some((name, node, version)) = read_gateway(item) {
+                if self.apply_gateway(&name, node, version) {
+                    applied += 1;
                 }
             }
         }
@@ -757,21 +922,41 @@ pub(crate) fn delete_by_name(registry: &mut UddiRegistry, name: &str) -> bool {
     found
 }
 
-/// One registry inquiry hit as a `resolve` or `find` reply carries it,
-/// looked up once: categories carry middleware, gateway and contexts,
-/// and the bound tModel carries the WSDL (its `get_tmodel` inquiry is
-/// counted here). Everything is borrowed from the registry, so the
-/// reply is written straight from the stored records.
-pub(crate) struct RecordParts<'r> {
-    svc: &'r wsdl::BusinessService,
+/// A record's parts, borrowed from where they are: the registry record
+/// an inquiry hit or a replication read found, or the body a `publish`
+/// call is about to save. A `resolve` or `find` reply, a push and a
+/// `sync_fetch` reply are written straight from them.
+struct RecordParts<'r> {
+    name: &'r str,
     middleware: &'r str,
     gateway: &'r str,
     wsdl: &'r str,
+    /// The category list; the contexts are its `uddi:ctx:` entries.
+    categories: &'r [KeyedReference],
 }
 
 impl<'r> RecordParts<'r> {
-    /// `svc`'s parts, or `None` for a corrupt record.
-    pub(crate) fn of(registry: &'r UddiRegistry, svc: &'r wsdl::BusinessService) -> Option<Self> {
+    /// An inquiry hit's parts: categories carry middleware, gateway and
+    /// contexts, and the bound tModel carries the WSDL (its
+    /// `get_tmodel` inquiry is counted here). `None` for a corrupt
+    /// record.
+    fn of(registry: &'r UddiRegistry, svc: &'r wsdl::BusinessService) -> Option<Self> {
+        RecordParts::in_registry(svc, || {
+            registry.get_tmodel(svc.bindings.first()?.tmodel_key.as_ref()?)
+        })
+    }
+
+    /// The stored record named exactly `name`, read to replicate it:
+    /// no inquiry is counted.
+    fn stored(registry: &'r UddiRegistry, name: &str) -> Option<Self> {
+        let (svc, tmodel) = registry.record_named(name)?;
+        RecordParts::in_registry(svc, || Some(tmodel))
+    }
+
+    fn in_registry(
+        svc: &'r wsdl::BusinessService,
+        tmodel: impl FnOnce() -> Option<&'r wsdl::TModel>,
+    ) -> Option<Self> {
         let category = |taxonomy: &str| {
             svc.categories
                 .iter()
@@ -780,46 +965,60 @@ impl<'r> RecordParts<'r> {
         };
         let middleware = category(TAX_MIDDLEWARE)?;
         let gateway = category(TAX_GATEWAY)?;
-        let tmodel = registry.get_tmodel(svc.bindings.first()?.tmodel_key.as_ref()?)?;
         Some(RecordParts {
-            svc,
+            name: &svc.name,
             middleware,
             gateway,
-            wsdl: &tmodel.overview_doc,
+            wsdl: &tmodel()?.overview_doc,
+            categories: &svc.categories,
         })
     }
 
-    /// The service's `(key, value)` contexts.
+    /// The body copied out, to save it again (a renewal re-saves its
+    /// record).
+    fn body(&self) -> Body<'static> {
+        Body {
+            wsdl: Cow::Owned(self.wsdl.to_owned()),
+            categories: self.categories.to_vec(),
+        }
+    }
+
+    /// The `(key, value)` contexts.
     fn contexts(&self) -> impl Iterator<Item = (&'r str, &'r str)> + Clone {
-        self.svc.categories.iter().filter_map(|c| {
+        self.categories.iter().filter_map(|c| {
             c.taxonomy
                 .strip_prefix(TAX_CONTEXT_PREFIX)
                 .map(|k| (k, c.value.as_str()))
         })
     }
 
-    /// Writes the record as the Struct element `name`: the bytes its
+    /// Writes the record as the Struct element `elem`: the bytes its
     /// `Value::Record` of name, middleware, gateway, wsdl and contexts
     /// writes.
-    pub(crate) fn write_xml(&self, name: &str, out: &mut dyn XmlOut) {
-        write_compound_xml(Compound::Struct, name, 5, out, |out| {
-            write_str_xml("name", &self.svc.name, out);
-            write_str_xml("middleware", self.middleware, out);
-            write_str_xml("gateway", self.gateway, out);
-            write_str_xml("wsdl", self.wsdl, out);
-            let contexts = self.contexts();
-            write_compound_xml(
-                Compound::Struct,
-                "contexts",
-                contexts.clone().count(),
-                out,
-                |out| {
-                    for (k, v) in contexts {
-                        write_str_xml(k, v, out);
-                    }
-                },
-            );
+    fn write_xml(&self, elem: &str, out: &mut dyn XmlOut) {
+        write_compound_xml(Compound::Struct, elem, 5, out, |out| {
+            write_str_xml("name", self.name, out);
+            self.write_body(out);
         });
+    }
+
+    /// Writes the body's fields: middleware, gateway, wsdl, contexts.
+    fn write_body<O: XmlOut + ?Sized>(&self, out: &mut O) {
+        write_str_xml("middleware", self.middleware, out);
+        write_str_xml("gateway", self.gateway, out);
+        write_str_xml("wsdl", self.wsdl, out);
+        let contexts = self.contexts();
+        write_compound_xml(
+            Compound::Struct,
+            "contexts",
+            contexts.clone().count(),
+            out,
+            |out| {
+                for (k, v) in contexts {
+                    write_str_xml(k, v, out);
+                }
+            },
+        );
     }
 }
 
@@ -856,6 +1055,38 @@ pub(crate) fn service_to_value(
         ("wsdl".into(), Value::from(tmodel.overview_doc.as_str())),
         ("contexts".into(), Value::Record(contexts)),
     ]))
+}
+
+/// The entries one handler wrote, for the other replicas of their
+/// shards: each entry's `item` element measured and written once, back
+/// to back, under the state lock, and sent once it is released.
+#[derive(Default)]
+struct Push {
+    xml: String,
+    /// Each entry's shard, and where its element ends in `xml`.
+    items: Stack<(u32, usize), 4>,
+}
+
+impl Push {
+    /// Adds the entry of `shard` that `write` writes.
+    fn add(&mut self, shard: u32, write: impl Fn(&mut dyn XmlOut)) {
+        let mut len = Measure::default();
+        write(&mut len);
+        self.xml.reserve_exact(len.0);
+        write(&mut self.xml);
+        self.items.push((shard, self.xml.len()));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Entry `i`'s element.
+    fn item(&self, i: usize) -> &str {
+        let items = self.items.as_slice();
+        let start = i.checked_sub(1).map_or(0, |p| items[p].1);
+        &self.xml[start..items[i].1]
+    }
 }
 
 // ---- the replica server ----------------------------------------------------
@@ -934,27 +1165,58 @@ pub(crate) fn start_replicas(
 }
 
 impl ReplicaCtx {
+    /// Adds the entry of `shard` that `write` writes to `push`, unless
+    /// no other replica hosts the shard: a single-replica cluster
+    /// writes no push at all.
+    fn stage(&self, push: &mut Push, shard: u32, write: impl Fn(&mut dyn XmlOut)) {
+        let peers = self
+            .map
+            .lock()
+            .replicas_for(shard)
+            .iter()
+            .any(|&n| n != self.node);
+        if peers {
+            push.add(shard, write);
+        }
+    }
+
     /// Best-effort eager push of freshly written entries to the other
-    /// members of each entry's shard. Failures are swallowed — the
-    /// anti-entropy pass repairs them — but each push gets a
-    /// `federation` span so the decision is visible in traces.
-    fn replicate_out(&self, sim: &Sim, outgoing: &[(String, Entry)]) {
-        let mut per_peer: BTreeMap<u32, Vec<Value>> = BTreeMap::new();
+    /// members of each entry's shard: peers in ascending order, each
+    /// sent the elements of its entries, in write order, as written
+    /// once. Failures are swallowed — the anti-entropy pass repairs
+    /// them — but each push gets a `federation` span so the decision
+    /// is visible in traces.
+    fn replicate_out(&self, sim: &Sim, push: &Push) {
+        // Which peer gets which entry, read under one lock of the map.
+        let mut targets: Stack<(u32, usize), 4> = Stack::new();
         {
             let map = self.map.lock();
-            for (name, entry) in outgoing {
-                for &peer in map.replicas_for(entry.shard) {
+            for (i, &(shard, _)) in push.items.as_slice().iter().enumerate() {
+                for &peer in map.replicas_for(shard) {
                     if peer != self.node {
-                        per_peer
-                            .entry(peer.0)
-                            .or_default()
-                            .push(entry.to_value(name));
+                        targets.push((peer.0, i));
                     }
                 }
             }
         }
-        for (peer, entries) in per_peer {
-            let n = entries.len();
+        // Each peer once, in ascending order: the next smallest above
+        // the last one sent to.
+        let targets = targets.as_slice();
+        let mut last = None;
+        while let Some(peer) = targets
+            .iter()
+            .map(|&(p, _)| p)
+            .filter(|&p| last.is_none_or(|l| p > l))
+            .min()
+        {
+            last = Some(peer);
+            let items = || {
+                targets
+                    .iter()
+                    .filter(move |&&(p, _)| p == peer)
+                    .map(|&(_, i)| push.item(i))
+            };
+            let n = items().count();
             let scope = Scope::child(
                 sim,
                 &self.tracer,
@@ -965,10 +1227,17 @@ impl ReplicaCtx {
                     format!("replicate {n} entr{plural} -> n{peer}")
                 },
             );
-            let entries = Value::List(entries);
-            let result =
-                self.client
-                    .call_parts(NodeId(peer), VSR_NS, "replicate", [("entries", &entries)]);
+            let entries = |name: &str, out: &mut dyn XmlOut| {
+                write_compound_xml(Compound::Array, name, n, out, |out| {
+                    items().for_each(|xml| out.put(xml));
+                });
+            };
+            let result = self.client.call_parts(
+                NodeId(peer),
+                VSR_NS,
+                "replicate",
+                [("entries", Arg::Write(&entries))],
+            );
             scope.finish(&result);
         }
     }
@@ -989,26 +1258,29 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &CallRef<'_>, reply: Reply<'_>) -> 
     match call.method() {
         "shard_map" => return reply.value(&ctx.map.lock().to_value()),
         "replicate" => {
-            let owned = |name| call.get(name).map(|v| v.to_owned());
-            let (entries, gateways) = (owned("entries"), owned("gateways"));
             let applied = ctx
                 .state
                 .lock()
-                .apply_items(entries.as_ref(), gateways.as_ref());
+                .apply_wire(call.get("entries"), call.get("gateways"));
             return reply.value(&Value::Int(applied));
         }
         "sync_digest" => return answer(reply, sync_digest(ctx, call)),
-        "sync_fetch" => return reply.value(&sync_fetch(ctx, call)),
+        "sync_fetch" => return sync_fetch(ctx, call, reply),
         _ => {}
     }
 
     // The client plane: reap due leases first (lazily, like the
-    // single-node VSR), remember what must be pushed to peers, answer,
+    // single-node VSR), write what must be pushed to peers, answer,
     // then push with the lock released.
     let now = sim.now();
     let mut st = ctx.state.lock();
-    let mut outgoing = st.expire_due(now);
-    let answered = match client_op(ctx, sim, call, &mut st, &mut outgoing) {
+    let mut push = Push::default();
+    for (name, tomb) in st.expire_due(now) {
+        ctx.stage(&mut push, tomb.shard, |out| {
+            tomb.write_xml("item", &name, None, out)
+        });
+    }
+    let answered = match client_op(ctx, sim, call, &mut st, &mut push) {
         Ok(ClientAnswer::Value(v)) => reply.value(&v),
         Ok(ClientAnswer::Record(record)) => reply.write(|out| record.write_xml("return", out)),
         Ok(ClientAnswer::Records(records)) => reply.write(|out| {
@@ -1021,8 +1293,8 @@ fn handle(ctx: &ReplicaCtx, sim: &Sim, call: &CallRef<'_>, reply: Reply<'_>) -> 
         Err(e) => reply.fault(&Fault::server(e.to_string())),
     };
     drop(st);
-    if !outgoing.is_empty() {
-        ctx.replicate_out(sim, &outgoing);
+    if !push.is_empty() {
+        ctx.replicate_out(sim, &push);
     }
     answered
 }
@@ -1050,24 +1322,10 @@ fn str_arg<'a>(call: &CallRef<'a>, name: &str) -> Result<Cow<'a, str>, MetaError
         .ok_or_else(|| MetaError::Repository(format!("missing argument '{name}'")))
 }
 
-/// The string fields of the call's Struct argument `name`, in order;
-/// none if it is missing or no Struct.
-fn str_fields<'a>(call: &CallRef<'a>, name: &str) -> impl Iterator<Item = (&'a str, Cow<'a, str>)> {
-    call.get(name)
-        .filter(|v| v.compound() == Some(Compound::Struct))
-        .into_iter()
-        .flat_map(|v| v.members())
-        .filter_map(|(k, v)| v.as_str().map(|s| (k, s)))
-}
-
 /// The string items of the call's Array argument `name`; none if it
 /// is missing or no Array.
 fn str_items<'a>(call: &CallRef<'a>, name: &str) -> impl Iterator<Item = Cow<'a, str>> {
-    call.get(name)
-        .filter(|v| v.compound() == Some(Compound::Array))
-        .into_iter()
-        .flat_map(|v| v.members())
-        .filter_map(|(_, v)| v.as_str())
+    array_items(call.get(name)).filter_map(|v| v.as_str())
 }
 
 /// `sync_digest`: the shard's `(name, version)` pairs and the gateway
@@ -1116,33 +1374,45 @@ fn sync_digest(ctx: &ReplicaCtx, call: &CallRef<'_>) -> Result<Value, MetaError>
     ]))
 }
 
-/// `sync_fetch`: the named entries and gateway items this replica has.
-fn sync_fetch(ctx: &ReplicaCtx, call: &CallRef<'_>) -> Value {
+/// `sync_fetch`: the named entries and gateway items this replica
+/// has, written straight from its state and its registry records.
+fn sync_fetch(ctx: &ReplicaCtx, call: &CallRef<'_>, reply: Reply<'_>) -> Answered {
     let st = ctx.state.lock();
-    let records = str_items(call, "names")
-        .filter_map(|name| st.entries.get(&*name).map(|entry| entry.to_value(&name)))
-        .collect();
-    let gateways = str_items(call, "gw_names")
-        .filter_map(|name| {
-            let &(node, version) = st.gateways.get(&*name)?;
-            Some(gateway_to_value(&name, node, version))
-        })
-        .collect();
-    Value::Record(vec![
-        ("records".into(), Value::List(records)),
-        ("gateways".into(), Value::List(gateways)),
-    ])
+    let records =
+        || str_items(call, "names").filter_map(|name| Some((*st.entries.get(&*name)?, name)));
+    let gateways =
+        || str_items(call, "gw_names").filter_map(|name| Some((*st.gateways.get(&*name)?, name)));
+    reply.write(|out| {
+        write_compound_xml(Compound::Struct, "return", 2, out, |out| {
+            write_compound_xml(Compound::Array, "records", records().count(), out, |out| {
+                for (entry, name) in records() {
+                    st.write_entry("item", &name, &entry, out);
+                }
+            });
+            write_compound_xml(
+                Compound::Array,
+                "gateways",
+                gateways().count(),
+                out,
+                |out| {
+                    for ((node, version), name) in gateways() {
+                        write_gateway("item", &name, node, version, out);
+                    }
+                },
+            );
+        });
+    })
 }
 
-/// One client-plane operation, run under the state lock: writes push
-/// their entries onto `outgoing`, and reads answer with records
-/// borrowed from `st`.
+/// One client-plane operation, run under the state lock: writes add
+/// their entries to `push`, and reads answer with records borrowed
+/// from `st`.
 fn client_op<'s>(
     ctx: &ReplicaCtx,
     sim: &Sim,
     call: &CallRef<'_>,
     st: &'s mut ReplicaState,
-    outgoing: &mut Vec<(String, Entry)>,
+    push: &mut Push,
 ) -> Result<ClientAnswer<'s>, MetaError> {
     let now = sim.now();
     let value = match call.method() {
@@ -1168,58 +1438,66 @@ fn client_op<'s>(
         "publish" => {
             let name = str_arg(call, "name")?;
             let shard = route_write(ctx, sim, call, &name)?;
-            let record = StoredRecord {
-                middleware: str_arg(call, "middleware")?.into_owned(),
-                gateway: str_arg(call, "gateway")?.into_owned(),
-                wsdl: str_arg(call, "wsdl")?.into_owned(),
-                contexts: str_fields(call, "contexts")
-                    .map(|(k, v)| (k.to_owned(), v.into_owned()))
-                    .collect(),
-                expires_at: st.lease.map(|l| now + l),
-            };
-            let entry = st.write(&name, shard, EntryKind::Record(record), now);
-            outgoing.push((name.into_owned(), entry));
+            let body = WireBody {
+                middleware: str_arg(call, "middleware")?,
+                gateway: str_arg(call, "gateway")?,
+                wsdl: str_arg(call, "wsdl")?,
+                contexts: struct_of(call.get("contexts")),
+            }
+            .into_body();
+            let expires_at = st.lease.map(|l| now + l);
+            let entry = st.stamp(shard, EntryKind::Record { expires_at }, now);
+            // Pushed and saved straight from the call's arguments.
+            ctx.stage(push, shard, |out| {
+                entry.write_xml("item", &name, Some(&body.parts(&name)), out)
+            });
+            st.apply(&name, entry, || Some(body));
             Value::Null
         }
         "unpublish" => {
             let name = str_arg(call, "name")?;
             let shard = route_write(ctx, sim, call, &name)?;
             let found = matches!(
-                st.entries.get(&*name).map(|e| &e.kind),
-                Some(EntryKind::Record(_))
+                st.entries.get(&*name).map(|e| e.kind),
+                Some(EntryKind::Record { .. })
             );
-            let entry = st.write(&name, shard, EntryKind::Unpublished, now);
-            outgoing.push((name.into_owned(), entry));
+            let entry = st.stamp(shard, EntryKind::Unpublished, now);
+            ctx.stage(push, shard, |out| entry.write_xml("item", &name, None, out));
+            st.apply(&name, entry, || None);
             Value::Bool(found)
         }
         "renew" => {
             let name = str_arg(call, "name")?;
             let shard = route_write(ctx, sim, call, &name)?;
-            let lease = st.lease;
-            match st.entries.get(&*name).map(|e| e.kind.clone()) {
-                Some(EntryKind::Record(mut rec)) => {
-                    // With leases on, a renewal is a real write: it
-                    // bumps the version so a later stale reaper
-                    // (EntryKind::Expired of an older incarnation)
-                    // cannot kill the renewed record.
-                    if let Some(lease) = lease {
-                        rec.expires_at = Some(now + lease);
-                        let entry = st.write(&name, shard, EntryKind::Record(rec), now);
-                        outgoing.push((name.into_owned(), entry));
-                    }
-                    Value::Bool(true)
-                }
-                _ => Value::Bool(false),
+            let live = matches!(
+                st.entries.get(&*name).map(|e| e.kind),
+                Some(EntryKind::Record { .. })
+            );
+            // With leases on, a renewal is a real write: it bumps the
+            // version so a later stale reaper (EntryKind::Expired of an
+            // older incarnation) cannot kill the renewed record. The
+            // body is the stored one, saved again.
+            if let (true, Some(lease)) = (live, st.lease) {
+                let kind = EntryKind::Record {
+                    expires_at: Some(now + lease),
+                };
+                let entry = st.stamp(shard, kind, now);
+                let parts = RecordParts::stored(&st.registry, &name)
+                    .ok_or_else(|| MetaError::Repository("corrupt record".into()))?;
+                ctx.stage(push, shard, |out| {
+                    entry.write_xml("item", &name, Some(&parts), out)
+                });
+                let body = parts.body();
+                st.apply(&name, entry, || Some(body));
             }
+            Value::Bool(live)
         }
         "resolve" => {
             let name = str_arg(call, "name")?;
             route_read(ctx, call, &name)?;
             let registry = &st.registry;
             let svc = registry
-                .find_service(&name, &[])
-                .into_iter()
-                .find(|s| s.name == name)
+                .find_service_exact(&name)
                 .ok_or_else(|| MetaError::UnknownService(name.into_owned()))?;
             return RecordParts::of(registry, svc)
                 .map(ClientAnswer::Record)
@@ -1237,9 +1515,8 @@ fn client_op<'s>(
         }
         "find_ctx" => {
             let pattern = str_arg(call, "pattern")?;
-            let categories: Vec<KeyedReference> = str_fields(call, "contexts")
-                .map(|(k, v)| KeyedReference::new(format!("{TAX_CONTEXT_PREFIX}{k}"), v))
-                .collect();
+            let categories: Vec<KeyedReference> =
+                context_categories(call.get("contexts")).collect();
             return serve_inquiry(ctx, call, st, &pattern, &categories).map(ClientAnswer::Records);
         }
         "count" => match hosted_shard(ctx, call)? {
@@ -1247,7 +1524,7 @@ fn client_op<'s>(
                 let n = st
                     .entries
                     .values()
-                    .filter(|e| e.shard == shard && matches!(e.kind, EntryKind::Record(_)))
+                    .filter(|e| e.shard == shard && matches!(e.kind, EntryKind::Record { .. }))
                     .count();
                 Value::Int(n as i64)
             }
@@ -1300,23 +1577,6 @@ fn hosted_shard(ctx: &ReplicaCtx, call: &CallRef<'_>) -> Result<Option<u32>, Met
     client_shard(call, &map)?
         .map(|shard| hosts_or_moved(ctx, &map, shard))
         .transpose()
-}
-
-fn gateway_to_value(name: &str, node: u32, version: Version) -> Value {
-    Value::Record(vec![
-        ("name".into(), Value::Str(name.to_owned())),
-        ("node".into(), Value::Int(i64::from(node))),
-        ("version".into(), version.to_value()),
-    ])
-}
-
-/// The inverse of [`gateway_to_value`]; `None` for a malformed item.
-fn gateway_from_value(item: &Value) -> Option<(&str, u32, Version)> {
-    Some((
-        item.field("name")?.as_str()?,
-        u32::try_from(item.field("node")?.as_int()?).ok()?,
-        Version::from_value(item.field("version")?)?,
-    ))
 }
 
 /// Validates a write's routing: the shard must be hosted here, and the
@@ -1545,15 +1805,20 @@ fn sync_pair(
             .filter(|(name, version)| st.gateways.get(*name).map(|&(_, v)| v) != Some(*version))
             .map(|(name, _)| Value::Str((*name).to_owned()))
             .collect();
-        let mut push: Vec<(String, Entry)> = st
+        // What the primary lacks is written now, under the lock and
+        // before the fetch below can change what this replica holds.
+        let mut lacking: Vec<(&String, &Entry)> = st
             .entries
             .iter()
             .filter(|(name, e)| {
                 e.shard == shard && pri_record_index.get(name.as_str()) != Some(&e.version)
             })
-            .map(|(name, e)| (name.clone(), e.clone()))
             .collect();
-        push.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        lacking.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut push = Push::default();
+        for (name, entry) in lacking {
+            push.add(entry.shard, |out| st.write_entry("item", name, entry, out));
+        }
         let mut push_gw: Vec<(String, u32, Version)> = st
             .gateways
             .iter()
@@ -1564,9 +1829,11 @@ fn sync_pair(
         (need, need_gw, push, push_gw)
     };
 
-    // Pull newer/different entries from the primary and merge locally.
+    // Pull newer/different entries from the primary and merge them
+    // locally as the reply is read. A failed fetch is repaired by the
+    // next pass.
     if !need.is_empty() || !need_gw.is_empty() {
-        let fetched = rep.client.call_parts(
+        let _ = rep.client.call_parts_ref(
             primary,
             VSR_NS,
             "sync_fetch",
@@ -1575,12 +1842,13 @@ fn sync_pair(
                 ("names", &Value::List(need)),
                 ("gw_names", &Value::List(need_gw)),
             ],
+            |fetched| {
+                rep.state.lock().apply_wire(
+                    struct_field(fetched, "records"),
+                    struct_field(fetched, "gateways"),
+                )
+            },
         );
-        if let Ok(v) = fetched {
-            rep.state
-                .lock()
-                .apply_items(v.field("records"), v.field("gateways"));
-        }
     }
 
     // Push what the primary lacks (e.g. writes this backup took while
@@ -1588,21 +1856,225 @@ fn sync_pair(
     if push.is_empty() && push_gw.is_empty() {
         return false;
     }
-    let entries: Vec<Value> = push.iter().map(|(name, e)| e.to_value(name)).collect();
-    let gateways: Vec<Value> = push_gw
-        .iter()
-        .map(|(name, node, v)| gateway_to_value(name, *node, *v))
-        .collect();
+    let entries = |name: &str, out: &mut dyn XmlOut| {
+        write_compound_xml(Compound::Array, name, push.items.len(), out, |out| {
+            out.put(&push.xml);
+        });
+    };
+    let gateways = |name: &str, out: &mut dyn XmlOut| {
+        write_compound_xml(Compound::Array, name, push_gw.len(), out, |out| {
+            for (gw, node, version) in &push_gw {
+                write_gateway("item", gw, *node, *version, out);
+            }
+        });
+    };
     let applied = rep.client.call_parts(
         primary,
         VSR_NS,
         "replicate",
         [
-            ("entries", &Value::List(entries)),
-            ("gateways", &Value::List(gateways)),
+            ("entries", Arg::Write(&entries)),
+            ("gateways", Arg::Write(&gateways)),
         ],
     );
     matches!(applied, Ok(Value::Int(n)) if n > 0)
+}
+
+// ---- oracles ---------------------------------------------------------------
+
+/// A live record's body as owned strings, as the entries held it before
+/// the registry became its only copy: what the oracles below read and
+/// write.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+struct OwnedBody {
+    middleware: String,
+    gateway: String,
+    wsdl: String,
+    contexts: Vec<(String, String)>,
+}
+
+#[cfg(test)]
+impl OwnedBody {
+    /// A lamp's body.
+    fn lamp() -> OwnedBody {
+        OwnedBody {
+            middleware: "x10".into(),
+            gateway: "x10-gw".into(),
+            wsdl: "<definitions/>".into(),
+            contexts: vec![],
+        }
+    }
+
+    /// The body as the registry saves it, built the way the mirror
+    /// built it from the entries' copy.
+    fn body(&self) -> Body<'_> {
+        let mut categories = vec![
+            KeyedReference::new(TAX_MIDDLEWARE, &self.middleware),
+            KeyedReference::new(TAX_GATEWAY, &self.gateway),
+        ];
+        for (k, v) in &self.contexts {
+            categories.push(KeyedReference::new(format!("{TAX_CONTEXT_PREFIX}{k}"), v));
+        }
+        Body {
+            wsdl: Cow::Borrowed(&self.wsdl),
+            categories,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Entry {
+    /// The entry as the `Value` pushes and `sync_fetch` replies were
+    /// built from before they were written in place: the oracle of
+    /// [`Entry::write_xml`].
+    fn to_value(self, name: &str, body: Option<&OwnedBody>) -> Value {
+        let mut fields = vec![
+            ("name".into(), Value::Str(name.to_owned())),
+            ("shard".into(), Value::Int(i64::from(self.shard))),
+            ("version".into(), self.version.to_value()),
+        ];
+        match self.kind {
+            EntryKind::Record { expires_at } => {
+                fields.push(("kind".into(), Value::Str("record".into())));
+                if let Some(rec) = body {
+                    fields.push(("middleware".into(), Value::Str(rec.middleware.clone())));
+                    fields.push(("gateway".into(), Value::Str(rec.gateway.clone())));
+                    fields.push(("wsdl".into(), Value::Str(rec.wsdl.clone())));
+                    fields.push((
+                        "contexts".into(),
+                        Value::Record(
+                            rec.contexts
+                                .iter()
+                                .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
+                                .collect(),
+                        ),
+                    ));
+                }
+                fields.push((
+                    "expires_at".into(),
+                    expires_at.map_or(Value::Null, |t| int_to_wire(t.as_micros())),
+                ));
+            }
+            EntryKind::Unpublished => {
+                fields.push(("kind".into(), Value::Str("unpublish".into())));
+            }
+            EntryKind::Expired { of } => {
+                fields.push(("kind".into(), Value::Str("expired".into())));
+                fields.push(("of".into(), of.to_value()));
+            }
+        }
+        Value::Record(fields)
+    }
+
+    /// The owned decoder [`read_entry`] replaced: its oracle.
+    fn from_value(v: &Value) -> Option<(String, Entry, Option<OwnedBody>)> {
+        let name = v.field("name")?.as_str()?.to_owned();
+        let shard = u32::try_from(v.field("shard")?.as_int()?).ok()?;
+        let version = Version::from_value(v.field("version")?)?;
+        let (kind, body) = match v.field("kind")?.as_str()? {
+            "record" => {
+                let body = OwnedBody {
+                    middleware: v.field("middleware")?.as_str()?.to_owned(),
+                    gateway: v.field("gateway")?.as_str()?.to_owned(),
+                    wsdl: v.field("wsdl")?.as_str()?.to_owned(),
+                    contexts: match v.field("contexts") {
+                        Some(Value::Record(fields)) => fields
+                            .iter()
+                            .filter_map(|(k, val)| val.as_str().map(|s| (k.clone(), s.to_owned())))
+                            .collect(),
+                        _ => Vec::new(),
+                    },
+                };
+                let expires_at = match v.field("expires_at").and_then(Value::as_int) {
+                    None => None,
+                    Some(us) => Some(SimTime::from_micros(u64::try_from(us).ok()?)),
+                };
+                (EntryKind::Record { expires_at }, Some(body))
+            }
+            "unpublish" => (EntryKind::Unpublished, None),
+            "expired" => (
+                EntryKind::Expired {
+                    of: Version::from_value(v.field("of")?)?,
+                },
+                None,
+            ),
+            _ => return None,
+        };
+        Some((
+            name,
+            Entry {
+                version,
+                shard,
+                kind,
+            },
+            body,
+        ))
+    }
+}
+
+/// A gateway-directory item as the `Value` it was built as: the oracle
+/// of [`write_gateway`].
+#[cfg(test)]
+fn gateway_to_value(name: &str, node: u32, version: Version) -> Value {
+    Value::Record(vec![
+        ("name".into(), Value::Str(name.to_owned())),
+        ("node".into(), Value::Int(i64::from(node))),
+        ("version".into(), version.to_value()),
+    ])
+}
+
+/// The inverse of [`gateway_to_value`]; `None` for a malformed item.
+/// The oracle of [`read_gateway`].
+#[cfg(test)]
+fn gateway_from_value(item: &Value) -> Option<(&str, u32, Version)> {
+    Some((
+        item.field("name")?.as_str()?,
+        u32::try_from(item.field("node")?.as_int()?).ok()?,
+        Version::from_value(item.field("version")?)?,
+    ))
+}
+
+#[cfg(test)]
+impl ReplicaState {
+    /// Merges `entry`, saving a live record's `body` from owned
+    /// strings.
+    fn apply_owned(&mut self, name: &str, entry: Entry, body: Option<&OwnedBody>) -> bool {
+        self.apply(name, entry, || body.map(OwnedBody::body))
+    }
+
+    /// [`ReplicaState::apply_owned`] with [`OwnedBody::lamp`] as a
+    /// record's body.
+    fn apply_entry(&mut self, name: &str, entry: Entry) -> bool {
+        let lamp = OwnedBody::lamp();
+        let body = matches!(entry.kind, EntryKind::Record { .. }).then_some(&lamp);
+        self.apply_owned(name, entry, body)
+    }
+
+    /// The owned apply [`ReplicaState::apply_wire`] replaced: every item
+    /// decoded into an owned entry and body first. Its oracle.
+    fn apply_items(&mut self, entries: Option<&Value>, gateways: Option<&Value>) -> i64 {
+        let mut applied = 0i64;
+        if let Some(Value::List(items)) = entries {
+            for item in items {
+                if let Some((name, entry, body)) = Entry::from_value(item) {
+                    if self.apply_owned(&name, entry, body.as_ref()) {
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        if let Some(Value::List(items)) = gateways {
+            for item in items {
+                if let Some((name, node, version)) = gateway_from_value(item) {
+                    if self.apply_gateway(name, node, version) {
+                        applied += 1;
+                    }
+                }
+            }
+        }
+        applied
+    }
 }
 
 #[cfg(test)]
@@ -1704,21 +2176,11 @@ mod tests {
         assert_eq!(Version::from_value(&a.to_value()), Some(a));
     }
 
-    fn stored(expires_at: Option<SimTime>) -> StoredRecord {
-        StoredRecord {
-            middleware: "x10".into(),
-            gateway: "x10-gw".into(),
-            wsdl: "<definitions/>".into(),
-            contexts: vec![],
-            expires_at,
-        }
-    }
-
     fn record_entry(version: Version, expires_at: Option<SimTime>) -> Entry {
         Entry {
             version,
             shard: 0,
-            kind: EntryKind::Record(stored(expires_at)),
+            kind: EntryKind::Record { expires_at },
         }
     }
 
@@ -1745,7 +2207,7 @@ mod tests {
             shard: 0,
             kind: EntryKind::Expired { of: v(20, 1, 1) },
         };
-        assert!(st.apply_entry("lamp", tomb_current.clone()));
+        assert!(st.apply_entry("lamp", tomb_current));
         assert_eq!(st.registry.service_count(), 0, "mirror follows");
 
         // ...and a record renewed after the reaped incarnation beats
@@ -1812,8 +2274,8 @@ mod tests {
         let mut due: Vec<String> = st
             .entries
             .iter()
-            .filter(|(_, e)| match &e.kind {
-                EntryKind::Record(rec) => rec.expires_at.is_some_and(|at| at <= now),
+            .filter(|(_, e)| match e.kind {
+                EntryKind::Record { expires_at } => expires_at.is_some_and(|at| at <= now),
                 _ => false,
             })
             .map(|(name, _)| name.clone())
@@ -1830,7 +2292,7 @@ mod tests {
                 shard,
                 kind: EntryKind::Expired { of },
             };
-            st.store(&name, tomb.clone());
+            st.store(&name, tomb, None);
             out.push((name, tomb));
         }
         out
@@ -1862,20 +2324,27 @@ mod tests {
                 };
             }
             1 => {
-                let mut rec = stored(st.lease.map(|l| now + l));
-                rec.gateway = format!("gw-{}", rng.range(0, 3));
-                st.write(name, shard, EntryKind::Record(rec), now);
+                let mut body = OwnedBody::lamp();
+                body.gateway = format!("gw-{}", rng.range(0, 3));
+                let expires_at = st.lease.map(|l| now + l);
+                let entry = st.stamp(shard, EntryKind::Record { expires_at }, now);
+                st.apply_owned(name, entry, Some(&body));
             }
             2 => {
-                if let (Some(lease), Some(EntryKind::Record(mut rec))) =
-                    (st.lease, st.entries.get(name).map(|e| e.kind.clone()))
+                if let (Some(lease), Some(EntryKind::Record { .. })) =
+                    (st.lease, st.entries.get(name).map(|e| e.kind))
                 {
-                    rec.expires_at = Some(now + lease);
-                    st.write(name, shard, EntryKind::Record(rec), now);
+                    let body = RecordParts::stored(&st.registry, name).map(|p| p.body());
+                    let kind = EntryKind::Record {
+                        expires_at: Some(now + lease),
+                    };
+                    let entry = st.stamp(shard, kind, now);
+                    st.apply(name, entry, || body);
                 }
             }
             3 => {
-                st.write(name, shard, EntryKind::Unpublished, now);
+                let entry = st.stamp(shard, EntryKind::Unpublished, now);
+                st.apply_entry(name, entry);
             }
             4 | 5 => {
                 let version = Version {
@@ -1888,8 +2357,10 @@ mod tests {
                     1 => EntryKind::Expired {
                         of: st.entries.get(name).map_or(version, |e| e.version),
                     },
-                    2 => EntryKind::Record(stored(None)),
-                    _ => EntryKind::Record(stored(Some(deadline(rng)))),
+                    2 => EntryKind::Record { expires_at: None },
+                    _ => EntryKind::Record {
+                        expires_at: Some(deadline(rng)),
+                    },
                 };
                 st.apply_entry(
                     name,
@@ -1946,8 +2417,8 @@ mod tests {
                 let earliest = fast
                     .entries
                     .values()
-                    .filter_map(|e| match &e.kind {
-                        EntryKind::Record(rec) => rec.expires_at,
+                    .filter_map(|e| match e.kind {
+                        EntryKind::Record { expires_at } => expires_at,
                         _ => None,
                     })
                     .min();
@@ -2054,12 +2525,23 @@ mod tests {
         );
 
         let entry = record_entry(ok, Some(SimTime::from_micros(1_000)));
-        let value = entry.to_value("lamp");
-        assert_eq!(Entry::from_value(&value), Some(("lamp".into(), entry)));
+        let lamp = OwnedBody::lamp();
+        let value = entry.to_value("lamp", Some(&lamp));
+        assert_eq!(
+            Entry::from_value(&value),
+            Some(("lamp".into(), entry, Some(lamp)))
+        );
         let leaseless = Entry::from_value(&with_field(&value, "expires_at", Value::Null));
         assert!(matches!(
             leaseless,
-            Some((_, Entry { kind: EntryKind::Record(rec), .. })) if rec.expires_at.is_none()
+            Some((
+                _,
+                Entry {
+                    kind: EntryKind::Record { expires_at: None },
+                    ..
+                },
+                _
+            ))
         ));
         for (field, bad) in [
             ("expires_at", Value::Int(-1)),
@@ -2144,14 +2626,19 @@ mod tests {
         let driver = Driver {
             client: SoapClient::attach(&net, "driver"),
             server: node,
+            node: net.attach("poster"),
+            net,
         };
         (sim, ctx, driver)
     }
 
-    /// Sends calls to one replica and reads its faults back as errors.
+    /// Sends calls to one replica and reads its faults back as errors;
+    /// `node` posts raw envelopes on `net`.
     struct Driver {
         client: SoapClient,
         server: NodeId,
+        net: Network,
+        node: NodeId,
     }
 
     impl Driver {
@@ -2208,14 +2695,15 @@ mod tests {
             replica: 1,
             seq,
         };
-        let good = record_entry(v(1), None).to_value("good");
+        let lamp = OwnedBody::lamp();
+        let good = record_entry(v(1), None).to_value("good", Some(&lamp));
         let bad_version = with_field(
-            &record_entry(v(2), None).to_value("bad"),
+            &record_entry(v(2), None).to_value("bad", Some(&lamp)),
             "version",
             Value::List(vec![Value::Int(-5), Value::Int(1), Value::Int(2)]),
         );
         let never_expires = with_field(
-            &record_entry(v(3), None).to_value("forever"),
+            &record_entry(v(3), None).to_value("forever", Some(&lamp)),
             "expires_at",
             Value::Int(-1),
         );
@@ -2450,6 +2938,432 @@ mod tests {
         }
     }
 
+    /// The replication plane written and read in one pass is the owned
+    /// plane it replaced: a push or `sync_fetch` entry is written with
+    /// the bytes of `Entry::to_value`, and an entry read in place is
+    /// merged exactly as `Entry::from_value` and the owned apply merge
+    /// it.
+    mod one_pass_replication {
+        use super::*;
+        use proptest::prelude::*;
+        use simnet::Protocol;
+        use soap::{HttpRequest, HttpResponseRef, RpcResponse, RPC_ROUTER_PATH};
+
+        const NAMES: [&str; 4] = ["hall-lamp", "Hall-Lamp", "den <tv> & co", "x"];
+        const FIELDS: [&str; 10] = [
+            "name",
+            "shard",
+            "version",
+            "kind",
+            "middleware",
+            "gateway",
+            "wsdl",
+            "contexts",
+            "expires_at",
+            "of",
+        ];
+
+        fn arb_text() -> impl Strategy<Value = String> {
+            "[ -~é<>&\"']{0,16}"
+        }
+
+        /// One of `items`.
+        fn select<T: Clone + std::fmt::Debug>(items: Vec<T>) -> impl Strategy<Value = T> {
+            (0..items.len()).prop_map(move |i| items[i].clone())
+        }
+
+        fn arb_version() -> impl Strategy<Value = Version> {
+            (
+                prop_oneof![0..1_000u64, Just(u64::MAX)],
+                prop_oneof![0..3u32, Just(u32::MAX)],
+                prop_oneof![0..1_000u64, Just(u64::MAX)],
+            )
+                .prop_map(|(at_us, replica, seq)| Version {
+                    at_us,
+                    replica,
+                    seq,
+                })
+        }
+
+        fn arb_body() -> impl Strategy<Value = OwnedBody> {
+            (
+                arb_text(),
+                arb_text(),
+                arb_text(),
+                prop::collection::vec(("[a-z][a-z0-9]{0,6}", arb_text()), 0..4),
+            )
+                .prop_map(|(middleware, gateway, wsdl, contexts)| OwnedBody {
+                    middleware,
+                    gateway,
+                    wsdl,
+                    contexts,
+                })
+        }
+
+        /// A named entry of any kind, with a body when it is a record.
+        fn arb_entry() -> impl Strategy<Value = (String, Entry, Option<OwnedBody>)> {
+            (
+                (select(NAMES.to_vec()), 0..4u32, arb_version()),
+                0..4u8,
+                prop::option::of(prop_oneof![0..2_000u64, Just(u64::MAX)]),
+                arb_version(),
+                arb_body(),
+            )
+                .prop_map(|((name, shard, version), kind, deadline, of, body)| {
+                    let (kind, body) = match kind {
+                        0 => (EntryKind::Unpublished, None),
+                        1 => (EntryKind::Expired { of }, None),
+                        _ => (
+                            EntryKind::Record {
+                                expires_at: deadline.map(SimTime::from_micros),
+                            },
+                            Some(body),
+                        ),
+                    };
+                    let entry = Entry {
+                        version,
+                        shard,
+                        kind,
+                    };
+                    (name.to_owned(), entry, body)
+                })
+        }
+
+        /// A field value of any type, with the integers a decoder must
+        /// refuse.
+        fn arb_field() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                arb_text().prop_map(Value::Str),
+                select(vec!["record", "unpublish", "expired"]).prop_map(Value::from),
+                any::<i64>().prop_map(Value::Int),
+                select(vec![-1, i64::MIN, OVERSIZED_U32, i64::MAX]).prop_map(Value::Int),
+                Just(Value::Null),
+                Just(Value::Bool(true)),
+                Just(Value::Float(1.5)),
+                prop::collection::vec((-2..3i64).prop_map(Value::Int), 0..5).prop_map(Value::List),
+                prop::collection::vec(("[a-z]{1,4}", arb_text().prop_map(Value::Str)), 0..3)
+                    .prop_map(Value::Record),
+            ]
+        }
+
+        /// A pushed item: a well-formed entry, or one with a field
+        /// replaced, dropped, repeated before or after the original, or
+        /// no record at all.
+        fn arb_item() -> impl Strategy<Value = Value> {
+            (arb_entry(), 0..6u8, select(FIELDS.to_vec()), arb_field()).prop_map(
+                |((name, entry, body), how, field, value)| {
+                    let Value::Record(mut fields) = entry.to_value(&name, body.as_ref()) else {
+                        unreachable!("an entry is a record")
+                    };
+                    match how {
+                        0 | 1 => {}
+                        2 => {
+                            if let Some(f) = fields.iter_mut().find(|(k, _)| k == field) {
+                                f.1 = value;
+                            }
+                        }
+                        3 => fields.retain(|(k, _)| k != field),
+                        4 => fields.insert(0, (field.to_owned(), value)),
+                        _ => fields.push((field.to_owned(), value)),
+                    }
+                    if how == 1 && field == "of" {
+                        return Value::List(fields.into_iter().map(|(_, v)| v).collect());
+                    }
+                    Value::Record(fields)
+                },
+            )
+        }
+
+        fn arb_gateway() -> impl Strategy<Value = Value> {
+            (
+                select(vec!["gw-a", "gw-b"]),
+                prop_oneof![0..8i64, Just(-4), Just(OVERSIZED_U32)],
+                arb_version(),
+            )
+                .prop_map(|(name, node, version)| {
+                    Value::Record(vec![
+                        ("name".into(), Value::from(name)),
+                        ("node".into(), Value::Int(node)),
+                        ("version".into(), version.to_value()),
+                    ])
+                })
+        }
+
+        fn xml(write: impl FnOnce(&mut String)) -> String {
+            let mut out = String::new();
+            write(&mut out);
+            out
+        }
+
+        /// Everything a replica's state holds that a merge can change.
+        type Snapshot = (
+            Vec<(String, Entry)>,
+            Vec<(String, (u32, Version))>,
+            Vec<u64>,
+            Vec<(wsdl::BusinessService, String)>,
+            wsdl::RegistryStats,
+        );
+
+        fn snapshot(st: &ReplicaState) -> Snapshot {
+            let mut entries: Vec<_> = st.entries.iter().map(|(k, e)| (k.clone(), *e)).collect();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut gateways: Vec<_> = st.gateways.iter().map(|(k, g)| (k.clone(), *g)).collect();
+            gateways.sort_by(|a, b| a.0.cmp(&b.0));
+            let fingerprints = (0..4).map(|shard| st.fingerprint(shard)).collect();
+            let records = st
+                .registry
+                .find_service("%", &[])
+                .into_iter()
+                .map(|svc| {
+                    let (_, tmodel) = st.registry.record_named(&svc.name).expect("a tModel");
+                    (svc.clone(), tmodel.overview_doc.clone())
+                })
+                .collect();
+            (
+                entries,
+                gateways,
+                fingerprints,
+                records,
+                st.registry.stats(),
+            )
+        }
+
+        /// Two replicas with the same history.
+        fn twins(history: &[(String, Entry, Option<OwnedBody>)]) -> (ReplicaState, ReplicaState) {
+            let mut a = ReplicaState::new(1);
+            let mut b = ReplicaState::new(1);
+            for (name, entry, body) in history {
+                a.apply_owned(name, *entry, body.as_ref());
+                b.apply_owned(name, *entry, body.as_ref());
+            }
+            (a, b)
+        }
+
+        /// Applies the `replicate` call `doc` in place on one twin and
+        /// through the owned decode on the other; both must agree. `None`
+        /// when the envelope does not parse (a router answers a fault).
+        fn both_ways(history: &[(String, Entry, Option<OwnedBody>)], doc: &str) -> Option<i64> {
+            let view = CallRef::parse(doc).ok()?;
+            let owned = view.to_owned();
+            let (mut in_place, mut oracle) = twins(history);
+            let applied = in_place.apply_wire(view.get("entries"), view.get("gateways"));
+            let expected = oracle.apply_items(owned.get("entries"), owned.get("gateways"));
+            assert_eq!(applied, expected, "applied count for {doc}");
+            assert!(
+                snapshot(&in_place) == snapshot(&oracle),
+                "state after {doc}"
+            );
+            Some(applied)
+        }
+
+        fn replicate_doc(items: Vec<Value>, gateways: Vec<Value>) -> String {
+            RpcCall::new(VSR_NS, "replicate")
+                .arg("entries", Value::List(items))
+                .arg("gateways", Value::List(gateways))
+                .to_envelope()
+        }
+
+        /// Posts `envelope` to the replica's router as raw bytes: the
+        /// HTTP status and body of its answer.
+        fn post(driver: &Driver, envelope: &[u8]) -> (u16, String) {
+            let request = HttpRequest::post(
+                RPC_ROUTER_PATH,
+                "text/xml; charset=utf-8",
+                envelope.to_vec(),
+            )
+            .to_bytes();
+            let reply = driver
+                .net
+                .request(driver.node, driver.server, Protocol::Http, request)
+                .expect("the router answers");
+            let reply = HttpResponseRef::parse(&reply).expect("an HTTP response");
+            (
+                reply.status,
+                String::from_utf8_lossy(reply.body).into_owned(),
+            )
+        }
+
+        proptest! {
+            #[test]
+            fn pushed_entries_are_the_value_bytes(
+                (name, entry, body) in arb_entry(),
+            ) {
+                let oracle = xml(|out| entry.to_value(&name, body.as_ref()).write_xml("item", out));
+                // Read back from the registry, as a renewal, an
+                // anti-entropy push and a `sync_fetch` reply write it.
+                let mut st = ReplicaState::new(0);
+                prop_assert!(st.apply_owned(&name, entry, body.as_ref()));
+                prop_assert_eq!(xml(|out| st.write_entry("item", &name, &entry, out)), oracle.clone());
+                // Straight from a `publish` call's arguments.
+                if let Some(b) = &body {
+                    let contexts = Value::Record(
+                        b.contexts.iter().map(|(k, v)| (k.clone(), Value::from(v.as_str()))).collect(),
+                    );
+                    let doc = RpcCall::new(VSR_NS, "publish")
+                        .arg("middleware", b.middleware.as_str())
+                        .arg("gateway", b.gateway.as_str())
+                        .arg("wsdl", b.wsdl.as_str())
+                        .arg("contexts", contexts)
+                        .to_envelope();
+                    let call = CallRef::parse(&doc).unwrap();
+                    let arg = |k: &str| call.get(k).and_then(|v| v.as_str()).unwrap();
+                    let body = WireBody {
+                        middleware: arg("middleware"),
+                        gateway: arg("gateway"),
+                        wsdl: arg("wsdl"),
+                        contexts: struct_of(call.get("contexts")),
+                    }
+                    .into_body();
+                    prop_assert_eq!(
+                        xml(|out| entry.write_xml("item", &name, Some(&body.parts(&name)), out)),
+                        oracle
+                    );
+                }
+            }
+
+            #[test]
+            fn sync_fetch_replies_are_the_value_bytes(
+                history in prop::collection::vec(arb_entry(), 0..6),
+                gateways in prop::collection::vec((select(vec!["gw-a", "gw-b", "gw <c>"]), 0..9u32, arb_version()), 0..3),
+                asked in prop::collection::vec(select(NAMES.to_vec()), 0..5),
+                asked_gw in prop::collection::vec(select(vec!["gw-a", "gw <c>", "gw-z"]), 0..3),
+            ) {
+                let (_sim, ctx, driver) = replica_ctx();
+                let mut bodies: HashMap<String, OwnedBody> = HashMap::new();
+                {
+                    let mut st = ctx.state.lock();
+                    for (name, entry, body) in &history {
+                        if st.apply_owned(name, *entry, body.as_ref()) {
+                            if let Some(body) = body {
+                                bodies.insert(name.clone(), body.clone());
+                            }
+                        }
+                    }
+                    for (name, node, version) in &gateways {
+                        st.apply_gateway(name, *node, *version);
+                    }
+                }
+                let names = Value::List(asked.iter().map(|&n| Value::from(n)).collect());
+                let gw_names = Value::List(asked_gw.iter().map(|&n| Value::from(n)).collect());
+                let doc = RpcCall::new(VSR_NS, "sync_fetch")
+                    .arg("shard", 0i64)
+                    .arg("names", names)
+                    .arg("gw_names", gw_names)
+                    .to_envelope();
+                let expected = {
+                    let st = ctx.state.lock();
+                    let records = asked
+                        .iter()
+                        .filter_map(|&n| {
+                            let entry = st.entries.get(n)?;
+                            Some(entry.to_value(n, bodies.get(n)))
+                        })
+                        .collect();
+                    let gateways = asked_gw
+                        .iter()
+                        .filter_map(|&n| {
+                            let &(node, version) = st.gateways.get(n)?;
+                            Some(gateway_to_value(n, node, version))
+                        })
+                        .collect();
+                    RpcResponse::new(
+                        "sync_fetch",
+                        Value::Record(vec![
+                            ("records".into(), Value::List(records)),
+                            ("gateways".into(), Value::List(gateways)),
+                        ]),
+                    )
+                    .to_envelope()
+                };
+                prop_assert_eq!(post(&driver, doc.as_bytes()), (200, expected));
+            }
+
+            #[test]
+            fn entries_read_in_place_merge_as_the_owned_decode_does(
+                history in prop::collection::vec(arb_entry(), 0..5),
+                items in prop::collection::vec(arb_item(), 0..6),
+                gateways in prop::collection::vec(arb_gateway(), 0..3),
+                wrap in 0..3u8,
+            ) {
+                let items = Value::List(items);
+                // The argument itself may be no Array.
+                let entries = match wrap {
+                    0 => items,
+                    1 => Value::Record(vec![("item".into(), items)]),
+                    _ => Value::from("entries"),
+                };
+                let doc = RpcCall::new(VSR_NS, "replicate")
+                    .arg("entries", entries)
+                    .arg("gateways", Value::List(gateways))
+                    .to_envelope();
+                prop_assert!(both_ways(&history, &doc).is_some());
+                let (_sim, _ctx, driver) = replica_ctx();
+                prop_assert_eq!(post(&driver, doc.as_bytes()).0, 200);
+            }
+        }
+
+        /// Every truncation and every single-byte edit of a valid
+        /// `replicate` envelope either fails to parse or is merged in
+        /// place exactly as through the owned decode, and a replica
+        /// answers each with a 200 or a 500.
+        #[test]
+        fn damaged_replicate_envelopes_merge_as_the_owned_decode_does() {
+            let v = |seq| Version {
+                at_us: 5,
+                replica: 2,
+                seq,
+            };
+            let history = vec![(
+                "hall-lamp".to_owned(),
+                record_entry(v(1), None),
+                Some(OwnedBody::lamp()),
+            )];
+            let body = OwnedBody {
+                contexts: vec![("room".into(), "hall & <stairs>".into())],
+                ..OwnedBody::lamp()
+            };
+            let doc = replicate_doc(
+                vec![
+                    record_entry(v(2), Some(SimTime::from_micros(900)))
+                        .to_value("hall-lamp", Some(&body)),
+                    Entry {
+                        version: v(3),
+                        shard: 1,
+                        kind: EntryKind::Expired { of: v(2) },
+                    }
+                    .to_value("den", None),
+                ],
+                vec![gateway_to_value("gw-a", 3, v(4))],
+            );
+            let (_sim, _ctx, driver) = replica_ctx();
+            let mut parsed = 0;
+            let mut check = |damaged: &[u8]| {
+                if let Ok(text) = std::str::from_utf8(damaged) {
+                    parsed += usize::from(both_ways(&history, text).is_some());
+                }
+                let (status, _) = post(&driver, damaged);
+                assert!(status == 200 || status == 500, "status {status}");
+            };
+            let bytes = doc.as_bytes();
+            for len in 0..bytes.len() {
+                check(&bytes[..len]);
+            }
+            for i in 0..bytes.len() {
+                for b in [b'<', b'>', b'x', b'"', b'&', b'-', b'9', b'/', 0xff] {
+                    if bytes[i] != b {
+                        let mut edited = bytes.to_vec();
+                        edited[i] = b;
+                        check(&edited);
+                    }
+                }
+            }
+            assert!(
+                parsed > 100,
+                "edits must leave envelopes that parse ({parsed})"
+            );
+        }
+    }
+
     /// What a replica answers a `resolve` and a `find` with, written in
     /// place from the registry, is byte for byte what writing the
     /// `Value` of [`service_to_value`] gave, and it makes the same
@@ -2462,7 +3376,7 @@ mod tests {
             "[ -~é<>&\"']{0,16}"
         }
 
-        fn arb_record() -> impl Strategy<Value = (String, StoredRecord)> {
+        fn arb_record() -> impl Strategy<Value = (String, OwnedBody)> {
             (
                 "[a-z][a-z0-9-]{0,10}",
                 arb_text(),
@@ -2471,12 +3385,11 @@ mod tests {
                 prop::collection::vec(("[a-z][a-z0-9]{0,6}", arb_text()), 0..4),
             )
                 .prop_map(|(name, middleware, gateway, wsdl, contexts)| {
-                    let record = StoredRecord {
+                    let record = OwnedBody {
                         middleware,
                         gateway,
                         wsdl,
                         contexts,
-                        expires_at: None,
                     };
                     (name, record)
                 })
@@ -2494,7 +3407,8 @@ mod tests {
                 let mut st = ReplicaState::new(0);
                 for (i, (name, record)) in records.into_iter().enumerate() {
                     let version = Version { at_us: 1, replica: 0, seq: i as u64 + 1 };
-                    st.apply_entry(&name, Entry { version, shard: 0, kind: EntryKind::Record(record) });
+                    let entry = Entry { version, shard: 0, kind: EntryKind::Record { expires_at: None } };
+                    st.apply_owned(&name, entry, Some(&record));
                 }
                 let services = st.registry.find_service("%", &[]);
                 let before = st.registry.stats();

@@ -156,6 +156,8 @@ pub(crate) fn result_to_value(result: &Result<Value, MetaError>) -> Value {
 }
 
 /// Moves the `ok` payload out of a member result (or reads its error).
+/// The oracle of the one-pass readers that replaced it.
+#[cfg(test)]
 pub(crate) fn result_from_value(v: Value) -> Result<Value, MetaError> {
     let fault = match v {
         Value::Record(mut fields) => match fields.iter().position(|(k, _)| k == "ok") {
@@ -176,7 +178,7 @@ pub(crate) fn result_from_value(v: Value) -> Result<Value, MetaError> {
     }
 }
 
-/// View twin of [`result_from_value`]: only the `ok` payload (or the
+/// View twin of `result_from_value`: only the `ok` payload (or the
 /// typed error) is copied out of the frame.
 fn result_from_ref(v: &binval::ValueRef<'_>) -> Result<Value, MetaError> {
     if let Some(ok) = v.field("ok") {

@@ -5,15 +5,15 @@
 //! scalability, vendor-neutral XML) — and §4.2 its costs (client/server
 //! only, heavy TCP).
 
-use super::{
-    member_to_value, result_from_value, result_to_value, GatewayHandler, VsgProtocol, VsgRequest,
-};
+use super::{GatewayHandler, VsgProtocol, VsgRequest};
 use crate::error::MetaError;
 use crate::intern::Name;
+use minixml::{ParseError, Reader, XmlOut};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId};
 use soap::{
-    Arg, Compound, CpuModel, Fault, SoapClient, SoapError, SoapServer, TcpModel, Value, ValueRef,
+    write_compound_xml, write_str_xml, Arg, Compound, CpuModel, Fault, SoapClient, SoapError,
+    SoapServer, TcpModel, Value, ValueError, ValueRef,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -99,19 +99,23 @@ impl VsgProtocol for Soap11 {
         server.mount(GATEWAY_NS, move |sim, call, reply| {
             // A batch envelope: every `mN` argument is a member record;
             // the reply is the list of per-member results (application
-            // faults stay per member, so the envelope itself is a 200).
+            // faults stay per member, so the envelope itself is a 200),
+            // written straight from the results.
             if call.method() == BATCH_METHOD && call.get_header(BATCH_HEADER).is_some() {
-                let results: Vec<Value> = call
+                let results: Vec<Result<Value, MetaError>> = call
                     .args()
-                    .map(|(_, member)| {
-                        let result = match member_from_ref(&member) {
-                            Some(req) => handler(sim, &req),
-                            None => Err(MetaError::Protocol("malformed batch member".into())),
-                        };
-                        result_to_value(&result)
+                    .map(|(_, member)| match member_from_ref(&member) {
+                        Some(req) => handler(sim, &req),
+                        None => Err(MetaError::Protocol("malformed batch member".into())),
                     })
                     .collect();
-                return reply.value(&Value::List(results));
+                return reply.write(|out| {
+                    write_compound_xml(Compound::Array, "return", results.len(), out, |out| {
+                        for result in &results {
+                            write_result(result, out);
+                        }
+                    });
+                });
             }
             // The last `__service` names the target, and a non-string
             // one names none; it is interned straight from the view, and
@@ -191,36 +195,115 @@ impl VsgProtocol for Soap11 {
         }
         let client = self.client(net, from);
         // All member keys ("m0".."mN") share one backing buffer — one
-        // allocation for the lot instead of a `format!` String each.
+        // allocation for the lot instead of a `format!` String each —
+        // and each member is written straight from its request.
         use std::fmt::Write as _;
         let mut keybuf = String::with_capacity(reqs.len() * 4);
-        let mut spans = Vec::with_capacity(reqs.len());
-        for i in 0..reqs.len() {
-            let start = keybuf.len();
-            write!(keybuf, "m{i}").expect("string write");
-            spans.push(start..keybuf.len());
-        }
-        let members: Vec<Value> = reqs.iter().map(member_to_value).collect();
-        let args = spans
+        let members: Vec<_> = reqs
             .iter()
-            .zip(&members)
-            .map(|(span, v)| (&keybuf[span.clone()], v));
+            .enumerate()
+            .map(|(i, req)| {
+                let start = keybuf.len();
+                write!(keybuf, "m{i}").expect("string write");
+                let write = move |name: &str, out: &mut dyn XmlOut| write_member(req, name, out);
+                (start..keybuf.len(), write)
+            })
+            .collect();
+        let args = members
+            .iter()
+            .map(|(span, write)| (&keybuf[span.clone()], Arg::Write(write)));
         let headers = [(BATCH_HEADER, reqs.len().to_string())];
-        let reply = client
-            .call_parts_with_headers(to, GATEWAY_NS, BATCH_METHOD, args, &headers)
+        let results = client
+            .call_parts_decode_with_headers(to, GATEWAY_NS, BATCH_METHOD, args, &headers, |r| {
+                read_results(r, reqs.len())
+            })
             .map_err(|e| match e {
                 SoapError::Fault(f) => MetaError::from_fault_string(&f.string),
                 SoapError::Http(h) => MetaError::from_http_error(&h),
                 other => MetaError::Protocol(other.to_string()),
             })?;
-        let Value::List(items) = reply else {
+        let Some(Some(results)) = results else {
             return Err(MetaError::Protocol("bad batch reply body".into()));
         };
-        if items.len() != reqs.len() {
+        if results.len() != reqs.len() {
             return Err(MetaError::Protocol("batch reply arity mismatch".into()));
         }
-        Ok(items.into_iter().map(result_from_value).collect())
+        Ok(results)
     }
+}
+
+/// What a reply reader gives: the document's error, the value's, or
+/// what it read.
+type Read<T> = Result<Result<T, ValueError>, ParseError>;
+
+/// Reads a batch reply's `return` element in one pass: each member's
+/// result, of which only the `ok` value or the fault text is kept, into
+/// room for the `expected` results. `None` when it is no Array; an
+/// element that would not decode is the reply's error, as it is for a
+/// `Value`.
+fn read_results(
+    r: &mut Reader<'_>,
+    expected: usize,
+) -> Read<Option<Vec<Result<Value, MetaError>>>> {
+    if Value::compound(r) != Some(Compound::Array) {
+        return Ok(Value::decode(r)?.map(|_| None));
+    }
+    let mut results = Vec::with_capacity(expected);
+    let read = Value::decode_members(r, |_, r| {
+        Ok(read_result(r)?.map(|result| results.push(result)))
+    })?;
+    Ok(read.map(|()| Some(results)))
+}
+
+/// Reads one member's result as `result_from_value` reads it from the
+/// decoded `Value`: the first `ok` field is the value; without one, the
+/// first `err` field must be the fault text.
+fn read_result(r: &mut Reader<'_>) -> Read<Result<Value, MetaError>> {
+    let malformed = || MetaError::Protocol("malformed batch member result".into());
+    if Value::compound(r) != Some(Compound::Struct) {
+        return Ok(Value::decode(r)?.map(|_| Err(malformed())));
+    }
+    let (mut ok, mut err) = (None, None);
+    let read = Value::decode_members(r, |name, r| {
+        Ok(Value::decode(r)?.map(|v| match name {
+            "ok" => drop(ok.get_or_insert(v)),
+            "err" => drop(err.get_or_insert(v)),
+            _ => {}
+        }))
+    })?;
+    Ok(read.map(|()| match (ok, err) {
+        (Some(ok), _) => Ok(ok),
+        (None, Some(Value::Str(fault))) => Err(MetaError::from_fault_string(&fault)),
+        _ => Err(malformed()),
+    }))
+}
+
+/// Writes `req` as the batch member element `name`: the bytes of
+/// `member_to_value(req).write_xml(name, ..)`, from the borrowed
+/// request.
+fn write_member(req: &VsgRequest, name: &str, out: &mut dyn XmlOut) {
+    let fields = if req.trace.is_some() { 4 } else { 3 };
+    write_compound_xml(Compound::Struct, name, fields, out, |out| {
+        write_str_xml("s", &req.service, out);
+        write_str_xml("o", &req.operation, out);
+        write_compound_xml(Compound::Struct, "a", req.args.len(), out, |out| {
+            for (k, v) in &req.args {
+                v.write_xml(k, out);
+            }
+        });
+        if let Some(ctx) = &req.trace {
+            write_str_xml("t", &ctx.to_wire(), out);
+        }
+    });
+}
+
+/// Writes a member's result as a batch reply `item`: the bytes of
+/// `result_to_value(result).write_xml("item", ..)`.
+fn write_result(result: &Result<Value, MetaError>, out: &mut dyn XmlOut) {
+    write_compound_xml(Compound::Struct, "item", 1, out, |out| match result {
+        Ok(v) => v.write_xml("ok", out),
+        Err(e) => write_str_xml("err", &e.to_string(), out),
+    });
 }
 
 /// Reads a batch member record straight from the view (the first field
@@ -268,10 +351,14 @@ mod tests {
     }
 
     mod members {
-        use super::super::member_from_ref;
-        use crate::protocol::member_from_value;
+        use super::super::{member_from_ref, read_results, write_member, write_result};
+        use crate::error::MetaError;
+        use crate::protocol::{
+            member_from_value, member_to_value, result_from_value, result_to_value, VsgRequest,
+        };
+        use crate::trace::{SpanId, TraceContext, TraceId};
         use proptest::prelude::*;
-        use soap::{CallRef, RpcCall, Value};
+        use soap::{decode_response, CallRef, RpcCall, RpcResponse, Value};
 
         fn arb_field_value() -> impl Strategy<Value = Value> {
             prop_oneof![
@@ -313,7 +400,91 @@ mod tests {
                 })
         }
 
+        fn arb_request() -> impl Strategy<Value = VsgRequest> {
+            (
+                "[ -~<>&]{0,10}",
+                "[a-z<>&]{0,8}",
+                prop::collection::vec(("[a-z]{1,4}", arb_field_value()), 0..4),
+                prop::option::of((any::<u64>(), any::<u64>())),
+            )
+                .prop_map(|(service, operation, args, trace)| VsgRequest {
+                    service: service.as_str().into(),
+                    operation: operation.as_str().into(),
+                    args,
+                    trace: trace.map(|(t, p)| TraceContext {
+                        trace: TraceId(t),
+                        parent: SpanId(p),
+                    }),
+                })
+        }
+
+        fn arb_result() -> impl Strategy<Value = Result<Value, MetaError>> {
+            prop_oneof![
+                arb_field_value().prop_map(Ok),
+                "[ -~<>&]{0,12}".prop_map(|m| Err(MetaError::Protocol(m))),
+                "[a-z-]{0,8}".prop_map(|s| Err(MetaError::UnknownService(s))),
+            ]
+        }
+
+        fn xml(write: impl FnOnce(&mut String)) -> String {
+            let mut out = String::new();
+            write(&mut out);
+            out
+        }
+
         proptest! {
+            /// A batch member and a member's result are written with the
+            /// bytes of the `Value`s they were built as before.
+            #[test]
+            fn batch_elements_are_the_value_bytes(req in arb_request(), result in arb_result()) {
+                prop_assert_eq!(
+                    xml(|out| write_member(&req, "m7", out)),
+                    xml(|out| member_to_value(&req).write_xml("m7", out))
+                );
+                prop_assert_eq!(
+                    xml(|out| write_result(&result, out)),
+                    xml(|out| result_to_value(&result).write_xml("item", out))
+                );
+            }
+
+            /// A batch reply read in one pass is the reply decoded to a
+            /// `Value` and converted: results with `ok` and `err` fields
+            /// in any order, repeated or mistyped, results that are no
+            /// records, and replies that are no list.
+            #[test]
+            fn streamed_results_are_the_value_results(
+                results in prop::collection::vec(
+                    (
+                        prop::collection::vec(
+                            (prop_oneof![Just("ok"), Just("err"), Just("x")], arb_field_value()),
+                            0..4,
+                        ),
+                        any::<bool>(),
+                    ),
+                    0..4,
+                ),
+                listed in any::<bool>(),
+            ) {
+                let results: Vec<Value> = results
+                    .into_iter()
+                    .map(|(fields, list)| if list {
+                        Value::List(fields.into_iter().map(|(_, v)| v).collect())
+                    } else {
+                        Value::Record(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+                    })
+                    .collect();
+                let reply = if listed { Value::List(results.clone()) } else { Value::Record(vec![]) };
+                let doc = RpcResponse::new("__batch__", reply.clone()).to_envelope();
+                let expected = match reply {
+                    Value::List(items) => Some(items.into_iter().map(result_from_value).collect::<Vec<_>>()),
+                    _ => None,
+                };
+                prop_assert_eq!(
+                    decode_response(&doc, |r| read_results(r, 2)).unwrap(),
+                    Some(expected)
+                );
+            }
+
             /// A member read from the view is the member decoded to a
             /// `Value` and converted.
             #[test]

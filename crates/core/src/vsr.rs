@@ -260,7 +260,7 @@ impl Vsr {
                 st.entries()
                     .iter()
                     .filter(|(_, e)| {
-                        matches!(e.kind, federation::EntryKind::Record(_))
+                        matches!(e.kind, federation::EntryKind::Record { .. })
                             && map.primary(e.shard) == r.node
                     })
                     .count()
@@ -492,7 +492,7 @@ impl VsrClient {
     fn refresh_map(&self) -> Result<Arc<ShardMap>, MetaError> {
         let mut candidates: Vec<NodeId> = vec![self.seed];
         if let Some(stale) = self.map_cache.peek() {
-            for n in stale.nodes() {
+            for &n in stale.nodes() {
                 if !candidates.contains(&n) {
                     candidates.push(n);
                 }
@@ -597,7 +597,7 @@ impl VsrClient {
         let args = [("name", Arg::Str(name)), ("node", Arg::Value(&node))];
         let mut ok = false;
         let mut last: Option<MetaError> = None;
-        for target in map.nodes() {
+        for &target in map.nodes() {
             match self.guarded(target, "register_gateway", args.into_iter(), Value::decode) {
                 Some(Ok(_)) => ok = true,
                 Some(Err(e)) => last = Some(e),
@@ -618,7 +618,7 @@ impl VsrClient {
     pub fn gateway_node(&self, name: &str) -> Result<NodeId, MetaError> {
         let map = self.map()?;
         let mut last: Option<MetaError> = None;
-        for target in map.nodes() {
+        for &target in map.nodes() {
             match self.guarded(
                 target,
                 "gateway_node",

@@ -7,9 +7,10 @@ use crate::http::{
     Sent, TcpModel,
 };
 use crate::rpc::{
-    decode_response, fault_envelope, write_call, write_response, Arg, CallRef, RpcCall, SoapError,
+    decode_response, fault_envelope, read_response, write_call, write_response, Arg, CallRef,
+    RpcCall, SoapError,
 };
-use crate::value::{Value, ValueError};
+use crate::value::{Value, ValueError, ValueRef};
 use minixml::{Measure, ParseError, Reader, XmlOut};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
@@ -287,7 +288,7 @@ impl SoapClient {
             &call.method,
             call.arg_refs().map(|(k, v)| (k, Arg::Value(v))),
             &call.headers,
-            Value::decode,
+            |doc| decode_response(doc, Value::decode),
         )
         .map(value_or_null)
     }
@@ -332,7 +333,7 @@ impl SoapClient {
             method,
             args.into_iter().map(|(k, a)| (k, a.into())),
             headers,
-            Value::decode,
+            |doc| decode_response(doc, Value::decode),
         )
         .map(value_or_null)
     }
@@ -356,20 +357,68 @@ impl SoapClient {
         I::IntoIter: Clone,
         A: Into<Arg<'a>>,
     {
+        self.call_parts_decode_with_headers(server, namespace, method, args, NO_HEADERS, decode)
+    }
+
+    /// [`SoapClient::call_parts_decode`] with `SOAP-ENV:Header`
+    /// entries.
+    pub fn call_parts_decode_with_headers<'a, I, A, K: AsRef<str>, V: AsRef<str>, T>(
+        &self,
+        server: NodeId,
+        namespace: &str,
+        method: &str,
+        args: I,
+        headers: &[(K, V)],
+        decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
+    ) -> Result<Option<T>, SoapError>
+    where
+        I: IntoIterator<Item = (&'a str, A)>,
+        I::IntoIter: Clone,
+        A: Into<Arg<'a>>,
+    {
+        self.dispatch(
+            server,
+            namespace,
+            method,
+            args.into_iter().map(|(k, a)| (k, a.into())),
+            headers,
+            |doc| decode_response(doc, decode),
+        )
+    }
+
+    /// [`SoapClient::call_parts`] that hands the reply's `return`
+    /// element to `read` as a checked in-place view (`None` for a reply
+    /// without one) instead of building a [`Value`]: strings stay
+    /// slices of the reply, and a compound is walked member by member.
+    /// The reply is checked as `call_parts` checks it, so `read` runs
+    /// only on a reply `call_parts` would have decoded.
+    pub fn call_parts_ref<'a, I, A, T>(
+        &self,
+        server: NodeId,
+        namespace: &str,
+        method: &str,
+        args: I,
+        read: impl FnOnce(Option<ValueRef<'_>>) -> T,
+    ) -> Result<T, SoapError>
+    where
+        I: IntoIterator<Item = (&'a str, A)>,
+        I::IntoIter: Clone,
+        A: Into<Arg<'a>>,
+    {
         self.dispatch(
             server,
             namespace,
             method,
             args.into_iter().map(|(k, a)| (k, a.into())),
             NO_HEADERS,
-            decode,
+            |doc| read_response(doc, read),
         )
     }
 
     /// Writes the POST — head, `SOAPAction` in place, then the envelope
     /// — into one buffer reserved to its exact size (the envelope is
-    /// measured first), sends it, and decodes only the return element,
-    /// through `decode`, or the fault of the answer.
+    /// measured first), sends it, and hands the answer's envelope to
+    /// `finish`, which reads only its return element or its fault.
     fn dispatch<'a, K: AsRef<str>, V: AsRef<str>, T>(
         &self,
         server: NodeId,
@@ -377,8 +426,8 @@ impl SoapClient {
         method: &str,
         args: impl Iterator<Item = (&'a str, Arg<'a>)> + Clone,
         headers: &[(K, V)],
-        decode: impl FnMut(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>,
-    ) -> Result<Option<T>, SoapError> {
+        finish: impl FnOnce(&str) -> Result<T, SoapError>,
+    ) -> Result<T, SoapError> {
         let mut body_len = Measure::default();
         write_call(&mut body_len, namespace, method, args.clone(), headers);
         let body_len = body_len.0;
@@ -399,7 +448,7 @@ impl SoapClient {
         let resp = HttpResponseRef::parse(&raw).map_err(SoapError::Http)?;
         self.sim.advance(self.cpu.parse_cost(resp.body.len()));
         // Both 200s and 500-carried faults parse as envelopes.
-        decode_response(&body_text(resp.body), decode)
+        finish(&body_text(resp.body))
     }
 }
 

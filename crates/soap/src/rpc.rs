@@ -207,22 +207,39 @@ impl<'a> CallRef<'a> {
     }
 }
 
-/// One argument a call is written from: a borrowed [`Value`], or a
+/// One argument a call is written from: a borrowed [`Value`], a
 /// borrowed string, written as the `Value::Str` it stands for, so a
-/// caller need not copy a name into a `Value` to send it.
-#[derive(Debug, Clone, Copy)]
+/// caller need not copy a name into a `Value` to send it, or a writer
+/// of its own element, for a caller that holds the value as something
+/// other than a `Value`.
+#[derive(Clone, Copy)]
 pub enum Arg<'a> {
     /// Any value.
     Value(&'a Value),
     /// A string.
     Str(&'a str),
+    /// Writes the argument's element, named as it is given: the bytes
+    /// [`Value::write_xml`] gives for the value it stands for. It runs
+    /// twice per call, once into a counter and once into the message.
+    Write(&'a dyn Fn(&str, &mut dyn XmlOut)),
 }
 
 impl Arg<'_> {
-    fn write_xml<O: XmlOut + ?Sized>(self, name: &str, out: &mut O) {
+    fn write_xml<O: XmlOut>(self, name: &str, out: &mut O) {
         match self {
             Arg::Value(v) => v.write_xml(name, out),
             Arg::Str(s) => write_str_xml(name, s, out),
+            Arg::Write(write) => write(name, out),
+        }
+    }
+}
+
+impl fmt::Debug for Arg<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Arg::Value(v) => f.debug_tuple("Value").field(v).finish(),
+            Arg::Str(s) => f.debug_tuple("Str").field(s).finish(),
+            Arg::Write(_) => f.write_str("Write(..)"),
         }
     }
 }
@@ -300,6 +317,21 @@ pub fn decode_response<T>(
     read_envelope(doc, Reader::skip_element, |r| {
         read_body(r, |name, r| read_return(name, r, &mut decode))
     })
+}
+
+/// Decodes a response envelope in one pass, as [`decode_response`]
+/// with [`Value::decode`] does, and hands its `return` element to
+/// `read` as a checked in-place view (`None` for a response without
+/// one) instead of building the value.
+pub(crate) fn read_response<T>(
+    doc: &str,
+    read: impl FnOnce(Option<ValueRef<'_>>) -> T,
+) -> Result<T, SoapError> {
+    let at = decode_response(doc, |r| {
+        let at = r.tag_offset();
+        Ok(Value::check(r)?.map(|()| at))
+    })?;
+    Ok(read(at.map(|at| ValueRef::at(doc, at))))
 }
 
 /// Walks an envelope. `header` consumes the first `Header` element and
@@ -457,7 +489,7 @@ pub(crate) fn write_call<'a, O, A, K, V>(
     args: impl IntoIterator<Item = (&'a str, A)>,
     headers: &[(K, V)],
 ) where
-    O: XmlOut + ?Sized,
+    O: XmlOut,
     A: Into<Arg<'a>>,
     K: AsRef<str>,
     V: AsRef<str>,

@@ -207,8 +207,9 @@ impl UddiRegistry {
         key
     }
 
-    /// Registers a tModel, returning its key.
-    pub fn save_tmodel(&mut self, name: &str, overview_doc: &str) -> Key {
+    /// Registers a tModel, returning its key. An owned name or
+    /// document is moved in, not copied.
+    pub fn save_tmodel(&mut self, name: impl Into<String>, overview_doc: impl Into<String>) -> Key {
         self.stats.get_mut().publishes += 1;
         let key = self.fresh_key("tm");
         self.tmodels.insert(
@@ -358,25 +359,50 @@ impl UddiRegistry {
         pattern: &str,
         categories: &[KeyedReference],
     ) -> Vec<&BusinessService> {
+        self.inquire(pattern, categories, |hits| hits.collect())
+    }
+
+    /// The first service [`UddiRegistry::find_service`]`(name, &[])`
+    /// finds whose name is exactly `name`, found without collecting
+    /// the hits: the same inquiry, counted with the same records
+    /// scanned, indexed or not.
+    pub fn find_service_exact(&self, name: &str) -> Option<&BusinessService> {
+        // `find` on the `&mut dyn Iterator` itself, not on the unsized
+        // iterator behind it.
+        self.inquire(name, &[], |mut hits| {
+            Iterator::find(&mut hits, |s| s.name == name)
+        })
+    }
+
+    /// Runs one `find_service` inquiry: counts it with the records it
+    /// examines, and hands the matching services, in find order, to
+    /// `take`.
+    fn inquire<'r, T>(
+        &'r self,
+        pattern: &str,
+        categories: &[KeyedReference],
+        take: impl FnOnce(&mut dyn Iterator<Item = &'r BusinessService>) -> T,
+    ) -> T {
         let matches = |s: &&BusinessService| {
             matches_pattern(pattern, &s.name)
                 && categories
                     .iter()
                     .all(|c| s.has_category(&c.taxonomy, &c.value))
         };
-        let keyed = |keys: &mut dyn ExactSizeIterator<Item = &Key>| {
-            self.count_inquiry(keys.len());
-            keys.filter_map(|k| self.services.get(k))
-                .filter(matches)
-                .collect()
-        };
+        let service = |k: &Key| self.services.get(k);
         match self.candidates(pattern, categories) {
             Candidates::All => {
                 self.count_inquiry(self.services.len());
-                self.services.values().filter(matches).collect()
+                take(&mut self.services.values().filter(matches))
             }
-            Candidates::Named(keys) => keyed(&mut keys.iter()),
-            Candidates::Keys(keys) => keyed(&mut keys.into_iter()),
+            Candidates::Named(keys) => {
+                self.count_inquiry(keys.len());
+                take(&mut keys.iter().filter_map(service).filter(matches))
+            }
+            Candidates::Keys(keys) => {
+                self.count_inquiry(keys.len());
+                take(&mut keys.into_iter().filter_map(service).filter(matches))
+            }
         }
     }
 
@@ -431,6 +457,25 @@ impl UddiRegistry {
     pub fn get_tmodel(&self, key: &Key) -> Option<&TModel> {
         self.count_inquiry(1);
         self.tmodels.get(key)
+    }
+
+    /// The service named exactly `name` and the tModel its first
+    /// binding references: a replication read by a replica that keeps
+    /// each record's body here, not an inquiry, so the
+    /// [`RegistryStats`] stay as they are. A case variant's record is
+    /// another record. `None` when there is no such service or it has
+    /// no tModel.
+    pub fn record_named(&self, name: &str) -> Option<(&BusinessService, &TModel)> {
+        let service = self
+            .name_index
+            .get(lowercase(name).as_ref())?
+            .iter()
+            .filter_map(|k| self.services.get(k))
+            .find(|s| s.name == name)?;
+        let tmodel = self
+            .tmodels
+            .get(service.bindings.first()?.tmodel_key.as_ref()?)?;
+        Some((service, tmodel))
     }
 
     /// Finds tModels by name pattern.
@@ -728,6 +773,56 @@ mod tests {
         let found = reg.find_service("%", &[KeyedReference::new("uddi:middleware", "havi")]);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].name, "bedroom-camera");
+    }
+
+    #[test]
+    fn exact_lookup_counts_the_inquiry_find_service_counts() {
+        let mut reg = populated(40);
+        let biz = reg.save_business("other", "");
+        reg.save_service(&biz, "Device-0007", vec![], "vsg://gw/x", None)
+            .unwrap();
+        for indexing in [true, false] {
+            reg.set_indexing(indexing);
+            for name in [
+                "device-0007",
+                "Device-0007",
+                "DEVICE-0007",
+                "device-00%",
+                "absent",
+            ] {
+                let before = reg.stats();
+                let want = reg
+                    .find_service(name, &[])
+                    .into_iter()
+                    .find(|s| s.name == name)
+                    .cloned();
+                let between = reg.stats();
+                let got = reg.find_service_exact(name).cloned();
+                let after = reg.stats();
+                assert_eq!(got, want, "{name} (indexing {indexing})");
+                assert_eq!(after.inquiries - between.inquiries, 1);
+                assert_eq!(
+                    after.records_scanned - between.records_scanned,
+                    between.records_scanned - before.records_scanned,
+                    "{name} (indexing {indexing})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replication_reads_are_exact_and_uncounted() {
+        let (mut reg, biz) = seeded();
+        reg.save_service(&biz, "Living-Room-VCR", vec![], "vsg://x", None)
+            .unwrap();
+        let before = reg.stats();
+        let (svc, tm) = reg.record_named("living-room-vcr").unwrap();
+        assert_eq!(svc.name, "living-room-vcr");
+        assert!(tm.overview_doc.contains("definitions"));
+        assert!(reg.record_named("Living-Room-VCR").is_none(), "no tModel");
+        assert!(reg.record_named("bedroom-camera").is_none(), "no tModel");
+        assert!(reg.record_named("LIVING-ROOM-VCR").is_none());
+        assert_eq!(reg.stats(), before);
     }
 
     #[test]
