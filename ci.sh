@@ -159,7 +159,9 @@ run_bench() {
 
     # E15 smoke run: asserts the federated VSR holds >= 99% invoke
     # availability through primary-crash windows with replication on (and
-    # that a single replica doesn't), and that anti-entropy converges.
+    # that a single replica doesn't), that anti-entropy converges, and
+    # that a warm resolve allocates <= 8 times and a gateway-moving
+    # publish <= 55.
     stage "e15 federated VSR smoke (threshold assertions)"
     cargo bench -p bench --bench e15_vsr_scale
 

@@ -22,7 +22,9 @@
 //!    warm `resolve`, per `gateway_node` and per `publish` (a service
 //!    moving gateways) on a 3r/4s cluster, client and replicas
 //!    together, counted by the bench's allocator the way E18 counts
-//!    its codec rows.
+//!    its codec rows. A warm resolve must stay at or under
+//!    [`MAX_RESOLVE_ALLOCS`] and a gateway-moving publish at or under
+//!    [`MAX_PUBLISH_ALLOCS`].
 //!
 //! The threshold assertions live inside the report functions so
 //! `cargo bench --bench e15_vsr_scale` (run by `ci.sh --stage bench`)
@@ -41,6 +43,16 @@ use std::sync::Arc;
 
 const SERVICES: usize = 48;
 const RESOLVES: usize = 192;
+
+/// The bar for a warm resolve's allocations: its two buffers, the
+/// unescaped WSDL text, the interface's operation list, its two
+/// parameter lists and its `Arc` (7), with the reply's strings read in
+/// place and its names interned.
+const MAX_RESOLVE_ALLOCS: f64 = 8.0;
+
+/// The bar for a gateway-moving publish's allocations, client and
+/// replicas together, with no UDDI key formatted or cloned.
+const MAX_PUBLISH_ALLOCS: f64 = 55.0;
 
 /// Counts heap allocations for the repository-plane rows. Only the
 /// bench harness pays this; the repository itself is unchanged.
@@ -317,6 +329,14 @@ fn scale_report() {
     );
 
     let (resolve, gateway_node, publish) = repository_allocs();
+    assert!(
+        resolve <= MAX_RESOLVE_ALLOCS,
+        "a warm resolve must allocate at most {MAX_RESOLVE_ALLOCS}, got {resolve:.1}"
+    );
+    assert!(
+        publish <= MAX_PUBLISH_ALLOCS,
+        "a gateway-moving publish must allocate at most {MAX_PUBLISH_ALLOCS}, got {publish:.1}"
+    );
     for (workload, allocs) in [
         ("allocs per warm resolve", resolve),
         ("allocs per gateway_node", gateway_node),

@@ -56,7 +56,8 @@ static A: bench::CountingAlloc = bench::CountingAlloc;
 /// reply, 22.4 (9.3x); with the Jini and HAVi legs in one pass and the
 /// operation name interned, 14.9 (13.9x); with the SOAP servers reading
 /// each call in place and the CM11A answering in the request's buffer,
-/// 6.5 (31.9x).
+/// 6.5 (31.9x); with the cold calls' resolve replies read in place into
+/// interned interfaces, 6.1 (34.0x).
 const PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP: f64 = 207.4;
 
 const TRACE_CALLS: usize = 256;

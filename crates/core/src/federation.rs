@@ -802,18 +802,26 @@ impl ReplicaState {
     }
 
     /// Rebuilds the UDDI record of `name` from `body` (`None`: the name
-    /// has no live record) with the delete and save calls the
-    /// single-node VSR made, so publish statistics and inquiry
-    /// behaviour are unchanged.
+    /// has no live record). The registry ends as the single-node VSR's
+    /// delete by name, `save_tmodel` and `save_service` left it, so
+    /// keys, publish statistics and inquiry behaviour are unchanged:
+    /// the record named exactly `name` goes with its tModel, and a case
+    /// variant's record stays, as its entry does. A live record is saved
+    /// before the old one goes ([`UddiRegistry::replace_service`]), so
+    /// the index buckets they share are kept; its tModel name and
+    /// endpoint are each written once into an exactly sized string.
     fn mirror(&mut self, name: &str, body: Option<Body<'_>>) {
-        delete_by_name(&mut self.registry, name);
-        if let Some(Body { wsdl, categories }) = body {
-            let tmodel = self.registry.save_tmodel(format!("{name}-interface"), wsdl);
-            // The second category is the gateway.
-            let endpoint = format!("vsg://{}/{}", categories[1].value, name);
-            self.registry
-                .save_service(&self.business, name, categories, &endpoint, Some(tmodel));
-        }
+        let Some(Body { wsdl, categories }) = body else {
+            self.registry.delete_services_by_name(name);
+            return;
+        };
+        let tmodel = self
+            .registry
+            .save_tmodel([name, "-interface"].concat(), wsdl);
+        // The second category is the gateway.
+        let endpoint = ["vsg://", &categories[1].value, "/", name].concat();
+        self.registry
+            .replace_service(&self.business, name, categories, endpoint, Some(tmodel));
     }
 
     /// Writes `name`'s entry as the element `elem`, a live record's
@@ -903,23 +911,6 @@ impl ReplicaState {
         }
         applied
     }
-}
-
-/// Deletes the record named exactly `name` (index-backed, no scan)
-/// together with the tModels its bindings referenced; a case variant's
-/// record stays, as its entry does. Returns whether anything was
-/// removed.
-pub(crate) fn delete_by_name(registry: &mut UddiRegistry, name: &str) -> bool {
-    let removed = registry.delete_services_by_name(name);
-    let found = !removed.is_empty();
-    for service in removed {
-        for binding in &service.bindings {
-            if let Some(tm) = &binding.tmodel_key {
-                registry.delete_tmodel(tm);
-            }
-        }
-    }
-    found
 }
 
 /// A record's parts, borrowed from where they are: the registry record

@@ -7,9 +7,11 @@
 //! descriptions onto this form.
 
 use crate::error::MetaError;
+use crate::intern::Name;
 use soap::Value;
+use std::borrow::Cow;
 use std::fmt;
-use wsdl::{Operation, ServiceDescription, XsdType};
+use wsdl::{DescriptionError, DescriptionVisitor, Operation, ServiceDescription, XsdType};
 
 /// A parameter or return type in the canonical type system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,13 +83,14 @@ impl fmt::Display for TypeTag {
     }
 }
 
-/// One operation signature.
+/// One operation signature. Its names are interned: a spelling the
+/// process has seen before costs no copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpSig {
     /// Operation name.
-    pub name: String,
+    pub name: Name,
     /// Named, typed parameters in call order.
-    pub params: Vec<(String, TypeTag)>,
+    pub params: Vec<(Name, TypeTag)>,
     /// Return type; `None` for void.
     pub returns: Option<TypeTag>,
     /// Whether calling the operation twice is equivalent to calling it
@@ -100,7 +103,7 @@ pub struct OpSig {
 
 impl OpSig {
     /// Creates a void, parameterless operation.
-    pub fn new(name: impl Into<String>) -> OpSig {
+    pub fn new(name: impl Into<Name>) -> OpSig {
         OpSig {
             name: name.into(),
             params: Vec::new(),
@@ -110,7 +113,7 @@ impl OpSig {
     }
 
     /// Adds a parameter (builder style).
-    pub fn param(mut self, name: impl Into<String>, ty: TypeTag) -> OpSig {
+    pub fn param(mut self, name: impl Into<Name>, ty: TypeTag) -> OpSig {
         self.params.push((name.into(), ty));
         self
     }
@@ -133,17 +136,17 @@ impl OpSig {
         for (name, ty) in &self.params {
             let arg =
                 args.iter()
-                    .find(|(k, _)| k == name)
+                    .find(|(k, _)| name == k)
                     .ok_or_else(|| MetaError::TypeMismatch {
-                        operation: self.name.clone(),
-                        parameter: name.clone(),
+                        operation: self.name.to_string(),
+                        parameter: name.to_string(),
                         expected: ty.to_string(),
                         got: "missing".into(),
                     })?;
             if !ty.admits(&arg.1) {
                 return Err(MetaError::TypeMismatch {
-                    operation: self.name.clone(),
-                    parameter: name.clone(),
+                    operation: self.name.to_string(),
+                    parameter: name.to_string(),
                     expected: ty.to_string(),
                     got: arg.1.type_label().to_owned(),
                 });
@@ -154,7 +157,7 @@ impl OpSig {
             .find(|(k, _)| !self.params.iter().any(|(p, _)| p == k))
         {
             return Err(MetaError::TypeMismatch {
-                operation: self.name.clone(),
+                operation: self.name.to_string(),
                 parameter: extra.clone(),
                 expected: "no such parameter".into(),
                 got: "present".into(),
@@ -167,15 +170,15 @@ impl OpSig {
 /// A named set of operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceInterface {
-    /// Interface name (e.g. `VcrControl`).
-    pub name: String,
+    /// Interface name (e.g. `VcrControl`), interned.
+    pub name: Name,
     /// Operations.
     pub operations: Vec<OpSig>,
 }
 
 impl ServiceInterface {
     /// Creates an empty interface.
-    pub fn new(name: impl Into<String>) -> ServiceInterface {
+    pub fn new(name: impl Into<Name>) -> ServiceInterface {
         ServiceInterface {
             name: name.into(),
             operations: Vec::new(),
@@ -198,14 +201,14 @@ impl ServiceInterface {
     pub fn to_wsdl(&self, service_name: &str, endpoint: &str) -> ServiceDescription {
         let mut desc = ServiceDescription::new(service_name, format!("urn:vsg:{service_name}"))
             .at(endpoint)
-            .doc(format!("interface {}", self.name));
+            .doc(format!("{INTERFACE_PREFIX}{}", self.name));
         for op in &self.operations {
-            let mut w = Operation::new(&op.name);
+            let mut w = Operation::new(op.name.as_str());
             if op.idempotent {
                 w = w.idempotent();
             }
             for (p, t) in &op.params {
-                w = w.input(p, t.to_xsd());
+                w = w.input(p.as_str(), t.to_xsd());
             }
             if let Some(r) = op.returns {
                 w = w.returns(r.to_xsd());
@@ -215,27 +218,49 @@ impl ServiceInterface {
         desc
     }
 
-    /// Reconstructs an interface from a WSDL description (used when a PCM
-    /// learns about a remote service from the VSR). Consumes the
-    /// description: its names move into the interface, uncopied.
-    pub fn from_wsdl(desc: ServiceDescription) -> ServiceInterface {
-        const PREFIX: &str = "interface ";
-        let name = if desc.documentation.starts_with(PREFIX) {
-            let mut name = desc.documentation;
-            name.drain(..PREFIX.len());
-            name
-        } else {
-            desc.name
+    /// Reads the interface a WSDL document describes (how a PCM learns
+    /// a remote service's interface from the VSR), in one pass over
+    /// [`wsdl::read_document`]. The interface's lists are built
+    /// straight from the document's borrowed parts: one operation list,
+    /// and one parameter list per operation that has inputs. Its names
+    /// are interned, so a known spelling is not copied. The name is the
+    /// documentation's after an `interface ` prefix, else the
+    /// definitions name. Fails where
+    /// [`ServiceDescription::from_document`] does.
+    pub fn from_document(doc: &str) -> Result<ServiceInterface, DescriptionError> {
+        let mut read = ReadInterface {
+            definitions: Cow::Borrowed(""),
+            documentation: Cow::Borrowed(""),
+            operations: Vec::new(),
+        };
+        wsdl::read_document(doc, &mut read)?;
+        let name = match read.documentation.strip_prefix(INTERFACE_PREFIX) {
+            Some(name) => Name::new(name),
+            None => Name::new(&read.definitions),
+        };
+        Ok(ServiceInterface {
+            name,
+            operations: read.operations,
+        })
+    }
+
+    /// The interface of an owned WSDL description: the oracle of the
+    /// one-pass [`ServiceInterface::from_document`].
+    #[cfg(test)]
+    pub(crate) fn from_wsdl(desc: ServiceDescription) -> ServiceInterface {
+        let name = match desc.documentation.strip_prefix(INTERFACE_PREFIX) {
+            Some(name) => Name::new(name),
+            None => Name::new(&desc.name),
         };
         let operations = desc
             .operations
             .into_iter()
             .map(|op| OpSig {
-                name: op.name,
+                name: Name::new(&op.name),
                 params: op
                     .inputs
                     .into_iter()
-                    .map(|part| (part.name, TypeTag::from_xsd(part.ty)))
+                    .map(|part| (Name::new(&part.name), TypeTag::from_xsd(part.ty)))
                     .collect(),
                 returns: op.output.map(|out| TypeTag::from_xsd(out.ty)),
                 idempotent: op.idempotent,
@@ -243,6 +268,52 @@ impl ServiceInterface {
             .collect();
         ServiceInterface { name, operations }
     }
+}
+
+/// What [`ServiceInterface::to_wsdl`] writes before the interface name
+/// in a description's documentation.
+const INTERFACE_PREFIX: &str = "interface ";
+
+/// The parts [`ServiceInterface::from_document`] keeps as the reader
+/// hands them over: the two names it chooses between, borrowed until
+/// the read ends, and the operations, built as they arrive.
+struct ReadInterface<'d> {
+    definitions: Cow<'d, str>,
+    documentation: Cow<'d, str>,
+    operations: Vec<OpSig>,
+}
+
+impl<'d> DescriptionVisitor<'d> for ReadInterface<'d> {
+    fn definitions(&mut self, name: Cow<'d, str>, _namespace: Cow<'d, str>) {
+        self.definitions = name;
+    }
+
+    fn documentation(&mut self, text: Cow<'d, str>) {
+        self.documentation = text;
+    }
+
+    fn operation(&mut self, name: Cow<'d, str>, idempotent: bool) {
+        self.operations.push(OpSig {
+            name: Name::new(&name),
+            params: Vec::new(),
+            returns: None,
+            idempotent,
+        });
+    }
+
+    fn input(&mut self, name: Cow<'d, str>, ty: XsdType) {
+        if let Some(op) = self.operations.last_mut() {
+            op.params.push((Name::new(&name), TypeTag::from_xsd(ty)));
+        }
+    }
+
+    fn output(&mut self, _name: Cow<'d, str>, ty: XsdType) {
+        if let Some(op) = self.operations.last_mut() {
+            op.returns = Some(TypeTag::from_xsd(ty));
+        }
+    }
+
+    fn endpoint(&mut self, _location: Cow<'d, str>) {}
 }
 
 /// A name-indexed collection of known interfaces.
@@ -253,7 +324,7 @@ impl ServiceInterface {
 /// in the prototype.
 #[derive(Debug, Clone, Default)]
 pub struct InterfaceCatalog {
-    by_name: std::collections::HashMap<String, ServiceInterface>,
+    by_name: std::collections::HashMap<Name, ServiceInterface>,
 }
 
 impl InterfaceCatalog {
@@ -477,6 +548,37 @@ mod tests {
         let text = desc.to_document();
         let parsed = wsdl::ServiceDescription::from_document(&text).unwrap();
         assert_eq!(ServiceInterface::from_wsdl(parsed), iface);
+        assert_eq!(ServiceInterface::from_document(&text).unwrap(), iface);
+    }
+
+    #[test]
+    fn one_pass_interface_read_matches_the_description_oracle() {
+        let oracle = |doc: &str| {
+            wsdl::ServiceDescription::from_document(doc).map(ServiceInterface::from_wsdl)
+        };
+        let mut docs: Vec<String> = [catalog::vcr(), catalog::mailer(), catalog::lamp()]
+            .iter()
+            .map(|iface| iface.to_wsdl("a&b", "vsg://gw/a&b").to_document())
+            .collect();
+        docs.extend(
+            [
+                r#"<definitions name="s"><documentation>plain</documentation><portType><operation name="op"><output><part name="r" type="vendor:x"/></output></operation></portType></definitions>"#,
+                r#"<definitions name="s"><documentation>interface A&amp;B</documentation><documentation>interface C</documentation><portType/><portType><operation name="late"/></portType></definitions>"#,
+                r#"<definitions name="s"><portType><operation name="a"/><operation><input/></operation></portType></definitions>"#,
+                r#"<definitions name="s"><portType><operation name="a"/></portType></definitions><oops/>"#,
+                r#"<definitions><documentation>interface X</documentation></definitions>"#,
+                r#"<other name="s"/>"#,
+            ]
+            .map(String::from),
+        );
+        for doc in &docs {
+            assert_eq!(ServiceInterface::from_document(doc), oracle(doc), "{doc}");
+        }
+        let lamp = catalog::lamp().to_wsdl("l", "vsg://gw/l").to_document();
+        assert_eq!(
+            ServiceInterface::from_document(&lamp).unwrap(),
+            catalog::lamp()
+        );
     }
 
     #[test]

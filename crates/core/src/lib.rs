@@ -88,9 +88,7 @@ pub use fleet::{env_threads, HomeFleet};
 pub use home::{house, unit, SmartHome, SmartHomeBuilder};
 pub use iface::{catalog, InterfaceCatalog, OpSig, ServiceInterface, TypeTag};
 pub use intern::Name;
-pub use metrics::{
-    footprint, CacheStats, Measurement, MetricsRegistry, MetricsSnapshot, Probe, RegistrySnapshot,
-};
+pub use metrics::{footprint, CacheStats, MetricsRegistry, MetricsSnapshot, RegistrySnapshot};
 pub use obs::{
     FlightRecorder, HistSketch, KeepReason, KeptTrace, Layer, RecorderStats, SamplePolicy,
 };

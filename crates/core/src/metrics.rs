@@ -1,106 +1,9 @@
-//! Measurement helpers and the device-footprint model.
+//! Metrics registries and the device-footprint model.
 //!
-//! [`Probe`] captures virtual-time and per-network traffic deltas around
-//! a closure — the instrument behind most benches. The [`footprint`]
-//! module models §4.2's closing observation: "current HTTP must run over
-//! TCP, and a TCP stack is large and complex. This can be an issue in
-//! small devices or appliances with stringent memory and processing
-//! requirements" (experiment E7).
-
-use simnet::{Counter, Network, Sim, SimDuration, SimTime};
-use std::fmt;
-
-/// One measured interaction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    /// Virtual time consumed.
-    pub elapsed: SimDuration,
-    /// Per-network deltas `(network-name, delivered)` over the closure.
-    pub traffic: Vec<(String, Counter)>,
-}
-
-impl Measurement {
-    /// Total payload bytes moved across all probed networks.
-    pub fn total_bytes(&self) -> u64 {
-        self.traffic.iter().map(|(_, c)| c.bytes).sum()
-    }
-
-    /// Total frames moved across all probed networks.
-    pub fn total_frames(&self) -> u64 {
-        self.traffic.iter().map(|(_, c)| c.frames).sum()
-    }
-
-    /// Total frames dropped by lossy links across all probed networks.
-    pub fn total_lost(&self) -> u64 {
-        self.traffic.iter().map(|(_, c)| c.lost).sum()
-    }
-}
-
-impl fmt::Display for Measurement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} / {}B / {} frames",
-            self.elapsed,
-            self.total_bytes(),
-            self.total_frames()
-        )?;
-        // Silence would hide loss during bench runs on lossy media
-        // (powerline, SIP-over-UDP); zero-loss output stays unchanged.
-        let lost = self.total_lost();
-        if lost > 0 {
-            write!(f, " / {lost} lost")?;
-        }
-        Ok(())
-    }
-}
-
-/// Measures a closure against a set of networks.
-pub struct Probe<'a> {
-    sim: &'a Sim,
-    networks: Vec<&'a Network>,
-}
-
-impl<'a> Probe<'a> {
-    /// Creates a probe over the given networks.
-    pub fn new(sim: &'a Sim, networks: Vec<&'a Network>) -> Probe<'a> {
-        Probe { sim, networks }
-    }
-
-    /// Runs `f`, returning its value and the measurement.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, Measurement) {
-        let t0: SimTime = self.sim.now();
-        let before: Vec<Counter> = self
-            .networks
-            .iter()
-            .map(|n| n.with_stats(|s| s.total()))
-            .collect();
-        let value = f();
-        let traffic = self
-            .networks
-            .iter()
-            .zip(before)
-            .map(|(n, b)| {
-                let after = n.with_stats(|s| s.total());
-                (
-                    n.name().to_owned(),
-                    Counter {
-                        frames: after.frames - b.frames,
-                        bytes: after.bytes - b.bytes,
-                        lost: after.lost - b.lost,
-                    },
-                )
-            })
-            .collect();
-        (
-            value,
-            Measurement {
-                elapsed: self.sim.now() - t0,
-                traffic,
-            },
-        )
-    }
-}
+//! The [`footprint`] module models §4.2's closing observation:
+//! "current HTTP must run over TCP, and a TCP stack is large and
+//! complex. This can be an issue in small devices or appliances with
+//! stringent memory and processing requirements" (experiment E7).
 
 /// Hit/miss/eviction counters for the gateway resolution cache
 /// (observable per gateway via `Vsg::cache_stats`, reported by the E11
@@ -724,62 +627,6 @@ pub mod footprint {
 mod tests {
     use super::footprint::*;
     use super::*;
-    use simnet::{Frame, Protocol};
-
-    #[test]
-    fn probe_measures_time_and_traffic() {
-        let sim = Sim::new(1);
-        let net = Network::ethernet(&sim);
-        let a = net.attach("a");
-        let b = net.attach("b");
-        let probe = Probe::new(&sim, vec![&net]);
-        let ((), m) = probe.measure(|| {
-            net.send(Frame::new(a, b, Protocol::Raw, vec![0u8; 100]))
-                .unwrap();
-            sim.advance(SimDuration::from_millis(1));
-        });
-        assert!(m.elapsed >= SimDuration::from_millis(1));
-        assert_eq!(m.total_bytes(), 100);
-        assert_eq!(m.total_frames(), 1);
-        assert_eq!(m.traffic[0].0, "ethernet");
-        assert!(m.to_string().contains("100B"));
-    }
-
-    #[test]
-    fn probe_delta_excludes_prior_traffic() {
-        let sim = Sim::new(1);
-        let net = Network::ethernet(&sim);
-        let a = net.attach("a");
-        let b = net.attach("b");
-        net.send(Frame::new(a, b, Protocol::Raw, vec![0u8; 500]))
-            .unwrap();
-        let probe = Probe::new(&sim, vec![&net]);
-        let ((), m) = probe.measure(|| {});
-        assert_eq!(m.total_bytes(), 0);
-    }
-
-    #[test]
-    fn display_reports_dropped_frames() {
-        let m = Measurement {
-            elapsed: SimDuration::from_millis(2),
-            traffic: vec![(
-                "powerline".into(),
-                simnet::Counter {
-                    frames: 10,
-                    bytes: 40,
-                    lost: 3,
-                },
-            )],
-        };
-        assert_eq!(m.total_lost(), 3);
-        assert!(m.to_string().contains("3 lost"), "{m}");
-        // Lossless measurements keep the historical format.
-        let clean = Measurement {
-            elapsed: SimDuration::from_millis(2),
-            traffic: vec![],
-        };
-        assert!(!clean.to_string().contains("lost"), "{clean}");
-    }
 
     #[test]
     fn latency_sketch_records_and_means() {

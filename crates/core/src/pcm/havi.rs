@@ -302,7 +302,7 @@ impl HaviPcm {
                 .params
                 .iter()
                 .zip(&msg.params)
-                .map(|((name, ty), h)| (name.clone(), hvalue_to_value(h, *ty)))
+                .map(|((name, ty), h)| (name.as_str().to_owned(), hvalue_to_value(h, *ty)))
                 .collect();
             if args.len() != sig.params.len() {
                 return (HaviStatus::EParameter, vec![]);
@@ -358,9 +358,9 @@ impl HaviPcm {
                 [] => {
                     children.push(DdiElement::Button {
                         id: actions.len() as u16,
-                        label: op.name.clone(),
+                        label: op.name.as_str().to_owned(),
                     });
-                    actions.push((op.name.clone(), vec![]));
+                    actions.push((op.name.as_str().to_owned(), vec![]));
                 }
                 [(pname, crate::iface::TypeTag::Bool)] => {
                     for (suffix, v) in [("on", true), ("off", false)] {
@@ -368,7 +368,10 @@ impl HaviPcm {
                             id: actions.len() as u16,
                             label: format!("{} {}", op.name, suffix),
                         });
-                        actions.push((op.name.clone(), vec![(pname.clone(), Value::Bool(v))]));
+                        actions.push((
+                            op.name.as_str().to_owned(),
+                            vec![(pname.as_str().to_owned(), Value::Bool(v))],
+                        ));
                     }
                 }
                 _ => {} // parameterised ops need a richer UI than DDI buttons
@@ -455,7 +458,7 @@ impl HaviBridgeClient {
             .iter()
             .position(|o| o.name == op)
             .ok_or_else(|| MetaError::UnknownOperation {
-                service: self.interface.name.clone(),
+                service: self.interface.name.to_string(),
                 operation: op.to_owned(),
             })?;
         let sig = &self.interface.operations[idx];
@@ -640,7 +643,7 @@ mod tests {
                             TypeTag::Bool => Value::Bool(true),
                             _ => Value::Null,
                         };
-                        (n.clone(), v)
+                        (n.to_string(), v)
                     })
                     .collect();
                 assert!(

@@ -186,7 +186,7 @@ impl JiniPcm {
         let vsg = self.vsg.clone();
         Arc::new(move |sim, op, args| {
             let sig = iface.find(op).ok_or_else(|| MetaError::UnknownOperation {
-                service: iface.name.clone(),
+                service: iface.name.to_string(),
                 operation: op.to_owned(),
             })?;
             let jargs: Vec<JValue> = sig
@@ -194,7 +194,7 @@ impl JiniPcm {
                 .iter()
                 .map(|(name, _)| {
                     args.iter()
-                        .find(|(k, _)| k == name)
+                        .find(|(k, _)| name == k)
                         .map(|(_, v)| value_to_jvalue(v))
                         .unwrap_or(JValue::Null)
                 })
@@ -228,7 +228,7 @@ impl JiniPcm {
                     .params
                     .iter()
                     .zip(jargs)
-                    .map(|((name, _), j)| (name.clone(), jvalue_to_value(j.clone())))
+                    .map(|((name, _), j)| (name.as_str().to_owned(), jvalue_to_value(j.clone())))
                     .collect();
                 // An RMI call from a native Jini client starts a fresh
                 // trace — it arrives from outside any framework call.
@@ -243,7 +243,7 @@ impl JiniPcm {
             });
         let item = ServiceItem::new(
             stub,
-            vec![record.interface.name.clone()],
+            vec![record.interface.name.as_str().to_owned()],
             vec![
                 Entry::name(&record.name),
                 Entry::new(BRIDGED_ENTRY_CLASS).field("origin", record.middleware.label()),

@@ -83,11 +83,11 @@ pub fn generate(
 ) -> GeneratedProxy {
     sim.advance(cost.total(interface));
     GeneratedProxy {
-        interface_name: interface.name.clone(),
+        interface_name: interface.name.as_str().to_owned(),
         thunks: interface
             .operations
             .iter()
-            .map(|o| (o.name.clone(), o.clone()))
+            .map(|o| (o.name.as_str().to_owned(), o.clone()))
             .collect(),
         target,
     }

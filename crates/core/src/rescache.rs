@@ -390,7 +390,7 @@ mod tests {
         ServiceRecord {
             name: Name::new(name),
             middleware: Middleware::X10,
-            gateway: "x10-gw".to_owned(),
+            gateway: Name::new("x10-gw"),
             interface: Arc::new(catalog::lamp()),
             contexts: vec![],
         }

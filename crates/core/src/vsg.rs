@@ -467,7 +467,7 @@ impl Vsg {
         let peer = &mut round.peers[p];
         if peer.reqs.len() >= policy.max_queue {
             return Err(MetaError::Overloaded {
-                gateway: route.record.gateway.clone(),
+                gateway: route.record.gateway.to_string(),
                 queued: peer.reqs.len() as u64,
             });
         }
@@ -575,11 +575,10 @@ impl Vsg {
             Lookup::NegativeHit => return Err(MetaError::UnknownService(service.to_owned())),
             Lookup::Miss => match self.inner.vsr.resolve(service) {
                 Ok(record) => {
-                    let gw_node = self
-                        .inner
-                        .vsr
-                        .gateway_node(&record.gateway)
-                        .map_err(|_| MetaError::GatewayUnreachable(record.gateway.clone()))?;
+                    let gw_node =
+                        self.inner.vsr.gateway_node(&record.gateway).map_err(|_| {
+                            MetaError::GatewayUnreachable(record.gateway.to_string())
+                        })?;
                     (Arc::new(record), gw_node, Learned::Vsr)
                 }
                 Err(MetaError::UnknownService(name)) => {

@@ -33,6 +33,7 @@ use minixml::{ParseError, Reader};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Sim, SimDuration};
 use soap::{Arg, Compound, SoapClient, SoapError, Value, ValueError};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -63,8 +64,8 @@ pub struct ServiceRecord {
     pub name: Name,
     /// Native middleware.
     pub middleware: Middleware,
-    /// Fronting gateway.
-    pub gateway: String,
+    /// Fronting gateway (interned).
+    pub gateway: Name,
     /// Reconstructed interface, interned behind `Arc` so resolution
     /// caches and bridge clients share one parse instead of cloning
     /// the whole operation table per call.
@@ -95,26 +96,22 @@ impl ServiceRecord {
     }
 
     /// Reads a `resolve` reply's `return` element straight into a
-    /// record, in one pass: the struct's fields decode as `Value`s,
-    /// the first of each named field is kept, and the WSDL text is
-    /// read by [`wsdl::ServiceDescription::from_document`]. Unknown
-    /// fields decode too, so a field's value error is the reply's
-    /// error whatever the field. `Ok(None)` is a reply that decodes
-    /// but is no record: not a Struct, or a field missing or of the
-    /// wrong type, or a WSDL document that does not read.
+    /// record, in one pass. Each field is read once and the first of
+    /// each named field is kept; strings are borrowed from the reply
+    /// ([`Value::decode_str`]), the WSDL text is read by
+    /// [`ServiceInterface::from_document`], and the names are interned.
+    /// Unknown and repeated fields are checked as they would decode, so
+    /// a field's value error is the reply's error whatever the field.
+    /// `Ok(None)` is a reply that decodes but is no record: not a
+    /// Struct, or a field missing or of the wrong type, or a WSDL
+    /// document that does not read.
     fn decode(r: &mut Reader<'_>) -> Result<Result<Option<ServiceRecord>, ValueError>, ParseError> {
         if Value::compound(r) != Some(Compound::Struct) {
-            return Ok(Value::decode(r)?.map(|_| None));
+            return Ok(Value::decode_str(r)?.map(|_| None));
         }
-        let mut fields: [Option<Value>; RECORD_FIELDS.len()] = Default::default();
-        let decoded = Value::decode_members(r, |name, r| {
-            Ok(Value::decode(r)?.map(|v| {
-                if let Some(i) = RECORD_FIELDS.iter().position(|f| *f == name) {
-                    fields[i].get_or_insert(v);
-                }
-            }))
-        })?;
-        Ok(decoded.map(|()| ServiceRecord::from_fields(fields)))
+        let mut fields = RecordFields::default();
+        let decoded = Value::decode_members(r, |name, r| fields.read(name, r))?;
+        Ok(decoded.map(|()| fields.into_record()))
     }
 
     /// Reads a `find`/`find_ctx` reply: an Array of records, decoded
@@ -133,41 +130,13 @@ impl ServiceRecord {
         Ok(decoded.map(|()| Some(records)))
     }
 
-    /// A record from the first value of each of [`RECORD_FIELDS`].
-    fn from_fields(fields: [Option<Value>; RECORD_FIELDS.len()]) -> Option<ServiceRecord> {
-        let [Some(Value::Str(name)), Some(middleware), Some(Value::Str(gateway)), Some(wsdl), contexts] =
-            fields
-        else {
-            return None;
-        };
-        let middleware = Middleware::from_label(middleware.as_str()?)?;
-        let desc = wsdl::ServiceDescription::from_document(wsdl.as_str()?).ok()?;
-        let contexts = match contexts {
-            Some(Value::Record(fields)) => fields
-                .into_iter()
-                .filter_map(|(k, v)| match v {
-                    Value::Str(s) => Some((k, s)),
-                    _ => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        Some(ServiceRecord {
-            name: Name::new(&name),
-            middleware,
-            gateway,
-            interface: Arc::new(ServiceInterface::from_wsdl(desc)),
-            contexts,
-        })
-    }
-
     /// The `Value`-tree decode the one-pass [`ServiceRecord::decode`]
     /// replaced, kept as its test oracle.
     #[cfg(test)]
     fn from_value(v: &Value) -> Option<ServiceRecord> {
         let name = Name::new(v.field("name")?.as_str()?);
         let middleware = Middleware::from_label(v.field("middleware")?.as_str()?)?;
-        let gateway = v.field("gateway")?.as_str()?.to_owned();
+        let gateway = Name::new(v.field("gateway")?.as_str()?);
         let wsdl_doc = v.field("wsdl")?.as_str()?;
         let desc = wsdl::ServiceDescription::from_document(wsdl_doc).ok()?;
         let contexts = match v.field("contexts") {
@@ -187,9 +156,78 @@ impl ServiceRecord {
     }
 }
 
-/// The fields a repository record carries on the wire, in
-/// [`ServiceRecord::from_fields`]'s order.
-const RECORD_FIELDS: [&str; 5] = ["name", "middleware", "gateway", "wsdl", "contexts"];
+/// The first of each field of a record reply, as
+/// [`ServiceRecord::decode`] reads them: a string field is `None` until
+/// it is met, and `Some(None)` when its first occurrence is no string.
+#[derive(Default)]
+struct RecordFields<'a> {
+    name: Option<Option<Cow<'a, str>>>,
+    middleware: Option<Option<Cow<'a, str>>>,
+    gateway: Option<Option<Cow<'a, str>>>,
+    wsdl: Option<Option<Cow<'a, str>>>,
+    /// The first `contexts` field's string members: none unless it is
+    /// a Struct.
+    contexts: Option<Vec<(String, String)>>,
+}
+
+impl<'a> RecordFields<'a> {
+    /// Reads the field `name` whose start tag the reader just returned.
+    fn read(
+        &mut self,
+        name: &str,
+        r: &mut Reader<'a>,
+    ) -> Result<Result<(), ValueError>, ParseError> {
+        let slot = match name {
+            "name" => &mut self.name,
+            "middleware" => &mut self.middleware,
+            "gateway" => &mut self.gateway,
+            "wsdl" => &mut self.wsdl,
+            "contexts" if self.contexts.is_none() => {
+                return Ok(read_contexts(r)?.map(|contexts| self.contexts = Some(contexts)));
+            }
+            _ => return Ok(Value::decode_str(r)?.map(drop)),
+        };
+        Ok(Value::decode_str(r)?.map(|s| {
+            slot.get_or_insert(s);
+        }))
+    }
+
+    /// The record, or `None` when a field is missing or of the wrong
+    /// type, the middleware unknown or the WSDL unreadable.
+    fn into_record(self) -> Option<ServiceRecord> {
+        let (Some(Some(name)), Some(Some(middleware)), Some(Some(gateway)), Some(Some(wsdl))) =
+            (self.name, self.middleware, self.gateway, self.wsdl)
+        else {
+            return None;
+        };
+        let middleware = Middleware::from_label(&middleware)?;
+        let interface = ServiceInterface::from_document(&wsdl).ok()?;
+        Some(ServiceRecord {
+            name: Name::new(&name),
+            middleware,
+            gateway: Name::new(&gateway),
+            interface: Arc::new(interface),
+            contexts: self.contexts.unwrap_or_default(),
+        })
+    }
+}
+
+/// Reads a record's `contexts` field: a Struct's string members, copied
+/// out, and nothing for any other value.
+fn read_contexts(
+    r: &mut Reader<'_>,
+) -> Result<Result<Vec<(String, String)>, ValueError>, ParseError> {
+    if Value::compound(r) != Some(Compound::Struct) {
+        return Ok(Value::decode_str(r)?.map(|_| Vec::new()));
+    }
+    let mut contexts = Vec::new();
+    let read = Value::decode_members(r, |key, r| {
+        Ok(Value::decode_str(r)?.map(|value| {
+            contexts.extend(value.map(|value| (key.to_owned(), value.into_owned())));
+        }))
+    })?;
+    Ok(read.map(|()| contexts))
+}
 
 /// The running repository service — one handle for the whole cluster,
 /// however many replicas it has.
@@ -1184,6 +1222,316 @@ mod decode_oracle {
                 _ => None,
             });
             prop_assert_eq!(streamed, oracle, "document {}", doc);
+        }
+    }
+
+    /// Text that needs every escape: printable ASCII, `&<>"'` included,
+    /// and a character outside it.
+    fn arb_text(max: usize) -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop_oneof![
+                "[ -~]".prop_map(|s: String| s),
+                Just("&".to_owned()),
+                Just("<".to_owned()),
+                Just("\"".to_owned()),
+                Just("'".to_owned()),
+                Just("é".to_owned()),
+            ],
+            0..max,
+        )
+        .prop_map(|parts| parts.concat())
+    }
+
+    /// ` key="value"`, the value escaped, or nothing.
+    fn attr(key: &str, value: Option<String>) -> String {
+        value.map_or_else(String::new, |v| {
+            format!(r#" {key}="{}""#, minixml::escape_attr(&v))
+        })
+    }
+
+    /// Part types as a description may declare them, known or not.
+    const PART_TYPES: &[&str] = &[
+        "xsd:string",
+        "xsd:long",
+        "xsd:boolean",
+        "xsd:double",
+        "xsd:base64Binary",
+        "xsd:anyType",
+        "vendor:blob",
+        "int",
+        "",
+    ];
+
+    /// A part, named or not, typed or not.
+    fn arb_part() -> impl Strategy<Value = String> {
+        (
+            prop::option::of(arb_text(6)),
+            prop::option::of(0..PART_TYPES.len()),
+        )
+            .prop_map(|(name, ty)| {
+                let ty = attr("type", ty.map(|t| PART_TYPES[t].to_owned()));
+                format!("<part{}{ty}/>", attr("name", name))
+            })
+    }
+
+    /// An operation, named or not, with its `input` and `output` in
+    /// either order, missing or repeated.
+    fn arb_operation() -> impl Strategy<Value = String> {
+        (
+            prop::option::of(arb_text(8)),
+            0..3usize,
+            prop::collection::vec(arb_part(), 0..3),
+            prop::collection::vec(arb_part(), 0..2),
+            0..4u8,
+        )
+            .prop_map(|(name, idempotent, inputs, outputs, shape)| {
+                let idempotent = ["", r#" idempotent="true""#, r#" idempotent="yes""#][idempotent];
+                let (inputs, outputs) = (inputs.concat(), outputs.concat());
+                let body = match shape {
+                    0 => format!("<input>{inputs}</input><output>{outputs}</output>"),
+                    1 => format!(
+                        r#"<output>{outputs}</output><input>{inputs}</input><input><part name="late"/></input>"#
+                    ),
+                    2 => format!("<input>{inputs}</input>"),
+                    _ => format!(
+                        r#"<output>{outputs}</output><output><part type="xsd:long"/></output>"#
+                    ),
+                };
+                format!("<operation{}{idempotent}>{body}</operation>", attr("name", name))
+            })
+    }
+
+    /// WSDL documents a record may carry: escapes in every name, no,
+    /// one or two `documentation` and `portType` elements, unnamed
+    /// operations, unknown part types, roots that are no named
+    /// `definitions`, and broken tails.
+    fn arb_wsdl() -> impl Strategy<Value = String> {
+        (
+            prop::option::of(arb_text(10)),
+            prop::collection::vec((any::<bool>(), arb_text(10)), 0..3),
+            prop::collection::vec(prop::collection::vec(arb_operation(), 0..4), 0..3),
+            arb_text(8),
+            0..8u8,
+        )
+            .prop_map(|(name, docs, port_types, location, shape)| {
+                let docs: String = docs
+                    .iter()
+                    .map(|(prefixed, text)| {
+                        let prefix = if *prefixed { "interface " } else { "" };
+                        let text = minixml::escape_text(&format!("{prefix}{text}"));
+                        format!("<documentation>{text}</documentation>")
+                    })
+                    .collect();
+                let port_types: String = port_types
+                    .iter()
+                    .map(|ops| format!(r#"<portType name="pt">{}</portType>"#, ops.concat()))
+                    .collect();
+                let service = format!(
+                    "<service><port><soap:address{}/></port></service>",
+                    attr("location", Some(location))
+                );
+                let root = if shape == 6 { "definition" } else { "definitions" };
+                let doc = format!(
+                    r#"<?xml version="1.0"?><{root}{} targetNamespace="urn:x">{docs}{port_types}{service}</{root}>"#,
+                    attr("name", name)
+                );
+                match shape {
+                    7 => doc[..doc.len() - 5].to_owned(),
+                    _ => doc,
+                }
+            })
+    }
+
+    /// The middleware labels a record may name, and one it may not.
+    const MIDDLEWARES: &[&str] = &["x10", "jini", "havi", "upnp", "corba"];
+
+    /// Field `name` carrying the string `value`, a value of another
+    /// type, or (variant 7) one that does not decode.
+    fn field(name: &str, value: &str, variant: u8) -> String {
+        match variant {
+            0 => format!(r#"<{name} xsi:type="xsd:long">2</{name}>"#),
+            7 => format!(r#"<{name} xsi:type="xsd:double">one</{name}>"#),
+            1 => format!(r#"<{name} xsi:nil="true"/>"#),
+            2 => format!(
+                r#"<{name} xsi:type="SOAP-ENC:Struct"><v xsi:type="xsd:string">{}</v></{name}>"#,
+                escape(value)
+            ),
+            _ => format!(
+                r#"<{name} xsi:type="xsd:string">{}</{name}>"#,
+                escape(value)
+            ),
+        }
+    }
+
+    /// Generated record replies: escapes in every name and context
+    /// value, generated WSDL text, and fields missing, repeated,
+    /// wrong-typed or out of order.
+    fn arb_generated_record() -> impl Strategy<Value = String> {
+        (
+            (arb_text(12), 0..MIDDLEWARES.len(), arb_text(8)),
+            arb_wsdl(),
+            prop::collection::vec(("[a-z]{1,6}", arb_text(10), 0..6u8), 0..4),
+            prop::collection::vec((0..5usize, 0..8u8, 0..16usize), 0..4),
+            prop::option::of(0..5usize),
+            any::<bool>(),
+        )
+            .prop_map(
+                |(
+                    (name, middleware, gateway),
+                    wsdl,
+                    contexts,
+                    extras,
+                    missing,
+                    contexts_struct,
+                )| {
+                    let contexts: String = contexts
+                        .iter()
+                        .map(|(k, v, variant)| field(k, v, variant + 2))
+                        .collect();
+                    let contexts = if contexts_struct {
+                        format!(r#"<contexts xsi:type="SOAP-ENC:Struct">{contexts}</contexts>"#)
+                    } else {
+                        format!(r#"<contexts xsi:type="SOAP-ENC:Array">{contexts}</contexts>"#)
+                    };
+                    let own = |i: usize, variant: u8| match i {
+                        0 => field("name", &name, variant),
+                        1 => field("middleware", MIDDLEWARES[middleware], variant),
+                        2 => field("gateway", &gateway, variant),
+                        3 => field("wsdl", &wsdl, variant),
+                        _ if variant < 2 => field("contexts", "", variant),
+                        _ => contexts.clone(),
+                    };
+                    let mut fields: Vec<String> = (0..5)
+                        .filter(|&i| Some(i) != missing)
+                        .map(|i| own(i, 3))
+                        .collect();
+                    for (i, variant, at) in extras {
+                        fields.insert(at % (fields.len() + 1), own(i, variant));
+                    }
+                    format!(
+                        r#"<return xsi:type="SOAP-ENC:Struct">{}</return>"#,
+                        fields.concat()
+                    )
+                },
+            )
+    }
+
+    /// The record reply `doc` read both ways: the same record, no
+    /// record, or error.
+    fn record_read_agrees(doc: &str) {
+        let streamed = decode_response(doc, ServiceRecord::decode).map(Option::flatten);
+        let oracle = value_reply(doc).map(|v| ServiceRecord::from_value(&v));
+        assert_eq!(streamed, oracle, "document {doc}");
+    }
+
+    /// A catalog lamp's `resolve` reply, as a replica answers it.
+    fn lamp_reply() -> String {
+        let wsdl = catalog::lamp()
+            .to_wsdl("hall-lamp", "vsg://x10-gw/hall-lamp")
+            .to_document();
+        let record = Value::Record(vec![
+            ("name".into(), Value::from("hall-lamp")),
+            ("middleware".into(), Value::from("x10")),
+            ("gateway".into(), Value::from("x10-gw")),
+            ("wsdl".into(), Value::Str(wsdl)),
+            (
+                "contexts".into(),
+                Value::Record(vec![("room".into(), Value::from("hall"))]),
+            ),
+        ]);
+        soap::RpcResponse::new("resolve", record).to_envelope()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn record_decoder_equals_value_oracle_on_generated_records(
+            ret in arb_generated_record(),
+            variant in 3..8u8,
+        ) {
+            record_read_agrees(&envelope(&ret, variant));
+        }
+
+        #[test]
+        fn record_decoder_equals_value_oracle_on_arbitrary_text(
+            text in "[ -~\n\u{a0}é]{0,160}",
+            at in 0..3u8,
+        ) {
+            let pool = field_pool();
+            let complete: String = COMPLETE[0][..3].iter().map(|&i| pool[i].as_str()).collect();
+            let doc = match at {
+                0 => text,
+                1 => envelope(&format!(r#"<return xsi:type="SOAP-ENC:Struct">{text}</return>"#), 7),
+                _ => envelope(
+                    &format!(
+                        r#"<return xsi:type="SOAP-ENC:Struct">{complete}<wsdl xsi:type="xsd:string">{}</wsdl></return>"#,
+                        escape(&text)
+                    ),
+                    7,
+                ),
+            };
+            record_read_agrees(&doc);
+        }
+    }
+
+    #[test]
+    fn generated_records_are_not_all_alike() {
+        // Of a fixed sample, some replies are records with operations,
+        // parameters and contexts, some are no record, and some are a
+        // value error.
+        let mut rng = TestRng::from_label("generated_records_are_not_all_alike");
+        let (mut records, mut none, mut errors) = (0, 0, 0);
+        let (mut params, mut contexts) = (0, 0);
+        let strategy = arb_generated_record();
+        for _ in 0..400 {
+            let doc = envelope(&strategy.generate(&mut rng), 7);
+            match decode_response(&doc, ServiceRecord::decode).map(Option::flatten) {
+                Ok(Some(rec)) => {
+                    records += 1;
+                    params += rec
+                        .interface
+                        .operations
+                        .iter()
+                        .map(|o| o.params.len())
+                        .sum::<usize>();
+                    contexts += rec.contexts.len();
+                }
+                Ok(None) => none += 1,
+                Err(_) => errors += 1,
+            }
+        }
+        assert!(records >= 20, "{records} records");
+        assert!(none >= 20, "{none} replies that are no record");
+        assert!(errors >= 1, "{errors} value errors");
+        assert!(
+            params > 0 && contexts > 0,
+            "{params} parameters, {contexts} contexts"
+        );
+    }
+
+    #[test]
+    fn record_decoder_equals_value_oracle_on_every_cut_and_byte_edit_of_a_lamp_reply() {
+        let reply = lamp_reply();
+        let rec = decode_response(&reply, ServiceRecord::decode)
+            .unwrap()
+            .flatten()
+            .expect("the whole reply is a record");
+        assert_eq!(*rec.interface, catalog::lamp());
+        assert!(reply.is_ascii());
+        for end in 0..=reply.len() {
+            record_read_agrees(&reply[..end]);
+        }
+        let mut edited = reply.clone().into_bytes();
+        for at in 0..edited.len() {
+            let original = edited[at];
+            for &byte in b"<>&\"'/ =;:x" {
+                if byte != original {
+                    edited[at] = byte;
+                    record_read_agrees(std::str::from_utf8(&edited).unwrap());
+                }
+            }
+            edited[at] = original;
         }
     }
 

@@ -1,10 +1,10 @@
-//! What a VSR write allocates on a warm three-replica, four-shard
-//! cluster: a publish that moves a service to another gateway (the
-//! primary's write, its UDDI mirror and the push to the shard's
-//! backup), and a backup's apply of one pushed record. A dedicated
-//! test binary, so the counting global allocator sees no other test's
-//! work; counts are per thread, and every replica's router runs inline
-//! on the caller's thread.
+//! What the VSR allocates on a warm three-replica, four-shard cluster:
+//! a client's resolve of a lamp, a publish that moves a service to
+//! another gateway (the primary's write, its UDDI mirror and the push
+//! to the shard's backup), and a backup's apply of one pushed record. A
+//! dedicated test binary, so the counting global allocator sees no
+//! other test's work; counts are per thread, and every replica's router
+//! runs inline on the caller's thread.
 
 use metaware::{catalog, FederationConfig, Middleware, VirtualService, Vsr, VsrClient};
 use simnet::{Network, NodeId, Protocol, Sim};
@@ -66,8 +66,9 @@ fn lamp(name: &str, gateway: &str) -> VirtualService {
     VirtualService::new(name, catalog::lamp(), Middleware::X10, gateway)
 }
 
-#[test]
-fn a_warm_gateway_moving_publish_builds_no_value_on_the_write_path() {
+/// A client of a cluster holding 16 lamps on `x10-gw`, the first
+/// already moved to `x10-gw-2`.
+fn warm_client() -> (Network, Vsr, VsrClient, Vec<String>) {
     let (net, vsr) = cluster();
     let client = VsrClient::new(&net, net.attach("pcm"), vsr.node());
     let names: Vec<String> = (0..16).map(|i| format!("svc-{i:02}")).collect();
@@ -75,14 +76,40 @@ fn a_warm_gateway_moving_publish_builds_no_value_on_the_write_path() {
         client.publish(&lamp(name, "x10-gw")).unwrap();
     }
     client.publish(&lamp(&names[0], "x10-gw-2")).unwrap();
+    (net, vsr, client, names)
+}
+
+#[test]
+fn a_warm_resolve_reads_the_reply_in_place_into_interned_names() {
+    let (_net, _vsr, client, names) = warm_client();
+    client.resolve(&names[3]).unwrap();
+    let (allocs, got) = counted(|| client.resolve(&names[3]));
+    assert_eq!(*got.unwrap().interface, catalog::lamp());
+    assert_eq!(
+        allocs, 7,
+        "the call and reply buffers, the unescaped WSDL text, the \
+         interface's operation list, its two parameter lists and its \
+         `Arc`: the reply's strings are read in place, and the names are \
+         interned"
+    );
+}
+
+#[test]
+fn a_warm_gateway_moving_publish_builds_no_value_on_the_write_path() {
+    let (_net, _vsr, client, names) = warm_client();
     let moved = lamp(&names[1], "x10-gw-2");
     let (allocs, got) = counted(|| client.publish(&moved));
     got.unwrap();
     assert_eq!(
-        allocs, 94,
-        "the client's WSDL document, call and reply; the primary's UDDI \
-         mirror and its one push buffer; the backup's mirror: no `Value` \
-         is built or decoded on the write path"
+        allocs, 42,
+        "the client's description and WSDL document (17); five buffers: \
+         the call, its reply, the pushed entry, the push call and its \
+         reply; on each replica (9 each) the unescaped WSDL text, the \
+         category list and its two values, the tModel name, the \
+         endpoint, the service name, its binding list and the growth of \
+         its name's index list; on the primary the new gateway's \
+         category bucket (2): no `Value` is built or decoded, and no \
+         registry key is formatted or cloned"
     );
 }
 
@@ -130,8 +157,12 @@ fn a_backups_apply_of_one_pushed_record_decodes_no_value_tree() {
     let (allocs, reply) = counted(|| net.request(caller, backup, Protocol::Http, moved));
     assert_eq!(applied(reply.unwrap()), Value::Int(1));
     assert_eq!(
-        allocs, 41,
+        allocs, 12,
         "the response buffer, the unescaped WSDL text (moved into its \
-         tModel) and the UDDI mirror's saves: the entry is read in place"
+         tModel), the category list and its two values, the tModel name, \
+         the endpoint, the service name, its binding list, the growth of \
+         its name's index list, and the new gateway's category bucket \
+         (its value and tree node): the entry is read in place, and the \
+         registry formats and clones no key"
     );
 }

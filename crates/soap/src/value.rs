@@ -220,6 +220,25 @@ impl Value {
         }))
     }
 
+    /// Reads the element whose `Start` the reader just returned
+    /// through its `End` as [`Value::decode`] would, with the same
+    /// checks and the same first error, but builds no value: a string
+    /// is handed over as its text, borrowed from the document unless an
+    /// entity had to be unescaped, and any other value is checked and
+    /// read as `None`.
+    pub fn decode_str<'a>(
+        r: &mut Reader<'a>,
+    ) -> Result<Result<Option<Cow<'a, str>>, ValueError>, ParseError> {
+        let Shape::Scalar(ty) = Shape::of(r) else {
+            return Ok(Value::check(r)?.map(|()| None));
+        };
+        let text = r.text_content()?;
+        Ok(Scalar::read(&ty, text).map(|scalar| match scalar {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }))
+    }
+
     /// Checks the element whose `Start` the reader just returned
     /// through its `End`, exactly as [`Value::decode`] would (the same
     /// first error, or none), without building the value: a string's
@@ -917,6 +936,46 @@ mod tests {
             let tree = crate::oracle::value_from_element_ref(&minixml::parse_ref(xml).unwrap());
             assert_eq!(decode(xml), tree, "{xml}");
         }
+    }
+
+    #[test]
+    fn borrowed_string_read_agrees_with_decode() {
+        let mut docs: Vec<String> = edge_values()
+            .iter()
+            .chain(&[Value::Str("plain".into()), Value::Int(7)])
+            .map(|v| v.to_element("arg").to_document())
+            .collect();
+        docs.extend(
+            [
+                "<a>untyped</a>",
+                r#"<a xsi:type="xsd:string">a &amp; b</a>"#,
+                r#"<a xsi:type="xsd:&#115;tring">&lt;x&gt;</a>"#,
+                r#"<a xsi:type="xsd:string"> <b/> </a>"#,
+                r#"<a xsi:type="xsd:int">notanumber</a>"#,
+                r#"<a xsi:type="vendor:custom">x</a>"#,
+                r#"<a xsi:type="SOAP-ENC:Struct"><b xsi:type="xsd:int">x</b></a>"#,
+                r#"<a xsi:type="xsd:string" xsi:nil="true">x</a>"#,
+            ]
+            .map(String::from),
+        );
+        docs.push(nested(MAX_DEPTH + 1, false));
+        for doc in &docs {
+            let mut r = Reader::new(doc);
+            r.next().unwrap();
+            let borrowed = Value::decode_str(&mut r).unwrap();
+            assert_eq!(r.next(), Ok(Event::Eof), "{doc}: read through");
+            let want = decode(doc).map(|v| match v {
+                Value::Str(s) => Some(s),
+                _ => None,
+            });
+            assert_eq!(borrowed.map(|s| s.map(Cow::into_owned)), want, "{doc}");
+        }
+        let mut r = Reader::new(r#"<a xsi:type="xsd:string">no escapes</a>"#);
+        r.next().unwrap();
+        assert!(matches!(
+            Value::decode_str(&mut r),
+            Ok(Ok(Some(Cow::Borrowed("no escapes"))))
+        ));
     }
 
     /// `depth` Structs (or Arrays) nested around an int, as text.

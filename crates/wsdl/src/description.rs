@@ -195,17 +195,12 @@ impl ServiceDescription {
         out.put("\"/></port></service></definitions>");
     }
 
-    /// Parses a WSDL-style document in one pass over the pull
-    /// [`Reader`]: only what ends up in the description is copied out
-    /// of `doc`, and no element tree is built. The first of each
-    /// singular element counts (`documentation`, `portType`, an
-    /// operation's `input` and `output`, the `service` / `port` /
-    /// `address` path); later ones are skipped. An XML error anywhere
-    /// wins over a description error; a malformed document's error
-    /// carries the XML error's text.
+    /// Parses a WSDL-style document: the owned build over
+    /// [`read_document`], which copies each part it hands over.
     pub fn from_document(doc: &str) -> Result<ServiceDescription, DescriptionError> {
-        read_description(&mut Reader::new(doc))
-            .unwrap_or_else(|e| Err(DescriptionError::new(e.to_string())))
+        let mut desc = ServiceDescription::new(String::new(), String::new());
+        read_document(doc, &mut Owned(&mut desc))?;
+        Ok(desc)
     }
 
     /// Serialises to a WSDL-style element tree — the oracle the
@@ -323,18 +318,101 @@ fn write_part<O: XmlOut + ?Sized>(p: &Part, out: &mut O) {
     out.put("\"/>");
 }
 
-/// Reads a whole document for [`ServiceDescription::from_document`]:
-/// the root, its children, and what follows the root. The outer error
-/// is the document's; the inner one is the description's, reported
-/// only once the document has been read through.
-fn read_description(
-    r: &mut Reader<'_>,
-) -> Result<Result<ServiceDescription, DescriptionError>, ParseError> {
+/// The parts of a WSDL-style document that [`read_document`] hands its
+/// caller, in document order. Each is borrowed from the document, and
+/// owned only where an entity had to be unescaped.
+pub trait DescriptionVisitor<'d> {
+    /// The root `definitions` element's `name`, and its
+    /// `targetNamespace` (empty when it has none). Called first.
+    fn definitions(&mut self, name: Cow<'d, str>, namespace: Cow<'d, str>);
+
+    /// The text of the first `documentation` element.
+    fn documentation(&mut self, text: Cow<'d, str>);
+
+    /// An operation of the first `portType`, in order, and whether it
+    /// is idempotent. Its parts follow before the next operation.
+    fn operation(&mut self, name: Cow<'d, str>, idempotent: bool);
+
+    /// An input part of the operation last begun, in call order; `arg`
+    /// when the part has no name.
+    fn input(&mut self, name: Cow<'d, str>, ty: XsdType);
+
+    /// The output part of the operation last begun; `return` when the
+    /// part has no name.
+    fn output(&mut self, name: Cow<'d, str>, ty: XsdType);
+
+    /// The location of the first `service`'s first `port`'s first
+    /// `address`.
+    fn endpoint(&mut self, location: Cow<'d, str>);
+}
+
+/// Reads a WSDL-style document in one pass over the pull [`Reader`],
+/// handing `visitor` each part as it is met: no element tree is built,
+/// and nothing is copied out of `doc` but an unescaped entity. The
+/// first of each singular element counts (`documentation`, `portType`,
+/// an operation's `input` and `output`, the `service` / `port` /
+/// `address` path); later ones are skipped. The document is read to
+/// its end, so an XML error anywhere wins over a description error; a
+/// malformed document's error carries the XML error's text. After an
+/// error, what `visitor` was handed is no description.
+pub fn read_document<'d>(
+    doc: &'d str,
+    visitor: &mut impl DescriptionVisitor<'d>,
+) -> Result<(), DescriptionError> {
+    read_description(&mut Reader::new(doc), visitor)
+        .unwrap_or_else(|e| Err(DescriptionError::new(e.to_string())))
+}
+
+/// The owned build of [`ServiceDescription::from_document`]: each part
+/// copied into the description.
+struct Owned<'a>(&'a mut ServiceDescription);
+
+impl<'d> DescriptionVisitor<'d> for Owned<'_> {
+    fn definitions(&mut self, name: Cow<'d, str>, namespace: Cow<'d, str>) {
+        self.0.name = name.into_owned();
+        self.0.namespace = namespace.into_owned();
+    }
+
+    fn documentation(&mut self, text: Cow<'d, str>) {
+        self.0.documentation = text.into_owned();
+    }
+
+    fn operation(&mut self, name: Cow<'d, str>, idempotent: bool) {
+        let mut op = Operation::new(name);
+        op.idempotent = idempotent;
+        self.0.operations.push(op);
+    }
+
+    fn input(&mut self, name: Cow<'d, str>, ty: XsdType) {
+        if let Some(op) = self.0.operations.last_mut() {
+            op.inputs.push(Part::new(name, ty));
+        }
+    }
+
+    fn output(&mut self, name: Cow<'d, str>, ty: XsdType) {
+        if let Some(op) = self.0.operations.last_mut() {
+            op.output = Some(Part::new(name, ty));
+        }
+    }
+
+    fn endpoint(&mut self, location: Cow<'d, str>) {
+        self.0.endpoint = location.into_owned();
+    }
+}
+
+/// Reads a whole document for [`read_document`]: the root, its
+/// children, and what follows the root. The outer error is the
+/// document's; the inner one is the description's, reported only once
+/// the document has been read through.
+fn read_description<'d>(
+    r: &mut Reader<'d>,
+    visitor: &mut impl DescriptionVisitor<'d>,
+) -> Result<Result<(), DescriptionError>, ParseError> {
     let Event::Start(root) = r.next()? else {
         unreachable!("a document's first event is its root's start tag")
     };
-    let name = match (local_name(root), r.attr("name")) {
-        ("definitions", Some(name)) => name.into_owned(),
+    match (local_name(root), r.attr("name")) {
+        ("definitions", Some(name)) => visitor.definitions(name, attr_or(r, "targetNamespace", "")),
         (root, _) => {
             let failed = if root == "definitions" {
                 "definitions missing name"
@@ -345,24 +423,20 @@ fn read_description(
             r.next()?;
             return Ok(Err(DescriptionError::new(failed)));
         }
-    };
-    let mut desc = ServiceDescription::new(name, attr_or(r, "targetNamespace", ""));
+    }
     let mut failed = None;
     let (mut documentation, mut port_type, mut service) = (true, true, true);
     r.for_each_child(|child, r| match local_name(child) {
         "documentation" if documentation => {
             documentation = false;
-            desc.documentation = r.text_content()?.into_owned();
+            visitor.documentation(r.text_content()?);
             Ok(())
         }
         "portType" if port_type => {
             port_type = false;
             read_all(r, "operation", |r| {
-                if failed.is_none() {
-                    match read_operation(r)? {
-                        Some(op) => desc.operations.push(op),
-                        None => failed = Some("operation missing name"),
-                    }
+                if failed.is_none() && !read_operation(r, visitor)? {
+                    failed = Some("operation missing name");
                 }
                 Ok(())
             })
@@ -371,7 +445,7 @@ fn read_description(
             service = false;
             read_first(r, "port", |r| {
                 read_first(r, "address", |r| {
-                    desc.endpoint = attr_or(r, "location", "");
+                    visitor.endpoint(attr_or(r, "location", ""));
                     Ok(())
                 })
             })
@@ -381,54 +455,55 @@ fn read_description(
     r.next()?;
     Ok(match failed {
         Some(failed) => Err(DescriptionError::new(failed)),
-        None => Ok(desc),
+        None => Ok(()),
     })
 }
 
-/// The operation whose start tag the reader just returned, or `None`
-/// when it has no name (its content is then left for the caller to
-/// skip).
-fn read_operation(r: &mut Reader<'_>) -> Result<Option<Operation>, ParseError> {
+/// Hands `visitor` the operation whose start tag the reader just
+/// returned, and its parts; `false` when it has no name (its content
+/// is then left for the caller to skip).
+fn read_operation<'d>(
+    r: &mut Reader<'d>,
+    visitor: &mut impl DescriptionVisitor<'d>,
+) -> Result<bool, ParseError> {
     let Some(name) = r.attr("name") else {
-        return Ok(None);
+        return Ok(false);
     };
-    let mut op = Operation::new(name);
-    op.idempotent = r.attr("idempotent").as_deref() == Some("true");
+    visitor.operation(name, r.attr("idempotent").as_deref() == Some("true"));
     let (mut input, mut output) = (true, true);
     r.for_each_child(|child, r| match local_name(child) {
         "input" if input => {
             input = false;
             read_all(r, "part", |r| {
-                op.inputs.push(read_part(r, "arg"));
+                let (name, ty) = read_part(r, "arg");
+                visitor.input(name, ty);
                 Ok(())
             })
         }
         "output" if output => {
             output = false;
             read_first(r, "part", |r| {
-                op.output = Some(read_part(r, "return"));
+                let (name, ty) = read_part(r, "return");
+                visitor.output(name, ty);
                 Ok(())
             })
         }
         _ => Ok(()),
     })?;
-    Ok(Some(op))
+    Ok(true)
 }
 
-/// The part whose start tag the reader just returned; `name` is the
-/// default for a part without one.
-fn read_part(r: &Reader<'_>, name: &str) -> Part {
-    Part {
-        name: attr_or(r, "name", name),
-        ty: XsdType::from_qname(&r.attr("type").unwrap_or(Cow::Borrowed("anyType"))),
-    }
+/// The name and type of the part whose start tag the reader just
+/// returned; `name` is the default for a part without one.
+fn read_part<'d>(r: &Reader<'d>, name: &'static str) -> (Cow<'d, str>, XsdType) {
+    let ty = XsdType::from_qname(&r.attr("type").unwrap_or(Cow::Borrowed("anyType")));
+    (attr_or(r, "name", name), ty)
 }
 
 /// Attribute `key` of the start tag just returned, unescaped, or
 /// `default`.
-fn attr_or(r: &Reader<'_>, key: &str, default: &str) -> String {
-    r.attr(key)
-        .map_or_else(|| default.to_owned(), Cow::into_owned)
+fn attr_or<'d>(r: &Reader<'d>, key: &str, default: &'static str) -> Cow<'d, str> {
+    r.attr(key).unwrap_or(Cow::Borrowed(default))
 }
 
 /// Hands every child element named `local` of the innermost open

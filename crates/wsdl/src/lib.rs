@@ -9,9 +9,11 @@
 //! A description is written straight to text by a streaming writer
 //! ([`ServiceDescription::write_document`], or
 //! [`ServiceDescription::to_document`] for a `String`) and read back in
-//! one pass over the pull reader
-//! ([`ServiceDescription::from_document`]); neither builds an element
-//! tree. Inquiries hand out records by reference.
+//! one pass over the pull reader ([`read_document`], which hands its
+//! caller borrowed parts through a [`DescriptionVisitor`];
+//! [`ServiceDescription::from_document`] is the owned build over it).
+//! Neither builds an element tree. Inquiries hand out records by
+//! reference, and registry [`Key`]s are `Copy` sequence numbers.
 //!
 //! ```
 //! use wsdl::{ServiceDescription, Operation, XsdType, UddiRegistry, KeyedReference};
@@ -41,11 +43,13 @@ pub mod description;
 pub mod types;
 pub mod uddi;
 
-pub use description::{DescriptionError, Operation, Part, ServiceDescription};
+pub use description::{
+    read_document, DescriptionError, DescriptionVisitor, Operation, Part, ServiceDescription,
+};
 pub use types::XsdType;
 pub use uddi::{
     matches_pattern, BindingTemplate, BusinessEntity, BusinessService, Key, KeyedReference,
-    RegistryStats, TModel, UddiRegistry,
+    RegistryStats, Removed, TModel, UddiRegistry,
 };
 
 #[cfg(test)]
@@ -111,7 +115,7 @@ mod proptests {
             let mut reg = UddiRegistry::new();
             let biz = reg.save_business("home", "");
             for n in &names {
-                reg.save_service(&biz, n, vec![], &format!("vsg://gw/{n}"), None).unwrap();
+                reg.save_service(&biz, n, vec![], format!("vsg://gw/{n}"), None).unwrap();
             }
             prop_assert_eq!(reg.find_service("%", &[]).len(), names.len());
             for n in &names {

@@ -13,13 +13,42 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound;
 
-/// A registry key (`uuid:NNNN` style).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(pub String);
+/// A registry key: the kind of record it names and the registry's
+/// sequence number, which no two keys of one registry share. It is
+/// copied, never formatted or cloned as a string: it displays as
+/// `uuid:<kind>:<NNNNNN>` (six digits, wider past 999 999) and orders
+/// by sequence number, which is publication order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Key {
+    id: u64,
+    kind: KeyKind,
+}
+
+/// What a [`Key`] names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum KeyKind {
+    Business,
+    TModel,
+    Service,
+    Binding,
+}
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        let kind = match self.kind {
+            KeyKind::Business => "biz",
+            KeyKind::TModel => "tm",
+            KeyKind::Service => "svc",
+            KeyKind::Binding => "bind",
+        };
+        write!(f, "uuid:{kind}:{:06}", self.id)
+    }
+}
+
+impl fmt::Debug for Key {
+    /// As the display form, quoted: `Key("uuid:svc:000042")`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Key(\"{self}\")")
     }
 }
 
@@ -38,14 +67,15 @@ pub struct BusinessEntity {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyedReference {
     /// The taxonomy this reference belongs to (e.g. `uddi:middleware`).
-    pub taxonomy: String,
+    /// A fixed taxonomy is borrowed, not copied into every bag.
+    pub taxonomy: Cow<'static, str>,
     /// The value within the taxonomy (e.g. `jini`, `havi`, `x10`).
     pub value: String,
 }
 
 impl KeyedReference {
     /// Creates a reference.
-    pub fn new(taxonomy: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn new(taxonomy: impl Into<Cow<'static, str>>, value: impl Into<String>) -> Self {
         KeyedReference {
             taxonomy: taxonomy.into(),
             value: value.into(),
@@ -185,9 +215,12 @@ impl UddiRegistry {
         self.stats.set(stats);
     }
 
-    fn fresh_key(&mut self, kind: &str) -> Key {
+    fn fresh_key(&mut self, kind: KeyKind) -> Key {
         self.next_id += 1;
-        Key(format!("uuid:{kind}:{:06}", self.next_id))
+        Key {
+            id: self.next_id,
+            kind,
+        }
     }
 
     // ---- publication -----------------------------------------------------
@@ -195,11 +228,11 @@ impl UddiRegistry {
     /// Registers a business entity, returning its key.
     pub fn save_business(&mut self, name: &str, description: &str) -> Key {
         self.stats.get_mut().publishes += 1;
-        let key = self.fresh_key("biz");
+        let key = self.fresh_key(KeyKind::Business);
         self.businesses.insert(
-            key.clone(),
+            key,
             BusinessEntity {
-                key: key.clone(),
+                key,
                 name: name.into(),
                 description: description.into(),
             },
@@ -211,11 +244,11 @@ impl UddiRegistry {
     /// document is moved in, not copied.
     pub fn save_tmodel(&mut self, name: impl Into<String>, overview_doc: impl Into<String>) -> Key {
         self.stats.get_mut().publishes += 1;
-        let key = self.fresh_key("tm");
+        let key = self.fresh_key(KeyKind::TModel);
         self.tmodels.insert(
-            key.clone(),
+            key,
             TModel {
-                key: key.clone(),
+                key,
                 name: name.into(),
                 overview_doc: overview_doc.into(),
             },
@@ -223,7 +256,8 @@ impl UddiRegistry {
         key
     }
 
-    /// Publishes a service under `business_key`, returning its key.
+    /// Publishes a service under `business_key`, returning its key. An
+    /// owned access point is moved in, not copied.
     ///
     /// Returns `None` if the business does not exist.
     pub fn save_service(
@@ -231,18 +265,18 @@ impl UddiRegistry {
         business_key: &Key,
         name: &str,
         categories: Vec<KeyedReference>,
-        access_point: &str,
+        access_point: impl Into<String>,
         tmodel_key: Option<Key>,
     ) -> Option<Key> {
         self.stats.get_mut().publishes += 1;
         if !self.businesses.contains_key(business_key) {
             return None;
         }
-        let key = self.fresh_key("svc");
-        let binding_key = self.fresh_key("bind");
+        let key = self.fresh_key(KeyKind::Service);
+        let binding_key = self.fresh_key(KeyKind::Binding);
         let service = BusinessService {
-            key: key.clone(),
-            business_key: business_key.clone(),
+            key,
+            business_key: *business_key,
             name: name.into(),
             categories,
             bindings: vec![BindingTemplate {
@@ -252,44 +286,85 @@ impl UddiRegistry {
             }],
         };
         self.index_service(&service);
-        self.services.insert(key.clone(), service);
+        self.services.insert(key, service);
         Some(key)
     }
 
     /// Removes a service.
     pub fn delete_service(&mut self, key: &Key) -> bool {
-        match self.services.remove(key) {
-            Some(service) => {
-                self.unindex_service(&service);
-                true
+        let Some(service) = self.services.remove(key) else {
+            return false;
+        };
+        let lname = lowercase(&service.name);
+        if let Some(keys) = self.name_index.get_mut(lname.as_ref()) {
+            keys.retain(|k| k != key);
+            if keys.is_empty() {
+                self.name_index.remove(lname.as_ref());
             }
-            None => false,
         }
+        unindex_categories(&mut self.category_index, &service);
+        true
     }
 
-    /// Removes every service named exactly `name`, returning the
-    /// removed records so callers can clean up orphaned tModels.
+    /// Publishes a service named `name` as
+    /// [`UddiRegistry::save_service`] does, in place of every service
+    /// already named exactly `name`, which then goes as
+    /// [`UddiRegistry::delete_services_by_name`] removes it. The
+    /// registry ends as that delete followed by the save leaves it (the
+    /// same keys, statistics and find order), but the index buckets the
+    /// old and new records share are never emptied, so none is made
+    /// again. Returns `None`, removing nothing, if the business does not
+    /// exist.
+    pub fn replace_service(
+        &mut self,
+        business_key: &Key,
+        name: &str,
+        categories: Vec<KeyedReference>,
+        access_point: impl Into<String>,
+        tmodel_key: Option<Key>,
+    ) -> Option<Key> {
+        let key = self.save_service(business_key, name, categories, access_point, tmodel_key)?;
+        self.delete_named(name, Some(key));
+        Some(key)
+    }
+
+    /// Removes every service named exactly `name`, and the tModels
+    /// their bindings reference, in place: nothing is collected.
     /// Inquiries match names case-insensitively, as UDDI does, but a
     /// deletion by name leaves a case variant's record alone (a record
     /// keyed by its exact name must not take `Hall-Lamp` with
     /// `hall-lamp`). Index-backed: no scan of unrelated records.
-    pub fn delete_services_by_name(&mut self, name: &str) -> Vec<BusinessService> {
-        let keys: Vec<Key> = self
-            .name_index
-            .get(lowercase(name).as_ref())
-            .into_iter()
-            .flatten()
-            .filter(|k| self.services.get(*k).is_some_and(|s| s.name == name))
-            .cloned()
-            .collect();
-        let mut removed = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(service) = self.services.remove(&key) {
-                self.unindex_service(&service);
-                removed.push(service);
+    pub fn delete_services_by_name(&mut self, name: &str) -> Removed {
+        self.delete_named(name, None)
+    }
+
+    /// [`UddiRegistry::delete_services_by_name`], sparing the service
+    /// `keep`.
+    fn delete_named(&mut self, name: &str, keep: Option<Key>) -> Removed {
+        let lname = lowercase(name);
+        let Some(keys) = self.name_index.get_mut(lname.as_ref()) else {
+            return Removed(0);
+        };
+        let mut removed = 0;
+        keys.retain(|&key| {
+            if Some(key) == keep || self.services.get(&key).is_none_or(|s| s.name != name) {
+                return true;
             }
+            if let Some(service) = self.services.remove(&key) {
+                unindex_categories(&mut self.category_index, &service);
+                for binding in &service.bindings {
+                    if let Some(tmodel) = &binding.tmodel_key {
+                        self.tmodels.remove(tmodel);
+                    }
+                }
+            }
+            removed += 1;
+            false
+        });
+        if keys.is_empty() {
+            self.name_index.remove(lname.as_ref());
         }
-        removed
+        Removed(removed)
     }
 
     /// Removes a tModel (e.g. once no service binding references it).
@@ -297,41 +372,20 @@ impl UddiRegistry {
         self.tmodels.remove(key).is_some()
     }
 
+    /// Adds `service` to the name and category indexes. A bucket that
+    /// exists is found first; only a new one copies its lowercased
+    /// name, taxonomy or value.
     fn index_service(&mut self, service: &BusinessService) {
-        self.name_index
-            .entry(service.name.to_ascii_lowercase())
-            .or_default()
-            .push(service.key.clone());
-        for cat in &service.categories {
-            self.category_index
-                .entry(cat.taxonomy.clone())
-                .or_default()
-                .entry(cat.value.clone())
-                .or_default()
-                .insert(service.key.clone());
-        }
-    }
-
-    fn unindex_service(&mut self, service: &BusinessService) {
         let lname = lowercase(&service.name);
-        if let Some(keys) = self.name_index.get_mut(lname.as_ref()) {
-            keys.retain(|k| k != &service.key);
-            if keys.is_empty() {
-                self.name_index.remove(lname.as_ref());
+        match self.name_index.get_mut(lname.as_ref()) {
+            Some(keys) => keys.push(service.key),
+            None => {
+                self.name_index
+                    .insert(lname.into_owned(), vec![service.key]);
             }
         }
         for cat in &service.categories {
-            if let Some(values) = self.category_index.get_mut(&cat.taxonomy) {
-                if let Some(keys) = values.get_mut(&cat.value) {
-                    keys.remove(&service.key);
-                    if keys.is_empty() {
-                        values.remove(&cat.value);
-                    }
-                }
-                if values.is_empty() {
-                    self.category_index.remove(&cat.taxonomy);
-                }
-            }
+            bucket(bucket(&mut self.category_index, &cat.taxonomy), &cat.value).insert(service.key);
         }
     }
 
@@ -437,7 +491,7 @@ impl UddiRegistry {
             .iter()
             .map(|c| {
                 self.category_index
-                    .get(&c.taxonomy)
+                    .get(c.taxonomy.as_ref())
                     .and_then(|values| values.get(&c.value))
             })
             .min_by_key(|bucket| bucket.map_or(0, |keys| keys.len()));
@@ -502,6 +556,53 @@ impl UddiRegistry {
     /// Inquiry/publication statistics.
     pub fn stats(&self) -> RegistryStats {
         self.stats.get()
+    }
+}
+
+/// How many services [`UddiRegistry::delete_services_by_name`] removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Removed(usize);
+
+impl Removed {
+    /// The number of services removed.
+    pub fn len(self) -> usize {
+        self.0
+    }
+
+    /// True when no service was removed.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+/// The bucket of `map` under `key`, made (and `key` copied) only when
+/// there is none yet.
+fn bucket<'m, V: Default>(map: &'m mut HashMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
+    }
+    map.get_mut(key).expect("the bucket was just made")
+}
+
+/// Drops `service`'s key from the category index, and any bucket it
+/// leaves empty.
+fn unindex_categories(
+    index: &mut HashMap<String, HashMap<String, BTreeSet<Key>>>,
+    service: &BusinessService,
+) {
+    for cat in &service.categories {
+        let Some(values) = index.get_mut(cat.taxonomy.as_ref()) else {
+            continue;
+        };
+        if let Some(keys) = values.get_mut(&cat.value) {
+            keys.remove(&service.key);
+            if keys.is_empty() {
+                values.remove(&cat.value);
+            }
+        }
+        if values.is_empty() {
+            index.remove(cat.taxonomy.as_ref());
+        }
     }
 }
 
@@ -595,7 +696,7 @@ mod tests {
     fn tmodel_carries_wsdl() {
         let (reg, _) = seeded();
         let svc = &reg.find_service("living%", &[])[0];
-        let tm_key = svc.bindings[0].tmodel_key.clone().unwrap();
+        let tm_key = svc.bindings[0].tmodel_key.unwrap();
         let tm = reg.get_tmodel(&tm_key).unwrap();
         assert!(tm.overview_doc.contains("definitions"));
         assert_eq!(reg.find_tmodel("Vcr%").len(), 1);
@@ -604,14 +705,18 @@ mod tests {
     #[test]
     fn service_under_unknown_business_rejected() {
         let mut reg = UddiRegistry::new();
-        let got = reg.save_service(&Key("uuid:biz:999999".into()), "x", vec![], "vsg://x", None);
+        let unknown = Key {
+            id: 999_999,
+            kind: KeyKind::Business,
+        };
+        let got = reg.save_service(&unknown, "x", vec![], "vsg://x", None);
         assert!(got.is_none());
     }
 
     #[test]
     fn delete_service_works() {
         let (mut reg, _) = seeded();
-        let key = reg.find_service("living%", &[])[0].key.clone();
+        let key = reg.find_service("living%", &[])[0].key;
         assert!(reg.delete_service(&key));
         assert!(!reg.delete_service(&key));
         assert_eq!(reg.service_count(), 1);
@@ -660,7 +765,7 @@ mod tests {
                 &biz,
                 &format!("device-{i:04}"),
                 vec![KeyedReference::new("uddi:middleware", middleware)],
-                &format!("vsg://gw/device-{i:04}"),
+                format!("vsg://gw/device-{i:04}"),
                 None,
             )
             .unwrap();
@@ -761,7 +866,8 @@ mod tests {
         assert_eq!(reg.find_service("living-room-vcr", &[]).len(), 2);
         let removed = reg.delete_services_by_name("living-room-vcr");
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].name, "living-room-vcr");
+        assert!(reg.find_service_exact("living-room-vcr").is_none());
+        assert!(reg.find_tmodel("%").is_empty(), "its tModel went with it");
         assert_eq!(reg.service_count(), 2);
         assert!(reg.delete_services_by_name("living-room-vcr").is_empty());
         let variant = reg.find_service("living-room-vcr", &[]);
@@ -823,6 +929,124 @@ mod tests {
         assert!(reg.record_named("bedroom-camera").is_none(), "no tModel");
         assert!(reg.record_named("LIVING-ROOM-VCR").is_none());
         assert_eq!(reg.stats(), before);
+    }
+
+    #[test]
+    fn replacing_a_service_ends_as_delete_then_save() {
+        // The same saves, by `replace_service` and by a delete by name
+        // followed by `save_service`: a new record, a case variant, a
+        // move, a second move, a record in another bucket.
+        let saves = [
+            ("hall-lamp", "gw-a"),
+            ("Hall-Lamp", "gw-a"),
+            ("vcr", "gw-b"),
+            ("hall-lamp", "gw-b"),
+            ("hall-lamp", "gw-c"),
+            ("vcr", "gw-b"),
+        ];
+        let run = |replace: bool| {
+            let mut reg = UddiRegistry::new();
+            let biz = reg.save_business("home", "");
+            for (name, gateway) in saves {
+                let tmodel = reg.save_tmodel(format!("{name}-interface"), "<definitions/>");
+                let categories = vec![
+                    KeyedReference::new("uddi:middleware", "x10"),
+                    KeyedReference::new("uddi:gateway", gateway),
+                ];
+                let endpoint = format!("vsg://{gateway}/{name}");
+                let key = if replace {
+                    reg.replace_service(&biz, name, categories, endpoint, Some(tmodel))
+                } else {
+                    reg.delete_services_by_name(name);
+                    reg.save_service(&biz, name, categories, endpoint, Some(tmodel))
+                };
+                assert!(key.is_some());
+            }
+            reg
+        };
+        let (replaced, rebuilt) = (run(true), run(false));
+        assert_eq!(replaced.stats(), rebuilt.stats());
+        assert_eq!(replaced.service_count(), 3);
+        let finds = |reg: &UddiRegistry| {
+            let gw_b = [KeyedReference::new("uddi:gateway", "gw-b")];
+            let gw_c = [KeyedReference::new("uddi:gateway", "gw-c")];
+            [
+                reg.find_service("%", &[]),
+                reg.find_service("hall-lamp", &[]),
+                reg.find_service("%", &gw_b),
+                reg.find_service("%", &gw_c),
+            ]
+            .map(|hits| hits.into_iter().cloned().collect::<Vec<_>>())
+        };
+        assert_eq!(finds(&replaced), finds(&rebuilt));
+        let tmodels = |reg: &UddiRegistry| -> Vec<TModel> {
+            reg.find_tmodel("%").into_iter().cloned().collect()
+        };
+        assert_eq!(tmodels(&replaced), tmodels(&rebuilt));
+        assert_eq!(tmodels(&replaced).len(), 3, "each old record's tModel went");
+        assert!(replaced
+            .find_service("%", &[KeyedReference::new("uddi:gateway", "gw-a")])
+            .iter()
+            .all(|s| s.name == "Hall-Lamp"));
+    }
+
+    #[test]
+    fn finds_keep_publication_order_past_the_millionth_key() {
+        let mut reg = UddiRegistry::new();
+        let biz = reg.save_business("home", "");
+        reg.next_id = 999_990;
+        let names: Vec<String> = (0..6).map(|i| format!("s{i}")).collect();
+        for name in &names {
+            let categories = vec![KeyedReference::new("uddi:middleware", "x10")];
+            reg.save_service(&biz, name, categories, "vsg://gw/x", None)
+                .unwrap();
+        }
+        assert!(reg.next_id > 1_000_000, "the keys cross the boundary");
+        let x10 = [KeyedReference::new("uddi:middleware", "x10")];
+        for indexing in [true, false] {
+            reg.set_indexing(indexing);
+            for categories in [&[][..], &x10[..]] {
+                let found: Vec<&str> = reg
+                    .find_service("%", categories)
+                    .iter()
+                    .map(|s| s.name.as_str())
+                    .collect();
+                assert_eq!(found, names, "indexing {indexing}, {categories:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_display_as_the_formatted_strings_they_replaced() {
+        let kinds = [
+            (KeyKind::Business, "biz"),
+            (KeyKind::TModel, "tm"),
+            (KeyKind::Service, "svc"),
+            (KeyKind::Binding, "bind"),
+        ];
+        let ids = (0..20)
+            .chain(999_980..1_000_020)
+            .chain(9_999_995..10_000_005)
+            .chain([123_456, 4_000_000_000, u64::MAX]);
+        for id in ids {
+            for (kind, label) in kinds {
+                let key = Key { id, kind };
+                let formatted = format!("uuid:{label}:{id:06}");
+                assert_eq!(key.to_string(), formatted);
+                assert_eq!(format!("{key:?}"), format!("Key({formatted:?})"));
+            }
+        }
+        // Below a million, sequence order is the strings' order.
+        let key = |id| Key {
+            id,
+            kind: KeyKind::Service,
+        };
+        for id in (1..2_000).chain(999_000..999_999) {
+            assert!(key(id) < key(id + 1));
+            assert!(key(id).to_string() < key(id + 1).to_string());
+        }
+        assert!(key(999_999) < key(1_000_000));
+        assert!(key(100_001) < key(1_000_000));
     }
 
     #[test]
