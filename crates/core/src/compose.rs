@@ -606,7 +606,10 @@ mod tests {
             )
             .step(
                 StepSpec::new("tv-display", "show")
-                    .arg("text", Binding::Literal(Value::Str("now playing".into())))
+                    .arg(
+                        "text",
+                        Binding::Literal(Value::Str("now <playing> & \"more\"".into())),
+                    )
                     .arg("detail", Binding::StepField(1, "title".into())),
             )
     }
@@ -617,6 +620,32 @@ mod tests {
         let doc = spec.to_xml();
         let back = CompositeSpec::from_xml(&doc).expect("parses");
         assert_eq!(back, spec);
+    }
+
+    /// The spec text a composite's VSR record carries, byte for byte:
+    /// every binding kind, a compensator with and one without
+    /// arguments, a budget, and literal text that must be escaped.
+    #[test]
+    fn spec_xml_matches_golden() {
+        let golden = concat!(
+            r#"<?xml version="1.0" encoding="UTF-8"?>"#,
+            r#"<composite name="evening-scene" operation="run" budget-us="750000">"#,
+            r#"<input name="chapter" type="int"/>"#,
+            r#"<step service="hall-motion" operation="state">"#,
+            r#"<compensate operation="state"><arg name="why"><out step="0"/></arg></compensate>"#,
+            r#"</step>"#,
+            r#"<step service="laserdisc" operation="play">"#,
+            r#"<arg name="chapter"><in name="chapter"/></arg>"#,
+            r#"<arg name="seen"><out step="0"/></arg>"#,
+            r#"<compensate operation="stop"/>"#,
+            r#"</step>"#,
+            r#"<step service="tv-display" operation="show">"#,
+            r#"<arg name="text"><v t="str">now &lt;playing&gt; &amp; "more"</v></arg>"#,
+            r#"<arg name="detail"><out step="1" field="title"/></arg>"#,
+            r#"</step>"#,
+            r#"</composite>"#,
+        );
+        assert_eq!(sample_spec().to_xml(), golden);
     }
 
     #[test]
