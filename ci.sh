@@ -46,6 +46,12 @@ run_lint() {
 
     stage "cargo clippy -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    # Informational, never gating: non-test lines per crate and the
+    # public items no other file names (scripts/lines.py --list names
+    # them).
+    stage "line and public-item count (scripts/lines.py)"
+    python3 scripts/lines.py
 }
 
 run_build_test() {

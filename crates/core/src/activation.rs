@@ -22,8 +22,7 @@ use std::sync::Arc;
 ///
 /// In a real appliance this is "power up the device / launch the control
 /// servlet"; the returned invoker is then exported as usual.
-pub type ActivationFactory =
-    Box<dyn FnMut(&Sim) -> Result<Box<dyn ServiceInvoker>, MetaError> + Send>;
+type ActivationFactory = Box<dyn FnMut(&Sim) -> Result<Box<dyn ServiceInvoker>, MetaError> + Send>;
 
 struct Registration {
     service: VirtualService,
@@ -108,7 +107,7 @@ impl Activator {
     }
 
     /// Activates `name` now (idempotent). Charges the spin-up time.
-    pub fn activate(&self, sim: &Sim, name: &str) -> Result<(), MetaError> {
+    fn activate(&self, sim: &Sim, name: &str) -> Result<(), MetaError> {
         let mut st = self.state.lock();
         if st.active.contains_key(name) {
             st.active.get_mut(name).expect("checked").last_used = sim.now();
@@ -147,7 +146,7 @@ impl Activator {
 
     /// Deactivates `name`: swaps the trampoline back in so a later call
     /// re-activates. Returns `false` if it was not active.
-    pub fn deactivate(&self, name: &str) -> Result<bool, MetaError> {
+    fn deactivate(&self, name: &str) -> Result<bool, MetaError> {
         let (was_active, service, spin_up_known) = {
             let mut st = self.state.lock();
             let was = st.active.remove(name).is_some();
@@ -175,7 +174,7 @@ impl Activator {
 
     /// Deactivates every service idle for at least `max_idle` at `now`.
     /// Returns the names reaped.
-    pub fn reap_idle(&self, now: SimTime, max_idle: SimDuration) -> Vec<String> {
+    fn reap_idle(&self, now: SimTime, max_idle: SimDuration) -> Vec<String> {
         let victims: Vec<String> = self
             .state
             .lock()

@@ -202,7 +202,7 @@ impl AvBroker {
     }
 
     /// Currently open sessions.
-    pub fn session_count(&self) -> usize {
+    fn session_count(&self) -> usize {
         self.state.lock().sessions.len()
     }
 }

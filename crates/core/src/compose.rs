@@ -42,8 +42,8 @@ use simnet::{Sim, SimDuration};
 use soap::Value;
 
 /// The service-context key a composite's encoded spec is published
-/// under — the vehicle that carries the pipeline through the VSR, so
-/// any gateway resolving the record can read the spec back.
+/// under, so the pipeline travels through the VSR with its record. No
+/// gateway reads it back: the registering gateway runs the composite.
 pub const COMPOSITE_SPEC_CONTEXT: &str = "composite-spec";
 
 /// Where one step argument's value comes from.
@@ -283,52 +283,6 @@ impl CompositeSpec {
         }
         root.to_document()
     }
-
-    /// Decodes [`CompositeSpec::to_xml`]'s form. `None` for anything
-    /// malformed — a resolver must treat a bad spec context as "not a
-    /// composite", never fail the resolution.
-    pub fn from_xml(doc: &str) -> Option<CompositeSpec> {
-        let root = minixml::parse(doc).ok()?;
-        if root.local_name() != "composite" {
-            return None;
-        }
-        let mut spec = CompositeSpec::new(root.get_attr("name")?);
-        spec.operation = root.get_attr("operation")?.to_owned();
-        if let Some(us) = root.get_attr("budget-us") {
-            spec.budget = Some(SimDuration::from_micros(us.parse().ok()?));
-        }
-        for input in root.find_all("input") {
-            let ty = match input.get_attr("type")? {
-                "bool" => TypeTag::Bool,
-                "int" => TypeTag::Int,
-                "float" => TypeTag::Float,
-                "str" => TypeTag::Str,
-                "bytes" => TypeTag::Bytes,
-                "any" => TypeTag::Any,
-                _ => return None,
-            };
-            spec.inputs.push((input.get_attr("name")?.to_owned(), ty));
-        }
-        for step_el in root.find_all("step") {
-            let mut step =
-                StepSpec::new(step_el.get_attr("service")?, step_el.get_attr("operation")?);
-            for arg in step_el.find_all("arg") {
-                step.args.push(arg_from_xml(arg)?);
-            }
-            if let Some(comp_el) = step_el.find("compensate") {
-                let mut args = Vec::new();
-                for arg in comp_el.find_all("arg") {
-                    args.push(arg_from_xml(arg)?);
-                }
-                step.compensation = Some(CompensationSpec {
-                    operation: comp_el.get_attr("operation")?.to_owned(),
-                    args,
-                });
-            }
-            spec.steps.push(step);
-        }
-        Some(spec)
-    }
 }
 
 fn arg_to_xml(name: &str, binding: &Binding) -> Element {
@@ -343,22 +297,6 @@ fn arg_to_xml(name: &str, binding: &Binding) -> Element {
                 .attr("field", field),
         ),
     }
-}
-
-fn arg_from_xml(el: &Element) -> Option<(String, Binding)> {
-    let name = el.get_attr("name")?.to_owned();
-    let binding = if let Some(input) = el.find("in") {
-        Binding::Input(input.get_attr("name")?.to_owned())
-    } else if let Some(out) = el.find("out") {
-        let step = out.get_attr("step")?.parse().ok()?;
-        match out.get_attr("field") {
-            Some(field) => Binding::StepField(step, field.to_owned()),
-            None => Binding::Step(step),
-        }
-    } else {
-        Binding::Literal(value_from_xml(el.find("v")?)?)
-    };
-    Some((name, binding))
 }
 
 /// Recursive [`Value`] encoding: `<v t="...">` with text content for
@@ -389,39 +327,6 @@ fn value_to_xml(v: &Value) -> Element {
                 .map(|(k, v)| Element::new("f").attr("n", k).child(value_to_xml(v))),
         ),
     }
-}
-
-fn value_from_xml(el: &Element) -> Option<Value> {
-    Some(match el.get_attr("t")? {
-        "null" => Value::Null,
-        "bool" => Value::Bool(el.text_content().parse().ok()?),
-        "int" => Value::Int(el.text_content().parse().ok()?),
-        "float" => Value::Float(el.text_content().parse().ok()?),
-        "str" => Value::Str(el.text_content()),
-        "bytes" => {
-            let hex = el.text_content();
-            let hex = hex.trim();
-            if !hex.len().is_multiple_of(2) {
-                return None;
-            }
-            let mut bytes = Vec::with_capacity(hex.len() / 2);
-            for i in (0..hex.len()).step_by(2) {
-                bytes.push(u8::from_str_radix(hex.get(i..i + 2)?, 16).ok()?);
-            }
-            Value::Bytes(bytes)
-        }
-        "list" => Value::List(
-            el.find_all("v")
-                .map(value_from_xml)
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "rec" => Value::Record(
-            el.find_all("f")
-                .map(|f| Some((f.get_attr("n")?.to_owned(), value_from_xml(f.find("v")?)?)))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        _ => return None,
-    })
 }
 
 /// What one composite execution did, reported alongside the result so
@@ -614,14 +519,6 @@ mod tests {
             )
     }
 
-    #[test]
-    fn spec_xml_round_trips() {
-        let spec = sample_spec();
-        let doc = spec.to_xml();
-        let back = CompositeSpec::from_xml(&doc).expect("parses");
-        assert_eq!(back, spec);
-    }
-
     /// The spec text a composite's VSR record carries, byte for byte:
     /// every binding kind, a compensator with and one without
     /// arguments, a budget, and literal text that must be escaped.
@@ -649,25 +546,34 @@ mod tests {
     }
 
     #[test]
-    fn values_round_trip_through_xml() {
-        for v in [
-            Value::Null,
-            Value::Bool(true),
-            Value::Int(-42),
-            Value::Float(2.5),
-            Value::Float(3.0),
-            Value::Str("hello <world> & \"more\"".into()),
-            Value::Bytes(vec![0, 255, 16]),
-            Value::List(vec![Value::Int(1), Value::Str("two".into())]),
-            Value::Record(vec![
-                ("a".into(), Value::Int(1)),
-                ("nested".into(), Value::List(vec![Value::Null])),
-            ]),
+    fn values_encode_as_tagged_elements() {
+        for (v, xml) in [
+            (Value::Null, r#"<v t="null"/>"#),
+            (Value::Bool(true), r#"<v t="bool">true</v>"#),
+            (Value::Int(-42), r#"<v t="int">-42</v>"#),
+            (Value::Float(2.5), r#"<v t="float">2.5</v>"#),
+            (Value::Float(3.0), r#"<v t="float">3.0</v>"#),
+            (
+                Value::Str("hello <world> & \"more\"".into()),
+                r#"<v t="str">hello &lt;world&gt; &amp; "more"</v>"#,
+            ),
+            (Value::Bytes(vec![0, 255, 16]), r#"<v t="bytes">00ff10</v>"#),
+            (
+                Value::List(vec![Value::Int(1), Value::Str("two".into())]),
+                r#"<v t="list"><v t="int">1</v><v t="str">two</v></v>"#,
+            ),
+            (
+                Value::Record(vec![
+                    ("a".into(), Value::Int(1)),
+                    ("nested".into(), Value::List(vec![Value::Null])),
+                ]),
+                concat!(
+                    r#"<v t="rec"><f n="a"><v t="int">1</v></f>"#,
+                    r#"<f n="nested"><v t="list"><v t="null"/></v></f></v>"#,
+                ),
+            ),
         ] {
-            let el = value_to_xml(&v);
-            let doc = el.to_document();
-            let parsed = minixml::parse(&doc).unwrap();
-            assert_eq!(value_from_xml(&parsed), Some(v.clone()), "{v:?}");
+            assert_eq!(value_to_xml(&v).to_xml(), xml, "{v:?}");
         }
     }
 
@@ -744,24 +650,5 @@ mod tests {
         assert!(get(&Binding::Input("ghost".into())).is_err());
         assert!(get(&Binding::Step(7)).is_err());
         assert!(get(&Binding::StepField(0, "nope".into())).is_err());
-    }
-
-    #[test]
-    fn malformed_spec_xml_is_none_not_panic() {
-        for doc in [
-            "",
-            "<other/>",
-            "<composite/>",
-            "<composite name='x'/>",
-            "<composite name='x' operation='run'><step/></composite>",
-            "<composite name='x' operation='run' budget-us='zzz'><step service='a' operation='b'/></composite>",
-        ] {
-            assert!(CompositeSpec::from_xml(doc).is_none(), "{doc}");
-        }
-        // A minimal well-formed one parses.
-        assert!(CompositeSpec::from_xml(
-            "<composite name='x' operation='run'><step service='a' operation='b'/></composite>"
-        )
-        .is_some());
     }
 }

@@ -141,9 +141,6 @@ pub struct FederationConfig {
     /// Preference-list length per shard — primary plus backups,
     /// clamped to the replica count.
     pub replication: usize,
-    /// Period of the anti-entropy exchange (armed by
-    /// `SmartHomeBuilder` when the cluster has more than one replica).
-    pub sync_interval: SimDuration,
     /// Extra delay before the first anti-entropy pass. Defaults to
     /// zero; fleets stagger this per island so that thousands of homes
     /// don't all sync at the same virtual instant.
@@ -156,11 +153,14 @@ impl Default for FederationConfig {
             shards: 1,
             replicas: 1,
             replication: 2,
-            sync_interval: SimDuration::from_secs(2),
             sync_phase: SimDuration::ZERO,
         }
     }
 }
+
+/// Period of the anti-entropy exchange (armed by `SmartHomeBuilder`
+/// when the cluster has more than one replica).
+pub(crate) const SYNC_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 // ---- versions --------------------------------------------------------------
 

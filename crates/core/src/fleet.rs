@@ -59,7 +59,7 @@ impl HomeFleet {
     /// Like [`HomeFleet::build`], but with lazy homes: each island gets
     /// its world layer (sim, backbone, VSR, cloud bridge if configured)
     /// while the middleware-island builds are deferred until
-    /// [`HomeFleet::materialize_home`] — the way `e17_cloud` stands up
+    /// [`SmartHome::materialize`] — the way `e17_cloud` stands up
     /// 10k homes without 10k eager full builds.
     pub fn build_lazy(builder: SmartHomeBuilder, n: usize) -> Result<HomeFleet, MetaError> {
         HomeFleet::build_with(builder.lazy(true), n, |_, b| b)
@@ -77,7 +77,8 @@ impl HomeFleet {
 
     /// Builds the deferred islands of one lazy home (no-op when the
     /// home was built eagerly or already materialized).
-    pub fn materialize_home(&mut self, island: usize) -> Result<(), MetaError> {
+    #[cfg(test)]
+    fn materialize_home(&mut self, island: usize) -> Result<(), MetaError> {
         self.homes[island].materialize()
     }
 
@@ -260,17 +261,6 @@ impl HomeFleet {
         }
         out
     }
-
-    /// One-line JSON describing the execution configuration, for
-    /// bench metadata: thread count, island count, window stats are
-    /// reported by [`ParRunStats`] separately.
-    pub fn metadata_json(&self) -> String {
-        format!(
-            "{{\"threads\":{},\"islands\":{}}}",
-            self.par.threads(),
-            self.homes.len()
-        )
-    }
 }
 
 /// `SIM_THREADS` environment variable, else 1. Invalid or zero values
@@ -342,7 +332,6 @@ mod tests {
         // path through explicit configuration instead.
         let fleet = HomeFleet::build(SmartHome::builder().threads(0), 2).expect("fleet builds");
         assert_eq!(fleet.threads(), 1, "threads(0) clamps to 1");
-        assert_eq!(fleet.metadata_json(), "{\"threads\":1,\"islands\":2}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::batch::BatchPolicy;
 use crate::error::MetaError;
-use crate::federation::FederationConfig;
+use crate::federation::{FederationConfig, SYNC_INTERVAL};
 use crate::iface::{catalog, InterfaceCatalog};
 use crate::obs::{FlightRecorder, KeptTrace, SamplePolicy};
 use crate::pcm::cloud::{CloudConfig, CloudIsland};
@@ -544,11 +544,11 @@ impl SmartHomeBuilder {
 
     /// Runs the VSR as a federation of `n` replicas (default 1 — the
     /// original single-node repository). With more than one replica
-    /// the builder also arms a periodic anti-entropy pass (every
-    /// [`FederationConfig::sync_interval`], fired when the event loop
-    /// is pumped with `run_for`, not on bare `advance`); writes replicate
-    /// eagerly, and clients fail over (promoting a backup) when a
-    /// shard's primary is unreachable.
+    /// the builder also arms a periodic anti-entropy pass (every 2 s of
+    /// virtual time, fired when the event loop is pumped with `run_for`,
+    /// not on bare `advance`); writes replicate eagerly, and clients
+    /// fail over (promoting a backup) when a shard's primary is
+    /// unreachable.
     pub fn vsr_replicas(mut self, n: usize) -> Self {
         self.vsr_replicas = n.max(1);
         self
@@ -744,7 +744,7 @@ impl SmartHomeBuilder {
             let vsr = home.vsr.clone();
             home.vsr_sync_timer = Some(home.sim.every_with_phase(
                 federation.sync_phase,
-                federation.sync_interval,
+                SYNC_INTERVAL,
                 move |_sim| {
                     vsr.sync_now();
                 },
@@ -1070,7 +1070,7 @@ pub mod names {
     /// Mail island services.
     pub const MAIL: [&str; 1] = ["mailer"];
     /// UPnP island services.
-    pub const UPNP: [&str; 1] = ["porch-light"];
+    pub(super) const UPNP: [&str; 1] = ["porch-light"];
 }
 
 // A convenience re-export so examples can say `home::catalog::vcr()`.

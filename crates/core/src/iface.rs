@@ -45,7 +45,7 @@ impl TypeTag {
     }
 
     /// The matching WSDL part type.
-    pub fn to_xsd(self) -> XsdType {
+    fn to_xsd(self) -> XsdType {
         match self {
             TypeTag::Bool => XsdType::Boolean,
             TypeTag::Int => XsdType::Int,
@@ -57,7 +57,7 @@ impl TypeTag {
     }
 
     /// Inverse of [`TypeTag::to_xsd`].
-    pub fn from_xsd(t: XsdType) -> TypeTag {
+    fn from_xsd(t: XsdType) -> TypeTag {
         match t {
             XsdType::Boolean => TypeTag::Bool,
             XsdType::Int => TypeTag::Int,
@@ -408,7 +408,7 @@ pub mod catalog {
     }
 
     /// The HAVi DV camera of Fig. 5.
-    pub fn dv_camera() -> ServiceInterface {
+    pub(super) fn dv_camera() -> ServiceInterface {
         ServiceInterface::new("DvCamera")
             .op(OpSig::new("play"))
             .op(OpSig::new("stop"))

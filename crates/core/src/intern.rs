@@ -56,13 +56,9 @@ impl Name {
     }
 
     /// The shared allocation itself, for callers that keep `Arc<str>`.
-    pub fn as_arc(&self) -> &Arc<str> {
+    #[cfg(test)]
+    fn as_arc(&self) -> &Arc<str> {
         &self.0
-    }
-
-    /// Number of distinct spellings currently retained by the well.
-    pub fn well_size() -> usize {
-        well().lock().len()
     }
 }
 

@@ -534,25 +534,25 @@ pub mod footprint {
     }
 
     /// An X10 module's microcontroller (PIC-class).
-    pub const X10_MODULE: DeviceClass = DeviceClass {
+    pub(super) const X10_MODULE: DeviceClass = DeviceClass {
         name: "x10-module",
         code_budget: 2_048,
         ram_budget: 128,
     };
     /// A sensor node / small appliance MCU.
-    pub const SENSOR_NODE: DeviceClass = DeviceClass {
+    pub(super) const SENSOR_NODE: DeviceClass = DeviceClass {
         name: "sensor-node",
         code_budget: 65_536,
         ram_budget: 16_384,
     };
     /// A digital AV appliance (HAVi-class, 32-bit with some RAM).
-    pub const AV_APPLIANCE: DeviceClass = DeviceClass {
+    pub(super) const AV_APPLIANCE: DeviceClass = DeviceClass {
         name: "av-appliance",
         code_budget: 2_097_152,
         ram_budget: 524_288,
     };
     /// A set-top box / residential gateway.
-    pub const SET_TOP_BOX: DeviceClass = DeviceClass {
+    pub(super) const SET_TOP_BOX: DeviceClass = DeviceClass {
         name: "set-top-box",
         code_budget: 8_388_608,
         ram_budget: 8_388_608,
@@ -569,37 +569,37 @@ pub mod footprint {
         [X10_MODULE, SENSOR_NODE, AV_APPLIANCE, SET_TOP_BOX, PC];
 
     /// X10 receiver logic: a code wheel and a latch.
-    pub const X10_STACK: StackProfile = StackProfile {
+    pub(super) const X10_STACK: StackProfile = StackProfile {
         name: "x10",
         code_bytes: 512,
         ram_bytes: 16,
     };
     /// An IEEE1394 link + HAVi messaging subset.
-    pub const HAVI_STACK: StackProfile = StackProfile {
+    pub(super) const HAVI_STACK: StackProfile = StackProfile {
         name: "havi-1394",
         code_bytes: 262_144,
         ram_bytes: 65_536,
     };
     /// UDP/IP + a SIP-subset parser.
-    pub const SIP_UDP_STACK: StackProfile = StackProfile {
+    pub(super) const SIP_UDP_STACK: StackProfile = StackProfile {
         name: "sip-udp",
         code_bytes: 24_576,
         ram_bytes: 8_192,
     };
     /// TCP/IP + HTTP/1.1.
-    pub const TCP_HTTP_STACK: StackProfile = StackProfile {
+    pub(super) const TCP_HTTP_STACK: StackProfile = StackProfile {
         name: "tcp-http",
         code_bytes: 49_152,
         ram_bytes: 32_768,
     };
     /// TCP/IP + HTTP + XML parser + SOAP runtime (the full VSG stack).
-    pub const SOAP_STACK: StackProfile = StackProfile {
+    pub(super) const SOAP_STACK: StackProfile = StackProfile {
         name: "tcp-http-soap",
         code_bytes: 262_144,
         ram_bytes: 131_072,
     };
     /// The JVM-hosted Jini stack.
-    pub const JINI_STACK: StackProfile = StackProfile {
+    pub(super) const JINI_STACK: StackProfile = StackProfile {
         name: "jvm-jini",
         code_bytes: 8_388_608,
         ram_bytes: 4_194_304,

@@ -37,7 +37,7 @@ use std::fmt::{self, Write as _};
 /// upper bound is `2^i - 1` µs; the last bucket is an overflow slot.
 /// 32 buckets cover 0 µs … ~35 virtual minutes per sample, far beyond
 /// any single invocation in the simulation.
-pub const SKETCH_BUCKETS: usize = 32;
+const SKETCH_BUCKETS: usize = 32;
 
 /// Sentinel meaning "no exemplar recorded for this bucket".
 const NO_EXEMPLAR: u64 = u64::MAX;
@@ -82,7 +82,7 @@ pub fn bucket_of(us: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` in microseconds.
-pub fn bucket_bound_us(i: usize) -> u64 {
+fn bucket_bound_us(i: usize) -> u64 {
     if i >= SKETCH_BUCKETS - 1 {
         u64::MAX
     } else {
@@ -185,7 +185,7 @@ impl HistSketch {
     }
 
     /// Non-empty buckets as `(index, count)`, ascending.
-    pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
@@ -454,7 +454,8 @@ impl Default for SamplePolicy {
 
 impl SamplePolicy {
     /// Keep every trace (the default).
-    pub fn keep_all() -> SamplePolicy {
+    #[cfg(test)]
+    fn keep_all() -> SamplePolicy {
         SamplePolicy::default()
     }
 
@@ -469,7 +470,7 @@ impl SamplePolicy {
     /// The deterministic head-sampling decision for a trace id: a
     /// SplitMix64 finalizer over the raw id, reduced mod 10 000. Pure
     /// function of the id, so identical across thread counts.
-    pub fn head_keep(&self, trace: TraceId) -> bool {
+    fn head_keep(&self, trace: TraceId) -> bool {
         if self.head_per_10k >= 10_000 {
             return true;
         }

@@ -72,17 +72,6 @@ pub struct CloudConfig {
     /// Fires when the event loop is pumped (`run_for`), like every
     /// other timer in the simulation.
     pub drain_period: SimDuration,
-    /// First reconnect backoff; doubles per failed attempt.
-    pub base_backoff: SimDuration,
-    /// Cap on any reconnect backoff.
-    pub max_backoff: SimDuration,
-    /// How many recent downward command outcomes the home remembers
-    /// for exactly-once replay.
-    pub dedup_window: usize,
-    /// Downward command re-sends after a transport failure.
-    pub cmd_retries: u32,
-    /// Backoff between downward command re-sends.
-    pub cmd_backoff: SimDuration,
     /// Per-home admission rate at the cloud edge, requests per minute.
     pub home_rate_per_min: u32,
     /// Per-home admission burst, requests.
@@ -105,11 +94,6 @@ impl Default for CloudConfig {
             outbox_cap: 256,
             batch_max: 32,
             drain_period: SimDuration::from_millis(200),
-            base_backoff: SimDuration::from_millis(500),
-            max_backoff: SimDuration::from_secs(30),
-            dedup_window: 64,
-            cmd_retries: 4,
-            cmd_backoff: SimDuration::from_millis(300),
             home_rate_per_min: 600,
             home_burst: 20,
             global_rate_per_min: 60_000,
@@ -118,6 +102,18 @@ impl Default for CloudConfig {
         }
     }
 }
+
+/// First reconnect backoff; doubles per failed attempt.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(500);
+/// Cap on any reconnect backoff.
+const MAX_BACKOFF: SimDuration = SimDuration::from_secs(30);
+/// How many recent downward command outcomes the home remembers for
+/// exactly-once replay.
+const DEDUP_WINDOW: usize = 64;
+/// Downward command re-sends after a transport failure.
+const CMD_RETRIES: u32 = 4;
+/// Backoff between downward command re-sends.
+const CMD_BACKOFF: SimDuration = SimDuration::from_millis(300);
 
 // ---------------------------------------------------------------------------
 // admission control
@@ -229,7 +225,7 @@ pub struct CloudCommand {
 
 /// Applies a downward command inside the home. Pluggable so tests use
 /// a counting applier while integrated homes route into a gateway.
-pub type CommandApplier = Box<dyn FnMut(&Sim, &CloudCommand) -> Result<String, String> + Send>;
+type CommandApplier = Box<dyn FnMut(&Sim, &CloudCommand) -> Result<String, String> + Send>;
 
 // ---------------------------------------------------------------------------
 // stats
@@ -327,7 +323,6 @@ struct BridgeInner {
     wan: Network,
     home_node: NodeId,
     cloud_node: NodeId,
-    home_id: String,
     cfg: CloudConfig,
     state: Mutex<BridgeState>,
     applier: Mutex<CommandApplier>,
@@ -343,14 +338,9 @@ pub struct CloudBridgePcm {
 }
 
 impl CloudBridgePcm {
-    /// The home's identity on the cloud.
-    pub fn home_id(&self) -> &str {
-        &self.inner.home_id
-    }
-
     /// The WAN network between this home and its cloud edge — install
     /// chaos schedules here.
-    pub fn wan(&self) -> &Network {
+    fn wan(&self) -> &Network {
         &self.inner.wan
     }
 
@@ -509,9 +499,7 @@ impl CloudBridgePcm {
     /// The reconnect wait after `attempt` failed attempts: the shared
     /// jittered [`backoff`], drawn from the island's seeded RNG.
     fn backoff(&self, attempt: u32) -> SimDuration {
-        let cfg = &self.inner.cfg;
-        let base = cfg.base_backoff.max(SimDuration::from_micros(1));
-        backoff(base, cfg.max_backoff, attempt, true, &self.inner.sim)
+        backoff(BASE_BACKOFF, MAX_BACKOFF, attempt, true, &self.inner.sim)
     }
 
     fn try_connect(&self) {
@@ -732,7 +720,7 @@ impl CloudBridgePcm {
         }
         st.stats.commands_applied += 1;
         st.dedup.push_back((id, reply.clone()));
-        while st.dedup.len() > self.inner.cfg.dedup_window {
+        while st.dedup.len() > DEDUP_WINDOW {
             st.dedup.pop_front();
         }
         drop(st);
@@ -782,8 +770,6 @@ struct CellInner {
     wan: Network,
     home_node: NodeId,
     cloud_node: NodeId,
-    home_id: String,
-    cfg: CloudConfig,
     state: Mutex<CellState>,
     tracer: Tracer,
     metrics: Arc<MetricsRegistry>,
@@ -799,11 +785,6 @@ pub struct CloudCell {
 }
 
 impl CloudCell {
-    /// The home this cell serves.
-    pub fn home_id(&self) -> &str {
-        &self.inner.home_id
-    }
-
     /// Highest session epoch the cloud has accepted.
     pub fn epoch(&self) -> u64 {
         self.inner.state.lock().epoch
@@ -830,14 +811,8 @@ impl CloudCell {
         self.inner.state.lock().registered.iter().cloned().collect()
     }
 
-    /// Notification staleness (enqueue → cloud apply) quantile in
-    /// microseconds.
-    pub fn staleness_quantile_us(&self, q: f64) -> u64 {
-        self.inner.state.lock().staleness.quantile_us(q)
-    }
-
     /// Merges this cell's staleness sketch into `into` (fleet rollups).
-    pub fn merge_staleness_into(&self, into: &mut HistSketch) {
+    fn merge_staleness_into(&self, into: &mut HistSketch) {
         into.merge(&self.inner.state.lock().staleness);
     }
 
@@ -884,16 +859,15 @@ impl CloudCell {
                     break Err(MetaError::Protocol(format!("bad command reply: {text}")));
                 }
                 Err(e) => {
-                    if attempt >= self.inner.cfg.cmd_retries {
+                    if attempt >= CMD_RETRIES {
                         break Err(MetaError::from_wire_error(&e, self.inner.cloud_node));
                     }
                     attempt += 1;
                     self.inner.state.lock().stats.command_retries += 1;
                     self.inner.metrics.record_retry();
                     // Doubling per retry up to 2^10 times the base.
-                    let base = self.inner.cfg.cmd_backoff.max(SimDuration::from_micros(1));
-                    let cap = SimDuration::from_micros(base.as_micros().saturating_mul(1 << 10));
-                    sim.advance(backoff(base, cap, attempt, true, sim));
+                    let cap = SimDuration::from_micros(CMD_BACKOFF.as_micros() << 10);
+                    sim.advance(backoff(CMD_BACKOFF, cap, attempt, true, sim));
                 }
             }
         };
@@ -1024,7 +998,6 @@ impl CloudIsland {
                 wan: wan.clone(),
                 home_node,
                 cloud_node,
-                home_id: home_id.to_owned(),
                 cfg: cfg.clone(),
                 state: Mutex::new(BridgeState {
                     connected: false,
@@ -1052,8 +1025,6 @@ impl CloudIsland {
                 wan: wan.clone(),
                 home_node,
                 cloud_node,
-                home_id: home_id.to_owned(),
-                cfg: cfg.clone(),
                 state: Mutex::new(CellState {
                     epoch: 0,
                     applied_through: 0,
@@ -1097,8 +1068,8 @@ impl CloudIsland {
         }
     }
 
-    /// Installs a chaos plan on the WAN (the bridge's
-    /// [`CloudBridgePcm::wan`] network).
+    /// Installs a chaos plan on the WAN between the bridge and its
+    /// cloud edge.
     pub fn set_wan_fault_plan(&self, plan: FaultPlan) {
         self.bridge.wan().set_fault_plan(plan);
     }

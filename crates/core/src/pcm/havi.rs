@@ -30,11 +30,11 @@ use std::sync::Arc;
 
 /// The bridge software element's API class (outside HAVi's reserved
 /// range; carried by Server Proxy elements).
-pub const API_VSG_BRIDGE: u16 = 0x0200;
+const API_VSG_BRIDGE: u16 = 0x0200;
 
 /// The canonical interface of each FCM device class, mirroring the
 /// operations `havi::fcm` actually implements.
-pub fn fcm_interface(kind: FcmKind) -> ServiceInterface {
+fn fcm_interface(kind: FcmKind) -> ServiceInterface {
     match kind {
         FcmKind::Vcr => ServiceInterface::new("HaviVcr")
             .op(OpSig::new("play"))
@@ -139,7 +139,7 @@ fn fcm_reply_to_value(op: &str, params: Vec<HValue>) -> Value {
 
 /// Converts canonical values to positional HAVi parameters (Server Proxy
 /// inbound direction).
-pub fn value_to_hvalue(v: &Value) -> HValue {
+fn value_to_hvalue(v: &Value) -> HValue {
     match v {
         Value::Bool(b) => HValue::Bool(*b),
         Value::Int(i) => HValue::U32(*i as u32),
@@ -150,7 +150,7 @@ pub fn value_to_hvalue(v: &Value) -> HValue {
 }
 
 /// Converts a HAVi parameter to a canonical value under a declared type.
-pub fn hvalue_to_value(h: &HValue, ty: TypeTag) -> Value {
+fn hvalue_to_value(h: &HValue, ty: TypeTag) -> Value {
     match (ty, h) {
         (TypeTag::Bool, HValue::Bool(b)) => Value::Bool(*b),
         // HAVi's parameter encoding has no float type; floats travel as

@@ -32,10 +32,10 @@ use std::sync::Arc;
 
 /// Entry class marking a service item the PCM itself bridged in, so the
 /// Client Proxy never re-imports its own Server Proxy exports.
-pub const BRIDGED_ENTRY_CLASS: &str = "vsg.Bridged";
+const BRIDGED_ENTRY_CLASS: &str = "vsg.Bridged";
 
 /// Converts a canonical value to the Jini representation.
-pub fn value_to_jvalue(v: &Value) -> JValue {
+fn value_to_jvalue(v: &Value) -> JValue {
     match v {
         Value::Null => JValue::Null,
         Value::Bool(b) => JValue::Bool(*b),
@@ -56,7 +56,7 @@ pub fn value_to_jvalue(v: &Value) -> JValue {
 
 /// Converts a Jini value to the canonical representation, moving its
 /// strings, byte runs and field names instead of copying them.
-pub fn jvalue_to_value(j: JValue) -> Value {
+fn jvalue_to_value(j: JValue) -> Value {
     match j {
         JValue::Null => Value::Null,
         JValue::Bool(b) => Value::Bool(b),
@@ -272,26 +272,6 @@ impl JiniPcm {
             done.push(record.name);
         }
         Ok(done)
-    }
-
-    /// Renews all Server Proxy leases once (call periodically, or use
-    /// [`JiniPcm::start_lease_renewal`]).
-    pub fn renew_leases(&self) {
-        let leases = self.leases.lock().clone();
-        for lease in leases {
-            let _ = self.registrar.renew(lease, SimDuration::from_secs(120));
-        }
-    }
-
-    /// Renews leases every `period` of virtual time.
-    pub fn start_lease_renewal(&self, period: SimDuration) -> simnet::RepeatHandle {
-        let leases = self.leases.clone();
-        let registrar = self.registrar.clone();
-        self.net.sim().every(period, move |_| {
-            for lease in leases.lock().iter() {
-                let _ = registrar.renew(*lease, SimDuration::from_secs(120));
-            }
-        })
     }
 }
 
@@ -542,27 +522,5 @@ mod tests {
         ] {
             assert_eq!(jvalue_to_value(value_to_jvalue(&v)), v);
         }
-    }
-
-    #[test]
-    fn lease_renewal_keeps_bridged_items_alive() {
-        let (sim, jini_net, vsg, pcm) = world();
-        vsg.export(
-            VirtualService::new("hall-lamp", catalog::lamp(), Middleware::X10, vsg.name()),
-            |_: &Sim, _: &str, _: &[(String, Value)]| Ok(Value::Null),
-        )
-        .unwrap();
-        pcm.export_remote(&vsg.resolve("hall-lamp").unwrap())
-            .unwrap();
-        let _renewal = pcm.start_lease_renewal(SimDuration::from_secs(60));
-
-        // Without renewal the 120 s lease would expire well before 10 min.
-        sim.run_for(SimDuration::from_secs(600));
-        let client_node = jini_net.attach("late-client");
-        let registrars = discover(&jini_net, client_node, "public");
-        let client = RegistrarClient::new(&jini_net, client_node, registrars[0]);
-        assert!(client
-            .lookup_one(&ServiceTemplate::by_interface("Lamp"))
-            .is_ok());
     }
 }

@@ -23,9 +23,9 @@ use std::sync::Arc;
 use upnp::{ControlPoint, DeviceDescription, UpnpDevice, SSDP_ALL};
 
 /// The standard `SwitchPower` service, as a canonical interface.
-pub const SWITCH_POWER: &str = "urn:schemas-upnp-org:service:SwitchPower:1";
+const SWITCH_POWER: &str = "urn:schemas-upnp-org:service:SwitchPower:1";
 /// The standard `Dimming` service.
-pub const DIMMING: &str = "urn:schemas-upnp-org:service:Dimming:1";
+const DIMMING: &str = "urn:schemas-upnp-org:service:Dimming:1";
 
 fn switch_power_interface() -> ServiceInterface {
     ServiceInterface::new("UpnpSwitchPower")

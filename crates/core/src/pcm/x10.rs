@@ -4,7 +4,7 @@
 //! the prototype (ref. \[15\]).
 //!
 //! Client Proxy: X10 has no discovery protocol, so modules and sensors
-//! are *configured* ([`X10Pcm::import_module`], [`X10Pcm::import_sensor`])
+//! are *configured* ([`X10Pcm::import_module_with`], [`X10Pcm::import_sensor`])
 //! — exactly how real X10 controllers work. Because modules are one-way
 //! receivers, `status` answers from the PCM's shadow state, refreshed by
 //! overhearing powerline traffic.
@@ -48,7 +48,7 @@ struct SensorState {
 
 /// Called the instant the PCM learns of a sensor event — the hook that
 /// push-capable VSG protocols (SIP) attach to. `(service-name, event)`.
-pub type SensorHook = Box<dyn Fn(&Sim, &str, &Value) + Send>;
+type SensorHook = Box<dyn Fn(&Sim, &str, &Value) + Send>;
 
 /// A Server Proxy route: an observed powerline command triggers a VSG
 /// invocation.
@@ -111,17 +111,13 @@ impl X10Pcm {
     // ---- Client Proxy: configured X10 devices -> VSG ------------------------
 
     /// Exports a configured module as a `Lamp` service.
-    pub fn import_module(
-        &self,
-        name: &str,
-        house: HouseCode,
-        unit: UnitCode,
-    ) -> Result<(), MetaError> {
+    #[cfg(test)]
+    fn import_module(&self, name: &str, house: HouseCode, unit: UnitCode) -> Result<(), MetaError> {
         self.import_module_with(name, house, unit, &[])
     }
 
-    /// Like [`X10Pcm::import_module`], with service contexts (§3.3),
-    /// e.g. `&[("room", "hall")]`.
+    /// Exports a configured module as a `Lamp` service, with service
+    /// contexts (§3.3), e.g. `&[("room", "hall")]`.
     pub fn import_module_with(
         &self,
         name: &str,

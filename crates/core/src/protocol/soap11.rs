@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The namespace every gateway mounts.
-pub const GATEWAY_NS: &str = "urn:vsg:gateway";
+const GATEWAY_NS: &str = "urn:vsg:gateway";
 const SERVICE_ARG: &str = "__service";
 /// The `SOAP-ENV:Header` entry carrying the caller's trace context.
 const TRACE_HEADER: &str = "TraceContext";
@@ -95,7 +95,7 @@ impl VsgProtocol for Soap11 {
     }
 
     fn bind(&self, net: &Network, label: &str, handler: GatewayHandler) -> NodeId {
-        let server = SoapServer::bind_with(net, label, self.cpu, self.tcp);
+        let server = SoapServer::bind_with(net, label, self.cpu);
         server.mount(GATEWAY_NS, move |sim, call, reply| {
             // A batch envelope: every `mN` argument is a member record;
             // the reply is the list of per-member results (application

@@ -95,7 +95,8 @@ pub fn generate(
 
 impl GeneratedProxy {
     /// The interface this proxy was generated for.
-    pub fn interface_name(&self) -> &str {
+    #[cfg(test)]
+    fn interface_name(&self) -> &str {
         &self.interface_name
     }
 

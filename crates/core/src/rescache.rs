@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 /// Default per-gateway capacity: generous for a home's service count
 /// while still bounding a pathological churn workload.
-pub const DEFAULT_CAPACITY: usize = 512;
+const DEFAULT_CAPACITY: usize = 512;
 
 /// How many lookups a negative entry may answer before it expires and
 /// the next lookup re-consults the VSR. Keeps a service published

@@ -197,7 +197,7 @@ impl CircuitBreaker {
 
     /// Records a successful (or liveness-proving) call: the breaker
     /// closes and the failure run resets.
-    pub fn on_success(&mut self) {
+    fn on_success(&mut self) {
         self.state = BreakerState::Closed;
         self.consecutive_failures = 0;
     }
@@ -205,7 +205,7 @@ impl CircuitBreaker {
     /// Records a transport failure at `now`. A half-open probe failure
     /// re-opens immediately; a closed breaker opens once the
     /// consecutive-failure run reaches the threshold.
-    pub fn on_failure(&mut self, now: SimTime) {
+    fn on_failure(&mut self, now: SimTime) {
         match self.state {
             BreakerState::HalfOpen => {
                 self.state = BreakerState::Open;
@@ -230,7 +230,8 @@ impl CircuitBreaker {
     }
 
     /// The current consecutive-transport-failure run (closed state).
-    pub fn failure_run(&self) -> u32 {
+    #[cfg(test)]
+    fn failure_run(&self) -> u32 {
         self.consecutive_failures
     }
 }

@@ -145,13 +145,6 @@ impl fmt::Display for VirtualService {
     }
 }
 
-/// Parses a `vsg://gateway/service` endpoint.
-pub fn parse_endpoint(endpoint: &str) -> Option<(&str, &str)> {
-    let rest = endpoint.strip_prefix("vsg://")?;
-    let (gateway, service) = rest.split_once('/')?;
-    (!gateway.is_empty() && !service.is_empty()).then_some((gateway, service))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,10 +171,6 @@ mod tests {
     fn endpoints_round_trip() {
         let s = VirtualService::new("lamp", catalog::lamp(), Middleware::X10, "x10-gw");
         assert_eq!(s.endpoint(), "vsg://x10-gw/lamp");
-        assert_eq!(parse_endpoint(&s.endpoint()), Some(("x10-gw", "lamp")));
-        assert_eq!(parse_endpoint("http://x/y"), None);
-        assert_eq!(parse_endpoint("vsg://onlygateway"), None);
-        assert_eq!(parse_endpoint("vsg:///svc"), None);
     }
 
     #[test]

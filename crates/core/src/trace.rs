@@ -266,7 +266,7 @@ impl Tracer {
     }
 
     /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
@@ -425,7 +425,7 @@ impl Tracer {
 // ---- rendering -------------------------------------------------------------
 
 /// Distinct trace ids in first-completion order.
-pub fn trace_ids(spans: &[Span]) -> Vec<TraceId> {
+fn trace_ids(spans: &[Span]) -> Vec<TraceId> {
     let mut seen = Vec::new();
     for s in spans {
         if !seen.contains(&s.trace) {
@@ -439,7 +439,7 @@ pub fn trace_ids(spans: &[Span]) -> Vec<TraceId> {
 /// dumps of deep retry/batch trees stay readable and bounded. Omitted
 /// subtrees are replaced by an explicit `… +N spans` marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenderCaps {
+struct RenderCaps {
     /// Maximum tree levels rendered (the root is level 1). Children
     /// below the last level collapse into a marker.
     pub max_depth: usize,
@@ -460,14 +460,14 @@ impl Default for RenderCaps {
 /// Renders one trace as an indented text tree, attributing elapsed
 /// virtual time (and wire bytes, where measured) to each hop. Spans
 /// from several gateways may be mixed in `spans`; the renderer stitches
-/// them into one tree via the propagated parent links. Applies the
-/// default [`RenderCaps`]; use [`render_trace_capped`] to choose.
+/// them into one tree via the propagated parent links, truncated at the
+/// default depth and child-count caps.
 pub fn render_trace(trace: TraceId, spans: &[Span]) -> String {
     render_trace_capped(trace, spans, RenderCaps::default())
 }
 
 /// [`render_trace`] with explicit depth/children truncation caps.
-pub fn render_trace_capped(trace: TraceId, spans: &[Span], caps: RenderCaps) -> String {
+fn render_trace_capped(trace: TraceId, spans: &[Span], caps: RenderCaps) -> String {
     let mine: Vec<&Span> = spans.iter().filter(|s| s.trace == trace).collect();
     if mine.is_empty() {
         return format!("trace {trace}: no spans\n");

@@ -255,7 +255,8 @@ impl Vsg {
     }
 
     /// Names of locally exported services.
-    pub fn local_services(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn local_services(&self) -> Vec<String> {
         let mut v: Vec<String> = self.inner.local.lock().keys().cloned().collect();
         v.sort();
         v
@@ -886,7 +887,8 @@ impl Vsg {
     }
 
     /// Number of live resolution-cache entries.
-    pub fn cache_len(&self) -> usize {
+    #[cfg(test)]
+    fn cache_len(&self) -> usize {
         self.inner.rescache.lock().len()
     }
 
@@ -917,27 +919,6 @@ impl Vsg {
     /// before any call reached it).
     pub fn breaker_state(&self, gateway: NodeId) -> BreakerState {
         self.inner.breakers.state(gateway)
-    }
-
-    /// Crash recovery: re-registers this gateway and re-publishes every
-    /// locally exported service with the VSR. Call after a VSR restart
-    /// (lost registry) or this gateway's own restart; returns how many
-    /// services were re-published.
-    pub fn republish_all(&self) -> Result<usize, MetaError> {
-        self.inner
-            .vsr
-            .register_gateway(&self.inner.name, self.inner.node)?;
-        let services: Vec<VirtualService> = self
-            .inner
-            .local
-            .lock()
-            .values()
-            .map(|e| e.service.clone())
-            .collect();
-        for s in &services {
-            self.inner.vsr.publish(s)?;
-        }
-        Ok(services.len())
     }
 
     // ---- observability ---------------------------------------------------

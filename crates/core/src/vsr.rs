@@ -80,21 +80,6 @@ impl ServiceRecord {
         format!("vsg://{}/{}", self.gateway, self.name)
     }
 
-    /// True when this record describes a composite pipeline rather
-    /// than a natively bridged service.
-    pub fn is_composite(&self) -> bool {
-        self.middleware == Middleware::Composite
-    }
-
-    /// The composite pipeline spec carried in the record's contexts,
-    /// if any. `None` for native services or malformed specs.
-    pub fn composite_spec(&self) -> Option<crate::compose::CompositeSpec> {
-        self.contexts
-            .iter()
-            .find(|(k, _)| k == crate::compose::COMPOSITE_SPEC_CONTEXT)
-            .and_then(|(_, xml)| crate::compose::CompositeSpec::from_xml(xml))
-    }
-
     /// Reads a `resolve` reply's `return` element straight into a
     /// record, in one pass. Each field is read once and the first of
     /// each named field is kept; strings are borrowed from the reply
@@ -106,17 +91,28 @@ impl ServiceRecord {
     /// Struct, or a field missing or of the wrong type, or a WSDL
     /// document that does not read.
     fn decode(r: &mut Reader<'_>) -> Result<Result<Option<ServiceRecord>, ValueError>, ParseError> {
-        if Value::compound(r) != Some(Compound::Struct) {
-            return Ok(Value::decode_str(r)?.map(|_| None));
-        }
+        ServiceRecord::decode_within(r, soap::MAX_DEPTH)
+    }
+
+    /// [`ServiceRecord::decode`] of an element that may nest `depth`
+    /// levels of Structs and Arrays, as [`Value::decode`] counts them.
+    fn decode_within(
+        r: &mut Reader<'_>,
+        depth: usize,
+    ) -> Result<Result<Option<ServiceRecord>, ValueError>, ParseError> {
+        let (Some(Compound::Struct), Some(depth)) = (Value::compound(r), depth.checked_sub(1))
+        else {
+            return Ok(Value::decode_str(r, depth)?.map(|_| None));
+        };
         let mut fields = RecordFields::default();
-        let decoded = Value::decode_members(r, |name, r| fields.read(name, r))?;
+        let decoded = Value::decode_members(r, |name, r| fields.read(name, r, depth))?;
         Ok(decoded.map(|()| fields.into_record()))
     }
 
-    /// Reads a `find`/`find_ctx` reply: an Array of records, decoded
-    /// item by item through [`ServiceRecord::decode`]. Items that are
-    /// no record are dropped; `Ok(None)` is a reply that is no Array.
+    /// Reads a `find`/`find_ctx` reply: an Array of records, each item
+    /// read as [`ServiceRecord::decode`] reads a reply, one level
+    /// deeper. Items that are no record are dropped; `Ok(None)` is a
+    /// reply that is no Array.
     fn decode_list(
         r: &mut Reader<'_>,
     ) -> Result<Result<Option<Vec<ServiceRecord>>, ValueError>, ParseError> {
@@ -125,7 +121,8 @@ impl ServiceRecord {
         }
         let mut records = Vec::new();
         let decoded = Value::decode_members(r, |_, r| {
-            Ok(ServiceRecord::decode(r)?.map(|record| records.extend(record)))
+            let record = ServiceRecord::decode_within(r, soap::MAX_DEPTH - 1)?;
+            Ok(record.map(|record| records.extend(record)))
         })?;
         Ok(decoded.map(|()| Some(records)))
     }
@@ -171,11 +168,13 @@ struct RecordFields<'a> {
 }
 
 impl<'a> RecordFields<'a> {
-    /// Reads the field `name` whose start tag the reader just returned.
+    /// Reads the field `name` whose start tag the reader just returned,
+    /// which may nest `depth` levels of Structs and Arrays.
     fn read(
         &mut self,
         name: &str,
         r: &mut Reader<'a>,
+        depth: usize,
     ) -> Result<Result<(), ValueError>, ParseError> {
         let slot = match name {
             "name" => &mut self.name,
@@ -183,11 +182,11 @@ impl<'a> RecordFields<'a> {
             "gateway" => &mut self.gateway,
             "wsdl" => &mut self.wsdl,
             "contexts" if self.contexts.is_none() => {
-                return Ok(read_contexts(r)?.map(|contexts| self.contexts = Some(contexts)));
+                return Ok(read_contexts(r, depth)?.map(|contexts| self.contexts = Some(contexts)));
             }
-            _ => return Ok(Value::decode_str(r)?.map(drop)),
+            _ => return Ok(Value::decode_str(r, depth)?.map(drop)),
         };
-        Ok(Value::decode_str(r)?.map(|s| {
+        Ok(Value::decode_str(r, depth)?.map(|s| {
             slot.get_or_insert(s);
         }))
     }
@@ -212,17 +211,19 @@ impl<'a> RecordFields<'a> {
     }
 }
 
-/// Reads a record's `contexts` field: a Struct's string members, copied
-/// out, and nothing for any other value.
+/// Reads a record's `contexts` field, which may nest `depth` levels of
+/// Structs and Arrays: a Struct's string members, copied out, and
+/// nothing for any other value.
 fn read_contexts(
     r: &mut Reader<'_>,
+    depth: usize,
 ) -> Result<Result<Vec<(String, String)>, ValueError>, ParseError> {
-    if Value::compound(r) != Some(Compound::Struct) {
-        return Ok(Value::decode_str(r)?.map(|_| Vec::new()));
-    }
+    let (Some(Compound::Struct), Some(depth)) = (Value::compound(r), depth.checked_sub(1)) else {
+        return Ok(Value::decode_str(r, depth)?.map(|_| Vec::new()));
+    };
     let mut contexts = Vec::new();
     let read = Value::decode_members(r, |key, r| {
-        Ok(Value::decode_str(r)?.map(|value| {
+        Ok(Value::decode_str(r, depth)?.map(|value| {
             contexts.extend(value.map(|value| (key.to_owned(), value.into_owned())));
         }))
     })?;
@@ -1222,6 +1223,76 @@ mod decode_oracle {
                 _ => None,
             });
             prop_assert_eq!(streamed, oracle, "document {}", doc);
+        }
+    }
+
+    /// A member named `name` that nests `levels` Structs around an int.
+    fn nested_member(name: &str, levels: usize) -> String {
+        let open = r#"<s xsi:type="SOAP-ENC:Struct">"#;
+        format!(
+            r#"<{name} xsi:type="SOAP-ENC:Struct">{}<i xsi:type="xsd:long">1</i>{}</{name}>"#,
+            open.repeat(levels - 1),
+            "</s>".repeat(levels - 1),
+        )
+    }
+
+    /// Resolve and find replies whose `return` value nests one level
+    /// short of the bound, at it and one past it, the deepest part in
+    /// an unknown field of a lamp record or in a `contexts` member:
+    /// both readers read the record at and under the bound and fail
+    /// past it.
+    #[test]
+    fn readers_agree_with_the_oracle_at_the_depth_bound() {
+        let pool = field_pool();
+        let lamp: String = [0, 5, 9, 12].iter().map(|&i| pool[i].as_str()).collect();
+        // A lamp record as element `tag`, nesting `levels` levels.
+        let record = |tag: &str, levels: usize, in_contexts: bool| {
+            let deep = if in_contexts {
+                format!(
+                    r#"<contexts xsi:type="SOAP-ENC:Struct">{}</contexts>"#,
+                    nested_member("room", levels - 2)
+                )
+            } else {
+                nested_member("extra", levels - 1)
+            };
+            format!(r#"<{tag} xsi:type="SOAP-ENC:Struct">{lamp}{deep}</{tag}>"#)
+        };
+        for levels in [soap::MAX_DEPTH - 1, soap::MAX_DEPTH, soap::MAX_DEPTH + 1] {
+            for in_contexts in [false, true] {
+                let case = format!("{levels} levels, in contexts: {in_contexts}");
+                let resolve = envelope(&record("return", levels, in_contexts), 4);
+                let streamed =
+                    decode_response(&resolve, ServiceRecord::decode).map(Option::flatten);
+                let oracle = value_reply(&resolve).map(|v| ServiceRecord::from_value(&v));
+                assert_eq!(streamed, oracle, "resolve, {case}");
+                assert_eq!(
+                    streamed.map(|r| r.is_some()).ok(),
+                    (levels <= soap::MAX_DEPTH).then_some(true),
+                    "resolve, {case}"
+                );
+
+                let find = envelope(
+                    &format!(
+                        r#"<return xsi:type="SOAP-ENC:Array">{}</return>"#,
+                        record("item", levels - 1, in_contexts)
+                    ),
+                    4,
+                );
+                let streamed =
+                    decode_response(&find, ServiceRecord::decode_list).map(Option::flatten);
+                let oracle = value_reply(&find).map(|v| match v {
+                    Value::List(items) => {
+                        Some(items.iter().filter_map(ServiceRecord::from_value).collect())
+                    }
+                    _ => None,
+                });
+                assert_eq!(streamed, oracle, "find, {case}");
+                assert_eq!(
+                    streamed.map(|r| r.map(|records| records.len())).ok(),
+                    (levels <= soap::MAX_DEPTH).then_some(Some(1)),
+                    "find, {case}"
+                );
+            }
         }
     }
 

@@ -51,24 +51,9 @@ impl Dcm {
         &self.ms
     }
 
-    /// The DCM control element's SEID.
-    pub fn control_seid(&self) -> Seid {
-        self.control
-    }
-
-    /// The device GUID.
-    pub fn guid(&self) -> u64 {
-        self.guid
-    }
-
     /// The device name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The device's FCMs.
-    pub fn fcms(&self) -> &[Fcm] {
-        &self.fcms
     }
 
     /// The FCM of a given kind, if the device has one.
@@ -187,7 +172,6 @@ mod tests {
         assert!(tv.fcm(FcmKind::Tuner).is_some());
         assert!(tv.fcm(FcmKind::Display).is_some());
         assert!(tv.fcm(FcmKind::Vcr).is_none());
-        assert_eq!(tv.fcms().len(), 2);
     }
 
     #[test]

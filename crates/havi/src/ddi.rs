@@ -17,9 +17,9 @@ use std::sync::Arc;
 /// DDI API class.
 pub const API_DDI: u16 = 0x0003;
 /// `Ddi::GetPanel` — returns the serialised element tree.
-pub const OPER_GET_PANEL: u16 = 1;
+const OPER_GET_PANEL: u16 = 1;
 /// `Ddi::UserAction` — `[U16 element-id]`.
-pub const OPER_USER_ACTION: u16 = 2;
+const OPER_USER_ACTION: u16 = 2;
 
 /// A node in a DDI panel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,14 +102,14 @@ impl DdiElement {
     }
 
     /// Serialises a tree to HAVi parameters.
-    pub fn to_params(&self) -> Vec<HValue> {
+    fn to_params(&self) -> Vec<HValue> {
         let mut out = Vec::new();
         self.write(&mut out);
         out
     }
 
     /// Deserialises a tree.
-    pub fn from_params(params: &[HValue]) -> Option<DdiElement> {
+    fn from_params(params: &[HValue]) -> Option<DdiElement> {
         let mut pos = 0;
         let e = DdiElement::read(params, &mut pos)?;
         (pos == params.len()).then_some(e)
@@ -150,9 +150,6 @@ impl fmt::Display for DdiElement {
         }
     }
 }
-
-/// An action callback: `(sim, action-id)`.
-pub type ActionCallback = Box<dyn FnMut(&Sim, u16) + Send>;
 
 /// A hosted DDI panel: a software element serving the tree and accepting
 /// user actions.

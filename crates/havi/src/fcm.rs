@@ -52,7 +52,7 @@ impl FcmKind {
     }
 
     /// True if this FCM type has a tape-transport mechanism.
-    pub fn has_transport(self) -> bool {
+    fn has_transport(self) -> bool {
         matches!(self, FcmKind::Vcr | FcmKind::DvCamera)
     }
 }
@@ -239,7 +239,8 @@ impl Fcm {
     }
 
     /// Ejects/loads media (failure injection for transports).
-    pub fn set_media_present(&self, present: bool) {
+    #[cfg(test)]
+    fn set_media_present(&self, present: bool) {
         self.state.lock().media_present = present;
     }
 }

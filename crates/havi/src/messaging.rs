@@ -203,7 +203,7 @@ impl MessagingSystem {
     }
 
     /// Number of registered elements on this node.
-    pub fn element_count(&self) -> usize {
+    fn element_count(&self) -> usize {
         self.elements.lock().len()
     }
 

@@ -14,13 +14,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Registry API class.
-pub const API_REGISTRY: u16 = 0x0001;
+const API_REGISTRY: u16 = 0x0001;
 /// `Registry::RegisterElement`.
-pub const OPER_REGISTER: u16 = 1;
+const OPER_REGISTER: u16 = 1;
 /// `Registry::UnregisterElement`.
-pub const OPER_UNREGISTER: u16 = 2;
+const OPER_UNREGISTER: u16 = 2;
 /// `Registry::GetElement` (attribute query).
-pub const OPER_QUERY: u16 = 3;
+const OPER_QUERY: u16 = 3;
 
 /// Standard attribute names.
 pub mod attr {

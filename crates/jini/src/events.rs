@@ -102,7 +102,8 @@ impl EventSource {
     }
 
     /// Number of registered listeners.
-    pub fn listener_count(&self) -> usize {
+    #[cfg(test)]
+    fn listener_count(&self) -> usize {
         self.listeners.lock().len()
     }
 

@@ -9,7 +9,7 @@
 use crate::lookup::{RegistrarClient, ServiceItem, ServiceRegistration};
 use crate::rmi::JiniError;
 use parking_lot::Mutex;
-use simnet::{Network, RepeatHandle, SimDuration};
+use simnet::{Network, SimDuration};
 use std::sync::Arc;
 
 /// Counters describing the join manager's lifetime behaviour.
@@ -29,7 +29,6 @@ struct JoinState {
 /// Keeps one service item registered, forever.
 pub struct JoinManager {
     state: Arc<Mutex<JoinState>>,
-    handle: RepeatHandle,
 }
 
 impl JoinManager {
@@ -49,8 +48,7 @@ impl JoinManager {
 
         let state2 = state.clone();
         let period = lease / 2;
-        let handle = net
-            .sim()
+        net.sim()
             .every(period.max(SimDuration::from_millis(1)), move |_| {
                 let current = state2.lock().registration;
                 let Some(reg) = current else { return };
@@ -76,7 +74,7 @@ impl JoinManager {
                     }
                 }
             });
-        Ok(JoinManager { state, handle })
+        Ok(JoinManager { state })
     }
 
     /// The current registration, if live.
@@ -87,12 +85,6 @@ impl JoinManager {
     /// Renewal/re-registration counters.
     pub fn stats(&self) -> JoinStats {
         self.state.lock().stats
-    }
-
-    /// Stops maintaining the registration (the lease will lapse).
-    pub fn terminate(&self) {
-        self.handle.cancel();
-        self.state.lock().registration = None;
     }
 }
 
@@ -162,15 +154,5 @@ mod tests {
             .lookup_one(&ServiceTemplate::by_interface("Vcr"))
             .unwrap();
         assert_eq!(found.service_id, reg.service_id);
-    }
-
-    #[test]
-    fn terminate_lets_the_lease_lapse() {
-        let (sim, net, reggie, client, item) = world();
-        let jm = JoinManager::start(&net, client, item, SimDuration::from_secs(30)).unwrap();
-        jm.terminate();
-        assert!(jm.registration().is_none());
-        sim.run_for(SimDuration::from_secs(120));
-        assert_eq!(reggie.registered_count(), 0);
     }
 }

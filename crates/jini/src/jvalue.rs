@@ -111,18 +111,10 @@ impl JValue {
         }
     }
 
-    /// The float inside, if this is a `Double`.
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            JValue::Double(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// Serialises to a marshalled stream (with magic), in one buffer of
     /// exactly its size. A string, class name or field name longer than
-    /// [`MAX_UTF`] bytes, or an object with more than [`MAX_FIELDS`]
-    /// fields, does not fit its length prefix and is refused.
+    /// `u16::MAX` bytes, or an object with more than `u16::MAX` fields,
+    /// does not fit its two-byte length prefix and is refused.
     pub fn marshal(&self) -> Result<Vec<u8>, MarshalError> {
         marshal_with(|out| self.write(out))
     }
@@ -177,9 +169,9 @@ impl JValue {
 
 /// The longest string, class name or field name a two-byte length
 /// prefix holds.
-pub const MAX_UTF: usize = u16::MAX as usize;
+const MAX_UTF: usize = u16::MAX as usize;
 /// The most fields an object's two-byte field count holds.
-pub const MAX_FIELDS: usize = u16::MAX as usize;
+const MAX_FIELDS: usize = u16::MAX as usize;
 
 /// Where a writer puts marshalled bytes: a buffer, or a counter.
 pub(crate) trait Sink {
@@ -645,7 +637,6 @@ mod tests {
         assert!(v.field("g").is_none());
         assert_eq!(JValue::Str("s".into()).as_str(), Some("s"));
         assert_eq!(JValue::Bool(true).as_bool(), Some(true));
-        assert_eq!(JValue::Double(0.5).as_double(), Some(0.5));
         assert_eq!(JValue::Null.as_int(), None);
     }
 

@@ -64,7 +64,7 @@ pub use join::{JoinManager, JoinStats};
 pub use jvalue::{JList, JObject, JRef, JValue, MarshalError, MAX_DEPTH};
 pub use lease::{Lease, LeaseError, LeaseId, LeasePolicy, LeaseTable};
 pub use lookup::{LookupService, RegistrarClient, ServiceItem, ServiceRegistration};
-pub use rmi::{JiniError, ProxyStub, RemoteProxy, RmiCost, RmiExporter};
+pub use rmi::{JiniError, ProxyStub, RemoteProxy, RmiExporter};
 
 #[cfg(test)]
 mod proptests {

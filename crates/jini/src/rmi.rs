@@ -16,38 +16,24 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// CPU cost of Java serialization, charged on both sides of every call.
-#[derive(Debug, Clone, Copy)]
-pub struct RmiCost {
-    /// Marshalling cost per byte produced.
-    pub marshal_ns_per_byte: u64,
-    /// Unmarshalling cost per byte consumed (reflection-heavy).
-    pub unmarshal_ns_per_byte: u64,
-    /// Fixed dispatch overhead per remote call.
-    pub dispatch: SimDuration,
+/// CPU cost of Java serialization per byte produced, charged on both
+/// sides of every call.
+const MARSHAL_NS_PER_BYTE: u64 = 120;
+/// Unmarshalling cost per byte consumed (reflection-heavy).
+const UNMARSHAL_NS_PER_BYTE: u64 = 250;
+/// Fixed dispatch overhead per remote call.
+const DISPATCH: SimDuration = SimDuration::from_micros(150);
+
+fn charge_marshal(sim: &Sim, bytes: usize) {
+    sim.advance(SimDuration::from_micros(
+        bytes as u64 * MARSHAL_NS_PER_BYTE / 1_000,
+    ));
 }
 
-impl Default for RmiCost {
-    fn default() -> Self {
-        RmiCost {
-            marshal_ns_per_byte: 120,
-            unmarshal_ns_per_byte: 250,
-            dispatch: SimDuration::from_micros(150),
-        }
-    }
-}
-
-impl RmiCost {
-    fn marshal(&self, sim: &Sim, bytes: usize) {
-        sim.advance(SimDuration::from_micros(
-            bytes as u64 * self.marshal_ns_per_byte / 1_000,
-        ));
-    }
-    fn unmarshal(&self, sim: &Sim, bytes: usize) {
-        sim.advance(SimDuration::from_micros(
-            bytes as u64 * self.unmarshal_ns_per_byte / 1_000,
-        ));
-    }
+fn charge_unmarshal(sim: &Sim, bytes: usize) {
+    sim.advance(SimDuration::from_micros(
+        bytes as u64 * UNMARSHAL_NS_PER_BYTE / 1_000,
+    ));
 }
 
 /// A marshalled remote reference: where the object lives and which
@@ -87,7 +73,7 @@ impl ProxyStub {
 }
 
 /// A remote method implementation.
-pub type RemoteObject = Box<dyn FnMut(&Sim, &str, &[JValue]) -> Result<JValue, String> + Send>;
+type RemoteObject = Box<dyn FnMut(&Sim, &str, &[JValue]) -> Result<JValue, String> + Send>;
 
 /// Exports objects from one node, dispatching incoming RMI calls to them.
 #[derive(Clone)]
@@ -108,11 +94,10 @@ impl RmiExporter {
     /// handler (replacing any previous one).
     pub fn on_node(net: &Network, node: NodeId) -> RmiExporter {
         let objects: Arc<Mutex<HashMap<u64, RemoteObject>>> = Arc::new(Mutex::new(HashMap::new()));
-        let cost = RmiCost::default();
         let objects2 = objects.clone();
         net.set_request_handler(node, move |sim, frame| {
-            cost.unmarshal(sim, frame.payload.len());
-            sim.advance(cost.dispatch);
+            charge_unmarshal(sim, frame.payload.len());
+            sim.advance(DISPATCH);
             let reply = match read_call(&frame.payload) {
                 Ok((object_id, method, args)) => {
                     let mut objects = objects2.lock();
@@ -131,7 +116,7 @@ impl RmiExporter {
             let reply = reply
                 .or_else(|e| result_frame(Err(&format!("result refused: {e}"))))
                 .expect("a short exception marshals");
-            cost.marshal(sim, reply.len());
+            charge_marshal(sim, reply.len());
             Ok(reply)
         })
         .expect("exporter node exists");
@@ -164,13 +149,8 @@ impl RmiExporter {
         }
     }
 
-    /// Withdraws an exported object.
-    pub fn unexport(&self, stub: &ProxyStub) -> bool {
-        self.objects.lock().remove(&stub.object_id).is_some()
-    }
-
     /// Number of live exported objects.
-    pub fn exported_count(&self) -> usize {
+    fn exported_count(&self) -> usize {
         self.objects.lock().len()
     }
 }
@@ -190,7 +170,6 @@ pub struct RemoteProxy {
     stub: ProxyStub,
     net: Network,
     caller: NodeId,
-    cost: RmiCost,
 }
 
 impl RemoteProxy {
@@ -200,7 +179,6 @@ impl RemoteProxy {
             stub,
             net: net.clone(),
             caller,
-            cost: RmiCost::default(),
         }
     }
 
@@ -215,12 +193,12 @@ impl RemoteProxy {
     pub fn invoke(&self, method: &str, args: &[JValue]) -> Result<JValue, JiniError> {
         let sim = self.net.sim().clone();
         let payload = call_frame(self.stub.object_id, method, args)?;
-        self.cost.marshal(&sim, payload.len());
+        charge_marshal(&sim, payload.len());
         let reply = self
             .net
             .request(self.caller, self.stub.host, Protocol::Jini, payload)
             .map_err(|e| JiniError::Network(e.to_string()))?;
-        self.cost.unmarshal(&sim, reply.len());
+        charge_unmarshal(&sim, reply.len());
         read_result(&reply)
     }
 }
@@ -383,19 +361,6 @@ mod tests {
         let before = sim.now();
         proxy.invoke("m", &[]).unwrap();
         assert!(sim.now() > before);
-    }
-
-    #[test]
-    fn unexported_object_rejects_calls() {
-        let (_sim, net) = setup();
-        let exporter = RmiExporter::attach(&net, "svc");
-        let stub = exporter.export("X", |_, _, _| Ok(JValue::Null));
-        assert_eq!(exporter.exported_count(), 1);
-        assert!(exporter.unexport(&stub));
-        assert!(!exporter.unexport(&stub));
-        let caller = net.attach("pc");
-        let proxy = RemoteProxy::new(&net, caller, stub);
-        assert!(matches!(proxy.invoke("m", &[]), Err(JiniError::Remote(_))));
     }
 
     #[test]

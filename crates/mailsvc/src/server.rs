@@ -191,7 +191,8 @@ impl MailClient {
     }
 
     /// Deletes message `idx` from `addr`'s mailbox.
-    pub fn dele(&self, addr: &str, idx: usize) -> Result<(), MailError> {
+    #[cfg(test)]
+    fn dele(&self, addr: &str, idx: usize) -> Result<(), MailError> {
         let reply = self.exchange(format!("DELE {addr} {idx}"))?;
         if reply.starts_with("+OK") {
             Ok(())

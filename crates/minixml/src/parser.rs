@@ -9,6 +9,11 @@
 //! slices of the input and text is `Cow` that only allocates when an
 //! entity escape fires. The owned [`parse`] is a thin `to_owned()` on
 //! top.
+//!
+//! A tree converts to the owned tier and drops recursively, so both
+//! parsers refuse a document nested deeper than 256 elements with
+//! [`ErrorKind::TooDeep`] instead of letting hostile input overflow the
+//! stack later.
 
 use crate::borrowed::{ElemRef, NodeRef};
 use crate::escape::unescape_cow;
@@ -47,6 +52,8 @@ pub enum ErrorKind {
     ExpectedCloseAngle,
     /// The input ended inside an element's content.
     UnexpectedEof,
+    /// Elements nested deeper than the parser's cap of 256 levels.
+    TooDeep,
 }
 
 impl ErrorKind {
@@ -66,6 +73,7 @@ impl ErrorKind {
             ErrorKind::MismatchedCloseTag => "mismatched close tag",
             ErrorKind::ExpectedCloseAngle => "expected '>' after close tag name",
             ErrorKind::UnexpectedEof => "unexpected end of input inside an element",
+            ErrorKind::TooDeep => "elements nested deeper than 256 levels",
         }
     }
 }
@@ -97,6 +105,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest element nesting [`parse_ref`] accepts, the root counting
+/// as level 1. The SOAP values the workspace writes reach 69 levels
+/// (65 inside a 4-level envelope).
+const MAX_DEPTH: usize = 256;
+
 /// Parses a complete document (prologue + one root element) into the
 /// owned tier.
 pub fn parse(input: &str) -> Result<Element, ParseError> {
@@ -110,15 +123,23 @@ pub fn parse_ref(input: &str) -> Result<ElemRef<'_>, ParseError> {
     let mut open: Vec<ElemRef<'_>> = Vec::with_capacity(8);
     loop {
         match reader.next()? {
-            Event::Start(name) => open.push(ElemRef {
-                name,
-                attrs: reader
-                    .attrs()
-                    .iter()
-                    .map(|&(k, v)| (k, unescape_cow(v)))
-                    .collect(),
-                children: Vec::new(),
-            }),
+            Event::Start(name) => {
+                if open.len() == MAX_DEPTH {
+                    return Err(ParseError {
+                        at: reader.tag_offset(),
+                        kind: ErrorKind::TooDeep,
+                    });
+                }
+                open.push(ElemRef {
+                    name,
+                    attrs: reader
+                        .attrs()
+                        .iter()
+                        .map(|&(k, v)| (k, unescape_cow(v)))
+                        .collect(),
+                    children: Vec::new(),
+                });
+            }
             Event::Text(text) => {
                 if let Some(el) = open.last_mut() {
                     el.children.push(NodeRef::Text(text.unescape()));
@@ -273,6 +294,28 @@ mod tests {
         // Position points at the close name so the caller can still
         // recover both tag names from the input if it wants them.
         assert_eq!(err.at, "<outer><inner></".len() + "wrong".len());
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        for depth in [1, MAX_DEPTH] {
+            let doc = nested(depth);
+            assert!(parse_ref(&doc).is_ok(), "{depth} levels");
+            assert!(parse(&doc).is_ok(), "{depth} levels");
+        }
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let doc = nested(depth);
+            let too_deep = ParseError {
+                at: MAX_DEPTH * "<a>".len(),
+                kind: ErrorKind::TooDeep,
+            };
+            assert_eq!(parse_ref(&doc).unwrap_err(), too_deep, "{depth} levels");
+            assert_eq!(parse(&doc).unwrap_err(), too_deep, "{depth} levels");
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct FaultWindow {
 
 impl FaultWindow {
     /// Whether this window is active at `now`.
-    pub fn active_at(&self, now: SimTime) -> bool {
+    fn active_at(&self, now: SimTime) -> bool {
         self.from <= now && now < self.until
     }
 }
@@ -149,7 +149,7 @@ impl FaultPlan {
     /// Returns the plan with every window shifted `offset` later.
     /// Used to stagger one scripted fault schedule across a fleet of
     /// islands so they do not all fail in lockstep.
-    pub fn shifted(mut self, offset: SimDuration) -> FaultPlan {
+    fn shifted(mut self, offset: SimDuration) -> FaultPlan {
         for w in &mut self.windows {
             w.from += offset;
             w.until += offset;
@@ -194,12 +194,6 @@ impl FaultPlan {
             .map(|w| w.until)
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Whether no window is active at `now` (past faults healed, future
-    /// ones not yet open).
-    pub fn quiet_at(&self, now: SimTime) -> bool {
-        !self.windows.iter().any(|w| w.active_at(now))
     }
 
     /// Whether `node` is crashed at `now`.
@@ -378,14 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn healed_by_and_quiet_report_the_schedule() {
+    fn healed_by_reports_the_schedule() {
         let plan = FaultPlan::new()
             .node_down(NodeId(1), t(100), t(200))
             .loss_spike(t(300), t(400), 0.9);
         assert_eq!(plan.healed_by(), t(400));
-        assert!(plan.quiet_at(t(250)), "gap between windows is quiet");
-        assert!(!plan.quiet_at(t(350)));
-        assert!(plan.quiet_at(t(400)));
         assert_eq!(plan.len(), 2);
         assert!(!plan.is_empty());
         assert_eq!(FaultPlan::new().healed_by(), SimTime::ZERO);

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Handles one-way frames delivered to a node.
-pub type FrameHandler = Box<dyn FnMut(&Sim, &Frame) + Send>;
+type FrameHandler = Box<dyn FnMut(&Sim, &Frame) + Send>;
 
 /// Handles request/response exchanges addressed to a node.
 ///
@@ -30,7 +30,7 @@ pub type FrameHandler = Box<dyn FnMut(&Sim, &Frame) + Send>;
 /// is the handler's to change: it may take `frame.payload` and write
 /// its answer into that buffer. Returning `Err` surfaces to the caller
 /// as [`SimError::Refused`].
-pub type RequestHandler = Box<dyn FnMut(&Sim, &mut Frame) -> Result<Vec<u8>, String> + Send>;
+type RequestHandler = Box<dyn FnMut(&Sim, &mut Frame) -> Result<Vec<u8>, String> + Send>;
 
 struct NodePort {
     label: String,
@@ -167,18 +167,13 @@ impl Network {
         id
     }
 
-    /// Detaches a node (its frames are dropped from now on).
-    pub fn detach(&self, node: NodeId) {
-        self.inner.nodes.lock().remove(&node);
-    }
-
     /// The label a node was attached with.
     pub fn label(&self, node: NodeId) -> Option<String> {
         self.inner.nodes.lock().get(&node).map(|p| p.label.clone())
     }
 
     /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.inner.nodes.lock().len()
     }
 
@@ -252,7 +247,8 @@ impl Network {
     }
 
     /// A copy of the installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
+    #[cfg(test)]
+    fn fault_plan(&self) -> Option<FaultPlan> {
         self.inner.chaos.lock().clone()
     }
 
@@ -1016,21 +1012,5 @@ mod tests {
                 ),
         ));
         assert_eq!(base, quiet);
-    }
-
-    #[test]
-    fn detach_makes_node_unknown() {
-        let sim = Sim::new(1);
-        let net = fast_net(&sim);
-        let a = net.attach("a");
-        let b = net.attach("b");
-        net.detach(b);
-        assert!(matches!(
-            net.send(Frame::new(a, b, Protocol::Raw, vec![1])),
-            Err(SimError::UnknownNode(_))
-        ));
-        assert_eq!(net.node_count(), 1);
-        assert_eq!(net.label(a).as_deref(), Some("a"));
-        assert_eq!(net.label(b), None);
     }
 }

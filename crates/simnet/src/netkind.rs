@@ -58,17 +58,6 @@ pub fn serial() -> LinkModel {
     }
 }
 
-/// Bluetooth 1.1 piconet (mentioned in §1 as a home network type).
-pub fn bluetooth() -> LinkModel {
-    LinkModel {
-        latency: SimDuration::from_millis(5),
-        bandwidth_bps: 723_000,
-        per_frame_overhead: 17,
-        mtu: 672,
-        loss_prob: 0.005,
-    }
-}
-
 /// The home's Internet uplink (DSL-class, 2002): reaches the TV-program
 /// service, mail service, and remote SOAP services.
 pub fn internet() -> LinkModel {
@@ -107,11 +96,6 @@ impl Network {
     pub fn internet(sim: &Sim) -> Network {
         Network::new(sim, "internet", internet())
     }
-
-    /// A Bluetooth piconet.
-    pub fn bluetooth(sim: &Sim) -> Network {
-        Network::new(sim, "bluetooth", bluetooth())
-    }
 }
 
 #[cfg(test)]
@@ -124,11 +108,9 @@ mod tests {
         let small = 16; // a small control frame
         let t_1394 = ieee1394().transfer_time(small);
         let t_eth = ethernet().transfer_time(small);
-        let t_bt = bluetooth().transfer_time(small);
         let t_inet = internet().transfer_time(small);
         assert!(t_1394 < t_eth, "1394 beats Ethernet on latency");
-        assert!(t_eth < t_bt, "Ethernet beats Bluetooth");
-        assert!(t_bt < t_inet, "LAN beats WAN");
+        assert!(t_eth < t_inet, "LAN beats WAN");
     }
 
     #[test]
@@ -148,7 +130,6 @@ mod tests {
         assert_eq!(Network::powerline(&sim).name(), "powerline");
         assert_eq!(Network::serial(&sim).name(), "serial");
         assert_eq!(Network::internet(&sim).name(), "internet");
-        assert_eq!(Network::bluetooth(&sim).name(), "bluetooth");
     }
 
     #[test]

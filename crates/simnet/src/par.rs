@@ -201,11 +201,6 @@ impl ParSim {
         &self.islands
     }
 
-    /// Number of islands.
-    pub fn island_count(&self) -> usize {
-        self.islands.len()
-    }
-
     /// Worker threads this executor dispatches onto.
     pub fn threads(&self) -> usize {
         self.threads
@@ -213,7 +208,8 @@ impl ParSim {
 
     /// Number of connected components over the coupling graph — the
     /// upper bound on zero-synchronisation parallelism.
-    pub fn component_count(&mut self) -> usize {
+    #[cfg(test)]
+    fn component_count(&mut self) -> usize {
         (0..self.islands.len())
             .filter(|&i| self.find(i) == i)
             .count()
@@ -367,12 +363,6 @@ impl ParSim {
             p.busy_ns += started.elapsed().as_nanos() as u64;
         }
         total
-    }
-
-    /// Total cross-island sends committed over this executor's
-    /// lifetime.
-    pub fn total_cross_sends(&self) -> u64 {
-        self.shared.cross_sends.load(Ordering::Relaxed)
     }
 
     /// Per-island execution profiles accumulated so far, in island

@@ -139,15 +139,9 @@ impl EventQueue {
     }
 
     /// Number of cancelled entries still awaiting reap (diagnostics).
+    #[cfg(test)]
     pub fn tombstones(&self) -> usize {
         self.cancelled.len()
-    }
-
-    /// Discards everything.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.live.clear();
-        self.cancelled.clear();
     }
 
     fn skip_cancelled(&mut self) {
@@ -229,15 +223,6 @@ mod tests {
         q.push(SimTime::from_micros(9), noop());
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(1), noop());
-        q.clear();
-        assert_eq!(q.len(), 0);
-        assert!(q.peek_time().is_none());
     }
 
     #[test]

@@ -197,24 +197,20 @@ impl Sim {
     }
 
     /// Number of live pending timers (cancelled tombstones excluded).
-    pub fn pending_timers(&self) -> usize {
+    fn pending_timers(&self) -> usize {
         self.inner.queue.lock().len()
     }
 
     /// Number of cancelled-timer tombstones still awaiting reap. Stays
     /// bounded by the heap size; exposed for leak diagnostics.
-    pub fn timer_tombstones(&self) -> usize {
+    #[cfg(test)]
+    fn timer_tombstones(&self) -> usize {
         self.inner.queue.lock().tombstones()
     }
 
     /// The firing time of the earliest pending timer, if any.
     pub fn next_timer_at(&self) -> Option<SimTime> {
         self.inner.queue.lock().peek_time()
-    }
-
-    /// Cancels every pending timer (used when tearing down a scenario).
-    pub fn clear_timers(&self) {
-        self.inner.queue.lock().clear();
     }
 
     // ---- pumping --------------------------------------------------------

@@ -74,11 +74,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Creates a duration from a float second count (rounded to micros).
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1_000_000.0).round().max(0.0) as u64)
-    }
-
     /// The duration in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -213,10 +208,6 @@ mod tests {
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
-        assert_eq!(
-            SimDuration::from_secs_f64(0.5),
-            SimDuration::from_millis(500)
-        );
     }
 
     #[test]

@@ -68,12 +68,12 @@ impl CpuModel {
     }
 
     /// The time to parse `bytes` of XML.
-    pub fn parse_cost(&self, bytes: usize) -> SimDuration {
+    fn parse_cost(&self, bytes: usize) -> SimDuration {
         SimDuration::from_micros(bytes as u64 * self.parse_ns_per_byte / 1_000)
     }
 
     /// The time to emit `bytes` of XML.
-    pub fn emit_cost(&self, bytes: usize) -> SimDuration {
+    fn emit_cost(&self, bytes: usize) -> SimDuration {
         SimDuration::from_micros(bytes as u64 * self.emit_ns_per_byte / 1_000)
     }
 }
@@ -149,12 +149,12 @@ pub struct SoapServer {
 impl SoapServer {
     /// Binds a router on a fresh node of `net`.
     pub fn bind(net: &Network, label: &str) -> SoapServer {
-        SoapServer::bind_with(net, label, CpuModel::default(), TcpModel::default())
+        SoapServer::bind_with(net, label, CpuModel::default())
     }
 
     /// Binds with explicit cost models.
-    pub fn bind_with(net: &Network, label: &str, cpu: CpuModel, tcp: TcpModel) -> SoapServer {
-        let http = HttpServer::bind(net, label, tcp);
+    pub fn bind_with(net: &Network, label: &str, cpu: CpuModel) -> SoapServer {
+        let http = HttpServer::bind(net, label);
         let services: Arc<Mutex<HashMap<String, ServiceHandler>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let services2 = services.clone();
@@ -215,18 +215,6 @@ impl SoapServer {
             .insert(namespace.into(), Box::new(handler));
     }
 
-    /// Unmounts a service.
-    pub fn unmount(&self, namespace: &str) {
-        self.services.lock().remove(namespace);
-    }
-
-    /// Namespaces currently mounted.
-    pub fn namespaces(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.services.lock().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// This server's CPU model.
     pub fn cpu(&self) -> CpuModel {
         self.cpu
@@ -257,7 +245,7 @@ impl SoapClient {
     }
 
     /// Attaches with explicit cost models.
-    pub fn attach_with(net: &Network, label: &str, cpu: CpuModel, tcp: TcpModel) -> SoapClient {
+    fn attach_with(net: &Network, label: &str, cpu: CpuModel, tcp: TcpModel) -> SoapClient {
         SoapClient {
             http: HttpClient::attach(net, label, tcp),
             cpu,
@@ -527,21 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn mount_unmount_cycle() {
-        let (_sim, server, client) = setup();
-        server.mount("urn:a", |_, _, reply| reply.value(&Value::Null));
-        assert_eq!(server.namespaces(), vec!["urn:a".to_owned()]);
-        assert!(client
-            .call(server.node(), &RpcCall::new("urn:a", "m"))
-            .is_ok());
-        server.unmount("urn:a");
-        assert!(server.namespaces().is_empty());
-        assert!(client
-            .call(server.node(), &RpcCall::new("urn:a", "m"))
-            .is_err());
-    }
-
-    #[test]
     fn rpc_costs_dominated_by_envelope_overhead() {
         // A trivial call still moves >600 wire bytes and burns visible
         // virtual time — the "SOAP is light but not free" observation
@@ -562,8 +535,7 @@ mod tests {
         // clean error, not a panic or a bogus value.
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let web =
-            crate::http::HttpServer::bind(&net, "plain-web", crate::http::TcpModel::default());
+        let web = crate::http::HttpServer::bind(&net, "plain-web");
         web.route("/index.html", |_, _| {
             crate::http::HttpResponse::ok("text/html", "<html/>")
         });
@@ -596,7 +568,7 @@ mod tests {
     fn free_cpu_model_is_cheaper() {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let server = SoapServer::bind_with(&net, "r", CpuModel::free(), TcpModel::default());
+        let server = SoapServer::bind_with(&net, "r", CpuModel::free());
         server.mount("urn:x", |_, _, reply| reply.value(&Value::Null));
         let free_client = SoapClient::attach_with(&net, "c", CpuModel::free(), TcpModel::default());
         let t0 = sim.now();

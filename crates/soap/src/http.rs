@@ -401,7 +401,8 @@ impl HttpResponse {
     }
 
     /// A 404.
-    pub fn not_found(path: &str) -> Self {
+    #[cfg(test)]
+    fn not_found(path: &str) -> Self {
         HttpResponse::error(404, "Not Found", format!("no handler for {path}"))
     }
 
@@ -524,14 +525,9 @@ impl std::error::Error for HttpError {}
 ///
 /// 2002-era HTTP clients open a fresh connection per request
 /// (`Connection: close`), paying the three-way handshake plus slow-start;
-/// we charge `handshake_rtts` link round-trips before the request proper.
-#[derive(Debug, Clone, Copy)]
+/// we charge two link round-trips before the request proper.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TcpModel {
-    /// Round trips charged for connection establishment + teardown.
-    pub handshake_rtts: u32,
-    /// Fixed per-request processing charged on the server (accept, parse
-    /// headers, dispatch).
-    pub server_overhead: SimDuration,
     /// When `true`, the client keeps one connection per peer alive
     /// (HTTP/1.1 keep-alive): only the first exchange to a peer pays
     /// the handshake, and a transport fault tears the connection down
@@ -539,31 +535,26 @@ pub struct TcpModel {
     pub persistent: bool,
 }
 
-impl Default for TcpModel {
-    fn default() -> Self {
-        TcpModel {
-            handshake_rtts: 2, // SYN/SYN-ACK/ACK + FIN exchange, amortised
-            server_overhead: SimDuration::from_micros(300),
-            persistent: false,
-        }
-    }
-}
+/// Round trips charged for connection establishment + teardown
+/// (SYN/SYN-ACK/ACK + FIN exchange, amortised).
+const HANDSHAKE_RTTS: u64 = 2;
+
+/// Fixed per-request processing charged on the server (accept, parse
+/// headers, dispatch).
+const SERVER_OVERHEAD: SimDuration = SimDuration::from_micros(300);
 
 impl TcpModel {
     /// The default cost model with persistent per-peer connections —
     /// the multiplexed wire path's transport, as opposed to 2002's
     /// connect-per-call.
     pub fn persistent() -> Self {
-        TcpModel {
-            persistent: true,
-            ..TcpModel::default()
-        }
+        TcpModel { persistent: true }
     }
 }
 
 /// A route handler: consumes a request, produces a response, and may
 /// charge CPU time on the `Sim` clock.
-pub type RouteHandler = Box<dyn FnMut(&Sim, &HttpRequest) -> HttpResponse + Send>;
+type RouteHandler = Box<dyn FnMut(&Sim, &HttpRequest) -> HttpResponse + Send>;
 
 /// A zero-copy route handler: reads the request in place (borrowed
 /// tier) and writes its response through the [`Responder`], straight
@@ -681,7 +672,7 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds a server on `net`, attaching a new node with `label`.
-    pub fn bind(net: &Network, label: &str, tcp: TcpModel) -> HttpServer {
+    pub fn bind(net: &Network, label: &str) -> HttpServer {
         let node = net.attach(label);
         let routes: Arc<Mutex<HashMap<String, Route>>> = Arc::new(Mutex::new(HashMap::new()));
         let routes2 = routes.clone();
@@ -690,7 +681,7 @@ impl HttpServer {
             // server overhead. Owned-route handlers get a materialised
             // request; zero-copy routes read it in place and write
             // their response straight into the one response buffer.
-            sim.advance(tcp.server_overhead);
+            sim.advance(SERVER_OVERHEAD);
             let mut buf = Vec::new();
             let reply = Responder { buf: &mut buf };
             match read_request(&frame.payload) {
@@ -754,11 +745,6 @@ impl HttpServer {
             .lock()
             .insert(path.into(), Route::Zero(Box::new(handler)));
     }
-
-    /// Removes the handler for `path`.
-    pub fn unroute(&self, path: &str) {
-        self.routes.lock().remove(path);
-    }
 }
 
 impl fmt::Debug for HttpServer {
@@ -815,7 +801,7 @@ impl HttpClient {
         // Per-request TCP connection (Connection: close, as in 2002) —
         // or the first exchange on a persistent connection.
         let rtt = self.net.link().latency * 2;
-        sim.advance(rtt * u64::from(self.tcp.handshake_rtts));
+        sim.advance(rtt * HANDSHAKE_RTTS);
         self.net.with_stats(|s| s.record_conn_open());
         if self.tcp.persistent {
             self.conns.lock().insert(server);
@@ -912,7 +898,7 @@ mod tests {
     fn server_routes_and_404s() {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
+        let server = HttpServer::bind(&net, "web");
         server.route("/hello", |_, req| {
             HttpResponse::ok("text/plain", format!("hi via {}", req.method))
         });
@@ -934,7 +920,7 @@ mod tests {
     fn exchange_charges_handshake_and_transfer() {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
+        let server = HttpServer::bind(&net, "web");
         server.route("/", |_, _| HttpResponse::ok("text/plain", "x"));
         let client = HttpClient::attach(&net, "pc", TcpModel::default());
         let before = sim.now();
@@ -950,7 +936,7 @@ mod tests {
     fn persistent_connection_pays_one_handshake() {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
+        let server = HttpServer::bind(&net, "web");
         server.route("/", |_, _| HttpResponse::ok("text/plain", "x"));
         let client = HttpClient::attach(&net, "pc", TcpModel::persistent());
         let before = sim.now();
@@ -971,25 +957,13 @@ mod tests {
     fn connect_per_call_opens_a_connection_every_time() {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
+        let server = HttpServer::bind(&net, "web");
         server.route("/", |_, _| HttpResponse::ok("text/plain", "x"));
         let client = HttpClient::attach(&net, "pc", TcpModel::default());
         for _ in 0..3 {
             client.send(server.node(), &HttpRequest::get("/")).unwrap();
         }
         assert_eq!(net.with_stats(|s| s.conns_opened()), 3);
-    }
-
-    #[test]
-    fn unroute_removes_handler() {
-        let sim = Sim::new(1);
-        let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
-        server.route("/x", |_, _| HttpResponse::ok("text/plain", ""));
-        server.unroute("/x");
-        let client = HttpClient::attach(&net, "pc", TcpModel::default());
-        let resp = client.send(server.node(), &HttpRequest::get("/x")).unwrap();
-        assert_eq!(resp.status, 404);
     }
 
     #[test]
@@ -1204,7 +1178,7 @@ mod tests {
     fn serve_frame(frame: Vec<u8>) -> (Vec<u8>, u32, u32) {
         let sim = Sim::new(1);
         let net = Network::ethernet(&sim);
-        let server = HttpServer::bind(&net, "web", TcpModel::default());
+        let server = HttpServer::bind(&net, "web");
         let runs = Arc::new(Mutex::new((0u32, 0u32)));
         let zero = runs.clone();
         server.route_zero("/zero", move |_, req, reply| {

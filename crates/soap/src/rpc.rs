@@ -468,7 +468,7 @@ pub fn call_envelope<'a, A: Into<Arg<'a>>>(
 /// Like [`call_envelope`], with `SOAP-ENV:Header` entries. Headers are
 /// emitted as text elements in the `urn:vsg:ext` namespace, before the
 /// Body as SOAP 1.1 requires.
-pub fn call_envelope_with_headers<'a, A: Into<Arg<'a>>, K: AsRef<str>, V: AsRef<str>>(
+fn call_envelope_with_headers<'a, A: Into<Arg<'a>>, K: AsRef<str>, V: AsRef<str>>(
     namespace: &str,
     method: &str,
     args: impl IntoIterator<Item = (&'a str, A)>,

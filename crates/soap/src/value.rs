@@ -225,12 +225,15 @@ impl Value {
     /// checks and the same first error, but builds no value: a string
     /// is handed over as its text, borrowed from the document unless an
     /// entity had to be unescaped, and any other value is checked and
-    /// read as `None`.
+    /// read as `None`. `depth` is how many levels of Structs and Arrays
+    /// the element may nest: [`MAX_DEPTH`] for a whole reply, one fewer
+    /// for each enclosing compound whose members the caller walks.
     pub fn decode_str<'a>(
         r: &mut Reader<'a>,
+        depth: usize,
     ) -> Result<Result<Option<Cow<'a, str>>, ValueError>, ParseError> {
         let Shape::Scalar(ty) = Shape::of(r) else {
-            return Ok(Value::check(r)?.map(|()| None));
+            return Ok(Value::check_within(r, depth)?.map(|()| None));
         };
         let text = r.text_content()?;
         Ok(Scalar::read(&ty, text).map(|scalar| match scalar {
@@ -323,14 +326,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The float inside, if this is a `Float`.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
             _ => None,
         }
     }
@@ -685,7 +680,7 @@ pub fn base64_encode(data: &[u8]) -> String {
 }
 
 /// [`base64_encode`] written into the caller's sink.
-pub fn base64_encode_into<O: XmlOut + ?Sized>(data: &[u8], out: &mut O) {
+fn base64_encode_into<O: XmlOut + ?Sized>(data: &[u8], out: &mut O) {
     for chunk in data.chunks(3) {
         let b = [
             chunk[0],
@@ -860,7 +855,6 @@ mod tests {
         assert_eq!(v.field("missing"), None);
         assert_eq!(Value::Str("s".into()).as_str(), Some("s"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::Int(1).as_str(), None);
     }
 
@@ -962,7 +956,7 @@ mod tests {
         for doc in &docs {
             let mut r = Reader::new(doc);
             r.next().unwrap();
-            let borrowed = Value::decode_str(&mut r).unwrap();
+            let borrowed = Value::decode_str(&mut r, MAX_DEPTH).unwrap();
             assert_eq!(r.next(), Ok(Event::Eof), "{doc}: read through");
             let want = decode(doc).map(|v| match v {
                 Value::Str(s) => Some(s),
@@ -973,7 +967,7 @@ mod tests {
         let mut r = Reader::new(r#"<a xsi:type="xsd:string">no escapes</a>"#);
         r.next().unwrap();
         assert!(matches!(
-            Value::decode_str(&mut r),
+            Value::decode_str(&mut r, MAX_DEPTH),
             Ok(Ok(Some(Cow::Borrowed("no escapes"))))
         ));
     }

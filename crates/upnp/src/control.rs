@@ -27,7 +27,7 @@ pub struct ControlPoint {
 impl ControlPoint {
     /// Creates a control point on a fresh node of `net`.
     pub fn new(net: &Network, label: &str) -> ControlPoint {
-        let callbacks = HttpServer::bind(net, label, TcpModel::default());
+        let callbacks = HttpServer::bind(net, label);
         let http = HttpClient::new(net, callbacks.node(), TcpModel::default());
         ControlPoint {
             net: net.clone(),
@@ -250,6 +250,46 @@ mod tests {
         cp.unsubscribe(hits[0].node, &svc.event_sub_url, &sid)
             .unwrap();
         assert_eq!(light.subscription_count(), 0);
+    }
+
+    #[test]
+    fn a_deep_notify_body_is_dropped_and_the_next_event_still_arrives() {
+        let sim = Sim::new(1);
+        let net = Network::ethernet(&sim);
+        let _light = install_light(&net, "kitchen");
+        let cp = ControlPoint::new(&net, "cp");
+        let hits = cp.discover(LIGHT_DEV);
+        let desc = cp.describe(&hits[0]).unwrap();
+        let svc = desc.find_service(SWITCH_SVC).unwrap().clone();
+        let seen: Arc<Mutex<Vec<(String, String)>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        cp.subscribe(hits[0].node, &svc.event_sub_url, move |_, var, val| {
+            seen2.lock().push((var.to_owned(), val.to_owned()));
+        })
+        .unwrap();
+
+        // Another node posts a body nested 100 000 elements deep to the
+        // callback path of that first subscription.
+        let depth = 100_000;
+        let notify = HttpRequest {
+            method: "NOTIFY".into(),
+            path: "/gena-cb/1".into(),
+            headers: vec![("NT".into(), "upnp:event".into())],
+            body: format!("{}{}", "<p>".repeat(depth), "</p>".repeat(depth)).into_bytes(),
+        };
+        let hostile = HttpClient::attach(&net, "hostile", TcpModel::default());
+        assert!(hostile.send(cp.node(), &notify).unwrap().is_success());
+        assert!(seen.lock().is_empty());
+
+        cp.invoke(
+            hits[0].node,
+            &svc.control_url,
+            SWITCH_SVC,
+            "SetTarget",
+            &[("NewTargetValue", Value::Bool(true))],
+        )
+        .unwrap();
+        assert_eq!(*seen.lock(), vec![("Status".to_owned(), "1".to_owned())]);
     }
 
     #[test]

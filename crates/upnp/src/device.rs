@@ -4,7 +4,7 @@ use crate::description::DeviceDescription;
 use crate::ssdp::install_responder;
 use minixml::Element;
 use parking_lot::Mutex;
-use simnet::{Network, NodeId, Protocol, Sim};
+use simnet::{Network, NodeId, Sim};
 use soap::{
     fault_envelope, Fault, HttpRequest, HttpResponse, HttpServer, RpcCall, RpcResponse, TcpModel,
     Value,
@@ -44,7 +44,7 @@ impl UpnpDevice {
     /// document, answers SSDP searches, and routes SOAP control and GENA
     /// subscription requests.
     pub fn install(net: &Network, description: DeviceDescription) -> UpnpDevice {
-        let http = HttpServer::bind(net, &description.friendly_name, TcpModel::default());
+        let http = HttpServer::bind(net, &description.friendly_name);
         let node = http.node();
         let state = Arc::new(Mutex::new(DeviceState {
             actions: HashMap::new(),
@@ -269,9 +269,6 @@ impl TapHeader for HttpResponse {
     }
 }
 
-/// A convenience: the traffic class UPnP control rides on.
-pub const CONTROL_PROTOCOL: Protocol = Protocol::Http;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,7 +353,7 @@ mod tests {
         let dev = light(&net);
 
         // The subscriber runs its own HTTP server for callbacks.
-        let cb_server = HttpServer::bind(&net, "cp-events", TcpModel::default());
+        let cb_server = HttpServer::bind(&net, "cp-events");
         let seen: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         cb_server.route("/notify", move |_, req: &HttpRequest| {

@@ -111,7 +111,7 @@ pub struct BusinessService {
 
 impl BusinessService {
     /// True if the category bag contains `taxonomy == value`.
-    pub fn has_category(&self, taxonomy: &str, value: &str) -> bool {
+    fn has_category(&self, taxonomy: &str, value: &str) -> bool {
         self.categories
             .iter()
             .any(|c| c.taxonomy == taxonomy && c.value == value)
@@ -290,22 +290,6 @@ impl UddiRegistry {
         Some(key)
     }
 
-    /// Removes a service.
-    pub fn delete_service(&mut self, key: &Key) -> bool {
-        let Some(service) = self.services.remove(key) else {
-            return false;
-        };
-        let lname = lowercase(&service.name);
-        if let Some(keys) = self.name_index.get_mut(lname.as_ref()) {
-            keys.retain(|k| k != key);
-            if keys.is_empty() {
-                self.name_index.remove(lname.as_ref());
-            }
-        }
-        unindex_categories(&mut self.category_index, &service);
-        true
-    }
-
     /// Publishes a service named `name` as
     /// [`UddiRegistry::save_service`] does, in place of every service
     /// already named exactly `name`, which then goes as
@@ -367,11 +351,6 @@ impl UddiRegistry {
         Removed(removed)
     }
 
-    /// Removes a tModel (e.g. once no service binding references it).
-    pub fn delete_tmodel(&mut self, key: &Key) -> bool {
-        self.tmodels.remove(key).is_some()
-    }
-
     /// Adds `service` to the name and category indexes. A bucket that
     /// exists is found first; only a new one copies its lowercased
     /// name, taxonomy or value.
@@ -393,7 +372,8 @@ impl UddiRegistry {
 
     /// Finds businesses whose name matches `pattern` (`%` wildcards,
     /// case-insensitive — UDDI v2 semantics).
-    pub fn find_business(&self, pattern: &str) -> Vec<&BusinessEntity> {
+    #[cfg(test)]
+    fn find_business(&self, pattern: &str) -> Vec<&BusinessEntity> {
         self.count_inquiry(self.businesses.len());
         self.businesses
             .values()
@@ -501,12 +481,6 @@ impl UddiRegistry {
         }
     }
 
-    /// Full detail for one service.
-    pub fn get_service(&self, key: &Key) -> Option<&BusinessService> {
-        self.count_inquiry(1);
-        self.services.get(key)
-    }
-
     /// Full detail for one tModel.
     pub fn get_tmodel(&self, key: &Key) -> Option<&TModel> {
         self.count_inquiry(1);
@@ -549,7 +523,8 @@ impl UddiRegistry {
     }
 
     /// Number of registered businesses.
-    pub fn business_count(&self) -> usize {
+    #[cfg(test)]
+    fn business_count(&self) -> usize {
         self.businesses.len()
     }
 
@@ -711,16 +686,6 @@ mod tests {
         };
         let got = reg.save_service(&unknown, "x", vec![], "vsg://x", None);
         assert!(got.is_none());
-    }
-
-    #[test]
-    fn delete_service_works() {
-        let (mut reg, _) = seeded();
-        let key = reg.find_service("living%", &[])[0].key;
-        assert!(reg.delete_service(&key));
-        assert!(!reg.delete_service(&key));
-        assert_eq!(reg.service_count(), 1);
-        assert!(reg.get_service(&key).is_none());
     }
 
     #[test]

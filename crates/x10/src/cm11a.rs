@@ -21,11 +21,11 @@ use std::fmt;
 use std::sync::Arc;
 
 /// PC → interface: commit a checksummed command.
-pub const ACK_OK: u8 = 0x00;
+const ACK_OK: u8 = 0x00;
 /// Interface → PC: command transmitted.
-pub const IF_READY: u8 = 0x55;
+const IF_READY: u8 = 0x55;
 /// PC → interface: upload your receive buffer.
-pub const POLL_FETCH: u8 = 0xC3;
+const POLL_FETCH: u8 = 0xC3;
 
 /// The interface device: one foot on the serial line, one on the
 /// powerline.
@@ -37,7 +37,7 @@ pub struct Cm11a {
 
 /// How many received frames the hardware buffer holds (the real device
 /// has a 10-byte buffer ≈ 5 frames).
-pub const RX_BUFFER_FRAMES: usize = 5;
+const RX_BUFFER_FRAMES: usize = 5;
 
 impl Cm11a {
     /// Installs the interface: attaches a node on `serial` (to the PC)

@@ -155,15 +155,6 @@ impl Function {
             _ => None,
         }
     }
-
-    /// True if this function addresses the whole house rather than
-    /// latched units.
-    pub fn is_house_wide(self) -> bool {
-        matches!(
-            self,
-            Function::AllUnitsOff | Function::AllLightsOn | Function::AllLightsOff
-        )
-    }
 }
 
 impl fmt::Display for Function {
@@ -339,12 +330,6 @@ mod tests {
         assert_eq!(X10Frame::decode(&f.encode()), Some(f));
         assert_eq!(X10Frame::decode(&[1, 2, 3]), None);
         assert_eq!(X10Frame::decode(&[0]), None);
-    }
-
-    #[test]
-    fn house_wide_functions() {
-        assert!(Function::AllLightsOn.is_house_wide());
-        assert!(!Function::On.is_house_wide());
     }
 
     #[test]
