@@ -21,8 +21,8 @@ use crate::trace::HopKind;
 use crate::vsg::Vsg;
 use crate::vsr::ServiceRecord;
 use jini::{
-    discover, Entry, JValue, JiniError, LeaseId, RegistrarClient, RemoteProxy, RmiExporter,
-    ServiceItem, ServiceTemplate,
+    discover, Entry, JValue, JiniError, RegistrarClient, RemoteProxy, RmiExporter, ServiceItem,
+    ServiceTemplate,
 };
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, SimDuration};
@@ -84,7 +84,6 @@ pub struct JiniPcm {
     catalog: InterfaceCatalog,
     imported: Arc<Mutex<Vec<String>>>,
     exported: Arc<Mutex<Vec<Name>>>,
-    leases: Arc<Mutex<Vec<LeaseId>>>,
 }
 
 impl JiniPcm {
@@ -111,7 +110,6 @@ impl JiniPcm {
             catalog,
             imported: Arc::new(Mutex::new(Vec::new())),
             exported: Arc::new(Mutex::new(Vec::new())),
-            leases: Arc::new(Mutex::new(Vec::new())),
         })
     }
 
@@ -249,11 +247,9 @@ impl JiniPcm {
                 Entry::new(BRIDGED_ENTRY_CLASS).field("origin", record.middleware.label()),
             ],
         );
-        let reg = self
-            .registrar
+        self.registrar
             .register(&item, SimDuration::from_secs(120))
             .map_err(|e| MetaError::native("jini", e))?;
-        self.leases.lock().push(reg.lease.id);
         self.exported.lock().push(record.name.clone());
         Ok(())
     }
