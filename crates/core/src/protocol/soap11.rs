@@ -37,13 +37,18 @@ const BATCH_HEADER: &str = "Batch";
 /// Holds one [`SoapClient`] per calling node rather than constructing a
 /// fresh one inside every `call` — the client is just a handle, but
 /// handle churn on the invocation hot path is pure waste. Node ids are
-/// network-local, so cached clients are validated against the network
-/// they were created on.
+/// network-local and every home of a fleet shares one protocol, so the
+/// clients are keyed by network and node: keyed by node alone, homes
+/// whose gateways sit on the same node id would replace each other's
+/// client (and its persistent connections) whenever their calls
+/// alternate, which on the parallel scheduler depends on thread timing.
 #[derive(Debug, Clone)]
 pub struct Soap11 {
     cpu: CpuModel,
     tcp: TcpModel,
-    clients: Arc<Mutex<HashMap<NodeId, (Network, SoapClient)>>>,
+    /// Each client holds its network, which keeps the network's
+    /// identity in the key from being reused.
+    clients: Arc<Mutex<HashMap<(usize, NodeId), SoapClient>>>,
 }
 
 impl Soap11 {
@@ -71,15 +76,14 @@ impl Soap11 {
     }
 
     fn client(&self, net: &Network, from: NodeId) -> SoapClient {
+        let key = (net.identity(), from);
         let mut clients = self.clients.lock();
-        match clients.get(&from) {
-            Some((cached_net, client)) if cached_net.same_as(net) => client.clone(),
-            _ => {
-                let client = SoapClient::on_node(net, from, self.cpu, self.tcp);
-                clients.insert(from, (net.clone(), client.clone()));
-                client
-            }
+        if let Some(client) = clients.get(&key) {
+            return client.clone();
         }
+        let client = SoapClient::on_node(net, from, self.cpu, self.tcp);
+        clients.insert(key, client.clone());
+        client
     }
 }
 

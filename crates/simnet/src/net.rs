@@ -141,11 +141,14 @@ impl Network {
         &self.inner.sim
     }
 
-    /// Whether `other` is a handle to this same network instance.
-    /// Node ids are only meaningful within one network, so anything
-    /// caching per-node state keyed by [`NodeId`] must check this.
-    pub fn same_as(&self, other: &Network) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+    /// An identity of this network instance, equal for two handles
+    /// exactly when they share it. Node ids are only meaningful within
+    /// one network, so anything caching per-node state keys it by
+    /// `(identity, NodeId)`. The value is the address of the shared
+    /// state: a cache keyed by it must hold a handle to the network, so
+    /// that no other network can be given the same address.
+    pub fn identity(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
     }
 
     // ---- attachment -----------------------------------------------------

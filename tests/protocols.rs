@@ -161,6 +161,39 @@ fn multiplexed_soap_keeps_one_connection_per_peer() {
 }
 
 #[test]
+fn homes_sharing_a_soap_protocol_keep_their_own_connections() {
+    // Two homes built alike put their gateways on the same node ids of
+    // two backbones; alternating calls must not trade the protocol's
+    // per-node clients, and with them the open connections, between
+    // the homes.
+    let protocol = Arc::new(Soap11::multiplexed());
+    let homes: Vec<SmartHome> = (0..2)
+        .map(|_| {
+            SmartHome::builder()
+                .protocol(protocol.clone())
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let call = |home: &SmartHome| {
+        home.invoke_from(Middleware::Jini, "hall-lamp", "status", &[])
+            .unwrap();
+    };
+    let conns = || -> Vec<u64> {
+        homes
+            .iter()
+            .map(|h| h.backbone.with_stats(|s| s.conns_opened()))
+            .collect()
+    };
+    homes.iter().for_each(call);
+    let warm = conns();
+    for _ in 0..3 {
+        homes.iter().for_each(call);
+    }
+    assert_eq!(conns(), warm);
+}
+
+#[test]
 fn a_soap_batch_of_calls_is_one_http_exchange() {
     // A batch envelope is the one HTTP message that carries several
     // calls: six calls to the X10 gateway ride one request frame and
