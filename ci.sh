@@ -125,6 +125,20 @@ run_parallel_determinism() {
 
     stage "determinism proptests (1 vs 4 threads)"
     cargo test -q --test model_props parallel
+
+    # The benchmark's counted metrics must repeat: two smoke runs of
+    # each workload at one seed, compared by scripts/counts_repeat.py.
+    stage "hmbench counted metrics repeat (two smoke runs per workload)"
+    cargo build -q --release -p hmbench
+    for w in mix_soap mix_binary vsr_churn fleet_day; do
+        for run in 1 2; do
+            cargo run -q --release -p hmbench -- --workload "$w" --scale smoke \
+                --seed 42 --seconds 1 >"target/hmbench_${w}_$run.txt"
+        done
+        python3 scripts/counts_repeat.py "$w" \
+            "target/hmbench_${w}_1.txt" "target/hmbench_${w}_2.txt" \
+            || { echo "counted metrics of $w do not repeat" >&2; exit 1; }
+    done
 }
 
 run_bench() {

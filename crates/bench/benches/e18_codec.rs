@@ -57,7 +57,8 @@ static A: bench::CountingAlloc = bench::CountingAlloc;
 /// operation name interned, 14.9 (13.9x); with the SOAP servers reading
 /// each call in place and the CM11A answering in the request's buffer,
 /// 6.5 (31.9x); with the cold calls' resolve replies read in place into
-/// interned interfaces, 6.1 (34.0x).
+/// interned interfaces, 6.1 (34.0x); with every frame written into a
+/// buffer the network lends and takes back, 2.6 (about 80x).
 const PRE_ZERO_COPY_SOAP_ALLOCS_PER_OP: f64 = 207.4;
 
 const TRACE_CALLS: usize = 256;

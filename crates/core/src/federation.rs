@@ -2804,7 +2804,7 @@ mod tests {
                     assert_eq!(tap, node, "the tap must stand in for the replica");
                     let (log, lost, server_net) = (seen.clone(), lost.clone(), server_net.clone());
                     push_net
-                        .set_request_handler(tap, move |_sim, frame| {
+                        .set_request_handler(tap, move |_sim, frame, reply| {
                             log.lock().push(format!(
                                 "> n{}->n{} {}",
                                 frame.src.0,
@@ -2815,11 +2815,12 @@ mod tests {
                                 log.lock().push("x lost".to_owned());
                                 return Err("lost".to_owned());
                             }
-                            let reply = server_net
+                            let answer = server_net
                                 .request(forwarder, node, Protocol::Http, frame.payload.clone())
                                 .map_err(|e| e.to_string())?;
-                            log.lock().push(format!("< {}", hex(&reply)));
-                            Ok(reply)
+                            log.lock().push(format!("< {}", hex(&answer)));
+                            reply.extend_from_slice(&answer);
+                            Ok(())
                         })
                         .unwrap();
                     let client = SoapClient::on_node(

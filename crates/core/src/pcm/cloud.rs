@@ -51,8 +51,11 @@ use crate::obs::{HistSketch, Scope};
 use crate::resilience::backoff;
 use crate::trace::{HopKind, Span, Tracer};
 use parking_lot::Mutex;
-use simnet::{FaultPlan, Network, NodeId, Protocol, RepeatHandle, Sim, SimDuration, SimTime};
+use simnet::{
+    FaultPlan, Network, NodeId, Protocol, RepeatHandle, Reply, Sim, SimDuration, SimTime,
+};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::io::Write as _;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -512,7 +515,8 @@ impl CloudBridgePcm {
             st.epoch
         };
         let scope = self.root_scope(sim, || format!("cloud.hello e{epoch}"));
-        let reply = self.wan_request(format!("HELLO {epoch}"));
+        let reply = self.wan_request(|out| write!(out, "HELLO {epoch}"));
+        let reply = reply.as_deref().map(String::from_utf8_lossy);
         let mut st = self.inner.state.lock();
         let result = match reply.as_deref() {
             Ok(ok) if ok.starts_with("OK ") => {
@@ -579,20 +583,23 @@ impl CloudBridgePcm {
                 (st.epoch, batch)
             };
             let n = batch.len();
-            let mut msg = format!("PUSH {epoch} {n}");
-            for e in &batch {
-                msg.push('\n');
-                msg.push_str(&format!(
-                    "{} {} {} {} {}",
-                    e.seq,
-                    e.kind.wire(),
-                    e.created.as_micros(),
-                    e.device,
-                    e.payload
-                ));
-            }
             let scope = self.root_scope(sim, || format!("cloud.push x{n}"));
-            let reply = self.wan_request(msg);
+            let reply = self.wan_request(|out| {
+                write!(out, "PUSH {epoch} {n}")?;
+                for e in &batch {
+                    write!(
+                        out,
+                        "\n{} {} {} {} {}",
+                        e.seq,
+                        e.kind.wire(),
+                        e.created.as_micros(),
+                        e.device,
+                        e.payload
+                    )?;
+                }
+                Ok(())
+            });
+            let reply = reply.as_deref().map(String::from_utf8_lossy);
             let mut st = self.inner.state.lock();
             let result = match reply.as_deref() {
                 Ok(ok) if ok.starts_with("OK ") => {
@@ -649,17 +656,19 @@ impl CloudBridgePcm {
         Scope::root(sim, &inner.tracer, &inner.metrics, HopKind::Cloud, name)
     }
 
-    fn wan_request(&self, msg: String) -> Result<String, MetaError> {
-        match self.inner.wan.request(
-            self.inner.home_node,
-            self.inner.cloud_node,
-            Protocol::Http,
-            msg.into_bytes(),
-        ) {
-            Ok(bytes) => Ok(String::from_utf8(bytes)
-                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())),
-            Err(e) => Err(MetaError::from_wire_error(&e, self.inner.home_node)),
-        }
+    /// Sends the upward message `write` writes into a buffer from the
+    /// WAN and returns the cloud's reply.
+    fn wan_request(
+        &self,
+        write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>,
+    ) -> Result<Reply<'_>, MetaError> {
+        let inner = &self.inner;
+        let mut msg = inner.wan.buffer();
+        write(&mut msg).expect("vec write");
+        inner
+            .wan
+            .request(inner.home_node, inner.cloud_node, Protocol::Http, msg)
+            .map_err(|e| MetaError::from_wire_error(&e, inner.home_node))
     }
 
     /// Handles one downward `CMD` frame. Returns the wire reply.
@@ -828,7 +837,6 @@ impl CloudCell {
             st.stats.commands_sent += 1;
             (st.next_cmd_id, st.epoch)
         };
-        let msg = format!("CMD {id} {epoch} {device} {op} {payload}");
         let scope = Scope::root(
             sim,
             &self.inner.tracer,
@@ -838,11 +846,13 @@ impl CloudCell {
         );
         let mut attempt = 0u32;
         let outcome = loop {
+            let mut msg = self.inner.wan.buffer();
+            write!(msg, "CMD {id} {epoch} {device} {op} {payload}").expect("vec write");
             match self.inner.wan.request(
                 self.inner.cloud_node,
                 self.inner.home_node,
                 Protocol::Http,
-                msg.clone().into_bytes(),
+                msg,
             ) {
                 Ok(bytes) => {
                     let text = String::from_utf8_lossy(&bytes);
@@ -1044,17 +1054,19 @@ impl CloudIsland {
             }),
         };
         let cell_for_upward = cell.clone();
-        wan.set_request_handler(cloud_node, move |_, frame| {
+        wan.set_request_handler(cloud_node, move |_, frame, reply| {
             let text = String::from_utf8_lossy(&frame.payload);
-            cell_for_upward.handle_upward(&text).map(String::into_bytes)
+            let answer = cell_for_upward.handle_upward(&text)?;
+            reply.extend_from_slice(answer.as_bytes());
+            Ok(())
         })
         .expect("cloud node attached");
         let bridge_for_cmd = bridge.clone();
-        wan.set_request_handler(home_node, move |sim, frame| {
+        wan.set_request_handler(home_node, move |sim, frame, reply| {
             let text = String::from_utf8_lossy(&frame.payload);
-            bridge_for_cmd
-                .handle_command(sim, &text)
-                .map(String::into_bytes)
+            let answer = bridge_for_cmd.handle_command(sim, &text)?;
+            reply.extend_from_slice(answer.as_bytes());
+            Ok(())
         })
         .expect("home node attached");
         let bridge_for_pump = bridge.clone();
@@ -1558,7 +1570,8 @@ mod tests {
             }
         }
         let hello = format!("HELLO {}", island.cell.epoch().saturating_add(1));
-        match bridge.wan().request(home, cloud, Protocol::Http, hello) {
+        let reply = bridge.wan().request(home, cloud, Protocol::Http, hello);
+        match reply {
             Ok(reply) if answered(&String::from_utf8_lossy(&reply), &["OK ", "STALE "]) => Ok(()),
             other => Err(format!("HELLO after {frame:?} got {other:?}")),
         }

@@ -21,8 +21,8 @@ use crate::trace::HopKind;
 use crate::vsg::Vsg;
 use crate::vsr::ServiceRecord;
 use jini::{
-    discover, Entry, JValue, JiniError, RegistrarClient, RemoteProxy, RmiExporter, ServiceItem,
-    ServiceTemplate,
+    discover, Entry, JValue, JiniError, JoinManager, RegistrarClient, RemoteProxy, RmiExporter,
+    ServiceItem, ServiceTemplate,
 };
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, SimDuration};
@@ -247,9 +247,16 @@ impl JiniPcm {
                 Entry::new(BRIDGED_ENTRY_CLASS).field("origin", record.middleware.label()),
             ],
         );
-        self.registrar
-            .register(&item, SimDuration::from_secs(120))
-            .map_err(|e| MetaError::native("jini", e))?;
+        // The join manager renews the lease at half its term and
+        // re-registers a lost item, so the bridged service stays in
+        // lookup for as long as the home runs.
+        JoinManager::start(
+            &self.net,
+            self.registrar.clone(),
+            item,
+            SimDuration::from_secs(120),
+        )
+        .map_err(|e| MetaError::native("jini", e))?;
         self.exported.lock().push(record.name.clone());
         Ok(())
     }

@@ -26,32 +26,22 @@ impl CompactBinary {
     }
 }
 
-pub(super) fn encode_request(req: &VsgRequest) -> Vec<u8> {
+pub(super) fn encode_request(req: &VsgRequest, out: &mut Vec<u8>) {
     // Wire form of Record{s, o, a[, t]}, marshalled from borrows — no
-    // clone of the service name, operation, or argument list — into one
-    // buffer measured first. The "t" field carries the caller's trace
-    // context and is simply absent when tracing is off, so the untraced
-    // wire form is unchanged.
+    // clone of the service name, operation, or argument list. The "t"
+    // field carries the caller's trace context and is simply absent
+    // when tracing is off, so the untraced wire form is unchanged.
     let trace = req.trace.as_ref().map(|ctx| ctx.to_wire());
     let fields = if trace.is_some() { 4 } else { 3 };
-    let len = MAGIC.len()
-        + binval::head_len(fields)
-        + binval::str_field_len("s", &req.service)
-        + binval::str_field_len("o", &req.operation)
-        + binval::key_len("a")
-        + binval::record_fields_len(&req.args)
-        + trace.as_ref().map_or(0, |t| binval::str_field_len("t", t));
-    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(MAGIC);
-    binval::begin_record(fields, &mut out);
-    binval::encode_str_field("s", &req.service, &mut out);
-    binval::encode_str_field("o", &req.operation, &mut out);
-    binval::encode_field_key("a", &mut out);
-    binval::encode_record_fields(&req.args, &mut out);
+    binval::begin_record(fields, out);
+    binval::encode_str_field("s", &req.service, out);
+    binval::encode_str_field("o", &req.operation, out);
+    binval::encode_field_key("a", out);
+    binval::encode_record_fields(&req.args, out);
     if let Some(t) = &trace {
-        binval::encode_str_field("t", t, &mut out);
+        binval::encode_str_field("t", t, out);
     }
-    out
 }
 
 pub(super) fn decode_request(data: &[u8]) -> Option<VsgRequest> {
@@ -73,15 +63,14 @@ const TAG_BATCH: u8 = 3;
 // A batch request is MAGIC + Record{"B": List[member records]} — the
 // "B" key cannot collide with a single request, which always carries
 // "s"/"o"/"a" fields.
-pub(super) fn encode_batch_request(reqs: &[VsgRequest]) -> Vec<u8> {
-    let mut out = MAGIC.to_vec();
-    binval::begin_record(1, &mut out);
-    binval::encode_field_key("B", &mut out);
-    binval::begin_list(reqs.len(), &mut out);
+pub(super) fn encode_batch_request(reqs: &[VsgRequest], out: &mut Vec<u8>) {
+    out.extend_from_slice(MAGIC);
+    binval::begin_record(1, out);
+    binval::encode_field_key("B", out);
+    binval::begin_list(reqs.len(), out);
     for req in reqs {
-        binval::encode(&member_to_value(req), &mut out);
+        binval::encode(&member_to_value(req), out);
     }
-    out
 }
 
 pub(super) fn decode_batch_request(data: &[u8]) -> Option<Vec<VsgRequest>> {
@@ -90,13 +79,12 @@ pub(super) fn decode_batch_request(data: &[u8]) -> Option<Vec<VsgRequest>> {
     members_from_bytes(data.strip_prefix(MAGIC)?.strip_prefix(&[7u8, 1, 1, b'B'])?)
 }
 
-pub(super) fn encode_batch_reply(results: &[Result<Value, MetaError>]) -> Vec<u8> {
-    let mut out = vec![TAG_BATCH];
-    binval::begin_list(results.len(), &mut out);
+pub(super) fn encode_batch_reply(results: &[Result<Value, MetaError>], out: &mut Vec<u8>) {
+    out.push(TAG_BATCH);
+    binval::begin_list(results.len(), out);
     for r in results {
-        binval::encode(&result_to_value(r), &mut out);
+        binval::encode(&result_to_value(r), out);
     }
-    out
 }
 
 pub(super) fn decode_batch_reply(data: &[u8]) -> Result<Vec<Result<Value, MetaError>>, MetaError> {
@@ -112,25 +100,22 @@ pub(super) fn decode_batch_reply(data: &[u8]) -> Result<Vec<Result<Value, MetaEr
     }
 }
 
-/// A reply tag and its body, in one buffer of exactly their size.
-pub(super) fn encode_reply(result: &Result<Value, MetaError>) -> Vec<u8> {
+/// A reply tag and its body.
+pub(super) fn encode_reply(result: &Result<Value, MetaError>, out: &mut Vec<u8>) {
     match result {
         Ok(v) => {
-            let mut out = Vec::with_capacity(1 + binval::encoded_len(v));
             out.push(TAG_OK);
-            binval::encode(v, &mut out);
-            out
+            binval::encode(v, out);
         }
-        Err(MetaError::UnknownService(name)) => tagged_str(TAG_UNKNOWN_SERVICE, name),
-        Err(e) => tagged_str(TAG_FAULT, &e.to_string()),
+        Err(MetaError::UnknownService(name)) => {
+            out.push(TAG_UNKNOWN_SERVICE);
+            binval::encode_str(name, out);
+        }
+        Err(e) => {
+            out.push(TAG_FAULT);
+            binval::encode_str(&e.to_string(), out);
+        }
     }
-}
-
-fn tagged_str(tag: u8, s: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + binval::str_len(s));
-    out.push(tag);
-    binval::encode_str(s, &mut out);
-    out
 }
 
 pub(super) fn decode_reply(data: &[u8]) -> Result<Value, MetaError> {
@@ -161,17 +146,19 @@ impl VsgProtocol for CompactBinary {
 
     fn bind(&self, net: &Network, label: &str, handler: GatewayHandler) -> NodeId {
         let node = net.attach(label);
-        net.set_request_handler(node, move |sim, frame| {
+        net.set_request_handler(node, move |sim, frame, reply| {
             sim.advance(SimDuration::from_micros(20)); // cheap dispatch
             if let Some(reqs) = decode_batch_request(&frame.payload) {
                 let results: Vec<_> = reqs.iter().map(|req| handler(sim, req)).collect();
-                return Ok(encode_batch_reply(&results));
+                encode_batch_reply(&results, reply);
+                return Ok(());
             }
             let result = match decode_request(&frame.payload) {
                 Some(req) => handler(sim, &req),
                 None => Err(MetaError::Protocol("malformed binary request".into())),
             };
-            Ok(encode_reply(&result))
+            encode_reply(&result, reply);
+            Ok(())
         })
         .expect("node attached");
         node
@@ -184,8 +171,10 @@ impl VsgProtocol for CompactBinary {
         to: NodeId,
         req: &VsgRequest,
     ) -> Result<Value, MetaError> {
+        let mut wire = net.buffer();
+        encode_request(req, &mut wire);
         let reply = net
-            .request(from, to, Protocol::Raw, encode_request(req))
+            .request(from, to, Protocol::Raw, wire)
             .map_err(|e| MetaError::from_wire_error(&e, from))?;
         decode_reply(&reply)
     }
@@ -200,8 +189,10 @@ impl VsgProtocol for CompactBinary {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
+        let mut wire = net.buffer();
+        encode_batch_request(reqs, &mut wire);
         let reply = net
-            .request(from, to, Protocol::Raw, encode_batch_request(reqs))
+            .request(from, to, Protocol::Raw, wire)
             .map_err(|e| MetaError::from_wire_error(&e, from))?;
         let results = decode_batch_reply(&reply)?;
         if results.len() != reqs.len() {
@@ -226,7 +217,9 @@ mod tests {
         let req = VsgRequest::new("vcr", "record")
             .arg("channel", 42)
             .arg("title", "News");
-        assert_eq!(decode_request(&encode_request(&req)), Some(req));
+        let mut wire = Vec::new();
+        encode_request(&req, &mut wire);
+        assert_eq!(decode_request(&wire), Some(req));
         assert_eq!(decode_request(b"nope"), None);
     }
 
@@ -239,8 +232,9 @@ mod tests {
             trace: TraceId(7),
             parent: SpanId(9),
         });
-        let plain = encode_request(&untraced);
-        let tagged = encode_request(&traced);
+        let (mut plain, mut tagged) = (Vec::new(), Vec::new());
+        encode_request(&untraced, &mut plain);
+        encode_request(&traced, &mut tagged);
         // Tracing off leaves the wire form byte-identical to before the
         // field existed; on, it costs only the one extra field.
         assert!(tagged.len() > plain.len());

@@ -126,27 +126,22 @@ pub fn encoded_len(v: &Value) -> usize {
 }
 
 /// The size of what [`begin_list`] or [`begin_record`] appends.
-pub(crate) fn head_len(len: usize) -> usize {
+fn head_len(len: usize) -> usize {
     1 + len_size(len)
 }
 
 /// The size of what [`encode_field_key`] appends.
-pub(crate) fn key_len(key: &str) -> usize {
+fn key_len(key: &str) -> usize {
     len_size(key.len()) + key.len()
 }
 
 /// The size of what [`encode_str`] appends.
-pub(crate) fn str_len(s: &str) -> usize {
+fn str_len(s: &str) -> usize {
     1 + key_len(s)
 }
 
-/// The size of what [`encode_str_field`] appends.
-pub(crate) fn str_field_len(key: &str, value: &str) -> usize {
-    key_len(key) + str_len(value)
-}
-
 /// The size of what [`encode_record_fields`] appends.
-pub(crate) fn record_fields_len<K: AsRef<str>>(fields: &[(K, Value)]) -> usize {
+fn record_fields_len<K: AsRef<str>>(fields: &[(K, Value)]) -> usize {
     head_len(fields.len())
         + fields
             .iter()

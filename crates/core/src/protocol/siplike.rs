@@ -57,7 +57,7 @@ impl SipLike {
         service: &str,
         event: &Value,
     ) -> bool {
-        let mut payload = Vec::with_capacity(32 + service.len());
+        let mut payload = net.buffer();
         payload.extend_from_slice(b"NOTIFY vsg:");
         payload.extend_from_slice(service.as_bytes());
         payload.extend_from_slice(b" VSG-SIP/1.0\r\n\r\n");
@@ -82,7 +82,8 @@ impl SipLike {
         to: NodeId,
         members: &[(&str, &[u8])],
     ) -> bool {
-        let mut payload = NOTIFY_BATCH_HEAD.to_vec();
+        let mut payload = net.buffer();
+        payload.extend_from_slice(NOTIFY_BATCH_HEAD);
         binval::begin_list(notify_runs(members).count(), &mut payload);
         for run in notify_runs(members) {
             binval::begin_record(2, &mut payload);
@@ -188,11 +189,10 @@ fn split_head(payload: &[u8]) -> Option<(&str, &[u8])> {
 /// The SIP-style header line carrying the caller's trace context.
 const TRACE_HEADER: &str = "Trace-Context: ";
 
-pub(super) fn encode_invite(req: &VsgRequest) -> Vec<u8> {
+pub(super) fn encode_invite(req: &VsgRequest, out: &mut Vec<u8>) {
     // Head written straight into the output bytes — the old `format!`
     // built (and immediately threw away) an intermediate `String` on
     // every call.
-    let mut out = Vec::with_capacity(48 + req.service.len() + req.operation.len());
     out.extend_from_slice(b"INVITE vsg:");
     out.extend_from_slice(req.service.as_bytes());
     out.extend_from_slice(b" VSG-SIP/1.0\r\nOperation: ");
@@ -205,8 +205,7 @@ pub(super) fn encode_invite(req: &VsgRequest) -> Vec<u8> {
     }
     out.extend_from_slice(b"\r\n");
     // Body marshalled from borrowed args — no clone into an owned record.
-    binval::encode_record_fields(&req.args, &mut out);
-    out
+    binval::encode_record_fields(&req.args, out);
 }
 
 pub(super) fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
@@ -246,17 +245,15 @@ pub(super) fn decode_invite(payload: &[u8]) -> Option<VsgRequest> {
 // `Members:` count header and a binval list of member records as the
 // body; the response is a 200 whose body is the list of per-member
 // result records.
-pub(super) fn encode_batch(reqs: &[VsgRequest]) -> Vec<u8> {
+pub(super) fn encode_batch(reqs: &[VsgRequest], out: &mut Vec<u8>) {
     use std::io::Write as _;
-    let mut out = Vec::with_capacity(48);
     out.extend_from_slice(b"BATCH vsg:- VSG-SIP/1.0\r\nMembers: ");
     write!(out, "{}", reqs.len()).expect("vec write");
     out.extend_from_slice(b"\r\n\r\n");
-    binval::begin_list(reqs.len(), &mut out);
+    binval::begin_list(reqs.len(), out);
     for req in reqs {
-        binval::encode(&member_to_value(req), &mut out);
+        binval::encode(&member_to_value(req), out);
     }
-    out
 }
 
 pub(super) fn decode_batch(payload: &[u8]) -> Option<Vec<VsgRequest>> {
@@ -266,13 +263,12 @@ pub(super) fn decode_batch(payload: &[u8]) -> Option<Vec<VsgRequest>> {
     members_from_bytes(&payload[sep + 4..])
 }
 
-pub(super) fn encode_batch_response(results: &[Result<Value, MetaError>]) -> Vec<u8> {
-    let mut out = b"VSG-SIP/1.0 200 OK\r\n\r\n".to_vec();
-    binval::begin_list(results.len(), &mut out);
+pub(super) fn encode_batch_response(results: &[Result<Value, MetaError>], out: &mut Vec<u8>) {
+    out.extend_from_slice(b"VSG-SIP/1.0 200 OK\r\n\r\n");
+    binval::begin_list(results.len(), out);
     for r in results {
-        binval::encode(&result_to_value(r), &mut out);
+        binval::encode(&result_to_value(r), out);
     }
-    out
 }
 
 pub(super) fn decode_batch_response(
@@ -291,19 +287,19 @@ pub(super) fn decode_batch_response(
     }
 }
 
-pub(super) fn encode_response(result: &Result<Value, MetaError>) -> Vec<u8> {
+pub(super) fn encode_response(result: &Result<Value, MetaError>, out: &mut Vec<u8>) {
+    use std::io::Write as _;
     match result {
         Ok(v) => {
-            let mut out = b"VSG-SIP/1.0 200 OK\r\n\r\n".to_vec();
-            binval::encode(v, &mut out);
-            out
+            out.extend_from_slice(b"VSG-SIP/1.0 200 OK\r\n\r\n");
+            binval::encode(v, out);
         }
         // 404 marks a stale route — the callee no longer serves this
         // name — so the caller can re-resolve and retry safely.
         Err(MetaError::UnknownService(name)) => {
-            format!("VSG-SIP/1.0 404 {name}\r\n\r\n").into_bytes()
+            write!(out, "VSG-SIP/1.0 404 {name}\r\n\r\n").expect("vec write")
         }
-        Err(e) => format!("VSG-SIP/1.0 500 {e}\r\n\r\n").into_bytes(),
+        Err(e) => write!(out, "VSG-SIP/1.0 500 {e}\r\n\r\n").expect("vec write"),
     }
 }
 
@@ -331,17 +327,19 @@ impl VsgProtocol for SipLike {
 
     fn bind(&self, net: &Network, label: &str, handler: GatewayHandler) -> NodeId {
         let node = net.attach(label);
-        net.set_request_handler(node, move |sim, frame| {
+        net.set_request_handler(node, move |sim, frame, reply| {
             sim.advance(SimDuration::from_micros(60)); // header parse
             if let Some(reqs) = decode_batch(&frame.payload) {
                 let results: Vec<_> = reqs.iter().map(|req| handler(sim, req)).collect();
-                return Ok(encode_batch_response(&results));
+                encode_batch_response(&results, reply);
+                return Ok(());
             }
             let result = match decode_invite(&frame.payload) {
                 Some(req) => handler(sim, &req),
                 None => Err(MetaError::Protocol("malformed INVITE".into())),
             };
-            Ok(encode_response(&result))
+            encode_response(&result, reply);
+            Ok(())
         })
         .expect("node attached");
         node
@@ -354,8 +352,10 @@ impl VsgProtocol for SipLike {
         to: NodeId,
         req: &VsgRequest,
     ) -> Result<Value, MetaError> {
+        let mut wire = net.buffer();
+        encode_invite(req, &mut wire);
         let reply = net
-            .request(from, to, Protocol::Sip, encode_invite(req))
+            .request(from, to, Protocol::Sip, wire)
             .map_err(|e| MetaError::from_wire_error(&e, from))?;
         decode_response(&reply)
     }
@@ -370,8 +370,10 @@ impl VsgProtocol for SipLike {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
+        let mut wire = net.buffer();
+        encode_batch(reqs, &mut wire);
         let reply = net
-            .request(from, to, Protocol::Sip, encode_batch(reqs))
+            .request(from, to, Protocol::Sip, wire)
             .map_err(|e| MetaError::from_wire_error(&e, from))?;
         let results = decode_batch_response(&reply)?;
         if results.len() != reqs.len() {
@@ -396,10 +398,16 @@ mod tests {
         conformance::run(&SipLike::new());
     }
 
+    fn invite(req: &VsgRequest) -> Vec<u8> {
+        let mut wire = Vec::new();
+        encode_invite(req, &mut wire);
+        wire
+    }
+
     #[test]
     fn invite_codec_round_trip() {
         let req = VsgRequest::new("camera", "record").arg("channel", 3);
-        assert_eq!(decode_invite(&encode_invite(&req)), Some(req));
+        assert_eq!(decode_invite(&invite(&req)), Some(req));
         assert_eq!(decode_invite(b"garbage"), None);
     }
 
@@ -411,7 +419,7 @@ mod tests {
             trace: TraceId(0xfeed),
             parent: SpanId(0xbee),
         });
-        let wire = encode_invite(&req);
+        let wire = invite(&req);
         let head = String::from_utf8_lossy(&wire);
         assert!(head.contains("Trace-Context: "), "{head}");
         assert_eq!(decode_invite(&wire), Some(req));

@@ -86,11 +86,11 @@ fn a_warm_resolve_reads_the_reply_in_place_into_interned_names() {
     let (allocs, got) = counted(|| client.resolve(&names[3]));
     assert_eq!(*got.unwrap().interface, catalog::lamp());
     assert_eq!(
-        allocs, 7,
-        "the call and reply buffers, the unescaped WSDL text, the \
-         interface's operation list, its two parameter lists and its \
-         `Arc`: the reply's strings are read in place, and the names are \
-         interned"
+        allocs, 5,
+        "the unescaped WSDL text, the interface's operation list, its two \
+         parameter lists and its `Arc`: the call and reply buffers are the \
+         network's spares, the reply's strings are read in place, and the \
+         names are interned"
     );
 }
 
@@ -101,15 +101,15 @@ fn a_warm_gateway_moving_publish_builds_no_value_on_the_write_path() {
     let (allocs, got) = counted(|| client.publish(&moved));
     got.unwrap();
     assert_eq!(
-        allocs, 42,
-        "the client's description and WSDL document (17); five buffers: \
-         the call, its reply, the pushed entry, the push call and its \
-         reply; on each replica (9 each) the unescaped WSDL text, the \
-         category list and its two values, the tModel name, the \
-         endpoint, the service name, its binding list and the growth of \
-         its name's index list; on the primary the new gateway's \
-         category bucket (2): no `Value` is built or decoded, and no \
-         registry key is formatted or cloned"
+        allocs, 38,
+        "the client's description and WSDL document (17); the pushed \
+         entry's buffer (the call, its reply, the push call and its \
+         reply are the network's spares); on each replica (9 each) the \
+         unescaped WSDL text, the category list and its two values, the \
+         tModel name, the endpoint, the service name, its binding list \
+         and the growth of its name's index list; on the primary the new \
+         gateway's category bucket (2): no `Value` is built or decoded, \
+         and no registry key is formatted or cloned"
     );
 }
 
@@ -145,21 +145,22 @@ fn a_backups_apply_of_one_pushed_record_decodes_no_value_tree() {
     let (net, vsr) = cluster();
     let backup: NodeId = vsr.nodes()[1];
     let caller = net.attach("primary");
-    let applied = |reply: Vec<u8>| {
-        let resp = HttpResponseRef::parse(&reply).expect("an HTTP response");
+    let applied = |reply: &[u8]| {
+        let resp = HttpResponseRef::parse(reply).expect("an HTTP response");
         let body = std::str::from_utf8(resp.body).unwrap();
         RpcResponse::from_envelope(body).unwrap().value
     };
     let first = push("hall-lamp", "x10-gw", 1);
     let reply = net.request(caller, backup, Protocol::Http, first).unwrap();
-    assert_eq!(applied(reply), Value::Int(1));
+    assert_eq!(applied(&reply), Value::Int(1));
+    drop(reply);
     let moved = push("hall-lamp", "x10-gw-2", 2);
     let (allocs, reply) = counted(|| net.request(caller, backup, Protocol::Http, moved));
-    assert_eq!(applied(reply.unwrap()), Value::Int(1));
+    assert_eq!(applied(&reply.unwrap()), Value::Int(1));
     assert_eq!(
-        allocs, 12,
-        "the response buffer, the unescaped WSDL text (moved into its \
-         tModel), the category list and its two values, the tModel name, \
+        allocs, 11,
+        "the unescaped WSDL text (moved into its tModel), the category \
+         list and its two values, the tModel name, \
          the endpoint, the service name, its binding list, the growth of \
          its name's index list, and the new gateway's category bucket \
          (its value and tree node): the entry is read in place, and the \

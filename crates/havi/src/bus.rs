@@ -13,7 +13,7 @@ pub const RESET_OUTAGE: SimDuration = SimDuration::from_millis(2);
 
 /// Performs a bus reset on `net`: the bus drops, time passes, the bus
 /// returns. Callers re-announce their DCMs afterwards (see
-/// [`crate::dcm::Dcm::reannounce`]).
+/// [`crate::dcm::Dcm::announce`]).
 pub fn bus_reset(sim: &Sim, net: &Network) {
     net.set_down(true);
     sim.advance(RESET_OUTAGE);

@@ -100,15 +100,6 @@ impl Dcm {
         }
         Ok(())
     }
-
-    /// Re-announces after a bus reset (call when the bus comes back).
-    pub fn reannounce(&mut self) -> Result<(), HaviError> {
-        if let Some(registry) = self.registry {
-            self.announce(registry)
-        } else {
-            Ok(())
-        }
-    }
 }
 
 impl fmt::Debug for Dcm {
@@ -184,19 +175,5 @@ mod tests {
         assert_eq!(registry.entry_count(), 0);
         // Withdrawing again is a no-op.
         vcr.withdraw().unwrap();
-    }
-
-    #[test]
-    fn reannounce_after_bus_reset_restores_registry() {
-        let (_sim, net, _fav, registry) = world();
-        let mut vcr = Dcm::install(&net, "vcr", 3, &[(FcmKind::Vcr, "vcr")], None);
-        vcr.announce(registry.seid()).unwrap();
-        // A bus reset wipes the registry (new HAVi network instance).
-        // Simulate the wipe by withdrawing, then reannounce.
-        vcr.withdraw().unwrap();
-        assert_eq!(registry.entry_count(), 0);
-        vcr.announce(registry.seid()).unwrap();
-        vcr.reannounce().unwrap();
-        assert_eq!(registry.entry_count(), 2);
     }
 }

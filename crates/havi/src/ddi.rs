@@ -9,10 +9,8 @@
 use crate::hvalue::HValue;
 use crate::messaging::{HaviError, MessagingSystem, OpCode};
 use crate::seid::{HaviStatus, Seid};
-use parking_lot::Mutex;
 use simnet::Sim;
 use std::fmt;
-use std::sync::Arc;
 
 /// DDI API class.
 pub const API_DDI: u16 = 0x0003;
@@ -156,7 +154,6 @@ impl fmt::Display for DdiElement {
 #[derive(Clone)]
 pub struct DdiPanel {
     seid: Seid,
-    panel: Arc<Mutex<DdiElement>>,
 }
 
 impl DdiPanel {
@@ -167,21 +164,15 @@ impl DdiPanel {
         panel: DdiElement,
         mut on_action: impl FnMut(&Sim, u16) + Send + 'static,
     ) -> DdiPanel {
-        let panel = Arc::new(Mutex::new(panel));
-        let panel2 = panel.clone();
         let seid = ms.register_element(move |sim, msg| {
             if msg.opcode.api != API_DDI {
                 return (HaviStatus::EUnsupported, vec![]);
             }
             match msg.opcode.oper {
-                OPER_GET_PANEL => (HaviStatus::Success, panel2.lock().to_params()),
+                OPER_GET_PANEL => (HaviStatus::Success, panel.to_params()),
                 OPER_USER_ACTION => match msg.params.first().and_then(HValue::as_u32) {
                     Some(id) => {
-                        let valid = panel2
-                            .lock()
-                            .buttons()
-                            .iter()
-                            .any(|(bid, _)| u32::from(*bid) == id);
+                        let valid = panel.buttons().iter().any(|(bid, _)| u32::from(*bid) == id);
                         if valid {
                             on_action(sim, id as u16);
                             (HaviStatus::Success, vec![])
@@ -194,17 +185,12 @@ impl DdiPanel {
                 _ => (HaviStatus::EUnsupported, vec![]),
             }
         });
-        DdiPanel { seid, panel }
+        DdiPanel { seid }
     }
 
     /// The panel's SEID.
     pub fn seid(&self) -> Seid {
         self.seid
-    }
-
-    /// Replaces the UI tree (e.g. to refresh a status text).
-    pub fn update(&self, panel: DdiElement) {
-        *self.panel.lock() = panel;
     }
 }
 
@@ -259,7 +245,9 @@ impl DdiController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simnet::Network;
+    use std::sync::Arc;
 
     fn sample_panel() -> DdiElement {
         DdiElement::Panel {
@@ -333,27 +321,5 @@ mod tests {
             controller.press(panel.seid(), 99),
             Err(HaviError::Status(HaviStatus::EParameter))
         ));
-    }
-
-    #[test]
-    fn panels_can_refresh() {
-        let sim = simnet::Sim::new(1);
-        let bus = Network::ieee1394(&sim);
-        let node = MessagingSystem::attach(&bus, "dev");
-        let panel = DdiPanel::install(&node, sample_panel(), |_, _| {});
-        panel.update(DdiElement::Panel {
-            title: "VCR".into(),
-            children: vec![DdiElement::Text {
-                label: "state".into(),
-                value: "recording".into(),
-            }],
-        });
-        let tv = MessagingSystem::attach(&bus, "tv");
-        let gui = tv.register_element(|_, _| (HaviStatus::Success, vec![]));
-        let ui = DdiController::new(&tv, gui.handle)
-            .fetch(panel.seid())
-            .unwrap();
-        assert!(ui.to_string().contains("recording"));
-        assert!(ui.buttons().is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! software elements and carries request/response messages between SEIDs
 //! over IEEE1394 asynchronous transactions.
 
-use crate::hvalue::{check_params, decode_params, params_len, write_params, CodecError, HValue};
+use crate::hvalue::{check_params, decode_params, write_params, CodecError, HValue};
 use crate::seid::{HaviStatus, Seid};
 use parking_lot::Mutex;
 use simnet::{Network, NodeId, Protocol, Sim, SimDuration};
@@ -52,19 +52,17 @@ pub struct HaviMessage {
 const HEAD_LEN: usize = 16;
 
 impl HaviMessage {
-    /// Writes the head and appends the parameter list into one buffer
-    /// of exactly the frame's size, or refuses a list that does not
-    /// fit its wire form.
-    fn encode(&self) -> Result<Vec<u8>, CodecError> {
+    /// Appends the head and the parameter list to `out`, or refuses a
+    /// list that does not fit its wire form before writing a byte.
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
         check_params(&self.params)?;
-        let mut out = Vec::with_capacity(HEAD_LEN + params_len(&self.params));
         out.extend_from_slice(&self.src.node.0.to_be_bytes());
         out.extend_from_slice(&self.src.handle.to_be_bytes());
         out.extend_from_slice(&self.dst.handle.to_be_bytes());
         out.extend_from_slice(&self.opcode.api.to_be_bytes());
         out.extend_from_slice(&self.opcode.oper.to_be_bytes());
-        write_params(&self.params, &mut out);
-        Ok(out)
+        write_params(&self.params, out);
+        Ok(())
     }
 
     fn decode(dst_node: NodeId, data: &[u8]) -> Result<HaviMessage, CodecError> {
@@ -158,16 +156,16 @@ impl MessagingSystem {
         let elements: Arc<Mutex<HashMap<u32, SharedHandler>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let elements2 = elements.clone();
-        net.set_request_handler(node, move |sim, frame| {
+        net.set_request_handler(node, move |sim, frame, reply| {
             sim.advance(SimDuration::from_micros(30)); // embedded CPU dispatch
-            let reply = match HaviMessage::decode(node, &frame.payload) {
+            match HaviMessage::decode(node, &frame.payload) {
                 Ok(msg) => {
                     let (status, params) = dispatch(&elements2, sim, &msg);
-                    encode_reply(status, &params)
+                    encode_reply(status, &params, reply);
                 }
-                Err(_) => encode_reply(HaviStatus::EParameter, &[]),
-            };
-            Ok(reply)
+                Err(_) => encode_reply(HaviStatus::EParameter, &[], reply),
+            }
+            Ok(())
         })
         .expect("node attached");
         MessagingSystem {
@@ -229,9 +227,11 @@ impl MessagingSystem {
             sim.advance(SimDuration::from_micros(10));
             return Ok(dispatch(&self.elements, &sim, &msg));
         }
+        let mut wire = self.net.buffer();
+        msg.encode(&mut wire)?;
         let reply = self
             .net
-            .request(self.node, dst.node, Protocol::Havi, msg.encode()?)
+            .request(self.node, dst.node, Protocol::Havi, wire)
             .map_err(|e| HaviError::Network(e.to_string()))?;
         decode_reply(&reply)
     }
@@ -263,17 +263,15 @@ impl fmt::Debug for MessagingSystem {
     }
 }
 
-/// Writes the status byte and appends the parameter list into one
-/// buffer of exactly the reply's size. Reply parameters that do not
-/// fit their wire form are refused: the reply is `EResource`, with none.
-fn encode_reply(status: HaviStatus, params: &[HValue]) -> Vec<u8> {
+/// Appends the status byte and the parameter list to `out`. Reply
+/// parameters that do not fit their wire form are refused: the reply
+/// is `EResource`, with none.
+fn encode_reply(status: HaviStatus, params: &[HValue], out: &mut Vec<u8>) {
     if check_params(params).is_err() {
-        return encode_reply(HaviStatus::EResource, &[]);
+        return encode_reply(HaviStatus::EResource, &[], out);
     }
-    let mut out = Vec::with_capacity(1 + params_len(params));
     out.push(status.code());
-    write_params(params, &mut out);
-    out
+    write_params(params, out);
 }
 
 fn decode_reply(data: &[u8]) -> Result<(HaviStatus, Vec<HValue>), HaviError> {
@@ -384,8 +382,8 @@ mod tests {
             opcode: OpCode::new(0x0103, 5),
             params: vec![HValue::U32(1), HValue::Str("t".into())],
         };
-        let enc = msg.encode().unwrap();
-        assert_eq!(enc.capacity(), enc.len(), "one exactly sized buffer");
+        let mut enc = Vec::new();
+        msg.encode(&mut enc).unwrap();
         let back = HaviMessage::decode(NodeId(9), &enc).unwrap();
         assert_eq!(back, msg);
         assert!(HaviMessage::decode(NodeId(9), &enc[..10]).is_err());

@@ -159,7 +159,8 @@ impl StreamManager {
     }
 
     /// Currently open connections.
-    pub fn connections(&self) -> Vec<StreamConnection> {
+    #[cfg(test)]
+    fn connections(&self) -> Vec<StreamConnection> {
         self.state.lock().connections.clone()
     }
 

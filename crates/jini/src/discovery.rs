@@ -21,7 +21,8 @@ pub const DISCOVERY_RESP_PREFIX: &[u8] = b"JINI-DISCO-RESP:";
 /// simulation); the caller must not have a frame handler installed on
 /// `node` while discovering.
 pub fn discover(net: &Network, node: NodeId, group: &str) -> Vec<NodeId> {
-    let mut payload = DISCOVERY_REQ_PREFIX.to_vec();
+    let mut payload = net.buffer();
+    payload.extend_from_slice(DISCOVERY_REQ_PREFIX);
     payload.extend_from_slice(group.as_bytes());
     // Broadcast; losses are possible on lossy media, in which case the
     // caller simply discovers nothing and retries later (as real Jini

@@ -111,12 +111,20 @@ impl JValue {
         }
     }
 
-    /// Serialises to a marshalled stream (with magic), in one buffer of
-    /// exactly its size. A string, class name or field name longer than
-    /// `u16::MAX` bytes, or an object with more than `u16::MAX` fields,
-    /// does not fit its two-byte length prefix and is refused.
+    /// Serialises to a marshalled stream (with magic). A string, class
+    /// name or field name longer than `u16::MAX` bytes, or an object
+    /// with more than `u16::MAX` fields, does not fit its two-byte
+    /// length prefix and is refused.
     pub fn marshal(&self) -> Result<Vec<u8>, MarshalError> {
-        marshal_with(|out| self.write(out))
+        let mut out = Vec::new();
+        self.marshal_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`JValue::marshal`] appending to `out`, which a refused stream
+    /// leaves as it was.
+    pub fn marshal_into(&self, out: &mut Vec<u8>) -> Result<(), MarshalError> {
+        write_stream(out, |sink| self.write(sink))
     }
 
     /// Deserialises a marshalled stream: [`JRef::to_owned`] over
@@ -173,33 +181,25 @@ const MAX_UTF: usize = u16::MAX as usize;
 /// The most fields an object's two-byte field count holds.
 const MAX_FIELDS: usize = u16::MAX as usize;
 
-/// Where a writer puts marshalled bytes: a buffer, or a counter.
+/// Where a writer puts marshalled bytes.
 pub(crate) trait Sink {
     /// Appends `bytes`.
     fn put(&mut self, bytes: &[u8]);
 
     /// Notes that the stream cannot be written as it stands: a length
-    /// its prefix cannot hold. The measuring pass keeps the first, and
-    /// marshalling stops there, before a byte is written.
-    fn refuse(&mut self, _why: MarshalError) {}
+    /// its prefix cannot hold.
+    fn refuse(&mut self, why: MarshalError);
 }
 
-impl Sink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-/// A sink that only counts what is written to it, and remembers the
-/// first refusal.
-struct Measure {
-    len: usize,
+/// A sink that appends to a buffer and remembers the first refusal.
+struct Writer<'b> {
+    out: &'b mut Vec<u8>,
     refused: Option<MarshalError>,
 }
 
-impl Sink for Measure {
+impl Sink for Writer<'_> {
     fn put(&mut self, bytes: &[u8]) {
-        self.len += bytes.len();
+        self.out.extend_from_slice(bytes);
     }
 
     fn refuse(&mut self, why: MarshalError) {
@@ -207,22 +207,24 @@ impl Sink for Measure {
     }
 }
 
-/// Marshals the stream `write` writes after the magic into one buffer
-/// of exactly its size: `write` runs once to measure, which also checks
-/// every length against its prefix, and once to fill.
-pub(crate) fn marshal_with(write: impl Fn(&mut dyn Sink)) -> Result<Vec<u8>, MarshalError> {
-    let mut measure = Measure {
-        len: STREAM_MAGIC.len(),
-        refused: None,
-    };
-    write(&mut measure);
-    if let Some(why) = measure.refused {
-        return Err(why);
-    }
-    let mut out = Vec::with_capacity(measure.len);
+/// Appends the magic and the stream `write` writes to `out`. A length
+/// its prefix cannot hold refuses the stream: `out` is cut back to what
+/// it held, and the first refusal is returned.
+pub(crate) fn write_stream(
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut dyn Sink),
+) -> Result<(), MarshalError> {
+    let start = out.len();
     out.extend_from_slice(STREAM_MAGIC);
-    write(&mut out);
-    Ok(out)
+    let mut writer = Writer { out, refused: None };
+    write(&mut writer);
+    match writer.refused {
+        Some(why) => {
+            out.truncate(start);
+            Err(why)
+        }
+        None => Ok(()),
+    }
 }
 
 /// Writes a `Str` value.
@@ -736,15 +738,20 @@ mod tests {
         }
         // Objects count toward the same bound, and so does an empty
         // container at the level past it.
-        let mut objects = STREAM_MAGIC.to_vec();
-        for _ in 0..MAX_DEPTH {
-            write_object_head(&mut objects, "o", 1);
-            write_utf(&mut objects, "f");
-        }
+        let mut objects = Vec::new();
+        write_stream(&mut objects, |out| {
+            for _ in 0..MAX_DEPTH {
+                write_object_head(out, "o", 1);
+                write_utf(out, "f");
+            }
+        })
+        .unwrap();
         let mut past = objects.clone();
         objects.push(TAG_NULL);
         assert!(JRef::unmarshal(&objects).is_ok());
-        write_object_head(&mut past, "o", 0);
+        let mut empty = Vec::new();
+        write_stream(&mut empty, |out| write_object_head(out, "o", 0)).unwrap();
+        past.extend_from_slice(&empty[STREAM_MAGIC.len()..]);
         assert!(JRef::unmarshal(&past).is_err());
     }
 }

@@ -7,7 +7,7 @@
 use crate::discovery::{DISCOVERY_REQ_PREFIX, DISCOVERY_RESP_PREFIX};
 use crate::entry::{Entry, ServiceTemplate};
 use crate::id::ServiceId;
-use crate::jvalue::{JValue, MarshalError};
+use crate::jvalue::JValue;
 use crate::lease::{Lease, LeaseId, LeasePolicy, LeaseTable};
 use crate::rmi::{JiniError, ProxyStub};
 use parking_lot::Mutex;
@@ -156,14 +156,16 @@ impl LookupService {
         // Unicast protocol: register / lookup / renew / cancel.
         let state2 = svc.state.clone();
         let registrar_id2 = registrar_id;
-        net.set_request_handler(node, move |sim, frame| {
-            sim.advance(SimDuration::from_micros(100)); // registrar CPU
-                                                        // A reply that does not fit its stream goes back as the
-                                                        // error saying so, which does.
-            let reply = handle_request(&state2, registrar_id2, sim.now(), &frame.payload)
-                .or_else(|e| reggie_err(&format!("reply refused: {e}")))
+        net.set_request_handler(node, move |sim, frame, reply| {
+            // Registrar CPU.
+            sim.advance(SimDuration::from_micros(100));
+            // A reply that does not fit its stream goes back as the
+            // error saying so, which does.
+            handle_request(&state2, registrar_id2, sim.now(), &frame.payload)
+                .marshal_into(reply)
+                .or_else(|e| reggie_err(&format!("reply refused: {e}")).marshal_into(reply))
                 .expect("a short error marshals");
-            Ok(reply)
+            Ok(())
         })
         .expect("registrar node exists");
 
@@ -177,7 +179,8 @@ impl LookupService {
                 .and_then(|g| std::str::from_utf8(g).ok())
             {
                 if groups2.iter().any(|g| g == group) {
-                    let mut resp = DISCOVERY_RESP_PREFIX.to_vec();
+                    let mut resp = net2.buffer();
+                    resp.extend_from_slice(DISCOVERY_RESP_PREFIX);
                     resp.extend_from_slice(&node.0.to_be_bytes());
                     let _ = net2.send(Frame::new(node, frame.src, Protocol::Jini, resp));
                 }
@@ -231,7 +234,7 @@ fn handle_request(
     registrar_id: u64,
     now: SimTime,
     payload: &[u8],
-) -> Result<Vec<u8>, MarshalError> {
+) -> JValue {
     let req = match JValue::unmarshal(payload) {
         Ok(v) => v,
         Err(e) => return reggie_err(&format!("bad request: {e}")),
@@ -278,7 +281,6 @@ fn handle_request(
                     ),
                 ],
             )
-            .marshal()
         }
         "ReggieLookup" => {
             let template = match req.field("template").and_then(ServiceTemplate::from_jvalue) {
@@ -305,7 +307,6 @@ fn handle_request(
                     JValue::List(matches.iter().map(|i| i.to_jvalue()).collect()),
                 )],
             )
-            .marshal()
         }
         "ReggieRenew" => {
             let lease_id = LeaseId(
@@ -327,8 +328,7 @@ fn handle_request(
                         "expirationUs".into(),
                         JValue::Int(lease.expiration.as_micros() as i64),
                     )],
-                )
-                .marshal(),
+                ),
                 Err(e) => reggie_err(&e.to_string()),
             }
         }
@@ -343,7 +343,7 @@ fn handle_request(
                 st.items.remove(&id);
             }
             match st.leases.cancel(lease_id) {
-                Ok(()) => JValue::object("ReggieCancelled", vec![]).marshal(),
+                Ok(()) => JValue::object("ReggieCancelled", vec![]),
                 Err(e) => reggie_err(&e.to_string()),
             }
         }
@@ -351,12 +351,11 @@ fn handle_request(
     }
 }
 
-fn reggie_err(m: &str) -> Result<Vec<u8>, MarshalError> {
+fn reggie_err(m: &str) -> JValue {
     JValue::object(
         "ReggieError",
         vec![("message".into(), JValue::Str(m.to_owned()))],
     )
-    .marshal()
 }
 
 /// The client side of the registrar protocol.
@@ -378,9 +377,11 @@ impl RegistrarClient {
     }
 
     fn call(&self, req: JValue) -> Result<JValue, JiniError> {
+        let mut wire = self.net.buffer();
+        req.marshal_into(&mut wire)?;
         let reply = self
             .net
-            .request(self.node, self.registrar, Protocol::Jini, req.marshal()?)
+            .request(self.node, self.registrar, Protocol::Jini, wire)
             .map_err(|e| JiniError::Network(e.to_string()))?;
         let v = JValue::unmarshal(&reply)?;
         if let JValue::Object { class, .. } = &v {

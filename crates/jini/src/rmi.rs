@@ -7,7 +7,7 @@
 //! marshal → network round trip → unmarshal.
 
 use crate::jvalue::{
-    marshal_with, write_list_head, write_object_head, write_str, write_utf, JRef, JValue,
+    write_list_head, write_object_head, write_str, write_stream, write_utf, JRef, JValue,
     MarshalError,
 };
 use parking_lot::Mutex;
@@ -95,29 +95,32 @@ impl RmiExporter {
     pub fn on_node(net: &Network, node: NodeId) -> RmiExporter {
         let objects: Arc<Mutex<HashMap<u64, RemoteObject>>> = Arc::new(Mutex::new(HashMap::new()));
         let objects2 = objects.clone();
-        net.set_request_handler(node, move |sim, frame| {
+        net.set_request_handler(node, move |sim, frame, reply| {
             charge_unmarshal(sim, frame.payload.len());
             sim.advance(DISPATCH);
-            let reply = match read_call(&frame.payload) {
+            let written = match read_call(&frame.payload) {
                 Ok((object_id, method, args)) => {
                     let mut objects = objects2.lock();
                     match objects.get_mut(&object_id) {
                         Some(obj) => match obj(sim, method, &args) {
-                            Ok(v) => result_frame(Ok(&v)),
-                            Err(e) => result_frame(Err(&e)),
+                            Ok(v) => write_result(Ok(&v), reply),
+                            Err(e) => write_result(Err(&e), reply),
                         },
-                        None => result_frame(Err(&format!("no exported object {object_id}"))),
+                        None => {
+                            let error = format!("no exported object {object_id}");
+                            write_result(Err(&error), reply)
+                        }
                     }
                 }
-                Err(e) => result_frame(Err(&format!("unmarshal failed: {e}"))),
+                Err(e) => write_result(Err(&format!("unmarshal failed: {e}")), reply),
             };
             // A result that does not fit its stream goes back as the
             // exception saying so, which does.
-            let reply = reply
-                .or_else(|e| result_frame(Err(&format!("result refused: {e}"))))
+            written
+                .or_else(|e| write_result(Err(&format!("result refused: {e}")), reply))
                 .expect("a short exception marshals");
             charge_marshal(sim, reply.len());
-            Ok(reply)
+            Ok(())
         })
         .expect("exporter node exists");
         RmiExporter {
@@ -188,11 +191,12 @@ impl RemoteProxy {
     }
 
     /// Invokes a remote method: the `RmiCall` frame is written straight
-    /// into one exactly sized buffer, and the `RmiResult` frame is read
+    /// into a buffer from the network, and the `RmiResult` frame is read
     /// in place, so only the returned value is copied out of it.
     pub fn invoke(&self, method: &str, args: &[JValue]) -> Result<JValue, JiniError> {
         let sim = self.net.sim().clone();
-        let payload = call_frame(self.stub.object_id, method, args)?;
+        let mut payload = self.net.buffer();
+        write_call(self.stub.object_id, method, args, &mut payload)?;
         charge_marshal(&sim, payload.len());
         let reply = self
             .net
@@ -203,15 +207,16 @@ impl RemoteProxy {
     }
 }
 
-/// Writes an `RmiCall` frame, `{objectId, method, args}`, from borrows:
-/// the bytes `JValue::object("RmiCall", ..).marshal()` gives, with no
-/// object built and no argument cloned.
-pub(crate) fn call_frame(
+/// Appends an `RmiCall` frame, `{objectId, method, args}`, to `out`
+/// from borrows: the bytes `JValue::object("RmiCall", ..).marshal()`
+/// gives, with no object built and no argument cloned.
+pub(crate) fn write_call(
     object_id: u64,
     method: &str,
     args: &[JValue],
-) -> Result<Vec<u8>, MarshalError> {
-    marshal_with(|out| {
+    out: &mut Vec<u8>,
+) -> Result<(), MarshalError> {
+    write_stream(out, |out| {
         write_object_head(out, "RmiCall", 3);
         write_utf(out, "objectId");
         JValue::Int(object_id as i64).write(out);
@@ -244,10 +249,14 @@ pub(crate) fn read_call(data: &[u8]) -> Result<(u64, &str, Vec<JValue>), Marshal
     Ok((object_id, method, args.to_owned_items()))
 }
 
-/// Writes an `RmiResult` frame from a borrow: `{ok: true, value}` for a
-/// returned value, `{ok: false, error}` for a remote exception.
-pub(crate) fn result_frame(result: Result<&JValue, &str>) -> Result<Vec<u8>, MarshalError> {
-    marshal_with(|out| {
+/// Appends an `RmiResult` frame to `out` from a borrow: `{ok: true,
+/// value}` for a returned value, `{ok: false, error}` for a remote
+/// exception.
+pub(crate) fn write_result(
+    result: Result<&JValue, &str>,
+    out: &mut Vec<u8>,
+) -> Result<(), MarshalError> {
+    write_stream(out, |out| {
         write_object_head(out, "RmiResult", 2);
         write_utf(out, "ok");
         JValue::Bool(result.is_ok()).write(out);

@@ -27,11 +27,11 @@ impl MailServer {
         let node = net.attach(label);
         let boxes: Arc<Mutex<HashMap<String, Vec<Email>>>> = Arc::new(Mutex::new(HashMap::new()));
         let boxes2 = boxes.clone();
-        net.set_request_handler(node, move |sim, frame| {
+        net.set_request_handler(node, move |sim, frame, reply| {
             sim.advance(SimDuration::from_micros(500)); // relay processing
             let text = String::from_utf8_lossy(&frame.payload);
-            let reply = handle(&boxes2, sim.now(), &text);
-            Ok(reply.into_bytes())
+            handle(&boxes2, sim.now(), &text, reply);
+            Ok(())
         })
         .expect("mail node exists");
         MailServer { node, boxes }
@@ -57,39 +57,46 @@ impl fmt::Debug for MailServer {
     }
 }
 
+/// Serves one request, appending the reply to `out`.
 fn handle(
     boxes: &Mutex<HashMap<String, Vec<Email>>>,
     now: simnet::SimTime,
     request: &str,
-) -> String {
+    out: &mut Vec<u8>,
+) {
+    use std::io::Write as _;
     let (command, rest) = request.split_once("\r\n").unwrap_or((request, ""));
     let mut parts = command.split_whitespace();
-    match parts.next() {
+    let reply = match parts.next() {
         Some("SEND") => match Email::from_wire(rest) {
             Some(mut mail) => {
                 mail.date = now;
                 let to = mail.to.clone();
                 boxes.lock().entry(to).or_default().push(mail);
-                "250 OK".to_owned()
+                "250 OK"
             }
-            None => "554 malformed message".to_owned(),
+            None => "554 malformed message",
         },
         Some("STAT") => match parts.next() {
             Some(addr) => {
                 let n = boxes.lock().get(addr).map_or(0, Vec::len);
-                format!("+OK {n}")
+                write!(out, "+OK {n}").expect("vec write");
+                return;
             }
-            None => "501 STAT needs a mailbox".to_owned(),
+            None => "501 STAT needs a mailbox",
         },
         Some("RETR") => match (
             parts.next(),
             parts.next().and_then(|s| s.parse::<usize>().ok()),
         ) {
             (Some(addr), Some(idx)) => match boxes.lock().get(addr).and_then(|b| b.get(idx)) {
-                Some(mail) => format!("+OK\r\n{}", mail.to_wire()),
-                None => "550 no such message".to_owned(),
+                Some(mail) => {
+                    write!(out, "+OK\r\n{}", mail.to_wire()).expect("vec write");
+                    return;
+                }
+                None => "550 no such message",
             },
-            _ => "501 RETR needs mailbox and index".to_owned(),
+            _ => "501 RETR needs mailbox and index",
         },
         Some("DELE") => match (
             parts.next(),
@@ -100,15 +107,16 @@ fn handle(
                 match boxes.get_mut(addr) {
                     Some(b) if idx < b.len() => {
                         b.remove(idx);
-                        "+OK deleted".to_owned()
+                        "+OK deleted"
                     }
-                    _ => "550 no such message".to_owned(),
+                    _ => "550 no such message",
                 }
             }
-            _ => "501 DELE needs mailbox and index".to_owned(),
+            _ => "501 DELE needs mailbox and index",
         },
-        _ => "500 unknown command".to_owned(),
-    }
+        _ => "500 unknown command",
+    };
+    out.extend_from_slice(reply.as_bytes());
 }
 
 /// Errors surfaced by the mail client.
@@ -152,17 +160,21 @@ impl MailClient {
         }
     }
 
-    fn exchange(&self, request: String) -> Result<String, MailError> {
+    /// Sends the request `args` formats and returns the reply's text.
+    fn exchange(&self, args: fmt::Arguments<'_>) -> Result<String, MailError> {
+        use std::io::Write as _;
+        let mut request = self.net.buffer();
+        request.write_fmt(args).expect("vec write");
         let reply = self
             .net
-            .request(self.node, self.server, Protocol::Mail, request.into_bytes())
+            .request(self.node, self.server, Protocol::Mail, request)
             .map_err(|e| MailError::Network(e.to_string()))?;
         Ok(String::from_utf8_lossy(&reply).into_owned())
     }
 
     /// Submits a message.
     pub fn send(&self, mail: &Email) -> Result<(), MailError> {
-        let reply = self.exchange(format!("SEND\r\n{}", mail.to_wire()))?;
+        let reply = self.exchange(format_args!("SEND\r\n{}", mail.to_wire()))?;
         if reply.starts_with("250") {
             Ok(())
         } else {
@@ -172,7 +184,7 @@ impl MailClient {
 
     /// Counts messages in `addr`'s mailbox.
     pub fn stat(&self, addr: &str) -> Result<usize, MailError> {
-        let reply = self.exchange(format!("STAT {addr}"))?;
+        let reply = self.exchange(format_args!("STAT {addr}"))?;
         reply
             .strip_prefix("+OK ")
             .and_then(|n| n.trim().parse().ok())
@@ -181,7 +193,7 @@ impl MailClient {
 
     /// Fetches message `idx` from `addr`'s mailbox.
     pub fn retr(&self, addr: &str, idx: usize) -> Result<Email, MailError> {
-        let reply = self.exchange(format!("RETR {addr} {idx}"))?;
+        let reply = self.exchange(format_args!("RETR {addr} {idx}"))?;
         match reply.strip_prefix("+OK\r\n") {
             Some(wire) => {
                 Email::from_wire(wire).ok_or(MailError::Protocol("bad message body".into()))
@@ -193,7 +205,7 @@ impl MailClient {
     /// Deletes message `idx` from `addr`'s mailbox.
     #[cfg(test)]
     fn dele(&self, addr: &str, idx: usize) -> Result<(), MailError> {
-        let reply = self.exchange(format!("DELE {addr} {idx}"))?;
+        let reply = self.exchange(format_args!("DELE {addr} {idx}"))?;
         if reply.starts_with("+OK") {
             Ok(())
         } else {

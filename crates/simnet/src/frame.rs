@@ -56,7 +56,9 @@ pub struct Frame {
     pub protocol: Protocol,
     /// Application payload. A frame owns its bytes: the buffer the
     /// sender filled is the one the receiver reads, and cloning a
-    /// frame copies them.
+    /// frame copies them. A sender takes the buffer from
+    /// [`Network::buffer`](crate::Network::buffer), and the network
+    /// takes it back once the frame has been read.
     pub payload: Vec<u8>,
 }
 

@@ -20,10 +20,17 @@
 //! let eth = Network::ethernet(&sim);
 //! let pc = eth.attach("pc");
 //! let fridge = eth.attach("fridge");
-//! eth.set_request_handler(fridge, |_, req| {
-//!     Ok(format!("echo:{}", req.len()).into_bytes())
+//! // The handler reads the request in place and writes its answer
+//! // into the empty buffer the network lends it.
+//! eth.set_request_handler(fridge, |_, req, reply| {
+//!     reply.extend_from_slice(format!("echo:{}", req.len()).as_bytes());
+//!     Ok(())
 //! }).unwrap();
-//! let resp = eth.request(pc, fridge, Protocol::Raw, &b"temp?"[..]).unwrap();
+//! // The writer takes its buffer from the network, and the reply
+//! // gives the handler's buffer back when it is dropped.
+//! let mut ask = eth.buffer();
+//! ask.extend_from_slice(b"temp?");
+//! let resp = eth.request(pc, fridge, Protocol::Raw, ask).unwrap();
 //! assert_eq!(&resp[..], b"echo:5");
 //! assert!(sim.now().as_micros() > 0, "virtual time advanced");
 //! ```
@@ -49,7 +56,7 @@ pub use chaos::{FaultKind, FaultPlan, FaultWindow};
 pub use error::{SimError, SimResult};
 pub use frame::{Frame, Protocol};
 pub use link::LinkModel;
-pub use net::Network;
+pub use net::{Network, Reply};
 pub use node::{Addr, NodeId};
 pub use par::{Courier, IslandProfile, ParRunStats, ParSim};
 pub use rng::SimRng;

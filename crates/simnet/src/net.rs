@@ -5,6 +5,13 @@
 //! model and a set of attached nodes. It supports one-way frames
 //! (datagrams, broadcasts) and synchronous request/response exchanges —
 //! the two interaction patterns every home middleware in the paper uses.
+//!
+//! A network also keeps a short list of spare byte buffers, and every
+//! frame's bytes pass through it: a writer takes its buffer from
+//! [`Network::buffer`], a request handler writes its answer into a
+//! buffer the network lends it, and each buffer comes back to the list
+//! once its frame has been read. So a warm exchange allocates nothing
+//! for its bytes.
 
 use crate::chaos::FaultPlan;
 use crate::error::{SimError, SimResult};
@@ -16,7 +23,8 @@ use crate::stats::NetStats;
 use crate::time::SimDuration;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Bound;
+use std::fmt;
+use std::ops::{Bound, Deref};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -25,12 +33,21 @@ type FrameHandler = Box<dyn FnMut(&Sim, &Frame) + Send>;
 
 /// Handles request/response exchanges addressed to a node.
 ///
-/// The handler reads the request frame in place; the buffer it returns
-/// is the one the caller of [`Network::request`] gets back. The frame
-/// is the handler's to change: it may take `frame.payload` and write
-/// its answer into that buffer. Returning `Err` surfaces to the caller
-/// as [`SimError::Refused`].
-type RequestHandler = Box<dyn FnMut(&Sim, &mut Frame) -> Result<Vec<u8>, String> + Send>;
+/// The handler reads the request frame in place and writes its answer
+/// into the empty buffer the network lends it; that buffer is the one
+/// the caller of [`Network::request`] reads. The frame is read-only, so
+/// a duplicated request re-runs the handler on the bytes as they were
+/// sent. Returning `Err` surfaces to the caller as
+/// [`SimError::Refused`].
+type RequestHandler = Box<dyn FnMut(&Sim, &Frame, &mut Vec<u8>) -> Result<(), String> + Send>;
+
+/// How many spare buffers a network keeps: enough for an exchange with
+/// a few nested inside its handler.
+const SPARE_BUFFERS: usize = 8;
+
+/// The largest buffer a network keeps; a larger one is freed, so one
+/// bulk transfer does not pin its memory for the network's lifetime.
+const SPARE_CAPACITY: usize = 64 * 1024;
 
 struct NodePort {
     label: String,
@@ -82,6 +99,10 @@ struct NetInner {
     stats: Mutex<NetStats>,
     down: AtomicBool,
     chaos: Mutex<Option<FaultPlan>>,
+    /// Spare frame buffers, empty, most recently returned last. Only
+    /// the thread running this network's `Sim` touches it, so what a
+    /// run allocates does not depend on thread timing.
+    spares: Mutex<Vec<Vec<u8>>>,
 }
 
 /// The chaos effects in force at one instant, captured under one lock
@@ -103,6 +124,34 @@ impl ChaosGate {
     };
 }
 
+/// The reply to a [`Network::request`]: the buffer the handler wrote
+/// into, read in place through `Deref<Target = [u8]>`. Dropping it
+/// gives the buffer back to the network.
+pub struct Reply<'n> {
+    net: &'n Network,
+    buf: Vec<u8>,
+}
+
+impl Deref for Reply<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl Drop for Reply<'_> {
+    fn drop(&mut self) {
+        self.net.reclaim(std::mem::take(&mut self.buf));
+    }
+}
+
+impl fmt::Debug for Reply<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Reply").field(&&self.buf[..]).finish()
+    }
+}
+
 /// A cheaply clonable handle to one simulated network.
 #[derive(Clone)]
 pub struct Network {
@@ -122,6 +171,7 @@ impl Network {
                 stats: Mutex::new(NetStats::new()),
                 down: AtomicBool::new(false),
                 chaos: Mutex::new(None),
+                spares: Mutex::new(Vec::with_capacity(SPARE_BUFFERS)),
             }),
         }
     }
@@ -199,11 +249,13 @@ impl Network {
         Ok(())
     }
 
-    /// Installs the request/response handler for `node`.
+    /// Installs the request/response handler for `node`. It reads each
+    /// request frame and writes its answer into the empty buffer it is
+    /// lent.
     pub fn set_request_handler(
         &self,
         node: NodeId,
-        f: impl FnMut(&Sim, &mut Frame) -> Result<Vec<u8>, String> + Send + 'static,
+        f: impl FnMut(&Sim, &Frame, &mut Vec<u8>) -> Result<(), String> + Send + 'static,
     ) -> SimResult<()> {
         let mut nodes = self.inner.nodes.lock();
         let port = nodes.get_mut(&node).ok_or(SimError::UnknownNode(node))?;
@@ -247,6 +299,13 @@ impl Network {
     /// Removes the fault plan, healing every injected fault at once.
     pub fn clear_fault_plan(&self) {
         *self.inner.chaos.lock() = None;
+    }
+
+    /// The `(len, capacity)` of each spare buffer, oldest first.
+    #[cfg(test)]
+    fn spares(&self) -> Vec<(usize, usize)> {
+        let spares = self.inner.spares.lock();
+        spares.iter().map(|b| (b.len(), b.capacity())).collect()
     }
 
     /// A copy of the installed fault plan, if any.
@@ -312,45 +371,59 @@ impl Network {
         }
     }
 
+    // ---- buffers --------------------------------------------------------
+
+    /// An empty buffer to write a frame into: a spare from this
+    /// network's list when it has one. Sending the frame, or asking
+    /// with it, gives the buffer back once it has been read.
+    pub fn buffer(&self) -> Vec<u8> {
+        self.inner.spares.lock().pop().unwrap_or_default()
+    }
+
+    /// Takes `buf` back into the spare list, emptied, unless the list
+    /// is full or the buffer is too large to keep.
+    fn reclaim(&self, mut buf: Vec<u8>) {
+        if buf.capacity() == 0 || buf.capacity() > SPARE_CAPACITY {
+            return;
+        }
+        let mut spares = self.inner.spares.lock();
+        if spares.len() < SPARE_BUFFERS {
+            buf.clear();
+            spares.push(buf);
+        }
+    }
+
+    /// Gives `frame`'s buffer back and fails with `err`.
+    fn refuse<T>(&self, frame: Frame, err: SimError) -> SimResult<T> {
+        self.reclaim(frame.payload);
+        Err(err)
+    }
+
+    /// A copy of `frame` in a buffer from the spare list, for a frame
+    /// that lands twice.
+    fn copy(&self, frame: &Frame) -> Frame {
+        let mut payload = self.buffer();
+        payload.extend_from_slice(&frame.payload);
+        Frame::new(frame.src, frame.dst, frame.protocol, payload)
+    }
+
     // ---- transfer -------------------------------------------------------
 
     /// Sends a one-way frame, advancing the virtual clock by the transfer
     /// time. Broadcast frames are delivered to every other node in
     /// ascending node order. A unicast frame moves into its receiver:
     /// a handler reads it in place and [`Network::recv`] returns it.
+    /// Once its handlers have read it, or it is lost, the frame's buffer
+    /// comes back to the spare list.
     pub fn send(&self, frame: Frame) -> SimResult<()> {
-        self.check_up()?;
-        if !self.inner.link.fits(frame.len()) {
-            return Err(SimError::FrameTooLarge {
-                size: frame.len(),
-                mtu: self.inner.link.mtu,
-            });
-        }
-        // Chaos gate: a crashed endpoint or an active partition stops
-        // the frame before it reaches the medium. (Broadcasts check
-        // only the sender; delivery to each receiver is best-effort.)
-        let gate = self.chaos_gate(
-            frame.src,
-            match frame.dst {
-                Addr::Unicast(n) => Some(n),
-                Addr::Broadcast => None,
-            },
-        )?;
-        let sim = &self.inner.sim;
-        sim.advance(self.inner.link.transfer_time(frame.len()) + gate.extra_latency);
-        if self.lossy_drop(frame.protocol) || self.chaos_drop(&gate, frame.protocol) {
-            return Err(SimError::FrameLost {
-                dst: match frame.dst {
-                    Addr::Unicast(n) => n,
-                    Addr::Broadcast => frame.src,
-                },
-                at: sim.now(),
-            });
-        }
+        let gate = match self.launch(&frame) {
+            Ok(gate) => gate,
+            Err(e) => return self.refuse(frame, e),
+        };
         // At-least-once: a duplicated frame arrives a second time,
         // after its own independent reorder slip.
         if self.chaos_duplicate(&gate) {
-            self.deliver_slipped(frame.clone(), self.chaos_slip(&gate));
+            self.deliver_slipped(self.copy(&frame), self.chaos_slip(&gate));
         }
         // Out-of-order: a slipped frame leaves the sender now but lands
         // in the destination's future; frames sent after it may arrive
@@ -362,6 +435,32 @@ impl Network {
             return Ok(());
         }
         self.deliver(frame)
+    }
+
+    /// Puts a one-way frame on the medium: checks it may go, charges
+    /// its transfer time and draws its loss, returning the chaos
+    /// effects its delivery is subject to.
+    fn launch(&self, frame: &Frame) -> SimResult<ChaosGate> {
+        self.check_up()?;
+        if !self.inner.link.fits(frame.len()) {
+            return Err(SimError::FrameTooLarge {
+                size: frame.len(),
+                mtu: self.inner.link.mtu,
+            });
+        }
+        // Chaos gate: a crashed endpoint or an active partition stops
+        // the frame before it reaches the medium. (Broadcasts check
+        // only the sender; delivery to each receiver is best-effort.)
+        let gate = self.chaos_gate(frame.src, frame.dst_node())?;
+        let sim = &self.inner.sim;
+        sim.advance(self.inner.link.transfer_time(frame.len()) + gate.extra_latency);
+        if self.lossy_drop(frame.protocol) || self.chaos_drop(&gate, frame.protocol) {
+            return Err(SimError::FrameLost {
+                dst: frame.dst_node().unwrap_or(frame.src),
+                at: sim.now(),
+            });
+        }
+        Ok(gate)
     }
 
     /// Delivers `frame` after `slip` of extra delay (immediately when
@@ -379,25 +478,37 @@ impl Network {
 
     /// Synchronous request/response: transfers the request to `dst`,
     /// invokes its request handler inline, transfers the response back,
-    /// and returns the response payload.
+    /// and returns the response.
     ///
     /// Neither leg copies its bytes: the handler reads `payload` in
-    /// place (and may answer in the same buffer), and the buffer it
-    /// returns is the one handed back. The
-    /// clock advances by both transfer times plus whatever the handler
-    /// itself charges. Request/response runs over a stream (TCP-like),
-    /// so a payload over the link's MTU is fragmented rather than
-    /// rejected.
+    /// place and writes its answer into an empty buffer this network
+    /// lends it, and the caller reads that buffer through the returned
+    /// [`Reply`]. The request's buffer comes back to the spare list
+    /// after the exchange, and the reply's when the `Reply` is dropped.
+    /// The clock advances by both transfer times plus whatever the
+    /// handler itself charges. Request/response runs over a stream
+    /// (TCP-like), so a payload over the link's MTU is fragmented rather
+    /// than rejected.
     pub fn request(
         &self,
         src: NodeId,
         dst: NodeId,
         protocol: Protocol,
         payload: impl Into<Vec<u8>>,
-    ) -> SimResult<Vec<u8>> {
+    ) -> SimResult<Reply<'_>> {
+        let frame = Frame::new(src, dst, protocol, payload);
+        let result = self.exchange(&frame);
+        self.reclaim(frame.payload);
+        result.map(|buf| Reply { net: self, buf })
+    }
+
+    /// Both legs of [`Network::request`] for `frame`, returning the
+    /// reply's buffer.
+    fn exchange(&self, frame: &Frame) -> SimResult<Vec<u8>> {
         self.check_up()?;
-        let sim = self.inner.sim.clone();
-        let mut frame = Frame::new(src, dst, protocol, payload);
+        let sim = &self.inner.sim;
+        let (src, protocol) = (frame.src, frame.protocol);
+        let dst = frame.dst_node().expect("a request is unicast");
 
         // Request leg. The chaos gate runs before any clock advance:
         // these failures guarantee the request never reached `dst`.
@@ -420,24 +531,22 @@ impl Network {
                 .ok_or(SimError::NoHandler(dst))?
                 .clone()
         };
-        // A duplicate re-runs the handler on the request as it arrived,
-        // and the first run may take the payload: where the gate can
-        // duplicate, keep a copy for it.
-        let mut duplicate = (gate.duplicate > 0.0).then(|| frame.clone());
-        let response = {
-            let mut h = handler.lock();
-            (h)(&sim, &mut frame).map_err(SimError::Refused)?
-        };
+        let mut reply = self.buffer();
+        let answered = (handler.lock())(sim, frame, &mut reply);
+        if let Err(e) = answered {
+            self.reclaim(reply);
+            return Err(SimError::Refused(e));
+        }
         // At-least-once on the request leg: a duplicated request
-        // re-invokes the handler — the side effect happens *twice*
-        // unless the receiver deduplicates. The duplicate's response is
-        // discarded (the caller only matches the first).
+        // re-invokes the handler on the same frame — the side effect
+        // happens *twice* unless the receiver deduplicates. The
+        // duplicate's response is discarded (the caller only matches
+        // the first).
         if self.chaos_duplicate(&gate) {
-            if let Some(mut duplicate) = duplicate.take() {
-                self.record_delivered(protocol, duplicate.len());
-                let mut h = handler.lock();
-                let _ = (h)(&sim, &mut duplicate);
-            }
+            self.record_delivered(protocol, frame.len());
+            let mut echo = self.buffer();
+            let _ = (handler.lock())(sim, frame, &mut echo);
+            self.reclaim(echo);
         }
 
         // Response leg. The handler has already run, so every failure
@@ -445,28 +554,26 @@ impl Network {
         // the caller ([`SimError::before_delivery`] returns false) —
         // including a partition or crash whose window opened while the
         // handler was executing.
-        let resp_gate = match self.chaos_gate(dst, Some(src)) {
-            Ok(gate) => gate,
-            Err(_) => {
-                return Err(SimError::FrameLost {
-                    dst: src,
-                    at: sim.now(),
-                })
-            }
+        let lost = |net: &Network, reply: Vec<u8>| {
+            net.reclaim(reply);
+            Err(SimError::FrameLost {
+                dst: src,
+                at: sim.now(),
+            })
+        };
+        let Ok(resp_gate) = self.chaos_gate(dst, Some(src)) else {
+            return lost(self, reply);
         };
         sim.advance(
-            self.inner.link.fragmented_transfer_time(response.len())
+            self.inner.link.fragmented_transfer_time(reply.len())
                 + resp_gate.extra_latency
                 + self.chaos_slip(&resp_gate),
         );
         if self.lossy_drop(protocol) || self.chaos_drop(&resp_gate, protocol) {
-            return Err(SimError::FrameLost {
-                dst: src,
-                at: sim.now(),
-            });
+            return lost(self, reply);
         }
-        self.record_delivered(protocol, response.len());
-        Ok(response)
+        self.record_delivered(protocol, reply.len());
+        Ok(reply)
     }
 
     /// Delivers a frame that already paid its transfer cost elsewhere —
@@ -477,8 +584,10 @@ impl Network {
     /// happens (the send side already drew against its own RNG stream,
     /// keeping outcomes independent of the island partitioning).
     pub fn inject(&self, frame: Frame) -> SimResult<()> {
-        self.check_up()?;
-        self.deliver(frame)
+        match self.check_up() {
+            Ok(()) => self.deliver(frame),
+            Err(e) => self.refuse(frame, e),
+        }
     }
 
     fn check_up(&self) -> SimResult<()> {
@@ -508,25 +617,31 @@ impl Network {
     /// this network) and nothing collected: each receiver is looked up
     /// once the one before it has been served. A broadcast reaches the
     /// nodes attached when it arrived. The last receiver takes the frame
-    /// itself; only an inbox earlier in a broadcast's order gets a copy.
+    /// itself into its inbox, if it has no handler; only an inbox
+    /// earlier in a broadcast's order gets a copy. A frame no inbox
+    /// keeps gives its buffer back once its handlers have read it.
     fn deliver(&self, frame: Frame) -> SimResult<()> {
         // `last` bounds a broadcast's walk; a unicast frame has one
         // receiver and no walk.
-        let (mut next, last) = {
+        let first = {
             let nodes = self.inner.nodes.lock();
             match frame.dst {
-                Addr::Unicast(dst) => {
-                    let port = nodes.get(&dst).ok_or(SimError::UnknownNode(dst))?;
-                    (Some(Receiver::of(dst, port)), None)
-                }
+                Addr::Unicast(dst) => nodes
+                    .get(&dst)
+                    .map(|port| (Some(Receiver::of(dst, port)), None))
+                    .ok_or(SimError::UnknownNode(dst)),
                 Addr::Broadcast => {
                     let last = nodes.keys().next_back().copied();
                     let first = last.and_then(|last| {
                         Receiver::first_in(&nodes, &frame, Bound::Unbounded, last)
                     });
-                    (first, last)
+                    Ok((first, last))
                 }
             }
+        };
+        let (mut next, last) = match first {
+            Ok(first) => first,
+            Err(e) => return self.refuse(frame, e),
         };
         while let Some(Receiver { id, handler, inbox }) = next {
             self.record_delivered(frame.protocol, frame.len());
@@ -545,12 +660,13 @@ impl Network {
                     next = after();
                     if next.is_none() {
                         inbox.lock().push_back(frame);
-                        break;
+                        return Ok(());
                     }
-                    inbox.lock().push_back(frame.clone());
+                    inbox.lock().push_back(self.copy(&frame));
                 }
             }
         }
+        self.reclaim(frame.payload);
         Ok(())
     }
 
@@ -646,9 +762,10 @@ mod tests {
         let net = fast_net(&sim);
         let client = net.attach("client");
         let server = net.attach("server");
-        net.set_request_handler(server, |sim, f| {
+        net.set_request_handler(server, |sim, f, reply| {
             sim.advance(SimDuration::from_micros(50)); // processing
-            Ok(vec![0u8; f.len() * 2])
+            reply.resize(f.len() * 2, 0);
+            Ok(())
         })
         .unwrap();
         let resp = net
@@ -666,13 +783,14 @@ mod tests {
         let a = net.attach("a");
         let b = net.attach("b");
         assert_eq!(
-            net.request(a, b, Protocol::Raw, vec![1]),
-            Err(SimError::NoHandler(b))
+            net.request(a, b, Protocol::Raw, vec![1]).unwrap_err(),
+            SimError::NoHandler(b)
         );
-        assert!(matches!(
-            net.request(a, NodeId(99), Protocol::Raw, vec![1]),
-            Err(SimError::UnknownNode(NodeId(99)))
-        ));
+        assert_eq!(
+            net.request(a, NodeId(99), Protocol::Raw, vec![1])
+                .unwrap_err(),
+            SimError::UnknownNode(NodeId(99))
+        );
     }
 
     #[test]
@@ -681,11 +799,11 @@ mod tests {
         let net = fast_net(&sim);
         let a = net.attach("a");
         let b = net.attach("b");
-        net.set_request_handler(b, |_, _| Err("busy".into()))
+        net.set_request_handler(b, |_, _, _| Err("busy".into()))
             .unwrap();
         assert_eq!(
-            net.request(a, b, Protocol::Raw, vec![1]),
-            Err(SimError::Refused("busy".into()))
+            net.request(a, b, Protocol::Raw, vec![1]).unwrap_err(),
+            SimError::Refused("busy".into())
         );
     }
 
@@ -713,7 +831,7 @@ mod tests {
         let net = fast_net(&sim);
         let a = net.attach("a");
         let b = net.attach("b");
-        net.set_request_handler(b, |_, _| Ok(Vec::new())).unwrap();
+        net.set_request_handler(b, |_, _, _| Ok(())).unwrap();
         // 3000 bytes over MTU 1500 fragments fine (TCP-like stream).
         net.request(a, b, Protocol::Http, vec![0u8; 3000]).unwrap();
     }
@@ -765,17 +883,20 @@ mod tests {
         let client = net.attach("client");
         let front = net.attach("front");
         let back = net.attach("back");
-        net.set_request_handler(back, |_, _| Ok(b"deep".to_vec()))
-            .unwrap();
+        net.set_request_handler(back, |_, _, reply| {
+            reply.extend_from_slice(b"deep");
+            Ok(())
+        })
+        .unwrap();
         let net2 = net.clone();
-        net.set_request_handler(front, move |_, f| {
-            net2.request(
-                f.dst_node().unwrap(),
-                back,
-                Protocol::Raw,
-                f.payload.clone(),
-            )
-            .map_err(|e| e.to_string())
+        net.set_request_handler(front, move |_, f, reply| {
+            let mut forward = net2.buffer();
+            forward.extend_from_slice(&f.payload);
+            let deep = net2
+                .request(f.dst_node().unwrap(), back, Protocol::Raw, forward)
+                .map_err(|e| e.to_string())?;
+            reply.extend_from_slice(&deep);
+            Ok(())
         })
         .unwrap();
         let resp = net.request(client, front, Protocol::Raw, vec![1]).unwrap();
@@ -791,10 +912,13 @@ mod tests {
         let a = net.attach("a");
         let b = net.attach("b");
         let c = net.attach("c");
-        net.set_request_handler(b, |_, _| Ok(b"ok".to_vec()))
+        for node in [b, c] {
+            net.set_request_handler(node, |_, _, reply| {
+                reply.extend_from_slice(b"ok");
+                Ok(())
+            })
             .unwrap();
-        net.set_request_handler(c, |_, _| Ok(b"ok".to_vec()))
-            .unwrap();
+        }
         net.set_fault_plan(
             FaultPlan::new()
                 .node_down(c, SimTime::ZERO, SimTime::from_micros(10_000))
@@ -807,8 +931,8 @@ mod tests {
         );
         // c is crashed, b still reachable (partition not yet open).
         assert_eq!(
-            net.request(a, c, Protocol::Raw, vec![1]),
-            Err(SimError::NodeDown(c))
+            net.request(a, c, Protocol::Raw, vec![1]).unwrap_err(),
+            SimError::NodeDown(c)
         );
         net.request(a, b, Protocol::Raw, vec![1]).unwrap();
         // Enter the partition window: a↔b blocked before any time is
@@ -816,14 +940,14 @@ mod tests {
         sim.advance(SimDuration::from_micros(5_000) - (sim.now() - SimTime::ZERO));
         let before = sim.now();
         assert_eq!(
-            net.request(a, b, Protocol::Raw, vec![1]),
-            Err(SimError::Partitioned { src: a, dst: b })
+            net.request(a, b, Protocol::Raw, vec![1]).unwrap_err(),
+            SimError::Partitioned { src: a, dst: b }
         );
         assert_eq!(sim.now(), before, "partition rejects without delay");
         // A crashed node cannot send either.
         assert_eq!(
-            net.request(c, b, Protocol::Raw, vec![1]),
-            Err(SimError::NodeDown(c))
+            net.request(c, b, Protocol::Raw, vec![1]).unwrap_err(),
+            SimError::NodeDown(c)
         );
         // Run past every window: all healed.
         sim.advance(SimDuration::from_micros(20_000));
@@ -874,9 +998,10 @@ mod tests {
         // The handler burns enough virtual time that the partition
         // window opens while it runs: the request was delivered and
         // executed, so the caller must see an *ambiguous* failure.
-        net.set_request_handler(b, |sim, _| {
+        net.set_request_handler(b, |sim, _, reply| {
             sim.advance(SimDuration::from_micros(50_000));
-            Ok(b"done".to_vec())
+            reply.extend_from_slice(b"done");
+            Ok(())
         })
         .unwrap();
         net.set_fault_plan(FaultPlan::new().partition(
@@ -906,9 +1031,10 @@ mod tests {
         let b = net.attach("b");
         let hits = Arc::new(Mutex::new(0u32));
         let hits2 = hits.clone();
-        net.set_request_handler(b, move |_, _| {
+        net.set_request_handler(b, move |_, _, reply| {
             *hits2.lock() += 1;
-            Ok(b"ok".to_vec())
+            reply.extend_from_slice(b"ok");
+            Ok(())
         })
         .unwrap();
         net.set_fault_plan(FaultPlan::new().duplicate_spike(
@@ -990,8 +1116,11 @@ mod tests {
             let net = fast_net(&sim);
             let a = net.attach("a");
             let b = net.attach("b");
-            net.set_request_handler(b, |_, f| Ok(f.payload.clone()))
-                .unwrap();
+            net.set_request_handler(b, |_, f, reply| {
+                reply.extend_from_slice(&f.payload);
+                Ok(())
+            })
+            .unwrap();
             if let Some(p) = plan {
                 net.set_fault_plan(p);
             }
@@ -1015,5 +1144,230 @@ mod tests {
                 ),
         ));
         assert_eq!(base, quiet);
+    }
+
+    /// Property: reused buffers never leak bytes. Random exchanges
+    /// (some nested inside their handler), broadcasts and one-way frames
+    /// of 0 bytes to past the spare capacity cap run under a fault plan
+    /// that may duplicate, drop and reorder. Every handler must read
+    /// exactly what its caller wrote, every caller exactly what its
+    /// handler wrote, and the spare list must stay within its bounds
+    /// with every spare empty.
+    mod lent_buffers {
+        use super::*;
+        use crate::chaos::FaultPlan;
+        use crate::time::SimTime;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// Client → server: request and reply lengths, and the
+            /// lengths of an exchange the server makes with the backend
+            /// before it answers.
+            Ask {
+                request: usize,
+                reply: usize,
+                nested: Option<(usize, usize)>,
+            },
+            /// A broadcast carrying `len` pattern bytes.
+            Broadcast { len: usize },
+        }
+
+        /// `len` bytes that differ with `seed` and position.
+        fn pattern(seed: u64, len: usize) -> impl Iterator<Item = u8> {
+            (0..len).map(move |i| (seed as usize * 131 + i * 7 + i / 256) as u8)
+        }
+
+        fn write(buf: &mut Vec<u8>, seed: u64, len: usize) {
+            buf.extend(pattern(seed, len));
+        }
+
+        fn is(bytes: &[u8], seed: u64, len: usize) -> bool {
+            bytes.len() == len && bytes.iter().copied().eq(pattern(seed, len))
+        }
+
+        /// A broadcast frame: its seed and length, then the pattern, so
+        /// a receiver can check it whenever it lands.
+        fn read_broadcast(bytes: &[u8]) -> bool {
+            let Some((head, body)) = bytes.split_first_chunk::<16>() else {
+                return false;
+            };
+            let seed = u64::from_le_bytes(head[..8].try_into().unwrap());
+            let len = u64::from_le_bytes(head[8..].try_into().unwrap()) as usize;
+            is(body, seed, len)
+        }
+
+        fn spares_in_bounds(net: &Network) -> Result<(), String> {
+            let spares = net.spares();
+            if spares.len() > SPARE_BUFFERS {
+                return Err(format!("{} spares kept", spares.len()));
+            }
+            match spares
+                .iter()
+                .find(|(len, cap)| *len != 0 || *cap > SPARE_CAPACITY)
+            {
+                Some(spare) => Err(format!("spare (len, capacity) {spare:?} kept")),
+                None => Ok(()),
+            }
+        }
+
+        fn arb_len() -> impl Strategy<Value = usize> {
+            prop_oneof![
+                0..64usize,
+                64..4096usize,
+                SPARE_CAPACITY - 8192..SPARE_CAPACITY + 8192,
+            ]
+        }
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                3 => (arb_len(), arb_len(), prop::option::of((arb_len(), arb_len())))
+                    .prop_map(|(request, reply, nested)| Step::Ask { request, reply, nested }),
+                1 => arb_len().prop_map(|len| Step::Broadcast { len }),
+            ]
+        }
+
+        /// What each request handler expects next: the seed and length
+        /// of the request it is sent and of the reply it writes.
+        type Expect = Arc<Mutex<(u64, usize, u64, usize)>>;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            #[test]
+            fn reused_buffers_never_leak_bytes(
+                steps in prop::collection::vec(arb_step(), 1..24),
+                duplicate in prop_oneof![Just(0.0), Just(0.5)],
+                loss in prop_oneof![Just(0.0), Just(0.2)],
+                reorder in prop_oneof![Just(0u64), Just(5_000u64)],
+            ) {
+                let sim = Sim::new(3);
+                let net = Network::new(
+                    &sim,
+                    "lent",
+                    LinkModel {
+                        mtu: 4 * SPARE_CAPACITY,
+                        ..LinkModel::ideal()
+                    },
+                );
+                let client = net.attach("client");
+                let server = net.attach("server");
+                let backend = net.attach("backend");
+                let inbox = net.attach("inbox");
+                let listener = net.attach("listener");
+                let faults: Arc<Mutex<Vec<String>>> = Arc::default();
+                let fault = {
+                    let faults = faults.clone();
+                    move |what: String| faults.lock().push(what)
+                };
+                for node in [server, backend, listener] {
+                    let fault = fault.clone();
+                    net.set_frame_handler(node, move |_, frame| {
+                        if !read_broadcast(&frame.payload) {
+                            fault(format!("node {node} read a broken broadcast"));
+                        }
+                    })
+                    .unwrap();
+                }
+                let expect_backend: Expect = Arc::default();
+                {
+                    let (expect, fault, net2) = (expect_backend.clone(), fault.clone(), net.clone());
+                    net.set_request_handler(backend, move |_, frame, reply| {
+                        let (seed, len, reply_seed, reply_len) = *expect.lock();
+                        if !is(&frame.payload, seed, len) {
+                            fault(format!("backend read {} bytes, not request {seed}", frame.len()));
+                        }
+                        if !reply.is_empty() {
+                            fault("backend was lent a buffer with bytes in it".into());
+                        }
+                        if let Err(e) = spares_in_bounds(&net2) {
+                            fault(e);
+                        }
+                        write(reply, reply_seed, reply_len);
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+                let expect_server: Expect = Arc::default();
+                let nested_ask: Arc<Mutex<Option<(usize, usize)>>> = Arc::default();
+                {
+                    let (expect, fault, net2) = (expect_server.clone(), fault.clone(), net.clone());
+                    let (expect_backend, nested_ask) = (expect_backend.clone(), nested_ask.clone());
+                    net.set_request_handler(server, move |_, frame, reply| {
+                        let (seed, len, reply_seed, reply_len) = *expect.lock();
+                        if !is(&frame.payload, seed, len) {
+                            fault(format!("server read {} bytes, not request {seed}", frame.len()));
+                        }
+                        if let Some((request, answer)) = *nested_ask.lock() {
+                            let (seed, reply_seed) = (seed + 1_000_000, seed + 2_000_000);
+                            *expect_backend.lock() = (seed, request, reply_seed, answer);
+                            let mut ask = net2.buffer();
+                            write(&mut ask, seed, request);
+                            if let Ok(got) = net2.request(server, backend, Protocol::Raw, ask) {
+                                if !is(&got, reply_seed, answer) {
+                                    fault(format!("server read {} bytes, not reply {reply_seed}", got.len()));
+                                }
+                            }
+                        }
+                        write(reply, reply_seed, reply_len);
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+                net.set_fault_plan(
+                    FaultPlan::new()
+                        .duplicate_spike(SimTime::ZERO, SimTime::from_micros(u64::MAX / 2), duplicate)
+                        .loss_spike(SimTime::ZERO, SimTime::from_micros(u64::MAX / 2), loss)
+                        .reorder_spike(
+                            SimTime::ZERO,
+                            SimTime::from_micros(u64::MAX / 2),
+                            SimDuration::from_micros(reorder),
+                        ),
+                );
+                let mut sent_to_inbox = 0;
+                for (seed, step) in (1u64..).zip(&steps) {
+                    let mut buf = net.buffer();
+                    prop_assert!(buf.is_empty(), "a buffer came out with bytes in it");
+                    match *step {
+                        Step::Ask { request, reply, nested } => {
+                            let reply_seed = seed + 500_000;
+                            *expect_server.lock() = (seed, request, reply_seed, reply);
+                            *nested_ask.lock() = nested;
+                            write(&mut buf, seed, request);
+                            if let Ok(got) = net.request(client, server, Protocol::Raw, buf) {
+                                prop_assert!(
+                                    is(&got, reply_seed, reply),
+                                    "step {}: client read {} bytes, not reply {}", seed, got.len(), reply_seed
+                                );
+                            }
+                        }
+                        Step::Broadcast { len } => {
+                            buf.extend_from_slice(&seed.to_le_bytes());
+                            buf.extend_from_slice(&(len as u64).to_le_bytes());
+                            write(&mut buf, seed, len);
+                            let frame = Frame::new(client, Addr::Broadcast, Protocol::Raw, buf);
+                            if net.send(frame).is_ok() {
+                                sent_to_inbox += 1;
+                            }
+                        }
+                    }
+                    if let Err(e) = spares_in_bounds(&net) {
+                        return Err(TestCaseError::fail(e));
+                    }
+                }
+                // Deliver every slipped frame, then read the inbox.
+                sim.run_for(SimDuration::from_micros(1_000_000));
+                let mut landed = 0;
+                while let Some(frame) = net.recv(inbox) {
+                    prop_assert!(read_broadcast(&frame.payload), "the inbox holds a broken frame");
+                    landed += 1;
+                }
+                prop_assert!(landed >= sent_to_inbox, "{} of {} broadcasts landed", landed, sent_to_inbox);
+                let faults = faults.lock();
+                prop_assert!(faults.is_empty(), "{:?}", *faults);
+                if let Err(e) = spares_in_bounds(&net) {
+                    return Err(TestCaseError::fail(e));
+                }
+            }
+        }
     }
 }

@@ -75,7 +75,7 @@ impl NetStats {
         self.conns_opened += 1;
     }
 
-    /// Transport connections opened since the last [`NetStats::reset`].
+    /// Transport connections opened so far.
     pub fn conns_opened(&self) -> u64 {
         self.conns_opened
     }
@@ -102,12 +102,6 @@ impl NetStats {
     /// Iterates `(protocol-label, counter)` pairs in stable order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Counter)> + '_ {
         self.by_protocol.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        self.by_protocol.clear();
-        self.conns_opened = 0;
     }
 }
 
@@ -156,18 +150,6 @@ mod tests {
                 lost: 1
             }
         );
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut s = NetStats::new();
-        s.record_delivered(Protocol::Mail, 10);
-        s.record_conn_open();
-        assert_eq!(s.conns_opened(), 1);
-        s.reset();
-        assert_eq!(s.total(), Counter::default());
-        assert_eq!(s.iter().count(), 0);
-        assert_eq!(s.conns_opened(), 0);
     }
 
     #[test]

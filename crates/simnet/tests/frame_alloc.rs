@@ -1,13 +1,14 @@
-//! What a frame costs on its way through simnet: no copy. The buffer a
-//! caller hands [`Network::request`] is the one its handler reads (and
-//! may answer in), the buffer the handler returns is the one the caller
-//! gets back, a unicast [`Network::send`] moves its buffer into the
-//! receiver's inbox, and a broadcast to nodes with frame handlers
-//! allocates nothing at all. Only a chaos duplicate copies a request.
-//! A dedicated test binary, so the counting global allocator sees no
-//! other test's work; counts are per thread, so the harness's own
-//! threads cannot leak in either (handlers run inline on the caller's
-//! thread).
+//! What a frame costs on its way through simnet: no copy, and once
+//! warm no allocation. The buffer a caller hands [`Network::request`]
+//! is the one its handler reads, the buffer the network lends the
+//! handler is the one the caller reads back, and both return to the
+//! network's spare list, so a warm exchange allocates nothing. A
+//! unicast [`Network::send`] moves its buffer into the receiver's
+//! inbox, and a broadcast to nodes with frame handlers allocates
+//! nothing at all. A dedicated test binary, so the counting global
+//! allocator sees no other test's work; counts are per thread, so the
+//! harness's own threads cannot leak in either (handlers run inline on
+//! the caller's thread).
 
 use simnet::{Addr, Frame, Network, NodeId, Protocol, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,23 +62,33 @@ fn counted<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
 const REQUEST_LEN: usize = 300;
 const REPLY_LEN: usize = 120;
 
-/// An Ethernet whose server answers every request with a fresh
-/// `REPLY_LEN`-byte buffer, recording where the request it read and
-/// the reply it built live. One exchange has run, so the traffic
-/// statistics hold an entry for the protocol and a counted exchange
-/// allocates only what a warm one does.
+/// A `REQUEST_LEN`-byte request in a buffer from `net`'s spare list.
+fn request_buffer(net: &Network) -> Vec<u8> {
+    let mut request = net.buffer();
+    request.resize(REQUEST_LEN, 7);
+    request
+}
+
+/// An Ethernet whose server answers every request with `REPLY_LEN`
+/// bytes written into the buffer it is lent, recording where the
+/// request it read and the reply it wrote live. Two exchanges have run
+/// on buffers from the network, so the traffic statistics hold an
+/// entry for the protocol, each spare buffer has grown to the larger
+/// message, and a counted exchange allocates only what a warm one does.
 fn warmed() -> (Network, NodeId, NodeId) {
     let net = Network::ethernet(&Sim::new(1));
     let client = net.attach("client");
     let server = net.attach("server");
-    net.set_request_handler(server, |_, frame| {
-        let reply = vec![0xA5; REPLY_LEN];
+    net.set_request_handler(server, |_, frame, reply| {
+        reply.resize(REPLY_LEN, 0xA5);
         SEEN.with(|s| s.set((frame.payload.as_ptr() as usize, reply.as_ptr() as usize)));
-        Ok(reply)
+        Ok(())
     })
     .expect("server attached");
-    net.request(client, server, Protocol::Http, vec![1u8; REQUEST_LEN])
-        .expect("warm-up exchange");
+    for _ in 0..2 {
+        net.request(client, server, Protocol::Http, request_buffer(&net))
+            .expect("warm-up exchange");
+    }
     (net, client, server)
 }
 
@@ -106,15 +117,17 @@ fn the_caller_gets_the_handlers_buffer_back() {
 }
 
 #[test]
-fn an_exchange_allocates_only_the_handlers_reply() {
+fn a_warm_exchange_allocates_nothing() {
     let (net, client, server) = warmed();
-    let request = vec![7u8; REQUEST_LEN];
-    let (cost, reply) = counted(|| net.request(client, server, Protocol::Http, request));
-    assert_eq!(reply.expect("exchange completes").len(), REPLY_LEN);
+    let (cost, reply) = counted(|| {
+        net.request(client, server, Protocol::Http, request_buffer(&net))
+            .map(|reply| reply.len())
+    });
+    assert_eq!(reply, Ok(REPLY_LEN));
     assert_eq!(
         cost,
-        (1, REPLY_LEN as u64),
-        "(allocations, bytes) of one warm exchange: the reply buffer alone"
+        (0, 0),
+        "(allocations, bytes) of one warm exchange: both buffers are spares"
     );
 }
 
@@ -167,44 +180,41 @@ fn a_broadcast_to_handler_nodes_allocates_nothing() {
 }
 
 #[test]
-fn a_handler_that_answers_in_the_request_buffer_allocates_nothing() {
+fn a_handler_writing_into_the_lent_buffer_allocates_nothing() {
     let net = Network::ethernet(&Sim::new(1));
     let client = net.attach("client");
     let server = net.attach("server");
-    net.set_request_handler(server, |_, frame| {
-        let mut reply = std::mem::take(&mut frame.payload);
-        reply.truncate(1);
-        reply[0] ^= 0xff;
-        Ok(reply)
+    net.set_request_handler(server, |_, frame, reply| {
+        reply.push(frame.payload[0] ^ 0xff);
+        Ok(())
     })
     .expect("server attached");
-    net.request(client, server, Protocol::X10, vec![1u8, 2])
-        .expect("warm-up exchange");
-    let request = vec![7u8, 9];
-    let sent = request.as_ptr() as usize;
-    let (cost, reply) = counted(|| net.request(client, server, Protocol::X10, request));
-    let reply = reply.expect("exchange completes");
-    assert_eq!(reply, [0xf8]);
-    assert_eq!(
-        reply.as_ptr() as usize,
-        sent,
-        "the reply is the request's buffer"
-    );
+    // Asks with `bytes` in a buffer from the network and reads the
+    // reply's first byte in place.
+    let ask = |bytes: &[u8]| {
+        let mut request = net.buffer();
+        request.extend_from_slice(bytes);
+        net.request(client, server, Protocol::X10, request)
+            .map(|reply| (reply.len(), reply[0]))
+    };
+    ask(&[1, 2]).expect("warm-up exchange");
+    let (cost, reply) = counted(|| ask(&[7, 9]));
+    assert_eq!(reply, Ok((1, 0xf8)));
     assert_eq!(cost, (0, 0), "(allocations, bytes) of one warm exchange");
 }
 
 #[test]
-fn a_duplicate_sees_the_request_a_payload_taking_handler_was_sent() {
+fn a_duplicate_reruns_the_handler_on_the_request_as_sent() {
     use simnet::{FaultPlan, SimTime};
     let net = Network::ethernet(&Sim::new(1));
     let client = net.attach("client");
     let server = net.attach("server");
     let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let seen2 = seen.clone();
-    net.set_request_handler(server, move |_, frame| {
-        let payload = std::mem::take(&mut frame.payload);
-        seen2.lock().push(payload.clone());
-        Ok(payload)
+    net.set_request_handler(server, move |_, frame, reply| {
+        seen2.lock().push(frame.payload.clone());
+        reply.extend_from_slice(&frame.payload);
+        Ok(())
     })
     .expect("server attached");
     net.set_fault_plan(FaultPlan::new().duplicate_spike(
@@ -216,7 +226,7 @@ fn a_duplicate_sees_the_request_a_payload_taking_handler_was_sent() {
     let reply = net
         .request(client, server, Protocol::Raw, b"once".to_vec())
         .expect("exchange completes");
-    assert_eq!(reply, b"once");
+    assert_eq!(&reply[..], b"once");
     assert_eq!(*seen.lock(), [b"once".to_vec(), b"once".to_vec()]);
     // Both deliveries of the request and the reply are counted at the
     // request's length.

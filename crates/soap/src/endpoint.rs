@@ -109,7 +109,8 @@ impl Reply<'_> {
 
     /// Answers with the `return` element `ret` writes, typically from
     /// data the handler only borrows. `ret` runs twice: once into a
-    /// counter, so the buffer is reserved exactly, and once into it.
+    /// counter, for the response's `Content-Length`, and once into the
+    /// response buffer.
     pub fn write(self, ret: impl Fn(&mut dyn XmlOut)) -> Answered {
         let method = self.method;
         let mut len = Measure::default();
@@ -404,9 +405,10 @@ impl SoapClient {
     }
 
     /// Writes the POST — head, `SOAPAction` in place, then the envelope
-    /// — into one buffer reserved to its exact size (the envelope is
-    /// measured first), sends it, and hands the answer's envelope to
-    /// `finish`, which reads only its return element or its fault.
+    /// — into a buffer from the network (the envelope is measured first
+    /// for its `Content-Length`), sends it, and hands the answer's
+    /// envelope to `finish`, which reads only its return element or its
+    /// fault.
     fn dispatch<'a, K: AsRef<str>, V: AsRef<str>, T>(
         &self,
         server: NodeId,
@@ -426,12 +428,12 @@ impl SoapClient {
             body_len,
             header: ("SOAPAction", &["\"", namespace, "#", method, "\""]),
         };
-        let mut payload = Vec::with_capacity(head.len() + body_len);
-        head.write(&mut payload);
-        write_call(&mut payload, namespace, method, args, headers);
         let raw = self
             .http
-            .send_raw(server, payload)
+            .send_raw(server, |payload| {
+                head.write(payload);
+                write_call(payload, namespace, method, args, headers);
+            })
             .map_err(SoapError::Http)?;
         let resp = HttpResponseRef::parse(&raw).map_err(SoapError::Http)?;
         self.sim.advance(self.cpu.parse_cost(resp.body.len()));

@@ -9,9 +9,9 @@
 //! the server answers a frame holding anything past its one request's
 //! body with a 400 and runs no route.
 
-use minixml::{Measure, XmlOut};
+use minixml::XmlOut;
 use parking_lot::Mutex;
-use simnet::{Frame, Network, NodeId, Protocol, Sim, SimDuration, SimError};
+use simnet::{Frame, Network, NodeId, Protocol, Reply, Sim, SimDuration, SimError};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -94,6 +94,12 @@ impl HttpRequest {
             head_len += k.len() + 2 + v.len() + 2;
         }
         let mut out = Vec::with_capacity(head_len + 2 + self.body.len());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the wire bytes to `out`.
+    fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.method.as_bytes());
         out.push(b' ');
         out.extend_from_slice(self.path.as_bytes());
@@ -106,7 +112,6 @@ impl HttpRequest {
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-        out
     }
 
     /// Parses wire bytes.
@@ -419,15 +424,16 @@ impl HttpResponse {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serialises to wire bytes in one allocation, reserved to the
-    /// exact size of head plus body.
+    /// Serialises to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the wire bytes to `out`.
+    fn write_to(&self, out: &mut Vec<u8>) {
         use std::io::Write as _;
-        let mut head_len = "HTTP/1.1 nnn ".len() + self.reason.len() + 2;
-        for (k, v) in &self.headers {
-            head_len += k.len() + 2 + v.len() + 2;
-        }
-        let mut out = Vec::with_capacity(head_len + 2 + self.body.len());
         out.extend_from_slice(b"HTTP/1.1 ");
         write!(out, "{}", self.status).expect("vec write");
         out.push(b' ');
@@ -441,7 +447,6 @@ impl HttpResponse {
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-        out
     }
 
     /// Parses wire bytes.
@@ -478,12 +483,6 @@ impl PostHead<'_> {
             out.put(piece);
         }
         out.put("\r\n\r\n");
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        let mut m = Measure::default();
-        self.write(&mut m);
-        m.0
     }
 }
 
@@ -624,8 +623,8 @@ impl ResponseHead {
     }
 }
 
-/// Where a zero-copy route writes its response: the server's response
-/// buffer, head and body reserved to their exact size.
+/// Where a zero-copy route writes its response: the empty reply buffer
+/// the network lends the server.
 #[derive(Debug)]
 pub struct Responder<'t> {
     buf: &'t mut Vec<u8>,
@@ -644,14 +643,12 @@ impl<'t> Responder<'t> {
         body_len: usize,
         write_body: impl FnOnce(&mut Vec<u8>),
     ) -> Sent {
-        let mut head_len = Measure::default();
-        head.write(&mut head_len, body_len);
-        self.buf.reserve(head_len.0 + body_len);
         head.write(self.buf, body_len);
+        let body_start = self.buf.len();
         write_body(self.buf);
         debug_assert_eq!(
-            self.buf.len(),
-            head_len.0 + body_len,
+            self.buf.len() - body_start,
+            body_len,
             "the body is as long as its Content-Length"
         );
         Sent(())
@@ -676,23 +673,22 @@ impl HttpServer {
         let node = net.attach(label);
         let routes: Arc<Mutex<HashMap<String, Route>>> = Arc::new(Mutex::new(HashMap::new()));
         let routes2 = routes.clone();
-        net.set_request_handler(node, move |sim, frame: &mut Frame| {
+        net.set_request_handler(node, move |sim, frame: &Frame, buf: &mut Vec<u8>| {
             // One frame, one request, one response, one per-request
             // server overhead. Owned-route handlers get a materialised
             // request; zero-copy routes read it in place and write
-            // their response straight into the one response buffer.
+            // their response straight into the lent reply buffer.
             sim.advance(SERVER_OVERHEAD);
-            let mut buf = Vec::new();
-            let reply = Responder { buf: &mut buf };
             match read_request(&frame.payload) {
                 Ok(req) => {
+                    let reply = Responder { buf };
                     let mut routes = routes2.lock();
                     match routes.get_mut(req.path) {
                         Some(Route::Zero(h)) => {
                             h(sim, &req, reply);
                         }
                         Some(Route::Owned(h)) => {
-                            return Ok(h(sim, &req.to_owned()).to_bytes());
+                            h(sim, &req.to_owned()).write_to(reply.buf);
                         }
                         None => {
                             let head = ResponseHead::error(404, "Not Found", "text/plain");
@@ -705,10 +701,10 @@ impl HttpServer {
                 }
                 Err(e) => {
                     let head = ResponseHead::error(400, "Bad Request", "text/plain");
-                    reply.send_bytes(head, e.to_string().as_bytes());
+                    Responder { buf }.send_bytes(head, e.to_string().as_bytes());
                 }
             }
-            Ok(buf)
+            Ok(())
         })
         .expect("node attached above");
         HttpServer { node, routes }
@@ -811,7 +807,7 @@ impl HttpClient {
     /// One raw exchange: connect (if needed), send `payload`, return
     /// the raw response bytes. A transport fault tears a persistent
     /// connection down, so the next exchange pays a fresh handshake.
-    fn exchange(&self, server: NodeId, payload: Vec<u8>) -> Result<Vec<u8>, HttpError> {
+    fn exchange(&self, server: NodeId, payload: Vec<u8>) -> Result<Reply<'_>, HttpError> {
         let sim = self.net.sim().clone();
         self.connect(&sim, server);
         self.net
@@ -834,14 +830,21 @@ impl HttpClient {
     /// Executes one HTTP exchange, charging connection setup plus both
     /// transfer legs to the virtual clock.
     pub fn send(&self, server: NodeId, req: &HttpRequest) -> Result<HttpResponse, HttpError> {
-        let raw = self.exchange(server, req.to_bytes())?;
+        let raw = self.send_raw(server, |wire| req.write_to(wire))?;
         HttpResponse::from_bytes(&raw)
     }
 
-    /// One exchange over pre-assembled wire bytes, returning the raw
-    /// response for the caller to parse on the borrowed tier — the
-    /// zero-copy twin of [`HttpClient::send`].
-    pub(crate) fn send_raw(&self, server: NodeId, payload: Vec<u8>) -> Result<Vec<u8>, HttpError> {
+    /// One exchange of the wire bytes `write` appends to a buffer from
+    /// the network, returning the raw response for the caller to parse
+    /// on the borrowed tier — the zero-copy twin of
+    /// [`HttpClient::send`].
+    pub(crate) fn send_raw(
+        &self,
+        server: NodeId,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Reply<'_>, HttpError> {
+        let mut payload = self.net.buffer();
+        write(&mut payload);
         self.exchange(server, payload)
     }
 
@@ -978,11 +981,10 @@ mod tests {
             body_len: body.len(),
             header: ("SOAPAction", &["\"", "urn:a", "#", "m", "\""]),
         };
-        let mut wire = Vec::with_capacity(head.len() + body.len());
+        let mut wire = Vec::new();
         head.write(&mut wire);
         wire.extend_from_slice(body);
         assert_eq!(wire, owned);
-        assert_eq!(wire.capacity(), wire.len(), "reserved exactly");
     }
 
     #[test]
@@ -1193,7 +1195,8 @@ mod tests {
         let client = net.attach("pc");
         let reply = net
             .request(client, server.node(), Protocol::Http, frame)
-            .expect("the exchange completes");
+            .expect("the exchange completes")
+            .to_vec();
         let (zero, owned) = *runs.lock();
         (reply, zero, owned)
     }

@@ -5,6 +5,7 @@
 //! description document.
 
 use simnet::{Addr, Frame, Network, NodeId, Protocol};
+use std::io::Write as _;
 
 /// The match-anything search target.
 pub const SSDP_ALL: &str = "ssdp:all";
@@ -22,19 +23,21 @@ pub struct SsdpHit {
     pub usn: String,
 }
 
-fn msearch_payload(st: &str) -> Vec<u8> {
-    format!(
+fn msearch_payload(st: &str, out: &mut Vec<u8>) {
+    write!(
+        out,
         "M-SEARCH * HTTP/1.1\r\nHOST: 239.255.255.250:1900\r\nMAN: \"ssdp:discover\"\r\nST: {st}\r\nMX: 3\r\n\r\n"
     )
-    .into_bytes()
+    .expect("vec write");
 }
 
-fn response_payload(node: NodeId, location: &str, st: &str, usn: &str) -> Vec<u8> {
-    format!(
+fn response_payload(node: NodeId, location: &str, st: &str, usn: &str, out: &mut Vec<u8>) {
+    write!(
+        out,
         "HTTP/1.1 200 OK\r\nLOCATION: http://node-{}{}\r\nST: {}\r\nUSN: {}\r\nEXT:\r\n\r\n",
         node.0, location, st, usn
     )
-    .into_bytes()
+    .expect("vec write");
 }
 
 fn header_value<'a>(text: &'a str, name: &str) -> Option<&'a str> {
@@ -72,12 +75,9 @@ pub fn install_responder(
             || st == usn
             || service_types.iter().any(|s| s == st);
         if matches {
-            let _ = net2.send(Frame::new(
-                node,
-                frame.src,
-                Protocol::Upnp,
-                response_payload(node, &location, st, &usn),
-            ));
+            let mut payload = net2.buffer();
+            response_payload(node, &location, st, &usn, &mut payload);
+            let _ = net2.send(Frame::new(node, frame.src, Protocol::Upnp, payload));
         }
     })
     .expect("responder node exists");
@@ -85,12 +85,9 @@ pub fn install_responder(
 
 /// Multicasts an `M-SEARCH` for `st` from `node` and collects responses.
 pub fn search(net: &Network, node: NodeId, st: &str) -> Vec<SsdpHit> {
-    let _ = net.send(Frame::new(
-        node,
-        Addr::Broadcast,
-        Protocol::Upnp,
-        msearch_payload(st),
-    ));
+    let mut payload = net.buffer();
+    msearch_payload(st, &mut payload);
+    let _ = net.send(Frame::new(node, Addr::Broadcast, Protocol::Upnp, payload));
     let mut hits = Vec::new();
     while let Some(frame) = net.recv(node) {
         let text = String::from_utf8_lossy(&frame.payload);

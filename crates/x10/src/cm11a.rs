@@ -63,21 +63,18 @@ impl Cm11a {
             .expect("powerline node exists");
 
         // Serial side: the command protocol. The two-byte command and its
-        // commit arrive as one serial exchange each. Every answer is
-        // written into the request's own buffer.
+        // commit arrive as one serial exchange each.
         let pending: Arc<Mutex<Option<[u8; 2]>>> = Arc::new(Mutex::new(None));
         let buffer3 = buffer.clone();
         serial
-            .set_request_handler(serial_node, move |sim, frame| {
+            .set_request_handler(serial_node, move |sim, frame, out| {
                 sim.advance(SimDuration::from_millis(1)); // 8-bit MCU
-                let mut out = std::mem::take(&mut frame.payload);
-                match *out.as_slice() {
+                match *frame.payload.as_slice() {
                     [header, code] => {
                         // Header/code pair: store and echo the checksum.
                         *pending.lock() = Some([header, code]);
-                        out.clear();
                         out.push(header.wrapping_add(code));
-                        Ok(out)
+                        Ok(())
                     }
                     [ACK_OK] => {
                         // Commit: transmit the stored command on the
@@ -88,8 +85,8 @@ impl Cm11a {
                         match decode_pc_command(pair) {
                             Some(frame) => {
                                 let _ = pl_tx.transmit_frame(frame);
-                                out[0] = IF_READY;
-                                Ok(out)
+                                out.push(IF_READY);
+                                Ok(())
                             }
                             None => Err("malformed command".into()),
                         }
@@ -97,14 +94,13 @@ impl Cm11a {
                     [POLL_FETCH] => {
                         // Upload and clear the receive buffer.
                         let mut buf = buffer3.lock();
-                        out.clear();
                         out.push(buf.len() as u8);
                         for f in buf.drain(..) {
                             out.extend_from_slice(&f.encode());
                         }
-                        Ok(out)
+                        Ok(())
                     }
-                    _ => Err(format!("unexpected serial bytes {out:?}")),
+                    _ => Err(format!("unexpected serial bytes {:?}", frame.payload)),
                 }
             })
             .expect("serial node exists");
@@ -198,16 +194,14 @@ impl fmt::Display for Cm11aError {
 
 impl std::error::Error for Cm11aError {}
 
-/// The PC-side driver speaking the CM11A serial protocol. It keeps one
-/// spare buffer: each request is written into it, and each reply, once
-/// read, becomes the spare for the next request, so a warm serial
-/// exchange allocates nothing.
+/// The PC-side driver speaking the CM11A serial protocol. Its requests
+/// and the interface's replies are written into buffers the serial line
+/// lends and takes back, so a warm serial exchange allocates nothing.
 #[derive(Debug, Clone)]
 pub struct Cm11aDriver {
     serial: Network,
     pc: NodeId,
     interface: NodeId,
-    spare: Arc<Mutex<Vec<u8>>>,
 }
 
 impl Cm11aDriver {
@@ -218,23 +212,18 @@ impl Cm11aDriver {
             serial: serial.clone(),
             pc: serial.attach("pc-serial"),
             interface,
-            spare: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
-    /// Sends `bytes` in the spare buffer and hands the reply to `read`;
-    /// the reply's buffer is then the spare.
+    /// Sends `bytes` and hands the reply to `read`.
     fn exchange<T>(&self, bytes: &[u8], read: impl FnOnce(&[u8]) -> T) -> Result<T, Cm11aError> {
-        let mut request = std::mem::take(&mut *self.spare.lock());
-        request.clear();
+        let mut request = self.serial.buffer();
         request.extend_from_slice(bytes);
         let reply = self
             .serial
             .request(self.pc, self.interface, Protocol::X10, request)
             .map_err(|e| Cm11aError::Serial(e.to_string()))?;
-        let out = read(&reply);
-        *self.spare.lock() = reply;
-        Ok(out)
+        Ok(read(&reply))
     }
 
     fn send_frame(&self, frame: X10Frame) -> Result<(), Cm11aError> {

@@ -54,12 +54,9 @@ impl Transmitter {
     /// was lost to noise (the transmitter itself never knows; the return
     /// value is for tests and statistics).
     pub fn transmit_frame(&self, frame: X10Frame) -> bool {
-        let wire = Frame::new(
-            self.node,
-            Addr::Broadcast,
-            Protocol::X10,
-            frame.encode().to_vec(),
-        );
+        let mut payload = self.net.buffer();
+        payload.extend_from_slice(&frame.encode());
+        let wire = Frame::new(self.node, Addr::Broadcast, Protocol::X10, payload);
         self.net.send(wire).is_ok()
     }
 

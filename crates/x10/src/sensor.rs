@@ -33,11 +33,6 @@ impl MotionSensor {
         self.auto_clear = after;
     }
 
-    /// The sensor's address.
-    pub fn address(&self) -> (HouseCode, UnitCode) {
-        (self.house, self.unit)
-    }
-
     /// Motion detected: transmits `On` now and schedules the `Off`
     /// transmission if auto-clear is enabled. Returns whether the `On`
     /// command survived the powerline.
@@ -121,7 +116,6 @@ mod tests {
         let (sim, net) = world();
         let mut sensor = MotionSensor::install(&net, "sensor", h('C'), u(1));
         sensor.set_auto_clear(None);
-        assert_eq!(sensor.address(), (h('C'), u(1)));
 
         let watcher = net.attach("watcher");
         let count = Arc::new(Mutex::new(0u32));

@@ -1,11 +1,11 @@
 //! What the CM11A's serial protocol allocates once warm: nothing. The
-//! driver writes each request into one spare buffer, the interface
-//! answers in the request's own buffer, and the reply becomes the spare
-//! for the next request, so an X10 command costs only the two frames it
-//! puts on the powerline. A dedicated test binary, so the counting
-//! global allocator sees no other test's work; counts are per thread,
-//! so the harness's own threads cannot leak in either (the interface
-//! runs inline on the caller's thread).
+//! driver writes each request into a buffer the serial line lends, the
+//! interface answers in the reply buffer it is lent, and the line takes
+//! both back; the two frames a command puts on the powerline come from
+//! and return to the powerline's spares the same way. A dedicated test
+//! binary, so the counting global allocator sees no other test's work;
+//! counts are per thread, so the harness's own threads cannot leak in
+//! either (the interface runs inline on the caller's thread).
 
 use simnet::{Network, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,7 +54,7 @@ fn a1() -> (HouseCode, UnitCode) {
 
 /// A CM11A on a lossless powerline and the PC's driver, after one
 /// command and one poll, so the traffic statistics hold their entries
-/// and the driver has its spare buffer.
+/// and both networks have their spare buffers.
 fn warmed() -> (Cm11a, Cm11aDriver) {
     let sim = Sim::new(1);
     let serial = Network::serial(&sim);
@@ -72,14 +72,14 @@ fn warmed() -> (Cm11a, Cm11aDriver) {
 }
 
 #[test]
-fn a_warm_command_allocates_its_two_powerline_frames() {
+fn a_warm_command_allocates_nothing() {
     let (_cm11a, driver) = warmed();
     let (house, unit) = a1();
     let (allocs, sent) = counted(|| driver.send_command(house, unit, Function::Off));
     assert_eq!(sent, Ok(()));
     assert_eq!(
-        allocs, 2,
-        "the address and function frames; the four serial exchanges allocate nothing"
+        allocs, 0,
+        "the four serial exchanges and the two powerline frames all use spares"
     );
 }
 

@@ -5,7 +5,7 @@
 use havi::FcmKind;
 use metaware::pcm::x10::Route;
 use metaware::{house, unit, Middleware, SmartHome};
-use simnet::{Protocol, SimDuration};
+use simnet::{Protocol, SimDuration, SimTime};
 use soap::Value;
 use x10::{Button, Function};
 
@@ -70,6 +70,25 @@ fn fig4_jini_to_x10_conversion_path() {
             .with_stats(|s| s.protocol(Protocol::X10).frames)
             > before_x10,
         "powerline signalling"
+    );
+}
+
+/// A service bridged into Jini stays in Jini lookup past its first
+/// lease: the export's join manager renews it while the home runs.
+#[test]
+fn fig4_bridged_lamp_stays_in_jini_lookup_past_its_lease() {
+    let home = SmartHome::builder().build().unwrap();
+    let jini = home.jini.as_ref().unwrap();
+    let lamp = jini.vsg.resolve("hall-lamp").unwrap();
+    jini.pcm.export_remote(&lamp).unwrap();
+    home.sim.run_until(SimTime::from_micros(600_000_000));
+    let client_node = jini.net.attach("late-client");
+    let registrars = jini::discover(&jini.net, client_node, "public");
+    let reg_client = jini::RegistrarClient::new(&jini.net, client_node, registrars[0]);
+    let item = reg_client.lookup_one(&jini::ServiceTemplate::by_interface("Lamp"));
+    assert!(
+        item.is_ok(),
+        "hall-lamp left Jini lookup by 600 s: {item:?}"
     );
 }
 

@@ -44,13 +44,14 @@ fn session() -> Vec<String> {
     let log = seen.clone();
     let replica = vsr.node();
     client_net
-        .set_request_handler(tap, move |_sim, frame| {
+        .set_request_handler(tap, move |_sim, frame, reply| {
             log.lock().push(format!("> {}", hex(&frame.payload)));
-            let reply = replica_net
+            let answer = replica_net
                 .request(forwarder, replica, Protocol::Http, frame.payload.clone())
                 .map_err(|e| e.to_string())?;
-            log.lock().push(format!("< {}", hex(&reply)));
-            Ok(reply)
+            log.lock().push(format!("< {}", hex(&answer)));
+            reply.extend_from_slice(&answer);
+            Ok(())
         })
         .unwrap();
 

@@ -64,9 +64,10 @@ fn capture(p: &dyn VsgProtocol) -> Vec<String> {
     let seen: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
     let seen2 = seen.clone();
     let tap = net.attach("tap");
-    net.set_request_handler(tap, move |_sim, frame| {
+    net.set_request_handler(tap, move |_sim, frame, reply| {
         seen2.lock().push(frame.payload.to_vec());
-        Ok(frame.payload.clone())
+        reply.extend_from_slice(&frame.payload);
+        Ok(())
     })
     .unwrap();
     let client = net.attach("c");
@@ -243,8 +244,11 @@ fn soap_client_gets_a_typed_error_for_a_100k_deep_reply() {
         struct_depth_bomb("return"),
     );
     let reply = HttpResponse::ok("text/xml; charset=utf-8", body).to_bytes();
-    net.set_request_handler(server, move |_, _| Ok(reply.clone()))
-        .unwrap();
+    net.set_request_handler(server, move |_, _, out| {
+        out.extend_from_slice(&reply);
+        Ok(())
+    })
+    .unwrap();
     let client = soap::SoapClient::attach(&net, "c");
     let err = client
         .call(server, &soap::RpcCall::new("urn:vsg:gateway", "ping"))
@@ -274,7 +278,8 @@ fn request_to_gateway(p: &dyn VsgProtocol, proto: Protocol, frame: Vec<u8>) -> V
         Arc::new(|_, req: &VsgRequest| panic!("handler reached with {req:?}")),
     );
     let client = net.attach("c");
-    net.request(client, gw, proto, frame).unwrap().to_vec()
+    let reply = net.request(client, gw, proto, frame).unwrap().to_vec();
+    reply
 }
 
 #[test]
