@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! CARGO_PROFILE_RELEASE_DEBUG=true cargo run --release -p bench --bin alloc_sites -- \
-//!     --workload vsr_churn [--seed 42] [--warm 16000] [--ops 2000] [--top 40]
+//!     --workload vsr_churn [--seed 42] [--warm 16000] [--ops 2000] [--top 40] [--frames 1]
 //! ```
 //!
 //! Builds the workload's world with `hmbench::world`, runs `--warm`
@@ -10,10 +10,12 @@
 //! allocator captures a backtrace for every allocation (reallocations
 //! included, as hmbench counts them). Each op runs as hmbench's
 //! measured loop runs it: `run`, `check`, `pump`. After each op the
-//! captured backtraces are resolved and keyed by their first frame in
-//! this workspace's `crates/`; the report gives allocations and bytes
-//! per op by site and rolled up by role (the source file the site is
-//! in), and the per-op total, which should read hmbench's
+//! captured backtraces are resolved and keyed by their first `--frames`
+//! frames in this workspace's `crates/` (one by default; more split a
+//! shared helper's allocations by its callers); the report gives
+//! allocations and bytes per op by site and rolled up by role (the
+//! source file of the site's first frame), and the per-op total, which
+//! should read hmbench's
 //! `allocs_per_op` for the same workload and seed to within about 1%.
 //! Debug info gives the frames their file names; without it every
 //! allocation is one unnamed site. `fleet_day` runs on its own driver
@@ -105,12 +107,14 @@ impl Tally {
     }
 }
 
-/// The first frame of `trace` in this workspace's `crates/` (the
-/// probe's own frames excluded): its symbol and `file:line`, and its
-/// role, the source file under `crates/`.
-fn site(trace: &Backtrace) -> (String, String) {
+/// The first `frames` frames of `trace` in this workspace's `crates/`
+/// (the probe's own frames excluded), innermost first: each one's
+/// symbol and `file:line`, joined by ` <- `; and the role, the source
+/// file under `crates/` of the first.
+fn site(trace: &Backtrace, frames: usize) -> (String, String) {
     let text = trace.to_string();
     let mut symbol = "";
+    let (mut key, mut role) = (Vec::new(), None);
     for line in text.lines() {
         let line = line.trim();
         if let Some(at) = line.strip_prefix("at ") {
@@ -122,16 +126,23 @@ fn site(trace: &Backtrace) -> (String, String) {
                 continue;
             }
             let file = path.rsplitn(3, ':').last().unwrap_or(path);
-            let role = file
-                .trim_start_matches("crates/")
-                .trim_end_matches(".rs")
-                .replace("/src/", "/");
-            return (format!("{symbol} ({path})"), role);
+            role.get_or_insert_with(|| {
+                file.trim_start_matches("crates/")
+                    .trim_end_matches(".rs")
+                    .replace("/src/", "/")
+            });
+            key.push(format!("{symbol} ({path})"));
+            if key.len() == frames {
+                break;
+            }
         } else if let Some((_, name)) = line.split_once(": ") {
             symbol = name;
         }
     }
-    ("(no workspace frame)".to_owned(), "(none)".to_owned())
+    match role {
+        Some(role) => (key.join(" <- "), role),
+        None => ("(no workspace frame)".to_owned(), "(none)".to_owned()),
+    }
 }
 
 struct Options {
@@ -140,6 +151,7 @@ struct Options {
     warm: usize,
     ops: usize,
     top: usize,
+    frames: usize,
 }
 
 fn options() -> Result<Options, String> {
@@ -149,6 +161,7 @@ fn options() -> Result<Options, String> {
         warm: 16_000,
         ops: 2_000,
         top: 40,
+        frames: 1,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -164,6 +177,7 @@ fn options() -> Result<Options, String> {
             "--warm" => o.warm = number()? as usize,
             "--ops" => o.ops = number()? as usize,
             "--top" => o.top = number()? as usize,
+            "--frames" => o.frames = (number()? as usize).max(1),
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -176,7 +190,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!(
                 "alloc_sites: {e}\nusage: alloc_sites --workload <mix_soap|mix_binary|vsr_churn> \
-                 [--seed N] [--warm N] [--ops N] [--top N]"
+                 [--seed N] [--warm N] [--ops N] [--top N] [--frames N]"
             );
             return ExitCode::from(2);
         }
@@ -211,7 +225,7 @@ fn main() -> ExitCode {
         hidden(|| {
             let captured = std::mem::take(&mut *CAPTURED.lock().unwrap_or_else(|e| e.into_inner()));
             for (trace, bytes) in captured {
-                let (site, role) = site(&trace);
+                let (site, role) = site(&trace, o.frames);
                 total.add(bytes);
                 sites.entry(site).or_insert_with(Tally::default).add(bytes);
                 roles.entry(role).or_insert_with(Tally::default).add(bytes);
@@ -233,11 +247,13 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "alloc_sites {} seed {}: {} ops after {} warm-up ops, {failed} failed checks",
+        "alloc_sites {} seed {}: {} ops after {} warm-up ops, {failed} failed checks, \
+         sites keyed by {} frame(s)",
         o.workload,
         o.seed,
         ops.len(),
-        o.warm
+        o.warm,
+        o.frames
     );
     println!(
         "allocs_per_op {:.2}  alloc_bytes_per_op {:.1}",

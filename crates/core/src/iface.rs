@@ -8,10 +8,15 @@
 
 use crate::error::MetaError;
 use crate::intern::Name;
+use parking_lot::Mutex;
 use soap::Value;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
-use wsdl::{DescriptionError, DescriptionVisitor, Operation, ServiceDescription, XsdType};
+use std::sync::Arc;
+use wsdl::{DescriptionError, DescriptionVisitor, DocumentParts, OperationParts, XsdType};
+#[cfg(test)]
+use wsdl::{Operation, ServiceDescription};
 
 /// A parameter or return type in the canonical type system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -196,9 +201,32 @@ impl ServiceInterface {
         self.operations.iter().find(|o| o.name == name)
     }
 
+    /// The WSDL-style document describing service `service_name`,
+    /// which implements this interface behind gateway `gateway` (its
+    /// endpoint is `vsg://<gateway>/<service_name>`). Written straight
+    /// from the interface into one exactly sized string: no description
+    /// is built, and no part is joined first.
+    pub fn wsdl_document(&self, service_name: &str, gateway: &str) -> String {
+        DocumentParts {
+            name: service_name,
+            namespace: &["urn:vsg:", service_name],
+            documentation: &[INTERFACE_PREFIX, &self.name],
+            endpoint: &["vsg://", gateway, "/", service_name],
+            operations: self.operations.iter().map(|op| OperationParts {
+                name: &op.name,
+                idempotent: op.idempotent,
+                inputs: op.params.iter().map(|(name, ty)| (&**name, ty.to_xsd())),
+                output: op.returns.map(|ty| ("return", ty.to_xsd())),
+            }),
+        }
+        .to_document()
+    }
+
     /// Generates the WSDL-style description for a service implementing
-    /// this interface at `endpoint`.
-    pub fn to_wsdl(&self, service_name: &str, endpoint: &str) -> ServiceDescription {
+    /// this interface at `endpoint`: the oracle of the one-pass
+    /// [`ServiceInterface::wsdl_document`].
+    #[cfg(test)]
+    pub(crate) fn to_wsdl(&self, service_name: &str, endpoint: &str) -> ServiceDescription {
         let mut desc = ServiceDescription::new(service_name, format!("urn:vsg:{service_name}"))
             .at(endpoint)
             .doc(format!("{INTERFACE_PREFIX}{}", self.name));
@@ -218,34 +246,18 @@ impl ServiceInterface {
         desc
     }
 
-    /// Reads the interface a WSDL document describes (how a PCM learns
-    /// a remote service's interface from the VSR), in one pass over
-    /// [`wsdl::read_document`]. The interface's lists are built
-    /// straight from the document's borrowed parts: one operation list,
-    /// and one parameter list per operation that has inputs. Its names
-    /// are interned, so a known spelling is not copied. The name is the
-    /// documentation's after an `interface ` prefix, else the
-    /// definitions name. Fails where
-    /// [`ServiceDescription::from_document`] does.
-    pub fn from_document(doc: &str) -> Result<ServiceInterface, DescriptionError> {
-        let mut read = ReadInterface {
-            definitions: Cow::Borrowed(""),
-            documentation: Cow::Borrowed(""),
-            operations: Vec::new(),
-        };
-        wsdl::read_document(doc, &mut read)?;
-        let name = match read.documentation.strip_prefix(INTERFACE_PREFIX) {
-            Some(name) => Name::new(name),
-            None => Name::new(&read.definitions),
-        };
-        Ok(ServiceInterface {
-            name,
-            operations: read.operations,
-        })
+    /// The interface a WSDL document describes, read into an empty
+    /// well: the oracle of a well that holds interfaces, which must
+    /// give an equal interface for every document.
+    #[cfg(test)]
+    pub(crate) fn from_document(doc: &str) -> Result<ServiceInterface, DescriptionError> {
+        InterfaceWell::default()
+            .read(doc)
+            .map(|iface| ServiceInterface::clone(&iface))
     }
 
     /// The interface of an owned WSDL description: the oracle of the
-    /// one-pass [`ServiceInterface::from_document`].
+    /// one-pass `from_document`.
     #[cfg(test)]
     pub(crate) fn from_wsdl(desc: ServiceDescription) -> ServiceInterface {
         let name = match desc.documentation.strip_prefix(INTERFACE_PREFIX) {
@@ -270,20 +282,201 @@ impl ServiceInterface {
     }
 }
 
-/// What [`ServiceInterface::to_wsdl`] writes before the interface name
-/// in a description's documentation.
+/// What [`ServiceInterface::wsdl_document`] writes before the interface
+/// name in a description's documentation.
 const INTERFACE_PREFIX: &str = "interface ";
 
-/// The parts [`ServiceInterface::from_document`] keeps as the reader
-/// hands them over: the two names it chooses between, borrowed until
-/// the read ends, and the operations, built as they arrive.
-struct ReadInterface<'d> {
-    definitions: Cow<'d, str>,
-    documentation: Cow<'d, str>,
-    operations: Vec<OpSig>,
+/// How many interfaces an [`InterfaceWell`] holds. A home knows a few
+/// dozen; past the bound, a new interface is read but not kept.
+const INTERFACE_WELL_BOUND: usize = 256;
+
+/// The interfaces one repository client has read, by name, so a
+/// record whose WSDL describes one it already holds shares that
+/// `Arc` instead of building a copy. Clones of the client share the
+/// well. Its names come off the wire, so it keeps the default hasher;
+/// nothing is ever removed, so the table grows the same way whatever
+/// the hasher's keys, and allocation counts repeat.
+#[derive(Default)]
+pub(crate) struct InterfaceWell {
+    by_name: Mutex<HashMap<Name, Arc<ServiceInterface>>>,
 }
 
-impl<'d> DescriptionVisitor<'d> for ReadInterface<'d> {
+impl InterfaceWell {
+    /// Reads the interface a WSDL document describes (how a gateway
+    /// learns a remote service's interface from the VSR), in one pass
+    /// over [`wsdl::read_document`]. The name is the documentation's
+    /// after an `interface ` prefix, else the definitions name. When
+    /// the well holds an interface of that name with the same
+    /// operations, in order, with the same parameters, types, return
+    /// types and idempotence, that `Arc` is shared and nothing is
+    /// built. Otherwise the interface's lists are built from the
+    /// document's borrowed parts (from a copy of what matched, at the
+    /// first part that differs), its names interned, and it is kept:
+    /// it replaces a held one of its name, or joins the well while the
+    /// well is under its bound. Fails where
+    /// `wsdl::ServiceDescription::from_document` does.
+    pub(crate) fn read(&self, doc: &str) -> Result<Arc<ServiceInterface>, DescriptionError> {
+        match ReadInterface::read(doc, self)? {
+            Read::Held(iface) => Ok(iface),
+            Read::Built(iface) => {
+                let iface = Arc::new(iface);
+                let mut by_name = self.by_name.lock();
+                if by_name.len() < INTERFACE_WELL_BOUND || by_name.contains_key(&iface.name) {
+                    by_name.insert(iface.name.clone(), iface.clone());
+                }
+                Ok(iface)
+            }
+        }
+    }
+
+    /// The held interface named `name`.
+    fn get(&self, name: &str) -> Option<Arc<ServiceInterface>> {
+        self.by_name.lock().get(name).cloned()
+    }
+}
+
+impl fmt::Debug for InterfaceWell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InterfaceWell")
+            .field("interfaces", &self.by_name.lock().len())
+            .finish()
+    }
+}
+
+/// What a read of a WSDL document gave.
+enum Read {
+    /// The well's interface: the document describes it exactly.
+    Held(Arc<ServiceInterface>),
+    /// An interface built from the document.
+    Built(ServiceInterface),
+}
+
+/// The operations read so far.
+enum Ops {
+    /// No operation yet, and no interface looked up.
+    Unread,
+    /// Every part so far matches a held interface.
+    Matching(Match),
+    /// The operations built as they arrive: no interface was held, or
+    /// a part differed from it.
+    Built(Vec<OpSig>),
+}
+
+/// How far a document has matched `held`: `ops` operations begun, the
+/// last with `params` parameters read and its return type read when
+/// `returns`.
+struct Match {
+    held: Arc<ServiceInterface>,
+    ops: usize,
+    params: usize,
+    returns: bool,
+}
+
+impl Match {
+    /// The held counterpart of the operation last begun.
+    fn current(&self) -> Option<&OpSig> {
+        self.held.operations.get(self.ops.checked_sub(1)?)
+    }
+
+    /// Whether the operation last begun, if any, has matched in full.
+    fn closes(&self) -> bool {
+        self.current()
+            .is_none_or(|op| op.params.len() == self.params && op.returns.is_some() == self.returns)
+    }
+
+    /// A copy of what matched: the operations begun, the last cut to
+    /// the parts read.
+    fn copy(&self) -> Vec<OpSig> {
+        let mut copy = self.held.operations[..self.ops].to_vec();
+        if let Some(op) = copy.last_mut() {
+            op.params.truncate(self.params);
+            if !self.returns {
+                op.returns = None;
+            }
+        }
+        copy
+    }
+}
+
+/// The parts [`InterfaceWell::read`] keeps as the reader hands them
+/// over: the two names the interface's name is chosen between,
+/// borrowed until the read ends, and the operations, compared with a
+/// held interface while they match it and built once they do not.
+struct ReadInterface<'d, 'w> {
+    definitions: Cow<'d, str>,
+    documentation: Cow<'d, str>,
+    ops: Ops,
+    well: &'w InterfaceWell,
+}
+
+impl<'w> ReadInterface<'_, 'w> {
+    /// Reads `doc`, comparing it with the interface `well` holds under
+    /// the name known at the first operation (at the end, if there is
+    /// none).
+    fn read(doc: &str, well: &'w InterfaceWell) -> Result<Read, DescriptionError> {
+        let mut read = ReadInterface {
+            definitions: Cow::Borrowed(""),
+            documentation: Cow::Borrowed(""),
+            ops: Ops::Unread,
+            well,
+        };
+        wsdl::read_document(doc, &mut read)?;
+        read.begin();
+        if let Ops::Matching(m) = &read.ops {
+            if m.closes() && m.ops == m.held.operations.len() && *m.held.name == *read.name() {
+                return Ok(Read::Held(m.held.clone()));
+            }
+        }
+        let name = Name::new(read.name());
+        Ok(Read::Built(ServiceInterface {
+            name,
+            operations: std::mem::take(read.built()),
+        }))
+    }
+
+    /// The interface's name as far as the document has been read: the
+    /// documentation's after an `interface ` prefix, else the
+    /// definitions name.
+    fn name(&self) -> &str {
+        self.documentation
+            .strip_prefix(INTERFACE_PREFIX)
+            .unwrap_or(&self.definitions)
+    }
+
+    /// Consults the well, once: the read matches the interface it
+    /// holds under the name known so far, or is built.
+    fn begin(&mut self) {
+        if matches!(self.ops, Ops::Unread) {
+            self.ops = match self.well.get(self.name()) {
+                Some(held) => Ops::Matching(Match {
+                    held,
+                    ops: 0,
+                    params: 0,
+                    returns: false,
+                }),
+                None => Ops::Built(Vec::new()),
+            };
+        }
+    }
+
+    /// The operations, as a list being built: a match is copied at its
+    /// first difference.
+    fn built(&mut self) -> &mut Vec<OpSig> {
+        if let Ops::Unread | Ops::Matching(_) = self.ops {
+            let copy = match &self.ops {
+                Ops::Matching(m) => m.copy(),
+                _ => Vec::new(),
+            };
+            self.ops = Ops::Built(copy);
+        }
+        match &mut self.ops {
+            Ops::Built(operations) => operations,
+            _ => unreachable!("just built"),
+        }
+    }
+}
+
+impl<'d> DescriptionVisitor<'d> for ReadInterface<'d, '_> {
     fn definitions(&mut self, name: Cow<'d, str>, _namespace: Cow<'d, str>) {
         self.definitions = name;
     }
@@ -293,7 +486,18 @@ impl<'d> DescriptionVisitor<'d> for ReadInterface<'d> {
     }
 
     fn operation(&mut self, name: Cow<'d, str>, idempotent: bool) {
-        self.operations.push(OpSig {
+        self.begin();
+        if let Ops::Matching(m) = &mut self.ops {
+            let next = m.held.operations.get(m.ops);
+            if m.closes() && next.is_some_and(|op| *op.name == *name && op.idempotent == idempotent)
+            {
+                m.ops += 1;
+                m.params = 0;
+                m.returns = false;
+                return;
+            }
+        }
+        self.built().push(OpSig {
             name: Name::new(&name),
             params: Vec::new(),
             returns: None,
@@ -302,14 +506,29 @@ impl<'d> DescriptionVisitor<'d> for ReadInterface<'d> {
     }
 
     fn input(&mut self, name: Cow<'d, str>, ty: XsdType) {
-        if let Some(op) = self.operations.last_mut() {
-            op.params.push((Name::new(&name), TypeTag::from_xsd(ty)));
+        let ty = TypeTag::from_xsd(ty);
+        if let Ops::Matching(m) = &mut self.ops {
+            let param = m.current().and_then(|op| op.params.get(m.params));
+            if param.is_some_and(|(p, t)| **p == *name && *t == ty) {
+                m.params += 1;
+                return;
+            }
+        }
+        if let Some(op) = self.built().last_mut() {
+            op.params.push((Name::new(&name), ty));
         }
     }
 
     fn output(&mut self, _name: Cow<'d, str>, ty: XsdType) {
-        if let Some(op) = self.operations.last_mut() {
-            op.returns = Some(TypeTag::from_xsd(ty));
+        let ty = TypeTag::from_xsd(ty);
+        if let Ops::Matching(m) = &mut self.ops {
+            if !m.returns && m.current().is_some_and(|op| op.returns == Some(ty)) {
+                m.returns = true;
+                return;
+            }
+        }
+        if let Some(op) = self.built().last_mut() {
+            op.returns = Some(ty);
         }
     }
 
@@ -469,6 +688,7 @@ pub mod catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn type_admission() {
@@ -571,14 +791,181 @@ mod tests {
             ]
             .map(String::from),
         );
-        for doc in &docs {
+        docs.extend(
+            [
+                // The documentation after the port type: the name the
+                // well is asked for is not the interface's.
+                r#"<definitions name="Lamp"><portType><operation name="switch"><input><part name="on" type="xsd:boolean"/></input></operation></portType><documentation>interface X</documentation></definitions>"#,
+                // The output ahead of the inputs, and a second output.
+                r#"<definitions name="s"><documentation>interface Lamp</documentation><portType><operation name="switch"><output><part type="xsd:long"/></output><input><part name="on" type="xsd:boolean"/></input></operation><operation name="dim"><output><part type="xsd:long"/></output><output/><input><part name="steps" type="xsd:long"/></input></operation></portType></definitions>"#,
+            ]
+            .map(String::from),
+        );
+        // A well holding interfaces that share names with the
+        // documents', read through twice: every read, whether it
+        // shares, copies what matched or builds, equals the oracle's.
+        let well = InterfaceWell::default();
+        for iface in [catalog::lamp(), catalog::vcr(), ServiceInterface::new("X")] {
+            well.read(&iface.wsdl_document("w", "gw")).unwrap();
+        }
+        for doc in docs.iter().chain(&docs) {
             assert_eq!(ServiceInterface::from_document(doc), oracle(doc), "{doc}");
+            assert_eq!(well.read(doc).map(|i| (*i).clone()), oracle(doc), "{doc}");
         }
         let lamp = catalog::lamp().to_wsdl("l", "vsg://gw/l").to_document();
         assert_eq!(
             ServiceInterface::from_document(&lamp).unwrap(),
             catalog::lamp()
         );
+    }
+
+    /// Names that need escaping in an attribute or in text, or not.
+    fn arb_name() -> impl Strategy<Value = String> {
+        "[a-z&<>\"'_]{1,5}"
+    }
+
+    fn arb_type() -> impl Strategy<Value = TypeTag> {
+        prop_oneof![
+            Just(TypeTag::Bool),
+            Just(TypeTag::Int),
+            Just(TypeTag::Float),
+            Just(TypeTag::Str),
+            Just(TypeTag::Bytes),
+            Just(TypeTag::Any),
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = OpSig> {
+        (
+            arb_name(),
+            prop::collection::vec((arb_name(), arb_type()), 0..3),
+            prop::option::of(arb_type()),
+            any::<bool>(),
+        )
+            .prop_map(|(name, params, returns, idempotent)| OpSig {
+                name: Name::new(&name),
+                params: params.iter().map(|(p, t)| (Name::new(p), *t)).collect(),
+                returns,
+                idempotent,
+            })
+    }
+
+    fn arb_interface() -> impl Strategy<Value = ServiceInterface> {
+        (arb_name(), prop::collection::vec(arb_op(), 0..4)).prop_map(|(name, operations)| {
+            ServiceInterface {
+                name: Name::new(&name),
+                operations,
+            }
+        })
+    }
+
+    /// `iface` with one thing changed, chosen by `what` at operation
+    /// `op` and parameter `param` (wrapped to what exists): an
+    /// operation's name, flag or return type, a parameter's name or
+    /// type, a parameter or an operation more or fewer.
+    fn tweak(iface: &ServiceInterface, what: u8, op: usize, param: usize) -> ServiceInterface {
+        let mut out = iface.clone();
+        if out.operations.is_empty() || what == 7 {
+            out.operations.push(OpSig::new("extra"));
+            return out;
+        }
+        let k = op % out.operations.len();
+        let sig = &mut out.operations[k];
+        let other = |t: TypeTag| match t {
+            TypeTag::Int => TypeTag::Str,
+            _ => TypeTag::Int,
+        };
+        match what {
+            0 => sig.idempotent = !sig.idempotent,
+            1 => sig.returns = sig.returns.map_or(Some(TypeTag::Int), |t| Some(other(t))),
+            2 => sig.returns = sig.returns.xor(Some(TypeTag::Any)),
+            3 if !sig.params.is_empty() => {
+                let j = param % sig.params.len();
+                sig.params[j].1 = other(sig.params[j].1);
+            }
+            4 if !sig.params.is_empty() => {
+                let j = param % sig.params.len();
+                sig.params[j].0 = Name::new(&format!("{}x", sig.params[j].0));
+            }
+            5 if !sig.params.is_empty() => {
+                sig.params.pop();
+            }
+            3..=5 => sig.params.push((Name::new("p"), TypeTag::Int)),
+            6 => sig.name = Name::new(&format!("{}x", sig.name)),
+            _ => {
+                out.operations.remove(k);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass writer writes the oracle description's bytes.
+        #[test]
+        fn wsdl_document_writes_the_description_bytes(
+            iface in arb_interface(),
+            service in arb_name(),
+            gateway in arb_name(),
+        ) {
+            let endpoint = format!("vsg://{gateway}/{service}");
+            prop_assert_eq!(
+                iface.wsdl_document(&service, &gateway),
+                iface.to_wsdl(&service, &endpoint).to_document()
+            );
+        }
+
+        /// The well-backed reader equals the oracle on an interface and
+        /// on one differing from it in one part, whichever the well
+        /// holds, and shares what it holds on an exact re-read.
+        #[test]
+        fn the_well_reads_what_the_oracle_reads(
+            base in arb_interface(),
+            what in 0u8..9,
+            op in 0usize..4,
+            param in 0usize..3,
+        ) {
+            let tweaked = tweak(&base, what, op, param);
+            prop_assert_ne!(&tweaked, &base);
+            let well = InterfaceWell::default();
+            let mut reads = Vec::new();
+            for iface in [&base, &tweaked, &base, &base] {
+                let doc = iface.wsdl_document("svc", "gw");
+                let read = well.read(&doc).unwrap();
+                prop_assert_eq!(&*read, &ServiceInterface::from_document(&doc).unwrap());
+                prop_assert_eq!(&*read, iface);
+                reads.push(read);
+            }
+            prop_assert!(!Arc::ptr_eq(&reads[1], &reads[2]), "a differing read replaces");
+            prop_assert!(Arc::ptr_eq(&reads[2], &reads[3]), "an exact re-read shares");
+        }
+    }
+
+    #[test]
+    fn the_well_stops_inserting_at_its_bound_but_still_replaces() {
+        let well = InterfaceWell::default();
+        for i in 0..INTERFACE_WELL_BOUND + 8 {
+            let iface = ServiceInterface::new(format!("I{i}").as_str());
+            well.read(&iface.wsdl_document("s", "gw")).unwrap();
+        }
+        assert_eq!(well.by_name.lock().len(), INTERFACE_WELL_BOUND);
+        let lamp = catalog::lamp();
+        let doc = ServiceInterface {
+            name: Name::new("I0"),
+            ..lamp
+        }
+        .wsdl_document("s", "gw");
+        let first = well.read(&doc).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &well.read(&doc).unwrap()),
+            "replaced, then shared"
+        );
+        let past = ServiceInterface::new("past-the-bound").wsdl_document("s", "gw");
+        assert!(!Arc::ptr_eq(
+            &well.read(&past).unwrap(),
+            &well.read(&past).unwrap()
+        ));
     }
 
     #[test]

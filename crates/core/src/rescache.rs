@@ -8,6 +8,9 @@
 //! gateway node, bounded by an LRU capacity, with explicit
 //! invalidation on withdraw/re-export and short-lived negative entries
 //! so repeated lookups of a nonexistent service don't hammer the VSR.
+//! Beside the records it remembers each remote gateway's backbone
+//! node, by gateway name, so a miss on a service behind a gateway met
+//! before costs one repository round trip, not two.
 
 use crate::intern::Name;
 use crate::metrics::CacheStats;
@@ -56,6 +59,22 @@ impl Entry {
             | Entry::Stale { last_used, .. } => *last_used,
         }
     }
+
+    /// Demotes a resolved entry to stale.
+    fn demote(&mut self) {
+        if let Entry::Resolved {
+            record,
+            gw_node,
+            last_used,
+        } = self
+        {
+            *self = Entry::Stale {
+                record: record.clone(),
+                gw_node: *gw_node,
+                last_used: *last_used,
+            };
+        }
+    }
 }
 
 /// Outcome of a cache lookup.
@@ -81,15 +100,21 @@ impl Lookup {
     }
 }
 
-/// A bounded LRU cache of VSR resolutions.
+/// A map keyed with a fixed-key hasher: LRU evictions leave
+/// tombstones, and a per-process random seed would decide whether a
+/// full table rehashes in place or grows, so allocation counts (and the
+/// iteration order eviction walks) would vary from run to run. Neither
+/// table exceeds `capacity` entries, which bounds what colliding names
+/// could cost.
+type FixedMap<V> = HashMap<Name, V, BuildHasherDefault<DefaultHasher>>;
+
+/// A bounded LRU cache of VSR resolutions, and of the backbone nodes
+/// of the gateways they name.
 pub struct ResolutionCache {
-    /// Keyed with a fixed-key hasher: LRU evictions leave tombstones,
-    /// and a per-process random seed would decide whether a full table
-    /// rehashes in place or grows, so allocation counts (and the
-    /// iteration order eviction walks) would vary from run to run. The
-    /// table never exceeds `capacity` entries, which bounds what
-    /// colliding names could cost.
-    entries: HashMap<Name, Entry, BuildHasherDefault<DefaultHasher>>,
+    entries: FixedMap<Entry>,
+    /// The gateway directory as far as this cache has learned it:
+    /// each gateway's node and when it was last used.
+    gateways: FixedMap<(NodeId, u64)>,
     capacity: usize,
     tick: u64,
     stats: CacheStats,
@@ -106,6 +131,7 @@ impl ResolutionCache {
     pub fn new(capacity: usize) -> ResolutionCache {
         ResolutionCache {
             entries: HashMap::default(),
+            gateways: HashMap::default(),
             capacity: capacity.max(1),
             tick: 0,
             stats: CacheStats::default(),
@@ -203,15 +229,35 @@ impl ResolutionCache {
     }
 
     fn evict_lru(&mut self) {
-        if let Some(victim) = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used())
-            .map(|(name, _)| name.clone())
-        {
-            self.entries.remove(&victim);
+        if evict_lru(&mut self.entries, Entry::last_used) {
             self.stats.evictions += 1;
         }
+    }
+
+    /// The remembered backbone node of `gateway`, updating recency.
+    pub fn gateway_node(&mut self, gateway: &str) -> Option<NodeId> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.gateways.get_mut(gateway).map(|(node, last_used)| {
+            *last_used = tick;
+            *node
+        })
+    }
+
+    /// Remembers `gateway`'s backbone node, displacing the least
+    /// recently used gateway if the directory is full.
+    pub fn insert_gateway(&mut self, gateway: &str, node: NodeId) {
+        self.tick += 1;
+        if !self.gateways.contains_key(gateway) && self.gateways.len() >= self.capacity {
+            evict_lru(&mut self.gateways, |&(_, last_used)| last_used);
+        }
+        self.gateways.insert(Name::new(gateway), (node, self.tick));
+    }
+
+    /// Forgets `gateway`'s node (a call over it proved the route
+    /// wrong: the gateway may have restarted elsewhere).
+    pub fn forget_gateway(&mut self, gateway: &str) {
+        self.gateways.remove(gateway);
     }
 
     /// Invalidates the entry for `service` (withdraw, re-export, or a
@@ -222,19 +268,7 @@ impl ResolutionCache {
     pub fn invalidate(&mut self, service: &str) -> bool {
         match self.entries.get_mut(service) {
             Some(entry @ Entry::Resolved { .. }) => {
-                let demoted = match entry {
-                    Entry::Resolved {
-                        record,
-                        gw_node,
-                        last_used,
-                    } => Entry::Stale {
-                        record: record.clone(),
-                        gw_node: *gw_node,
-                        last_used: *last_used,
-                    },
-                    _ => unreachable!(),
-                };
-                *entry = demoted;
+                entry.demote();
                 self.stats.invalidations += 1;
                 true
             }
@@ -247,8 +281,20 @@ impl ResolutionCache {
         }
     }
 
-    /// Drops every entry. Live (resolved/negative) entries count as
-    /// invalidations; stale entries were already counted when demoted.
+    /// Invalidates, as [`Self::invalidate`] does, every resolved entry
+    /// that routes to `node` (its gateway restarted elsewhere).
+    pub fn invalidate_node(&mut self, node: NodeId) {
+        for entry in self.entries.values_mut() {
+            if matches!(entry, Entry::Resolved { gw_node, .. } if *gw_node == node) {
+                entry.demote();
+                self.stats.invalidations += 1;
+            }
+        }
+    }
+
+    /// Drops every entry and every remembered gateway. Live
+    /// (resolved/negative) entries count as invalidations; stale
+    /// entries were already counted when demoted.
     pub fn clear(&mut self) {
         self.stats.invalidations += self
             .entries
@@ -256,14 +302,18 @@ impl ResolutionCache {
             .filter(|e| !matches!(e, Entry::Stale { .. }))
             .count() as u64;
         self.entries.clear();
+        self.gateways.clear();
     }
 
-    /// Re-bounds the cache, evicting LRU entries if shrinking below
-    /// the current population.
+    /// Re-bounds the cache, evicting LRU entries and gateways if
+    /// shrinking below the current population.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
         while self.entries.len() > self.capacity {
             self.evict_lru();
+        }
+        while self.gateways.len() > self.capacity {
+            evict_lru(&mut self.gateways, |&(_, last_used)| last_used);
         }
     }
 
@@ -286,6 +336,16 @@ impl ResolutionCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
+}
+
+/// Removes the least recently used of `map`'s values, as `last_used`
+/// reads them; returns whether one was removed.
+fn evict_lru<V>(map: &mut FixedMap<V>, last_used: impl Fn(&V) -> u64) -> bool {
+    let victim = map
+        .iter()
+        .min_by_key(|(_, v)| last_used(v))
+        .map(|(name, _)| name.clone());
+    victim.is_some_and(|name| map.remove(&name).is_some())
 }
 
 /// Counters for a [`ShardMapCache`] (test and metrics introspection).
@@ -491,6 +551,57 @@ mod tests {
         assert!(cache.stale_lookup("lamp").is_none());
         // Nothing stale for unknown services.
         assert!(cache.stale_lookup("ghost").is_none());
+    }
+
+    #[test]
+    fn the_gateway_memo_is_bounded_forgotten_and_cleared() {
+        let mut cache = ResolutionCache::new(2);
+        assert_eq!(cache.gateway_node("x10-gw"), None);
+        cache.insert_gateway("x10-gw", NodeId(1));
+        cache.insert_gateway("havi-gw", NodeId(2));
+        // Touch x10-gw so havi-gw is the LRU victim.
+        assert_eq!(cache.gateway_node("x10-gw"), Some(NodeId(1)));
+        cache.insert_gateway("mail-gw", NodeId(3));
+        assert_eq!(cache.gateway_node("havi-gw"), None);
+        assert_eq!(cache.gateway_node("mail-gw"), Some(NodeId(3)));
+        // A re-learned node replaces the old one in place.
+        cache.insert_gateway("x10-gw", NodeId(9));
+        assert_eq!(cache.gateway_node("x10-gw"), Some(NodeId(9)));
+        cache.forget_gateway("x10-gw");
+        assert_eq!(cache.gateway_node("x10-gw"), None);
+        cache.insert_gateway("x10-gw", NodeId(1));
+        cache.set_capacity(1);
+        assert_eq!(cache.gateway_node("mail-gw"), None, "shrinking evicts");
+        assert_eq!(cache.gateway_node("x10-gw"), Some(NodeId(1)));
+        // Invalidating a service leaves its gateway's node; clearing
+        // drops both, and counts only the entries.
+        cache.insert_resolved("lamp", record("lamp"), NodeId(1));
+        cache.invalidate("lamp");
+        assert_eq!(cache.gateway_node("x10-gw"), Some(NodeId(1)));
+        cache.clear();
+        assert_eq!(cache.gateway_node("x10-gw"), None);
+        assert_eq!(cache.stats().invalidations, 1);
+        assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn invalidating_a_node_demotes_exactly_its_entries() {
+        let mut cache = ResolutionCache::new(8);
+        cache.insert_resolved("lamp", record("lamp"), NodeId(1));
+        cache.insert_resolved("desk", record("desk"), NodeId(1));
+        cache.insert_resolved("vcr", record("vcr"), NodeId(2));
+        cache.insert_negative("ghost");
+        cache.invalidate_node(NodeId(1));
+        for name in ["lamp", "desk"] {
+            assert!(matches!(cache.lookup(name), Lookup::Miss), "{name}");
+            assert_eq!(
+                cache.stale_lookup(name).map(|(_, node)| node),
+                Some(NodeId(1))
+            );
+        }
+        assert!(matches!(cache.lookup("vcr"), Lookup::Hit(_, NodeId(2))));
+        assert!(matches!(cache.lookup("ghost"), Lookup::NegativeHit));
+        assert_eq!(cache.stats().invalidations, 2);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl VirtualService {
         self.contexts.push((key.into(), value.into()));
         self
     }
-
-    /// The `vsg://gateway/service` endpoint string.
-    pub fn endpoint(&self) -> String {
-        format!("vsg://{}/{}", self.gateway, self.name)
-    }
 }
 
 impl fmt::Display for VirtualService {
@@ -148,7 +143,6 @@ impl fmt::Display for VirtualService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iface::catalog;
 
     #[test]
     fn middleware_labels_round_trip() {
@@ -165,12 +159,6 @@ mod tests {
             assert_eq!(Middleware::from_label(m.label()), Some(m));
         }
         assert_eq!(Middleware::from_label("corba"), None);
-    }
-
-    #[test]
-    fn endpoints_round_trip() {
-        let s = VirtualService::new("lamp", catalog::lamp(), Middleware::X10, "x10-gw");
-        assert_eq!(s.endpoint(), "vsg://x10-gw/lamp");
     }
 
     #[test]

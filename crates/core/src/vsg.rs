@@ -39,13 +39,17 @@ struct LocalEntry {
 /// services, from local batch members and from the wire alike.
 type EventSink = Box<dyn FnMut(&Sim, &str, &Value) + Send>;
 
-/// How a route was learned — from a live cache entry, from the VSR just
-/// now, or from a stale entry while the VSR is unreachable. It decides
-/// what a call's answer teaches the cache (see [`Vsg::learn`]).
+/// How a route was learned. It decides what a call's answer teaches
+/// the cache (see [`Vsg::learn`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Learned {
+    /// From a live cache entry.
     Cache,
+    /// The record from the VSR just now, its gateway's node remembered.
+    Memo,
+    /// Record and node both from the VSR just now: a fresh route.
     Vsr,
+    /// From a stale entry while the VSR is unreachable.
     Stale,
 }
 
@@ -61,7 +65,7 @@ struct Route {
 /// per round; members queue per peer gateway.
 #[derive(Default)]
 struct BatchRound<'a> {
-    /// Whether routes may come from the cache: in the first round only.
+    /// Whether routes may come from the caches: in the first round only.
     use_cache: bool,
     /// Each service routed so far, with its route.
     routes: Vec<(&'a str, Route)>,
@@ -393,9 +397,10 @@ impl Vsg {
         });
         let mut results: Vec<Option<Result<Value, MetaError>>> =
             (0..items.len()).map(|_| None).collect();
-        // Round one leaves unanswered only members whose cached route
-        // proved stale: they did not execute, so round two may re-send
-        // them, and routing past the cache, it answers every one.
+        // Round one leaves unanswered only members whose route proved
+        // stale, cached or with a remembered node: they did not
+        // execute, so round two may re-send them, and routing past both
+        // caches, it answers every one.
         for use_cache in [true, false] {
             let mut round = BatchRound {
                 use_cache,
@@ -479,8 +484,8 @@ impl Vsg {
 
     /// Sends each peer's queued members in frames of at most
     /// [`BatchPolicy::max_batch`] (0 counts as 1) and teaches the route
-    /// cache from every member's answer. A member whose cached route
-    /// proved stale is left unanswered in `results`.
+    /// cache from every member's answer. A member whose route proved
+    /// stale ([`Vsg::learn`]) is left unanswered in `results`.
     fn flush(
         &self,
         sim: &Sim,
@@ -508,7 +513,7 @@ impl Vsg {
                 // of them.
                 let all_idempotent = (start..end)
                     .all(|k| op_is_idempotent(&route(k).record, &peer.reqs[k].operation));
-                let answers = match self.resilient_wire_call(
+                let (answers, opened) = self.resilient_wire_call(
                     sim,
                     route(start),
                     &mut peer.reqs[start..end],
@@ -517,14 +522,16 @@ impl Vsg {
                     started,
                     resilience,
                     |reqs| self.wire_batch_call(sim, route(start), reqs),
-                ) {
+                );
+                let moved = opened && self.gateway_moved(route(start));
+                let answers = match answers {
                     // Every protocol answers a frame member for member.
                     Ok(answers) => answers,
                     Err(e) => vec![Err(e); end - start],
                 };
                 for (k, answer) in (start..end).zip(answers) {
                     let (i, service) = (peer.members[k].0, &peer.reqs[k].service);
-                    if !self.learn(service, route(k), &answer) {
+                    if !self.learn(service, route(k), &answer, moved) {
                         results[i] = Some(self.record_member(sim, service, started, answer));
                     }
                 }
@@ -548,9 +555,11 @@ impl Vsg {
     }
 
     /// Finds `service`'s route: a live cache entry when `use_cache`,
-    /// else the VSR's, else — the VSR unreachable and `policy` allowing
-    /// degraded reads — a stale entry. A definitive "unknown" is cached
-    /// negatively; a fresh route only once answered ([`Vsg::learn`]).
+    /// else the VSR's record, its gateway's node remembered (when
+    /// `use_cache`) or looked up; else — the VSR unreachable and
+    /// `policy` allowing degraded reads — a stale entry. A definitive
+    /// "unknown" is cached negatively; a looked-up node is remembered
+    /// at once, a record only once answered ([`Vsg::learn`]).
     fn route(
         &self,
         sim: &Sim,
@@ -576,11 +585,8 @@ impl Vsg {
             Lookup::NegativeHit => return Err(MetaError::UnknownService(service.to_owned())),
             Lookup::Miss => match self.inner.vsr.resolve(service) {
                 Ok(record) => {
-                    let gw_node =
-                        self.inner.vsr.gateway_node(&record.gateway).map_err(|_| {
-                            MetaError::GatewayUnreachable(record.gateway.to_string())
-                        })?;
-                    (Arc::new(record), gw_node, Learned::Vsr)
+                    let (gw_node, learned) = self.gateway_node(&record.gateway, use_cache)?;
+                    (Arc::new(record), gw_node, learned)
                 }
                 Err(MetaError::UnknownService(name)) => {
                     // Definitive answer from the repository — cacheable.
@@ -615,24 +621,50 @@ impl Vsg {
         })
     }
 
+    /// `gateway`'s backbone node: remembered when `use_cache` and
+    /// known, else looked up in the VSR and remembered.
+    fn gateway_node(&self, gateway: &str, use_cache: bool) -> Result<(NodeId, Learned), MetaError> {
+        let remembered = use_cache
+            .then(|| self.inner.rescache.lock().gateway_node(gateway))
+            .flatten();
+        if let Some(node) = remembered {
+            return Ok((node, Learned::Memo));
+        }
+        let node = self
+            .inner
+            .vsr
+            .gateway_node(gateway)
+            .map_err(|_| MetaError::GatewayUnreachable(gateway.to_owned()))?;
+        self.inner.rescache.lock().insert_gateway(gateway, node);
+        Ok((node, Learned::Vsr))
+    }
+
     /// What `answer`, a call's answer over `route`, teaches the cache —
-    /// one rule for calls, batch members and events. Only a retry-safe
-    /// error proves a route wrong (and that the call did not execute);
-    /// it invalidates a cached route. Any other answer proves the route:
-    /// a fresh resolution is cached, and a stale route is re-promoted
-    /// by a success. Returns whether a cached route proved stale, so
-    /// the caller re-routes once, past the cache.
-    fn learn(&self, service: &str, route: &Route, answer: &Result<Value, MetaError>) -> bool {
-        let route_failed = matches!(answer, Err(e) if e.is_retry_safe());
+    /// one rule for calls, batch members and events. A retry-safe error
+    /// proves a route wrong (and that the call did not execute), and so
+    /// does a `moved` gateway ([`Vsg::gateway_moved`]). A wrong route's
+    /// entry is invalidated and its gateway's node forgotten. Any other
+    /// answer proves the route: a fresh one is cached, and a stale one,
+    /// or one with a remembered node, only by a success. Returns
+    /// whether a guessed route — cached, or with a remembered node —
+    /// proved wrong, so the caller re-routes once, past both caches.
+    fn learn(
+        &self,
+        service: &str,
+        route: &Route,
+        answer: &Result<Value, MetaError>,
+        moved: bool,
+    ) -> bool {
+        if moved || matches!(answer, Err(e) if e.is_retry_safe()) {
+            let mut cache = self.inner.rescache.lock();
+            cache.invalidate(service);
+            cache.forget_gateway(&route.record.gateway);
+            return matches!(route.learned, Learned::Cache | Learned::Memo);
+        }
         let promote = match route.learned {
-            Learned::Cache => {
-                if route_failed {
-                    self.inner.rescache.lock().invalidate(service);
-                }
-                return route_failed;
-            }
-            Learned::Vsr => !route_failed,
-            Learned::Stale => answer.is_ok(),
+            Learned::Cache => false,
+            Learned::Vsr => true,
+            Learned::Memo | Learned::Stale => answer.is_ok(),
         };
         if promote {
             let (record, gw_node) = (route.record.clone(), route.gw_node);
@@ -642,6 +674,26 @@ impl Vsg {
                 .insert_resolved(service, record, gw_node);
         }
         false
+    }
+
+    /// Asked once a call over `route` has opened its peer's breaker
+    /// and got no answer: whether the VSR now names another node for
+    /// the route's gateway, which has then restarted elsewhere (a
+    /// failed lookup proves nothing). If so, every entry routed to the
+    /// old node is invalidated and the gateway's node forgotten, so no
+    /// later call is refused by the old node's breaker.
+    fn gateway_moved(&self, route: &Route) -> bool {
+        let moved = self
+            .inner
+            .vsr
+            .gateway_node(&route.record.gateway)
+            .is_ok_and(|node| node != route.gw_node);
+        if moved {
+            let mut cache = self.inner.rescache.lock();
+            cache.invalidate_node(route.gw_node);
+            cache.forget_gateway(&route.record.gateway);
+        }
+        moved
     }
 
     /// One batch frame exchange under a `vsg-wire` span. The frame span
@@ -698,7 +750,7 @@ impl Vsg {
 
     /// Sends `req` to its service's gateway under `policy` (this
     /// gateway's own when `None`): route, send, learn — and once more,
-    /// past the cache, when the cached route proved stale.
+    /// past both caches, when a route that was not fresh proved stale.
     fn invoke_remote(
         &self,
         sim: &Sim,
@@ -713,7 +765,7 @@ impl Vsg {
         loop {
             let route = self.route(sim, &req.service, &policy, use_cache)?;
             let idempotent = op_is_idempotent(&route.record, &req.operation);
-            let answer = self.resilient_wire_call(
+            let (answer, opened) = self.resilient_wire_call(
                 sim,
                 &route,
                 std::slice::from_mut(&mut req),
@@ -723,9 +775,11 @@ impl Vsg {
                 &policy,
                 |r| self.wire_call(sim, &route, &mut r[0]),
             );
-            // Only a cached route can prove stale, so this re-routes at
-            // most once.
-            if !self.learn(&req.service, &route, &answer) {
+            let moved = opened && self.gateway_moved(&route);
+            // Only a route that is not fresh can prove stale, and past
+            // both caches every route is fresh (or stale-served), so
+            // this re-routes at most once.
+            if !self.learn(&req.service, &route, &answer, moved) {
                 return answer;
             }
             use_cache = false;
@@ -739,7 +793,9 @@ impl Vsg {
     /// exponential backoff and all bounded by the deadline, each fed
     /// back to the breaker. Only transport failures are retried, and an
     /// ambiguous one (the remote may have executed) is retried only
-    /// when `idempotent` — the no-double-invoke guarantee.
+    /// when `idempotent` — the no-double-invoke guarantee. Also returns
+    /// whether the call's failures opened the breaker: the node is
+    /// failing, and no attempt was answered.
     #[allow(clippy::too_many_arguments)]
     fn resilient_wire_call<T>(
         &self,
@@ -751,7 +807,7 @@ impl Vsg {
         started: SimTime,
         policy: &ResiliencePolicy,
         send: impl Fn(&mut [VsgRequest]) -> Result<T, MetaError>,
-    ) -> Result<T, MetaError> {
+    ) -> (Result<T, MetaError>, bool) {
         let (gw_node, gateway) = (route.gw_node, route.record.gateway.as_str());
         let (admitted, moved) = self.inner.breakers.admit(gw_node, sim.now());
         self.report_breaker(sim, gateway, moved);
@@ -759,38 +815,39 @@ impl Vsg {
             self.inner.tracer.note(sim, HopKind::Resilience, || {
                 format!("breaker open: fail fast to {gateway}")
             });
-            return Err(MetaError::CircuitOpen {
+            let err = MetaError::CircuitOpen {
                 gateway: gateway.to_owned(),
-            });
+            };
+            return (Err(err), false);
         }
         let mut attempt: u32 = 0;
+        let mut opened = false;
         loop {
             let result = send(reqs);
             let moved = self.inner.breakers.record(gw_node, sim.now(), &result);
             self.report_breaker(sim, gateway, moved);
+            opened |= moved == Some(BreakerState::Open);
             let err = match result {
                 Err(e) if e.is_transport_failure() => e,
                 // An answer — even an application fault, unknown
                 // service/operation or type error — ends the call.
-                answered => return answered,
+                answered => return (answered, false),
             };
-            if !(idempotent || err.is_retry_safe()) {
-                return Err(err);
-            }
-            if attempt >= policy.max_retries {
-                return Err(err);
+            if !(idempotent || err.is_retry_safe()) || attempt >= policy.max_retries {
+                return (Err(err), opened);
             }
             let waited = sim.now().since(started);
             let mut wait = policy.backoff(attempt, sim);
             if waited + wait >= policy.deadline {
                 if waited >= policy.deadline {
-                    return Err(MetaError::DeadlineExceeded {
+                    let err = MetaError::DeadlineExceeded {
                         service: reqs
                             .first()
                             .map(|r| r.service.to_string())
                             .unwrap_or_default(),
                         waited_ms: waited.as_millis(),
-                    });
+                    };
+                    return (Err(err), opened);
                 }
                 // The full backoff would overshoot, but budget remains:
                 // spend all of it on one final, deadline-aligned attempt
@@ -864,7 +921,7 @@ impl Vsg {
     /// entry (left stale: no call has confirmed it).
     pub fn resolve_cached(&self, service: &str) -> Result<ServiceRecord, MetaError> {
         let route = self.route(self.inner.backbone.sim(), service, &self.resilience(), true)?;
-        if route.learned == Learned::Vsr {
+        if matches!(route.learned, Learned::Memo | Learned::Vsr) {
             self.inner.rescache.lock().insert_resolved(
                 service,
                 route.record.clone(),
@@ -874,8 +931,9 @@ impl Vsg {
         Ok(ServiceRecord::clone(&route.record))
     }
 
-    /// Drops all cached resolutions, forcing fresh VSR resolution on the
-    /// next remote invocation (used by the E11 ablation bench).
+    /// Drops all cached resolutions and remembered gateway nodes,
+    /// forcing both VSR round trips on the next remote invocation (used
+    /// by the E11 ablation bench).
     pub fn clear_route_cache(&self) {
         self.inner.rescache.lock().clear();
     }

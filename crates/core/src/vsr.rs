@@ -21,7 +21,7 @@ use crate::error::MetaError;
 use crate::federation::{
     self, shard_lag, start_replicas, sync_cluster, FederationConfig, Replica, ShardMap,
 };
-use crate::iface::ServiceInterface;
+use crate::iface::{InterfaceWell, ServiceInterface};
 use crate::intern::Name;
 use crate::metrics::MetricsRegistry;
 use crate::obs::Scope;
@@ -53,9 +53,9 @@ const MAX_REDIRECTS: u32 = 2;
 /// The flag a write carries when it fails over to a backup.
 static PROMOTE: Value = Value::Bool(true);
 
-/// Reads a reply's `return` element into a `T` (see
+/// What reading a reply's `return` element into a `T` gives (see
 /// [`SoapClient::call_parts_decode`]).
-type Decode<T> = fn(&mut Reader<'_>) -> Result<Result<T, ValueError>, ParseError>;
+type Decoded<T> = Result<Result<T, ValueError>, ParseError>;
 
 /// A resolved repository record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,15 +83,16 @@ impl ServiceRecord {
     /// Reads a `resolve` reply's `return` element straight into a
     /// record, in one pass. Each field is read once and the first of
     /// each named field is kept; strings are borrowed from the reply
-    /// ([`Value::decode_str`]), the WSDL text is read by
-    /// [`ServiceInterface::from_document`], and the names are interned.
+    /// ([`Value::decode_str`]), the WSDL text is read by `well`, which
+    /// shares an interface it already holds ([`InterfaceWell::read`]),
+    /// and the names are interned.
     /// Unknown and repeated fields are checked as they would decode, so
     /// a field's value error is the reply's error whatever the field.
     /// `Ok(None)` is a reply that decodes but is no record: not a
     /// Struct, or a field missing or of the wrong type, or a WSDL
     /// document that does not read.
-    fn decode(r: &mut Reader<'_>) -> Result<Result<Option<ServiceRecord>, ValueError>, ParseError> {
-        ServiceRecord::decode_within(r, soap::MAX_DEPTH)
+    fn decode(r: &mut Reader<'_>, well: &InterfaceWell) -> Decoded<Option<ServiceRecord>> {
+        ServiceRecord::decode_within(r, soap::MAX_DEPTH, well)
     }
 
     /// [`ServiceRecord::decode`] of an element that may nest `depth`
@@ -99,14 +100,15 @@ impl ServiceRecord {
     fn decode_within(
         r: &mut Reader<'_>,
         depth: usize,
-    ) -> Result<Result<Option<ServiceRecord>, ValueError>, ParseError> {
+        well: &InterfaceWell,
+    ) -> Decoded<Option<ServiceRecord>> {
         let (Some(Compound::Struct), Some(depth)) = (Value::compound(r), depth.checked_sub(1))
         else {
             return Ok(Value::decode_str(r, depth)?.map(|_| None));
         };
         let mut fields = RecordFields::default();
         let decoded = Value::decode_members(r, |name, r| fields.read(name, r, depth))?;
-        Ok(decoded.map(|()| fields.into_record()))
+        Ok(decoded.map(|()| fields.into_record(well)))
     }
 
     /// Reads a `find`/`find_ctx` reply: an Array of records, each item
@@ -115,13 +117,14 @@ impl ServiceRecord {
     /// reply that is no Array.
     fn decode_list(
         r: &mut Reader<'_>,
-    ) -> Result<Result<Option<Vec<ServiceRecord>>, ValueError>, ParseError> {
+        well: &InterfaceWell,
+    ) -> Decoded<Option<Vec<ServiceRecord>>> {
         if Value::compound(r) != Some(Compound::Array) {
             return Ok(Value::decode(r)?.map(|_| None));
         }
         let mut records = Vec::new();
         let decoded = Value::decode_members(r, |_, r| {
-            let record = ServiceRecord::decode_within(r, soap::MAX_DEPTH - 1)?;
+            let record = ServiceRecord::decode_within(r, soap::MAX_DEPTH - 1, well)?;
             Ok(record.map(|record| records.extend(record)))
         })?;
         Ok(decoded.map(|()| Some(records)))
@@ -191,21 +194,22 @@ impl<'a> RecordFields<'a> {
         }))
     }
 
-    /// The record, or `None` when a field is missing or of the wrong
-    /// type, the middleware unknown or the WSDL unreadable.
-    fn into_record(self) -> Option<ServiceRecord> {
+    /// The record, its interface read by `well`, or `None` when a field
+    /// is missing or of the wrong type, the middleware unknown or the
+    /// WSDL unreadable.
+    fn into_record(self, well: &InterfaceWell) -> Option<ServiceRecord> {
         let (Some(Some(name)), Some(Some(middleware)), Some(Some(gateway)), Some(Some(wsdl))) =
             (self.name, self.middleware, self.gateway, self.wsdl)
         else {
             return None;
         };
         let middleware = Middleware::from_label(&middleware)?;
-        let interface = ServiceInterface::from_document(&wsdl).ok()?;
+        let interface = well.read(&wsdl).ok()?;
         Some(ServiceRecord {
             name: Name::new(&name),
             middleware,
             gateway: Name::new(&gateway),
-            interface: Arc::new(interface),
+            interface,
             contexts: self.contexts.unwrap_or_default(),
         })
     }
@@ -412,6 +416,8 @@ pub struct VsrClient {
     sim: Sim,
     tracer: Tracer,
     map_cache: Arc<ShardMapCache>,
+    /// The interfaces resolved records describe, shared by the clones.
+    interfaces: Arc<InterfaceWell>,
     breakers: Arc<BreakerBank>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -432,6 +438,7 @@ impl VsrClient {
             sim: net.sim().clone(),
             tracer: Tracer::new("vsr-client"),
             map_cache: Arc::new(ShardMapCache::new()),
+            interfaces: Arc::default(),
             breakers: Arc::new(BreakerBank::new(
                 ROUTE_BREAKER_THRESHOLD,
                 SimDuration::from_millis(ROUTE_BREAKER_WINDOW_MS),
@@ -466,7 +473,7 @@ impl VsrClient {
         node: NodeId,
         method: &str,
         args: impl Iterator<Item = (&'a str, Arg<'a>)> + Clone,
-        decode: Decode<T>,
+        decode: impl Fn(&mut Reader<'_>) -> Decoded<T>,
     ) -> Result<Option<T>, MetaError> {
         let scope = Scope::child(
             &self.sim,
@@ -499,7 +506,7 @@ impl VsrClient {
         node: NodeId,
         method: &str,
         args: impl Iterator<Item = (&'a str, Arg<'a>)> + Clone,
-        decode: Decode<T>,
+        decode: impl Fn(&mut Reader<'_>) -> Decoded<T>,
     ) -> Option<Result<Option<T>, MetaError>> {
         if !self.breakers.admit(node, self.sim.now()).0 {
             return None;
@@ -572,7 +579,7 @@ impl VsrClient {
         write: bool,
         method: &str,
         args: &[(&str, Arg<'_>)],
-        decode: Decode<T>,
+        decode: impl Fn(&mut Reader<'_>) -> Decoded<T> + Copy,
     ) -> Result<Option<T>, MetaError> {
         self.metrics.record_shard_op(shard);
         let shard_arg = Value::Int(i64::from(shard));
@@ -680,14 +687,13 @@ impl VsrClient {
     }
 
     /// Publishes a virtual service (a write: routed to its shard's
-    /// primary). The WSDL document is written once, by the streaming
-    /// writer, and every attempt sends it from the same borrowed
-    /// argument list.
+    /// primary). The WSDL document is written once, straight from the
+    /// interface ([`ServiceInterface::wsdl_document`]), and every
+    /// attempt sends it from the same borrowed argument list.
     pub fn publish(&self, service: &VirtualService) -> Result<(), MetaError> {
         let wsdl_doc = service
             .interface
-            .to_wsdl(&service.name, &service.endpoint())
-            .to_document();
+            .wsdl_document(&service.name, &service.gateway);
         let contexts = Value::Record(
             service
                 .contexts
@@ -781,16 +787,13 @@ impl VsrClient {
 
     /// Resolves one service by exact name (routed straight to its
     /// shard — one round trip, no fan-out). The reply decodes straight
-    /// into the record.
+    /// into the record, which shares an interface this client (or a
+    /// clone) already read.
     pub fn resolve(&self, name: &str) -> Result<ServiceRecord, MetaError> {
         let shard = self.map()?.shard_of(name);
-        self.route(
-            shard,
-            false,
-            "resolve",
-            &[("name", Arg::Str(name))],
-            ServiceRecord::decode,
-        )?
+        self.route(shard, false, "resolve", &[("name", Arg::Str(name))], |r| {
+            ServiceRecord::decode(r, &self.interfaces)
+        })?
         .flatten()
         .ok_or_else(|| MetaError::Repository("bad resolve reply".into()))
     }
@@ -823,7 +826,9 @@ impl VsrClient {
         let mut out: Vec<ServiceRecord> = Vec::new();
         for shard in 0..map.shard_count() {
             match self
-                .route(shard, false, method, args, ServiceRecord::decode_list)?
+                .route(shard, false, method, args, |r| {
+                    ServiceRecord::decode_list(r, &self.interfaces)
+                })?
                 .flatten()
             {
                 Some(records) => out.extend(records),
@@ -1198,6 +1203,27 @@ mod decode_oracle {
         )
     }
 
+    /// [`ServiceRecord::decode`]'s record, read twice through one
+    /// well: the second read, which shares the interface the first
+    /// built, must give the same.
+    fn read_record(doc: &str) -> Result<Option<ServiceRecord>, SoapError> {
+        let well = InterfaceWell::default();
+        let read = || decode_response(doc, |r| ServiceRecord::decode(r, &well));
+        let first = read().map(Option::flatten);
+        assert_eq!(read().map(Option::flatten), first, "re-read of {doc}");
+        first
+    }
+
+    /// [`ServiceRecord::decode_list`]'s records, read as
+    /// [`read_record`] reads one.
+    fn read_list(doc: &str) -> Result<Option<Vec<ServiceRecord>>, SoapError> {
+        let well = InterfaceWell::default();
+        let read = || decode_response(doc, |r| ServiceRecord::decode_list(r, &well));
+        let first = read().map(Option::flatten);
+        assert_eq!(read().map(Option::flatten), first, "re-read of {doc}");
+        first
+    }
+
     /// The reply as the `Value` path reads it.
     fn value_reply(doc: &str) -> Result<Value, SoapError> {
         decode_response(doc, Value::decode).map(|v| v.unwrap_or(Value::Null))
@@ -1209,7 +1235,7 @@ mod decode_oracle {
         #[test]
         fn record_decoder_equals_value_oracle(ret in arb_record_return(), variant in 0..8u8) {
             let doc = envelope(&ret, variant);
-            let streamed = decode_response(&doc, ServiceRecord::decode).map(Option::flatten);
+            let streamed = read_record(&doc);
             let oracle = value_reply(&doc).map(|v| ServiceRecord::from_value(&v));
             prop_assert_eq!(streamed, oracle, "document {}", doc);
         }
@@ -1217,7 +1243,7 @@ mod decode_oracle {
         #[test]
         fn list_decoder_equals_value_oracle(ret in arb_list_return(), variant in 0..8u8) {
             let doc = envelope(&ret, variant);
-            let streamed = decode_response(&doc, ServiceRecord::decode_list).map(Option::flatten);
+            let streamed = read_list(&doc);
             let oracle = value_reply(&doc).map(|v| match v {
                 Value::List(items) => Some(items.iter().filter_map(ServiceRecord::from_value).collect()),
                 _ => None,
@@ -1261,8 +1287,7 @@ mod decode_oracle {
             for in_contexts in [false, true] {
                 let case = format!("{levels} levels, in contexts: {in_contexts}");
                 let resolve = envelope(&record("return", levels, in_contexts), 4);
-                let streamed =
-                    decode_response(&resolve, ServiceRecord::decode).map(Option::flatten);
+                let streamed = read_record(&resolve);
                 let oracle = value_reply(&resolve).map(|v| ServiceRecord::from_value(&v));
                 assert_eq!(streamed, oracle, "resolve, {case}");
                 assert_eq!(
@@ -1278,8 +1303,7 @@ mod decode_oracle {
                     ),
                     4,
                 );
-                let streamed =
-                    decode_response(&find, ServiceRecord::decode_list).map(Option::flatten);
+                let streamed = read_list(&find);
                 let oracle = value_reply(&find).map(|v| match v {
                     Value::List(items) => {
                         Some(items.iter().filter_map(ServiceRecord::from_value).collect())
@@ -1490,7 +1514,7 @@ mod decode_oracle {
     /// The record reply `doc` read both ways: the same record, no
     /// record, or error.
     fn record_read_agrees(doc: &str) {
-        let streamed = decode_response(doc, ServiceRecord::decode).map(Option::flatten);
+        let streamed = read_record(doc);
         let oracle = value_reply(doc).map(|v| ServiceRecord::from_value(&v));
         assert_eq!(streamed, oracle, "document {doc}");
     }
@@ -1557,7 +1581,7 @@ mod decode_oracle {
         let strategy = arb_generated_record();
         for _ in 0..400 {
             let doc = envelope(&strategy.generate(&mut rng), 7);
-            match decode_response(&doc, ServiceRecord::decode).map(Option::flatten) {
+            match read_record(&doc) {
                 Ok(Some(rec)) => {
                     records += 1;
                     params += rec
@@ -1584,9 +1608,8 @@ mod decode_oracle {
     #[test]
     fn record_decoder_equals_value_oracle_on_every_cut_and_byte_edit_of_a_lamp_reply() {
         let reply = lamp_reply();
-        let rec = decode_response(&reply, ServiceRecord::decode)
+        let rec = read_record(&reply)
             .unwrap()
-            .flatten()
             .expect("the whole reply is a record");
         assert_eq!(*rec.interface, catalog::lamp());
         assert!(reply.is_ascii());
@@ -1613,27 +1636,21 @@ mod decode_oracle {
         let pool = field_pool();
         let complete: String = COMPLETE[0].iter().map(|&i| pool[i].as_str()).collect();
         let ret = format!(r#"<return xsi:type="SOAP-ENC:Struct">{complete}</return>"#);
-        let rec = decode_response(&envelope(&ret, 7), ServiceRecord::decode)
-            .unwrap()
-            .flatten()
-            .unwrap();
+        let rec = read_record(&envelope(&ret, 7)).unwrap().unwrap();
         assert_eq!(rec.name, "hall-lamp");
         assert_eq!(rec.contexts, [("room".to_owned(), "hall".to_owned())]);
         let broken = format!(
             r#"<return xsi:type="SOAP-ENC:Struct">{complete}<extra xsi:type="xsd:double">one</extra></return>"#
         );
         assert!(matches!(
-            decode_response(&envelope(&broken, 7), ServiceRecord::decode),
+            read_record(&envelope(&broken, 7)),
             Err(SoapError::Value(_))
         ));
         assert!(matches!(
-            decode_response(&envelope(&broken, 1), ServiceRecord::decode),
+            read_record(&envelope(&broken, 1)),
             Err(SoapError::Fault(_))
         ));
         let scalar = r#"<return xsi:type="xsd:string">x</return>"#;
-        assert_eq!(
-            decode_response(&envelope(scalar, 7), ServiceRecord::decode),
-            Ok(Some(None))
-        );
+        assert_eq!(read_record(&envelope(scalar, 7)), Ok(None));
     }
 }

@@ -1,5 +1,6 @@
 //! What the VSR allocates on a warm three-replica, four-shard cluster:
-//! a client's resolve of a lamp, a publish that moves a service to
+//! a client's resolve of a lamp whose interface it already read, a
+//! publish that moves a service to
 //! another gateway (the primary's write, its UDDI mirror and the push
 //! to the shard's backup), and a backup's apply of one pushed record. A
 //! dedicated test binary, so the counting global allocator sees no
@@ -80,17 +81,22 @@ fn warm_client() -> (Network, Vsr, VsrClient, Vec<String>) {
 }
 
 #[test]
-fn a_warm_resolve_reads_the_reply_in_place_into_interned_names() {
+fn a_warm_resolve_allocates_only_the_unescaped_wsdl_text() {
     let (_net, _vsr, client, names) = warm_client();
-    client.resolve(&names[3]).unwrap();
+    let first = client.resolve(&names[3]).unwrap();
     let (allocs, got) = counted(|| client.resolve(&names[3]));
-    assert_eq!(*got.unwrap().interface, catalog::lamp());
+    let got = got.unwrap();
+    assert_eq!(*got.interface, catalog::lamp());
+    assert!(
+        std::sync::Arc::ptr_eq(&got.interface, &first.interface),
+        "the interface the client read before is shared"
+    );
     assert_eq!(
-        allocs, 5,
-        "the unescaped WSDL text, the interface's operation list, its two \
-         parameter lists and its `Arc`: the call and reply buffers are the \
-         network's spares, the reply's strings are read in place, and the \
-         names are interned"
+        allocs, 1,
+        "the unescaped WSDL text: the call and reply buffers are the \
+         network's spares, the reply's strings are read in place, the \
+         names are interned, and the interface is the one the client \
+         already holds"
     );
 }
 
@@ -101,10 +107,11 @@ fn a_warm_gateway_moving_publish_builds_no_value_on_the_write_path() {
     let (allocs, got) = counted(|| client.publish(&moved));
     got.unwrap();
     assert_eq!(
-        allocs, 38,
-        "the client's description and WSDL document (17); the pushed \
-         entry's buffer (the call, its reply, the push call and its \
-         reply are the network's spares); on each replica (9 each) the \
+        allocs, 22,
+        "the client's WSDL document, written straight from the interface \
+         (1); the pushed entry's buffer (the call, its reply, the push \
+         call and its reply are the network's spares); on each replica \
+         (9 each) the \
          unescaped WSDL text, the category list and its two values, the \
          tModel name, the endpoint, the service name, its binding list \
          and the growth of its name's index list; on the primary the new \
@@ -116,10 +123,7 @@ fn a_warm_gateway_moving_publish_builds_no_value_on_the_write_path() {
 /// The HTTP POST of a `replicate` call carrying one record entry, as a
 /// primary pushes it.
 fn push(name: &str, gateway: &str, seq: i64) -> Vec<u8> {
-    let wsdl = lamp(name, gateway)
-        .interface
-        .to_wsdl(name, &format!("vsg://{gateway}/{name}"))
-        .to_document();
+    let wsdl = catalog::lamp().wsdl_document(name, gateway);
     let entry = Value::Record(vec![
         ("name".into(), Value::from(name)),
         ("shard".into(), Value::Int(0)),

@@ -146,54 +146,19 @@ impl ServiceDescription {
     /// first — no element tree is built. Byte-identical to serialising
     /// the element tree this crate's tests keep as the oracle.
     pub fn write_document<O: XmlOut + ?Sized>(&self, out: &mut O) {
-        out.put("<?xml version=\"1.0\" encoding=\"UTF-8\"?><definitions name=\"");
-        escape_attr_into(&self.name, out);
-        out.put("\" targetNamespace=\"");
-        escape_attr_into(&self.namespace, out);
-        out.put("\">");
-        if !self.documentation.is_empty() {
-            out.put("<documentation>");
-            escape_text_into(&self.documentation, out);
-            out.put("</documentation>");
+        DocumentParts {
+            name: &self.name,
+            namespace: &[&self.namespace],
+            documentation: &[&self.documentation],
+            endpoint: &[&self.endpoint],
+            operations: self.operations.iter().map(|op| OperationParts {
+                name: &op.name,
+                idempotent: op.idempotent,
+                inputs: op.inputs.iter().map(|p| (p.name.as_str(), p.ty)),
+                output: op.output.as_ref().map(|p| (p.name.as_str(), p.ty)),
+            }),
         }
-        out.put("<portType name=\"");
-        escape_attr_into(&self.name, out);
-        out.put("PortType\"");
-        if self.operations.is_empty() {
-            out.put("/>");
-        } else {
-            out.put(">");
-            for op in &self.operations {
-                out.put("<operation name=\"");
-                escape_attr_into(&op.name, out);
-                out.put(if op.idempotent {
-                    "\" idempotent=\"true\"><input"
-                } else {
-                    "\"><input"
-                });
-                if op.inputs.is_empty() {
-                    out.put("/>");
-                } else {
-                    out.put(">");
-                    for p in &op.inputs {
-                        write_part(p, out);
-                    }
-                    out.put("</input>");
-                }
-                if let Some(p) = &op.output {
-                    out.put("<output>");
-                    write_part(p, out);
-                    out.put("</output>");
-                }
-                out.put("</operation>");
-            }
-            out.put("</portType>");
-        }
-        out.put("<service name=\"");
-        escape_attr_into(&self.name, out);
-        out.put("\"><port><soap:address location=\"");
-        escape_attr_into(&self.endpoint, out);
-        out.put("\"/></port></service></definitions>");
+        .write(out);
     }
 
     /// Parses a WSDL-style document: the owned build over
@@ -310,12 +275,113 @@ impl ServiceDescription {
     }
 }
 
-/// Writes one message part as a `part` element.
-fn write_part<O: XmlOut + ?Sized>(p: &Part, out: &mut O) {
+/// A WSDL-style document's parts, borrowed: what
+/// [`ServiceDescription::write_document`] writes, for a caller that
+/// holds the parts but no description. Each string is given as pieces
+/// written one after another, so `urn:vsg:` and a service name need not
+/// be joined first.
+pub struct DocumentParts<'a, Ops> {
+    /// The service name: the definitions, port type and service are
+    /// named after it.
+    pub name: &'a str,
+    /// The target namespace, in pieces.
+    pub namespace: &'a [&'a str],
+    /// The documentation, in pieces; no element when they are empty.
+    pub documentation: &'a [&'a str],
+    /// The VSG endpoint, in pieces.
+    pub endpoint: &'a [&'a str],
+    /// The operations, in order.
+    pub operations: Ops,
+}
+
+/// One operation's parts, borrowed (see [`DocumentParts`]).
+pub struct OperationParts<'a, Inputs> {
+    /// Operation name.
+    pub name: &'a str,
+    /// Whether the operation is idempotent.
+    pub idempotent: bool,
+    /// The input parts' names and types, in call order.
+    pub inputs: Inputs,
+    /// The output part's name and type.
+    pub output: Option<(&'a str, XsdType)>,
+}
+
+impl<'a, Ops, Inputs> DocumentParts<'a, Ops>
+where
+    Ops: Iterator<Item = OperationParts<'a, Inputs>> + Clone,
+    Inputs: Iterator<Item = (&'a str, XsdType)>,
+{
+    /// The document, written once into an exactly sized string (it is
+    /// measured first).
+    pub fn to_document(&self) -> String {
+        let mut len = Measure::default();
+        self.write(&mut len);
+        let mut out = String::with_capacity(len.0);
+        self.write(&mut out);
+        out
+    }
+
+    /// Streams the document into `out`, XML declaration first.
+    pub fn write<O: XmlOut + ?Sized>(&self, out: &mut O) {
+        out.put("<?xml version=\"1.0\" encoding=\"UTF-8\"?><definitions name=\"");
+        escape_attr_into(self.name, out);
+        out.put("\" targetNamespace=\"");
+        self.namespace.iter().for_each(|s| escape_attr_into(s, out));
+        out.put("\">");
+        if self.documentation.iter().any(|s| !s.is_empty()) {
+            out.put("<documentation>");
+            self.documentation
+                .iter()
+                .for_each(|s| escape_text_into(s, out));
+            out.put("</documentation>");
+        }
+        out.put("<portType name=\"");
+        escape_attr_into(self.name, out);
+        out.put("PortType\"");
+        let mut ops = self.operations.clone().peekable();
+        if ops.peek().is_none() {
+            out.put("/>");
+        } else {
+            out.put(">");
+            for op in ops {
+                out.put("<operation name=\"");
+                escape_attr_into(op.name, out);
+                out.put(if op.idempotent {
+                    "\" idempotent=\"true\"><input"
+                } else {
+                    "\"><input"
+                });
+                let mut inputs = op.inputs.peekable();
+                if inputs.peek().is_none() {
+                    out.put("/>");
+                } else {
+                    out.put(">");
+                    inputs.for_each(|part| write_part(part, out));
+                    out.put("</input>");
+                }
+                if let Some(part) = op.output {
+                    out.put("<output>");
+                    write_part(part, out);
+                    out.put("</output>");
+                }
+                out.put("</operation>");
+            }
+            out.put("</portType>");
+        }
+        out.put("<service name=\"");
+        escape_attr_into(self.name, out);
+        out.put("\"><port><soap:address location=\"");
+        self.endpoint.iter().for_each(|s| escape_attr_into(s, out));
+        out.put("\"/></port></service></definitions>");
+    }
+}
+
+/// Writes one message part, its name and type, as a `part` element.
+fn write_part<O: XmlOut + ?Sized>((name, ty): (&str, XsdType), out: &mut O) {
     out.put("<part name=\"");
-    escape_attr_into(&p.name, out);
+    escape_attr_into(name, out);
     out.put("\" type=\"");
-    out.put(p.ty.as_qname());
+    out.put(ty.as_qname());
     out.put("\"/>");
 }
 

@@ -8,9 +8,10 @@
 //!
 //! A description is written straight to text by a streaming writer
 //! ([`ServiceDescription::write_document`], or
-//! [`ServiceDescription::to_document`] for a `String`) and read back in
-//! one pass over the pull reader ([`read_document`], which hands its
-//! caller borrowed parts through a [`DescriptionVisitor`];
+//! [`ServiceDescription::to_document`] for a `String`; a caller holding
+//! the parts but no description writes them as [`DocumentParts`]) and
+//! read back in one pass over the pull reader ([`read_document`], which
+//! hands its caller borrowed parts through a [`DescriptionVisitor`];
 //! [`ServiceDescription::from_document`] is the owned build over it).
 //! Neither builds an element tree. Inquiries hand out records by
 //! reference, and registry [`Key`]s are `Copy` sequence numbers.
@@ -44,7 +45,8 @@ pub mod types;
 pub mod uddi;
 
 pub use description::{
-    read_document, DescriptionError, DescriptionVisitor, Operation, Part, ServiceDescription,
+    read_document, DescriptionError, DescriptionVisitor, DocumentParts, Operation, OperationParts,
+    Part, ServiceDescription,
 };
 pub use types::XsdType;
 pub use uddi::{

@@ -31,14 +31,29 @@ FLEET_ALLOCS_BAND = 0.001
 SINGLE_HOME = ("wire_bytes_per_op", "allocs_per_op", "alloc_bytes_per_op")
 
 
-def report(path):
-    """The metrics of the JSON report on the last non-empty line."""
+def run_lines(path):
+    """The non-empty lines of one run's stdout; the last is its report."""
     with open(path, encoding="utf-8") as f:
         lines = [line for line in f.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: no report")
+    return lines
+
+
+def report(lines):
+    """The metrics of the JSON report on the last of a run's lines."""
     doc = json.loads(lines[-1])
     return {name: m["value"] for name, m in doc["metrics"].items()}
+
+
+def held(label, old, new, scale, band, verdict):
+    """Prints how far `new` drifted from `old`, relative to `scale`, and
+    returns whether the drift stayed within `band`; `verdict` names a
+    drift that did not."""
+    drift = abs(new - old) / scale if new != old else 0.0
+    ok = drift <= band
+    print(f"{label}: {old!r} -> {new!r} (drift {drift:.2e}, band {band:g}) {'ok' if ok else verdict}")
+    return ok
 
 
 def bands(workload):
@@ -55,7 +70,7 @@ def main(argv):
         return 2
     workload, first, second = argv[1:]
     try:
-        a, b = report(first), report(second)
+        a, b = report(run_lines(first)), report(run_lines(second))
     except (OSError, ValueError, KeyError) as e:
         print(f"counts_repeat: {e}", file=sys.stderr)
         return 1
@@ -66,11 +81,7 @@ def main(argv):
             print(f"{workload} {name}: missing from a report")
             ok = False
             continue
-        drift = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
-        held = drift <= band
-        ok &= held
-        verdict = "ok" if held else "DIFFERS"
-        print(f"{workload} {name}: {x!r} vs {y!r} (drift {drift:.2e}, band {band:g}) {verdict}")
+        ok &= held(f"{workload} {name}", x, y, max(abs(x), abs(y)), band, "DIFFERS")
     return 0 if ok else 1
 
 

@@ -362,3 +362,144 @@ fn vsr_lease_expiry_racing_renew_does_not_resurrect() {
     assert!(client.resolve("hall-lamp").is_ok());
     assert_eq!(vsr.service_count(), 1);
 }
+
+/// The gateway memo — each gateway's remembered backbone node of every
+/// gateway it has routed to — never strands a caller: a node proved
+/// wrong is forgotten, and the call re-routes once, past both caches.
+mod gateway_memo {
+    use metaware::{
+        catalog, BreakerState, HopKind, Middleware, ResiliencePolicy, SmartHome, VirtualService,
+        Vsg,
+    };
+    use simnet::{FaultPlan, Sim, SimDuration};
+    use soap::Value;
+
+    /// The `gateway_node` lookups `gw` has sent since tracing was last
+    /// drained.
+    fn gateway_lookups(gw: &Vsg) -> usize {
+        gw.tracer()
+            .take_spans()
+            .iter()
+            .filter(|s| s.kind == HopKind::VsrLookup && s.name == "gateway_node")
+            .count()
+    }
+
+    /// A null lamp behind gateway `gw`, answering `status` with `on`.
+    fn export_lamp(gw: &Vsg, name: &str, on: bool) {
+        gw.export(
+            VirtualService::new(name, catalog::lamp(), Middleware::X10, gw.name()),
+            move |_: &Sim, _: &str, _: &[(String, Value)]| Ok(Value::Bool(on)),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn a_gateway_restarted_on_a_fresh_node_strands_no_caller() {
+        let home = SmartHome::builder().build().unwrap();
+        let caller = home.gateway(Middleware::Jini).unwrap();
+        let old = home.gateway(Middleware::X10).unwrap();
+        assert_eq!(caller.resilience(), ResiliencePolicy::default());
+        // The caller remembers x10-gw's node through the desk lamp, and
+        // holds no route for the hall lamp.
+        caller.clear_route_cache();
+        caller
+            .invoke(&home.sim, "desk-lamp", "status", &[])
+            .unwrap();
+
+        // x10-gw's node goes down for good, and a gateway of the same
+        // name starts on a fresh node and re-exports the hall lamp.
+        let t = home.sim.now();
+        home.backbone.set_fault_plan(FaultPlan::new().node_down(
+            old.node(),
+            t,
+            t + SimDuration::from_secs(3600),
+        ));
+        let fresh = Vsg::start(
+            &home.backbone,
+            "x10-gw",
+            old.protocol().clone(),
+            home.vsr.node(),
+        )
+        .unwrap();
+        assert_ne!(fresh.node(), old.node());
+        export_lamp(&fresh, "hall-lamp", true);
+
+        // The hall lamp's record is fresh, but the remembered node is
+        // the dead one: every attempt over it is lost before delivery,
+        // the failures open its breaker, and the deadline ends the
+        // retries. The VSR names another node for x10-gw, so every
+        // route to the old node is dropped, and the re-route asks the
+        // VSR for both.
+        let failed_before = caller.metrics().snapshot().errors;
+        caller.set_tracing(true);
+        let answer = caller.invoke(&home.sim, "hall-lamp", "status", &[]);
+        assert_eq!(answer, Ok(Value::Bool(true)));
+        assert_eq!(caller.metrics().snapshot().errors, failed_before);
+        assert_eq!(gateway_lookups(caller), 2, "the check, and the re-route's");
+        assert_eq!(caller.breaker_state(old.node()), BreakerState::Open);
+        // The fresh node is now the remembered one.
+        export_lamp(&fresh, "porch-lamp", false);
+        assert_eq!(
+            caller.invoke(&home.sim, "porch-lamp", "status", &[]),
+            Ok(Value::Bool(false))
+        );
+        assert_eq!(gateway_lookups(caller), 0);
+        // The desk lamp's cached route named the dead node, whose open
+        // breaker would refuse it; it was dropped with the node, so the
+        // call resolves at once.
+        export_lamp(&fresh, "desk-lamp", true);
+        let before = home.sim.now();
+        assert_eq!(
+            caller.invoke(&home.sim, "desk-lamp", "status", &[]),
+            Ok(Value::Bool(true))
+        );
+        assert!(home.sim.now() - before < SimDuration::from_millis(100));
+        assert_eq!(caller.metrics().snapshot().errors, failed_before);
+    }
+
+    #[test]
+    fn a_move_to_a_gateway_never_called_costs_one_lookup_then_none() {
+        let home = SmartHome::builder().build().unwrap();
+        let caller = home.gateway(Middleware::Jini).unwrap();
+        let x10 = home.gateway(Middleware::X10).unwrap();
+        let mail = home.gateway(Middleware::Mail).unwrap();
+        caller.clear_route_cache();
+        export_lamp(x10, "roaming-lamp", false);
+        caller
+            .invoke(&home.sim, "roaming-lamp", "status", &[])
+            .unwrap();
+
+        // The lamp moves to mail-gw, which this caller has never called.
+        x10.withdraw("roaming-lamp").unwrap();
+        export_lamp(mail, "roaming-lamp", true);
+        caller.set_tracing(true);
+        let answer = caller.invoke(&home.sim, "roaming-lamp", "status", &[]);
+        assert_eq!(answer, Ok(Value::Bool(true)));
+        assert_eq!(gateway_lookups(caller), 1, "mail-gw's node, once");
+
+        // Later misses on mail-gw cost no lookup.
+        for name in ["second-lamp", "third-lamp"] {
+            export_lamp(mail, name, true);
+            let answer = caller.invoke(&home.sim, name, "status", &[]);
+            assert_eq!(answer, Ok(Value::Bool(true)), "{name}");
+        }
+        assert_eq!(gateway_lookups(caller), 0);
+    }
+
+    #[test]
+    fn clearing_the_route_cache_drops_the_memo() {
+        let home = SmartHome::builder().build().unwrap();
+        let caller = home.gateway(Middleware::Jini).unwrap();
+        caller
+            .invoke(&home.sim, "hall-lamp", "status", &[])
+            .unwrap();
+        caller.set_tracing(true);
+        for _ in 0..3 {
+            caller.clear_route_cache();
+            caller
+                .invoke(&home.sim, "hall-lamp", "status", &[])
+                .unwrap();
+        }
+        assert_eq!(gateway_lookups(caller), 3, "both round trips every call");
+    }
+}

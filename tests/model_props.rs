@@ -3,8 +3,8 @@
 //! devices' state in agreement.
 
 use metaware::{
-    BatchCall, BatchItem, BatchPolicy, Binding, CompositeSpec, HomeFleet, Middleware,
-    ResiliencePolicy, SmartHome, StepSpec, VirtualService,
+    BatchCall, BatchItem, BatchPolicy, Binding, CompactBinary, CompositeSpec, HomeFleet,
+    Middleware, ResiliencePolicy, SmartHome, Soap11, StepSpec, VirtualService, Vsg, VsgProtocol,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -392,5 +392,121 @@ proptest! {
             .unwrap()
             .level;
         prop_assert_eq!(physical, shadow);
+    }
+}
+
+/// One step of the gateway-memo model: services `svc-0..4` on two host
+/// gateways, which may restart on fresh nodes.
+#[derive(Debug, Clone)]
+enum RouteOp {
+    /// Export the service on its host, or on `host` if it has none.
+    Publish { slot: u8, host: u8 },
+    /// Withdraw the service from its host.
+    Withdraw { slot: u8 },
+    /// Move the service to `host` (export it there if it has none).
+    Move { slot: u8, host: u8 },
+    /// `host`'s node goes down for good; a gateway of the same name
+    /// starts on a fresh node and re-exports the host's services.
+    Restart { host: u8 },
+    /// Invoke the service, if it has a host.
+    Invoke { slot: u8 },
+}
+
+fn arb_route_op() -> impl Strategy<Value = RouteOp> {
+    prop_oneof![
+        1 => (0u8..5, 0u8..2).prop_map(|(slot, host)| RouteOp::Publish { slot, host }),
+        1 => (0u8..5).prop_map(|slot| RouteOp::Withdraw { slot }),
+        1 => (0u8..5, 0u8..2).prop_map(|(slot, host)| RouteOp::Move { slot, host }),
+        1 => (0u8..2).prop_map(|host| RouteOp::Restart { host }),
+        3 => (0u8..5).prop_map(|slot| RouteOp::Invoke { slot }),
+    ]
+}
+
+/// Exports `svc-<slot>`, answering its slot, on `gw`.
+fn export_slot(gw: &Vsg, slot: u8) {
+    gw.export(
+        VirtualService::new(
+            format!("svc-{slot}"),
+            metaware::catalog::lamp(),
+            Middleware::X10,
+            gw.name(),
+        ),
+        move |_: &simnet::Sim, _: &str, _: &[(String, Value)]| Ok(Value::Int(i64::from(slot))),
+    )
+    .unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A caller's cached routes and remembered gateway nodes never
+    /// change an answer: over any interleaving of publishes, withdraws,
+    /// moves and gateway restarts, every invoke from a third gateway
+    /// returns what an invoke right after `clear_route_cache` returns,
+    /// and an invoke of a published service never fails. Both callers
+    /// keep the default resilience policy.
+    #[test]
+    fn remembered_routes_answer_as_a_cleared_cache_does(
+        ops in prop::collection::vec(arb_route_op(), 1..40),
+        soap in any::<bool>(),
+    ) {
+        let protocol: Arc<dyn VsgProtocol> = if soap {
+            Arc::new(Soap11::new())
+        } else {
+            Arc::new(CompactBinary::new())
+        };
+        let home = SmartHome::builder().manual_import().jini(false).havi(false)
+            .x10(false).mail(false).upnp(false).build().unwrap();
+        let start = |name: &str| {
+            Vsg::start(&home.backbone, name, protocol.clone(), home.vsr.node()).unwrap()
+        };
+        let mut hosts = [start("host-a"), start("host-b")];
+        let (caller, oracle) = (start("caller-gw"), start("oracle-gw"));
+        let mut owner: [Option<usize>; 5] = [None; 5];
+        let mut dead = Vec::new();
+        for op in &ops {
+            match *op {
+                RouteOp::Publish { slot, host } => {
+                    let host = *owner[slot as usize].get_or_insert(host as usize);
+                    export_slot(&hosts[host], slot);
+                }
+                RouteOp::Withdraw { slot } => {
+                    if let Some(host) = owner[slot as usize].take() {
+                        hosts[host].withdraw(&format!("svc-{slot}")).unwrap();
+                    }
+                }
+                RouteOp::Move { slot, host } => {
+                    if let Some(from) = owner[slot as usize].replace(host as usize) {
+                        hosts[from].withdraw(&format!("svc-{slot}")).unwrap();
+                    }
+                    export_slot(&hosts[host as usize], slot);
+                }
+                RouteOp::Restart { host } => {
+                    let host = host as usize;
+                    dead.push(hosts[host].node());
+                    let t = home.sim.now();
+                    let forever = t + SimDuration::from_secs(1_000_000);
+                    let plan = dead.iter().fold(FaultPlan::new(), |plan, &node| {
+                        plan.node_down(node, t, forever)
+                    });
+                    home.backbone.set_fault_plan(plan);
+                    hosts[host] = start(hosts[host].name());
+                    for slot in (0..5u8).filter(|&s| owner[s as usize] == Some(host)) {
+                        export_slot(&hosts[host], slot);
+                    }
+                }
+                RouteOp::Invoke { slot } => {
+                    if owner[slot as usize].is_none() {
+                        continue;
+                    }
+                    let name = format!("svc-{slot}");
+                    let got = caller.invoke(&home.sim, &name, "status", &[]);
+                    oracle.clear_route_cache();
+                    let want = oracle.invoke(&home.sim, &name, "status", &[]);
+                    prop_assert_eq!(&got, &want, "{:?} after {:?}", op, ops);
+                    prop_assert_eq!(got, Ok(Value::Int(i64::from(slot))));
+                }
+            }
+        }
     }
 }
